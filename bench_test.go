@@ -314,34 +314,6 @@ func BenchmarkMonitorContentionRaceDetect(b *testing.B) {
 	runMonitorContention(b, rfdet.New(opts))
 }
 
-// benchRelaxProfile records a stability-merged relaxation profile for the
-// program, exactly as a deployment would before replaying race-relaxed.
-func benchRelaxProfile(b *testing.B, prog rfdet.ThreadFunc) *rfdet.Profile {
-	b.Helper()
-	ra, err := rfdet.NewCIRace().Run(prog)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rb, err := rfdet.NewCIRace().Run(prog)
-	if err != nil {
-		b.Fatal(err)
-	}
-	p, err := rfdet.MergeProfiles(ra.RelaxProfile, rb.RelaxProfile)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return p
-}
-
-// BenchmarkMonitorContentionRaceRelaxed is the identical program replayed
-// race-relaxed under a freshly recorded relaxation profile (DESIGN.md §15) —
-// the turn-wait-elision comparison for EXPERIMENTS.md. runMonitorContention
-// still asserts cross-iteration determinism, so a relaxation that changed
-// the output could never report a speedup.
-func BenchmarkMonitorContentionRaceRelaxed(b *testing.B) {
-	runMonitorContention(b, rfdet.NewCIRelaxed(benchRelaxProfile(b, monitorContentionProg)))
-}
-
 func monitorContentionProg(t rfdet.Thread) {
 	const (
 		workers = 4
@@ -796,19 +768,6 @@ func BenchmarkServerThroughput(b *testing.B) {
 			return o
 		}},
 	}
-	// The race-relaxed replica replays a freshly recorded relaxation profile;
-	// the shared golden-fingerprint assert below makes its speedup claim
-	// honest — it must match the strict stacks byte for byte.
-	relaxProfile := benchRelaxProfile(b, w.Prog(cfg))
-	variants = append(variants, struct {
-		name string
-		opts func() rfdet.Options
-	}{"relaxed", func() rfdet.Options {
-		o := rfdet.DefaultOptions()
-		o.RaceRelaxed = true
-		o.RelaxProfile = relaxProfile
-		return o
-	}})
 	type fingerprint struct {
 		state, resp, vtime uint64
 	}

@@ -11,7 +11,6 @@
 //	rfdet-bench litmus    the DLRC memory-model litmus table (§3)
 //	rfdet-bench racetable happens-before race detection vs litmus classification (DESIGN.md §12)
 //	rfdet-bench replicas  KV-server k-replica divergence check + requests/sec (DESIGN.md §14)
-//	rfdet-bench relaxation  race-aware turn-wait elision: profile, replay, byte-compare (DESIGN.md §15)
 //	rfdet-bench all       everything, in paper order
 //	rfdet-bench lint      determinism-lint smoke: run tools/detvet -json, assert a clean tree
 //	rfdet-bench validate-trace <file>  check an exported trace file
@@ -103,7 +102,7 @@ func main() {
 	tracePath := flag.String("trace", "", "write a Chrome-trace phase timeline of one workload to this file")
 	traceWorkload := flag.String("traceworkload", "wordcount", "workload to trace with -trace")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: rfdet-bench [flags] figure7|table1|propagation|slicestore|phases|figure8|figure9|racey|litmus|racetable|replicas|relaxation|lint|all\n")
+		fmt.Fprintf(os.Stderr, "usage: rfdet-bench [flags] figure7|table1|propagation|slicestore|phases|figure8|figure9|racey|litmus|racetable|replicas|lint|all\n")
 		fmt.Fprintf(os.Stderr, "       rfdet-bench [flags] validate-trace <file>\n")
 		fmt.Fprintf(os.Stderr, "       rfdet-bench [flags] -trace out.json\n")
 		flag.PrintDefaults()
@@ -161,8 +160,6 @@ func main() {
 		err = harness.RaceTable(os.Stdout, sz, *threads)
 	case "replicas":
 		err = harness.ReplicaTable(os.Stdout, sz, *threads, *replicas)
-	case "relaxation":
-		err = harness.RelaxationTable(os.Stdout, sz, *threads)
 	case "all":
 		err = harness.AllExperiments(os.Stdout, sz, *threads, *repeats, *runs)
 	case "lint":

@@ -8,13 +8,6 @@
 //	rfdet-run -workload racey -runtime pthreads -repeat 5
 //	rfdet-run -workload dedup -trace | head -50
 //	rfdet-run -workload racey -racecheck
-//	rfdet-run -workload ocean -relax-record ocean.profile
-//	rfdet-run -workload ocean -relax-use ocean.profile
-//
-// -relax-record runs the workload twice under the happens-before race
-// detector, stability-merges the recorded relaxation profiles and writes the
-// result; -relax-use replays with race-aware ordering relaxation
-// (Options.RaceRelaxed) driven by such a profile (DESIGN.md §15).
 package main
 
 import (
@@ -25,28 +18,9 @@ import (
 	"rfdet/internal/api"
 	"rfdet/internal/core"
 	"rfdet/internal/dthreads"
-	"rfdet/internal/harness"
 	"rfdet/internal/pthreads"
-	racecheckpkg "rfdet/internal/racecheck"
 	"rfdet/internal/workloads"
 )
-
-// recordRelaxProfile runs the workload twice under the race detector,
-// stability-merges the two relaxation profiles and writes the encoding.
-func recordRelaxProfile(path, workload string, opts core.Options, prog api.ThreadFunc) {
-	p, err := harness.RecordRelaxProfile(opts, prog)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "rfdet-run: %v\n", err)
-		os.Exit(1)
-	}
-	p.Workload = workload
-	if err := os.WriteFile(path, p.Encode(), 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "rfdet-run: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Printf("relaxation profile of %s: %d thread-local sync vars (report hash %#016x, %d runs) written to %s\n",
-		workload, len(p.Local), p.ReportHash, p.Runs, path)
-}
 
 func main() {
 	workload := flag.String("workload", "ocean", "benchmark name (see Table 1) or racey")
@@ -58,8 +32,6 @@ func main() {
 	racecheck := flag.Bool("racecheck", false, "run the happens-before race detector and print its report (rfdet only)")
 	shards := flag.Int("shards", 0, "commit-monitor domain count, 0 = default, 1 = single global domain (rfdet only)")
 	quantum := flag.Uint64("quantum", 50000, "coredet quantum in logical instructions")
-	relaxRecord := flag.String("relax-record", "", "record a stability-merged relaxation profile to this file and exit (rfdet only)")
-	relaxUse := flag.String("relax-use", "", "replay race-relaxed with the profile recorded by -relax-record (rfdet only)")
 	flag.Parse()
 
 	w, err := workloads.ByName(*workload)
@@ -92,25 +64,6 @@ func main() {
 		opts.Trace = *trace
 		opts.RaceDetect = *racecheck
 		opts.ShardCount = *shards
-		if *relaxRecord != "" {
-			recordRelaxProfile(*relaxRecord, *workload, opts, w.Prog(cfg))
-			return
-		}
-		if *relaxUse != "" {
-			f, err := os.Open(*relaxUse)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "rfdet-run: %v\n", err)
-				os.Exit(1)
-			}
-			p, err := racecheckpkg.DecodeProfile(f)
-			f.Close()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "rfdet-run: %s: %v\n", *relaxUse, err)
-				os.Exit(1)
-			}
-			opts.RaceRelaxed = true
-			opts.RelaxProfile = p
-		}
 		traced = core.New(opts)
 		rt = traced
 	case "dthreads":
@@ -133,10 +86,6 @@ func main() {
 	}
 	if *shards != 0 && traced == nil {
 		fmt.Fprintln(os.Stderr, "rfdet-run: -shards requires an rfdet runtime")
-		os.Exit(2)
-	}
-	if (*relaxRecord != "" || *relaxUse != "") && traced == nil {
-		fmt.Fprintln(os.Stderr, "rfdet-run: -relax-record/-relax-use require an rfdet runtime")
 		os.Exit(2)
 	}
 
@@ -215,8 +164,5 @@ func printReport(runtime, workload string, cfg workloads.Config, rep *api.Report
 	}
 	fmt.Printf("  monitor:       %d acquires across %d domains; %d stamped releases, %d cross-domain acquires, %d rendezvous\n",
 		s.MonitorAcquires, s.MonitorShards, s.ShardReleases, s.CrossShardAcquires, s.RendezvousOps)
-	if s.ElidedTurnWaits > 0 || s.SkippedSliceApplies > 0 || s.RelaxUnsafeFallbacks > 0 {
-		fmt.Printf("  relaxation:    %d turn-waits elided, %d slice applies skipped (%d B), %d unsafe fallbacks\n",
-			s.ElidedTurnWaits, s.SkippedSliceApplies, s.BytesElided, s.RelaxUnsafeFallbacks)
-	}
+	fmt.Printf("  kendo:         %d sync ops waited for the deterministic turn (host-dependent)\n", s.TurnWaits)
 }

@@ -11,10 +11,6 @@
 //	rfdet-serve -inject-abort            poison one replica's log: it must be
 //	                                     reported divergent-by-abort, the rest
 //	                                     must still agree
-//	rfdet-serve -relaxed                 add one race-relaxed replica replaying
-//	                                     a freshly recorded relaxation profile;
-//	                                     it must stay byte-identical to the
-//	                                     strict replicas (DESIGN.md §15)
 //
 // -seed picks the request log; -shards pins the commit-monitor domain count
 // on every non-matrix replica (0 keeps the per-variant default), so external
@@ -42,7 +38,6 @@ func main() {
 	shards := flag.Int("shards", 0, "commit-monitor domains per replica (0 = per-variant default)")
 	matrix := flag.Bool("matrix", false, "run the full 18-variant acceptance matrix instead of -replicas")
 	injectAbort := flag.Bool("inject-abort", false, "poison the last replica's log to demonstrate divergent-by-abort reporting")
-	relaxed := flag.Bool("relaxed", false, "add a race-relaxed replica (records a relaxation profile first)")
 	flag.Parse()
 
 	var sz workloads.Size
@@ -74,21 +69,13 @@ func main() {
 	}
 
 	cfg := workloads.Config{Threads: *threads, Size: sz}
-	if *relaxed {
-		v, err := harness.RelaxedServerVariant(cfg, *seed)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "rfdet-serve: recording relaxation profile: %v\n", err)
-			os.Exit(1)
-		}
-		variants = append(variants, v)
-	}
 	rep := harness.RunServerReplicas(cfg, *seed, variants)
 
 	fmt.Printf("deterministic KV server: %d replicas × %d requests (seed %#x, %d worker threads, size %s)\n\n",
 		len(rep.Runs), rep.Requests, rep.Seed, *threads, sz)
-	fmt.Printf("%-22s %5s %18s %18s %12s %10s %10s | %8s %8s %8s %7s %6s\n",
+	fmt.Printf("%-22s %5s %18s %18s %12s %10s %10s | %8s %8s %8s\n",
 		"replica", "procs", "state", "responses", "vtime", "req/s(v)", "req/s(w)",
-		"tw-p50", "tw-p95", "tw-p99", "elided", "fallbk")
+		"tw-p50", "tw-p95", "tw-p99")
 	for _, run := range rep.Runs {
 		if run.Err != nil {
 			fmt.Printf("%-22s %5d divergent-by-abort: %v\n", run.Variant, run.Procs, run.Err)
@@ -100,12 +87,12 @@ func main() {
 			tw = fmt.Sprintf("%7dns %7dns %7dns",
 				pct.P50.Nanoseconds(), pct.P95.Nanoseconds(), pct.P99.Nanoseconds())
 		}
-		fmt.Printf("%-22s %5d %#018x %#018x %12d %10.0f %10.0f | %s %7d %6d\n",
+		fmt.Printf("%-22s %5d %#018x %#018x %12d %10.0f %10.0f | %s\n",
 			run.Variant, run.Procs,
 			run.Summary.StateHash, run.Summary.ResponseHash,
 			run.VirtualTime,
 			run.ReqPerSecVirtual(rep.Requests), run.ReqPerSecHost(rep.Requests),
-			tw, run.Stats.ElidedTurnWaits, run.Stats.RelaxUnsafeFallbacks)
+			tw)
 	}
 
 	if !rep.Divergent() {

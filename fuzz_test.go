@@ -379,12 +379,13 @@ func TestFuzzServerReplicasAgree(t *testing.T) {
 	}
 }
 
-// relaxFuzzProgram generates race-free programs shaped to exercise both
-// relaxation prongs: every worker hammers a private mutex only it ever
-// touches (profile-guided turn-wait elision) and writes a private region
-// under the shared lock that no peer reads before the join (propagation
-// elision), alongside ordinary shared-lock and atomic traffic.
-func relaxFuzzProgram(seed int64) rfdet.ThreadFunc {
+// domainFuzzProgram generates race-free programs whose synchronization
+// variables sit in distinct commit-monitor domains: every worker hammers a
+// private mutex in its own 64-byte address range (fuzzProgram packs its locks
+// 8 bytes apart, all in one domain) and writes a private region under the
+// shared lock that no peer reads before the join, alongside ordinary
+// shared-lock and atomic traffic.
+func domainFuzzProgram(seed int64) rfdet.ThreadFunc {
 	return func(t rfdet.Thread) {
 		r := rand.New(rand.NewSource(seed ^ 0x5eed))
 		nworkers := 2 + r.Intn(3)
@@ -414,7 +415,7 @@ func relaxFuzzProgram(seed int64) rfdet.ThreadFunc {
 			ids = append(ids, t.Spawn(func(t rfdet.Thread) {
 				for _, o := range script {
 					switch o.kind {
-					case 0: // private critical section: profiled thread-local
+					case 0: // private critical section in the worker's own domain
 						t.Lock(priv)
 						t.Store64(region, t.Load64(region)+me)
 						t.Unlock(priv)
@@ -443,84 +444,6 @@ func relaxFuzzProgram(seed int64) rfdet.ThreadFunc {
 			fold = fold*31 + t.Load64(arr+rfdet.Addr(8*i))
 		}
 		t.Observe(fold, t.Load64(atomWord))
-	}
-}
-
-// TestFuzzRaceRelaxedAgrees: race-aware ordering relaxation must be invisible
-// to every deterministic observable on race-free programs running under a
-// correct profile. For each seed a relaxation profile is recorded exactly as
-// deployments record one (two race-detecting runs, stability-merged); then
-// RaceRelaxed on and off — across monitors, optimization stacks, shard
-// counts and GOMAXPROCS — must produce bit-identical output hashes AND
-// virtual times, with zero unsafe fallbacks (the certification that every
-// elision was on a genuinely thread-local variable).
-func TestFuzzRaceRelaxedAgrees(t *testing.T) {
-	seeds := 6
-	if testing.Short() {
-		seeds = 2
-	}
-	bases := []rfdet.Options{
-		{Monitor: rfdet.MonitorCI, ShardCount: 1},
-		{Monitor: rfdet.MonitorCI, SliceMerging: true, Prelock: true, ShardCount: 4},
-		{Monitor: rfdet.MonitorCI, SliceMerging: true, Prelock: true, LazyWrites: true, ShardCount: 4},
-		{Monitor: rfdet.MonitorPF, ShardCount: 4},
-	}
-	for seed := int64(1500); seed < 1500+int64(seeds); seed++ {
-		prog := relaxFuzzProgram(seed)
-
-		// Record the relaxation profile the way a deployment would.
-		recOpts := core.DefaultOptions()
-		recOpts.RaceDetect = true
-		var profiles [2]*rfdet.Profile
-		for i := range profiles {
-			rep, err := rfdet.New(recOpts).Run(prog)
-			if err != nil {
-				t.Fatalf("seed %d recording run %d: %v", seed, i, err)
-			}
-			profiles[i] = rep.RelaxProfile
-		}
-		profile, err := rfdet.MergeProfiles(profiles[0], profiles[1])
-		if err != nil {
-			t.Fatalf("seed %d: stability merge: %v", seed, err)
-		}
-		if len(profile.Local) == 0 {
-			t.Fatalf("seed %d: no thread-local sync vars profiled", seed)
-		}
-
-		for _, base := range bases {
-			var firstOut, firstVT uint64
-			haveFirst := false
-			var elisions uint64
-			for _, relaxed := range []bool{false, true} {
-				for _, procs := range []int{1, 2, 4, 8} {
-					old := runtime.GOMAXPROCS(procs)
-					o := base
-					o.RaceRelaxed = relaxed
-					if relaxed {
-						o.RelaxProfile = profile
-					}
-					rep, err := rfdet.New(o).Run(prog)
-					runtime.GOMAXPROCS(old)
-					if err != nil {
-						t.Fatalf("seed %d opts %+v P=%d: %v", seed, o, procs, err)
-					}
-					if relaxed && rep.Stats.RelaxUnsafeFallbacks != 0 {
-						t.Fatalf("seed %d opts %+v P=%d: %d unsafe fallbacks under a correct profile",
-							seed, base, procs, rep.Stats.RelaxUnsafeFallbacks)
-					}
-					if relaxed {
-						elisions += rep.Stats.ElidedTurnWaits + rep.Stats.SkippedSliceApplies
-					}
-					if !haveFirst {
-						firstOut, firstVT, haveFirst = rep.OutputHash, rep.VirtualTime, true
-					} else if rep.OutputHash != firstOut || rep.VirtualTime != firstVT {
-						t.Fatalf("seed %d opts %+v P=%d relaxed=%v: relaxation changed the result (output %#x vtime %d != %#x %d)",
-							seed, base, procs, relaxed, rep.OutputHash, rep.VirtualTime, firstOut, firstVT)
-					}
-				}
-			}
-			_ = elisions // host-timing dependent; asserted >0 by the core litmus tests
-		}
 	}
 }
 
@@ -556,7 +479,8 @@ func TestFuzzValidated(t *testing.T) {
 // NoCoalesce. Even racy programs, under either monitor, with the full
 // optimization stack, at any GOMAXPROCS, must produce bit-identical output
 // hashes AND virtual times with one domain (the seed's global monitor) or
-// four.
+// four. Two program families: fuzzProgram, whose locks all share one domain,
+// and domainFuzzProgram, whose per-worker locks each land in their own.
 func TestFuzzShardCountAgrees(t *testing.T) {
 	seeds := 10
 	if testing.Short() {
@@ -569,25 +493,33 @@ func TestFuzzShardCountAgrees(t *testing.T) {
 		{Monitor: rfdet.MonitorPF, SliceMerging: true, Prelock: true, LazyWrites: true},
 	}
 	for seed := int64(1100); seed < 1100+int64(seeds); seed++ {
-		prog := fuzzProgram(seed, false)
-		for _, base := range bases {
-			var firstOut, firstVT uint64
-			haveFirst := false
-			for _, shards := range []int{1, 4} {
-				for _, procs := range []int{1, 2, 4, 8} {
-					old := runtime.GOMAXPROCS(procs)
-					o := base
-					o.ShardCount = shards
-					rep, err := rfdet.New(o).Run(prog)
-					runtime.GOMAXPROCS(old)
-					if err != nil {
-						t.Fatalf("seed %d opts %+v shards=%d P=%d: %v", seed, base, shards, procs, err)
-					}
-					if !haveFirst {
-						firstOut, firstVT, haveFirst = rep.OutputHash, rep.VirtualTime, true
-					} else if rep.OutputHash != firstOut || rep.VirtualTime != firstVT {
-						t.Fatalf("seed %d opts %+v shards=%d P=%d: sharding changed the result (output %#x vtime %d != %#x %d)",
-							seed, base, shards, procs, rep.OutputHash, rep.VirtualTime, firstOut, firstVT)
+		families := []struct {
+			name string
+			prog rfdet.ThreadFunc
+		}{
+			{"one-domain", fuzzProgram(seed, false)},
+			{"per-worker-domains", domainFuzzProgram(seed)},
+		}
+		for _, fam := range families {
+			for _, base := range bases {
+				var firstOut, firstVT uint64
+				haveFirst := false
+				for _, shards := range []int{1, 4} {
+					for _, procs := range []int{1, 2, 4, 8} {
+						old := runtime.GOMAXPROCS(procs)
+						o := base
+						o.ShardCount = shards
+						rep, err := rfdet.New(o).Run(fam.prog)
+						runtime.GOMAXPROCS(old)
+						if err != nil {
+							t.Fatalf("%s seed %d opts %+v shards=%d P=%d: %v", fam.name, seed, base, shards, procs, err)
+						}
+						if !haveFirst {
+							firstOut, firstVT, haveFirst = rep.OutputHash, rep.VirtualTime, true
+						} else if rep.OutputHash != firstOut || rep.VirtualTime != firstVT {
+							t.Fatalf("%s seed %d opts %+v shards=%d P=%d: sharding changed the result (output %#x vtime %d != %#x %d)",
+								fam.name, seed, base, shards, procs, rep.OutputHash, rep.VirtualTime, firstOut, firstVT)
+						}
 					}
 				}
 			}
@@ -613,7 +545,7 @@ func TestFuzzEpochStoreAgrees(t *testing.T) {
 		{Monitor: rfdet.MonitorCI},
 		{Monitor: rfdet.MonitorPF},
 		{Monitor: rfdet.MonitorCI, SliceMerging: true, Prelock: true, LazyWrites: true},
-		{Monitor: rfdet.MonitorPF, SliceMerging: true, Prelock: true, LazyWrites: true, RaceRelaxed: true},
+		{Monitor: rfdet.MonitorPF, SliceMerging: true, Prelock: true, LazyWrites: true},
 	}
 	for seed := int64(1700); seed < 1700+int64(seeds); seed++ {
 		prog := fuzzProgram(seed, false)

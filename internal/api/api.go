@@ -189,21 +189,6 @@ type Stats struct {
 	// Kendo internals.
 	TurnWaits uint64 // sync ops that had to wait for the deterministic turn
 
-	// Race-aware ordering relaxation (Options.RaceRelaxed). ElidedTurnWaits
-	// counts turn-waits skipped under a relaxation profile;
-	// SkippedSliceApplies and BytesElided count propagated slices (and their
-	// modification bytes) whose physical application was deferred because
-	// their write extents were disjoint from every unordered peer's observed
-	// reads; RelaxUnsafeFallbacks counts the times race evidence contradicted
-	// the profile and the runtime fell back to the seed's full ordering.
-	// Like the wall-clock nanos these are host-dependent observability —
-	// which slices get elided depends on when peer read evidence lands —
-	// and are never part of the deterministic output.
-	ElidedTurnWaits      uint64 //detvet:mark turn-elide (turn-waits skipped under the relaxation profile)
-	SkippedSliceApplies  uint64 //detvet:mark slice-elide (propagated slices whose application was elided)
-	BytesElided          uint64 //detvet:mark slice-elide (modification bytes in elided slice applies)
-	RelaxUnsafeFallbacks uint64 //detvet:mark relax-fallback (relaxations reverted on contradicting evidence)
-
 	// Monitor-contention observability. MonitorAcquires counts acquisitions
 	// of the runtime's global monitor; DiffNanos and ApplyNanos are the
 	// wall-clock time spent byte-diffing snapshotted pages and applying
@@ -273,10 +258,6 @@ func (s *Stats) Add(other *Stats) {
 	s.RaceRecords += other.RaceRecords
 	s.RaceReadBytes += other.RaceReadBytes
 	s.TurnWaits += other.TurnWaits
-	s.ElidedTurnWaits += other.ElidedTurnWaits
-	s.SkippedSliceApplies += other.SkippedSliceApplies
-	s.BytesElided += other.BytesElided
-	s.RelaxUnsafeFallbacks += other.RelaxUnsafeFallbacks
 	s.MonitorAcquires += other.MonitorAcquires
 	s.DiffNanos += other.DiffNanos
 	s.ApplyNanos += other.ApplyNanos
@@ -348,13 +329,6 @@ type Report struct {
 	// unlike wall-clock spans — itself deterministic: the same program
 	// yields a byte-identical report on every run and every GOMAXPROCS.
 	Races *racecheck.Report
-	// RelaxProfile is the relaxation profile derived from this run's race
-	// detection (nil unless race detection was enabled): the sync-var
-	// addresses observed thread-local, stamped with the race report's
-	// stability digest. Deterministic like Races; feed it back through
-	// Options.RelaxProfile (after a stability merge across runs) to enable
-	// profile-guided turn-wait elision.
-	RelaxProfile *racecheck.Profile
 }
 
 // ObservationsDigest folds the complete observation log — every thread's

@@ -44,12 +44,6 @@ import (
 // that set exactly, because the pre-merge may have applied slices that are
 // concurrent with everything the thread had officially seen.
 func (t *thread) collectLocked(from *thread, upper, lower vclock.VC) []*slicestore.Slice {
-	// from.histMu: under RaceRelaxed, from may be appending to its own list
-	// right now from a turn-elided commit. Such a slice's clock has from's
-	// own component strictly above anything ≤ upper, so whether the walk
-	// sees it changes nothing — the guard is traversal memory-safety only.
-	from.histMu.Lock()
-	defer from.histMu.Unlock()
 	t.st.CollectScanned += uint64(len(from.slicePtrs))
 	if l := uint64(len(from.slicePtrs)); l > t.st.SliceListLen {
 		t.st.SliceListLen = l
@@ -161,15 +155,6 @@ func (t *thread) applySlicesPlanned(slices []*slicestore.Slice, plan *mem.WriteP
 		return
 	}
 	start := stats.Now()
-	// Race-aware propagation elision (relax.go): slices whose writes overlap
-	// no unordered peer's read evidence are parked instead of applied,
-	// dropping them from the plan before fan-out. Only on the eager path
-	// with a plan built here — a shared plan covers every waiter's list, and
-	// the lazy pend must charge its flush cost at deterministic points.
-	var elided []*slicestore.Slice
-	if plan == nil && t.pending == nil && t.exec.relaxElide() {
-		slices, elided = t.partitionElidable(slices)
-	}
 	coalesce := plan != nil ||
 		(!t.exec.opts.NoCoalesce && len(slices) >= planCoalesceMin)
 	ownPlan := coalesce && plan == nil
@@ -182,7 +167,6 @@ func (t *thread) applySlicesPlanned(slices []*slicestore.Slice, plan *mem.WriteP
 			// The write itself happens once, through the plan, below.
 			t.vt += vtime.ApplyCost(uint64(len(s.Mods)), s.Bytes)
 		case t.pending == nil:
-			t.relaxFlushForRuns(s.Mods)
 			t.space.ApplyRuns(s.Mods)
 			t.vt += vtime.ApplyCost(uint64(len(s.Mods)), s.Bytes)
 		case coalesce:
@@ -198,28 +182,10 @@ func (t *thread) applySlicesPlanned(slices []*slicestore.Slice, plan *mem.WriteP
 			t.st.PrelockBytes += s.Bytes
 		}
 	}
-	for _, s := range elided {
-		// The elided slice's bytes park in the relaxPend layer; the virtual
-		// time and propagation counters are charged exactly as the eager
-		// apply above would charge them, so the elision decision — which
-		// depends on host-timed evidence — is invisible to every
-		// deterministic observable.
-		t.relaxPendSlice(s)
-		t.vt += vtime.ApplyCost(uint64(len(s.Mods)), s.Bytes)
-		t.st.SlicesPropagated++
-		t.st.BytesPropagated += s.Bytes
-		if prelock {
-			t.st.PrelockBytes += s.Bytes
-		}
-		t.st.SkippedSliceApplies++
-		t.st.BytesElided += s.Bytes
-		t.tb.Mark(markSliceElide, s.Bytes)
-	}
-	if coalesce && len(slices) > 0 {
+	if coalesce {
 		if t.pending != nil {
 			t.pendPlan(plan)
 		} else {
-			t.relaxFlushForPlan(plan)
 			t.applyPlanToSpace(plan)
 		}
 		if ownPlan {
@@ -307,18 +273,9 @@ func (t *thread) acquireCollectLocked(sh *monShard, sv *syncVar) []*slicestore.S
 	if sv.lastTid != int32(t.id) {
 		from := t.exec.threads[sv.lastTid]
 		slices = t.collectLocked(from, sv.lastTime, t.vtime)
-	}
-	// histMu: a turn-elided self-acquire (lastTid == t.id, relax.go) reaches
-	// this off the turn and still joins its clock, which a turn-held peer
-	// may be cloning or walking concurrently. The join is a no-op in that
-	// case (the thread's clock already covers its own release time), so the
-	// guard is memory-safety only.
-	t.histMu.Lock()
-	if len(slices) > 0 {
 		t.slicePtrs = append(t.slicePtrs, slices...)
 	}
 	t.vtime = t.vtime.Join(sv.lastTime)
-	t.histMu.Unlock()
 	t.preMerged = nil
 	return slices
 }
@@ -333,13 +290,9 @@ func (t *thread) acquireFromCollectLocked(fromTid int32, upper vclock.VC, releas
 	if fromTid != int32(t.id) {
 		from := t.exec.threads[fromTid]
 		slices = t.collectLocked(from, upper, t.vtime)
-	}
-	t.histMu.Lock()
-	if len(slices) > 0 {
 		t.slicePtrs = append(t.slicePtrs, slices...)
 	}
 	t.vtime = t.vtime.Join(upper)
-	t.histMu.Unlock()
 	t.preMerged = nil
 	return slices
 }
@@ -388,9 +341,7 @@ func (w *thread) premergePlannedLocked(slices []*slicestore.Slice, plan *mem.Wri
 		w.preMerged[s] = true
 	}
 	w.applySlicesPlanned(slices, plan, true)
-	w.histMu.Lock()
 	w.slicePtrs = append(w.slicePtrs, slices...)
-	w.histMu.Unlock()
 }
 
 // prelockLocked performs the prelock pre-merge (§4.5): while blocked on a
@@ -406,11 +357,7 @@ func (t *thread) prelockLocked(sv *syncVar) {
 		return
 	}
 	holder := t.exec.threads[sv.owner]
-	// histMu: the holder is running user code and may be mid-commit of a
-	// turn-elided operation on one of its thread-local variables.
-	holder.histMu.Lock()
 	upper := holder.vtime.Clone()
-	holder.histMu.Unlock()
 	t.premergeLocked(t.collectLocked(holder, upper, t.vtime))
 }
 

@@ -152,28 +152,6 @@ type Options struct {
 	// virtual time and never changes outputs, virtual times or traces, so
 	// every deterministic observable is bit-identical with it on or off.
 	RaceDetect bool
-	// RaceRelaxed enables race-aware ordering relaxation (see relax.go):
-	// propagation applies whose write extents are disjoint from every
-	// unordered peer's published read evidence are parked instead of applied
-	// (recovered on first local access), and — when RelaxProfile is set —
-	// turn-wait spins on profiled thread-local sync vars are skipped, with a
-	// permanent per-address fallback to full ordering on the first
-	// contradicting synchronization. The virtual-time model is charged
-	// exactly as if nothing were relaxed, so any run finishing with
-	// Stats.RelaxUnsafeFallbacks == 0 — which a correct profile guarantees —
-	// has outputs, virtual times, traces and race reports bit-identical to
-	// the unrelaxed run; only wall-clock behavior (and the host-dependent
-	// observability counters) change. A contradicted (stale) profile is
-	// flagged by a nonzero fallback count: synchronization semantics still
-	// hold and the run completes, but its timing observables are no longer
-	// certified against the strict run — discard the profile and re-record.
-	RaceRelaxed bool
-	// RelaxProfile is the recorded relaxation profile (racecheck.Profile)
-	// that drives turn-wait elision. Record one with RaceDetect
-	// (Report.RelaxProfile), stability-merge at least two runs with
-	// racecheck.MergeStable, and pass it back here with RaceRelaxed set. Nil
-	// disables turn-wait elision; propagation elision works without it.
-	RelaxProfile *racecheck.Profile
 }
 
 // DefaultOptions returns the configuration used for the paper's headline
@@ -230,16 +208,6 @@ type exec struct {
 	// under the monitor, analyzed into Report.Races after the run. Like
 	// phases, purely observational.
 	races *racecheck.Detector
-	// relax is the turn-wait relaxation claim table (nil unless
-	// Options.RaceRelaxed with a profile; relax.go).
-	relax *relaxState
-	// peers is a race-free snapshot of the thread table for the propagation
-	// elision veto, which runs off-monitor and therefore cannot walk
-	// e.threads (a concurrent Spawn rendezvous may be appending). Updated
-	// under the rendezvous at every spawn; a thread missing from a stale
-	// snapshot has published no read evidence yet, so the veto only errs
-	// toward vetoing less — which the fault-path recovery makes safe.
-	peers atomic.Pointer[[]*thread]
 
 	// shards are the per-address-range commit-monitor domains. Hot sync
 	// ops lock only the domain(s) owning their variables; the global
@@ -389,17 +357,7 @@ func newExec(opts Options) *exec {
 	if opts.RaceDetect {
 		e.races = racecheck.New()
 	}
-	if opts.RaceRelaxed {
-		e.relax = newRelaxState(opts.RelaxProfile)
-	}
 	return e
-}
-
-// publishPeersLocked refreshes the elision veto's thread-table snapshot.
-// Called wherever e.threads changes (under the rendezvous / exec.mu).
-func (e *exec) publishPeersLocked() {
-	snap := append([]*thread(nil), e.threads...)
-	e.peers.Store(&snap)
 }
 
 // Run executes main as thread 0 and returns the deterministic report.
@@ -435,7 +393,6 @@ func (r *Runtime) RunTraced(main api.ThreadFunc) (*api.Report, *Trace, error) {
 	t0.proc = e.sched.Register(0, 0)
 	e.alloc.Register(0)
 	e.threads = append(e.threads, t0)
-	e.publishPeersLocked()
 	e.liveCount.Store(1)
 	e.maxLive = 1
 
@@ -496,12 +453,8 @@ func (e *exec) threadExit(t *thread, abnormal bool) {
 	defer e.releaseRendezvous(t)
 	if !e.aborted.Load() {
 		t.flushAllPending()
-		// Parked elided propagation bytes must be resident before the final
-		// memory hash and before joiners collect this thread's exit release.
-		t.flushAllRelax()
 		t.exitV = t.endSliceLocked()
 	} else {
-		t.dropRelaxPend()
 		t.exitV = t.vtime.Clone()
 	}
 	t.exitVT = t.vt
@@ -712,9 +665,6 @@ func (e *exec) buildReportLocked(elapsed time.Duration) *api.Report {
 	// deterministic output.
 	rep.Phases = e.phases.Render()
 	rep.Races = e.races.Analyze()
-	if e.races != nil {
-		rep.RelaxProfile = e.races.Profile("")
-	}
 	return rep
 }
 
@@ -729,11 +679,7 @@ func (e *exec) gcLocked() {
 	var clocks []vclock.VC
 	for _, t := range e.threads {
 		if t.proc.Status() != kendo.Exited && !t.noComm {
-			// Cloned under histMu: a relaxed (elided) operation may be
-			// bumping its own clock off the turn right now.
-			t.histMu.Lock()
-			clocks = append(clocks, t.vtime.Clone())
-			t.histMu.Unlock()
+			clocks = append(clocks, t.vtime)
 		}
 	}
 	if len(clocks) == 0 {
@@ -754,8 +700,6 @@ func (e *exec) gcLocked() {
 	frontier := vclock.MeetAll(clocks)
 	e.store.Collect(frontier)
 	for _, t := range e.threads {
-		t.histMu.Lock()
 		t.slicePtrs = slicestore.TrimList(t.slicePtrs, frontier)
-		t.histMu.Unlock()
 	}
 }

@@ -218,21 +218,6 @@ func (e *exec) releaseRendezvous(t *thread) {
 // still holding their domain's mutex, which the lock order (domains before
 // exec.mu) permits.
 func (e *exec) maybeGC(t *thread, need bool) {
-	if t.relaxElided {
-		// A turn-elided commit (relax.go) lacks the turn-quiescence gcLocked
-		// relies on; defer the request to this thread's next turn-held
-		// operation. Any other thread's commit can still trigger the pass —
-		// the threshold is global — so deferral only delays, never loses, a
-		// collection.
-		if need {
-			t.gcDeferred = true
-		}
-		return
-	}
-	if t.gcDeferred {
-		t.gcDeferred = false
-		need = true
-	}
 	if !need {
 		return
 	}

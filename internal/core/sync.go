@@ -79,13 +79,10 @@ func (t *thread) finishOpLocked() {
 // cannot pre-diff before entering the monitor; it drops the monitor around
 // the diff instead (endSliceDropLock).
 func (t *thread) Lock(m api.Addr) {
+	t.turn()
 	e := t.exec
-	en, elided := t.turnRelaxed(m)
 	sh := e.shardFor(m)
 	e.lockShard(t, sh)
-	elided = t.relaxAdmitLocked(sh, en, m, elided)
-	t.relaxElided = elided
-	e.recordSync(m, t.id)
 	t.st.Locks++
 	sv := sh.syncvar(m)
 
@@ -124,7 +121,6 @@ func (t *thread) Lock(m api.Addr) {
 		t.st.SlicesMerged++
 		e.syncEvent(t, "lock*", m)
 		t.finishOpLocked()
-		t.relaxElided = false
 		sh.mu.Unlock()
 		return
 	}
@@ -137,7 +133,6 @@ func (t *thread) Lock(m api.Addr) {
 	t.beginSlice()
 	e.syncEvent(t, "lock", m)
 	t.finishOpLocked()
-	t.relaxElided = false
 	sh.mu.Unlock()
 	t.applySlices(slices, false)
 	pin.Release()
@@ -160,14 +155,11 @@ func (e *exec) handoffLocked(sh *monShard, sv *syncVar, releaser *thread) {
 // Unlock implements pthread_mutex_unlock (§4.1): a release that records
 // lastTid/lastTime before the variable is handed over.
 func (t *thread) Unlock(m api.Addr) {
-	e := t.exec
-	en, elided := t.turnRelaxed(m)
+	t.turn()
 	s := t.finishSlice()
+	e := t.exec
 	sh := e.shardFor(m)
 	e.lockShard(t, sh)
-	elided = t.relaxAdmitLocked(sh, en, m, elided)
-	t.relaxElided = elided
-	e.recordSync(m, t.id)
 	t.st.Unlocks++
 	sv := sh.syncvar(m)
 	if !sv.held || sv.owner != t.id {
@@ -186,7 +178,6 @@ func (t *thread) Unlock(m api.Addr) {
 	t.beginSlice()
 	e.syncEvent(t, "unlock", m)
 	t.finishOpLocked()
-	t.relaxElided = false
 	sh.mu.Unlock()
 }
 
@@ -217,8 +208,6 @@ func (t *thread) Wait(c, m api.Addr) {
 	e.lockShardSet(t, set)
 	shm := e.shardFor(m)
 	t.st.Waits++
-	e.recordSync(m, t.id)
-	e.recordSync(c, t.id)
 	svm := shm.syncvar(m)
 	if !svm.held || svm.owner != t.id {
 		e.fail(fmt.Errorf("rfdet: thread %d: cond wait with mutex %#x not held", t.id, uint64(m)))
@@ -295,7 +284,6 @@ func (t *thread) signal(c api.Addr, all bool) {
 	t.shardScratch = set
 	e.lockShardSet(t, set)
 	t.st.Signals++
-	e.recordSync(c, t.id)
 	tend := t.commitSliceLocked(s)
 	svc := shc.syncvar(c)
 	n := 1
@@ -304,10 +292,6 @@ func (t *thread) signal(c api.Addr, all bool) {
 	}
 	for i := 0; i < n && svc.condQ.len() > 0; i++ {
 		entry := svc.condQ.pop()
-		// The signaler mutates the woken waiter's mutex state: record it as a
-		// toucher of that mutex so the relaxation profile never classifies a
-		// handed-off mutex as thread-local.
-		e.recordSync(entry.mutex, t.id)
 		w := e.threads[entry.tid]
 		w.pendingSignal = &signalRecord{tid: int32(t.id), v: tend, vt: t.vt}
 		shm := e.shardFor(entry.mutex)
@@ -364,7 +348,6 @@ func (t *thread) Barrier(b api.Addr, n int) {
 	// domain guards.
 	e.rendezvous(t)
 	t.st.Barriers++
-	e.recordSync(b, t.id)
 	tend := t.commitSliceLocked(s)
 	t.flushAllPending()
 	sv := e.shardFor(b).syncvar(b)
@@ -391,9 +374,6 @@ func (t *thread) Barrier(b api.Addr, n int) {
 
 	leader := e.threads[arrivals[0].tid]
 	leader.flushAllPending()
-	// The leader's space is the merge target: every parked elided byte must be
-	// resident before peer modifications land on top of it.
-	leader.flushAllRelax()
 	releaseVT := arrivals[0].vt
 	merged := arrivals[0].v.Clone()
 	for _, a := range arrivals[1:] {
@@ -461,10 +441,6 @@ func (t *thread) Barrier(b api.Addr, n int) {
 			}
 			delete(w.pending, pid)
 		}
-		// The replacement space already contains everything the arrival's
-		// parked elided bytes carried (the leader merged the same slices), so
-		// the pend layer is simply dropped with the old space.
-		w.dropRelaxPend()
 	}
 	// Resume everyone.
 	for _, a := range arrivals {
@@ -493,10 +469,8 @@ func (t *thread) Spawn(fn api.ThreadFunc) api.ThreadID {
 	// Spawn mutates the thread table and live accounting: rendezvous.
 	e.rendezvous(t)
 	t.st.Forks++
-	// Lazily pended updates — and parked elided propagation bytes — must be
-	// resident before the memory is cloned.
+	// Lazily pended updates must be resident before the memory is cloned.
 	t.flushAllPending()
-	t.flushAllRelax()
 	tend := t.commitSliceLocked(s)
 
 	id := api.ThreadID(len(e.threads))
@@ -524,7 +498,6 @@ func (t *thread) Spawn(fn api.ThreadFunc) api.ThreadID {
 	child.tb = e.phases.NewThread(int(id))
 	e.alloc.Register(int(id))
 	e.threads = append(e.threads, child)
-	e.publishPeersLocked()
 	if live := int(e.liveCount.Add(1)); live > e.maxLive {
 		e.maxLive = live
 	}
@@ -625,14 +598,11 @@ func (t *thread) AtomicCAS64(a api.Addr, old, new uint64) bool {
 // variable's last release. The write itself bypasses slice monitoring — it
 // is carried by the micro-slice, not by page diffing.
 func (t *thread) atomicOp(a api.Addr, op func(cur uint64) (newVal uint64, wrote bool)) {
-	e := t.exec
-	en, elided := t.turnRelaxed(a)
+	t.turn()
 	s := t.finishSlice()
+	e := t.exec
 	sh := e.shardFor(a)
 	e.lockShard(t, sh)
-	elided = t.relaxAdmitLocked(sh, en, a, elided)
-	t.relaxElided = elided
-	e.recordSync(a, t.id)
 	t.st.AtomicsOps++
 	sv := sh.syncvar(a)
 	t.commitSliceLocked(s)
@@ -653,20 +623,17 @@ func (t *thread) atomicOp(a api.Addr, op func(cur uint64) (newVal uint64, wrote 
 	cur := t.space.Load64(uint64(a)) // flushes lazily pended updates if any
 	newVal, wrote := op(cur)
 	t.vt += 2 * vtime.MemOp
-	if t.space.ReadTracking() {
-		// The atomic access is its own Kendo-ordered micro-operation: keep the
-		// word's read out of the enclosing slice's read set — and out of the
-		// relaxation read evidence — because the slice's end clock can be
+	if e.races != nil {
+		// The atomic access is its own Kendo-ordered micro-operation. Record
+		// it as a dedicated Atomic access (atomics are totally ordered by the
+		// arbiter and never race with each other) and keep the word's read
+		// out of the enclosing slice's read set: the slice's end clock can be
 		// concurrent with a later atomic write that this operation in fact
 		// happens-before through the word's own synchronization variable. The
 		// read tracker holds exactly this Load64 here — the previous slice
 		// was harvested by finishSlice and propagation applies bypass the
 		// tracker — so resetting it removes just the atomic read.
 		t.space.ResetReads()
-	}
-	if e.races != nil {
-		// Record the access as a dedicated Atomic access: atomics are totally
-		// ordered by the arbiter and never race with each other.
 		acc := racecheck.Access{
 			Tid:    int32(t.id),
 			VT:     uint64(t.vt),
@@ -695,22 +662,14 @@ func (t *thread) atomicOp(a api.Addr, op func(cur uint64) (newVal uint64, wrote 
 			Bytes: 8,
 		}
 		t.st.SlicesCreated++
-		// histMu orders the list append and the clock tick against the
-		// cross-thread readers (collectLocked, prelockLocked, gcLocked); see
-		// commitSliceLocked for the full argument.
-		t.histMu.Lock()
 		t.slicePtrs = append(t.slicePtrs, micro)
-		t.histMu.Unlock()
 		e.maybeGC(t, e.store.Commit(micro))
 		tend := t.vtime.Clone()
-		t.histMu.Lock()
 		t.vtime = t.vtime.Bump(int(t.id))
-		t.histMu.Unlock()
 		t.releaseLocked(sh, sv, tend)
 	}
 	t.beginSlice()
 	e.syncEvent(t, "atomic", a)
 	t.finishOpLocked()
-	t.relaxElided = false
 	sh.mu.Unlock()
 }

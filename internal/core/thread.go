@@ -5,7 +5,6 @@ import (
 	"math"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"rfdet/internal/api"
 	"rfdet/internal/kendo"
@@ -42,7 +41,9 @@ type thread struct {
 
 	// space is the thread's private view of shared memory.
 	space *mem.Space
-	// vtime is the DLRC vector clock (§4.2).
+	// vtime is the DLRC vector clock (§4.2). Same discipline as slicePtrs;
+	// the cross-thread readers are prelockLocked and gcLocked.
+	//detvet:notguarded ordered by the deterministic turn, not a mutex: written by this thread under its own turn, or by the turn holder on its behalf while it is provably blocked; read cross-thread only by a turn holder
 	vtime vclock.VC
 	// vt is the thread's virtual time under the internal/vtime cost model.
 	vt vtime.Time
@@ -54,8 +55,12 @@ type thread struct {
 	noComm bool
 
 	// slicePtrs is the happens-before-ordered list of all slices visible to
-	// this thread (§4.3). Guarded by exec.mu: other threads walk it during
-	// their propagation.
+	// this thread (§4.3). It is mutated only by a turn holder: this thread's
+	// own commits and acquires, gcLocked's trim, or another thread acting on
+	// this one's behalf while it is provably blocked (lock grant, premerge,
+	// signal and join acquires, barrier merge). Other threads walk it during
+	// their propagation, also under the turn.
+	//detvet:notguarded ordered by the deterministic turn, not a mutex: every writer and every cross-thread walker holds the turn (sync.go header)
 	slicePtrs []*slicestore.Slice
 
 	// Current-slice monitoring state: page snapshots in first-touch order.
@@ -68,32 +73,6 @@ type thread struct {
 	// updates and flushes in one pass — or, under Options.NoCoalesce, the
 	// seed's raw run list.
 	pending map[mem.PageID]*pendEntry
-
-	// relaxPend parks elided propagation bytes per page (Options.RaceRelaxed,
-	// relax.go) as coalescing last-writer-wins patches, recovered by the
-	// fault handler on first local access at zero virtual-time cost (the
-	// seed-model apply cost was charged at elision). Mutually exclusive with
-	// pending by construction: elision requires eager application
-	// (pending == nil), so a page is never in both layers.
-	//detvet:notguarded thread-local: only this thread's fault handler and elision path touch it, never another thread
-	relaxPend map[mem.PageID]*mem.PagePatch
-	// readEvd is the thread's published cumulative read evidence for the
-	// propagation-elision veto (relax.go); peers read it lock-free.
-	readEvd atomic.Pointer[readEvidence]
-	// histMu guards the cross-thread-readable deterministic history — vtime
-	// and slicePtrs — against this thread's own off-turn mutation during a
-	// relaxed (turn-elided) operation. Leaf mutex: a holder takes no other
-	// lock. Memory-safety only; every propagation decision still derives
-	// from the vector-clock values, never from mutex arrival order.
-	//detvet:lockorder 80
-	histMu sync.Mutex //detvet:nativesync leaf guard for off-turn history mutation under RaceRelaxed; no ordering role.
-	// relaxElided marks that the current synchronization operation runs with
-	// its turn-wait elided; gcDeferred queues a GC request that arrived
-	// during such an operation for the next turn-held one (gcLocked requires
-	// the turn-quiescence its caller normally guarantees).
-	//detvet:notguarded thread-local flag, set and cleared by this thread around its own operation
-	relaxElided bool
-	gcDeferred  bool //detvet:notguarded thread-local flag, consulted only by this thread's next turn-held operation
 
 	// preMerged records slices applied by a prelock pre-merge (§4.5) so the
 	// eventual acquire skips them. Nil when no pre-merge is outstanding.
@@ -183,12 +162,6 @@ func (t *thread) recordStore(a, n uint64) {
 					t.flushPage(pid)
 				}
 			}
-			// Likewise elided propagation bytes (relax.go): the snapshot
-			// baseline must include them or the diff would claim them as
-			// this slice's own writes.
-			if _, has := t.relaxPend[pid]; has {
-				t.relaxFlushPage(pid)
-			}
 			t.takeSnapshot(pid)
 		}
 		if pid == last {
@@ -240,9 +213,6 @@ func (t *thread) onFault(pid mem.PageID, write bool) {
 		if _, has := t.pending[pid]; has {
 			t.flushPage(pid)
 		}
-	}
-	if _, has := t.relaxPend[pid]; has {
-		t.relaxFlushPage(pid)
 	}
 	if t.monitoring && t.exec.opts.Monitor == MonitorPF {
 		if _, ok := t.snapshots[pid]; !ok {
@@ -352,14 +322,9 @@ func (t *thread) beginSlice() {
 	n := t.space.ProtectAll(mem.ProtRead)
 	t.st.PageProtects += uint64(n)
 	t.vt += vtime.Time(n) * vtime.ProtectPage
-	// Pages with pended lazy modifications must fault on reads too, as must
-	// pages with parked elided propagation bytes (relax.go).
+	// Pages with pended lazy modifications must fault on reads too.
 	//detvet:orderfree Protect is per-page idempotent state; iteration order is invisible.
 	for pid := range t.pending {
-		t.space.Protect(pid, mem.ProtNone)
-	}
-	//detvet:orderfree Protect is per-page idempotent state; iteration order is invisible.
-	for pid := range t.relaxPend {
 		t.space.Protect(pid, mem.ProtNone)
 	}
 }
@@ -374,9 +339,7 @@ func (t *thread) enableDirtyTracking() {
 	if !t.exec.opts.FullPageDiff {
 		t.space.SetDirtyTracking(true)
 	}
-	if t.exec.races != nil || t.exec.opts.RaceRelaxed {
-		// RaceRelaxed needs the same read sets as the detector: they are the
-		// published evidence the propagation-elision veto checks.
+	if t.exec.races != nil {
 		t.space.SetReadTracking(true)
 	}
 }
@@ -549,50 +512,32 @@ func (t *thread) commitSliceLocked(s *slicestore.Slice) vclock.VC {
 	tend := t.vtime.Clone()
 	if s != nil {
 		t.st.SlicesCreated++
-		// histMu: under RaceRelaxed this commit may run off the turn (a
-		// turn-elided op on a thread-local variable), concurrent with a
-		// turn-held peer walking this list (collectLocked) or cloning this
-		// clock (prelockLocked). The list's *contents* cannot confuse such a
-		// reader — this slice's own clock component strictly exceeds any
-		// upper bound a reader could hold — so the guard is traversal
-		// memory-safety only.
-		t.histMu.Lock()
 		t.slicePtrs = append(t.slicePtrs, s)
-		t.histMu.Unlock()
 		t.exec.maybeGC(t, t.exec.store.Commit(s))
 	}
-	if t.exec.races != nil || t.exec.opts.RaceRelaxed {
+	if t.exec.races != nil {
 		t.recordAccessLocked(s, tend)
 	}
-	t.histMu.Lock()
 	t.vtime = t.vtime.Bump(int(t.id))
-	t.histMu.Unlock()
 	return tend
 }
 
 // recordAccessLocked hands the just-committed slice's access footprint —
 // writes from its modification list, reads harvested by finishSlice — to the
-// race detector, stamped with the slice's pre-bump clock, and (under
-// RaceRelaxed) extends the thread's published read evidence for the
-// propagation-elision veto. Commits from turn-elided operations reach this
-// off the turn; the detector's own mutex serializes the appends and
-// Analyze's deterministic sort orders the report, so the report stays
-// byte-identical. Charges no virtual time.
+// race detector, stamped with the slice's pre-bump clock. Always reached
+// turn-held (commits happen only under the deterministic turn), which is
+// what serializes and orders detector mutations now that commits from
+// different monitor domains no longer share a mutex; charges no virtual
+// time.
 func (t *thread) recordAccessLocked(s *slicestore.Slice, tend vclock.VC) {
-	reads := racecheck.Normalize(t.sliceReads)
-	t.sliceReads = nil
-	if t.exec.opts.RaceRelaxed {
-		t.publishReadEvidence(reads, tend)
-	}
-	if t.exec.races == nil {
-		return
-	}
 	var writes []racecheck.Range
 	if s != nil {
 		// Mods list pages in first-write order; normalize into one sorted
 		// coalesced range list.
 		writes = racecheck.Normalize(racecheck.RangesFromRuns(s.Mods))
 	}
+	reads := racecheck.Normalize(t.sliceReads)
+	t.sliceReads = nil
 	if len(writes) == 0 && len(reads) == 0 {
 		return
 	}

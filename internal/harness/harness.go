@@ -448,7 +448,6 @@ func AllExperiments(out io.Writer, size workloads.Size, threads, repeats, raceyR
 		func() error { return PropagationTable(out, size, threads) },
 		func() error { return SliceStoreTable(out, size, threads) },
 		func() error { return PhaseTable(out, size, threads) },
-		func() error { return RelaxationTable(out, size, threads) },
 		func() error { return Figure8(out, size, repeats) },
 		func() error { return Figure9(out, size, threads, repeats) },
 	}

@@ -241,24 +241,15 @@ func MatrixVariants() []ReplicaVariant {
 }
 
 // ReplicaTable renders the replica-divergence artifact: k replicas of the
-// same KV-server request log across differing optimization stacks — plus one
-// race-relaxed replica replaying a freshly recorded relaxation profile —
-// their deterministic fingerprints, requests/sec in virtual and host time,
-// and the per-request phase breakdown from the phase trace. It errors if any
-// replica diverges — this table doubles as the end-to-end wall rfdet-bench
-// runs, and the relaxed replica's row enforces the §15 soundness contract
-// against every strict stack at once.
+// same KV-server request log across differing optimization stacks, their
+// deterministic fingerprints, requests/sec in virtual and host time, and the
+// per-request phase breakdown from the phase trace. It errors if any replica
+// diverges — this table doubles as the end-to-end wall rfdet-bench runs.
 func ReplicaTable(out io.Writer, size workloads.Size, threads, k int) error {
 	cfg := workloads.Config{Threads: threads, Size: size}
-	variants := DefaultVariants(k)
-	relaxed, err := RelaxedServerVariant(cfg, workloads.DefaultServerSeed)
-	if err != nil {
-		return err
-	}
-	variants = append(variants, relaxed)
-	rep := RunServerReplicas(cfg, workloads.DefaultServerSeed, variants)
-	fmt.Fprintf(out, "KV-server replica divergence check (%d replicas incl. race-relaxed, %d worker threads, size %s, %d requests)\n\n",
-		len(rep.Runs), threads, size, rep.Requests)
+	rep := RunServerReplicas(cfg, workloads.DefaultServerSeed, DefaultVariants(k))
+	fmt.Fprintf(out, "KV-server replica divergence check (%d replicas, %d worker threads, size %s, %d requests)\n\n",
+		k, threads, size, rep.Requests)
 	fmt.Fprintf(out, "%-16s %5s %18s %18s %12s %10s %10s | %8s %8s %8s | %8s %8s %8s\n",
 		"replica", "procs", "state", "responses", "vtime", "req/s(v)", "req/s(w)",
 		"turn", "diff", "apply",

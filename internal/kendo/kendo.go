@@ -164,27 +164,6 @@ func (s *Sched) WaitForTurn(p *Proc) (ok, waited bool) {
 	}
 }
 
-// TryTurn is a single, non-spinning eligibility probe: it reports whether
-// the execution is still alive (ok) and whether p holds the deterministic
-// turn right now (mine), using the same seqlock-validated scan as
-// WaitForTurn but never retrying. Race-aware relaxation uses it to decide
-// whether skipping the spin on a profiled sync pair is a real elision
-// (mine=false: the thread proceeds without the turn) or a free pass
-// (mine=true: the thread held the turn anyway). A scan invalidated by an
-// in-flight scheduling transition conservatively reports mine=false; the
-// caller treats that exactly like not holding the turn, so the probe never
-// needs to loop.
-func (s *Sched) TryTurn(p *Proc) (ok, mine bool) {
-	if s.aborted.Load() {
-		return false, false
-	}
-	g := s.gen.Load()
-	if g&1 == 0 && s.isMin(p) && s.gen.Load() == g {
-		return true, true
-	}
-	return true, false
-}
-
 // isMin reports whether p is the minimal Running thread.
 func (s *Sched) isMin(p *Proc) bool {
 	for _, q := range *s.procs.Load() {

@@ -171,25 +171,6 @@ func (s *Space) ApplyPatch(p *PagePatch) {
 	ApplyPatchData(s.writablePage(p.page).Data[:], p)
 }
 
-// RunBounds returns the bounding address range [lo, hi) of a modification
-// list — the cheap precheck race-aware propagation elision runs before the
-// per-peer range merge scan. ok is false when the list has no bytes.
-func RunBounds(runs []Run) (lo, hi uint64, ok bool) {
-	for _, r := range runs {
-		if len(r.Data) == 0 {
-			continue
-		}
-		if !ok || r.Addr < lo {
-			lo = r.Addr
-		}
-		if end := r.Addr + uint64(len(r.Data)); !ok || end > hi {
-			hi = end
-		}
-		ok = true
-	}
-	return lo, hi, ok
-}
-
 // WritePlan is the collapsed form of an ordered modification-list sequence.
 // It holds the per-page last-writer-wins images directly in the patches'
 // pooled staging buffers — applying a plan copies each unique byte straight

@@ -133,27 +133,19 @@ func (rep *Report) Hash() uint64 {
 }
 
 // Detector accumulates slice access records and analyzes them at the end of
-// the run. Recording used to rely on the deterministic turn for
-// serialization; under Options.RaceRelaxed profiled operations commit off
-// the turn, so the detector carries its own mutex. The mutex guards only
-// the appends — the report's order comes from Analyze's deterministic sort,
-// never from arrival order, so the report stays byte-identical.
+// the run. The runtime records only under the deterministic turn, but
+// commits in different commit-monitor domains share no runtime lock, so the
+// detector carries its own mutex rather than lean on a caller's. The mutex
+// guards only the appends — the report's order comes from Analyze's
+// deterministic sort, never from arrival order, so the report stays
+// byte-identical.
 type Detector struct {
 	mu       sync.Mutex
 	accesses []Access
-	syncUses map[uint64]*syncUse
-}
-
-// syncUse tracks which threads performed synchronization operations on one
-// sync-var address: the relaxation profile's raw material.
-type syncUse struct {
-	firstTid int32
-	multi    bool
-	ops      uint64
 }
 
 // New returns an empty detector.
-func New() *Detector { return &Detector{syncUses: make(map[uint64]*syncUse)} }
+func New() *Detector { return &Detector{} }
 
 // Record adds one slice's access footprint. Records with no reads and no
 // writes are dropped — they cannot participate in any conflict. The caller
@@ -164,25 +156,6 @@ func (d *Detector) Record(a Access) {
 	}
 	d.mu.Lock()
 	d.accesses = append(d.accesses, a)
-	d.mu.Unlock()
-}
-
-// RecordSync notes that thread tid performed a synchronization operation on
-// the sync var at addr. The runtime calls this for every Lock/Unlock/atomic
-// (and, conservatively, for the mutex manipulated on a waiter's behalf by
-// Signal and for every barrier arrival): an address touched by more than
-// one thread is excluded from the relaxation profile.
-func (d *Detector) RecordSync(addr uint64, tid int32) {
-	d.mu.Lock()
-	u, ok := d.syncUses[addr]
-	if !ok {
-		u = &syncUse{firstTid: tid}
-		d.syncUses[addr] = u
-	}
-	if u.firstTid != tid {
-		u.multi = true
-	}
-	u.ops++
 	d.mu.Unlock()
 }
 
@@ -287,26 +260,6 @@ func Intersect(xs, ys []Range) []Range {
 		}
 	}
 	return out
-}
-
-// RangesOverlap reports whether two sorted, coalesced range lists share any
-// byte, via the same merge scan as Intersect but with an early exit and no
-// allocation. The propagation-elision veto calls it once per (slice, peer)
-// pair, so the cheap form matters.
-func RangesOverlap(xs, ys []Range) bool {
-	i, j := 0, 0
-	for i < len(xs) && j < len(ys) {
-		if xs[i].End() <= ys[j].Addr {
-			i++
-			continue
-		}
-		if ys[j].End() <= xs[i].Addr {
-			j++
-			continue
-		}
-		return true
-	}
-	return false
 }
 
 // Normalize sorts rs by address and merges overlapping or touching ranges in

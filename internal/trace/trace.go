@@ -334,43 +334,6 @@ func nearestRank(n, pct int) int {
 	return i - 1
 }
 
-// MarkCount counts cross-linked marks with the given op across all threads.
-// The relaxation reconciliation test matches mark counts against the Stats
-// counters (turn-elide ↔ ElidedTurnWaits, slice-elide ↔ SkippedSliceApplies,
-// relax-fallback ↔ RelaxUnsafeFallbacks).
-func (r *Report) MarkCount(op string) uint64 {
-	var n uint64
-	if r == nil {
-		return n
-	}
-	for _, tl := range r.Threads {
-		for _, m := range tl.Marks {
-			if m.Op == op {
-				n++
-			}
-		}
-	}
-	return n
-}
-
-// MarkSum sums the Addr payloads of marks with the given op. slice-elide
-// marks carry the elided byte count in Addr, so MarkSum("slice-elide")
-// reconciles against Stats.BytesElided.
-func (r *Report) MarkSum(op string) uint64 {
-	var n uint64
-	if r == nil {
-		return n
-	}
-	for _, tl := range r.Threads {
-		for _, m := range tl.Marks {
-			if m.Op == op {
-				n += m.Addr
-			}
-		}
-	}
-	return n
-}
-
 // UserTime estimates user compute: the sum over threads of lifetime not
 // covered by any recorded span. Because premerge, plan-build and
 // barrier-merge spans nest inside other spans (a waiter's block, an apply),

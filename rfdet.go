@@ -59,7 +59,6 @@ import (
 	"rfdet/internal/core"
 	"rfdet/internal/dthreads"
 	"rfdet/internal/pthreads"
-	"rfdet/internal/racecheck"
 )
 
 // Re-exported programming-model types; see internal/api for documentation.
@@ -121,31 +120,6 @@ func NewPF() Runtime {
 func NewCIRace() Runtime {
 	opts := core.DefaultOptions()
 	opts.RaceDetect = true
-	return core.New(opts)
-}
-
-// Profile is a recorded relaxation profile: the sync-var addresses a
-// race-detecting run observed as thread-local, plus the run's race-report
-// hash as a stability fingerprint. See racecheck.Profile.
-type Profile = racecheck.Profile
-
-// MergeProfiles stability-merges two relaxation profiles recorded from
-// independent runs of the same workload: the result keeps only addresses
-// thread-local in both runs, and errors if the runs' race reports disagree
-// (the workload is not stable enough to profile). See racecheck.MergeStable.
-func MergeProfiles(a, b *Profile) (*Profile, error) { return racecheck.MergeStable(a, b) }
-
-// NewCIRelaxed returns RFDet-ci with race-aware ordering relaxation
-// (Options.RaceRelaxed) enabled, driven by the given relaxation profile
-// (nil enables propagation elision only). Record a profile with NewCIRace —
-// Report.RelaxProfile — and stability-merge at least two runs with
-// MergeProfiles before replaying with it. Deterministic observables are
-// identical to NewCI's for race-free programs; contradicted profile entries
-// fall back to full ordering (Stats.RelaxUnsafeFallbacks).
-func NewCIRelaxed(p *Profile) Runtime {
-	opts := core.DefaultOptions()
-	opts.RaceRelaxed = true
-	opts.RelaxProfile = p
 	return core.New(opts)
 }
 

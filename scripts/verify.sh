@@ -22,9 +22,6 @@
 #   8. replicas   — the KV-server divergence check: k=3 replicas of one
 #                   request log across optimization stacks must agree
 #                   byte-for-byte (rfdet-serve exits 1 on divergence)
-#   9. relaxed    — race-aware ordering relaxation (DESIGN.md §15): the
-#                   per-benchmark record→replay→byte-compare table, plus a
-#                   race-relaxed replica joining the divergence fleet
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -69,9 +66,5 @@ go test -run=NONE -bench SliceStoreChurn -benchtime=1x ./internal/slicestore/
 
 echo "==> replica divergence check (k=3)"
 go run ./cmd/rfdet-serve -size test -threads 4 -replicas 3
-
-echo "==> race-aware relaxation (record, replay, byte-compare)"
-go run ./cmd/rfdet-bench -size test -threads 4 relaxation
-go run ./cmd/rfdet-serve -size test -threads 4 -replicas 3 -relaxed
 
 echo "verify: OK"

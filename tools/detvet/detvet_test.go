@@ -25,7 +25,7 @@ func TestLockcheckFixtures(t *testing.T)  { runFixture(t, lockcheck) }
 func TestPincheckFixtures(t *testing.T)   { runFixture(t, pincheck) }
 
 // TestStatwireFixtures runs the whole-program statwire pass with every
-// configured role (stats package, mark package, surface packages) pointed at
+// configured role (stats package, surface packages) pointed at
 // the fixture package itself.
 func TestStatwireFixtures(t *testing.T) {
 	fset, files, pkg, info := loadFixture(t, statwire.Name)
@@ -34,7 +34,6 @@ func TestStatwireFixtures(t *testing.T) {
 	runStatwire([]*Pass{pass}, statwireConfig{
 		statsPkg:    statwire.Name,
 		statsType:   "Stats",
-		markPkg:     statwire.Name,
 		surfacePkgs: []string{statwire.Name},
 	})
 	matchWants(t, fset, files, pass.diags)

@@ -2,7 +2,6 @@ package main
 
 import (
 	"go/ast"
-	"go/constant"
 	"go/token"
 	"go/types"
 	"sort"
@@ -23,17 +22,13 @@ import (
 //     ++/--) outside methods of Stats itself — Stats.Add touches every
 //     field, so writes inside Stats methods prove nothing;
 //  2. surfaced: some surface package (the harness or a cmd/ binary) reads
-//     the field, so the counter reaches a report table;
-//  3. mark-linked: a field annotated //detvet:mark <name> must correspond
-//     to a phase-trace mark actually emitted in internal/core — some call
-//     there must take the mark string (as a literal or named constant), so
-//     the counter and its trace mark cannot drift apart.
+//     the field, so the counter reaches a report table.
 //
 // A deliberately unwired field (kept for report-format compatibility, or
 // populated only by Add aggregation) is annotated //detvet:statwire <why>.
 var statwire = &Analyzer{
 	Name: "statwire",
-	Doc:  "verify every api.Stats counter is incremented, surfaced, and mark-consistent",
+	Doc:  "verify every api.Stats counter is incremented and surfaced",
 }
 
 // statwireConfig tells the global pass which packages play which roles. The
@@ -41,7 +36,6 @@ var statwire = &Analyzer{
 type statwireConfig struct {
 	statsPkg    string   // package declaring the Stats struct
 	statsType   string   // the struct's type name
-	markPkg     string   // package whose calls must emit annotated marks
 	surfacePkgs []string // path prefixes whose reads count as "surfaced"
 }
 
@@ -49,7 +43,6 @@ func defaultStatwireConfig() statwireConfig {
 	return statwireConfig{
 		statsPkg:    "rfdet/internal/api",
 		statsType:   "Stats",
-		markPkg:     "rfdet/internal/core",
 		surfacePkgs: []string{"rfdet/internal/harness", "rfdet/cmd/"},
 	}
 }
@@ -59,7 +52,6 @@ type statField struct {
 	obj         *types.Var
 	name        string
 	pos         token.Pos
-	mark        string // //detvet:mark annotation, "" if none
 	incremented bool
 	surfaced    bool
 }
@@ -106,13 +98,6 @@ func runStatwire(passes []*Pass, cfg statwireConfig) {
 		scanStatUses(p, byObj, statsType, surface)
 	}
 
-	marksEmitted := map[string]bool{}
-	for _, p := range passes {
-		if p.PkgPath == cfg.markPkg {
-			collectEmittedMarks(p, marksEmitted)
-		}
-	}
-
 	// Report in declaration order so output is stable.
 	sort.Slice(fields, func(i, j int) bool { return fields[i].pos < fields[j].pos })
 	for _, f := range fields {
@@ -126,16 +111,11 @@ func runStatwire(passes []*Pass, cfg statwireConfig) {
 				"counter %s.%s is never surfaced in a harness table or report printer: print it or annotate //detvet:statwire",
 				cfg.statsType, f.name)
 		}
-		if f.mark != "" && !marksEmitted[f.mark] {
-			statsPass.Reportf(f.pos,
-				"counter %s.%s is annotated //detvet:mark %s, but no call in %s emits that mark string",
-				cfg.statsType, f.name, f.mark, cfg.markPkg)
-		}
 	}
 }
 
 // collectStatFields finds the Stats struct declaration and returns its
-// numeric fields with their //detvet:mark annotations.
+// numeric fields.
 func collectStatFields(p *Pass, cfg statwireConfig) []*statField {
 	var fields []*statField
 	for _, f := range p.sourceFiles() {
@@ -154,15 +134,7 @@ func collectStatFields(p *Pass, cfg statwireConfig) []*statField {
 					if obj == nil || !isNumericType(obj.Type()) {
 						continue
 					}
-					sf := &statField{obj: obj, name: name.Name, pos: name.Pos()}
-					if mark, ok := fieldAnnotation(field, "mark"); ok {
-						markName, _, _ := strings.Cut(mark, " ")
-						if markName == "" {
-							p.Reportf(name.Pos(), "//detvet:mark annotation requires a mark name")
-						}
-						sf.mark = markName
-					}
-					fields = append(fields, sf)
+					fields = append(fields, &statField{obj: obj, name: name.Name, pos: name.Pos()})
 				}
 			}
 			return false
@@ -246,28 +218,5 @@ func scanStatUses(p *Pass, byObj map[*types.Var]*statField, statsType types.Type
 				return true
 			})
 		}
-	}
-}
-
-// collectEmittedMarks records every constant string value passed as a call
-// argument anywhere in the mark package: a mark is "emitted" if some call
-// (tracer.Mark, phase annotations, etc.) takes its string, whether spelled
-// as a literal or a named constant.
-func collectEmittedMarks(p *Pass, out map[string]bool) {
-	for _, f := range p.sourceFiles() {
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			for _, arg := range call.Args {
-				tv, ok := p.Info.Types[arg]
-				if !ok || tv.Value == nil || tv.Value.Kind() != constant.String {
-					continue
-				}
-				out[constant.StringVal(tv.Value)] = true
-			}
-			return true
-		})
 	}
 }

@@ -1,17 +1,15 @@
 package statwire
 
 // The fixture package plays every role the real repo splits across
-// packages: it declares the Stats struct (api), increments counters (core),
-// surfaces them (harness/cmd), and emits phase-trace marks (core). The test
-// runner points all of statwire's configured package paths here.
+// packages: it declares the Stats struct (api), increments counters (core)
+// and surfaces them (harness/cmd). The test runner points all of statwire's
+// configured package paths here.
 
 // Stats is the fixture's observability contract.
 type Stats struct {
 	Wired       int64
 	NeverBumped int64 // want "never incremented"
 	NeverShown  int64 // want "never surfaced"
-	MarkedGood  int64 //detvet:mark phase-a
-	MarkedBad   int64 //detvet:mark phase-z // want "no call in statwire emits that mark string"
 	Parked      int64 //detvet:statwire kept for report-format compatibility
 }
 
@@ -21,8 +19,6 @@ func (s *Stats) Add(o *Stats) {
 	s.Wired += o.Wired
 	s.NeverBumped += o.NeverBumped
 	s.NeverShown += o.NeverShown
-	s.MarkedGood += o.MarkedGood
-	s.MarkedBad += o.MarkedBad
 	s.Parked += o.Parked
 }
 
@@ -30,22 +26,9 @@ func (s *Stats) Add(o *Stats) {
 func bump(s *Stats) {
 	s.Wired++
 	s.NeverShown++
-	s.MarkedGood += 2
-	s.MarkedBad++
 }
 
 // show is the "harness" surfacing counters in a report table.
 func show(s *Stats) int64 {
-	return s.Wired + s.NeverBumped + s.MarkedGood + s.MarkedBad
-}
-
-// markPhaseA is the trace mark MarkedGood is linked to; emit passes it to a
-// call, which is what "emitted" means to statwire. No call anywhere takes
-// "phase-z", so MarkedBad's link is broken.
-const markPhaseA = "phase-a"
-
-func emit(name string) {}
-
-func tracePhases() {
-	emit(markPhaseA)
+	return s.Wired + s.NeverBumped
 }
