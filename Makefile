@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify build test race bench fmt vet lint detvet detvet-bin
+.PHONY: verify build test race bench fmt vet detvet
 
 verify:
 	sh scripts/verify.sh
@@ -11,8 +11,10 @@ build:
 test:
 	$(GO) test ./...
 
+# race runs the packages with real concurrency under -race with GOMAXPROCS
+# oversubscribed; scripts/verify.sh calls this target, so the list lives here.
 race:
-	GOMAXPROCS=4 $(GO) test -race ./internal/core/ ./internal/slicestore/ ./internal/kendo/
+	GOMAXPROCS=4 $(GO) test -race ./internal/core/ ./internal/slicestore/ ./internal/alloc/ ./internal/kendo/
 
 bench:
 	$(GO) test -run xxx -bench . -benchtime 10x .
@@ -23,21 +25,9 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-# detvet-bin builds the determinism analyzer suite and prints the binary
-# path (its only stdout), so it composes as: go vet -vettool=$(make detvet-bin) ./...
-detvet-bin:
-	@$(GO) build -o bin/detvet ./tools/detvet
-	@echo $(CURDIR)/bin/detvet
-
-# lint runs the repo's determinism analyzers over the whole tree via go vet
-# (the per-package unitchecker protocol: maporder, wallclock, nativesync,
-# lockcheck, pincheck).
-lint:
-	$(GO) build -o bin/detvet ./tools/detvet
-	$(GO) vet -vettool=$(CURDIR)/bin/detvet ./...
-
-# detvet runs the analyzers in standalone whole-program mode, which adds the
-# cross-package statwire pass (stats wiring) on top of the vettool set.
+# detvet runs the determinism analyzer suite (tools/detvet) over the whole
+# module: maporder, wallclock, nativesync, lockcheck and pincheck per package
+# plus the cross-package statwire pass (stats wiring).
 # Incremental: package export data comes from the go build cache.
 detvet:
 	$(GO) run ./tools/detvet ./...

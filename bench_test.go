@@ -16,7 +16,6 @@ import (
 
 	"rfdet"
 	"rfdet/internal/replay"
-	"rfdet/internal/stats"
 	"rfdet/internal/workloads"
 )
 
@@ -369,15 +368,34 @@ func runMonitorContention(b *testing.B, rt rfdet.Runtime) {
 	b.ReportMetric(float64(st.ApplyNanos), "apply-ns")
 }
 
+// runDefaultStack runs prog b.N times on the default stack, failing if the
+// output hash changes between iterations, and returns the last run's stats.
+func runDefaultStack(b *testing.B, prog rfdet.ThreadFunc) rfdet.Stats {
+	rt := rfdet.New(rfdet.DefaultOptions())
+	var st rfdet.Stats
+	var first uint64
+	for i := 0; i < b.N; i++ {
+		rep, err := rt.Run(prog)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if i == 0 {
+			first = rep.OutputHash
+		} else if rep.OutputHash != first {
+			b.Fatal("benchmark program nondeterministic across iterations")
+		}
+		st = rep.Stats
+	}
+	return st
+}
+
 // BenchmarkSparseWriteDiff quantifies the sub-page dirty-tracking win: four
 // threads each touch many pages per slice but write only 16 bytes per page,
 // the sparse-write pattern (scattered updates to a large shared structure)
-// where full-page diffing does ~256× more byte comparisons than the writes
-// justify. The "extent" and "fullpage" variants run the identical program
-// with extent-guided and seed-style full-page slice diffing; "diff-ns" is
-// the wall time spent in slice-end diffing, "scanned-bytes"/"skipped-bytes"
-// the new Stats counters. The final "speedup" entry reports the
-// fullpage/extent diff-time ratio — the tentpole's headline number.
+// where full-page diffing would do ~256× more byte comparisons than the
+// writes justify. "diff-ns" is the wall time spent in slice-end diffing,
+// "scanned-bytes"/"skipped-bytes" the Stats counters behind
+// mem.diff_skip_ratio.
 func BenchmarkSparseWriteDiff(b *testing.B) {
 	const (
 		workers = 4
@@ -414,58 +432,22 @@ func BenchmarkSparseWriteDiff(b *testing.B) {
 		}
 		t.Observe(fold)
 	}
-	var diffNS [2]float64 // extent, fullpage
-	var hash [2]uint64
-	for vi, variant := range []struct {
-		name     string
-		fullPage bool
-	}{{"extent", false}, {"fullpage", true}} {
-		vi, variant := vi, variant
-		b.Run(variant.name, func(b *testing.B) {
-			opts := rfdet.DefaultOptions()
-			opts.FullPageDiff = variant.fullPage
-			rt := rfdet.New(opts)
-			var st rfdet.Stats
-			var first uint64
-			for i := 0; i < b.N; i++ {
-				rep, err := rt.Run(prog)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if i == 0 {
-					first = rep.OutputHash
-				} else if rep.OutputHash != first {
-					b.Fatal("sparse-write benchmark nondeterministic across iterations")
-				}
-				st = rep.Stats
-			}
-			hash[vi] = first
-			diffNS[vi] = float64(st.DiffNanos)
-			b.ReportMetric(float64(st.DiffNanos), "diff-ns")
-			b.ReportMetric(float64(st.DiffBytesScanned), "scanned-bytes")
-			b.ReportMetric(float64(st.DiffBytesSkipped), "skipped-bytes")
-			b.ReportMetric(float64(st.DirtyExtents), "extents")
-		})
-	}
-	b.Run("speedup", func(b *testing.B) {
-		if hash[0] != hash[1] {
-			b.Fatalf("extent and fullpage outputs differ: %#x != %#x", hash[0], hash[1])
-		}
-		for i := 0; i < b.N; i++ {
-		}
-		b.ReportMetric(stats.Ratio(diffNS[1], diffNS[0]), "diff-speedup-x")
+	b.Run("extent", func(b *testing.B) {
+		st := runDefaultStack(b, prog)
+		b.ReportMetric(float64(st.DiffNanos), "diff-ns")
+		b.ReportMetric(float64(st.DiffBytesScanned), "scanned-bytes")
+		b.ReportMetric(float64(st.DiffBytesSkipped), "skipped-bytes")
+		b.ReportMetric(float64(st.DirtyExtents), "extents")
 	})
 }
 
 // BenchmarkBarrierPropagation is the coalesced write-plan headline: eight
 // threads each overwrite the SAME 16-page region between barriers, so every
 // barrier merge propagates 7 overlapping full-region write sets whose
-// last-writer-wins image is exactly one region. The seed applied all of them
-// run by run (O(threads × bytes) under the monitor); the write plan applies
-// each destination byte once (O(unique bytes)). Both variants run the
-// identical program and must produce the identical output hash; "apply-ns"
-// is the wall time in slice application and the final "speedup" entry is
-// the nocoalesce/coalesce apply-time ratio — the acceptance target is ≥2×.
+// last-writer-wins image is exactly one region. Applying them run by run
+// would be O(threads × bytes) under the monitor; the write plan applies each
+// destination byte once (O(unique bytes)). "apply-ns" is the wall time in
+// slice application.
 func BenchmarkBarrierPropagation(b *testing.B) {
 	const (
 		workers = 8
@@ -502,54 +484,20 @@ func BenchmarkBarrierPropagation(b *testing.B) {
 		}
 		t.Observe(fold)
 	}
-	var applyNS [2]float64 // coalesce, nocoalesce
-	var hash [2]uint64
-	for vi, variant := range []struct {
-		name       string
-		noCoalesce bool
-	}{{"coalesce", false}, {"nocoalesce", true}} {
-		vi, variant := vi, variant
-		b.Run(variant.name, func(b *testing.B) {
-			opts := rfdet.DefaultOptions()
-			opts.NoCoalesce = variant.noCoalesce
-			rt := rfdet.New(opts)
-			var st rfdet.Stats
-			var first uint64
-			for i := 0; i < b.N; i++ {
-				rep, err := rt.Run(prog)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if i == 0 {
-					first = rep.OutputHash
-				} else if rep.OutputHash != first {
-					b.Fatal("barrier benchmark nondeterministic across iterations")
-				}
-				st = rep.Stats
-			}
-			hash[vi] = first
-			applyNS[vi] = float64(st.ApplyNanos)
-			b.ReportMetric(float64(st.ApplyNanos), "apply-ns")
-			b.ReportMetric(float64(st.BytesPropagated), "propagated-bytes")
-			b.ReportMetric(float64(st.BytesCoalescedAway), "coalesced-away-bytes")
-		})
-	}
-	b.Run("speedup", func(b *testing.B) {
-		if hash[0] != hash[1] {
-			b.Fatalf("coalesce and nocoalesce outputs differ: %#x != %#x", hash[0], hash[1])
-		}
-		for i := 0; i < b.N; i++ {
-		}
-		b.ReportMetric(stats.Ratio(applyNS[1], applyNS[0]), "apply-speedup-x")
+	b.Run("coalesce", func(b *testing.B) {
+		st := runDefaultStack(b, prog)
+		b.ReportMetric(float64(st.ApplyNanos), "apply-ns")
+		b.ReportMetric(float64(st.BytesPropagated), "propagated-bytes")
+		b.ReportMetric(float64(st.BytesCoalescedAway), "coalesced-away-bytes")
 	})
 }
 
 // BenchmarkLockChainPropagation measures plan construction and sharing on a
 // deep lock-grant chain: six threads contend one mutex, each critical
 // section split into several slices by an atomic, with Prelock pre-merging
-// at every release. With coalescing, each release builds one plan and the
-// lockstep waiters reuse it ("plan-reuse"); overlapping writes across the
-// collected slices are deduplicated ("coalesced-away-bytes").
+// at every release. Each release builds one plan and the lockstep waiters
+// reuse it ("plan-reuse"); overlapping writes across the collected slices are
+// deduplicated ("coalesced-away-bytes").
 func BenchmarkLockChainPropagation(b *testing.B) {
 	const (
 		workers = 6
@@ -580,46 +528,12 @@ func BenchmarkLockChainPropagation(b *testing.B) {
 		}
 		t.Observe(t.Load64(buf), t.Load64(atom))
 	}
-	var applyNS [2]float64
-	var hash [2]uint64
-	for vi, variant := range []struct {
-		name       string
-		noCoalesce bool
-	}{{"coalesce", false}, {"nocoalesce", true}} {
-		vi, variant := vi, variant
-		b.Run(variant.name, func(b *testing.B) {
-			opts := rfdet.DefaultOptions()
-			opts.NoCoalesce = variant.noCoalesce
-			rt := rfdet.New(opts)
-			var st rfdet.Stats
-			var first uint64
-			for i := 0; i < b.N; i++ {
-				rep, err := rt.Run(prog)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if i == 0 {
-					first = rep.OutputHash
-				} else if rep.OutputHash != first {
-					b.Fatal("lock-chain benchmark nondeterministic across iterations")
-				}
-				st = rep.Stats
-			}
-			hash[vi] = first
-			applyNS[vi] = float64(st.ApplyNanos)
-			b.ReportMetric(float64(st.ApplyNanos), "apply-ns")
-			b.ReportMetric(float64(st.PlanReuse), "plan-reuse")
-			b.ReportMetric(float64(st.BytesCoalescedAway), "coalesced-away-bytes")
-			b.ReportMetric(float64(st.CollectScanned), "collect-scanned")
-		})
-	}
-	b.Run("speedup", func(b *testing.B) {
-		if hash[0] != hash[1] {
-			b.Fatalf("coalesce and nocoalesce outputs differ: %#x != %#x", hash[0], hash[1])
-		}
-		for i := 0; i < b.N; i++ {
-		}
-		b.ReportMetric(stats.Ratio(applyNS[1], applyNS[0]), "apply-speedup-x")
+	b.Run("coalesce", func(b *testing.B) {
+		st := runDefaultStack(b, prog)
+		b.ReportMetric(float64(st.ApplyNanos), "apply-ns")
+		b.ReportMetric(float64(st.PlanReuse), "plan-reuse")
+		b.ReportMetric(float64(st.BytesCoalescedAway), "coalesced-away-bytes")
+		b.ReportMetric(float64(st.CollectScanned), "collect-scanned")
 	})
 }
 
@@ -627,9 +541,8 @@ func BenchmarkLockChainPropagation(b *testing.B) {
 // repeatedly overwrites the same two pages under a lock while the consumer
 // keeps acquiring the lock without touching those pages, so every round
 // pends another full overwrite. The coalescing patch absorbs them
-// last-writer-wins and the single eventual flush writes each byte once; the
-// seed's raw list replayed every pended run. "elided-bytes" counts the
-// overwritten bytes the flush never wrote.
+// last-writer-wins and the single eventual flush writes each byte once.
+// "elided-bytes" counts the overwritten bytes the flush never wrote.
 func BenchmarkLazyFlush(b *testing.B) {
 	const (
 		rounds = 60
@@ -660,45 +573,14 @@ func BenchmarkLazyFlush(b *testing.B) {
 		t.Join(writer)
 		t.Observe(t.Load64(hot), t.Load64(hot+rfdet.Addr(8*(words-1))), t.Load64(flag))
 	}
-	var hash [2]uint64
-	for vi, variant := range []struct {
-		name       string
-		noCoalesce bool
-	}{{"coalesce", false}, {"nocoalesce", true}} {
-		vi, variant := vi, variant
-		b.Run(variant.name, func(b *testing.B) {
-			opts := rfdet.DefaultOptions()
-			opts.NoCoalesce = variant.noCoalesce
-			if !opts.LazyWrites {
-				b.Fatal("default options lost lazy writes")
-			}
-			rt := rfdet.New(opts)
-			var st rfdet.Stats
-			var first uint64
-			for i := 0; i < b.N; i++ {
-				rep, err := rt.Run(prog)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if i == 0 {
-					first = rep.OutputHash
-				} else if rep.OutputHash != first {
-					b.Fatal("lazy-flush benchmark nondeterministic across iterations")
-				}
-				st = rep.Stats
-			}
-			hash[vi] = first
-			b.ReportMetric(float64(st.LazyPendingApplied), "pended-runs-applied")
-			b.ReportMetric(float64(st.LazyRunsElided), "elided-bytes")
-			b.ReportMetric(float64(st.ApplyNanos), "apply-ns")
-		})
-	}
-	b.Run("agree", func(b *testing.B) {
-		if hash[0] != hash[1] {
-			b.Fatalf("coalesce and nocoalesce outputs differ: %#x != %#x", hash[0], hash[1])
+	b.Run("coalesce", func(b *testing.B) {
+		if !rfdet.DefaultOptions().LazyWrites {
+			b.Fatal("default options lost lazy writes")
 		}
-		for i := 0; i < b.N; i++ {
-		}
+		st := runDefaultStack(b, prog)
+		b.ReportMetric(float64(st.LazyPendingApplied), "pended-runs-applied")
+		b.ReportMetric(float64(st.LazyRunsElided), "elided-bytes")
+		b.ReportMetric(float64(st.ApplyNanos), "apply-ns")
 	})
 }
 
@@ -738,13 +620,11 @@ func BenchmarkRecordingOverhead(b *testing.B) {
 }
 
 // BenchmarkServerThroughput measures the deterministic KV server — the
-// replica workload — under the default, full-page-diff and uncoalesced
-// stacks, reporting requests per second against both clocks: "req-s-virtual"
-// divides the request count by the deterministic virtual-time makespan (the
-// figure replicas must agree on), "req-s-host" by host wall time. Every
-// variant must produce the same state hash, response hash and virtual time
-// as the first — the benchmark doubles as the replica-equivalence assert, so
-// a speedup from a divergent variant can never be reported.
+// replica workload — on the default stack, reporting requests per second
+// against both clocks: "req-s-virtual" divides the request count by the
+// deterministic virtual-time makespan (the figure replicas must agree on),
+// "req-s-host" by host wall time. Every iteration must produce the same
+// state hash, response hash and virtual time as the first.
 func BenchmarkServerThroughput(b *testing.B) {
 	w, err := workloads.ByName("server")
 	if err != nil {
@@ -752,61 +632,35 @@ func BenchmarkServerThroughput(b *testing.B) {
 	}
 	requests := workloads.ServerRequests(benchSize)
 	cfg := workloads.Config{Threads: 4, Size: benchSize}
-	variants := []struct {
-		name string
-		opts func() rfdet.Options
-	}{
-		{"default", rfdet.DefaultOptions},
-		{"fullpagediff", func() rfdet.Options {
-			o := rfdet.DefaultOptions()
-			o.FullPageDiff = true
-			return o
-		}},
-		{"nocoalesce", func() rfdet.Options {
-			o := rfdet.DefaultOptions()
-			o.NoCoalesce = true
-			return o
-		}},
-	}
 	type fingerprint struct {
 		state, resp, vtime uint64
 	}
-	var golden fingerprint
-	haveGolden := false
-	for _, v := range variants {
-		v := v
-		b.Run(v.name, func(b *testing.B) {
-			rt := rfdet.New(v.opts())
-			var fp fingerprint
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rep, err := rt.Run(w.Prog(cfg))
-				if err != nil {
-					b.Fatal(err)
-				}
-				sum, err := workloads.SummarizeServer(rep)
-				if err != nil {
-					b.Fatal(err)
-				}
-				got := fingerprint{sum.StateHash, sum.ResponseHash, rep.VirtualTime}
-				if i == 0 {
-					fp = got
-				} else if got != fp {
-					b.Fatal("server nondeterministic across iterations")
-				}
+	b.Run("default", func(b *testing.B) {
+		rt := rfdet.New(rfdet.DefaultOptions())
+		var fp fingerprint
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			rep, err := rt.Run(w.Prog(cfg))
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.StopTimer()
-			if !haveGolden {
-				golden, haveGolden = fp, true
-			} else if fp != golden {
-				b.Fatalf("%s replica fingerprint %+v diverged from default %+v", v.name, fp, golden)
+			sum, err := workloads.SummarizeServer(rep)
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.ReportMetric(float64(requests)*1e9/float64(fp.vtime), "req-s-virtual")
-			if secs := b.Elapsed().Seconds(); secs > 0 {
-				b.ReportMetric(float64(requests*b.N)/secs, "req-s-host")
+			got := fingerprint{sum.StateHash, sum.ResponseHash, rep.VirtualTime}
+			if i == 0 {
+				fp = got
+			} else if got != fp {
+				b.Fatal("server nondeterministic across iterations")
 			}
-		})
-	}
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(requests)*1e9/float64(fp.vtime), "req-s-virtual")
+		if secs := b.Elapsed().Seconds(); secs > 0 {
+			b.ReportMetric(float64(requests*b.N)/secs, "req-s-host")
+		}
+	})
 }
 
 // domainParallelProg is the sharding headline workload: four workers, each

@@ -3,11 +3,11 @@
 // fingerprint — the active-replication use case for deterministic
 // multithreading: replicas that cannot diverge.
 //
-//	rfdet-serve                          3 replicas across optimization stacks
+//	rfdet-serve                          3 replicas, alternating 4 and 1
+//	                                     commit-monitor domains
 //	rfdet-serve -replicas 6 -threads 8   wider fleet, 8 worker threads each
-//	rfdet-serve -matrix                  the full 18-variant acceptance matrix
-//	                                     (GOMAXPROCS {1,4,8} × shards {1,4} ×
-//	                                      {default, fullpagediff, nocoalesce})
+//	rfdet-serve -matrix                  the full 6-variant acceptance matrix
+//	                                     (GOMAXPROCS {1,4,8} × shards {1,4})
 //	rfdet-serve -inject-abort            poison one replica's log: it must be
 //	                                     reported divergent-by-abort, the rest
 //	                                     must still agree
@@ -33,10 +33,10 @@ import (
 func main() {
 	size := flag.String("size", "small", "problem size: test, small or medium")
 	threads := flag.Int("threads", 4, "worker threads per replica")
-	replicas := flag.Int("replicas", 3, "replica count (cycles the optimization stacks)")
+	replicas := flag.Int("replicas", 3, "replica count (alternates 4 and 1 commit-monitor domains)")
 	seed := flag.Uint64("seed", workloads.DefaultServerSeed, "request-log seed")
 	shards := flag.Int("shards", 0, "commit-monitor domains per replica (0 = per-variant default)")
-	matrix := flag.Bool("matrix", false, "run the full 18-variant acceptance matrix instead of -replicas")
+	matrix := flag.Bool("matrix", false, "run the full 6-variant acceptance matrix instead of -replicas")
 	injectAbort := flag.Bool("inject-abort", false, "poison the last replica's log to demonstrate divergent-by-abort reporting")
 	flag.Parse()
 

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"rfdet"
-	"rfdet/internal/core"
 	"rfdet/internal/harness"
 	"rfdet/internal/workloads"
 )
@@ -242,100 +241,11 @@ func TestFuzzOrderPreservingOptionsAgreeOnRaces(t *testing.T) {
 	}
 }
 
-// TestFuzzFullPageDiffAgrees: extent-guided slice diffing must be invisible
-// to program results. The dirty extents are a superset of each slice's
-// written bytes and diffing inside them excludes same-value overwrites
-// exactly like the full-page scan, so the modification lists — and therefore
-// every propagated byte — are identical with Options.FullPageDiff on or off.
-// That makes this a *strict* equivalence: even racy programs, under either
-// monitor and with the order-preserving optimizations stacked on, must
-// produce bit-identical output hashes.
-func TestFuzzFullPageDiffAgrees(t *testing.T) {
-	seeds := 12
-	if testing.Short() {
-		seeds = 4
-	}
-	bases := []rfdet.Options{
-		{Monitor: rfdet.MonitorCI},
-		{Monitor: rfdet.MonitorPF},
-		{Monitor: rfdet.MonitorCI, LazyWrites: true},
-		{Monitor: rfdet.MonitorCI, SliceMerging: true, Prelock: true},
-	}
-	for seed := int64(700); seed < 700+int64(seeds); seed++ {
-		prog := fuzzProgram(seed, false)
-		for _, base := range bases {
-			var hashes [2]uint64
-			for i, full := range []bool{false, true} {
-				o := base
-				o.FullPageDiff = full
-				rep, err := rfdet.New(o).Run(prog)
-				if err != nil {
-					t.Fatalf("seed %d opts %+v: %v", seed, o, err)
-				}
-				hashes[i] = rep.OutputHash
-			}
-			if hashes[0] != hashes[1] {
-				t.Fatalf("seed %d opts %+v: extent-guided diff changed the result (%#x != %#x)",
-					seed, base, hashes[0], hashes[1])
-			}
-		}
-	}
-}
-
-// TestFuzzNoCoalesceAgrees: coalesced write-plan propagation must be
-// invisible to program results. A plan writes, for every destination byte,
-// the value of the last run in slice-list order that covers it — exactly the
-// byte each propagated list leaves behind when applied run by run — and the
-// virtual-time model still charges per-slice apply costs. So this is a
-// *strict* equivalence like FullPageDiff: even racy programs, under either
-// monitor, with prelock plan sharing and lazy-writes patch pending stacked
-// on, at any GOMAXPROCS, must produce bit-identical output hashes with
-// Options.NoCoalesce on or off.
-func TestFuzzNoCoalesceAgrees(t *testing.T) {
-	seeds := 10
-	if testing.Short() {
-		seeds = 3
-	}
-	bases := []rfdet.Options{
-		{Monitor: rfdet.MonitorCI},
-		{Monitor: rfdet.MonitorPF},
-		{Monitor: rfdet.MonitorCI, SliceMerging: true, Prelock: true},
-		{Monitor: rfdet.MonitorCI, LazyWrites: true},
-		{Monitor: rfdet.MonitorCI, SliceMerging: true, Prelock: true, LazyWrites: true},
-		{Monitor: rfdet.MonitorPF, SliceMerging: true, Prelock: true, LazyWrites: true},
-	}
-	for seed := int64(900); seed < 900+int64(seeds); seed++ {
-		prog := fuzzProgram(seed, false)
-		for _, base := range bases {
-			var first uint64
-			haveFirst := false
-			for _, noCoalesce := range []bool{false, true} {
-				for _, procs := range []int{1, 2, 4, 8} {
-					old := runtime.GOMAXPROCS(procs)
-					o := base
-					o.NoCoalesce = noCoalesce
-					rep, err := rfdet.New(o).Run(prog)
-					runtime.GOMAXPROCS(old)
-					if err != nil {
-						t.Fatalf("seed %d opts %+v P=%d: %v", seed, o, procs, err)
-					}
-					if !haveFirst {
-						first, haveFirst = rep.OutputHash, true
-					} else if rep.OutputHash != first {
-						t.Fatalf("seed %d opts %+v P=%d: coalescing changed the result (%#x != %#x)",
-							seed, base, procs, rep.OutputHash, first)
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestFuzzServerReplicasAgree is the end-to-end replica fuzz wall: for random
-// request-log seeds and worker-thread counts, k replicas of the KV server
-// across differing optimization stacks, shard counts and GOMAXPROCS must
-// produce byte-identical state hashes, response hashes, observation digests
-// and virtual times. This fuzzes the active-replication property itself —
+// request-log seeds and worker-thread counts, the KV server's replica matrix
+// (harness.MatrixVariants: GOMAXPROCS {1,4,8} × shards {1,4}) must produce
+// byte-identical state hashes, response hashes, observation digests and
+// virtual times. This fuzzes the active-replication property itself —
 // the whole server-shaped execution (condvar queue, shard locks, barrier,
 // atomics), not just generated kernels.
 func TestFuzzServerReplicasAgree(t *testing.T) {
@@ -348,21 +258,7 @@ func TestFuzzServerReplicasAgree(t *testing.T) {
 		threads := 2 + int(seed%4) // 2..5 workers, derived from the seed
 		cfg := workloads.Config{Threads: threads, Size: workloads.SizeTest}
 
-		mk := func(name string, shards, procs int, full, noCo bool) harness.ReplicaVariant {
-			opts := core.DefaultOptions()
-			opts.ShardCount = shards
-			opts.FullPageDiff = full
-			opts.NoCoalesce = noCo
-			return harness.ReplicaVariant{Name: name, Procs: procs, Opts: opts}
-		}
-		variants := []harness.ReplicaVariant{
-			mk("default/p1", core.DefaultOptions().ShardCount, 1, false, false),
-			mk("fullpagediff/p4", core.DefaultOptions().ShardCount, 4, true, false),
-			mk("nocoalesce/p8", core.DefaultOptions().ShardCount, 8, false, true),
-			mk("shards1/p4", 1, 4, false, false),
-			mk("shards4-full-noco/p2", 4, 2, true, true),
-		}
-		rep := harness.RunServerReplicas(cfg, seed, variants)
+		rep := harness.RunServerReplicas(cfg, seed, harness.MatrixVariants())
 		if rep.Divergent() {
 			t.Fatalf("seed %#x threads %d: replicas diverged:\n%s",
 				seed, threads, fmtDivergences(rep.Divergences))
@@ -475,12 +371,12 @@ func TestFuzzValidated(t *testing.T) {
 // every deterministic observable. All monitor-state mutation happens while
 // holding the deterministic turn, so splitting the monitor into per-address-
 // range domains changes which host mutex covers the residual windows, never
-// the order of any clock join — a strict equivalence like FullPageDiff and
-// NoCoalesce. Even racy programs, under either monitor, with the full
-// optimization stack, at any GOMAXPROCS, must produce bit-identical output
-// hashes AND virtual times with one domain (the seed's global monitor) or
-// four. Two program families: fuzzProgram, whose locks all share one domain,
-// and domainFuzzProgram, whose per-worker locks each land in their own.
+// the order of any clock join — a strict equivalence. Even racy programs,
+// under either monitor, with the full optimization stack, at any GOMAXPROCS,
+// must produce bit-identical output hashes AND virtual times with one domain
+// (the seed's global monitor) or four. Two program families: fuzzProgram,
+// whose locks all share one domain, and domainFuzzProgram, whose per-worker
+// locks each land in their own.
 func TestFuzzShardCountAgrees(t *testing.T) {
 	seeds := 10
 	if testing.Short() {

@@ -15,11 +15,10 @@ import (
 // iteration per range statement, so dense repetition covers many orders.
 
 // pendThread builds the minimal thread state pendSlice needs.
-func pendThread(noCoalesce bool) *thread {
+func pendThread() *thread {
 	return &thread{
-		exec:    &exec{opts: Options{NoCoalesce: noCoalesce}},
 		space:   mem.NewSpace(),
-		pending: make(map[mem.PageID]*pendEntry),
+		pending: make(map[mem.PageID]*mem.PagePatch),
 	}
 }
 
@@ -28,13 +27,9 @@ func pendThread(noCoalesce bool) *thread {
 func materializePending(t *thread) string {
 	dst := mem.NewSpace()
 	ids := make([]mem.PageID, 0, len(t.pending))
-	for pid, pe := range t.pending {
+	for pid, pp := range t.pending {
 		ids = append(ids, pid)
-		if pe.patch != nil {
-			dst.ApplyPatch(pe.patch)
-		} else {
-			dst.ApplyRuns(pe.raw)
-		}
+		dst.ApplyPatch(pp)
 	}
 	for i := range ids {
 		for j := i + 1; j < len(ids); j++ {
@@ -55,7 +50,7 @@ func materializePending(t *thread) string {
 // TestPendSliceOrderFree pends overlapping slices into fresh threads many
 // times: the materialized pending image and the virtual-time charge must be
 // identical regardless of the order pendSlice's per-page map range visits
-// pages, in both the coalescing and the NoCoalesce (raw append) modes.
+// pages.
 func TestPendSliceOrderFree(t *testing.T) {
 	mkRun := func(a uint64, b ...byte) mem.Run { return mem.Run{Addr: a, Data: b} }
 	s1 := &slicestore.Slice{Mods: []mem.Run{
@@ -70,25 +65,22 @@ func TestPendSliceOrderFree(t *testing.T) {
 		mkRun(mem.PageAddr(9)+16, 11),
 		mkRun(mem.PageAddr(1)+100, 77), // overwrites s1's page-1 byte
 	}}
-	for _, noCoalesce := range []bool{false, true} {
-		var want string
-		var wantVT int64
-		for rep := 0; rep < 40; rep++ {
-			th := pendThread(noCoalesce)
-			th.pendSlice(s1)
-			th.pendSlice(s2)
-			got := materializePending(th)
-			if rep == 0 {
-				want, wantVT = got, int64(th.vt)
-				continue
-			}
-			if got != want {
-				t.Fatalf("noCoalesce=%v rep %d: pending image diverged:\n got %s\nwant %s",
-					noCoalesce, rep, got, want)
-			}
-			if int64(th.vt) != wantVT {
-				t.Fatalf("noCoalesce=%v rep %d: vt %d != %d", noCoalesce, rep, th.vt, wantVT)
-			}
+	var want string
+	var wantVT int64
+	for rep := 0; rep < 40; rep++ {
+		th := pendThread()
+		th.pendSlice(s1)
+		th.pendSlice(s2)
+		got := materializePending(th)
+		if rep == 0 {
+			want, wantVT = got, int64(th.vt)
+			continue
+		}
+		if got != want {
+			t.Fatalf("rep %d: pending image diverged:\n got %s\nwant %s", rep, got, want)
+		}
+		if int64(th.vt) != wantVT {
+			t.Fatalf("rep %d: vt %d != %d", rep, th.vt, wantVT)
 		}
 	}
 }

@@ -155,8 +155,7 @@ func (t *thread) applySlicesPlanned(slices []*slicestore.Slice, plan *mem.WriteP
 		return
 	}
 	start := stats.Now()
-	coalesce := plan != nil ||
-		(!t.exec.opts.NoCoalesce && len(slices) >= planCoalesceMin)
+	coalesce := plan != nil || len(slices) >= planCoalesceMin
 	ownPlan := coalesce && plan == nil
 	if ownPlan {
 		plan = t.buildPlan(slices)
@@ -392,7 +391,7 @@ func (e *exec) prelockReleaseLocked(sv *syncVar, releaser *thread) {
 	for _, wid := range sv.lockQ.items() {
 		w := e.threads[wid]
 		slices := w.collectLocked(releaser, sv.lastTime, w.vtime)
-		if e.opts.NoCoalesce || len(slices) < planCoalesceMin {
+		if len(slices) < planCoalesceMin {
 			w.premergeLocked(slices)
 			continue
 		}

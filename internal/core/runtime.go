@@ -91,13 +91,16 @@ type Options struct {
 	// metadata space (slicestore.EpochStore): commits append into per-stripe
 	// arena-backed segments whose run payloads are interned and recycled,
 	// and garbage collection drops whole segments against the vclock
-	// frontier instead of sweeping a map under a mutex. Off reproduces the
-	// seed's map store. Results are identical either way — the store only
-	// changes how payload memory is owned and reclaimed, never which bytes
-	// a reader sees — so outputs, virtual times, traces and race reports
-	// are bit-identical across this option (pinned by the fuzz and
-	// seed-regression walls, RFDET_EPOCHSTORE axis). DefaultOptions enables
-	// it.
+	// frontier. Off — the DefaultOptions value — selects the map store
+	// (slicestore.MapStore), which keeps the committer's run payloads as
+	// they are and sweeps a map under a mutex; it allocates 6–32% fewer KiB
+	// per run on every benchmark workload and is no slower (DESIGN.md §16).
+	// Results are identical either way — the store only changes how payload
+	// memory is owned and reclaimed, never which bytes a reader sees — so
+	// outputs, virtual times, traces and race reports are bit-identical
+	// across this option (TestFuzzEpochStoreAgrees,
+	// TestSeedRegressionEpochStoreMatches). The epoch store is pending
+	// deletion (ROADMAP item 3).
 	EpochStore bool
 	// NoCommHint implements the eager-collection extension sketched at the
 	// end of §5.4: it names threads that the programmer asserts never
@@ -110,27 +113,6 @@ type Options struct {
 	// them, exactly the caveat the paper attaches to the idea; the result
 	// is still deterministic.
 	NoCommHint func(tid int32) bool
-	// FullPageDiff disables sub-page dirty tracking and the extent-guided
-	// diff fast path: slice-end diffing byte-scans every snapshotted page in
-	// full, exactly as the seed runtime did and as the paper's implementation
-	// must (mprotect write detection only learns page granularity, §4.2).
-	// Results are identical either way — the fast path only changes which
-	// bytes are *scanned*, never which modifications are found — so this
-	// option exists for the equivalence tests and the before/after
-	// benchmarks (BenchmarkSparseWriteDiff).
-	FullPageDiff bool
-	// NoCoalesce disables coalesced write-plan propagation: every propagated
-	// slice is applied (or lazily pended) run-by-run in list order, exactly
-	// as the seed runtime did. The default plan path collapses the ordered
-	// slice list into one last-writer-wins plan per page, writes each unique
-	// destination byte once, and shares the plan across blocked waiters that
-	// collected the identical list — while the virtual-time model still
-	// charges per-slice ApplyCost, so outputs, virtual times and traces are
-	// bit-identical either way (the final value of every byte is its last
-	// writer in list order under both schemes). This option exists for the
-	// equivalence tests and the before/after benchmarks
-	// (BenchmarkBarrierPropagation, BenchmarkLockChainPropagation).
-	NoCoalesce bool
 	// Validate enables the post-execution DLRC invariant checker (tests).
 	Validate bool
 	// Trace records every synchronization operation in deterministic
@@ -163,7 +145,6 @@ func DefaultOptions() Options {
 		Prelock:      true,
 		LazyWrites:   true,
 		ShardCount:   4,
-		EpochStore:   true,
 	}
 }
 

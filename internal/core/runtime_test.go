@@ -206,16 +206,6 @@ func TestPrelockPlanSharing(t *testing.T) {
 	if rep.Stats.CollectScanned == 0 || rep.Stats.SliceListLen == 0 {
 		t.Fatal("collection counters never moved")
 	}
-
-	// Same program with coalescing off: identical result, no plan activity.
-	base := run(t, Options{Prelock: true, NoCoalesce: true}, prog)
-	if base.Observations[0][0] != 48 || base.Observations[0][1] != 48 {
-		t.Fatalf("NoCoalesce observations = %v, want [48 48]", base.Observations[0])
-	}
-	if base.Stats.PlanReuse != 0 || base.Stats.BytesCoalescedAway != 0 {
-		t.Fatalf("NoCoalesce still planned: reuse=%d away=%d",
-			base.Stats.PlanReuse, base.Stats.BytesCoalescedAway)
-	}
 }
 
 // TestLazyWritesDeferApplication verifies §4.5 lazy writes: propagated

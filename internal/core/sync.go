@@ -404,7 +404,7 @@ func (t *thread) Barrier(b api.Addr, n int) {
 	}
 	if len(propagated) > 0 {
 		start := stats.Now()
-		if e.opts.NoCoalesce || len(propagated) < planCoalesceMin {
+		if len(propagated) < planCoalesceMin {
 			for _, sl := range propagated {
 				leader.space.ApplyRuns(sl.Mods)
 			}
@@ -435,10 +435,8 @@ func (t *thread) Barrier(b api.Addr, n int) {
 		w.vtime = w.vtime.Join(merged)
 		w.preMerged = nil
 		//detvet:orderfree drain-and-release of independent per-page entries; see TestPendingResetOrderFree.
-		for pid, pe := range w.pending {
-			if pe.patch != nil {
-				pe.patch.Release()
-			}
+		for pid, pp := range w.pending {
+			pp.Release()
 			delete(w.pending, pid)
 		}
 	}
@@ -489,7 +487,7 @@ func (t *thread) Spawn(fn api.ThreadFunc) api.ThreadID {
 	child.enableDirtyTracking()
 	child.slicePtrs = append(child.slicePtrs, t.slicePtrs...)
 	if e.opts.LazyWrites {
-		child.pending = make(map[mem.PageID]*pendEntry)
+		child.pending = make(map[mem.PageID]*mem.PagePatch)
 	}
 	if e.opts.NoCommHint != nil && e.opts.NoCommHint(int32(id)) {
 		child.noComm = true
@@ -507,7 +505,7 @@ func (t *thread) Spawn(fn api.ThreadFunc) api.ThreadID {
 		t.monitoring = true
 		t.enableDirtyTracking()
 		if e.opts.LazyWrites && t.pending == nil {
-			t.pending = make(map[mem.PageID]*pendEntry)
+			t.pending = make(map[mem.PageID]*mem.PagePatch)
 		}
 	}
 	e.wg.Add(1)

@@ -69,10 +69,9 @@ type thread struct {
 
 	// Lazy-writes state (§4.5): pending modifications per page, applied on
 	// first access. Non-nil iff the optimization is enabled. Each entry is a
-	// coalescing PagePatch — so a hot page absorbs any number of propagated
-	// updates and flushes in one pass — or, under Options.NoCoalesce, the
-	// seed's raw run list.
-	pending map[mem.PageID]*pendEntry
+	// coalescing PagePatch, so a hot page absorbs any number of propagated
+	// updates and flushes in one pass.
+	pending map[mem.PageID]*mem.PagePatch
 
 	// preMerged records slices applied by a prelock pre-merge (§4.5) so the
 	// eventual acquire skips them. Nil when no pre-merge is outstanding.
@@ -170,26 +169,14 @@ func (t *thread) recordStore(a, n uint64) {
 	}
 }
 
-// pendEntry is one page's lazily pended remote modifications: a coalescing
-// last-writer-wins patch by default, or the seed's raw run list under
-// Options.NoCoalesce. Exactly one of the two fields is in use per exec.
-type pendEntry struct {
-	patch *mem.PagePatch
-	raw   []mem.Run
-}
-
-// pendEntryFor returns (creating if needed) the pending entry for page pid,
-// in the representation the execution's options select.
-func (t *thread) pendEntryFor(pid mem.PageID) *pendEntry {
-	pe := t.pending[pid]
-	if pe == nil {
-		pe = &pendEntry{}
-		if !t.exec.opts.NoCoalesce {
-			pe.patch = mem.NewPagePatch(pid)
-		}
-		t.pending[pid] = pe
+// pendPatchFor returns (creating if needed) the pending patch for page pid.
+func (t *thread) pendPatchFor(pid mem.PageID) *mem.PagePatch {
+	pp := t.pending[pid]
+	if pp == nil {
+		pp = mem.NewPagePatch(pid)
+		t.pending[pid] = pp
 	}
-	return pe
+	return pp
 }
 
 // takeSnapshot copies the page into the metadata space (Figure 4, lines
@@ -331,14 +318,11 @@ func (t *thread) beginSlice() {
 
 // enableDirtyTracking turns on sub-page dirty tracking for the thread's
 // space. Called wherever a thread starts (or resumes, after a barrier
-// re-clone) monitoring modifications; a no-op under Options.FullPageDiff,
-// which forces the seed's full-page scanning. With the race detector on it
-// also (re-)enables per-slice read-set tracking, which rides the same
-// lifecycle: a fresh or re-cloned space starts with tracking off.
+// re-clone) monitoring modifications. With the race detector on it also
+// (re-)enables per-slice read-set tracking, which rides the same lifecycle:
+// a fresh or re-cloned space starts with tracking off.
 func (t *thread) enableDirtyTracking() {
-	if !t.exec.opts.FullPageDiff {
-		t.space.SetDirtyTracking(true)
-	}
+	t.space.SetDirtyTracking(true)
 	if t.exec.races != nil {
 		t.space.SetReadTracking(true)
 	}
@@ -374,24 +358,24 @@ type diffTask struct {
 	exts []mem.Extent
 }
 
-// fullPageExtent is the scan list for a page without dirty-extent
-// information: the whole page, exactly the seed's behavior.
-var fullPageExtent = []mem.Extent{{Off: 0, Len: mem.PageSize}}
-
 // finishSlice ends the current slice: each snapshotted page is byte-diffed
 // against its current contents to produce the modification list (§4.2). It
 // returns nil when the slice made no modifications. The snapshot memory is
 // released immediately after diffing, as in §5.4.
 //
-// When the space carries sub-page dirty extents, only those extents are
-// scanned (DiffPageExtents): the diff is O(written bytes), not O(snapshotted
-// pages × page size). Pages without extent information — tracking off, or
-// Options.FullPageDiff — fall back to a full-page scan. Either way the
-// resulting modification list is byte-for-byte identical (see
-// mem.DiffPageExtents for the argument), and the virtual-time model still
-// charges vtime.DiffPage per snapshotted page: the paper's system cannot see
-// sub-page extents, so the win is host wall time (DiffNanos), deliberately
-// invisible to the deterministic virtual clock and the trace.
+// Only the page's sub-page dirty extents are scanned (DiffPageExtents): the
+// diff is O(written bytes), not O(snapshotted pages × page size). Every
+// snapshotted page has extents: a snapshot is taken only by recordStore,
+// immediately before a space store that marks every page of the range it
+// just snapshotted, or by onFault's write-fault branch, which only a space
+// store fires and which marks the page as soon as the handler returns; a
+// panic in between aborts the execution, and an aborted exit never diffs.
+// Tracking is on whenever monitoring is (enableDirtyTracking). The
+// modification list is byte-for-byte the one a full-page scan would produce
+// (see mem.DiffPageExtents for the argument), and the virtual-time model
+// still charges vtime.DiffPage per snapshotted page: the paper's system
+// cannot see sub-page extents, so the win is host wall time (DiffNanos),
+// deliberately invisible to the deterministic virtual clock and the trace.
 //
 // finishSlice touches only thread-private state (the snapshots, the space)
 // and runs OFF the exec monitor, between winning the deterministic turn and
@@ -407,16 +391,10 @@ func (t *thread) finishSlice() *slicestore.Slice {
 		return nil
 	}
 	start := stats.Now()
-	useExtents := t.space.DirtyTracking() && !t.exec.opts.FullPageDiff
 	tasks := make([]diffTask, 0, len(t.snapOrder))
 	var scanBytes uint64
 	for _, pid := range t.snapOrder {
-		exts := fullPageExtent
-		if useExtents {
-			if de := t.space.DirtyExtentsOf(pid); de != nil {
-				exts = de
-			}
-		}
+		exts := t.space.DirtyExtentsOf(pid)
 		bytes := mem.ExtentBytes(exts)
 		t.st.DirtyExtents += uint64(len(exts))
 		t.st.DiffBytesScanned += bytes
@@ -588,30 +566,17 @@ func (t *thread) endSliceDropShard(sh *monShard) vclock.VC {
 
 // pendSlice records a propagated slice's modifications as per-page pending
 // state instead of applying them eagerly, and revokes access to the affected
-// pages so the first access applies them. By default the runs land in the
-// page's coalescing patch (later pends overwrite earlier ones immediately,
-// so the eventual flush is one pass over unique bytes); under
-// Options.NoCoalesce they are appended raw, as the seed did.
+// pages so the first access applies them. The runs land in the page's
+// coalescing patch: later pends overwrite earlier ones immediately, so the
+// eventual flush is one pass over unique bytes. AddRun copies, so the pend
+// never retains store-owned payload memory.
 func (t *thread) pendSlice(s *slicestore.Slice) {
 	byPage := mem.SplitRunsByPage(s.Mods)
 	//detvet:orderfree pages are disjoint and each page's runs stay in list order; see TestPendSliceOrderFree.
 	for pid, runs := range byPage {
-		pe := t.pendEntryFor(pid)
-		if pe.patch != nil {
-			for _, r := range runs {
-				pe.patch.AddRun(r)
-			}
-		} else if t.exec.opts.EpochStore {
-			// The raw pend path retains run payloads until the page is
-			// accessed — indefinitely, if it never is. Under the epoch store
-			// those payloads live in segment arena memory that is recycled
-			// once the slice is collected, so the pend must own copies.
-			// (The patch path above copies in AddRun.)
-			for _, r := range runs {
-				pe.raw = append(pe.raw, mem.Run{Addr: r.Addr, Data: append([]byte(nil), r.Data...)})
-			}
-		} else {
-			pe.raw = append(pe.raw, runs...)
+		pp := t.pendPatchFor(pid)
+		for _, r := range runs {
+			pp.AddRun(r)
 		}
 		t.space.Protect(pid, mem.ProtNone)
 	}
@@ -628,8 +593,8 @@ func (t *thread) pendSlice(s *slicestore.Slice) {
 // (applySlicesPlanned), exactly as pendSlice would charge it.
 func (t *thread) pendPlan(plan *mem.WritePlan) {
 	for _, pp := range plan.Patches {
-		pe := t.pendEntryFor(pp.Page())
-		pp.ForEachRun(func(r mem.Run) { pe.patch.AddRun(r) })
+		pend := t.pendPatchFor(pp.Page())
+		pp.ForEachRun(func(r mem.Run) { pend.AddRun(r) })
 		t.space.Protect(pp.Page(), mem.ProtNone)
 	}
 }
@@ -637,41 +602,21 @@ func (t *thread) pendPlan(plan *mem.WritePlan) {
 // flushPage applies the pended modifications for one page, in propagation
 // order, and restores access. The virtual-time cost counts each byte once
 // even if multiple propagations pended overlapping updates — the
-// "just one update" saving of §4.5. With the coalescing patch the host-time
-// cost matches the model: the distinct-byte set is already materialized and
-// the apply is a single pass; the raw (NoCoalesce) path recounts it the
-// seed's way.
+// "just one update" saving of §4.5. The host-time cost matches the model: the
+// patch has the distinct-byte set already materialized and the apply is a
+// single pass.
 func (t *thread) flushPage(pid mem.PageID) {
 	ts := t.tb.Now()
 	defer t.tb.Span(trace.PhaseLazyFlush, ts)
-	pe := t.pending[pid]
+	pp := t.pending[pid]
 	delete(t.pending, pid)
 	t.space.Protect(pid, mem.ProtRW)
-	if pe.patch != nil {
-		distinct := pe.patch.UniqueBytes()
-		t.space.ApplyPatch(pe.patch)
-		t.st.LazyPendingApplied += pe.patch.RawRuns()
-		t.st.LazyRunsElided += pe.patch.RawBytes() - distinct
-		t.vt += vtime.ApplyCost(1, distinct)
-		pe.patch.Release()
-		return
-	}
-	runs := pe.raw
-	var touched [mem.PageSize]bool
-	distinct := uint64(0)
-	for _, r := range runs {
-		off := r.Addr & mem.PageMask
-		for i := range r.Data {
-			if !touched[off+uint64(i)] {
-				touched[off+uint64(i)] = true
-				distinct++
-			}
-		}
-	}
-	t.space.ApplyRuns(runs)
-	t.st.LazyPendingApplied += uint64(len(runs))
-	t.st.LazyRunsElided += mem.RunBytes(runs) - distinct
+	distinct := pp.UniqueBytes()
+	t.space.ApplyPatch(pp)
+	t.st.LazyPendingApplied += pp.RawRuns()
+	t.st.LazyRunsElided += pp.RawBytes() - distinct
 	t.vt += vtime.ApplyCost(1, distinct)
+	pp.Release()
 }
 
 // flushAllPending applies every pended page in deterministic order (thread

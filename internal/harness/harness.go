@@ -190,11 +190,12 @@ func PropagationTable(out io.Writer, size workloads.Size, threads int) error {
 }
 
 // SliceStoreTable profiles the metadata space under both store
-// implementations: every workload runs once with the seed map store and once
-// with the epoch store (all other options identical), asserting bit-identical
-// output and virtual time — the store is pure bookkeeping — and reporting
-// the high-water metadata footprint, the GC pass split (reclaiming vs
-// empty), and the epoch store's segment and arena-recycling counters.
+// implementations: every workload runs once with the default map store and
+// once with the epoch store (all other options identical), asserting
+// bit-identical output and virtual time — the store is pure bookkeeping —
+// and reporting the high-water metadata footprint, the GC pass split
+// (reclaiming vs empty), and the epoch store's segment and arena-recycling
+// counters.
 func SliceStoreTable(out io.Writer, size workloads.Size, threads int) error {
 	cfg := workloads.Config{Threads: threads, Size: size}
 	fmt.Fprintf(out, "Metadata-store profile (%d threads, size %s, RFDet-ci)\n\n", threads, size)
@@ -203,13 +204,13 @@ func SliceStoreTable(out io.Writer, size workloads.Size, threads int) error {
 		"map(KB)", "gc", "empty",
 		"epoch(KB)", "gc", "empty", "segs", "drop", "reuse%", "intern(KB)")
 	for _, w := range workloads.All() {
-		mapOpts := core.DefaultOptions()
-		mapOpts.EpochStore = false
-		mr, err := Run(core.New(mapOpts), w, cfg, 1)
+		mr, err := Run(core.New(core.DefaultOptions()), w, cfg, 1)
 		if err != nil {
 			return err
 		}
-		er, err := Run(core.New(core.DefaultOptions()), w, cfg, 1)
+		epochOpts := core.DefaultOptions()
+		epochOpts.EpochStore = true
+		er, err := Run(core.New(epochOpts), w, cfg, 1)
 		if err != nil {
 			return err
 		}

@@ -10,8 +10,8 @@ import (
 )
 
 // TestReplicasAgreeAcrossStacks is the harness-level acceptance check: k=3
-// replicas of the same request log across the default, full-page-diff and
-// uncoalesced stacks must be byte-identical in every fingerprint.
+// replicas of the same request log across the four- and single-domain commit
+// monitors must be byte-identical in every fingerprint.
 func TestReplicasAgreeAcrossStacks(t *testing.T) {
 	cfg := workloads.Config{Threads: 4, Size: workloads.SizeTest}
 	rep := RunServerReplicas(cfg, workloads.DefaultServerSeed, DefaultVariants(3))
@@ -38,11 +38,11 @@ func TestReplicasAgreeAcrossStacks(t *testing.T) {
 }
 
 // TestReplicaMatrixVariantsShape pins the acceptance matrix: GOMAXPROCS
-// {1,4,8} × shards {1,4} × three stacks = 18 distinct variants.
+// {1,4,8} × shards {1,4} = 6 distinct variants.
 func TestReplicaMatrixVariantsShape(t *testing.T) {
 	vs := MatrixVariants()
-	if len(vs) != 18 {
-		t.Fatalf("%d matrix variants, want 18", len(vs))
+	if len(vs) != 6 {
+		t.Fatalf("%d matrix variants, want 6", len(vs))
 	}
 	seen := map[string]bool{}
 	for _, v := range vs {

@@ -205,6 +205,39 @@ func TestPagePatchLastWriterWins(t *testing.T) {
 	if got := s.Load8(base + 1); got != 0 {
 		t.Fatalf("ApplyPatch: untouched byte 1 = %#x, want 0", got)
 	}
+
+	// Overlapping multi-pend, single flush (the lazy-writes path): several
+	// propagations' overlapping runs absorbed into one patch and applied once
+	// must leave the page as list-order ApplyRuns does, and UniqueBytes — the
+	// flush's virtual-time charge — must count each destination byte once.
+	r := rand.New(rand.NewSource(11))
+	pend := NewPagePatch(3)
+	defer pend.Release()
+	seq, flushed := NewSpace(), NewSpace()
+	defer seq.Release()
+	defer flushed.Release()
+	var touched [PageSize]bool
+	var distinct uint64
+	for _, runs := range randomMods(r, 8, 12) {
+		for _, run := range runs {
+			run.Addr = base + run.Addr%(PageSize-uint64(len(run.Data))) // confine to page 3
+			pend.AddRun(run)
+			seq.ApplyRuns([]Run{run})
+			for i := range run.Data {
+				if off := run.Addr - base + uint64(i); !touched[off] {
+					touched[off] = true
+					distinct++
+				}
+			}
+		}
+	}
+	flushed.ApplyPatch(pend)
+	if seq.Hash() != flushed.Hash() {
+		t.Fatal("multi-pend single flush differs from list-order ApplyRuns")
+	}
+	if got := pend.UniqueBytes(); got != distinct {
+		t.Fatalf("multi-pend UniqueBytes = %d, want %d distinct destination bytes", got, distinct)
+	}
 }
 
 // TestSnapshotPooling asserts the snapshot buffers actually recycle: a

@@ -68,7 +68,7 @@ func (s *Striped) Load(stripe int) int64 { return s.stripe(stripe).n.Load() }
 
 // Sum returns the sum over all stripes. It is not a linearizable snapshot
 // under concurrent Adds; callers needing an exact budget keep a separate
-// single atomic (see slicestore.MapStore and slicestore.EpochStore).
+// single atomic (see slicestore.MapStore.used).
 func (s *Striped) Sum() int64 {
 	var t int64
 	for i := range s.cells {

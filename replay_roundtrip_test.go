@@ -1,26 +1,17 @@
 package rfdet_test
 
 import (
-	"hash/fnv"
 	"testing"
 
 	"rfdet"
-	"rfdet/internal/core"
 	"rfdet/internal/replay"
 )
 
-// Replay round-trip under the extent-guided diff runtime.
-//
-// Two halves, mirroring §2's DMT-vs-R+R comparison with the new diffing in
-// the loop:
-//
-//  1. The pthreads recorder/replayer must round-trip a schedule-dependent
-//     program: replays reproduce the recorded observations AND the recorded
-//     virtual time (virtual time is a pure function of the sync order the
-//     log pins down).
-//  2. RFDet needs no log at all — but its traced executions must be
-//     self-identical across runs and identical between extent-guided and
-//     full-page diffing, trace hash, virtual time and output alike.
+// Replay round-trip, mirroring §2's DMT-vs-R+R comparison: the pthreads
+// recorder/replayer must round-trip a schedule-dependent program — replays
+// reproduce the recorded observations AND the recorded virtual time (virtual
+// time is a pure function of the sync order the log pins down). RFDet needs
+// no log at all; the seed-regression wall pins its traces.
 
 // roundTripProgram is race-free but schedule-dependent: the final value of x
 // encodes the order in which workers won the lock.
@@ -61,38 +52,5 @@ func TestReplayRoundTripReproducesVirtualTime(t *testing.T) {
 		if got, want := repRep.Observations[0][0], recRep.Observations[0][0]; got != want {
 			t.Fatalf("replay %d: observed %d, recorded %d", i, got, want)
 		}
-	}
-}
-
-func TestTracedRunsIdenticalWithExtentDiffing(t *testing.T) {
-	traceHash := func(fullPage bool) (uint64, *rfdet.Report) {
-		opts := core.DefaultOptions()
-		opts.Trace = true
-		opts.FullPageDiff = fullPage
-		rep, tr, err := core.New(opts).RunTraced(roundTripProgram)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h := fnv.New64a()
-		h.Write([]byte(tr.String()))
-		return h.Sum64(), rep
-	}
-	firstHash, firstRep := traceHash(false)
-	for i := 1; i < 3; i++ {
-		h, rep := traceHash(false)
-		if h != firstHash || rep.VirtualTime != firstRep.VirtualTime || rep.OutputHash != firstRep.OutputHash {
-			t.Fatalf("run %d: trace=%#x vt=%d out=%#x, first trace=%#x vt=%d out=%#x",
-				i, h, rep.VirtualTime, rep.OutputHash, firstHash, firstRep.VirtualTime, firstRep.OutputHash)
-		}
-	}
-	// Full-page diffing must be observably indistinguishable.
-	h, rep := traceHash(true)
-	if h != firstHash || rep.VirtualTime != firstRep.VirtualTime || rep.OutputHash != firstRep.OutputHash {
-		t.Fatalf("FullPageDiff: trace=%#x vt=%d out=%#x, extent-guided trace=%#x vt=%d out=%#x",
-			h, rep.VirtualTime, rep.OutputHash, firstHash, firstRep.VirtualTime, firstRep.OutputHash)
-	}
-	// Sanity: the default run actually exercised the fast path.
-	if firstRep.Stats.DiffBytesSkipped == 0 {
-		t.Fatal("extent-guided run skipped no bytes — dirty tracking was not live")
 	}
 }

@@ -47,11 +47,11 @@
 // The deterministic results (outputs, virtual times, trace hashes) are
 // independent of host-side execution strategy. Internal fast paths —
 // off-monitor diffing and application, sub-page dirty extents, coalesced
-// last-writer-wins write plans shared across blocked waiters, the
-// epoch-segment metadata store with arena-interned payloads — change only
-// wall-clock time; each has an Options escape hatch (FullPageDiff,
-// NoCoalesce, EpochStore=false, ...) that forces the seed path, and
-// equivalence is pinned by the fuzz and seed-regression walls.
+// last-writer-wins write plans shared across blocked waiters — change only
+// wall-clock time. They are the only paths: the seed-regression goldens,
+// captured from the seed runtime before each was added, pin the
+// equivalence. The host-side choices that remain options (ShardCount,
+// EpochStore) are pinned by the fuzz and seed-regression walls.
 package rfdet
 
 import (

@@ -62,20 +62,19 @@ var regressionProcs = []int{1, 2, 4, 8}
 var seedConfig = workloads.Config{Threads: 4, Size: workloads.SizeTest}
 
 // seedTestOptions returns the configuration the goldens were captured with,
-// honoring the RFDET_SHARDS and RFDET_EPOCHSTORE environment variables so CI
-// can sweep the determinism matrix across commit-monitor domain counts and
-// metadata-store implementations without a test-code change. The goldens are
-// independent of both axes by construction — that independence is exactly
-// what the sweep asserts.
+// honoring the RFDET_SHARDS environment variable so CI can sweep the
+// determinism matrix across commit-monitor domain counts without a test-code
+// change. The goldens are independent of that axis by construction — that
+// independence is exactly what the sweep asserts. A value that is not a
+// positive integer panics: ignoring it would run the default in every cell.
 func seedTestOptions() core.Options {
 	opts := core.DefaultOptions()
 	if s := os.Getenv("RFDET_SHARDS"); s != "" {
-		if n, err := strconv.Atoi(s); err == nil && n > 0 {
-			opts.ShardCount = n
+		n, err := strconv.Atoi(s)
+		if err != nil || n <= 0 {
+			panic(fmt.Sprintf("RFDET_SHARDS=%q: want a positive integer", s))
 		}
-	}
-	if s := os.Getenv("RFDET_EPOCHSTORE"); s == "0" || s == "off" {
-		opts.EpochStore = false
+		opts.ShardCount = n
 	}
 	return opts
 }
@@ -150,6 +149,11 @@ func TestSeedRegressionTraces(t *testing.T) {
 					t.Fatalf("P=%d run %d %s: trace hash %#x, seed %#x — event-level behavior changed",
 						p, rep, g.workload, th, g.trace)
 				}
+				if r.Stats.DiffBytesSkipped == 0 {
+					runtime.GOMAXPROCS(old)
+					t.Fatalf("P=%d run %d %s: slice diffing skipped no bytes — dirty tracking was not live",
+						p, rep, g.workload)
+				}
 			}
 			w, err := workloads.ByName("racey")
 			if err != nil {
@@ -214,23 +218,12 @@ func TestSeedRegressionServer(t *testing.T) {
 	}
 }
 
-// TestSeedRegressionServerReplicas is the CI replica-divergence matrix body:
-// k=3 replicas of the golden request log across the default, full-page-diff
-// and uncoalesced stacks — at the ambient GOMAXPROCS and the RFDET_SHARDS
-// domain count the CI matrix sweeps — must agree with each other AND with
-// the pinned golden fingerprints.
+// TestSeedRegressionServerReplicas is the replica-divergence matrix body: the
+// golden request log replicated across harness.MatrixVariants (GOMAXPROCS
+// {1,4,8} × shards {1,4}) must agree with each other AND with the pinned
+// golden fingerprints.
 func TestSeedRegressionServerReplicas(t *testing.T) {
-	mk := func(name string, tweak func(*core.Options)) harness.ReplicaVariant {
-		o := seedTestOptions()
-		tweak(&o)
-		return harness.ReplicaVariant{Name: name, Opts: o}
-	}
-	variants := []harness.ReplicaVariant{
-		mk("default", func(*core.Options) {}),
-		mk("fullpagediff", func(o *core.Options) { o.FullPageDiff = true }),
-		mk("nocoalesce", func(o *core.Options) { o.NoCoalesce = true }),
-	}
-	rep := harness.RunServerReplicas(seedConfig, workloads.DefaultServerSeed, variants)
+	rep := harness.RunServerReplicas(seedConfig, workloads.DefaultServerSeed, harness.MatrixVariants())
 	if rep.Divergent() {
 		t.Fatalf("replicas diverged:\n%s", strings.Join(rep.Divergences, "\n"))
 	}
@@ -326,68 +319,6 @@ func TestSeedRegressionTraceStabilityUnderLoad(t *testing.T) {
 		if th := fnvString(tr.String()); th != goldenFFTTrace {
 			t.Fatalf("run %d: trace hash %#x, seed %#x — exit/join turn handoff raced", i, th, goldenFFTTrace)
 		}
-	}
-}
-
-// TestSeedRegressionFullPageDiffMatches closes the loop: the explicit
-// FullPageDiff escape hatch (which reproduces the seed's diffing verbatim)
-// must hit the same goldens — proving the goldens test the seed behavior,
-// not whatever the current default happens to be.
-func TestSeedRegressionFullPageDiffMatches(t *testing.T) {
-	opts := core.DefaultOptions()
-	opts.Trace = true
-	opts.FullPageDiff = true
-	rt := core.New(opts)
-	w, err := workloads.ByName("wordcount")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, tr, err := rt.RunTraced(w.Prog(seedConfig))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.OutputHash != goldenWordcountOutput || r.VirtualTime != goldenWordcountVTime {
-		t.Fatalf("FullPageDiff: output=%#x vtime=%d, seed output=%#x vtime=%d",
-			r.OutputHash, r.VirtualTime, goldenWordcountOutput, goldenWordcountVTime)
-	}
-	if th := fnvString(tr.String()); th != goldenWordcountTrace {
-		t.Fatalf("FullPageDiff: trace hash %#x, seed %#x", th, goldenWordcountTrace)
-	}
-	// And under full-page diffing no bytes are ever skipped.
-	if r.Stats.DiffBytesSkipped != 0 {
-		t.Fatalf("FullPageDiff skipped %d bytes", r.Stats.DiffBytesSkipped)
-	}
-}
-
-// TestSeedRegressionNoCoalesceMatches is the same loop-closer for coalesced
-// write-plan propagation: NoCoalesce reproduces the seed's one-run-at-a-time
-// application verbatim, and it must hit the exact same goldens as the
-// coalescing default — demonstrating that plan application is observationally
-// equivalent, not merely deterministic on its own.
-func TestSeedRegressionNoCoalesceMatches(t *testing.T) {
-	opts := core.DefaultOptions()
-	opts.Trace = true
-	opts.NoCoalesce = true
-	rt := core.New(opts)
-	w, err := workloads.ByName("wordcount")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, tr, err := rt.RunTraced(w.Prog(seedConfig))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.OutputHash != goldenWordcountOutput || r.VirtualTime != goldenWordcountVTime {
-		t.Fatalf("NoCoalesce: output=%#x vtime=%d, seed output=%#x vtime=%d",
-			r.OutputHash, r.VirtualTime, goldenWordcountOutput, goldenWordcountVTime)
-	}
-	if th := fnvString(tr.String()); th != goldenWordcountTrace {
-		t.Fatalf("NoCoalesce: trace hash %#x, seed %#x", th, goldenWordcountTrace)
-	}
-	// With coalescing off no plan is ever built or shared.
-	if r.Stats.BytesCoalescedAway != 0 || r.Stats.PlanReuse != 0 {
-		t.Fatalf("NoCoalesce still coalesced: %d bytes away, %d plan reuses",
-			r.Stats.BytesCoalescedAway, r.Stats.PlanReuse)
 	}
 }
 
@@ -489,12 +420,12 @@ func TestSeedRegressionShardCounts(t *testing.T) {
 }
 
 // TestSeedRegressionEpochStoreMatches closes the loop on the metadata-store
-// axis: the epoch store (the DefaultOptions seed path, which every golden
-// above already exercises) and the original map store must both reproduce
-// the seed goldens bit-for-bit — output, virtual time AND event trace — at
-// every GOMAXPROCS. The metadata space is pure bookkeeping: which store
-// reclaims a collected slice's bytes must never leak into a deterministic
-// observable.
+// axis: the map store (the DefaultOptions path, which every golden above
+// already exercises) and the epoch store must both reproduce the seed goldens
+// bit-for-bit — output, virtual time AND event trace, plus the server's state
+// and response hashes — at every GOMAXPROCS. The metadata space is pure
+// bookkeeping: which store reclaims a collected slice's bytes must never leak
+// into a deterministic observable.
 func TestSeedRegressionEpochStoreMatches(t *testing.T) {
 	goldens := []struct {
 		workload             string
@@ -502,6 +433,7 @@ func TestSeedRegressionEpochStoreMatches(t *testing.T) {
 	}{
 		{"wordcount", goldenWordcountOutput, goldenWordcountVTime, goldenWordcountTrace},
 		{"fft", goldenFFTOutput, goldenFFTVTime, goldenFFTTrace},
+		{"server", goldenServerOutput, goldenServerVTime, goldenServerTrace},
 	}
 	for _, epoch := range []bool{false, true} {
 		opts := core.DefaultOptions()
@@ -530,6 +462,19 @@ func TestSeedRegressionEpochStoreMatches(t *testing.T) {
 					runtime.GOMAXPROCS(old)
 					t.Fatalf("epoch=%v P=%d %s: trace hash %#x, seed %#x — the store changed event-level behavior",
 						epoch, p, g.workload, th, g.trace)
+				}
+				if g.workload != "server" {
+					continue
+				}
+				sum, err := workloads.SummarizeServer(r)
+				if err != nil {
+					runtime.GOMAXPROCS(old)
+					t.Fatal(err)
+				}
+				if sum.StateHash != goldenServerState || sum.ResponseHash != goldenServerResp {
+					runtime.GOMAXPROCS(old)
+					t.Fatalf("epoch=%v P=%d: state=%#x resp=%#x, seed state=%#x resp=%#x",
+						epoch, p, sum.StateHash, sum.ResponseHash, goldenServerState, goldenServerResp)
 				}
 			}
 			runtime.GOMAXPROCS(old)

@@ -1,7 +1,7 @@
 // Package main implements detvet, the determinism analyzer suite for this
-// repository, run as a go vet tool:
+// repository, run over the whole module:
 //
-//	go vet -vettool=$(make detvet-bin) ./...
+//	go run ./tools/detvet ./...
 //
 // Three analyzers enforce the invariants the deterministic runtime depends
 // on (DESIGN.md §12):
@@ -37,15 +37,14 @@ import (
 
 // An Analyzer is one named determinism check.
 type Analyzer struct {
-	Name string // analyzer name for report/help output
-	Doc  string // one-line description for -flags/help output
+	Name string // analyzer name for report output
 
 	// Annotation is the token after "//detvet:" that silences this
 	// analyzer. Defaults to Name.
 	Annotation string
 
-	// Restrict limits the analyzer to these import paths (after stripping
-	// go vet's " [pkg.test]" variant suffix). Empty means every package.
+	// Restrict limits the analyzer to these import paths. Empty means every
+	// package.
 	Restrict []string
 	// Exempt skips these import paths even when Restrict is empty.
 	Exempt []string
@@ -54,7 +53,7 @@ type Analyzer struct {
 }
 
 // applies reports whether the analyzer runs on the package with the given
-// (stripped) import path.
+// import path.
 func (a *Analyzer) applies(pkgPath string) bool {
 	for _, p := range a.Exempt {
 		if p == pkgPath {
@@ -76,10 +75,12 @@ func (a *Analyzer) applies(pkgPath string) bool {
 type Pass struct {
 	Analyzer *Analyzer
 	Fset     *token.FileSet
-	Files    []*ast.File
-	Pkg      *types.Package
-	Info     *types.Info
-	PkgPath  string
+	// Files never holds _test.go files (tests legitimately spawn goroutines,
+	// read clocks and iterate maps): the driver loads go list's GoFiles.
+	Files   []*ast.File
+	Pkg     *types.Package
+	Info    *types.Info
+	PkgPath string
 
 	diags       []Diagnostic
 	suppression []posRange // intervals silenced by this analyzer's annotations
@@ -103,21 +104,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.diags = append(p.diags, Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
 }
 
-// sourceFiles returns the package files the analyzers inspect: generated
-// vet variants aside, everything except _test.go files (tests legitimately
-// spawn goroutines, read clocks and iterate maps).
-func (p *Pass) sourceFiles() []*ast.File {
-	files := make([]*ast.File, 0, len(p.Files))
-	for _, f := range p.Files {
-		name := p.Fset.Position(f.Pos()).Filename
-		if strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		files = append(files, f)
-	}
-	return files
-}
-
 // annotationPrefix is the comment marker all analyzers share.
 const annotationPrefix = "detvet:"
 
@@ -130,7 +116,7 @@ func (p *Pass) prepareAnnotations() {
 	if tok == "" {
 		tok = p.Analyzer.Name
 	}
-	for _, f := range p.sourceFiles() {
+	for _, f := range p.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				text, ok := strings.CutPrefix(c.Text, "//"+annotationPrefix)

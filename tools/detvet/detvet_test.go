@@ -128,8 +128,8 @@ func matchWants(t *testing.T, fset *token.FileSet, files []*ast.File, diags []Di
 	}
 }
 
-// TestApplies pins the package targeting: restriction lists, the exemption
-// list and go vet's " [pkg.test]" import path variants.
+// TestApplies pins the package targeting: restriction lists and the
+// exemption list.
 func TestApplies(t *testing.T) {
 	cases := []struct {
 		a    *Analyzer
@@ -163,11 +163,5 @@ func TestApplies(t *testing.T) {
 		if got := c.a.applies(c.path); got != c.want {
 			t.Errorf("%s.applies(%q) = %v, want %v", c.a.Name, c.path, got, c.want)
 		}
-	}
-	if got := strippedPath("rfdet/internal/mem [rfdet/internal/mem.test]"); got != "rfdet/internal/mem" {
-		t.Errorf("strippedPath test variant = %q", got)
-	}
-	if got := strippedPath("rfdet/internal/mem.test"); got != "rfdet/internal/mem.test" {
-		t.Errorf("strippedPath test main = %q", got)
 	}
 }

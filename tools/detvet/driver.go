@@ -20,9 +20,9 @@ import (
 )
 
 // modulePath is the import-path prefix of the packages detvet loads from
-// source in standalone mode. Everything else (std, nothing else exists — the
-// repo takes no external dependencies) is imported from the export data the
-// go command produces for `go list -export`.
+// source. Everything else (std, nothing else exists — the repo takes no
+// external dependencies) is imported from the export data the go command
+// produces for `go list -export`.
 const modulePath = "rfdet"
 
 // listPackage is the subset of `go list -json` output the driver consumes.
@@ -43,17 +43,17 @@ type jsonDiagnostic struct {
 	Message  string `json:"message"`
 }
 
-// runStandalone loads the packages matching patterns (default ./...) with
-// one shared FileSet and type-check universe, runs the per-package analyzer
-// suite on every module package, then — when the patterns cover the whole
-// module — the whole-program statwire pass, and prints the findings. Exits 0 when clean, 2 on findings — the same contract
-// as vet mode, so CI can gate on either.
+// run loads the packages matching patterns (default ./...) with one shared
+// FileSet and type-check universe, runs the per-package analyzer suite on
+// every module package, then — when the patterns cover the whole module —
+// the whole-program statwire pass, and prints the findings. Exits 0 when
+// clean, 2 on findings, so CI can gate on it.
 //
 // The load path is `go list -deps -export -json`, which hands back
 // dependency-ordered packages plus compiled export data straight from the
 // go build cache: repeat runs re-typecheck only the module's own sources,
 // which keeps the full-repo sweep inside the CI lint budget.
-func runStandalone(patterns []string, jsonOut bool) {
+func run(patterns []string, jsonOut bool) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
@@ -114,9 +114,7 @@ func runStandalone(patterns []string, jsonOut bool) {
 		}
 		srcPkgs[p.ImportPath] = pkg
 
-		for _, d := range analyze(fset, files, pkg, info, p.ImportPath) {
-			diags = append(diags, toJSON(fset, d, analyzerFor(d)))
-		}
+		diags = append(diags, analyze(fset, files, pkg, info, p.ImportPath)...)
 		// A parallel pass carries statwire's own suppression intervals.
 		sp := &Pass{Analyzer: statwire, Fset: fset, Files: files, Pkg: pkg, Info: info, PkgPath: p.ImportPath}
 		sp.prepareAnnotations()
@@ -183,29 +181,6 @@ func coversModule(patterns []string) bool {
 		}
 	}
 	return false
-}
-
-// diagAnalyzer maps findings back to the analyzer that produced them:
-// analyze() flattens per-analyzer findings into one slice (vet mode wants
-// exactly that), so it records attribution on the side for -json output.
-type diagKey struct {
-	pos token.Pos
-	msg string
-}
-
-var diagAnalyzer = map[diagKey]string{}
-
-func recordAttribution(a *Analyzer, ds []Diagnostic) {
-	for _, d := range ds {
-		diagAnalyzer[diagKey{d.Pos, d.Message}] = a.Name
-	}
-}
-
-func analyzerFor(d Diagnostic) string {
-	if name, ok := diagAnalyzer[diagKey{d.Pos, d.Message}]; ok {
-		return name
-	}
-	return "detvet"
 }
 
 func toJSON(fset *token.FileSet, d Diagnostic, analyzer string) jsonDiagnostic {

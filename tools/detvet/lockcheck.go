@@ -44,7 +44,6 @@ import (
 // than the annotated mutex (DESIGN.md §17, escape hatches).
 var lockcheck = &Analyzer{
 	Name: "lockcheck",
-	Doc:  "flow-sensitive //detvet:guardedby, lock-order and held-across-blocking checks",
 	Restrict: []string{
 		"rfdet/internal/core",
 		"rfdet/internal/slicestore",
@@ -179,13 +178,13 @@ func runLockcheck(pass *Pass) {
 		ranks:   map[string]int{},
 		effects: map[*types.Func]*funcEffects{},
 	}
-	for _, f := range pass.sourceFiles() {
+	for _, f := range pass.Files {
 		lc.collectStructAnnotations(f)
 	}
-	for _, f := range pass.sourceFiles() {
+	for _, f := range pass.Files {
 		lc.collectFuncAnnotations(f)
 	}
-	for _, f := range pass.sourceFiles() {
+	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {

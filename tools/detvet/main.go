@@ -1,199 +1,37 @@
 package main
 
 import (
-	"crypto/sha256"
-	"encoding/json"
 	"flag"
-	"fmt"
 	"go/ast"
-	"go/importer"
-	"go/parser"
 	"go/token"
 	"go/types"
-	"io"
 	"log"
-	"os"
-	"runtime"
-	"strings"
 )
 
 // analyzers is the per-package determinism suite, in report order. The
 // whole-program statwire analyzer is not in this list: it needs every
-// package at once and runs only in standalone mode (see driver.go).
+// package at once (see driver.go).
 var analyzers = []*Analyzer{maporder, wallclock, nativesync, lockcheck, pincheck}
 
-// main runs in one of two modes.
-//
-// As a go vet tool it speaks go vet's -vettool protocol (the x/tools
-// unitchecker protocol, reimplemented here because the repo takes no
-// external dependencies):
-//
-//   - `detvet -flags` prints the supported flags as JSON, so the go command
-//     knows which of its vet flags to forward (none).
-//   - `detvet -V=full` prints a content-hashed version line the go command
-//     uses as the tool's build cache key.
-//   - `detvet <dir>/vet.cfg` analyzes one package described by the config
-//     the go command wrote, prints findings to stderr and exits nonzero if
-//     there were any.
-//
-// Given package patterns instead of a vet.cfg (`go run ./tools/detvet
-// ./...`), it loads the whole repo itself via `go list -deps -export`,
-// runs the per-package suite on every rfdet package, and additionally runs
-// the whole-program statwire analyzer. -json switches the standalone
-// diagnostics to machine-readable output for the `rfdet-bench lint` smoke.
+// main loads the packages matching its pattern arguments (default ./...)
+// via `go list -deps -export`, runs the per-package suite on every rfdet
+// package and, when the patterns cover the whole module, the whole-program
+// statwire analyzer (`go run ./tools/detvet ./...`, or `make detvet`). It
+// exits 0 on a clean tree and 2 on findings. -json switches the diagnostics
+// to machine-readable output for the `rfdet-bench lint` smoke.
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("detvet: ")
 
-	printflags := flag.Bool("flags", false, "print flags in JSON format and exit")
-	jsonOut := flag.Bool("json", false, "standalone mode: print diagnostics as JSON on stdout")
-	flag.Var(versionFlag{}, "V", "print version and exit (-V=full)")
+	jsonOut := flag.Bool("json", false, "print diagnostics as JSON on stdout")
 	flag.Parse()
-
-	if *printflags {
-		printFlags()
-		os.Exit(0)
-	}
-	args := flag.Args()
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		runConfig(args[0])
-		return
-	}
-	runStandalone(args, *jsonOut)
-}
-
-// versionFlag implements -V=full: the go command hashes the output into the
-// action ID that keys its vet result cache, so the version must change
-// whenever the binary does — hash the binary itself.
-type versionFlag struct{}
-
-func (versionFlag) String() string   { return "" }
-func (versionFlag) IsBoolFlag() bool { return true }
-func (versionFlag) Set(s string) error {
-	if s != "full" {
-		log.Fatalf("unsupported flag value: -V=%s", s)
-	}
-	exe, err := os.Executable()
-	if err != nil {
-		log.Fatal(err)
-	}
-	f, err := os.Open(exe)
-	if err != nil {
-		log.Fatal(err)
-	}
-	h := sha256.New()
-	if _, err := io.Copy(h, f); err != nil {
-		log.Fatal(err)
-	}
-	f.Close()
-	fmt.Printf("detvet version devel buildID=%x\n", h.Sum(nil))
-	os.Exit(0)
-	return nil
-}
-
-// printFlags emits the flag inventory in the JSON shape the go command
-// expects from a vet tool.
-func printFlags() {
-	type jsonFlag struct {
-		Name  string
-		Bool  bool
-		Usage string
-	}
-	var flags []jsonFlag
-	flag.VisitAll(func(f *flag.Flag) {
-		b, ok := f.Value.(interface{ IsBoolFlag() bool })
-		flags = append(flags, jsonFlag{f.Name, ok && b.IsBoolFlag(), f.Usage})
-	})
-	data, err := json.MarshalIndent(flags, "", "\t")
-	if err != nil {
-		log.Fatal(err)
-	}
-	os.Stdout.Write(data)
-}
-
-// Config is the per-package analysis configuration the go command writes to
-// <objdir>/vet.cfg (the fields detvet consumes; unknown fields are ignored).
-type Config struct {
-	ID                        string // package ID, e.g. "fmt [fmt.test]"
-	Compiler                  string // "gc"
-	Dir                       string
-	ImportPath                string
-	GoVersion                 string
-	GoFiles                   []string
-	ImportMap                 map[string]string // import path -> canonical path
-	PackageFile               map[string]string // canonical path -> export data file
-	Standard                  map[string]bool
-	VetxOnly                  bool   // facts requested for a dependency; no diagnostics
-	VetxOutput                string // where to write the (empty) facts file
-	SucceedOnTypecheckFailure bool   // exit 0 silently on type errors (go vet std behavior)
-}
-
-func runConfig(cfgFile string) {
-	data, err := os.ReadFile(cfgFile)
-	if err != nil {
-		log.Fatal(err)
-	}
-	cfg := new(Config)
-	if err := json.Unmarshal(data, cfg); err != nil {
-		log.Fatalf("cannot decode JSON config file %s: %v", cfgFile, err)
-	}
-
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, name := range cfg.GoFiles {
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
-		if err != nil {
-			typecheckFailed(cfg, err)
-		}
-		files = append(files, f)
-	}
-
-	// Type-check against the export data the go command already built for
-	// every dependency (PackageFile), resolving vendored/test import paths
-	// through ImportMap first.
-	compilerImporter := importer.ForCompiler(fset, cfg.Compiler, func(path string) (io.ReadCloser, error) {
-		file, ok := cfg.PackageFile[path]
-		if !ok {
-			return nil, fmt.Errorf("no package file for %q", path)
-		}
-		return os.Open(file)
-	})
-	imp := importerFunc(func(importPath string) (*types.Package, error) {
-		path, ok := cfg.ImportMap[importPath]
-		if !ok {
-			return nil, fmt.Errorf("can't resolve import %q", importPath)
-		}
-		if path == "unsafe" {
-			return types.Unsafe, nil
-		}
-		return compilerImporter.Import(path)
-	})
-	tc := &types.Config{
-		Importer:  imp,
-		GoVersion: cfg.GoVersion,
-		Sizes:     types.SizesFor("gc", runtime.GOARCH),
-	}
-	info := newInfo()
-	pkg, err := tc.Check(cfg.ImportPath, fset, files, info)
-	if err != nil {
-		typecheckFailed(cfg, err)
-	}
-
-	diags := analyze(fset, files, pkg, info, strippedPath(cfg.ImportPath))
-	writeVetx(cfg)
-	if cfg.VetxOnly || len(diags) == 0 {
-		os.Exit(0)
-	}
-	for _, d := range diags {
-		fmt.Fprintf(os.Stderr, "%s: %s\n", fset.Position(d.Pos), d.Message)
-	}
-	os.Exit(2)
+	run(flag.Args(), *jsonOut)
 }
 
 // analyze runs every applicable analyzer over one type-checked package and
-// returns the findings in deterministic (analyzer, position) order.
-func analyze(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, pkgPath string) []Diagnostic {
-	var diags []Diagnostic
+// returns the findings in (analyzer, position) order.
+func analyze(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, pkgPath string) []jsonDiagnostic {
+	var diags []jsonDiagnostic
 	for _, a := range analyzers {
 		if !a.applies(pkgPath) {
 			continue
@@ -208,8 +46,9 @@ func analyze(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *t
 		}
 		pass.prepareAnnotations()
 		a.Run(pass)
-		recordAttribution(a, pass.diags)
-		diags = append(diags, pass.diags...)
+		for _, d := range pass.diags {
+			diags = append(diags, toJSON(fset, d, a.Name))
+		}
 	}
 	return diags
 }
@@ -223,39 +62,6 @@ func newInfo() *types.Info {
 		Instances:  make(map[*ast.Ident]types.Instance),
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
 		Scopes:     make(map[ast.Node]*types.Scope),
-	}
-}
-
-// strippedPath removes the " [pkg.test]" suffix go vet appends to the
-// import path of test-augmented package variants, so package allowlists
-// match both the plain and the test build of a package.
-func strippedPath(importPath string) string {
-	if i := strings.Index(importPath, " ["); i >= 0 {
-		return importPath[:i]
-	}
-	return importPath
-}
-
-// typecheckFailed handles parse/type errors: go vet sets
-// SucceedOnTypecheckFailure when the compiler itself will report the error,
-// in which case vet tools must stay silent and succeed.
-func typecheckFailed(cfg *Config, err error) {
-	if cfg.SucceedOnTypecheckFailure {
-		writeVetx(cfg)
-		os.Exit(0)
-	}
-	log.Fatal(err)
-}
-
-// writeVetx writes the facts file the go command expects every vet tool to
-// produce. detvet exports no facts, but the file must exist for the result
-// to be cached.
-func writeVetx(cfg *Config) {
-	if cfg.VetxOutput == "" {
-		return
-	}
-	if err := os.WriteFile(cfg.VetxOutput, nil, 0666); err != nil {
-		log.Fatal(err)
 	}
 }
 

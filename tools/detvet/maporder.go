@@ -20,7 +20,6 @@ import (
 //     contract that the body commutes (backed by a commuting-order test).
 var maporder = &Analyzer{
 	Name:       "maporder",
-	Doc:        "flag nondeterministic map iteration in the deterministic packages",
 	Annotation: "orderfree",
 	Restrict: []string{
 		"rfdet/internal/core",
@@ -31,7 +30,7 @@ var maporder = &Analyzer{
 }
 
 func runMaporder(pass *Pass) {
-	for _, f := range pass.sourceFiles() {
+	for _, f := range pass.Files {
 		// Collect function bodies so collect-then-sort can look for the
 		// sort call that follows the loop in the same function.
 		var stack []ast.Node

@@ -15,13 +15,12 @@ import (
 // carry //detvet:nativesync annotations explaining why they are safe.
 var nativesync = &Analyzer{
 	Name:     "nativesync",
-	Doc:      "flag raw goroutines, sync primitives and channel ops in internal/core",
 	Restrict: []string{"rfdet/internal/core", "rfdet/internal/slicestore"},
 	Run:      runNativesync,
 }
 
 func runNativesync(pass *Pass) {
-	for _, f := range pass.sourceFiles() {
+	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.GoStmt:

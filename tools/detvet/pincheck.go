@@ -43,7 +43,6 @@ import (
 // //detvet:pincheck <why>.
 var pincheck = &Analyzer{
 	Name: "pincheck",
-	Doc:  "prove epoch pins, pool chunks and page buffers balanced on all paths",
 	Restrict: []string{
 		"rfdet/internal/core",
 		"rfdet/internal/slicestore",
@@ -132,7 +131,7 @@ func equalResStates(a, b resState) bool {
 }
 
 func runPincheck(pass *Pass) {
-	for _, f := range pass.sourceFiles() {
+	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {

@@ -13,7 +13,7 @@ import (
 // it claims to describe something the runtime did. A counter nobody
 // increments reports zero forever; a counter nobody prints is write-only
 // noise. Both are silently dead code that a per-package analyzer cannot see,
-// so statwire runs only in detvet's standalone whole-repo mode
+// so statwire runs only when detvet's patterns cover the whole module
 // (`go run ./tools/detvet ./...`), where every package is loaded together.
 //
 // For each numeric field of the Stats struct it checks:
@@ -28,7 +28,6 @@ import (
 // populated only by Add aggregation) is annotated //detvet:statwire <why>.
 var statwire = &Analyzer{
 	Name: "statwire",
-	Doc:  "verify every api.Stats counter is incremented and surfaced",
 }
 
 // statwireConfig tells the global pass which packages play which roles. The
@@ -57,8 +56,8 @@ type statField struct {
 }
 
 // runStatwire runs the global pass over one Pass per loaded package. Every
-// pass must share a single FileSet and type-check universe (the standalone
-// driver guarantees this) so field objects resolve identically across
+// pass must share a single FileSet and type-check universe (the driver
+// guarantees this) so field objects resolve identically across
 // packages. Diagnostics are reported through the stats package's own pass,
 // which carries the //detvet:statwire suppression intervals.
 func runStatwire(passes []*Pass, cfg statwireConfig) {
@@ -118,7 +117,7 @@ func runStatwire(passes []*Pass, cfg statwireConfig) {
 // numeric fields.
 func collectStatFields(p *Pass, cfg statwireConfig) []*statField {
 	var fields []*statField
-	for _, f := range p.sourceFiles() {
+	for _, f := range p.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			ts, ok := n.(*ast.TypeSpec)
 			if !ok || ts.Name.Name != cfg.statsType {

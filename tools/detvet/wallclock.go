@@ -12,7 +12,6 @@ import (
 // else either leaks host timing into results or is dead measurement code.
 var wallclock = &Analyzer{
 	Name: "wallclock",
-	Doc:  "flag wall-clock and math/rand use outside the measurement packages",
 	Exempt: []string{
 		"rfdet/internal/stats",
 		"rfdet/internal/trace",
@@ -22,7 +21,7 @@ var wallclock = &Analyzer{
 }
 
 func runWallclock(pass *Pass) {
-	for _, f := range pass.sourceFiles() {
+	for _, f := range pass.Files {
 		for _, imp := range f.Imports {
 			path, err := strconv.Unquote(imp.Path.Value)
 			if err != nil {
