@@ -166,7 +166,7 @@ type Stats struct {
 	SlicesCreated           uint64 // slices ended with a non-empty or empty mod list
 	SlicesMerged            uint64 // slices continued by the slice-merging optimization
 	SlicesPropagated        uint64 // slice propagations into a local thread
-	SlicesFilteredLow       uint64 // propagations skipped by the lowerlimit filter
+	SlicesFilteredLow       uint64 // scanned slice pointers the lowerlimit filter skipped (window entries only; see CollectScanned)
 	SlicesFilteredPremerged uint64 // propagations skipped because a prelock pre-merge already applied them
 	BytesPropagated         uint64 // modification bytes applied to local memories
 	PrelockBytes            uint64 // modification bytes applied during prelock pre-merge
@@ -202,15 +202,18 @@ type Stats struct {
 	ApplyNanos      uint64 // wall nanos spent applying propagated runs
 
 	// Coalesced write-plan propagation observability. CollectScanned counts
-	// slice pointers examined by acquire-side collections — the O(list)
-	// scan cost the write plan does not remove. SliceListLen is the
-	// high-water length of any single collected list. BytesCoalescedAway is
+	// slice pointers examined by acquire-side collections: the entries of
+	// each collection's window — from the reader's low-water mark on the
+	// source list to its end (core/propagate.go) — not the list's length,
+	// so it grows with what was appended since the reader last looked.
+	// SliceListLen is the high-water length of any single source list a
+	// collection walked, scanned or not. BytesCoalescedAway is
 	// the modification bytes the last-writer-wins plan avoided writing
 	// (input bytes minus unique destination bytes). PlanReuse counts
 	// blocked waiters that reused a release's already-built plan instead of
 	// rebuilding it.
-	CollectScanned     uint64 // slice pointers scanned during collection
-	SliceListLen       uint64 // high-water collected slice-list length
+	CollectScanned     uint64 // slice pointers scanned during collection (window entries)
+	SliceListLen       uint64 // high-water length of a collected-from slice list
 	BytesCoalescedAway uint64 // duplicate bytes elided by write plans
 	PlanReuse          uint64 // waiters that shared a cached write plan
 

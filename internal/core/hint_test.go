@@ -59,6 +59,12 @@ func hintProg(rounds int) api.ThreadFunc {
 // TestNoCommHintEnablesEagerGC verifies the §5.4 extension: with the silent
 // workers hinted, garbage collection can reclaim the chatty threads' slices;
 // without the hint, the silent workers' stale clocks pin them.
+//
+// It is also the test that covers windowed collection's trim-site
+// invalidation (gcLocked's forgetMarks): GC passes run between the main
+// thread's acquires here, and with the marks left standing across a trim the
+// equal-results check below fails ("hint changed results: [413 …] vs
+// [259 …]"). window_test.go covers the other site, the barrier's re-list.
 func TestNoCommHintEnablesEagerGC(t *testing.T) {
 	base := DefaultOptions()
 	base.MetadataCapacity = 96 * 1024

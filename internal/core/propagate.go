@@ -1,8 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"sync"
 
+	"rfdet/internal/api"
 	"rfdet/internal/mem"
 	"rfdet/internal/slicestore"
 	"rfdet/internal/stats"
@@ -20,11 +22,12 @@ import (
 //	S.Time ≤ upper   (the upperlimit filter: only happens-before slices)
 //	¬(S.Time ≤ lower) (the lowerlimit filter: skip already-seen slices)
 //
-// where upper is the release's timestamp and lower is t's own clock (or the
-// prelock pre-merge clock). Propagated slices are appended to t's own
-// slice-pointer list, which is what makes propagation transitive, and their
-// modifications are applied to t's memory in list order, which is what makes
-// remote modifications deterministically overwrite local ones.
+// where upper is the release's timestamp and lower is t's own clock — at
+// every call site, so collectLocked reads it from t rather than taking it.
+// Propagated slices are appended to t's own slice-pointer list, which is what
+// makes propagation transitive, and their modifications are applied to t's
+// memory in list order, which is what makes remote modifications
+// deterministically overwrite local ones.
 //
 // The work splits into a monitor half and a private half. Collecting walks
 // the releaser's monitor-guarded slice-pointer list, appends to the
@@ -43,13 +46,40 @@ import (
 // pre-merge (t.preMerged) are skipped: the lowerlimit clock cannot represent
 // that set exactly, because the pre-merge may have applied slices that are
 // concurrent with everything the thread had officially seen.
-func (t *thread) collectLocked(from *thread, upper, lower vclock.VC) []*slicestore.Slice {
-	t.st.CollectScanned += uint64(len(from.slicePtrs))
-	if l := uint64(len(from.slicePtrs)); l > t.st.SliceListLen {
+//
+// The scan is windowed: it starts at t's low-water mark on from's list — the
+// prefix in which an earlier scan by t saw every slice ≤ t.vtime — instead
+// of at 0. The skipped prefix is exactly what the lowerlimit filter would
+// skip again: t.vtime only grows (Join and Bump), and from's list only grows
+// at its tail, except at gcLocked's trim and the barrier's re-list, which
+// both call forgetMarks. The mark then advances over the leading run of the
+// window that is ≤ t.vtime now; everything after the first slice t has not
+// seen keeps the paper's per-element filter, because list position says
+// nothing about it (a concurrent slice t never acquires can sit in front of
+// any number of slices it has). With Options.Validate the paper's whole-list
+// scan runs beside the window and the two results are compared
+// (collectFullScan).
+func (t *thread) collectLocked(from *thread, upper vclock.VC) []*slicestore.Slice {
+	lower := t.vtime
+	list := from.slicePtrs
+	if l := uint64(len(list)); l > t.st.SliceListLen {
 		t.st.SliceListLen = l
 	}
+	// A mark past the end can only be a missed forgetMarks. Clamped, that
+	// defect reads as a Validate error or a wrong result; unclamped it is a
+	// panic inside a domain section, which deadlocks on the domain mutex.
+	start := min(from.markFor(t.id), len(list))
+	t.st.CollectScanned += uint64(len(list) - start)
+	mark := start
+	for mark < len(list) && list[mark].Time.Leq(lower) {
+		t.st.SlicesFilteredLow++
+		mark++
+	}
+	if mark > start {
+		from.setMarkFor(t.id, mark)
+	}
 	var out []*slicestore.Slice
-	for _, s := range from.slicePtrs {
+	for _, s := range list[mark:] {
 		if s.Time.Leq(lower) {
 			t.st.SlicesFilteredLow++
 			continue
@@ -62,7 +92,63 @@ func (t *thread) collectLocked(from *thread, upper, lower vclock.VC) []*slicesto
 			out = append(out, s)
 		}
 	}
+	if e := t.exec; e.opts.Validate && e.collectErr == nil {
+		if full := t.collectFullScan(from, upper); !sameSlices(out, full) {
+			e.collectErr = fmt.Errorf("rfdet: validate: thread %d collect from %d: window %d.. returned %d slices, full scan %d",
+				t.id, from.id, start, len(out), len(full))
+		}
+	}
 	return out
+}
+
+// collectFullScan is the propagation filter exactly as §4.3 and Figure 5
+// state it — every slice of from's list against upperlimit and lowerlimit —
+// kept as the reference collectLocked's window is compared with under
+// Options.Validate. It counts nothing and no caller can select it.
+func (t *thread) collectFullScan(from *thread, upper vclock.VC) []*slicestore.Slice {
+	var out []*slicestore.Slice
+	for _, s := range from.slicePtrs {
+		if s.Time.Leq(t.vtime) || (t.preMerged != nil && t.preMerged[s]) {
+			continue
+		}
+		if s.Time.Leq(upper) {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
+// markFor returns reader's low-water mark on t.slicePtrs (0 when none is
+// recorded).
+func (t *thread) markFor(reader api.ThreadID) int {
+	if t.marks == nil || int(reader) >= len(*t.marks) {
+		return 0
+	}
+	return (*t.marks)[reader]
+}
+
+// setMarkFor records reader's low-water mark on t.slicePtrs. The table is
+// sized from the thread table on first use and regrown only for a reader
+// spawned since.
+func (t *thread) setMarkFor(reader api.ThreadID, mark int) {
+	if t.marks == nil {
+		t.marks = new([]int)
+	}
+	if int(reader) >= len(*t.marks) {
+		grown := make([]int, len(t.exec.threads))
+		copy(grown, *t.marks)
+		*t.marks = grown
+	}
+	(*t.marks)[reader] = mark
+}
+
+// forgetMarks drops every reader's mark on t.slicePtrs. The two sites that
+// rewrite a list other than by appending to it call this in the same breath;
+// the table's memory is kept for the marks that will be recorded next.
+func (t *thread) forgetMarks() {
+	if t.marks != nil {
+		clear(*t.marks)
+	}
 }
 
 // planCoalesceMin is the minimum propagated-list length for which building
@@ -100,7 +186,8 @@ func (t *thread) buildPlan(slices []*slicestore.Slice) *mem.WritePlan {
 // sameSlices reports whether two collected lists are element-wise identical
 // (slices are compared by pointer — they are immutable and interned in the
 // slice store). Used to share one write plan across blocked waiters whose
-// lowerlimit filters selected the same propagation set.
+// lowerlimit filters selected the same propagation set, and to compare a
+// windowed collection with the reference scan.
 func sameSlices(a, b []*slicestore.Slice) bool {
 	if len(a) != len(b) {
 		return false
@@ -271,7 +358,7 @@ func (t *thread) acquireCollectLocked(sh *monShard, sv *syncVar) []*slicestore.S
 	var slices []*slicestore.Slice
 	if sv.lastTid != int32(t.id) {
 		from := t.exec.threads[sv.lastTid]
-		slices = t.collectLocked(from, sv.lastTime, t.vtime)
+		slices = t.collectLocked(from, sv.lastTime)
 		t.slicePtrs = append(t.slicePtrs, slices...)
 	}
 	t.vtime = t.vtime.Join(sv.lastTime)
@@ -288,7 +375,7 @@ func (t *thread) acquireFromCollectLocked(fromTid int32, upper vclock.VC, releas
 	var slices []*slicestore.Slice
 	if fromTid != int32(t.id) {
 		from := t.exec.threads[fromTid]
-		slices = t.collectLocked(from, upper, t.vtime)
+		slices = t.collectLocked(from, upper)
 		t.slicePtrs = append(t.slicePtrs, slices...)
 	}
 	t.vtime = t.vtime.Join(upper)
@@ -357,7 +444,7 @@ func (t *thread) prelockLocked(sv *syncVar) {
 	}
 	holder := t.exec.threads[sv.owner]
 	upper := holder.vtime.Clone()
-	t.premergeLocked(t.collectLocked(holder, upper, t.vtime))
+	t.premergeLocked(t.collectLocked(holder, upper))
 }
 
 // prelockReleaseLocked continues the prelock pre-merge while a thread stays
@@ -390,7 +477,7 @@ func (e *exec) prelockReleaseLocked(sv *syncVar, releaser *thread) {
 	var plan *mem.WritePlan
 	for _, wid := range sv.lockQ.items() {
 		w := e.threads[wid]
-		slices := w.collectLocked(releaser, sv.lastTime, w.vtime)
+		slices := w.collectLocked(releaser, sv.lastTime)
 		if len(slices) < planCoalesceMin {
 			w.premergeLocked(slices)
 			continue

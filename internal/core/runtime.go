@@ -215,6 +215,13 @@ type exec struct {
 	aborted  atomic.Bool
 	abortErr error
 
+	// collectErr is the first disagreement between a windowed collection and
+	// the whole-list reference scan (Options.Validate only; propagate.go).
+	// Recorded rather than raised, because it is found inside a domain
+	// section; validateLocked reports it.
+	//detvet:notguarded written only by collectLocked, turn-held; read by validateLocked after every worker has exited
+	collectErr error
+
 	// diffSem bounds the worker pool that byte-diffs snapshotted pages
 	// concurrently during off-monitor slice finishing. One token per worker;
 	// a diff that cannot get a token runs inline on the owning thread.
@@ -681,6 +688,8 @@ func (e *exec) gcLocked() {
 	frontier := vclock.MeetAll(clocks)
 	e.store.Collect(frontier)
 	for _, t := range e.threads {
+		// The trim shifts every surviving slice's position.
 		t.slicePtrs = slicestore.TrimList(t.slicePtrs, frontier)
+		t.forgetMarks()
 	}
 }

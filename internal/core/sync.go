@@ -215,6 +215,14 @@ func (t *thread) Wait(c, m api.Addr) {
 		panic(errAborted)
 	}
 	tend := t.commitSliceLocked(s)
+	// Queue on the condition variable, in deterministic order — before the
+	// mutex is handed off. The handoff wakes the next owner, whose frozen
+	// Kendo clock is below ours: it wins the turn at once, and its signal's
+	// turn-held peek at this queue (signal, below) takes no lock. The wake
+	// mailbox send is what orders this push before that peek; handoffLocked
+	// never reads condQ, so the order of the two changes nothing else.
+	svc := e.shardFor(c).syncvar(c)
+	svc.condQ.push(condEntry{tid: t.id, mutex: m})
 	// Release the mutex — exactly like Unlock, including the prelock
 	// pre-merge for the waiters that stay queued: a release performed inside
 	// pthread_cond_wait is a release like any other, and skipping the
@@ -227,9 +235,6 @@ func (t *thread) Wait(c, m api.Addr) {
 		svm.held = false
 		svm.owner = -1
 	}
-	// Queue on the condition variable, in deterministic order.
-	svc := e.shardFor(c).syncvar(c)
-	svc.condQ.push(condEntry{tid: t.id, mutex: m})
 	e.syncEvent(t, "wait", c)
 	t.blockLocked(fmt.Sprintf("cond wait %#x (mutex %#x)", uint64(c), uint64(m)))
 	t.finishOpLocked()
@@ -392,7 +397,7 @@ func (t *thread) Barrier(b api.Addr, n int) {
 	var propagated []*slicestore.Slice
 	for _, a := range arrivals[1:] {
 		from := e.threads[a.tid]
-		slices := leader.collectLocked(from, a.v, leader.vtime)
+		slices := leader.collectLocked(from, a.v)
 		for _, sl := range slices {
 			mergeCost += vtime.ApplyCost(uint64(len(sl.Mods)), sl.Bytes)
 			leader.st.SlicesPropagated++
@@ -431,7 +436,9 @@ func (t *thread) Barrier(b api.Addr, n int) {
 		// Clone does not inherit dirty tracking; re-enable it for the
 		// arrival's next slice.
 		w.enableDirtyTracking()
+		// Not an append: every reader's mark on w's old list is void.
 		w.slicePtrs = append(w.slicePtrs[:0], leader.slicePtrs...)
+		w.forgetMarks()
 		w.vtime = w.vtime.Join(merged)
 		w.preMerged = nil
 		//detvet:orderfree drain-and-release of independent per-page entries; see TestPendingResetOrderFree.
@@ -662,9 +669,10 @@ func (t *thread) atomicOp(a api.Addr, op func(cur uint64) (newVal uint64, wrote 
 		t.st.SlicesCreated++
 		t.slicePtrs = append(t.slicePtrs, micro)
 		e.maybeGC(t, e.store.Commit(micro))
-		tend := t.vtime.Clone()
 		t.vtime = t.vtime.Bump(int(t.id))
-		t.releaseLocked(sh, sv, tend)
+		// The micro-slice's stamp is the pre-bump clock: share it as the
+		// release time, as commitSliceLocked does.
+		t.releaseLocked(sh, sv, micro.Time)
 	}
 	t.beginSlice()
 	e.syncEvent(t, "atomic", a)

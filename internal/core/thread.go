@@ -62,6 +62,15 @@ type thread struct {
 	// their propagation, also under the turn.
 	//detvet:notguarded ordered by the deterministic turn, not a mutex: every writer and every cross-thread walker holds the turn (sync.go header)
 	slicePtrs []*slicestore.Slice
+	// marks is the windowed-collection state of slicePtrs (propagate.go):
+	// (*marks)[r] = k records that an earlier collection by thread r already
+	// saw every one of slicePtrs[:k] ≤ r's clock, so r's next collection
+	// starts at k. It lives with the list it indexes — whoever trims or
+	// replaces slicePtrs calls forgetMarks — and behind one pointer, nil until
+	// a reader first advances a mark, because thread sits 16 bytes under its
+	// allocation size class. Same turn discipline as slicePtrs.
+	//detvet:notguarded ordered by the deterministic turn, like slicePtrs: written only by collectLocked and the two list-rewriting sites, all turn-held
+	marks *[]int
 
 	// Current-slice monitoring state: page snapshots in first-touch order.
 	snapshots map[mem.PageID][]byte
@@ -487,11 +496,17 @@ func (t *thread) finishSlice() *slicestore.Slice {
 // slice committed later (with the bumped component) appear already-seen to a
 // thread that joined this release's time, silently losing its modifications.
 func (t *thread) commitSliceLocked(s *slicestore.Slice) vclock.VC {
-	tend := t.vtime.Clone()
+	var tend vclock.VC
 	if s != nil {
+		// finishSlice stamped s with a clone of this very clock (the turn has
+		// been held since, so t.vtime has not moved), and a published clock is
+		// only ever read or cloned, never a Join or Bump receiver: share it.
+		tend = s.Time
 		t.st.SlicesCreated++
 		t.slicePtrs = append(t.slicePtrs, s)
 		t.exec.maybeGC(t, t.exec.store.Commit(s))
+	} else {
+		tend = t.vtime.Clone()
 	}
 	if t.exec.races != nil {
 		t.recordAccessLocked(s, tend)

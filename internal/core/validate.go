@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"rfdet/internal/slicestore"
+	"rfdet/internal/vclock"
 )
 
 // validateLocked checks the structural DLRC invariants after an execution
@@ -12,6 +13,11 @@ import (
 // invariants are preserved by collection, which only removes
 // globally-dominated slices.
 func (e *exec) validateLocked() error {
+	// 0. Every collection of the run returned what the paper's whole-list
+	//    scan returns (collectLocked compared them as it went).
+	if e.collectErr != nil {
+		return e.collectErr
+	}
 	// Slice timestamps are globally unique: the propagation filters depend
 	// on timestamps distinguishing slices.
 	seen := make(map[string]*slicestore.Slice)
@@ -41,10 +47,7 @@ func (e *exec) validateLocked() error {
 		}
 		// 2. Everything in the list happened-before the thread's final
 		//    instruction: the thread has provably seen each slice.
-		final := t.vtime
-		if t.exitV != nil {
-			final = t.exitV
-		}
+		final := t.finalClock()
 		for _, s := range t.slicePtrs {
 			if !s.Time.Leq(final) {
 				return fmt.Errorf("rfdet: validate: thread %d holds slice %s not happened-before its clock %s",
@@ -65,8 +68,25 @@ func (e *exec) validateLocked() error {
 			}
 			last = own
 		}
+		// 4. The window invariant of collectLocked: the prefix of this list
+		//    below a reader's low-water mark holds only slices that reader
+		//    has seen, so skipping it skips nothing the lowerlimit filter
+		//    would keep.
+		for _, r := range e.threads {
+			mark, seen := t.markFor(r.id), r.finalClock()
+			if mark > len(t.slicePtrs) {
+				return fmt.Errorf("rfdet: validate: thread %d mark %d on thread %d's list of %d slices",
+					r.id, mark, t.id, len(t.slicePtrs))
+			}
+			for _, s := range t.slicePtrs[:mark] {
+				if !s.Time.Leq(seen) {
+					return fmt.Errorf("rfdet: validate: thread %d mark %d on thread %d's list covers slice %s not happened-before its clock %s",
+						r.id, mark, t.id, s.Time, seen)
+				}
+			}
+		}
 	}
-	// 4. The Louvre invariant of the sharded monitor (shard.go): every
+	// 5. The Louvre invariant of the sharded monitor (shard.go): every
 	//    release record is stamped with a version its domain's counter has
 	//    reached, and the domain frontier — the join of every release
 	//    advanced in the domain — covers the record's timestamp. Together
@@ -90,4 +110,13 @@ func (e *exec) validateLocked() error {
 		}
 	}
 	return nil
+}
+
+// finalClock is the clock of the thread's last instruction: its exit release
+// once it has exited, its live clock before.
+func (t *thread) finalClock() vclock.VC {
+	if t.exitV != nil {
+		return t.exitV
+	}
+	return t.vtime
 }

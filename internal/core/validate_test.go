@@ -89,3 +89,49 @@ func TestValidatorAcceptsConsistentState(t *testing.T) {
 		t.Fatalf("consistent state rejected: %v", err)
 	}
 }
+
+// TestValidatorCatchesStaleMark: a reader's low-water mark may cover only
+// slices the reader has seen; one that covers an unseen slice (what a missed
+// forgetMarks leaves behind) must be rejected.
+func TestValidatorCatchesStaleMark(t *testing.T) {
+	e := newTestExec()
+	owner := fakeThread(e, 0, vclock.VC{10, 10})
+	reader := fakeThread(e, 1, vclock.VC{3, 1})
+	owner.slicePtrs = []*slicestore.Slice{
+		sliceWith(0, vclock.VC{2}),
+		sliceWith(0, vclock.VC{5}), // reader's clock stops at 3
+	}
+	e.threads = append(e.threads, owner, reader)
+	owner.setMarkFor(reader.id, 1)
+	if err := e.validateLocked(); err != nil {
+		t.Fatalf("mark over a seen prefix rejected: %v", err)
+	}
+	owner.setMarkFor(reader.id, 2)
+	err := e.validateLocked()
+	if err == nil || !strings.Contains(err.Error(), "mark 2") {
+		t.Fatalf("expected a stale-mark violation, got %v", err)
+	}
+	owner.forgetMarks()
+	if err := e.validateLocked(); err != nil {
+		t.Fatalf("forgotten marks rejected: %v", err)
+	}
+}
+
+// TestValidatorReportsCollectMismatch: a window/full-scan disagreement
+// recorded during the run is what validation returns.
+func TestValidatorReportsCollectMismatch(t *testing.T) {
+	e := newExec(Options{Validate: true})
+	reader := fakeThread(e, 0, vclock.VC{1, 0})
+	from := fakeThread(e, 1, vclock.VC{1, 9})
+	from.slicePtrs = []*slicestore.Slice{sliceWith(1, vclock.VC{0, 4}), sliceWith(1, vclock.VC{0, 7})}
+	e.threads = append(e.threads, reader, from)
+	from.setMarkFor(reader.id, 1) // stale: reader has not seen the first slice
+	got := reader.collectLocked(from, vclock.VC{0, 9})
+	if len(got) != 1 {
+		t.Fatalf("window from a stale mark collected %d slices, want 1", len(got))
+	}
+	err := e.validateLocked()
+	if want := "thread 0 collect from 1: window 1.. returned 1 slices, full scan 2"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("expected %q, got %v", want, err)
+	}
+}

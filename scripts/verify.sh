@@ -11,7 +11,9 @@
 #   5. go test    — full suite
 #   6. race tests — `make race`: the packages with real concurrency, under
 #                   -race with GOMAXPROCS oversubscribed (the off-monitor
-#                   diff/apply windows only interleave when the host preempts)
+#                   diff/apply windows only interleave when the host preempts),
+#                   then 30 runs of the litmus classification test, the
+#                   reproducer of the Wait-handoff race
 #   7. shard sweep— the seed-regression goldens that read RFDET_SHARDS, once
 #                   per commit-monitor domain count: the sharded monitor may
 #                   not be visible to any deterministic observable (the
