@@ -13,11 +13,13 @@ test:
 
 # race runs the packages with real concurrency under -race with GOMAXPROCS
 # oversubscribed; scripts/verify.sh calls this target, so the list lives here.
+# internal/mem is on it because the diff workers write disjoint regions of one
+# shared staging buffer and patches and plans cross goroutines through pools.
 # The second line is the reproducer of the Wait-handoff race fixed in PR 18
 # (cond enqueue after the mutex handoff vs signal's turn-held peek): it showed
 # once in 30-100 runs of that test, so the gate runs it 30 times.
 race:
-	GOMAXPROCS=4 $(GO) test -race ./internal/core/ ./internal/slicestore/ ./internal/alloc/ ./internal/kendo/
+	GOMAXPROCS=4 $(GO) test -race ./internal/core/ ./internal/mem/ ./internal/slicestore/ ./internal/alloc/ ./internal/kendo/
 	GOMAXPROCS=4 $(GO) test -race -count=30 -run TestRaceDetectLitmusClassification .
 
 bench:

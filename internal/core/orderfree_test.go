@@ -1,89 +1,15 @@
 package core
 
 import (
-	"fmt"
 	"testing"
 
 	"rfdet/internal/api"
-	"rfdet/internal/mem"
-	"rfdet/internal/slicestore"
 )
 
 // These tests back the //detvet:orderfree annotations: each exercises a loop
 // that ranges over a Go map (randomized iteration order) many times and
 // demands a canonical, order-independent outcome. Go rerandomizes map
 // iteration per range statement, so dense repetition covers many orders.
-
-// pendThread builds the minimal thread state pendSlice needs.
-func pendThread() *thread {
-	return &thread{
-		space:   mem.NewSpace(),
-		pending: make(map[mem.PageID]*mem.PagePatch),
-	}
-}
-
-// materializePending flushes a thread's pending entries into a fresh space
-// and renders the touched pages canonically (ascending page ID).
-func materializePending(t *thread) string {
-	dst := mem.NewSpace()
-	ids := make([]mem.PageID, 0, len(t.pending))
-	for pid, pp := range t.pending {
-		ids = append(ids, pid)
-		dst.ApplyPatch(pp)
-	}
-	for i := range ids {
-		for j := i + 1; j < len(ids); j++ {
-			if ids[j] < ids[i] {
-				ids[i], ids[j] = ids[j], ids[i]
-			}
-		}
-	}
-	out := ""
-	buf := make([]byte, mem.PageSize)
-	for _, pid := range ids {
-		dst.ReadBytes(mem.PageAddr(pid), buf)
-		out += fmt.Sprintf("%d:%x;", pid, buf)
-	}
-	return out
-}
-
-// TestPendSliceOrderFree pends overlapping slices into fresh threads many
-// times: the materialized pending image and the virtual-time charge must be
-// identical regardless of the order pendSlice's per-page map range visits
-// pages.
-func TestPendSliceOrderFree(t *testing.T) {
-	mkRun := func(a uint64, b ...byte) mem.Run { return mem.Run{Addr: a, Data: b} }
-	s1 := &slicestore.Slice{Mods: []mem.Run{
-		mkRun(mem.PageAddr(3)+8, 1, 2, 3, 4),
-		mkRun(mem.PageAddr(7)+0, 9, 9),
-		mkRun(mem.PageAddr(1)+100, 5),
-		mkRun(mem.PageAddr(12)+50, 6, 7),
-		mkRun(mem.PageAddr(5)+200, 8),
-	}}
-	s2 := &slicestore.Slice{Mods: []mem.Run{
-		mkRun(mem.PageAddr(3)+10, 42, 43), // overlaps s1's page-3 run
-		mkRun(mem.PageAddr(9)+16, 11),
-		mkRun(mem.PageAddr(1)+100, 77), // overwrites s1's page-1 byte
-	}}
-	var want string
-	var wantVT int64
-	for rep := 0; rep < 40; rep++ {
-		th := pendThread()
-		th.pendSlice(s1)
-		th.pendSlice(s2)
-		got := materializePending(th)
-		if rep == 0 {
-			want, wantVT = got, int64(th.vt)
-			continue
-		}
-		if got != want {
-			t.Fatalf("rep %d: pending image diverged:\n got %s\nwant %s", rep, got, want)
-		}
-		if int64(th.vt) != wantVT {
-			t.Fatalf("rep %d: vt %d != %d", rep, th.vt, wantVT)
-		}
-	}
-}
 
 // TestPendingResetOrderFree drives the barrier's pending drain-and-release
 // loop through the real runtime: threads accumulate lazy pending state from

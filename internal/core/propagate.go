@@ -78,19 +78,27 @@ func (t *thread) collectLocked(from *thread, upper vclock.VC) []*slicestore.Slic
 	if mark > start {
 		from.setMarkFor(t.id, mark)
 	}
-	var out []*slicestore.Slice
-	for _, s := range list[mark:] {
+	// The filter records positions in scratch and the result is made once,
+	// exact-size — always a fresh slice, never scratch: a waker parks it in
+	// wakeEvent.slices, where it outlives any number of later collects.
+	picked := t.scratch.picked[:0]
+	for i, s := range list[mark:] {
 		if s.Time.Leq(lower) {
 			t.st.SlicesFilteredLow++
 			continue
 		}
-		if t.preMerged != nil && t.preMerged[s] {
+		if len(t.preMerged) != 0 && t.preMerged[s] {
 			t.st.SlicesFilteredPremerged++
 			continue
 		}
 		if s.Time.Leq(upper) {
-			out = append(out, s)
+			picked = append(picked, int32(mark+i))
 		}
+	}
+	t.scratch.picked = picked
+	out := make([]*slicestore.Slice, len(picked))
+	for k, i := range picked {
+		out[k] = list[i]
 	}
 	if e := t.exec; e.opts.Validate && e.collectErr == nil {
 		if full := t.collectFullScan(from, upper); !sameSlices(out, full) {
@@ -108,7 +116,7 @@ func (t *thread) collectLocked(from *thread, upper vclock.VC) []*slicestore.Slic
 func (t *thread) collectFullScan(from *thread, upper vclock.VC) []*slicestore.Slice {
 	var out []*slicestore.Slice
 	for _, s := range from.slicePtrs {
-		if s.Time.Leq(t.vtime) || (t.preMerged != nil && t.preMerged[s]) {
+		if s.Time.Leq(t.vtime) || (len(t.preMerged) != 0 && t.preMerged[s]) {
 			continue
 		}
 		if s.Time.Leq(upper) {
@@ -162,22 +170,12 @@ const planCoalesceMin = 2
 // minBytesForParallelDiff.
 const minBytesForParallelApply = 4 * mem.PageSize
 
-// modLists extracts the ordered modification lists of an ordered slice
-// list — the input form mem.BuildPlan consumes.
-func modLists(slices []*slicestore.Slice) [][]mem.Run {
-	mods := make([][]mem.Run, len(slices))
-	for i, s := range slices {
-		mods[i] = s.Mods
-	}
-	return mods
-}
-
 // buildPlan collapses an ordered slice list into a last-writer-wins write
 // plan and accounts the coalesced-away bytes to t (the thread doing the
 // build).
 func (t *thread) buildPlan(slices []*slicestore.Slice) *mem.WritePlan {
 	ts := t.tb.Now()
-	plan := mem.BuildPlan(modLists(slices))
+	plan := mem.BuildPlanFunc(len(slices), func(i int) []mem.Run { return slices[i].Mods })
 	t.st.BytesCoalescedAway += plan.InputBytes - plan.UniqueBytes
 	t.tb.Span(trace.PhasePlanBuild, ts)
 	return plan
@@ -362,7 +360,7 @@ func (t *thread) acquireCollectLocked(sh *monShard, sv *syncVar) []*slicestore.S
 		t.slicePtrs = append(t.slicePtrs, slices...)
 	}
 	t.vtime = t.vtime.Join(sv.lastTime)
-	t.preMerged = nil
+	clear(t.preMerged)
 	return slices
 }
 
@@ -379,7 +377,7 @@ func (t *thread) acquireFromCollectLocked(fromTid int32, upper vclock.VC, releas
 		t.slicePtrs = append(t.slicePtrs, slices...)
 	}
 	t.vtime = t.vtime.Join(upper)
-	t.preMerged = nil
+	clear(t.preMerged)
 	return slices
 }
 
@@ -402,7 +400,11 @@ func (e *exec) prepareAcquireLocked(w *thread, sh *monShard, sv *syncVar, handof
 		w.pendingSignal = nil
 		slices = w.acquireFromCollectLocked(sig.tid, sig.v, sig.vt)
 	}
-	slices = append(slices, w.acquireCollectLocked(sh, sv)...)
+	if acq := w.acquireCollectLocked(sh, sv); len(slices) == 0 {
+		slices = acq // the usual case: no signal acquire, nothing to copy
+	} else {
+		slices = append(slices, acq...)
+	}
 	return wakeEvent{vt: w.vt, slices: slices, pin: e.pinFor(slices)}
 }
 

@@ -375,6 +375,7 @@ func (r *Runtime) RunTraced(main api.ThreadFunc) (*api.Report, *Trace, error) {
 		space:      mem.NewSpace(),
 		vtime:      vclock.New(1).Set(0, 1),
 		wake:       make(chan wakeEvent, 1), //detvet:nativesync 1-buffered wake mailbox; exactly one monitor-ordered waker per sleep.
+		scratch:    new(threadScratch),
 	}
 	t0.space.SetFaultHandler(t0.onFault)
 	t0.tb = e.phases.NewThread(0)
@@ -549,13 +550,31 @@ func (e *exec) wakeLocked(t *thread, ev wakeEvent) {
 	}
 }
 
+// blockSite is where a thread is blocked: a format and its operands, put
+// together only by the two readers — a deadlock report and the traced block
+// span — rather than on every contended lock, wait, barrier and join.
+type blockSite struct {
+	format string
+	ops    [3]uint64
+	n      int
+}
+
+func (s *blockSite) String() string {
+	args := make([]any, s.n)
+	for i := range args {
+		args[i] = s.ops[i]
+	}
+	return fmt.Sprintf(s.format, args...)
+}
+
 // blockLocked marks the calling thread blocked (recording the block site for
 // deadlock diagnostics) and checks for deadlock. The caller holds its
 // operation's domain(s) — or the rendezvous — which is what makes the
 // thread "provably blocked" to wakers in the same domain.
-func (t *thread) blockLocked(site string) {
+func (t *thread) blockLocked(format string, ops ...uint64) {
 	e := t.exec
-	t.blockedOn = site
+	site := &t.scratch.site
+	site.format, site.n = format, copy(site.ops[:], ops)
 	// Captured before the status flips to Blocked: any span another thread
 	// records on this thread's behalf (premerge, barrier merge) requires
 	// Blocked status, so it provably starts after blockStart and nests inside
@@ -574,8 +593,8 @@ func (t *thread) blockLocked(site string) {
 
 // blockSites describes where each blocked thread is stuck. The caller
 // holds at least one domain mutex (or the rendezvous), which excludes the
-// Spawn rendezvous and so pins e.threads; the blockedOn strings it reads
-// were published before each thread's status flipped to Blocked.
+// Spawn rendezvous and so pins e.threads; the sites it reads were published
+// before each thread's status flipped to Blocked.
 func (e *exec) blockSites() string {
 	s := ""
 	for _, t := range e.threads {
@@ -583,7 +602,7 @@ func (e *exec) blockSites() string {
 			if s != "" {
 				s += ", "
 			}
-			s += fmt.Sprintf("thread %d: %s", t.id, t.blockedOn)
+			s += fmt.Sprintf("thread %d: %s", t.id, &t.scratch.site)
 		}
 	}
 	return s
@@ -593,7 +612,9 @@ func (e *exec) blockSites() string {
 func (t *thread) sleep() wakeEvent {
 	//detvet:nativesync the only blocking receive: parks until the monitor-ordered wake event.
 	ev := <-t.wake
-	t.tb.SpanDetail(trace.PhaseBlock, t.blockStart, t.blockedOn)
+	if t.tb != nil {
+		t.tb.SpanDetail(trace.PhaseBlock, t.blockStart, t.scratch.site.String())
+	}
 	if ev.abort {
 		panic(errAborted)
 	}

@@ -1,0 +1,227 @@
+package core
+
+import (
+	"bytes"
+	"runtime"
+	"runtime/debug"
+	"testing"
+	"unsafe"
+
+	"rfdet/internal/api"
+	"rfdet/internal/mem"
+	"rfdet/internal/slicestore"
+	"rfdet/internal/vclock"
+)
+
+// The slice lifecycle works in recycled storage and publishes only what a
+// slice keeps (DESIGN.md §9.1, §10.2). These tests pin the boundary between
+// the two: a published slice never aliases scratch, a cut allocates exactly
+// what the slice owns, and the per-sync allocation count stays where the
+// diet left it.
+
+// raceBuild reports whether the test binary was built with -race, under
+// which sync.Pool drops puts at random and allocation counts do not hold.
+func raceBuild() bool {
+	bi, _ := debug.ReadBuildInfo()
+	for _, s := range bi.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
+}
+
+// cutThread builds a monitoring thread that can store and cut slices with no
+// runtime around it.
+func cutThread() *thread {
+	th := fakeThread(newTestExec(), 0, vclock.VC{1})
+	th.monitoring = true
+	th.enableDirtyTracking()
+	return th
+}
+
+func cloneMods(mods []mem.Run) []mem.Run {
+	out := make([]mem.Run, len(mods))
+	for i, r := range mods {
+		out[i] = mem.Run{Addr: r.Addr, Data: bytes.Clone(r.Data)}
+	}
+	return out
+}
+
+func sameMods(a, b []mem.Run) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Addr != b[i].Addr || !bytes.Equal(a[i].Data, b[i].Data) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestPublishedSliceOwnsItsBytes cuts slice A, then slice B on the same
+// thread writing different values to the same addresses, and checks A's
+// modification list against a copy taken before B: the store keeps A for the
+// whole run, while the staging area A's diff was written into is B's to
+// overwrite. Poisoning makes the overwrite happen at the end of A's own cut.
+// Two shapes: one page (sequential diff) and eight densely written pages
+// (tasks fanned out to the diff pool, each in its own staging region).
+func TestPublishedSliceOwnsItsBytes(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4)) // newExec sizes the diff pool from it
+	mem.SetPageBufPoison(true)
+	defer mem.SetPageBufPoison(false)
+	for _, pages := range []int{1, 8} {
+		th := cutThread()
+		write := func(v uint64) {
+			for p := 0; p < pages; p++ {
+				for off := 0; off < mem.PageSize; off += 16 { // 8 written, 8 not: 256 runs a page
+					th.Store64(api.Addr(p*mem.PageSize+off), v)
+				}
+			}
+		}
+		write(0x1111111111111111)
+		a := th.finishSlice()
+		if a == nil || len(a.Mods) != pages*mem.PageSize/16 || a.Bytes != uint64(pages*mem.PageSize/2) {
+			t.Fatalf("%d pages: slice A = %+v, want %d runs of 8 bytes", pages, a, pages*mem.PageSize/16)
+		}
+		want := cloneMods(a.Mods)
+		if want[0].Data[0] != 0x11 {
+			t.Fatalf("%d pages: slice A already reads %#x at its cut", pages, want[0].Data[0])
+		}
+		write(0x2222222222222222)
+		b := th.finishSlice()
+		if !sameMods(a.Mods, want) {
+			t.Fatalf("%d pages: cutting slice B changed slice A's bytes: A aliases scratch", pages)
+		}
+		if b == nil || len(b.Mods) != len(a.Mods) || b.Mods[0].Data[0] != 0x22 {
+			t.Fatalf("%d pages: slice B = %+v", pages, b)
+		}
+		// One payload block: each run's bytes start where the previous run's
+		// end, and no run can be appended into the next.
+		for i, r := range a.Mods {
+			if cap(r.Data) != len(r.Data) {
+				t.Fatalf("%d pages: run %d has spare capacity over its neighbour", pages, i)
+			}
+			if i > 0 {
+				prev := a.Mods[i-1].Data
+				if unsafe.Pointer(&r.Data[0]) != unsafe.Add(unsafe.Pointer(&prev[0]), len(prev)) {
+					t.Fatalf("%d pages: run %d does not follow run %d in one payload block", pages, i, i-1)
+				}
+			}
+		}
+		if cap(a.Mods) != len(a.Mods) {
+			t.Fatalf("%d pages: Mods kept append slack: len %d cap %d", pages, len(a.Mods), cap(a.Mods))
+		}
+	}
+}
+
+// TestWarmCutAllocatesWhatTheSliceOwns: a cut on a thread that has cut
+// before allocates the Slice, its clock, its run list and its payload block,
+// and nothing else.
+func TestWarmCutAllocatesWhatTheSliceOwns(t *testing.T) {
+	if raceBuild() {
+		t.Skip("sync.Pool drops puts at random under -race")
+	}
+	th := cutThread()
+	var v uint64
+	var kept *slicestore.Slice
+	cut := func() {
+		v++
+		for p := 0; p < 3; p++ {
+			for off := 0; off < 256; off += 16 {
+				th.Store64(api.Addr(p*mem.PageSize+off), v)
+			}
+		}
+		kept = th.finishSlice()
+	}
+	cut()
+	if got := testing.AllocsPerRun(50, cut); got != 4 {
+		t.Errorf("warm cut allocates %.0f objects, want 4 (Slice, Time, Mods, payload)", got)
+	}
+	if kept == nil || len(kept.Mods) != 3*16 {
+		t.Fatalf("cut produced %+v", kept)
+	}
+}
+
+// TestLockPingPongAllocationBudget bounds the whole sync path: two threads,
+// N rounds each of Lock; Store64; Unlock; Tick(50) under DefaultOptions. A
+// round costs the four allocations its slice owns, one collect result, the
+// clock clone of the slice-less cut at Lock, and under contention the
+// prelock's clock clone: 10.2·N + 72 measured here (4,142 at N = 400, 72 at
+// N = 0), against 27.3·N + 70 at the parent of the allocation diet (5,521 at
+// N = 200). The budget is 12·N + 150.
+func TestLockPingPongAllocationBudget(t *testing.T) {
+	if raceBuild() {
+		t.Skip("sync.Pool drops puts at random under -race")
+	}
+	const n = 200
+	prog := func(th api.Thread) {
+		cell := th.Malloc(8)
+		mu := api.Addr(64)
+		body := func(c api.Thread) {
+			for i := 0; i < n; i++ {
+				c.Lock(mu)
+				c.Store64(cell, uint64(i))
+				c.Unlock(mu)
+				c.Tick(50)
+			}
+		}
+		id := th.Spawn(body)
+		body(th)
+		th.Join(id)
+	}
+	rt := New(DefaultOptions())
+	run(t, DefaultOptions(), prog) // warm the pools
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := rt.Run(prog); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.Mallocs - before.Mallocs; got > 12*n+150 {
+		t.Errorf("lock ping-pong of %d rounds allocates %d objects, want ≤ %d", n, got, 12*n+150)
+	}
+}
+
+// TestPendSliceMatchesSequentialApply: pending overlapping slices — one run
+// straddling a page boundary — and flushing leaves memory as applying their
+// runs in list order does, protects exactly the pended pages, and charges
+// the per-run bookkeeping time.
+func TestPendSliceMatchesSequentialApply(t *testing.T) {
+	mkRun := func(a uint64, b ...byte) mem.Run { return mem.Run{Addr: a, Data: b} }
+	s1 := &slicestore.Slice{Mods: []mem.Run{
+		mkRun(mem.PageAddr(3)+8, 1, 2, 3, 4),
+		mkRun(mem.PageAddr(7)+0, 9, 9),
+		mkRun(mem.PageAddr(1)+100, 5),
+		mkRun(mem.PageAddr(13)-2, 6, 7, 8, 9), // pages 12 and 13
+		mkRun(mem.PageAddr(5)+200, 8),
+	}}
+	s2 := &slicestore.Slice{Mods: []mem.Run{
+		mkRun(mem.PageAddr(3)+10, 42, 43), // overlaps s1's page-3 run
+		mkRun(mem.PageAddr(9)+16, 11),
+		mkRun(mem.PageAddr(1)+100, 77), // overwrites s1's page-1 byte
+	}}
+	th := &thread{space: mem.NewSpace(), pending: make(map[mem.PageID]*mem.PagePatch)}
+	th.pendSlice(s1)
+	th.pendSlice(s2)
+	if want := int64(len(s1.Mods)+len(s2.Mods)) * 4; int64(th.vt) != want {
+		t.Fatalf("pend charged %d, want %d", th.vt, want)
+	}
+	pended := []mem.PageID{1, 3, 5, 7, 9, 12, 13}
+	if len(th.pending) != len(pended) {
+		t.Fatalf("%d pages pended, want %d", len(th.pending), len(pended))
+	}
+	for _, pid := range pended {
+		if th.pending[pid] == nil || th.space.ProtectionOf(pid) != mem.ProtNone {
+			t.Fatalf("page %d: not pended behind ProtNone", pid)
+		}
+	}
+	th.flushAllPending()
+	want := mem.NewSpace()
+	want.ApplyRuns(s1.Mods)
+	want.ApplyRuns(s2.Mods)
+	if th.space.Hash() != want.Hash() {
+		t.Fatal("pended-then-flushed image differs from list-order ApplyRuns")
+	}
+}

@@ -97,7 +97,7 @@ func (t *thread) Lock(m api.Addr) {
 		t.endSliceDropShard(sh)
 		sv.lockQ.push(t.id)
 		t.prelockLocked(sv)
-		t.blockLocked(fmt.Sprintf("lock %#x", uint64(m)))
+		t.blockLocked("lock %#x", uint64(m))
 		t.finishOpLocked()
 		sh.mu.Unlock()
 
@@ -236,7 +236,7 @@ func (t *thread) Wait(c, m api.Addr) {
 		svm.owner = -1
 	}
 	e.syncEvent(t, "wait", c)
-	t.blockLocked(fmt.Sprintf("cond wait %#x (mutex %#x)", uint64(c), uint64(m)))
+	t.blockLocked("cond wait %#x (mutex %#x)", uint64(c), uint64(m))
 	t.finishOpLocked()
 	unlockShardSet(set)
 
@@ -358,7 +358,7 @@ func (t *thread) Barrier(b api.Addr, n int) {
 	sv := e.shardFor(b).syncvar(b)
 	sv.barArrivals = append(sv.barArrivals, barArrival{tid: t.id, v: tend, vt: t.vt})
 	if len(sv.barArrivals) < n {
-		t.blockLocked(fmt.Sprintf("barrier %#x (%d/%d)", uint64(b), len(sv.barArrivals), n))
+		t.blockLocked("barrier %#x (%d/%d)", uint64(b), uint64(len(sv.barArrivals)), uint64(n))
 		t.finishOpLocked()
 		e.releaseRendezvous(t)
 		// The last arrival merges on our behalf and hands us the merged
@@ -489,6 +489,7 @@ func (t *thread) Spawn(fn api.ThreadFunc) api.ThreadID {
 		vtime:      tend.Clone().Set(int(id), 1),
 		vt:         t.vt + vtime.ThreadSpawn,
 		wake:       make(chan wakeEvent, 1), //detvet:nativesync 1-buffered wake mailbox; exactly one monitor-ordered waker per sleep.
+		scratch:    new(threadScratch),
 	}
 	child.space.SetFaultHandler(child.onFault)
 	child.enableDirtyTracking()
@@ -549,7 +550,7 @@ func (t *thread) Join(id api.ThreadID) {
 	t.commitSliceLocked(s)
 	if target.proc.Status() != kendo.Exited {
 		target.joiners = append(target.joiners, t)
-		t.blockLocked(fmt.Sprintf("join of thread %d", id))
+		t.blockLocked("join of thread %d", uint64(id))
 		t.finishOpLocked()
 		e.releaseRendezvous(t)
 		// The exiting thread performs our acquire of its exit release

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -83,7 +84,7 @@ type thread struct {
 	pending map[mem.PageID]*mem.PagePatch
 
 	// preMerged records slices applied by a prelock pre-merge (§4.5) so the
-	// eventual acquire skips them. Nil when no pre-merge is outstanding.
+	// eventual acquire skips them. Empty when no pre-merge is outstanding.
 	preMerged map[*slicestore.Slice]bool
 
 	// sliceReads accumulates the current slice's harvested read ranges
@@ -109,14 +110,28 @@ type thread struct {
 	// thread's behalf by other goroutines (premerge, barrier merge) provably
 	// nest inside the block span.
 	blockStart int64
-	// blockedOn describes the current block site for deadlock diagnostics.
-	blockedOn string
-	joiners   []*thread
-	exitV     vclock.VC
-	exitVT    vtime.Time
+	joiners    []*thread
+	exitV      vclock.VC
+	exitVT     vtime.Time
+	// scratch is set at creation and never changed. One pointer, because
+	// thread sits just under its allocation size class.
+	scratch *threadScratch
 
 	st  api.Stats
 	obs []uint64
+}
+
+// threadScratch is the working storage a thread re-uses instead of
+// re-making, plus its block site. No published slice, collect result or wake
+// event ever aliases it: the next call that uses it overwrites it.
+type threadScratch struct {
+	// finishSlice's diff tasks, each keeping its run list's storage from cut
+	// to cut, and the payload staging area they diff into.
+	tasks []diffTask
+	stage []byte
+	// picked is collectLocked's: list positions of the slices it takes.
+	picked []int32
+	site   blockSite
 }
 
 // ID returns the deterministic thread ID.
@@ -195,6 +210,7 @@ func (t *thread) takeSnapshot(pid mem.PageID) {
 	if t.snapshots == nil {
 		t.snapshots = make(map[mem.PageID][]byte)
 	}
+	//detvet:pincheck the buffer is owned by t.snapshots until finishSlice, which hands every entry to PutPageBuf once its page is diffed.
 	t.snapshots[pid] = t.space.Snapshot(pid)
 	t.snapOrder = append(t.snapOrder, pid)
 	t.st.StoresWithCopy++
@@ -361,10 +377,32 @@ const minBytesForParallelDiff = 4 * mem.PageSize
 // diffed as a unit.
 const diffTaskBytes = mem.PageSize
 
-// diffTask is one worker-pool unit: a group of dirty extents on one page.
+// diffTask is one worker-pool unit: a group of dirty extents on one page,
+// the runs its diff found, and its region [off, end) of the payload staging
+// area — ExtentBytes(exts) long, an upper bound on what the diff can emit.
 type diffTask struct {
-	pid  mem.PageID
-	exts []mem.Extent
+	pid      mem.PageID
+	exts     []mem.Extent
+	off, end int
+	runs     []mem.Run
+}
+
+// addDiffTask queues exts of page pid in the next task slot, its staging
+// region starting at off, and returns where that region ends.
+func (sc *threadScratch) addDiffTask(pid mem.PageID, exts []mem.Extent, off int) int {
+	n := len(sc.tasks)
+	sc.tasks = slices.Grow(sc.tasks, 1)[:n+1]
+	tk := &sc.tasks[n]
+	*tk = diffTask{pid: pid, exts: exts, off: off, end: off + int(mem.ExtentBytes(exts)), runs: tk.runs[:0]}
+	return tk.end
+}
+
+// runDiffTask diffs task i into its own run list and staging region. Tasks
+// share nothing they write, so any number may run at once.
+func (t *thread) runDiffTask(i int) {
+	tk := &t.scratch.tasks[i]
+	tk.runs, _ = mem.AppendDiffPageExtents(tk.runs, t.scratch.stage[tk.off:tk.off:tk.end],
+		tk.pid, t.snapshots[tk.pid], t.space.PageData(tk.pid), tk.exts)
 }
 
 // finishSlice ends the current slice: each snapshotted page is byte-diffed
@@ -393,6 +431,12 @@ type diffTask struct {
 // per-extent-group tasks to the bounded exec.diffSem worker pool; the runs
 // are reassembled in (snapOrder, extent) order, so the modification list is
 // identical to the sequential one.
+//
+// The cut works in the thread's scratch: the staging area is sized before
+// any fan-out, so no worker grows it, and task regions are disjoint. What the
+// slice keeps is then copied out once, exact-size — its struct, its clock,
+// one []mem.Run, one payload block every Run.Data sub-slices — and never a
+// byte of scratch, which the next cut overwrites while the store holds this.
 func (t *thread) finishSlice() *slicestore.Slice {
 	t.harvestReads()
 	if len(t.snapOrder) == 0 {
@@ -400,8 +444,9 @@ func (t *thread) finishSlice() *slicestore.Slice {
 		return nil
 	}
 	start := stats.Now()
-	tasks := make([]diffTask, 0, len(t.snapOrder))
-	var scanBytes uint64
+	sc := t.scratch
+	sc.tasks = sc.tasks[:0]
+	scanBytes := 0
 	for _, pid := range t.snapOrder {
 		exts := t.space.DirtyExtentsOf(pid)
 		bytes := mem.ExtentBytes(exts)
@@ -410,36 +455,28 @@ func (t *thread) finishSlice() *slicestore.Slice {
 		if bytes < mem.PageSize {
 			t.st.DiffBytesSkipped += mem.PageSize - bytes
 		}
-		scanBytes += bytes
 		if bytes <= diffTaskBytes || len(exts) == 1 {
-			tasks = append(tasks, diffTask{pid: pid, exts: exts})
+			scanBytes = sc.addDiffTask(pid, exts, scanBytes)
 			continue
 		}
 		// A heavily written page splits into several tasks so the pool can
 		// balance it; group boundaries fall on extent boundaries, which are
 		// also run boundaries, so reassembly stays exact.
-		var group []mem.Extent
-		var groupBytes uint64
-		for _, e := range exts {
-			group = append(group, e)
+		first, groupBytes := 0, uint64(0)
+		for i, e := range exts {
 			groupBytes += uint64(e.Len)
-			if groupBytes >= diffTaskBytes {
-				tasks = append(tasks, diffTask{pid: pid, exts: group})
-				group, groupBytes = nil, 0
+			if groupBytes >= diffTaskBytes || i == len(exts)-1 {
+				scanBytes = sc.addDiffTask(pid, exts[first:i+1], scanBytes)
+				first, groupBytes = i+1, 0
 			}
 		}
-		if len(group) > 0 {
-			tasks = append(tasks, diffTask{pid: pid, exts: group})
-		}
 	}
-	perTask := make([][]mem.Run, len(tasks))
-	diffOne := func(i int) {
-		tk := tasks[i]
-		perTask[i] = mem.DiffPageExtents(tk.pid, t.snapshots[tk.pid], t.space.PageData(tk.pid), tk.exts)
+	if cap(sc.stage) < scanBytes {
+		sc.stage = make([]byte, scanBytes)
 	}
-	if len(tasks) > 1 && scanBytes >= minBytesForParallelDiff && cap(t.exec.diffSem) > 1 {
+	if len(sc.tasks) > 1 && scanBytes >= minBytesForParallelDiff && cap(t.exec.diffSem) > 1 {
 		var wg sync.WaitGroup //detvet:nativesync joins the bounded diff workers below.
-		for i := range tasks {
+		for i := range sc.tasks {
 			//detvet:nativesync non-blocking token acquire; on saturation the diff runs inline.
 			select {
 			case t.exec.diffSem <- struct{}{}:
@@ -447,24 +484,36 @@ func (t *thread) finishSlice() *slicestore.Slice {
 				//detvet:nativesync bounded diffSem worker: results reassemble in (snapOrder, extent) order.
 				go func(i int) {
 					defer wg.Done()
-					diffOne(i)
+					t.runDiffTask(i)
 					<-t.exec.diffSem
 				}(i)
 			default:
 				// Pool saturated: diff inline rather than queueing.
-				diffOne(i)
+				t.runDiffTask(i)
 			}
 		}
 		wg.Wait()
 	} else {
-		for i := range tasks {
-			diffOne(i)
+		for i := range sc.tasks {
+			t.runDiffTask(i)
 		}
 	}
-	var mods []mem.Run
-	for i := range tasks {
-		mods = append(mods, perTask[i]...)
+	var nRuns int
+	var nBytes uint64
+	for i := range sc.tasks {
+		nRuns += len(sc.tasks[i].runs)
+		nBytes += mem.RunBytes(sc.tasks[i].runs)
 	}
+	mods := make([]mem.Run, 0, nRuns)
+	payload := make([]byte, 0, nBytes)
+	for i := range sc.tasks {
+		for _, r := range sc.tasks[i].runs {
+			at := len(payload)
+			payload = append(payload, r.Data...)
+			mods = append(mods, mem.Run{Addr: r.Addr, Data: payload[at:len(payload):len(payload)]})
+		}
+	}
+	mem.PoisonScratch(sc.stage)
 	for _, pid := range t.snapOrder {
 		t.exec.store.FreeSnapshot(int(t.id))
 		t.vt += vtime.DiffPage
@@ -484,7 +533,7 @@ func (t *thread) finishSlice() *slicestore.Slice {
 		Tid:   int32(t.id),
 		Time:  t.vtime.Clone(),
 		Mods:  mods,
-		Bytes: mem.RunBytes(mods),
+		Bytes: nBytes,
 	}
 }
 
@@ -586,15 +635,10 @@ func (t *thread) endSliceDropShard(sh *monShard) vclock.VC {
 // eventual flush is one pass over unique bytes. AddRun copies, so the pend
 // never retains store-owned payload memory.
 func (t *thread) pendSlice(s *slicestore.Slice) {
-	byPage := mem.SplitRunsByPage(s.Mods)
-	//detvet:orderfree pages are disjoint and each page's runs stay in list order; see TestPendSliceOrderFree.
-	for pid, runs := range byPage {
-		pp := t.pendPatchFor(pid)
-		for _, r := range runs {
-			pp.AddRun(r)
-		}
+	mem.AddRunsByPage(s.Mods, func(pid mem.PageID) *mem.PagePatch {
 		t.space.Protect(pid, mem.ProtNone)
-	}
+		return t.pendPatchFor(pid)
+	})
 	// Bookkeeping cost only: the writes themselves are deferred.
 	t.vt += vtime.Time(len(s.Mods)) * 4
 }

@@ -18,6 +18,8 @@ func fakeThread(e *exec, id int, v vclock.VC) *thread {
 		space: mem.NewSpace(),
 		vtime: v,
 		wake:  make(chan wakeEvent, 1),
+
+		scratch: new(threadScratch),
 	}
 	t.proc = e.sched.Register(int32(id), 0)
 	return t

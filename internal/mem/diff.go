@@ -69,18 +69,24 @@ func DiffPage(pageID PageID, snapshot, current []byte) []Run {
 // Like DiffPage, only the common prefix of snapshot and current is
 // compared: extents are clamped to min(len(snapshot), len(current)).
 func DiffPageExtents(pageID PageID, snapshot, current []byte, exts []Extent) []Run {
+	// ExtentBytes bounds the payload, so the runs share one block.
+	runs, _ := AppendDiffPageExtents(nil, make([]byte, 0, ExtentBytes(exts)), pageID, snapshot, current, exts)
+	return runs
+}
+
+// AppendDiffPageExtents is DiffPageExtents into caller-owned storage: runs
+// are appended to runs, their payload bytes to buf, and both are returned.
+// Each Run.Data is a full-slice expression over its bytes in buf, so appending
+// to one run never reaches its neighbour. With ExtentBytes(exts) of spare
+// capacity buf is never reallocated, which lets concurrent diffs write
+// disjoint regions of one staging buffer (the runtime's finishSlice); a short
+// buf is slower, not wrong: emitted runs keep the array they were carved from.
+func AppendDiffPageExtents(runs []Run, buf []byte, pageID PageID, snapshot, current []byte, exts []Extent) ([]Run, []byte) {
 	base := PageAddr(pageID)
-	n := len(current)
-	if len(snapshot) < n {
-		n = len(snapshot)
-	}
-	var runs []Run
+	n := min(len(current), len(snapshot))
 	for _, e := range exts {
 		i := int(e.Off)
-		end := int(e.End())
-		if end > n {
-			end = n
-		}
+		end := min(int(e.End()), n)
 		for i < end {
 			if snapshot[i] == current[i] {
 				i++
@@ -90,13 +96,13 @@ func DiffPageExtents(pageID PageID, snapshot, current []byte, exts []Extent) []R
 			for j < end && snapshot[j] != current[j] {
 				j++
 			}
-			data := make([]byte, j-i)
-			copy(data, current[i:j])
-			runs = append(runs, Run{Addr: base + uint64(i), Data: data})
+			at := len(buf)
+			buf = append(buf, current[i:j]...)
+			runs = append(runs, Run{Addr: base + uint64(i), Data: buf[at:len(buf):len(buf)]})
 			i = j
 		}
 	}
-	return runs
+	return runs, buf
 }
 
 // RunBytes returns the total number of modified bytes across runs.
@@ -130,27 +136,4 @@ func (s *Space) applyRun(r Run) {
 		data = data[n:]
 		a += uint64(n)
 	}
-}
-
-// SplitRunsByPage groups runs by the page they touch, splitting runs that
-// straddle page boundaries. Used by the lazy-writes optimization, which pends
-// modifications per page (§4.5).
-func SplitRunsByPage(runs []Run) map[PageID][]Run {
-	out := make(map[PageID][]Run)
-	for _, r := range runs {
-		a := r.Addr
-		data := r.Data
-		for len(data) > 0 {
-			id := PageOf(a)
-			room := PageSize - int(a&PageMask)
-			n := len(data)
-			if n > room {
-				n = room
-			}
-			out[id] = append(out[id], Run{Addr: a, Data: data[:n:n]})
-			a += uint64(n)
-			data = data[n:]
-		}
-	}
-	return out
 }

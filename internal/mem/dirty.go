@@ -37,6 +37,10 @@ type Extent struct {
 // End returns the first offset past the extent.
 func (e Extent) End() uint32 { return e.Off + e.Len }
 
+// poisonedExtent is what a recycled extent list is overwritten with when
+// poison-on-recycle is on (SetPageBufPoison).
+var poisonedExtent = Extent{Off: 0xDBDBDBDB, Len: 0xDBDBDBDB}
+
 const (
 	// ChunkShift is log2 of the bitmap chunk size.
 	ChunkShift = 6
@@ -122,7 +126,8 @@ func insertExtent(exts []Extent, off, n uint32) []Extent {
 	return append(exts[:i+1], exts[j:]...)
 }
 
-// toBitmap converts the interval list into the chunk bitmap.
+// toBitmap converts the interval list into the chunk bitmap. The list's
+// storage stays with the page, for snapshotExtents to render into.
 func (d *dirtyPage) toBitmap() {
 	var bm uint64
 	for _, e := range d.extents {
@@ -130,17 +135,18 @@ func (d *dirtyPage) toBitmap() {
 	}
 	d.bitmap = bm
 	d.bitmapped = true
-	d.extents = nil
+	d.extents = d.extents[:0]
 }
 
 // snapshotExtents renders the page's dirty set as a sorted, coalesced,
 // gap-separated extent list. In bitmap mode, runs of consecutive set chunks
-// coalesce into single extents.
+// coalesce into single extents. Either way the result is the page's own
+// list, valid until the page is next marked or recycled.
 func (d *dirtyPage) snapshotExtents() []Extent {
 	if !d.bitmapped {
 		return d.extents
 	}
-	var out []Extent
+	out := d.extents[:0]
 	bm := d.bitmap
 	for c := uint32(0); c < PageSize/ChunkSize; c++ {
 		if bm&(1<<c) == 0 {
@@ -152,6 +158,7 @@ func (d *dirtyPage) snapshotExtents() []Extent {
 		}
 		out = append(out, Extent{Off: start * ChunkSize, Len: (c - start + 1) * ChunkSize})
 	}
+	d.extents = out
 	return out
 }
 
@@ -184,11 +191,17 @@ func (s *Space) SetDirtyTracking(on bool) {
 // DirtyTracking reports whether sub-page dirty tracking is enabled.
 func (s *Space) DirtyTracking() bool { return s.trackDirty }
 
-// ResetDirty discards all recorded dirty extents (slice end).
+// ResetDirty discards all recorded dirty extents (slice end). Each page
+// record is parked, extent storage attached, for markDirty to hand out
+// again; every list DirtyExtentsOf returned is dead from here on.
 func (s *Space) ResetDirty() {
-	for id := range s.dirty {
-		delete(s.dirty, id)
+	for _, id := range s.dirtyOrder {
+		d := s.dirty[id]
+		poison(d.extents, poisonedExtent)
+		*d = dirtyPage{extents: d.extents[:0]}
+		s.dirtyFree = append(s.dirtyFree, d)
 	}
+	clear(s.dirty)
 	s.dirtyOrder = s.dirtyOrder[:0]
 	s.lastDirtyID, s.lastDirty = 0, nil
 }
@@ -205,7 +218,8 @@ func (s *Space) DirtyPages() []PageID { return s.dirtyOrder }
 // DirtyExtentsOf returns page id's dirty extents as a sorted, coalesced,
 // gap-separated list, or nil if the page has no recorded writes (or
 // tracking is off). The returned extents are a superset of the bytes
-// modified since the page's snapshot; see DiffPageExtents.
+// modified since the page's snapshot; see DiffPageExtents. The list aliases
+// tracker state: it is valid until the page's next store or ResetDirty.
 func (s *Space) DirtyExtentsOf(id PageID) []Extent {
 	d, ok := s.dirty[id]
 	if !ok {
@@ -222,7 +236,11 @@ func (s *Space) markDirty(id PageID, off, n uint32) {
 		var ok bool
 		d, ok = s.dirty[id]
 		if !ok {
-			d = &dirtyPage{}
+			if n := len(s.dirtyFree); n > 0 {
+				d, s.dirtyFree = s.dirtyFree[n-1], s.dirtyFree[:n-1]
+			} else {
+				d = &dirtyPage{}
+			}
 			s.dirty[id] = d
 			s.dirtyOrder = append(s.dirtyOrder, id)
 		}

@@ -101,10 +101,12 @@ type Space struct {
 	// Sub-page dirty tracking (dirty.go): per-page written-byte extents,
 	// recorded on every store while trackDirty is set and reset at slice
 	// end. lastDirtyID/lastDirty cache the most recently marked page so
-	// loops over one page skip the map lookup.
+	// loops over one page skip the map lookup. dirtyFree holds the records
+	// ResetDirty retired, for the next slice's first touches.
 	trackDirty  bool
 	dirty       map[PageID]*dirtyPage
 	dirtyOrder  []PageID
+	dirtyFree   []*dirtyPage
 	lastDirtyID PageID
 	lastDirty   *dirtyPage
 

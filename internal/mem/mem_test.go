@@ -195,22 +195,6 @@ func TestApplyRunsOrderMatters(t *testing.T) {
 	}
 }
 
-func TestSplitRunsByPage(t *testing.T) {
-	r := Run{Addr: PageSize - 2, Data: []byte{1, 2, 3, 4}}
-	byPage := SplitRunsByPage([]Run{r})
-	if len(byPage) != 2 {
-		t.Fatalf("expected 2 pages, got %d", len(byPage))
-	}
-	p0 := byPage[0]
-	p1 := byPage[1]
-	if len(p0) != 1 || len(p0[0].Data) != 2 || p0[0].Addr != PageSize-2 {
-		t.Fatalf("page 0 split wrong: %+v", p0)
-	}
-	if len(p1) != 1 || len(p1[0].Data) != 2 || p1[0].Addr != PageSize {
-		t.Fatalf("page 1 split wrong: %+v", p1)
-	}
-}
-
 func TestProtectionFaults(t *testing.T) {
 	s := NewSpace()
 	s.Store8(0, 1)          // page 0 resident

@@ -25,67 +25,73 @@ package mem
 // holds garbage outside them.
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
 
-// pageBufPool recycles page-sized staging buffers: plan construction, lazy
-// pending patches and page snapshots each need a scratch 4 KiB buffer per
-// touched page, and allocating one per first-touch per slice is measurable
-// on snapshot-heavy workloads. It is the page-granular sibling of the
-// slicestore's arena chunk pool: both recycle fixed-size payload buffers
-// with a poison-on-free test hook, but staging buffers have per-buffer
-// lifetimes (Release at patch teardown) rather than per-segment ones, so a
-// per-P sync.Pool fits them where a bump arena would not.
-var (
-	pageBufPool   = sync.Pool{New: func() any { pageBufNews.Add(1); return new([PageSize]byte) }}
-	pageBufGets   atomic.Uint64
-	pageBufNews   atomic.Uint64
-	pageBufPoison atomic.Bool
-)
+// pageBufPool recycles page snapshot buffers: a slice needs one per
+// first-touched page, and a per-P sync.Pool fits their per-buffer lifetimes
+// (PutPageBuf once the slice-end diff has consumed the snapshot). Patches do
+// not come through here: they are recycled whole, buffer attached (patchPool).
+var pageBufPool = sync.Pool{New: func() any { return new([PageSize]byte) }}
 
 // GetPageBuf returns a page-sized buffer from the pool. Its contents are
 // unspecified; callers must not read bytes they have not written.
 func GetPageBuf() []byte {
-	pageBufGets.Add(1)
 	return pageBufPool.Get().(*[PageSize]byte)[:]
 }
 
 // PutPageBuf returns a buffer obtained from GetPageBuf (or Space.Snapshot)
 // to the pool. The caller must not retain the buffer afterwards. Buffers of
-// any other length are dropped on the floor. With poisoning enabled
-// (SetPageBufPoison, tests only) the buffer is overwritten first, so a
-// retained alias reads garbage loudly instead of a stale snapshot.
+// any other length are dropped on the floor.
 func PutPageBuf(b []byte) {
 	if len(b) != PageSize {
 		return
 	}
-	if pageBufPoison.Load() {
-		for i := range b {
-			b[i] = 0xDB
-		}
-	}
+	PoisonScratch(b)
 	pageBufPool.Put((*[PageSize]byte)(b))
 }
 
-// SetPageBufPoison toggles poison-on-free for the staging-buffer pool (test
-// hook; off by default).
-func SetPageBufPoison(on bool) { pageBufPoison.Store(on) }
+// poisonOnRecycle is the poison-on-recycle test hook, off by default: recycled
+// storage — snapshot buffers, released patches' staging buffers and extent
+// lists, the dirty tracker's extent lists, the runtime's payload staging
+// area — is overwritten as it is given up, so whatever still aliases it reads
+// garbage loudly instead of bytes that happen to still be right.
+var poisonOnRecycle atomic.Bool
 
-// PageBufStats returns (total gets, fresh allocations) of the staging-buffer
-// pool; gets minus news is the number of reuses. Counters are global and
-// monotone — benchmark deltas, not per-run gauges.
-func PageBufStats() (gets, news uint64) { return pageBufGets.Load(), pageBufNews.Load() }
+// SetPageBufPoison toggles poison-on-recycle.
+func SetPageBufPoison(on bool) { poisonOnRecycle.Store(on) }
+
+// PoisonScratch is what an owner of recycled byte storage calls when done
+// with its contents: with poisoning on, b is overwritten, spare capacity too.
+func PoisonScratch(b []byte) { poison(b, 0xDB) }
+
+func poison[T any](s []T, v T) {
+	if poisonOnRecycle.Load() {
+		s = s[:cap(s)]
+		for i := range s {
+			s[i] = v
+		}
+	}
+}
 
 // PagePatch accumulates last-writer-wins writes to a single page: later
 // AddRun calls overwrite earlier ones byte-for-byte, and the extent list
 // records exactly which bytes have been written. It backs both plan
 // construction and the lazy-writes pending state (a hot page absorbs any
 // number of propagated updates and flushes in one pass).
+//
+// A patch is live from NewPagePatch until Release. A released patch is dead:
+// it sits in patchPool or has been re-issued for another page, so no method
+// may be called on it and nothing ForEachRun handed out may still be held.
 type PagePatch struct {
 	page PageID
-	buf  []byte // pooled staging buffer; valid only inside exts
+	// buf is the staging buffer, valid only inside exts; nil on a dead
+	// patch. own is the storage behind it, which stays with the patch.
+	buf []byte
+	own *[PageSize]byte
 	// exts is sorted, coalesced, gap-separated and — unlike the dirty
 	// tracker — always precise: exactly the written bytes.
 	exts []Extent
@@ -94,10 +100,17 @@ type PagePatch struct {
 	rawBytes uint64
 }
 
-// NewPagePatch returns an empty patch for page id, holding a pooled buffer;
-// call Release when done with it.
+// patchPool recycles released patches with their staging buffer and extent
+// storage, so a steady-state NewPagePatch allocates nothing.
+var patchPool = sync.Pool{New: func() any { return &PagePatch{own: new([PageSize]byte)} }}
+
+// NewPagePatch returns an empty patch for page id; call Release when done
+// with it.
 func NewPagePatch(id PageID) *PagePatch {
-	return &PagePatch{page: id, buf: GetPageBuf()}
+	p := patchPool.Get().(*PagePatch)
+	p.page = id
+	p.buf = p.own[:]
+	return p
 }
 
 // Page returns the page the patch targets.
@@ -110,7 +123,8 @@ func (p *PagePatch) AddRun(r Run) {
 		return
 	}
 	off := uint32(r.Addr & PageMask)
-	copy(p.buf[off:], r.Data)
+	// The explicit upper bound makes a dead patch (nil buf) fail here.
+	copy(p.buf[off:int(off)+len(r.Data)], r.Data)
 	p.exts = insertExtent(p.exts, off, uint32(len(r.Data)))
 	p.rawRuns++
 	p.rawBytes += uint64(len(r.Data))
@@ -125,33 +139,16 @@ func (p *PagePatch) RawRuns() uint64 { return p.rawRuns }
 // RawBytes returns the total input bytes absorbed, counting overwrites.
 func (p *PagePatch) RawBytes() uint64 { return p.rawBytes }
 
-// Runs materializes the patch as freshly allocated, address-sorted,
-// gap-separated, mutually disjoint runs. The result does not alias the
-// pooled buffer and stays valid after Release.
-func (p *PagePatch) Runs() []Run {
-	if len(p.exts) == 0 {
-		return nil
-	}
-	base := PageAddr(p.page)
-	// One backing array for all runs: fragmented pages (thousands of tiny
-	// extents) would otherwise cost one allocation per extent.
-	backing := make([]byte, ExtentBytes(p.exts))
-	runs := make([]Run, 0, len(p.exts))
-	for _, e := range p.exts {
-		data := backing[:e.Len:e.Len]
-		backing = backing[e.Len:]
-		copy(data, p.buf[e.Off:e.End()])
-		runs = append(runs, Run{Addr: base + uint64(e.Off), Data: data})
-	}
-	return runs
-}
-
-// Release returns the staging buffer to the pool. The patch must not be
-// used afterwards.
+// Release gives the patch back for reuse; it is dead afterwards. Releasing a
+// dead patch panics: it would go into the pool twice and out to two owners.
 func (p *PagePatch) Release() {
-	PutPageBuf(p.buf)
-	p.buf = nil
-	p.exts = nil
+	if p.buf == nil {
+		panic("mem: PagePatch released twice")
+	}
+	PoisonScratch(p.buf)
+	poison(p.exts, poisonedExtent)
+	*p = PagePatch{own: p.own, exts: p.exts[:0]}
+	patchPool.Put(p)
 }
 
 // ForEachRun calls fn with each of the patch's runs in address order. The
@@ -164,6 +161,28 @@ func (p *PagePatch) ForEachRun(fn func(Run)) {
 	}
 }
 
+// AddRunsByPage absorbs runs, in order, into per-page patches, splitting the
+// ones that straddle a page boundary. patchFor resolves the patch of a page;
+// consecutive runs overwhelmingly hit the same page (slice-end diffing emits
+// them in address order), so it is asked only when the page changes.
+func AddRunsByPage(runs []Run, patchFor func(PageID) *PagePatch) {
+	var lastID PageID
+	var last *PagePatch
+	for _, r := range runs {
+		a, data := r.Addr, r.Data
+		for len(data) > 0 {
+			id := PageOf(a)
+			n := min(len(data), PageSize-int(a&PageMask))
+			if last == nil || id != lastID {
+				lastID, last = id, patchFor(id)
+			}
+			last.AddRun(Run{Addr: a, Data: data[:n:n]})
+			a += uint64(n)
+			data = data[n:]
+		}
+	}
+}
+
 // ApplyPatch writes the patch's unique bytes into the space in a single
 // pass, bypassing protection faults exactly like ApplyRuns (the writes are
 // propagated remote modifications, §4.3).
@@ -173,11 +192,15 @@ func (s *Space) ApplyPatch(p *PagePatch) {
 
 // WritePlan is the collapsed form of an ordered modification-list sequence.
 // It holds the per-page last-writer-wins images directly in the patches'
-// pooled staging buffers — applying a plan copies each unique byte straight
-// from the staging buffer into the target page, with no intermediate
+// staging buffers — applying a plan copies each unique byte straight from
+// the staging buffer into the target page, with no intermediate
 // materialization. Once built a plan is read-only and safe to apply to any
 // number of spaces from any goroutine (applications to distinct spaces never
 // share state); call Release when no application can still be in flight.
+//
+// A plan is live from BuildPlan until Release. A released plan is dead: it
+// sits in planPool or has been re-issued as somebody else's plan, so no field
+// may be read and no method called. Read what you need first.
 type WritePlan struct {
 	// Patches holds the per-page images in ascending PageID order. Their
 	// extents are mutually disjoint, so application order is irrelevant.
@@ -188,66 +211,65 @@ type WritePlan struct {
 	// UniqueBytes is the number of distinct destination bytes the plan
 	// writes; InputBytes - UniqueBytes were coalesced away.
 	UniqueBytes uint64
+
+	// byPage indexes Patches while the plan is being built and is empty at
+	// every other time.
+	byPage map[PageID]*PagePatch
+	dead   bool
 }
+
+// planPool recycles released plans with byPage's buckets and Patches' array.
+var planPool = sync.Pool{New: func() any { return &WritePlan{byPage: make(map[PageID]*PagePatch)} }}
 
 // BuildPlan collapses ordered modification lists (the Mods of an ordered
 // slice list, §4.3) into a per-page last-writer-wins plan. Runs straddling
-// page boundaries are split, exactly as SplitRunsByPage splits them.
+// page boundaries are split.
 func BuildPlan(mods [][]Run) *WritePlan {
-	plan := &WritePlan{}
-	patches := make(map[PageID]*PagePatch)
-	// Consecutive runs overwhelmingly hit the same page (slice-end diffing
-	// emits them in address order), so a one-entry cache in front of the map
-	// removes a lookup per run.
-	var lastID PageID
-	var last *PagePatch
-	for _, runs := range mods {
-		for _, r := range runs {
-			plan.InputRuns++
-			plan.InputBytes += uint64(len(r.Data))
-			a, data := r.Addr, r.Data
-			for len(data) > 0 {
-				id := PageOf(a)
-				room := PageSize - int(a&PageMask)
-				n := len(data)
-				if n > room {
-					n = room
-				}
-				p := last
-				if p == nil || id != lastID {
-					p = patches[id]
-					if p == nil {
-						p = NewPagePatch(id)
-						patches[id] = p
-					}
-					lastID, last = id, p
-				}
-				p.AddRun(Run{Addr: a, Data: data[:n:n]})
-				a += uint64(n)
-				data = data[n:]
-			}
+	return BuildPlanFunc(len(mods), func(i int) []Run { return mods[i] })
+}
+
+// BuildPlanFunc is BuildPlan over the n lists modsOf(0) … modsOf(n-1): lists
+// that sit inside other values (the runtime's slices) are read in place.
+func BuildPlanFunc(n int, modsOf func(i int) []Run) *WritePlan {
+	plan := planPool.Get().(*WritePlan)
+	plan.dead = false
+	patchFor := func(id PageID) *PagePatch {
+		p := plan.byPage[id]
+		if p == nil {
+			p = NewPagePatch(id)
+			plan.byPage[id] = p
+			plan.Patches = append(plan.Patches, p)
 		}
+		return p
 	}
-	plan.Patches = make([]*PagePatch, 0, len(patches))
-	//detvet:orderfree Patches are sorted by page right below; UniqueBytes is a commutative sum.
-	for _, p := range patches {
-		plan.Patches = append(plan.Patches, p)
+	for i := 0; i < n; i++ {
+		runs := modsOf(i)
+		plan.InputRuns += uint64(len(runs))
+		plan.InputBytes += RunBytes(runs)
+		AddRunsByPage(runs, patchFor)
+	}
+	clear(plan.byPage)
+	slices.SortFunc(plan.Patches, func(a, b *PagePatch) int { return cmp.Compare(a.page, b.page) })
+	for _, p := range plan.Patches {
 		plan.UniqueBytes += p.UniqueBytes()
 	}
-	sort.Slice(plan.Patches, func(i, j int) bool {
-		return plan.Patches[i].page < plan.Patches[j].page
-	})
 	return plan
 }
 
-// Release returns every patch's staging buffer to the pool. The plan must
-// not be applied afterwards. Callers that share a plan across waiters call
-// this once, after the last application.
+// Release gives every patch, and the plan itself, back for reuse; the plan
+// is dead afterwards. Callers that share a plan across waiters call this
+// once, after the last application. Releasing a dead plan panics, like
+// releasing a dead patch.
 func (p *WritePlan) Release() {
+	if p.dead {
+		panic("mem: WritePlan released twice")
+	}
 	for _, pp := range p.Patches {
 		pp.Release()
 	}
-	p.Patches = nil
+	clear(p.Patches)
+	*p = WritePlan{Patches: p.Patches[:0], byPage: p.byPage, dead: true}
+	planPool.Put(p)
 }
 
 // ApplyPlan writes the plan into the space, each destination byte exactly

@@ -34,6 +34,13 @@ func randomMods(r *rand.Rand, lists, maxRuns int) [][]Run {
 	return mods
 }
 
+// patchRuns copies a patch's runs out of its staging buffer.
+func patchRuns(p *PagePatch) []Run {
+	var runs []Run
+	p.ForEachRun(func(r Run) { runs = append(runs, Run{Addr: r.Addr, Data: append([]byte(nil), r.Data...)}) })
+	return runs
+}
+
 // TestPlanEquivalentToSequentialApply is the core soundness property: for any
 // ordered modification-list sequence, building a plan and applying it once
 // leaves memory byte-identical to applying every list in order with
@@ -66,11 +73,15 @@ func TestPlanEquivalentToSequentialApply(t *testing.T) {
 // TestPlanSharedAcrossSpaces checks immutability under application: the same
 // plan applied to several spaces (plan sharing across blocked waiters) gives
 // every space the identical final image, and a re-application is idempotent.
+// It then releases the plan and builds another, smaller one over different
+// pages — which the pool serves from the released plan and its patches — and
+// demands that nothing carried over: no patch for a page only the first plan
+// wrote (a stale page-index entry), no byte outside the new runs (a stale
+// extent), no leftover in the counters.
 func TestPlanSharedAcrossSpaces(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	mods := randomMods(r, 6, 10)
 	plan := BuildPlan(mods)
-	defer plan.Release()
 
 	var hashes []uint64
 	for i := 0; i < 4; i++ {
@@ -87,6 +98,62 @@ func TestPlanSharedAcrossSpaces(t *testing.T) {
 			t.Fatalf("shared plan produced diverging images: %#x vs %#x", hashes[0], h)
 		}
 	}
+	plan.Release()
+
+	// randomMods writes pages 0–4; the second plan writes two bytes of page 2
+	// and three of page 9.
+	second := [][]Run{{
+		{Addr: PageAddr(2) + 100, Data: []byte{1, 2}},
+		{Addr: PageAddr(9) + 7, Data: []byte{3, 4, 5}},
+	}}
+	for round := 0; round < 3; round++ {
+		plan = BuildPlan(second)
+		if plan.InputRuns != 2 || plan.InputBytes != 5 || plan.UniqueBytes != 5 {
+			t.Fatalf("round %d: rebuilt plan counts %d runs / %d in / %d unique, want 2 / 5 / 5",
+				round, plan.InputRuns, plan.InputBytes, plan.UniqueBytes)
+		}
+		if len(plan.Patches) != 2 || plan.Patches[0].Page() != 2 || plan.Patches[1].Page() != 9 {
+			t.Fatalf("round %d: rebuilt plan has %d patches, want pages 2 and 9", round, len(plan.Patches))
+		}
+		got, want := NewSpace(), NewSpace()
+		got.ApplyPlan(plan)
+		want.ApplyRuns(second[0])
+		if got.Hash() != want.Hash() {
+			t.Fatalf("round %d: rebuilt plan writes bytes its runs do not carry", round)
+		}
+		got.Release()
+		want.Release()
+		plan.Release()
+	}
+}
+
+// TestAddRunsByPageSplitsStraddlers: a run across a page boundary lands as
+// two pieces, one per page, each asked for once.
+func TestAddRunsByPageSplitsStraddlers(t *testing.T) {
+	patches := map[PageID]*PagePatch{}
+	var asked []PageID
+	AddRunsByPage([]Run{
+		{Addr: PageSize - 2, Data: []byte{1, 2, 3, 4}},
+		{Addr: PageSize + 8, Data: []byte{5}},
+	}, func(id PageID) *PagePatch {
+		asked = append(asked, id)
+		if patches[id] == nil {
+			patches[id] = NewPagePatch(id)
+		}
+		return patches[id]
+	})
+	if !pageIDsEqual(asked, []PageID{0, 1}) {
+		t.Fatalf("patchFor asked for %v, want [0 1]", asked)
+	}
+	p0, p1 := patchRuns(patches[0]), patchRuns(patches[1])
+	if !runsEqual(p0, []Run{{Addr: PageSize - 2, Data: []byte{1, 2}}}) {
+		t.Fatalf("page 0 split wrong: %+v", p0)
+	}
+	if !runsEqual(p1, []Run{{Addr: PageSize, Data: []byte{3, 4}}, {Addr: PageSize + 8, Data: []byte{5}}}) {
+		t.Fatalf("page 1 split wrong: %+v", p1)
+	}
+	patches[0].Release()
+	patches[1].Release()
 }
 
 // TestPlanInvariants checks the structural guarantees the apply paths rely
@@ -117,16 +184,9 @@ func TestPlanInvariants(t *testing.T) {
 				return false
 			}
 			base := PageAddr(pp.Page())
-			// Runs() and ForEachRun must agree; both must be address-sorted,
-			// in-page and gap-separated (coalescing guarantees a strict gap,
-			// not mere disjointness).
-			runs := pp.Runs()
-			var viaIter []Run
-			pp.ForEachRun(func(r Run) { viaIter = append(viaIter, r) })
-			if len(viaIter) != len(runs) {
-				t.Errorf("seed %d: ForEachRun yields %d runs, Runs %d", seed, len(viaIter), len(runs))
-				return false
-			}
+			// The runs must be address-sorted, in-page and gap-separated
+			// (coalescing guarantees a strict gap, not mere disjointness).
+			runs := patchRuns(pp)
 			for j, run := range runs {
 				if len(run.Data) == 0 {
 					t.Errorf("seed %d: empty run", seed)
@@ -140,21 +200,18 @@ func TestPlanInvariants(t *testing.T) {
 					t.Errorf("seed %d: runs not gap-separated", seed)
 					return false
 				}
-				it := viaIter[j]
-				if it.Addr != run.Addr || string(it.Data) != string(run.Data) {
-					t.Errorf("seed %d: ForEachRun run %d disagrees with Runs", seed, j)
-					return false
-				}
 				unique += uint64(len(run.Data))
 			}
 		}
+		// Everything is read before the release: a released plan is dead.
+		planUnique, planInput := plan.UniqueBytes, plan.InputBytes
 		plan.Release()
-		if plan.UniqueBytes != unique {
-			t.Errorf("seed %d: UniqueBytes %d, runs carry %d", seed, plan.UniqueBytes, unique)
+		if planUnique != unique {
+			t.Errorf("seed %d: UniqueBytes %d, runs carry %d", seed, planUnique, unique)
 			return false
 		}
-		if plan.UniqueBytes > plan.InputBytes {
-			t.Errorf("seed %d: unique %d > input %d", seed, plan.UniqueBytes, plan.InputBytes)
+		if planUnique > planInput {
+			t.Errorf("seed %d: unique %d > input %d", seed, planUnique, planInput)
 			return false
 		}
 		return true
@@ -185,7 +242,7 @@ func TestPagePatchLastWriterWins(t *testing.T) {
 	if p.RawRuns() != uint64(2*maxExtentsPerPage)+1 || p.RawBytes() != uint64(2*maxExtentsPerPage)+1 {
 		t.Fatalf("raw accounting = %d runs / %d bytes", p.RawRuns(), p.RawBytes())
 	}
-	runs := p.Runs()
+	runs := patchRuns(p)
 	if len(runs) != 2*maxExtentsPerPage {
 		t.Fatalf("materialized %d runs, want %d precise single-byte runs", len(runs), 2*maxExtentsPerPage)
 	}

@@ -1,0 +1,329 @@
+package mem
+
+import (
+	"bytes"
+	"math/rand"
+	"runtime/debug"
+	"sync"
+	"testing"
+	"testing/quick"
+)
+
+// The slice lifecycle recycles its working storage instead of re-making it
+// (DESIGN.md §9, §10). These tests pin the three things that can go wrong
+// with that: a budget creeping back up, recycled storage leaking into a
+// result, and a value being used or released after it was given back.
+
+// raceBuild reports whether the test binary was built with -race, under
+// which sync.Pool deliberately drops a quarter of what it is given and the
+// pool-backed budgets below do not hold.
+func raceBuild() bool {
+	bi, _ := debug.ReadBuildInfo()
+	for _, s := range bi.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
+}
+
+// TestDirtyCycleAllocatesNothing: once a space has tracked a slice, tracking
+// the next one — mark, render the extents, reset — re-uses the page records
+// and their extent lists, in list mode and in bitmap mode.
+func TestDirtyCycleAllocatesNothing(t *testing.T) {
+	for _, mode := range []struct {
+		name   string
+		stores int // per page, at 128-byte strides
+	}{
+		{"list", 8},
+		{"bitmap", 2 * maxExtentsPerPage},
+	} {
+		s := NewSpace()
+		s.SetDirtyTracking(true)
+		var sink int
+		cycle := func() {
+			for p := 0; p < 4; p++ {
+				for i := 0; i < mode.stores; i++ {
+					s.Store8(uint64(p*PageSize+i*128), 1)
+				}
+			}
+			for _, pid := range s.DirtyPages() {
+				sink += len(s.DirtyExtentsOf(pid))
+			}
+			s.ResetDirty()
+		}
+		cycle() // warm: pages resident, records and lists grown
+		if got := testing.AllocsPerRun(50, cycle); got != 0 {
+			t.Errorf("%s mode: warm mark/extents/reset cycle allocates %.0f objects, want 0", mode.name, got)
+		}
+		if sink == 0 {
+			t.Fatalf("%s mode: no extents recorded", mode.name)
+		}
+		s.Release()
+	}
+}
+
+// TestAppendDiffAllocatesNothing: the appending diff into storage that has
+// already held a diff of the same page allocates nothing.
+func TestAppendDiffAllocatesNothing(t *testing.T) {
+	snap, cur := make([]byte, PageSize), make([]byte, PageSize)
+	var exts []Extent
+	for off := uint32(0); off < PageSize; off += 256 {
+		exts = append(exts, Extent{Off: off, Len: 16})
+		for b := off; b < off+16; b += 2 { // every other byte differs: 8 runs per extent
+			cur[b] = 0xff
+		}
+	}
+	runs, buf := AppendDiffPageExtents(nil, make([]byte, 0, ExtentBytes(exts)), 0, snap, cur, exts)
+	if len(runs) != 8*len(exts) {
+		t.Fatalf("got %d runs, want %d", len(runs), 8*len(exts))
+	}
+	if got := testing.AllocsPerRun(50, func() {
+		runs, buf = AppendDiffPageExtents(runs[:0], buf[:0], 0, snap, cur, exts)
+	}); got != 0 {
+		t.Errorf("warm appending diff allocates %.0f objects, want 0", got)
+	}
+}
+
+// TestPlanCycleAllocationBudget: build → apply → release on the shape
+// bench/layers.go measures as mem.plan_allocs — 32 slices, each with 16 runs
+// of 32 bytes on each of the same 8 pages — is served from the pools. The
+// parent allocated 68 objects per cycle; the budget of 2 leaves room for a
+// garbage collection emptying the pools mid-measurement.
+func TestPlanCycleAllocationBudget(t *testing.T) {
+	if raceBuild() {
+		t.Skip("sync.Pool drops puts at random under -race")
+	}
+	r := rand.New(rand.NewSource(3))
+	mods := make([][]Run, 32)
+	for s := range mods {
+		for p := 0; p < 8; p++ {
+			for k := 0; k < 16; k++ {
+				data := make([]byte, 32)
+				data[0] = byte(s)
+				mods[s] = append(mods[s], Run{Addr: PageAddr(PageID(p)) + uint64(r.Intn(PageSize-32)), Data: data})
+			}
+		}
+	}
+	target := NewSpace()
+	defer target.Release()
+	cycle := func() {
+		p := BuildPlan(mods)
+		target.ApplyPlan(p)
+		p.Release()
+	}
+	cycle()
+	if got := testing.AllocsPerRun(100, cycle); got > 2 {
+		t.Errorf("plan build/apply/release cycle allocates %.0f objects, want ≤ 2", got)
+	}
+}
+
+// TestAppendDiffMatchesDiffPageExtents is the equivalence the runtime's
+// finishSlice rests on: cutting a page's extents into consecutive groups,
+// diffing each group into its own region of one shared staging buffer (a
+// three-index slice ExtentBytes long, as finishSlice hands them out) and
+// concatenating the groups' runs yields exactly DiffPageExtents' runs —
+// addresses and bytes — with the staging buffer never reallocated and every
+// Run.Data capped at its own length. Snapshots are sometimes truncated, so
+// the clamp of TestDiffPageExtentsTruncatedSnapshot is covered, and every
+// page with at least three extents is cut into at least three groups.
+func TestAppendDiffMatchesDiffPageExtents(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		snap, cur := make([]byte, PageSize), make([]byte, PageSize)
+		r.Read(snap)
+		copy(cur, snap)
+		// Gap-separated extents, some bytes inside them rewritten (often to
+		// the value they had: an extent is a superset of what changed).
+		var exts []Extent
+		for off := uint32(r.Intn(64)); off < PageSize; {
+			n := min(uint32(1+r.Intn(200)), PageSize-off)
+			exts = append(exts, Extent{Off: off, Len: n})
+			for b := off; b < off+n; b++ {
+				if r.Intn(3) != 0 {
+					cur[b] = byte(r.Intn(4))
+				}
+			}
+			off += n + 1 + uint32(r.Intn(300))
+		}
+		if r.Intn(3) == 0 {
+			snap = snap[:r.Intn(PageSize)]
+		}
+		want := DiffPageExtents(7, snap, cur, exts)
+
+		groups := 1
+		if len(exts) >= 3 {
+			groups = 3 + r.Intn(len(exts)-2)
+		}
+		stage := make([]byte, ExtentBytes(exts))
+		var got []Run
+		off := 0
+		for g := 0; g < groups; g++ {
+			part := exts[g*len(exts)/groups : (g+1)*len(exts)/groups]
+			end := off + int(ExtentBytes(part))
+			runs, buf := AppendDiffPageExtents(nil, stage[off:off:end], 7, snap, cur, part)
+			if len(buf) > 0 && &buf[0] != &stage[off] {
+				t.Logf("seed %d: group %d outgrew its region", seed, g)
+				return false
+			}
+			got = append(got, runs...)
+			off = end
+		}
+		if !runsEqual(got, want) {
+			t.Logf("seed %d: %d groups diverge:\n got %v\nwant %v", seed, groups, got, want)
+			return false
+		}
+		for _, run := range got {
+			if cap(run.Data) != len(run.Data) {
+				t.Logf("seed %d: run at %#x can be appended into its neighbour", seed, run.Addr)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestReleasedValuesAreDead: a released patch has no staging buffer, and a
+// second Release of a patch or a plan — which would put one object in its
+// pool twice — panics instead.
+func TestReleasedValuesAreDead(t *testing.T) {
+	mustPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", what)
+			}
+		}()
+		f()
+	}
+	p := NewPagePatch(1)
+	p.AddRun(Run{Addr: PageAddr(1), Data: []byte{1}})
+	p.Release()
+	if p.buf != nil {
+		t.Fatal("released patch still has its staging buffer")
+	}
+	mustPanic("second PagePatch.Release", p.Release)
+	mustPanic("AddRun on a released patch", func() { p.AddRun(Run{Addr: PageAddr(1), Data: []byte{1}}) })
+
+	plan := BuildPlan([][]Run{{{Addr: 8, Data: []byte{1, 2}}}})
+	plan.Release()
+	if len(plan.Patches) != 0 || plan.UniqueBytes != 0 {
+		t.Fatal("released plan still describes its patches")
+	}
+	mustPanic("second WritePlan.Release", plan.Release)
+}
+
+// TestPoisonOnRecycle: with the poison hook on, everything given back for
+// reuse is overwritten at that moment, so whatever still aliases it reads
+// 0xDB — a snapshot buffer, a released patch's staging bytes and extents,
+// the dirty tracker's extent list after ResetDirty, caller-owned scratch
+// handed to PoisonScratch. With the hook off nothing is touched.
+func TestPoisonOnRecycle(t *testing.T) {
+	SetPageBufPoison(true)
+	defer SetPageBufPoison(false)
+	poison := bytes.Repeat([]byte{0xDB}, PageSize)
+
+	snap := GetPageBuf()
+	snap[0] = 1
+	PutPageBuf(snap)
+	if !bytes.Equal(snap, poison) {
+		t.Error("returned snapshot buffer not poisoned")
+	}
+
+	p := NewPagePatch(2)
+	for i := 0; i < 4; i++ {
+		p.AddRun(Run{Addr: PageAddr(2) + uint64(16*i), Data: []byte{1, 2, 3}})
+	}
+	var held Run
+	p.ForEachRun(func(r Run) { held = r })
+	heldExts := p.exts
+	p.Release()
+	if !bytes.Equal(held.Data, poison[:3]) {
+		t.Errorf("run held across Release reads %v, want poison", held.Data)
+	}
+	for _, e := range heldExts {
+		if e.Off != 0xDBDBDBDB || e.Len != 0xDBDBDBDB {
+			t.Fatalf("extent held across Release reads %+v, want poison", e)
+		}
+	}
+
+	s := NewSpace()
+	defer s.Release()
+	s.SetDirtyTracking(true)
+	s.Store64(64, 1)
+	s.Store64(256, 1)
+	exts := s.DirtyExtentsOf(0)
+	s.ResetDirty()
+	for _, e := range exts {
+		if e.Off != 0xDBDBDBDB {
+			t.Fatalf("dirty extent held across ResetDirty reads %+v, want poison", e)
+		}
+	}
+
+	scratch := make([]byte, 4, 16)
+	PoisonScratch(scratch)
+	if !bytes.Equal(scratch[:16], poison[:16]) {
+		t.Error("PoisonScratch left spare capacity untouched")
+	}
+	SetPageBufPoison(false)
+	clean := []byte{1, 2, 3}
+	PoisonScratch(clean)
+	if !bytes.Equal(clean, []byte{1, 2, 3}) {
+		t.Error("PoisonScratch wrote with the hook off")
+	}
+}
+
+// TestStagingRegionsAndPoolsAcrossGoroutines is the -race target for the two
+// ways this package's recycled storage meets concurrency: several goroutines
+// diffing at once into disjoint regions of one staging buffer (the runtime's
+// diff workers), and patches and plans built on one goroutine and released
+// on another (a waker builds, the woken thread flushes).
+func TestStagingRegionsAndPoolsAcrossGoroutines(t *testing.T) {
+	const workers = 8
+	snap, cur := make([]byte, PageSize), make([]byte, PageSize)
+	per := PageSize / workers
+	for i := range cur {
+		if i%per != per-1 { // one clean byte ends each worker's extent
+			cur[i] = byte(i) | 1
+		}
+	}
+	stage := make([]byte, PageSize)
+	results := make([][]Run, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			exts := []Extent{{Off: uint32(w * per), Len: uint32(per - 1)}}
+			results[w], _ = AppendDiffPageExtents(nil, stage[w*per:w*per:(w+1)*per], 0, snap, cur, exts)
+		}(w)
+	}
+	wg.Wait()
+	var got []Run
+	for _, r := range results {
+		got = append(got, r...)
+	}
+	if want := DiffPage(0, snap, cur); !runsEqual(got, want) {
+		t.Fatalf("concurrent region diffs diverge from DiffPage: %d runs vs %d", len(got), len(want))
+	}
+
+	plans := make(chan *WritePlan)
+	go func() {
+		for i := 0; i < 64; i++ {
+			plans <- BuildPlan([][]Run{got, {{Addr: PageAddr(PageID(i)), Data: []byte{byte(i)}}}})
+		}
+		close(plans)
+	}()
+	s := NewSpace()
+	defer s.Release()
+	for p := range plans {
+		s.ApplyPlan(p)
+		p.Release()
+	}
+	if !bytes.Equal(s.PageData(0)[1:], cur[1:]) || s.Load8(PageAddr(63)) != 63 {
+		t.Fatal("plans handed across goroutines applied the wrong bytes")
+	}
+}

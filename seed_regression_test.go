@@ -14,6 +14,7 @@ import (
 	"rfdet/internal/core"
 	"rfdet/internal/harness"
 	"rfdet/internal/litmus"
+	"rfdet/internal/mem"
 	"rfdet/internal/trace"
 	"rfdet/internal/workloads"
 )
@@ -478,6 +479,62 @@ func TestSeedRegressionEpochStoreMatches(t *testing.T) {
 				}
 			}
 			runtime.GOMAXPROCS(old)
+		}
+	}
+}
+
+// TestSeedRegressionPoisonedPools runs the seed goldens with poison-on-recycle
+// on (mem.SetPageBufPoison): snapshot buffers, released patches' staging
+// buffers and extent lists, the dirty tracker's extent lists and every
+// thread's payload staging area are overwritten the moment they are given
+// back for reuse. Recycling is sound exactly when nothing still reads what
+// was recycled, so every golden — output, virtual time, event trace, the
+// server log's state and response hashes — must come out bit-identical.
+func TestSeedRegressionPoisonedPools(t *testing.T) {
+	mem.SetPageBufPoison(true)
+	defer mem.SetPageBufPoison(false)
+	goldens := []struct {
+		workload             string
+		output, vtime, trace uint64
+	}{
+		{"wordcount", goldenWordcountOutput, goldenWordcountVTime, goldenWordcountTrace},
+		{"fft", goldenFFTOutput, goldenFFTVTime, goldenFFTTrace},
+		{"racey", goldenRaceyOutput, goldenRaceyVTime, 0},
+		{"server", goldenServerOutput, goldenServerVTime, goldenServerTrace},
+	}
+	opts := core.DefaultOptions()
+	opts.Trace = true
+	rt := core.New(opts)
+	for _, p := range []int{1, 4} {
+		for _, g := range goldens {
+			w, err := workloads.ByName(g.workload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			old := runtime.GOMAXPROCS(p)
+			r, tr, err := rt.RunTraced(w.Prog(seedConfig))
+			runtime.GOMAXPROCS(old)
+			if err != nil {
+				t.Fatalf("P=%d %s: %v", p, g.workload, err)
+			}
+			if r.OutputHash != g.output || r.VirtualTime != g.vtime {
+				t.Fatalf("P=%d %s: output=%#x vtime=%d, seed output=%#x vtime=%d — something read recycled storage",
+					p, g.workload, r.OutputHash, r.VirtualTime, g.output, g.vtime)
+			}
+			if th := fnvString(tr.String()); g.trace != 0 && th != g.trace {
+				t.Fatalf("P=%d %s: trace hash %#x, seed %#x", p, g.workload, th, g.trace)
+			}
+			if g.workload != "server" {
+				continue
+			}
+			sum, err := workloads.SummarizeServer(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sum.StateHash != goldenServerState || sum.ResponseHash != goldenServerResp {
+				t.Fatalf("P=%d: state=%#x resp=%#x, seed state=%#x resp=%#x",
+					p, sum.StateHash, sum.ResponseHash, goldenServerState, goldenServerResp)
+			}
 		}
 	}
 }

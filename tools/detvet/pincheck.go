@@ -16,8 +16,11 @@ import (
 //   - alloc.ChunkPool chunks: a chunk obtained from Get must be returned
 //     with Put, or the arena's freelist drains and every subsequent arena
 //     falls through to fresh allocation;
-//   - mem page buffers: a buffer from getPageBuf must go back through
-//     putPageBuf, or the plan encoder loses its sync.Pool amortization.
+//   - mem's pooled storage: a snapshot buffer from GetPageBuf or
+//     Space.Snapshot must go back through PutPageBuf, and a patch from
+//     NewPagePatch or a plan from BuildPlan/BuildPlanFunc must reach
+//     Release() exactly once — they are recycled whole, so one released on
+//     two paths is handed to two owners.
 //
 // The analyzer is lostcancel-shaped: it tracks locals bound to an acquire
 // call through a structural may-leak dataflow (join = union: a resource
@@ -68,7 +71,7 @@ func (k resKind) String() string {
 	case resChunk:
 		return "pool chunk"
 	default:
-		return "page buffer"
+		return "pooled page storage"
 	}
 }
 
@@ -201,12 +204,13 @@ func (pf *pinFlow) report(pos token.Pos, format string, args ...any) {
 
 // acquireKind reports whether call is a tracked acquire.
 func (pf *pinFlow) acquireKind(call *ast.CallExpr) (resKind, bool) {
-	// getPageBuf-style function pairs.
+	// Acquires matched by function name.
 	if fn := calleeFunc(pf.pass.Info, call); fn != nil {
-		if fn.Name() == "getPageBuf" {
+		switch name := fn.Name(); {
+		case name == "GetPageBuf", name == "Snapshot" && recvTypeNamed(fn, "Space"),
+			name == "NewPagePatch", name == "BuildPlan", name == "BuildPlanFunc":
 			return resPageBuf, true
-		}
-		if fn.Name() == "Get" && recvTypeNamed(fn, "ChunkPool") {
+		case name == "Get" && recvTypeNamed(fn, "ChunkPool"):
 			return resChunk, true
 		}
 	}
@@ -221,7 +225,7 @@ func (pf *pinFlow) acquireKind(call *ast.CallExpr) (resKind, bool) {
 // released object.
 func (pf *pinFlow) releaseTarget(call *ast.CallExpr) (types.Object, bool) {
 	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-		// pin.Release()
+		// pin.Release(), patch.Release(), plan.Release()
 		if sel.Sel.Name == "Release" {
 			if obj := pf.identObj(sel.X); obj != nil {
 				return obj, true
@@ -236,8 +240,8 @@ func (pf *pinFlow) releaseTarget(call *ast.CallExpr) (types.Object, bool) {
 			}
 		}
 	}
-	// putPageBuf(b)
-	if fn := calleeFunc(pf.pass.Info, call); fn != nil && fn.Name() == "putPageBuf" && len(call.Args) >= 1 {
+	// PutPageBuf(b)
+	if fn := calleeFunc(pf.pass.Info, call); fn != nil && fn.Name() == "PutPageBuf" && len(call.Args) >= 1 {
 		if obj := pf.identObj(call.Args[0]); obj != nil {
 			return obj, true
 		}
@@ -702,7 +706,7 @@ func (pf *pinFlow) bind(name *ast.Ident, value ast.Expr, st resState) resState {
 }
 
 // deferStmt registers deferred releases: `defer p.Release()`,
-// `defer pool.Put(c)`, `defer putPageBuf(b)`, or a deferred closure whose
+// `defer pool.Put(c)`, `defer PutPageBuf(b)`, or a deferred closure whose
 // body contains such calls.
 func (pf *pinFlow) deferStmt(s *ast.DeferStmt, in resState) resState {
 	st := in.clone()

@@ -1,9 +1,10 @@
 package pincheck
 
-// Local analogs of the runtime's three paired resources: epoch pins
-// (slicestore.Pin), arena chunks (alloc.ChunkPool) and plan page buffers
-// (mem's pageBufPool). pincheck matches them by name so the fixture can
-// stand in for the real packages.
+// Local analogs of the runtime's paired resources: epoch pins
+// (slicestore.Pin), arena chunks (alloc.ChunkPool), snapshot buffers (mem's
+// GetPageBuf / Space.Snapshot → PutPageBuf) and the patches and plans mem
+// recycles whole (NewPagePatch, BuildPlan → Release). pincheck matches them
+// by name so the fixture can stand in for the real packages.
 
 type Pin struct {
 	id uint64
@@ -20,8 +21,23 @@ type ChunkPool struct{}
 func (c *ChunkPool) Get() []byte  { return nil }
 func (c *ChunkPool) Put(b []byte) {}
 
-func getPageBuf() []byte  { return make([]byte, 4096) }
-func putPageBuf(b []byte) {}
+func GetPageBuf() []byte  { return make([]byte, 4096) }
+func PutPageBuf(b []byte) {}
+
+type Space struct{}
+
+func (s *Space) Snapshot(id int) []byte { return GetPageBuf() }
+
+type PagePatch struct{}
+
+func NewPagePatch(id int) *PagePatch { return &PagePatch{} }
+func (p *PagePatch) Release()        {}
+
+type WritePlan struct{}
+
+func BuildPlan(mods [][]byte) *WritePlan { return &WritePlan{} }
+func (p *WritePlan) Release()            {}
+func (s *Space) ApplyPlan(p *WritePlan)  {}
 
 func work() {}
 
@@ -61,9 +77,26 @@ func chunkBalanced(pool *ChunkPool) {
 	work()
 }
 
-func pageBufBalanced() {
-	b := getPageBuf()
-	putPageBuf(b)
+func pageBufBalanced(s *Space) {
+	b := GetPageBuf()
+	PutPageBuf(b)
+	snap := s.Snapshot(0)
+	defer PutPageBuf(snap)
+	work()
+}
+
+func patchBalanced() {
+	p := NewPagePatch(1)
+	work()
+	p.Release()
+}
+
+// Applying a plan hands it to a callee: the analyzer stops tracking there
+// (ownership transfer), so the release after it is not required of it.
+func planAppliedThenReleased(s *Space) {
+	plan := BuildPlan(nil)
+	s.ApplyPlan(plan)
+	plan.Release()
 }
 
 // --- leaks ---
@@ -96,11 +129,30 @@ func chunkLeak(pool *ChunkPool, n int) {
 }
 
 func pageBufLeak(cond bool) {
-	b := getPageBuf() // want "may still be live"
+	b := GetPageBuf() // want "may still be live"
 	if cond {
 		return
 	}
-	putPageBuf(b)
+	PutPageBuf(b)
+}
+
+func snapshotLeak(s *Space, cond bool) {
+	snap := s.Snapshot(0) // want "may still be live"
+	if cond {
+		PutPageBuf(snap)
+	}
+}
+
+func patchLeak(cond bool) {
+	p := NewPagePatch(1) // want "may still be live at this return"
+	if cond {
+		return
+	}
+	p.Release()
+}
+
+func planDiscarded() {
+	BuildPlan(nil) // want "result of this call is discarded"
 }
 
 func discarded(s *store) {
