@@ -445,8 +445,11 @@ func (t *thread) prelockLocked(sv *syncVar) {
 		return
 	}
 	holder := t.exec.threads[sv.owner]
-	upper := holder.vtime.Clone()
-	t.premergeLocked(t.collectLocked(holder, upper))
+	// The holder's clock itself, not a clone: collectLocked only compares
+	// against upper and drops it, and the turn is held, so the holder cannot
+	// Join or Bump before the call returns. A caller that parked upper
+	// anywhere would need the clone back.
+	t.premergeLocked(t.collectLocked(holder, holder.vtime))
 }
 
 // prelockReleaseLocked continues the prelock pre-merge while a thread stays

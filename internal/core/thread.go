@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"sync"
 
 	"rfdet/internal/api"
@@ -131,7 +130,9 @@ type threadScratch struct {
 	stage []byte
 	// picked is collectLocked's: list positions of the slices it takes.
 	picked []int32
-	site   blockSite
+	// flushOrder is flushAllPending's: the pended pages, ascending.
+	flushOrder []mem.PageID
+	site       blockSite
 }
 
 // ID returns the deterministic thread ID.
@@ -643,17 +644,20 @@ func (t *thread) pendSlice(s *slicestore.Slice) {
 	t.vt += vtime.Time(len(s.Mods)) * 4
 }
 
-// pendPlan pends a coalesced write plan: each page patch's runs are absorbed
-// into the page's pending patch (the runs of one plan are disjoint, and
-// plans of successive propagations arrive in acquire order, so patch state
-// stays the last-writer-wins image of everything pended). AddRun copies, so
-// the plan's staging buffers may be released as soon as pendPlan returns.
-// The per-slice bookkeeping virtual time is charged by the caller
+// pendPlan pends a coalesced write plan: each page patch is absorbed, mask
+// word by mask word, into the page's pending patch (the patches of one plan
+// write disjoint bytes, and plans of successive propagations arrive in
+// acquire order, so patch state stays the last-writer-wins image of
+// everything pended). Absorb counts each of the plan patch's runs as one raw
+// run of the pending patch, as replaying them through AddRun did — that is
+// what LazyPendingApplied and LazyRunsElided read at the flush — and it
+// copies, so the plan's staging buffers may be released as soon as pendPlan
+// returns. The per-slice bookkeeping virtual time is charged by the caller
 // (applySlicesPlanned), exactly as pendSlice would charge it.
 func (t *thread) pendPlan(plan *mem.WritePlan) {
 	for _, pp := range plan.Patches {
 		pend := t.pendPatchFor(pp.Page())
-		pp.ForEachRun(func(r mem.Run) { pend.AddRun(r) })
+		pend.Absorb(pp)
 		t.space.Protect(pp.Page(), mem.ProtNone)
 	}
 }
@@ -684,11 +688,12 @@ func (t *thread) flushAllPending() {
 	if len(t.pending) == 0 {
 		return
 	}
-	pids := make([]mem.PageID, 0, len(t.pending))
+	pids := t.scratch.flushOrder[:0]
 	for pid := range t.pending {
 		pids = append(pids, pid)
 	}
-	sort.Slice(pids, func(i, j int) bool { return pids[i] < pids[j] })
+	slices.Sort(pids)
+	t.scratch.flushOrder = pids
 	for _, pid := range pids {
 		t.flushPage(pid)
 	}

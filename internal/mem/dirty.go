@@ -91,8 +91,10 @@ func (d *dirtyPage) mark(off, n uint32) {
 // insertExtent merges [off, off+n) into a sorted, coalesced extent list and
 // returns the updated list. Touching intervals merge too, keeping the list
 // gap-separated — which is what lets DiffPageExtents treat extent boundaries
-// as run boundaries, and what makes a write plan's extents exactly the
-// maximal runs of written bytes (plan.go). n must be non-zero.
+// as run boundaries. It serves the dirty tracker, which leaves it for the
+// chunk bitmap past maxExtentsPerPage, and the read tracker; a write plan's
+// patches, which can neither degrade nor afford a search per run, keep a
+// byte mask instead (plan.go). n must be non-zero.
 func insertExtent(exts []Extent, off, n uint32) []Extent {
 	end := off + n
 	// Fast path: strictly past the last extent. Diff runs and sequential

@@ -19,7 +19,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
-	"sort"
+	"slices"
 	"sync/atomic"
 )
 
@@ -183,7 +183,7 @@ func (s *Space) Pages(fn func(PageID, *Page)) {
 	for id := range s.pages {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	for _, id := range ids {
 		fn(id, s.pages[id])
 	}

@@ -18,14 +18,17 @@ package mem
 // no one can observe the intermediate states (the applying thread is between
 // slices, or provably blocked under the monitor).
 //
-// Plans are built with the same interval-coalescing machinery as the
-// sub-page dirty tracker (insertExtent, dirty.go) — but, unlike dirtyPage,
-// a PagePatch never degrades to the chunk bitmap: a plan's extents must be
-// *exactly* the written bytes, never a superset, because the staging buffer
-// holds garbage outside them.
+// A plan's per-page patches record what they have written in a mask of one
+// bit per byte — not the dirty tracker's extent list, whose insert costs a
+// search and a merge per run (a byte-granular diff of rewritten floats cuts
+// some 300 runs of 13 bytes per page), and never its 64-byte chunk bitmap: a
+// patch must know *exactly* the written bytes, never a superset, because the
+// staging buffer holds garbage outside them.
 
 import (
 	"cmp"
+	"encoding/binary"
+	"math/bits"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -55,10 +58,10 @@ func PutPageBuf(b []byte) {
 }
 
 // poisonOnRecycle is the poison-on-recycle test hook, off by default: recycled
-// storage — snapshot buffers, released patches' staging buffers and extent
-// lists, the dirty tracker's extent lists, the runtime's payload staging
-// area — is overwritten as it is given up, so whatever still aliases it reads
-// garbage loudly instead of bytes that happen to still be right.
+// storage — snapshot buffers, released patches' staging buffers, the dirty
+// tracker's extent lists, the runtime's payload staging area — is overwritten
+// as it is given up, so whatever still aliases it reads garbage loudly
+// instead of bytes that happen to still be right.
 var poisonOnRecycle atomic.Bool
 
 // SetPageBufPoison toggles poison-on-recycle.
@@ -78,30 +81,46 @@ func poison[T any](s []T, v T) {
 }
 
 // PagePatch accumulates last-writer-wins writes to a single page: later
-// AddRun calls overwrite earlier ones byte-for-byte, and the extent list
-// records exactly which bytes have been written. It backs both plan
-// construction and the lazy-writes pending state (a hot page absorbs any
-// number of propagated updates and flushes in one pass).
+// AddRun calls overwrite earlier ones byte-for-byte, and the mask records
+// exactly which bytes have been written. It backs both plan construction and
+// the lazy-writes pending state (a hot page absorbs any number of propagated
+// updates and flushes in one pass).
 //
 // A patch is live from NewPagePatch until Release. A released patch is dead:
 // it sits in patchPool or has been re-issued for another page, so no method
-// may be called on it and nothing ForEachRun handed out may still be held.
+// may be called on it.
 type PagePatch struct {
 	page PageID
-	// buf is the staging buffer, valid only inside exts; nil on a dead
-	// patch. own is the storage behind it, which stays with the patch.
+	// buf is the staging buffer, valid only under mask; nil on a dead patch.
+	// own is the storage behind it, which stays with the patch.
 	buf []byte
 	own *[PageSize]byte
-	// exts is sorted, coalesced, gap-separated and — unlike the dirty
-	// tracker — always precise: exactly the written bytes.
-	exts []Extent
 	// rawRuns/rawBytes count the absorbed input, before deduplication.
 	rawRuns  uint64
 	rawBytes uint64
+	// mask has bit b of word w set iff byte 64w+b has been written, so the
+	// patch's runs — the maximal stretches of set bits — are sorted,
+	// coalesced and gap-separated by construction. words has bit w set iff
+	// mask[w] is non-zero, and nothing reads a mask word it does not name: a
+	// patch of a few short runs costs a few words per operation wherever on
+	// the page they fall, not maskWords. The mask comes last so that
+	// everything else shares a cache line.
+	words uint64
+	mask  [maskWords]uint64
 }
 
-// patchPool recycles released patches with their staging buffer and extent
-// storage, so a steady-state NewPagePatch allocates nothing.
+const (
+	maskWords = PageSize / 64
+	fullWord  = ^uint64(0)
+)
+
+// One uint64 has a bit for every word of the mask only while there are 64 of
+// them; a PageSize that changes that does not compile.
+var _ [64 - maskWords]struct{}
+var _ [maskWords - 64]struct{}
+
+// patchPool recycles released patches with their staging buffer, so a
+// steady-state NewPagePatch allocates nothing.
 var patchPool = sync.Pool{New: func() any { return &PagePatch{own: new([PageSize]byte)} }}
 
 // NewPagePatch returns an empty patch for page id; call Release when done
@@ -119,19 +138,58 @@ func (p *PagePatch) Page() PageID { return p.page }
 // AddRun absorbs a run, which must lie entirely within the patch's page.
 // Later runs overwrite earlier ones on overlapping bytes.
 func (p *PagePatch) AddRun(r Run) {
-	if len(r.Data) == 0 {
+	n := uint32(len(r.Data))
+	if n == 0 {
 		return
 	}
 	off := uint32(r.Addr & PageMask)
 	// The explicit upper bound makes a dead patch (nil buf) fail here.
-	copy(p.buf[off:int(off)+len(r.Data)], r.Data)
-	p.exts = insertExtent(p.exts, off, uint32(len(r.Data)))
+	copy(p.buf[off:off+n], r.Data)
+	first, last := off/64, (off+n-1)/64
+	head, tail := fullWord<<(off%64), fullWord>>(63-(off+n-1)%64)
+	if first == last {
+		p.mask[first] |= head & tail
+	} else {
+		p.mask[first] |= head
+		for w := first + 1; w < last; w++ {
+			p.mask[w] = fullWord
+		}
+		p.mask[last] |= tail
+	}
+	p.words |= fullWord << first & (fullWord >> (63 - last))
 	p.rawRuns++
-	p.rawBytes += uint64(len(r.Data))
+	p.rawBytes += uint64(n)
+}
+
+// Absorb adds q's runs, in address order, to p — what calling p.AddRun on
+// each of them does, raw counters included — a mask word at a time. q is a
+// patch for the same page and is only read.
+func (p *PagePatch) Absorb(q *PagePatch) {
+	q.mergeInto(p.buf)
+	for ws := q.words; ws != 0; ws &= ws - 1 {
+		w := bits.TrailingZeros64(ws)
+		m := q.mask[w]
+		p.mask[w] |= m
+		// A run starts at every set bit whose predecessor is clear; bit 0's
+		// predecessor is the previous word's top bit.
+		var carry uint64
+		if w > 0 {
+			carry = q.mask[w-1] >> 63
+		}
+		p.rawRuns += uint64(bits.OnesCount64(m &^ (m<<1 | carry)))
+		p.rawBytes += uint64(bits.OnesCount64(m))
+	}
+	p.words |= q.words
 }
 
 // UniqueBytes returns the number of distinct bytes written so far.
-func (p *PagePatch) UniqueBytes() uint64 { return ExtentBytes(p.exts) }
+func (p *PagePatch) UniqueBytes() uint64 {
+	var n int
+	for ws := p.words; ws != 0; ws &= ws - 1 {
+		n += bits.OnesCount64(p.mask[bits.TrailingZeros64(ws)])
+	}
+	return uint64(n)
+}
 
 // RawRuns returns the number of runs absorbed.
 func (p *PagePatch) RawRuns() uint64 { return p.rawRuns }
@@ -146,18 +204,50 @@ func (p *PagePatch) Release() {
 		panic("mem: PagePatch released twice")
 	}
 	PoisonScratch(p.buf)
-	poison(p.exts, poisonedExtent)
-	*p = PagePatch{own: p.own, exts: p.exts[:0]}
+	// Field by field: assigning a whole PagePatch would copy the mask.
+	for ws := p.words; ws != 0; ws &= ws - 1 {
+		p.mask[bits.TrailingZeros64(ws)] = 0
+	}
+	p.page, p.buf, p.words, p.rawRuns, p.rawBytes = 0, nil, 0, 0, 0
 	patchPool.Put(p)
 }
 
-// ForEachRun calls fn with each of the patch's runs in address order. The
-// run data aliases the staging buffer and stays valid only until Release;
-// fn must copy anything it keeps.
-func (p *PagePatch) ForEachRun(fn func(Run)) {
-	base := PageAddr(p.page)
-	for _, e := range p.exts {
-		fn(Run{Addr: base + uint64(e.Off), Data: p.buf[e.Off:e.End():e.End()]})
+// mergeInto writes the patch's unique bytes over dst, a page-sized image of
+// the patch's page, and leaves every other byte of dst as it was. A stretch
+// of fully written words is one copy; a partly written word is merged eight
+// bytes at a time by byte-select, which reads bytes outside the mask on both
+// sides — garbage from the staging buffer, discarded by the select, and
+// dst's own, written back unchanged. That write-back is why nothing else may
+// be reading dst meanwhile.
+func (p *PagePatch) mergeInto(dst []byte) {
+	src := p.buf
+	for ws := p.words; ws != 0; {
+		w := uint32(bits.TrailingZeros64(ws))
+		m := p.mask[w]
+		if m == fullWord {
+			end := w + 1
+			for end < maskWords && p.mask[end] == fullWord {
+				end++
+			}
+			copy(dst[w*64:end*64], src[w*64:end*64])
+			ws &^= 1<<end - 1 // words below end are done; 1<<64 is 0, so end == 64 clears them all
+			continue
+		}
+		ws &= ws - 1
+		// Eight bytes at a time, from the first group with a written byte in it
+		// (a sparse patch's only one, usually) to the last.
+		b := uint32(bits.TrailingZeros64(m)) &^ 7
+		for m, b = m>>b, w*64+b; m != 0; m, b = m>>8, b+8 {
+			if m&0xff == 0 {
+				continue
+			}
+			// Bit k of the low byte of m → byte k of sel all ones: spread the
+			// eight bits one to a byte, then widen each non-zero byte to 0xff.
+			sel := ((m & 0xff) * 0x0101010101010101) & 0x8040201008040201
+			sel = (((sel + 0x7f7f7f7f7f7f7f7f) & 0x8080808080808080) >> 7) * 0xff
+			d, s := dst[b:b+8], src[b:b+8]
+			binary.LittleEndian.PutUint64(d, binary.LittleEndian.Uint64(d)&^sel|binary.LittleEndian.Uint64(s)&sel)
+		}
 	}
 }
 
@@ -202,8 +292,8 @@ func (s *Space) ApplyPatch(p *PagePatch) {
 // sits in planPool or has been re-issued as somebody else's plan, so no field
 // may be read and no method called. Read what you need first.
 type WritePlan struct {
-	// Patches holds the per-page images in ascending PageID order. Their
-	// extents are mutually disjoint, so application order is irrelevant.
+	// Patches holds the per-page images in ascending PageID order. They
+	// write disjoint bytes, so application order is irrelevant.
 	Patches []*PagePatch
 	// InputRuns/InputBytes describe the uncoalesced input.
 	InputRuns  uint64
@@ -286,10 +376,14 @@ func (s *Space) ApplyPlan(p *WritePlan) {
 // caller has already resolved for writing. Split out from Space.ApplyPatch
 // so callers can resolve the writable pages first (the page table is
 // single-threaded) and fan the disjoint copies out to a worker pool.
+//
+// The copy is a masked merge (mergeInto) that rewrites some of data's other
+// bytes with the values they already hold, so no other goroutine may be
+// reading data during the call. Every caller's data is such a page: the
+// applying thread's own after writablePage's copy-on-write, or a provably
+// blocked thread's, and the fan-out hands each worker whole pages.
 func ApplyPatchData(data []byte, p *PagePatch) {
-	for _, e := range p.exts {
-		copy(data[e.Off:e.End()], p.buf[e.Off:e.End()])
-	}
+	p.mergeInto(data)
 }
 
 // WritablePageData resolves page id for in-place writing — performing the

@@ -34,10 +34,21 @@ func randomMods(r *rand.Rand, lists, maxRuns int) [][]Run {
 	return mods
 }
 
-// patchRuns copies a patch's runs out of its staging buffer.
+// patchRuns copies a patch's runs — the maximal stretches of set mask bits —
+// out of its staging buffer, in address order. Nothing outside the tests
+// needs a patch as a run list; this is the one place that reads it as one.
 func patchRuns(p *PagePatch) []Run {
 	var runs []Run
-	p.ForEachRun(func(r Run) { runs = append(runs, Run{Addr: r.Addr, Data: append([]byte(nil), r.Data...)}) })
+	for b := 0; b < PageSize; b++ {
+		if p.mask[b/64]>>(b%64)&1 == 0 {
+			continue
+		}
+		start := b
+		for b < PageSize && p.mask[b/64]>>(b%64)&1 != 0 {
+			b++
+		}
+		runs = append(runs, Run{Addr: PageAddr(p.page) + uint64(start), Data: append([]byte(nil), p.buf[start:b]...)})
+	}
 	return runs
 }
 
@@ -327,9 +338,8 @@ func BenchmarkSnapshotPool(b *testing.B) {
 	}
 }
 
-// BenchmarkBuildPlan measures plan construction over an overlapping run list
-// (8 writers × full coverage of 2 pages in 256-byte strips).
-func BenchmarkBuildPlan(b *testing.B) {
+// stripMods is 8 writers × full coverage of 2 pages in 256-byte strips.
+func stripMods() [][]Run {
 	var mods [][]Run
 	for w := 0; w < 8; w++ {
 		var runs []Run
@@ -342,9 +352,129 @@ func BenchmarkBuildPlan(b *testing.B) {
 		}
 		mods = append(mods, runs)
 	}
+	return mods
+}
+
+// fragmentedMods is the traffic fft's propagation was measured to carry: 4
+// writers over 8 pages, every written page some 270 runs of 11–15 bytes
+// separated by 1–3 bytes. Counted at ad3c21f with counters added to a scratch
+// copy of applySlicesPlanned and pendPlan, fft at SizeMedium with 4 threads,
+// per execution: 396 propagated slices carrying 208,280 runs and 2,800,768
+// bytes — 526 runs a slice, 13.4 bytes a run — because a butterfly's new
+// float64 shares a byte or two with the old one often enough that the
+// byte-granular diff cuts a run every value or two. Coalescing does not mend
+// it: the 77 plans pended held 681 page patches of 229 runs and 3,180 bytes
+// each, 22.7% of the input bytes overwritten within their plan, and 518 of
+// those patches met a pending patch already holding 94 runs.
+//
+// Where the runs break is a property of the data, so a page's cell
+// boundaries are the same for every writer and every seed, and the seed only
+// decides by how much each run falls short of its cell. A writer covers two
+// and a half of the eight pages, so about a fifth of the bytes are written
+// twice, and its runs share one payload block, as a published slice's do.
+func fragmentedMods(seed int64) [][]Run {
+	r := rand.New(rand.NewSource(seed))
+	var mods [][]Run
+	for w := 0; w < 4; w++ {
+		var runs []Run
+		block := make([]byte, 0, 3*PageSize)
+		for k := 0; k < 3; k++ {
+			page := uint64(2*w+k) % 8
+			cells := rand.New(rand.NewSource(int64(page)))
+			end := PageSize
+			if k == 2 {
+				end = PageSize / 2
+			}
+			for off := 0; ; {
+				cell := 14 + cells.Intn(3)
+				if off+cell > end {
+					break
+				}
+				n := cell - 1 - r.Intn(3)
+				for i := 0; i < n; i++ {
+					block = append(block, byte(w+i))
+				}
+				runs = append(runs, Run{Addr: page*PageSize + uint64(off), Data: block[len(block)-n : len(block) : len(block)]})
+				off += cell
+			}
+		}
+		mods = append(mods, runs)
+	}
+	return mods
+}
+
+// BenchmarkBuildPlan measures plan construction over overlapping run lists.
+func BenchmarkBuildPlan(b *testing.B) {
+	for _, shape := range []struct {
+		name string
+		mods [][]Run
+	}{
+		{"strips", stripMods()},
+		{"fragmented", fragmentedMods(1)},
+	} {
+		b.Run(shape.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				BuildPlan(shape.mods).Release()
+			}
+		})
+	}
+}
+
+// BenchmarkPendPlan measures what pendPlan does with built plans: each page's
+// pending patch absorbs that page's patch from four successive fragmented
+// plans — one into an empty pending patch, three into what is already there,
+// the proportion measured on fft — and is released as a flush would.
+func BenchmarkPendPlan(b *testing.B) {
+	var plans [4]*WritePlan
+	for i := range plans {
+		plans[i] = BuildPlan(fragmentedMods(int64(i)))
+		defer plans[i].Release()
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		BuildPlan(mods).Release()
+		for k := range plans[0].Patches {
+			pend := NewPagePatch(plans[0].Patches[k].Page())
+			for _, plan := range plans {
+				pend.Absorb(plan.Patches[k])
+			}
+			pend.Release()
+		}
+	}
+}
+
+// BenchmarkPatchSparse is the life of a patch on water_ns and kv_server: a
+// few 8-byte runs, counted, flushed, released. It is the shape the mask's word
+// summary exists for: with one run, a walk of all 64 words per operation shows
+// here first; with three runs spread over the page, so does a walk of the
+// span between the first and the last (tried: 60 → 195 ns/op).
+func BenchmarkPatchSparse(b *testing.B) {
+	for _, shape := range []struct {
+		name string
+		offs []uint64
+	}{
+		{"one", []uint64{1000}},
+		{"spread", []uint64{8, 2000, 4000}},
+	} {
+		b.Run(shape.name, func(b *testing.B) {
+			s := NewSpace()
+			defer s.Release()
+			data := []byte{1, 2, 3, 4, 5, 6, 7, 8}
+			var sink uint64
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				p := NewPagePatch(1)
+				for _, off := range shape.offs {
+					p.AddRun(Run{Addr: PageAddr(1) + off, Data: data})
+				}
+				sink += p.UniqueBytes()
+				s.ApplyPatch(p)
+				p.Release()
+			}
+			if want := uint64(8 * len(shape.offs) * b.N); sink != want {
+				b.Fatalf("patches counted %d unique bytes, want %d", sink, want)
+			}
+		})
 	}
 }

@@ -218,9 +218,11 @@ func TestReleasedValuesAreDead(t *testing.T) {
 
 // TestPoisonOnRecycle: with the poison hook on, everything given back for
 // reuse is overwritten at that moment, so whatever still aliases it reads
-// 0xDB — a snapshot buffer, a released patch's staging bytes and extents,
-// the dirty tracker's extent list after ResetDirty, caller-owned scratch
-// handed to PoisonScratch. With the hook off nothing is touched.
+// 0xDB — a snapshot buffer, a released patch's staging bytes, the dirty
+// tracker's extent list after ResetDirty, caller-owned scratch handed to
+// PoisonScratch. With the hook off nothing is touched. A patch's mask is the
+// one thing a release must leave clean rather than poisoned: the next owner
+// reads it as "nothing written yet".
 func TestPoisonOnRecycle(t *testing.T) {
 	SetPageBufPoison(true)
 	defer SetPageBufPoison(false)
@@ -233,22 +235,37 @@ func TestPoisonOnRecycle(t *testing.T) {
 		t.Error("returned snapshot buffer not poisoned")
 	}
 
+	// A first life that wrote the first and the last mask word.
 	p := NewPagePatch(2)
-	for i := 0; i < 4; i++ {
-		p.AddRun(Run{Addr: PageAddr(2) + uint64(16*i), Data: []byte{1, 2, 3}})
-	}
-	var held Run
-	p.ForEachRun(func(r Run) { held = r })
-	heldExts := p.exts
+	p.AddRun(Run{Addr: PageAddr(2), Data: []byte{1, 2, 3}})
+	p.AddRun(Run{Addr: PageAddr(2) + PageSize - 3, Data: []byte{4, 5, 6}})
+	held := p.buf
 	p.Release()
-	if !bytes.Equal(held.Data, poison[:3]) {
-		t.Errorf("run held across Release reads %v, want poison", held.Data)
+	if !bytes.Equal(held, poison) {
+		t.Error("staging buffer held across Release not poisoned")
 	}
-	for _, e := range heldExts {
-		if e.Off != 0xDBDBDBDB || e.Len != 0xDBDBDBDB {
-			t.Fatalf("extent held across Release reads %+v, want poison", e)
-		}
+	if p.mask != [maskWords]uint64{} || p.words != 0 {
+		t.Errorf("released patch keeps mask words %#x … %#x, word summary %#x", p.mask[0], p.mask[maskWords-1], p.words)
 	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("second PagePatch.Release did not panic")
+			}
+		}()
+		p.Release()
+	}()
+	// The pool hands the same patch out again, unless it dropped the put (it
+	// does at random under -race); what is asked holds of a fresh one too.
+	again := NewPagePatch(7)
+	if n, runs := again.UniqueBytes(), patchRuns(again); n != 0 || len(runs) != 0 {
+		t.Errorf("re-issued patch reports %d unique bytes and runs %v before anything was added", n, runs)
+	}
+	again.AddRun(Run{Addr: PageAddr(7) + 100, Data: []byte{9}})
+	if n, runs := again.UniqueBytes(), patchRuns(again); n != 1 || len(runs) != 1 || runs[0].Addr != PageAddr(7)+100 {
+		t.Errorf("re-issued patch after one 1-byte run: %d unique bytes, runs %v", n, runs)
+	}
+	again.Release()
 
 	s := NewSpace()
 	defer s.Release()
@@ -273,6 +290,80 @@ func TestPoisonOnRecycle(t *testing.T) {
 	PoisonScratch(clean)
 	if !bytes.Equal(clean, []byte{1, 2, 3}) {
 		t.Error("PoisonScratch wrote with the hook off")
+	}
+}
+
+// TestMaskedMergeWritesOnlyMaskedBytes is the poison wall for the word-wise
+// merge. Absorb and the flush move eight bytes at a time and read, on both
+// sides, bytes no run wrote; this fails if one of those ever lands. A plan
+// over a fragmented list (13-byte runs, 2-byte gaps, so every mask word is
+// partial) is absorbed into a pending patch that already holds other bytes —
+// some under the plan's runs, some in its gaps — and flushed onto a page of
+// zeros; both staging buffers hold 0xDB wherever their own patch has not
+// written.
+func TestMaskedMergeWritesOnlyMaskedBytes(t *testing.T) {
+	SetPageBufPoison(true)
+	defer SetPageBufPoison(false)
+	const page = PageID(3)
+	var want [PageSize]byte
+	var planned, pended [PageSize]bool
+
+	pend := NewPagePatch(page)
+	defer pend.Release()
+	PoisonScratch(pend.buf) // whether or not the pool served a recycled patch
+	var pendRuns uint64
+	for off := 5; off+7 <= PageSize; off += 41 {
+		data := bytes.Repeat([]byte{0x80 | byte(off)&0x3f}, 7)
+		pend.AddRun(Run{Addr: PageAddr(page) + uint64(off), Data: data})
+		copy(want[off:], data)
+		for i := range data {
+			pended[off+i] = true
+		}
+		pendRuns++
+	}
+
+	var runs []Run
+	for off := 0; off+13 <= PageSize; off += 15 {
+		data := bytes.Repeat([]byte{1 + byte(off/15)%0x7f}, 13)
+		runs = append(runs, Run{Addr: PageAddr(page) + uint64(off), Data: data})
+		copy(want[off:], data) // the later writer
+		for i := range data {
+			planned[off+i] = true
+		}
+	}
+	plan := BuildPlan([][]Run{runs})
+	defer plan.Release()
+	pp := plan.Patches[0]
+	for i := range pp.buf {
+		if !planned[i] {
+			pp.buf[i] = 0xDB
+		}
+	}
+
+	pend.Absorb(pp)
+	var union uint64
+	for i := range want {
+		if planned[i] || pended[i] {
+			union++
+		}
+	}
+	if pend.UniqueBytes() != union || pend.RawRuns() != pendRuns+uint64(len(runs)) {
+		t.Fatalf("pending patch after Absorb: %d unique bytes / %d raw runs, want %d / %d",
+			pend.UniqueBytes(), pend.RawRuns(), union, pendRuns+uint64(len(runs)))
+	}
+	s := NewSpace()
+	defer s.Release()
+	s.ApplyPatch(pend)
+	for i, b := range s.PageData(page) {
+		switch {
+		case b == want[i]:
+		case planned[i] || pended[i]:
+			t.Fatalf("byte %d = %#x, want its last writer's %#x", i, b, want[i])
+		case b == 0xDB:
+			t.Fatalf("byte %d: staging-buffer poison landed outside both masks", i)
+		default:
+			t.Fatalf("byte %d = %#x changed outside both masks", i, b)
+		}
 	}
 }
 
