@@ -15,9 +15,12 @@ test:
 # oversubscribed; scripts/verify.sh calls this target, so the list lives here.
 # internal/mem is on it because the diff workers write disjoint regions of one
 # shared staging buffer and patches and plans cross goroutines through pools.
-# The second line is the reproducer of the Wait-handoff race fixed in PR 18
-# (cond enqueue after the mutex handoff vs signal's turn-held peek): it showed
-# once in 30-100 runs of that test, so the gate runs it 30 times.
+# The second line runs the root package's condvar-heavy litmus test 30 times.
+# A Wait's handoff wakes a thread that wins the turn at once, so its next
+# operation overlaps the waker's tail: the one place two monitor sections
+# would run together if either touched monitor state outside enter/leave.
+# PR 18's unlocked read of the condvar queue was such a touch and showed once
+# in 30-100 runs of this test, hence the count.
 race:
 	GOMAXPROCS=4 $(GO) test -race ./internal/core/ ./internal/mem/ ./internal/slicestore/ ./internal/alloc/ ./internal/kendo/
 	GOMAXPROCS=4 $(GO) test -race -count=30 -run TestRaceDetectLitmusClassification .

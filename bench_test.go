@@ -662,81 +662,3 @@ func BenchmarkServerThroughput(b *testing.B) {
 		}
 	})
 }
-
-// domainParallelProg is the sharding headline workload: four workers, each
-// with a private mutex, a private atomic counter and a private data region,
-// every sync var in a different 64-byte address range so the four hot paths
-// live in four different commit-monitor domains. With one domain the four
-// independent critical sections still serialize on the single monitor
-// mutex; with four they only meet at spawn/join. The deterministic result
-// is identical either way — runBenchmarkMonitorSharding asserts it.
-func domainParallelProg(t rfdet.Thread) {
-	const (
-		workers = 4
-		rounds  = 60
-		pages   = 2
-	)
-	data := t.Malloc(workers * pages * 4096)
-	sums := t.Malloc(workers * 4096)
-	var ids []rfdet.ThreadID
-	for w := 0; w < workers; w++ {
-		me := uint64(w + 1)
-		mu := rfdet.Addr(64 * (w + 1))
-		mine := data + rfdet.Addr(w*pages*4096)
-		sum := sums + rfdet.Addr(w*4096)
-		ids = append(ids, t.Spawn(func(t rfdet.Thread) {
-			for round := 0; round < rounds; round++ {
-				t.Lock(mu)
-				for p := 0; p < pages; p++ {
-					base := mine + rfdet.Addr(4096*p)
-					for i := 0; i < 64; i++ {
-						a := base + rfdet.Addr(8*i)
-						t.Store64(a, t.Load64(a)+me*0x0101010101010101)
-					}
-				}
-				t.Unlock(mu)
-				t.AtomicAdd64(sum, me)
-				t.Tick(50 * me)
-			}
-		}))
-	}
-	var total uint64
-	for w, id := range ids {
-		t.Join(id)
-		total += t.Load64(sums + rfdet.Addr(w*4096))
-	}
-	t.Observe(t.Load64(data), total)
-}
-
-// BenchmarkMonitorSharding compares the seed's single commit-monitor domain
-// against the sharded default on the domain-parallel workload. The
-// cross-variant hash assert makes the benchmark double as an equivalence
-// test: speedup with different results would be meaningless.
-func BenchmarkMonitorSharding(b *testing.B) {
-	var golden uint64
-	for _, shards := range []int{1, 4} {
-		shards := shards
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			opts := rfdet.DefaultOptions()
-			opts.ShardCount = shards
-			rt := rfdet.New(opts)
-			var st rfdet.Stats
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rep, err := rt.Run(domainParallelProg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if golden == 0 {
-					golden = rep.OutputHash
-				} else if rep.OutputHash != golden {
-					b.Fatalf("shards=%d: output %#x differs from first run %#x", shards, rep.OutputHash, golden)
-				}
-				st = rep.Stats
-			}
-			b.ReportMetric(float64(st.MonitorAcquires), "monitor-acquires")
-			b.ReportMetric(float64(st.CrossShardAcquires), "cross-domain-acquires")
-			b.ReportMetric(float64(st.RendezvousOps), "rendezvous-ops")
-		})
-	}
-}

@@ -30,7 +30,6 @@ func main() {
 	repeat := flag.Int("repeat", 1, "number of executions (reports determinism across them)")
 	trace := flag.Bool("trace", false, "dump the deterministic synchronization schedule (rfdet only)")
 	racecheck := flag.Bool("racecheck", false, "run the happens-before race detector and print its report (rfdet only)")
-	shards := flag.Int("shards", 0, "commit-monitor domain count, 0 = default, 1 = single global domain (rfdet only)")
 	quantum := flag.Uint64("quantum", 50000, "coredet quantum in logical instructions")
 	flag.Parse()
 
@@ -63,7 +62,6 @@ func main() {
 		}
 		opts.Trace = *trace
 		opts.RaceDetect = *racecheck
-		opts.ShardCount = *shards
 		traced = core.New(opts)
 		rt = traced
 	case "dthreads":
@@ -82,10 +80,6 @@ func main() {
 	}
 	if *racecheck && traced == nil {
 		fmt.Fprintln(os.Stderr, "rfdet-run: -racecheck requires an rfdet runtime")
-		os.Exit(2)
-	}
-	if *shards != 0 && traced == nil {
-		fmt.Fprintln(os.Stderr, "rfdet-run: -shards requires an rfdet runtime")
 		os.Exit(2)
 	}
 
@@ -162,7 +156,6 @@ func printReport(runtime, workload string, cfg workloads.Config, rep *api.Report
 	if s.PageFaults > 0 || s.PageProtects > 0 {
 		fmt.Printf("  protection:    %d faults, %d page protects\n", s.PageFaults, s.PageProtects)
 	}
-	fmt.Printf("  monitor:       %d acquires across %d domains; %d stamped releases, %d cross-domain acquires, %d rendezvous\n",
-		s.MonitorAcquires, s.MonitorShards, s.ShardReleases, s.CrossShardAcquires, s.RendezvousOps)
+	fmt.Printf("  monitor:       %d acquires\n", s.MonitorAcquires)
 	fmt.Printf("  kendo:         %d sync ops waited for the deterministic turn (host-dependent)\n", s.TurnWaits)
 }

@@ -3,18 +3,16 @@
 // fingerprint — the active-replication use case for deterministic
 // multithreading: replicas that cannot diverge.
 //
-//	rfdet-serve                          3 replicas, alternating 4 and 1
-//	                                     commit-monitor domains
+//	rfdet-serve                          3 replicas, alternating the ambient
+//	                                     GOMAXPROCS and 1
 //	rfdet-serve -replicas 6 -threads 8   wider fleet, 8 worker threads each
-//	rfdet-serve -matrix                  the full 6-variant acceptance matrix
-//	                                     (GOMAXPROCS {1,4,8} × shards {1,4})
+//	rfdet-serve -matrix                  the 3-variant acceptance matrix
+//	                                     (GOMAXPROCS {1,4,8})
 //	rfdet-serve -inject-abort            poison one replica's log: it must be
 //	                                     reported divergent-by-abort, the rest
 //	                                     must still agree
 //
-// -seed picks the request log; -shards pins the commit-monitor domain count
-// on every non-matrix replica (0 keeps the per-variant default), so external
-// sweeps (CI) can drive the shard axis. The exit status is the verdict: 0
+// -seed picks the request log. The exit status is the verdict: 0
 // when the replicas agree (or, under -inject-abort, when the only divergence
 // is the injected abort), 1 on any real divergence.
 package main
@@ -33,10 +31,9 @@ import (
 func main() {
 	size := flag.String("size", "small", "problem size: test, small or medium")
 	threads := flag.Int("threads", 4, "worker threads per replica")
-	replicas := flag.Int("replicas", 3, "replica count (alternates 4 and 1 commit-monitor domains)")
+	replicas := flag.Int("replicas", 3, "replica count (alternates the ambient GOMAXPROCS and 1)")
 	seed := flag.Uint64("seed", workloads.DefaultServerSeed, "request-log seed")
-	shards := flag.Int("shards", 0, "commit-monitor domains per replica (0 = per-variant default)")
-	matrix := flag.Bool("matrix", false, "run the full 6-variant acceptance matrix instead of -replicas")
+	matrix := flag.Bool("matrix", false, "run the 3-variant acceptance matrix instead of -replicas")
 	injectAbort := flag.Bool("inject-abort", false, "poison the last replica's log to demonstrate divergent-by-abort reporting")
 	flag.Parse()
 
@@ -58,11 +55,6 @@ func main() {
 		variants = harness.MatrixVariants()
 	} else {
 		variants = harness.DefaultVariants(*replicas)
-		if *shards > 0 {
-			for i := range variants {
-				variants[i].Opts.ShardCount = *shards
-			}
-		}
 	}
 	if *injectAbort && len(variants) > 0 {
 		variants[len(variants)-1].InjectAbort = true

@@ -243,7 +243,7 @@ func TestFuzzOrderPreservingOptionsAgreeOnRaces(t *testing.T) {
 
 // TestFuzzServerReplicasAgree is the end-to-end replica fuzz wall: for random
 // request-log seeds and worker-thread counts, the KV server's replica matrix
-// (harness.MatrixVariants: GOMAXPROCS {1,4,8} × shards {1,4}) must produce
+// (harness.MatrixVariants: GOMAXPROCS {1,4,8}) must produce
 // byte-identical state hashes, response hashes, observation digests and
 // virtual times. This fuzzes the active-replication property itself —
 // the whole server-shaped execution (condvar queue, shard locks, barrier,
@@ -275,13 +275,12 @@ func TestFuzzServerReplicasAgree(t *testing.T) {
 	}
 }
 
-// domainFuzzProgram generates race-free programs whose synchronization
-// variables sit in distinct commit-monitor domains: every worker hammers a
-// private mutex in its own 64-byte address range (fuzzProgram packs its locks
-// 8 bytes apart, all in one domain) and writes a private region under the
-// shared lock that no peer reads before the join, alongside ordinary
-// shared-lock and atomic traffic.
-func domainFuzzProgram(seed int64) rfdet.ThreadFunc {
+// privateLockFuzzProgram generates race-free programs in which every worker
+// hammers a mutex no peer ever takes — releases nobody acquires, slice
+// merging on every re-lock — and writes a private region under the shared
+// lock that no peer reads before the join, alongside ordinary shared-lock
+// and atomic traffic.
+func privateLockFuzzProgram(seed int64) rfdet.ThreadFunc {
 	return func(t rfdet.Thread) {
 		r := rand.New(rand.NewSource(seed ^ 0x5eed))
 		nworkers := 2 + r.Intn(3)
@@ -311,7 +310,7 @@ func domainFuzzProgram(seed int64) rfdet.ThreadFunc {
 			ids = append(ids, t.Spawn(func(t rfdet.Thread) {
 				for _, o := range script {
 					switch o.kind {
-					case 0: // private critical section in the worker's own domain
+					case 0: // private critical section
 						t.Lock(priv)
 						t.Store64(region, t.Load64(region)+me)
 						t.Unlock(priv)
@@ -367,17 +366,13 @@ func TestFuzzValidated(t *testing.T) {
 	}
 }
 
-// TestFuzzShardCountAgrees: the sharded commit monitor must be invisible to
-// every deterministic observable. All monitor-state mutation happens while
-// holding the deterministic turn, so splitting the monitor into per-address-
-// range domains changes which host mutex covers the residual windows, never
-// the order of any clock join — a strict equivalence. Even racy programs,
-// under either monitor, with the full optimization stack, at any GOMAXPROCS,
-// must produce bit-identical output hashes AND virtual times with one domain
-// (the seed's global monitor) or four. Two program families: fuzzProgram,
-// whose locks all share one domain, and domainFuzzProgram, whose per-worker
-// locks each land in their own.
-func TestFuzzShardCountAgrees(t *testing.T) {
+// TestFuzzHostParallelismAgrees: host parallelism must be invisible to every
+// deterministic observable. Even racy programs, under either monitor, with
+// the full optimization stack, must produce bit-identical output hashes AND
+// virtual times at GOMAXPROCS 1, 2, 4 and 8. Two program families:
+// fuzzProgram, whose one to three locks every worker takes, and
+// privateLockFuzzProgram, which adds a lock per worker that nobody else does.
+func TestFuzzHostParallelismAgrees(t *testing.T) {
 	seeds := 10
 	if testing.Short() {
 		seeds = 3
@@ -393,29 +388,24 @@ func TestFuzzShardCountAgrees(t *testing.T) {
 			name string
 			prog rfdet.ThreadFunc
 		}{
-			{"one-domain", fuzzProgram(seed, false)},
-			{"per-worker-domains", domainFuzzProgram(seed)},
+			{"shared-locks", fuzzProgram(seed, false)},
+			{"private-locks", privateLockFuzzProgram(seed)},
 		}
 		for _, fam := range families {
 			for _, base := range bases {
 				var firstOut, firstVT uint64
-				haveFirst := false
-				for _, shards := range []int{1, 4} {
-					for _, procs := range []int{1, 2, 4, 8} {
-						old := runtime.GOMAXPROCS(procs)
-						o := base
-						o.ShardCount = shards
-						rep, err := rfdet.New(o).Run(fam.prog)
-						runtime.GOMAXPROCS(old)
-						if err != nil {
-							t.Fatalf("%s seed %d opts %+v shards=%d P=%d: %v", fam.name, seed, base, shards, procs, err)
-						}
-						if !haveFirst {
-							firstOut, firstVT, haveFirst = rep.OutputHash, rep.VirtualTime, true
-						} else if rep.OutputHash != firstOut || rep.VirtualTime != firstVT {
-							t.Fatalf("%s seed %d opts %+v shards=%d P=%d: sharding changed the result (output %#x vtime %d != %#x %d)",
-								fam.name, seed, base, shards, procs, rep.OutputHash, rep.VirtualTime, firstOut, firstVT)
-						}
+				for i, procs := range []int{1, 2, 4, 8} {
+					old := runtime.GOMAXPROCS(procs)
+					rep, err := rfdet.New(base).Run(fam.prog)
+					runtime.GOMAXPROCS(old)
+					if err != nil {
+						t.Fatalf("%s seed %d opts %+v P=%d: %v", fam.name, seed, base, procs, err)
+					}
+					if i == 0 {
+						firstOut, firstVT = rep.OutputHash, rep.VirtualTime
+					} else if rep.OutputHash != firstOut || rep.VirtualTime != firstVT {
+						t.Fatalf("%s seed %d opts %+v P=%d: host parallelism changed the result (output %#x vtime %d != %#x %d)",
+							fam.name, seed, base, procs, rep.OutputHash, rep.VirtualTime, firstOut, firstVT)
 					}
 				}
 			}
@@ -424,14 +414,12 @@ func TestFuzzShardCountAgrees(t *testing.T) {
 }
 
 // TestFuzzEpochStoreAgrees: the epoch-based metadata store must be invisible
-// to every deterministic observable. Like the shard-count wall above, this
-// is a strict equivalence: the store only changes *how* collected slices'
+// to every deterministic observable. This is a strict equivalence: the store only changes *how* collected slices'
 // bytes are reclaimed (whole arena-backed segments vs a map sweep) and how
 // commit payloads are owned (interned vs caller-retained) — never which
 // slices exist, which propagation filters pass, or when GC passes run. Even
 // racy programs, under either store, with the full optimization stack, at
-// any GOMAXPROCS and either monitor shard count, must produce bit-identical
-// output hashes AND virtual times.
+// any GOMAXPROCS, must produce bit-identical output hashes AND virtual times.
 func TestFuzzEpochStoreAgrees(t *testing.T) {
 	seeds := 10
 	if testing.Short() {
@@ -449,23 +437,20 @@ func TestFuzzEpochStoreAgrees(t *testing.T) {
 			var firstOut, firstVT uint64
 			haveFirst := false
 			for _, epoch := range []bool{false, true} {
-				for _, shards := range []int{1, 4} {
-					for _, procs := range []int{1, 2, 4, 8} {
-						old := runtime.GOMAXPROCS(procs)
-						o := base
-						o.EpochStore = epoch
-						o.ShardCount = shards
-						rep, err := rfdet.New(o).Run(prog)
-						runtime.GOMAXPROCS(old)
-						if err != nil {
-							t.Fatalf("seed %d opts %+v epoch=%v shards=%d P=%d: %v", seed, base, epoch, shards, procs, err)
-						}
-						if !haveFirst {
-							firstOut, firstVT, haveFirst = rep.OutputHash, rep.VirtualTime, true
-						} else if rep.OutputHash != firstOut || rep.VirtualTime != firstVT {
-							t.Fatalf("seed %d opts %+v epoch=%v shards=%d P=%d: store changed the result (output %#x vtime %d != %#x %d)",
-								seed, base, epoch, shards, procs, rep.OutputHash, rep.VirtualTime, firstOut, firstVT)
-						}
+				for _, procs := range []int{1, 2, 4, 8} {
+					old := runtime.GOMAXPROCS(procs)
+					o := base
+					o.EpochStore = epoch
+					rep, err := rfdet.New(o).Run(prog)
+					runtime.GOMAXPROCS(old)
+					if err != nil {
+						t.Fatalf("seed %d opts %+v epoch=%v P=%d: %v", seed, base, epoch, procs, err)
+					}
+					if !haveFirst {
+						firstOut, firstVT, haveFirst = rep.OutputHash, rep.VirtualTime, true
+					} else if rep.OutputHash != firstOut || rep.VirtualTime != firstVT {
+						t.Fatalf("seed %d opts %+v epoch=%v P=%d: store changed the result (output %#x vtime %d != %#x %d)",
+							seed, base, epoch, procs, rep.OutputHash, rep.VirtualTime, firstOut, firstVT)
 					}
 				}
 			}

@@ -32,14 +32,13 @@ import (
 // The work splits into a monitor half and a private half. Collecting walks
 // the releaser's monitor-guarded slice-pointer list, appends to the
 // acquirer's list and joins the vector clocks: that runs inside the
-// operation's commit-monitor domain section, under the deterministic turn
-// (which is what actually orders the lists — see shard.go). Applying the
-// collected modification runs touches only the acquirer's private address
-// space: for the acquire paths — where the applying thread owns its space —
-// it runs off the monitor, after the operation releases its domain. The
-// prelock pre-merge and the barrier merge instead mutate *blocked* threads'
-// spaces, which is only sound while the monitor proves they stay blocked,
-// so those applications remain under the domain (or rendezvous) lock.
+// operation's monitor section, under the deterministic turn (which is what
+// actually orders the lists). Applying the collected modification runs
+// touches only the acquirer's private address space: for the acquire paths —
+// where the applying thread owns its space — it runs off the monitor, after
+// the operation leaves it. The prelock pre-merge and the barrier merge
+// instead mutate *blocked* threads' spaces, which is only sound while the
+// monitor proves they stay blocked, so those applications remain inside it.
 
 // collectLocked gathers the slices to propagate from from's list. Must run
 // inside a monitor section (the list is monitor-guarded). Slices already applied by a prelock
@@ -59,6 +58,8 @@ import (
 // any number of slices it has). With Options.Validate the paper's whole-list
 // scan runs beside the window and the two results are compared
 // (collectFullScan).
+//
+//detvet:holds exec.mu
 func (t *thread) collectLocked(from *thread, upper vclock.VC) []*slicestore.Slice {
 	lower := t.vtime
 	list := from.slicePtrs
@@ -66,8 +67,8 @@ func (t *thread) collectLocked(from *thread, upper vclock.VC) []*slicestore.Slic
 		t.st.SliceListLen = l
 	}
 	// A mark past the end can only be a missed forgetMarks. Clamped, that
-	// defect reads as a Validate error or a wrong result; unclamped it is a
-	// panic inside a domain section, which deadlocks on the domain mutex.
+	// defect reads as a Validate error or a wrong result rather than a panic
+	// inside a monitor section.
 	start := min(from.markFor(t.id), len(list))
 	t.st.CollectScanned += uint64(len(list) - start)
 	mark := start
@@ -138,6 +139,8 @@ func (t *thread) markFor(reader api.ThreadID) int {
 // setMarkFor records reader's low-water mark on t.slicePtrs. The table is
 // sized from the thread table on first use and regrown only for a reader
 // spawned since.
+//
+//detvet:holds exec.mu
 func (t *thread) setMarkFor(reader api.ThreadID, mark int) {
 	if t.marks == nil {
 		t.marks = new([]int)
@@ -337,21 +340,11 @@ func (t *thread) applyPlanToSpace(plan *mem.WritePlan) {
 // before returning to application code, so t itself never reads memory
 // missing an acquired update.
 //
-//detvet:holds sh.mu
-func (t *thread) acquireCollectLocked(sh *monShard, sv *syncVar) []*slicestore.Slice {
+//detvet:holds exec.mu
+func (t *thread) acquireCollectLocked(sv *syncVar) []*slicestore.Slice {
 	if sv.lastTid < 0 {
-		t.lastShard = int32(sh.id)
 		return nil
 	}
-	if t.lastShard >= 0 && t.lastShard != int32(sh.id) {
-		// Cross-domain acquire: the happens-before edge enters a domain the
-		// thread did not last synchronize in. The joined lastTime is covered
-		// by this domain's frontier at the release's stamped version
-		// (sv.lastVer ≤ frontier version, checked by Options.Validate), so
-		// the edge is exactly the one the global monitor provided.
-		sh.crossAcquires++
-	}
-	t.lastShard = int32(sh.id)
 	t.vt = vtime.Max(t.vt, sv.lastVT)
 	var slices []*slicestore.Slice
 	if sv.lastTid != int32(t.id) {
@@ -368,6 +361,8 @@ func (t *thread) acquireCollectLocked(sh *monShard, sv *syncVar) []*slicestore.S
 // (thread, timestamp, virtual time) release record — used for cond-signal
 // wakeups and joins, where the release is not carried by a mutex-style
 // lastTid/lastTime pair.
+//
+//detvet:holds exec.mu
 func (t *thread) acquireFromCollectLocked(fromTid int32, upper vclock.VC, releaseVT vtime.Time) []*slicestore.Slice {
 	t.vt = vtime.Max(t.vt, releaseVT)
 	var slices []*slicestore.Slice
@@ -392,15 +387,15 @@ func (t *thread) acquireFromCollectLocked(fromTid int32, upper vclock.VC, releas
 // only work left for w itself, off the monitor (§4.3's propagation with the
 // collect and apply halves on opposite sides of the wakeup).
 //
-//detvet:holds sh.mu
-func (e *exec) prepareAcquireLocked(w *thread, sh *monShard, sv *syncVar, handoffVT vtime.Time) wakeEvent {
+//detvet:holds exec.mu
+func (e *exec) prepareAcquireLocked(w *thread, sv *syncVar, handoffVT vtime.Time) wakeEvent {
 	w.vt = vtime.Max(w.vt, handoffVT) + vtime.LockHandoff
 	var slices []*slicestore.Slice
 	if sig := w.pendingSignal; sig != nil {
 		w.pendingSignal = nil
 		slices = w.acquireFromCollectLocked(sig.tid, sig.v, sig.vt)
 	}
-	if acq := w.acquireCollectLocked(sh, sv); len(slices) == 0 {
+	if acq := w.acquireCollectLocked(sv); len(slices) == 0 {
 		slices = acq // the usual case: no signal acquire, nothing to copy
 	} else {
 		slices = append(slices, acq...)
@@ -440,6 +435,8 @@ func (w *thread) premergePlannedLocked(slices []*slicestore.Slice, plan *mem.Wri
 // is blocked, and is absorbed by the max() with the release time at the
 // eventual acquire — exactly the "propagation moved into parallel mode"
 // effect the paper measures at ~80%.
+//
+//detvet:holds exec.mu
 func (t *thread) prelockLocked(sv *syncVar) {
 	if !t.exec.opts.Prelock || sv.owner < 0 {
 		return
@@ -474,6 +471,8 @@ func (t *thread) prelockLocked(sv *syncVar) {
 // deterministic race-resolution policy and must not be perturbed. This turns
 // the release from O(waiters × slices × bytes) under the monitor into one
 // O(slices × bytes) build plus O(unique bytes) per waiter.
+//
+//detvet:holds exec.mu
 func (e *exec) prelockReleaseLocked(sv *syncVar, releaser *thread) {
 	if !e.opts.Prelock {
 		return

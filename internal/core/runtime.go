@@ -17,7 +17,6 @@ import (
 	"hash/fnv"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"rfdet/internal/alloc"
@@ -71,16 +70,6 @@ type Options struct {
 	// LazyWrites enables the lazy-writes optimization (§4.5): propagated
 	// modifications are pended per page and applied on first access.
 	LazyWrites bool
-	// ShardCount is the number of commit-monitor domains the synchronization
-	// state is sharded into (see internal/core/shard.go). Sync vars map to
-	// domains by address range; hot operations lock only their domain(s),
-	// while lifecycle, barriers and GC take a global rendezvous. 0 selects
-	// the default (4); 1 reproduces the seed's single global monitor. Every
-	// deterministic observable — outputs, virtual times, traces, race
-	// reports — is bit-identical across shard counts: the deterministic turn
-	// already orders all monitor-state mutation, so sharding only changes
-	// which mutex a domain's residual windows contend on.
-	ShardCount int
 	// MetadataCapacity is the metadata-space size in bytes
 	// (default 256 MiB as in §5.4).
 	MetadataCapacity uint64
@@ -144,7 +133,6 @@ func DefaultOptions() Options {
 		SliceMerging: true,
 		Prelock:      true,
 		LazyWrites:   true,
-		ShardCount:   4,
 	}
 }
 
@@ -168,11 +156,9 @@ var errAborted = errors.New("rfdet: execution aborted")
 
 // exec is the state of one program execution: the paper's metadata space
 // (synchronization variables, the slice store, the shared allocator) plus
-// the thread table and the Kendo arbiter. The synchronization-variable
-// state lives in the sharded commit-monitor domains (exec.shards, see
-// shard.go); a thread mutates a domain only while holding its mutex, which
-// it takes only after winning the deterministic turn, so every access
-// sequence is deterministic.
+// the thread table and the Kendo arbiter, behind the one commit monitor of
+// §4.1 (mu). A thread enters the monitor only after winning the
+// deterministic turn, so every access sequence is deterministic.
 type exec struct {
 	opts   Options
 	sched  *kendo.Sched
@@ -190,36 +176,39 @@ type exec struct {
 	// phases, purely observational.
 	races *racecheck.Detector
 
-	// shards are the per-address-range commit-monitor domains. Hot sync
-	// ops lock only the domain(s) owning their variables; the global
-	// rendezvous (shard.go) locks them all plus mu.
-	shards []*monShard
-
-	// mu is the global half of the monitor: lifecycle and barrier
-	// rendezvous, GC passes, the abort path, and the thread table. It is
-	// the maximum element of the lock order — taken after any domain
-	// mutexes, and a holder never waits on anything else.
+	// mu is the commit monitor (§4.1): every synchronization operation's
+	// mutation of the fields below, of a syncVar, or of a blocked peer runs
+	// under it, between enter and leave. The abort path (fail) and the
+	// post-execution report build take it too. A holder never waits on
+	// anything but the leaf locks of the store, the allocator and the tracer.
 	//detvet:lockorder 20
-	mu sync.Mutex //detvet:nativesync the global monitor rendezvous (§4.1 sharded); ordered after the domain mutexes.
-	//detvet:notguarded appended only under the full rendezvous; readers either hold the turn or run after the workers exited, both of which the rendezvous mutually excludes
+	mu sync.Mutex //detvet:nativesync the commit monitor (§4.1).
+	// syncvars is the internal synchronization variable table.
+	//detvet:guardedby exec.mu
+	syncvars map[api.Addr]*syncVar
+	//detvet:guardedby exec.mu
 	threads []*thread
-	//detvet:notguarded written only under the spawn rendezvous, read only by the post-execution report build
+	// liveCount and blockedCount feed the deadlock check: every live thread
+	// blocked means nobody is left to wake anybody. maxLive is liveCount's
+	// high-water mark, for the report.
+	//detvet:guardedby exec.mu
+	liveCount int
+	//detvet:guardedby exec.mu
+	blockedCount int
+	//detvet:guardedby exec.mu
 	maxLive int
-
-	// liveCount and blockedCount are atomics because the deadlock check on
-	// a hot-path block holds only that path's domain, not mu.
-	liveCount    atomic.Int64
-	blockedCount atomic.Int64
-	// aborted is atomic for the same reason: hot paths consult it at
-	// relock time while holding only their domain.
-	aborted  atomic.Bool
+	// aborted is set once, by failLocked, with abortErr the first error.
+	// kendo.Sched carries its own atomic copy for the turn spinners.
+	//detvet:guardedby exec.mu
+	aborted bool
+	//detvet:guardedby exec.mu
 	abortErr error
 
 	// collectErr is the first disagreement between a windowed collection and
 	// the whole-list reference scan (Options.Validate only; propagate.go).
-	// Recorded rather than raised, because it is found inside a domain
-	// section; validateLocked reports it.
-	//detvet:notguarded written only by collectLocked, turn-held; read by validateLocked after every worker has exited
+	// Recorded rather than raised, so that a Validate run reports it with the
+	// other invariants; validateLocked does.
+	//detvet:guardedby exec.mu
 	collectErr error
 
 	// diffSem bounds the worker pool that byte-diffs snapshotted pages
@@ -232,22 +221,17 @@ type exec struct {
 
 // syncVar is an internal synchronization variable (§4.1): the runtime-side
 // object backing the application mutex/condvar/barrier at one address. It
-// lives in, and is guarded by, the commit-monitor domain owning its address
-// (shardFor).
+// lives in exec.syncvars and is read and written only inside the monitor.
 type syncVar struct {
 	// Mutex state.
 	held  bool
 	owner api.ThreadID
 	lockQ waitq[api.ThreadID]
 	// Release record: who last released the variable and when (§4.1,
-	// lastTid/lastTime), plus the release's virtual time and the owning
-	// domain's version counter at the release (Louvre-style stamp; the
-	// domain frontier covers lastTime at every version ≥ lastVer, checked
-	// by Options.Validate).
+	// lastTid/lastTime), plus the release's virtual time.
 	lastTid  int32
 	lastTime vclock.VC
 	lastVT   vtime.Time
-	lastVer  uint64
 	// Condition-variable wait queue, in deterministic wait order.
 	condQ waitq[condEntry]
 	// Barrier arrivals for the current generation.
@@ -312,32 +296,23 @@ func newExec(opts Options) *exec {
 	if opts.MetadataCapacity == 0 {
 		opts.MetadataCapacity = slicestore.DefaultCapacity
 	}
-	if opts.ShardCount == 0 {
-		opts.ShardCount = DefaultOptions().ShardCount
-	}
-	if opts.ShardCount < 1 {
-		opts.ShardCount = 1
-	}
-	if opts.ShardCount > maxShards {
-		opts.ShardCount = maxShards
-	}
 	workers := runtime.GOMAXPROCS(0)
 	if workers > 8 {
 		workers = 8
 	}
 	e := &exec{
-		opts:    opts,
-		sched:   kendo.NewSched(),
-		alloc:   alloc.New(),
-		diffSem: make(chan struct{}, workers), //detvet:nativesync semaphore bounding the diff worker pool; tokens carry no data.
+		opts:     opts,
+		sched:    kendo.NewSched(),
+		alloc:    alloc.New(),
+		syncvars: make(map[api.Addr]*syncVar),
+		diffSem:  make(chan struct{}, workers), //detvet:nativesync semaphore bounding the diff worker pool; tokens carry no data.
 	}
 	if opts.EpochStore {
-		e.store = slicestore.NewEpochStore(opts.MetadataCapacity, opts.GCThresholdPct, opts.ShardCount)
+		// Four stripes: the segment placement every EpochStore result so far
+		// was measured with.
+		e.store = slicestore.NewEpochStore(opts.MetadataCapacity, opts.GCThresholdPct, 4)
 	} else {
-		e.store = slicestore.NewStriped(opts.MetadataCapacity, opts.GCThresholdPct, opts.ShardCount)
-	}
-	for i := 0; i < opts.ShardCount; i++ {
-		e.shards = append(e.shards, &monShard{id: i, syncvars: make(map[api.Addr]*syncVar)})
+		e.store = slicestore.NewStore(opts.MetadataCapacity, opts.GCThresholdPct)
 	}
 	if opts.PhaseTrace {
 		e.phases = trace.NewCollector()
@@ -363,10 +338,9 @@ func (r *Runtime) RunTraced(main api.ThreadFunc) (*api.Report, *Trace, error) {
 		e.tracer = &tracer{}
 	}
 	t0 := &thread{
-		exec:      e,
-		id:        0,
-		fn:        main,
-		lastShard: -1,
+		exec: e,
+		id:   0,
+		fn:   main,
 		// The main thread does not monitor modifications until the first
 		// child thread is created (§4.1): before that, no other memory
 		// space exists to propagate to, and the first child inherits the
@@ -381,9 +355,8 @@ func (r *Runtime) RunTraced(main api.ThreadFunc) (*api.Report, *Trace, error) {
 	t0.tb = e.phases.NewThread(0)
 	t0.proc = e.sched.Register(0, 0)
 	e.alloc.Register(0)
-	e.threads = append(e.threads, t0)
-	e.liveCount.Store(1)
-	e.maxLive = 1
+	//detvet:lockcheck no other goroutine exists yet.
+	e.threads, e.liveCount, e.maxLive = append(e.threads, t0), 1, 1
 
 	start := stats.Now()
 	e.wg.Add(1)
@@ -409,13 +382,68 @@ func (r *Runtime) RunTraced(main api.ThreadFunc) (*api.Report, *Trace, error) {
 	return e.buildReportLocked(elapsed), tr, nil
 }
 
+// enter takes the commit monitor for a synchronization operation of thread
+// t, which holds the deterministic turn. It counts the entry and records the
+// wait as a monitor-wait phase span, one per entry, so the span count
+// reconciles with Stats.MonitorAcquires. If the execution has aborted, the
+// thread unwinds here instead of entering.
+//
+// That check is what makes an abort unable to strand a thread entering a
+// block. failLocked runs under mu and probes every thread whose status is
+// Blocked; a blocker flips itself to Blocked (blockLocked) inside the same mu
+// section whose entry made this check, and no section is reopened except
+// through enter again. So an abort either precedes the section — the thread
+// unwinds here — or follows it, and finds the thread Blocked and probes it.
+//
+//detvet:acquires mu
+func (e *exec) enter(t *thread) {
+	e.enterUnchecked(t)
+	if e.aborted {
+		e.leave(t)
+		panic(errAborted)
+	}
+}
+
+// enterUnchecked is enter without the abort check, for threadExit alone: an
+// exiting thread must run its teardown under the monitor abort or no abort.
+//
+//detvet:acquires mu
+func (e *exec) enterUnchecked(t *thread) {
+	ts := t.tb.Now()
+	e.mu.Lock()
+	t.inMonitor = true
+	t.st.MonitorAcquires++
+	t.tb.Span(trace.PhaseMonitorWait, ts)
+}
+
+// leave gives the monitor up.
+//
+//detvet:releases mu
+func (e *exec) leave(t *thread) {
+	t.inMonitor = false
+	e.mu.Unlock()
+}
+
 // runThread is the goroutine body hosting one logical thread.
 func (e *exec) runThread(t *thread) {
 	defer e.wg.Done()
 	defer func() {
 		r := recover()
+		var err error
 		if r != nil && r != errAborted { //nolint:errorlint // sentinel identity
-			e.fail(fmt.Errorf("rfdet: thread %d panicked: %v", t.id, r))
+			err = fmt.Errorf("rfdet: thread %d panicked: %v", t.id, r)
+		}
+		//detvet:lockcheck a panic unwound out of a monitor section: inMonitor says this goroutine still holds mu, which the lattice cannot follow through recover.
+		if t.inMonitor {
+			if err != nil {
+				e.failLocked(err)
+			}
+			e.exitLocked(t)
+			e.leave(t)
+			return
+		}
+		if err != nil {
+			e.fail(err)
 		}
 		e.threadExit(t, r != nil)
 	}()
@@ -438,26 +466,30 @@ func (e *exec) threadExit(t *thread, abnormal bool) {
 			}
 		}
 	}
-	e.rendezvous(t)
-	defer e.releaseRendezvous(t)
-	if !e.aborted.Load() {
+	e.enterUnchecked(t)
+	e.exitLocked(t)
+	e.leave(t)
+}
+
+// exitLocked is threadExit's monitor section.
+//
+//detvet:holds exec.mu
+func (e *exec) exitLocked(t *thread) {
+	if !e.aborted {
 		t.flushAllPending()
 		t.exitV = t.endSliceLocked()
 	} else {
 		t.exitV = t.vtime.Clone()
 	}
 	t.exitVT = t.vt
-	e.liveCount.Add(-1)
+	e.liveCount--
 	for _, j := range t.joiners {
-		if e.aborted.Load() {
+		if e.aborted {
 			// failLocked has already delivered an abort wakeup to every
-			// blocked thread, including these joiners, so their mailboxes
-			// may be full and they may already be unwinding. A normal
-			// wakeLocked here would block on the full mailbox (or worse,
-			// hand an unwinding joiner a stale non-abort event and corrupt
-			// the blocked accounting). Probe an abort event instead, for
-			// any joiner whose mailbox the fail probe missed because it
-			// blocked after the abort landed.
+			// blocked thread, these joiners included, so they are unwinding:
+			// a normal wakeLocked here would hand one a stale non-abort
+			// event and corrupt the blocked accounting. Probe an abort event
+			// instead; it is dropped unless failLocked's was missed.
 			//detvet:nativesync non-blocking abort probe; abort abandons determinism guarantees by design.
 			select {
 			case j.wake <- wakeEvent{abort: true}:
@@ -485,8 +517,8 @@ func (e *exec) threadExit(t *thread, abnormal bool) {
 	// never reorder one).
 	e.sched.Transition(func() { t.proc.SetStatus(kendo.Exited) })
 	t.tb.Finish()
-	if live := e.liveCount.Load(); !e.aborted.Load() && live > 0 && e.blockedCount.Load() == live {
-		e.failLocked(fmt.Errorf("rfdet: deterministic deadlock: all %d live threads blocked", live))
+	if !e.aborted && e.liveCount > 0 && e.blockedCount == e.liveCount {
+		e.failLocked(fmt.Errorf("rfdet: deterministic deadlock: all %d live threads blocked", e.liveCount))
 	}
 }
 
@@ -499,24 +531,26 @@ func (e *exec) syncEvent(t *thread, op string, addr api.Addr) {
 	t.tb.Mark(op, uint64(addr))
 }
 
-// fail aborts the execution with err (first error wins). It takes only
-// exec.mu — never the domain mutexes, because fail is reached from inside
-// domain sections (misuse errors, the deadlock check), and the lock order
-// puts mu after the domains.
+// fail aborts the execution with err (first error wins) from outside the
+// monitor: the pre-turn misuse checks and a panic in application code. A
+// caller already inside the monitor uses failLocked.
 func (e *exec) fail(err error) {
 	e.mu.Lock()
 	e.failLocked(err)
 	e.mu.Unlock()
 }
 
-// failLocked aborts under exec.mu: it records the error, aborts the Kendo
-// arbiter so spinners unwind, and probes every blocked thread's mailbox
-// with an abort event.
+// failLocked aborts under the monitor: it records the error, aborts the
+// Kendo arbiter so spinners unwind, and probes every blocked thread's mailbox
+// with an abort event. Threads that are not blocked unwind at their next
+// turn or at enter.
+//
+//detvet:holds exec.mu
 func (e *exec) failLocked(err error) {
-	if e.aborted.Load() {
+	if e.aborted {
 		return
 	}
-	e.aborted.Store(true)
+	e.aborted = true
 	e.abortErr = err
 	e.sched.Abort()
 	for _, t := range e.threads {
@@ -534,15 +568,16 @@ func (e *exec) failLocked(err error) {
 // Blocked→Running flip is bracketed as a scheduling transition so no
 // concurrent turn scan can observe the waker's clock tick without also
 // observing the newly eligible thread.
+//
+//detvet:holds exec.mu
 func (e *exec) wakeLocked(t *thread, ev wakeEvent) {
 	e.sched.Transition(func() { t.proc.SetStatus(kendo.Running) })
-	e.blockedCount.Add(-1)
-	// Non-blocking by necessity: the abort path holds only exec.mu, so
-	// failLocked can deliver an abort probe into this mailbox while the
-	// waker is inside a domain section. Each sleep has exactly one
-	// monitor-ordered waker, so the only way the 1-buffered mailbox is
-	// full is such an abort probe — in which case the sleeper unwinds on
-	// it and this event is moot.
+	e.blockedCount--
+	// Non-blocking, so that the monitor is never held across a send that
+	// could park. Each sleep has exactly one monitor-ordered waker, and no
+	// section wakes anybody after failLocked has run, so the 1-buffered
+	// mailbox is empty here; were an abort probe ever in it, the sleeper
+	// would unwind on that and this event would be moot.
 	//detvet:nativesync wake handoff; the Transition above fixed the admission order, and a full mailbox means an abort probe won.
 	select {
 	case t.wake <- ev:
@@ -568,9 +603,10 @@ func (s *blockSite) String() string {
 }
 
 // blockLocked marks the calling thread blocked (recording the block site for
-// deadlock diagnostics) and checks for deadlock. The caller holds its
-// operation's domain(s) — or the rendezvous — which is what makes the
-// thread "provably blocked" to wakers in the same domain.
+// deadlock diagnostics) and checks for deadlock. The caller holds the
+// monitor, which is what makes the thread "provably blocked" to its wakers.
+//
+//detvet:holds exec.mu
 func (t *thread) blockLocked(format string, ops ...uint64) {
 	e := t.exec
 	site := &t.scratch.site
@@ -581,20 +617,16 @@ func (t *thread) blockLocked(format string, ops ...uint64) {
 	// the block span sleep() closes.
 	t.blockStart = t.tb.Now()
 	e.sched.Transition(func() { t.proc.SetStatus(kendo.Blocked) })
-	if b := e.blockedCount.Add(1); b == e.liveCount.Load() {
-		err := fmt.Errorf("rfdet: deterministic deadlock: all %d live threads blocked: %s", b, e.blockSites())
-		if t.holdsGlobal {
-			e.failLocked(err)
-		} else {
-			e.fail(err)
-		}
+	e.blockedCount++
+	if e.blockedCount == e.liveCount {
+		e.failLocked(fmt.Errorf("rfdet: deterministic deadlock: all %d live threads blocked: %s", e.blockedCount, e.blockSites()))
 	}
 }
 
-// blockSites describes where each blocked thread is stuck. The caller
-// holds at least one domain mutex (or the rendezvous), which excludes the
-// Spawn rendezvous and so pins e.threads; the sites it reads were published
-// before each thread's status flipped to Blocked.
+// blockSites describes where each blocked thread is stuck; the sites it reads
+// were published before each thread's status flipped to Blocked.
+//
+//detvet:holds exec.mu
 func (e *exec) blockSites() string {
 	s := ""
 	for _, t := range e.threads {
@@ -622,6 +654,8 @@ func (t *thread) sleep() wakeEvent {
 }
 
 // buildReportLocked assembles the execution report.
+//
+//detvet:holds exec.mu
 func (e *exec) buildReportLocked(elapsed time.Duration) *api.Report {
 	rep := &api.Report{
 		Observations: make(map[api.ThreadID][]uint64, len(e.threads)),
@@ -651,12 +685,6 @@ func (e *exec) buildReportLocked(elapsed time.Duration) *api.Report {
 	put(e.threads[0].space.Hash())
 	rep.OutputHash = h.Sum64()
 
-	rep.Stats.MonitorShards = uint64(len(e.shards))
-	//detvet:lockcheck report build runs after every worker has exited; the domains are quiescent and nothing mutates their counters.
-	for _, sh := range e.shards {
-		rep.Stats.ShardReleases += sh.releases
-		rep.Stats.CrossShardAcquires += sh.crossAcquires
-	}
 	rep.Stats.SharedMemBytes = e.alloc.HighWater()
 	rep.Stats.MetadataBytes = e.store.HighWater()
 	rep.Stats.MetadataCapacity = e.store.Capacity()
@@ -684,6 +712,11 @@ func (e *exec) buildReportLocked(elapsed time.Duration) *api.Report {
 // eager-collection extension) are excluded from the frontier: since they
 // never acquire, their stale clocks must not pin other threads' slices in
 // the metadata space.
+//
+// The caller is inside the monitor and holds the deterministic turn, so every
+// clock and every list the pass reads and trims is quiescent.
+//
+//detvet:holds exec.mu
 func (e *exec) gcLocked() {
 	var clocks []vclock.VC
 	for _, t := range e.threads {

@@ -100,6 +100,57 @@ func TestFigure6Propagation(t *testing.T) {
 	}
 }
 
+// TestTransitiveLockHandoffChain: propagation is transitive across two
+// mutexes. A publishes x under m0; B acquires m0, derives y from x and
+// publishes both under m1; C acquires only m1 — so C's view of x depends on
+// the edge A --m0--> B --m1--> C carrying A's modifications through B's
+// slice-pointer list (§4.3). The generous ticks pin the admission order so
+// the chain is the only schedule. Validate checks the list invariants on the
+// way.
+func TestTransitiveLockHandoffChain(t *testing.T) {
+	opts := DefaultOptions()
+	opts.Validate = true
+	m0, m1 := api.Addr(64), api.Addr(192)
+	rep := run(t, opts, func(th api.Thread) {
+		x := th.Malloc(8)
+		y := th.Malloc(8)
+
+		a := th.Spawn(func(c api.Thread) {
+			c.Tick(100)
+			c.Lock(m0)
+			c.Store64(x, 1)
+			c.Unlock(m0)
+		})
+		b := th.Spawn(func(c api.Thread) {
+			c.Tick(10000)
+			c.Lock(m0)
+			v := c.Load64(x)
+			c.Unlock(m0)
+			c.Lock(m1)
+			c.Store64(y, v+1)
+			c.Unlock(m1)
+		})
+		cc := th.Spawn(func(c api.Thread) {
+			c.Tick(100000)
+			c.Lock(m1) // never touches m0
+			c.Observe(c.Load64(x), c.Load64(y))
+			c.Unlock(m1)
+		})
+
+		th.Join(a)
+		th.Join(b)
+		th.Join(cc)
+		th.Observe(th.Load64(x), th.Load64(y))
+	})
+
+	if got := rep.Observations[3]; len(got) != 2 || got[0] != 1 || got[1] != 2 {
+		t.Fatalf("C observed %v, want [1 2]: A's write did not travel through B's release of m1", got)
+	}
+	if got := rep.Observations[0]; len(got) != 2 || got[0] != 1 || got[1] != 2 {
+		t.Fatalf("main observed %v, want [1 2]", got)
+	}
+}
+
 // TestByteGranularityMerge reproduces the §4.6 example: with y==0 initially,
 // T2 writes y=256 (only byte 1 differs) and T3 writes y=255 (only byte 0
 // differs); page diffing at byte granularity merges the concurrent writes

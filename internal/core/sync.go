@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"rfdet/internal/alloc"
 	"rfdet/internal/api"
 	"rfdet/internal/kendo"
 	"rfdet/internal/mem"
@@ -21,25 +22,23 @@ import (
 //
 //	turn()                    — win the deterministic Kendo turn
 //	finishSlice()             — OFF-monitor: byte-diff the snapshotted pages
-//	lockShard()               — enter the variable's commit-monitor domain
+//	enter()                   — take the commit monitor (runtime.go)
 //	  commitSliceLocked()     — publish the slice, bump the clock
-//	  ...collect/queue/wake   — mutate domain-guarded state
-//	unlock
+//	  ...collect/queue/wake   — mutate monitor-guarded state
+//	  finishOpLocked()        — tick the Kendo clock: pass the turn
+//	leave()
 //	applySlices()             — OFF-monitor: absorb propagated runs
 //
-// Hot operations lock only the domain(s) owning their variables (shard.go):
-// Lock, Unlock and atomics one domain; Wait the mutex's and the condvar's
-// (ascending); Signal/Broadcast the condvar's plus the woken waiters'
-// mutexes'. Lifecycle operations — Spawn, Join, Barrier, thread exit — take
-// the global rendezvous instead, because they mutate cross-domain state
-// (the thread table, blocked arrivals' spaces).
+// There is one monitor over one metadata space, as in the paper (§4.1,
+// §4.2). The turn admits one operation at a time, so monitor sections never
+// overlap except for a waker's tail against the next operation of the thread
+// it just woke; the mutex is there for that tail and for the abort path,
+// which holds no turn.
 //
 // Holding the turn makes the off-monitor windows safe: every mutation of
 // monitor-guarded synchronization state happens under the turn, so nothing a
 // thread observed under the monitor can change while it diffs or applies
-// outside it. The same argument is why sharding preserves every
-// deterministic observable: the turn, not the mutex, is what orders the
-// state mutations.
+// outside it.
 //
 // Wakeups never re-enter the monitor at all: the waker — which holds the
 // turn and the monitor while the sleeper is provably blocked — performs the
@@ -77,29 +76,28 @@ func (t *thread) finishOpLocked() {
 // Lock implements pthread_mutex_lock (§4.1). Whether the current slice ends
 // at all depends on monitor-guarded state (slice merging, §4.5), so Lock
 // cannot pre-diff before entering the monitor; it drops the monitor around
-// the diff instead (endSliceDropLock).
+// the diff instead (endSliceDropMonitor).
 func (t *thread) Lock(m api.Addr) {
 	t.turn()
 	e := t.exec
-	sh := e.shardFor(m)
-	e.lockShard(t, sh)
+	e.enter(t)
 	t.st.Locks++
-	sv := sh.syncvar(m)
+	sv := e.syncvar(m)
 
 	if sv.held {
 		if sv.owner == t.id {
-			e.fail(fmt.Errorf("rfdet: thread %d: recursive lock of mutex %#x", t.id, uint64(m)))
-			sh.mu.Unlock()
+			e.failLocked(fmt.Errorf("rfdet: thread %d: recursive lock of mutex %#x", t.id, uint64(m)))
+			e.leave(t)
 			panic(errAborted)
 		}
 		// Contended: end the slice, reserve our place in the deterministic
 		// grant queue, pre-merge (prelock, §4.5), and sleep.
-		t.endSliceDropShard(sh)
+		t.endSliceDropMonitor()
 		sv.lockQ.push(t.id)
 		t.prelockLocked(sv)
 		t.blockLocked("lock %#x", uint64(m))
 		t.finishOpLocked()
-		sh.mu.Unlock()
+		e.leave(t)
 
 		// The releaser hands us ownership with the acquire already done
 		// (prepareAcquireLocked); nothing below touches shared state.
@@ -121,11 +119,11 @@ func (t *thread) Lock(m api.Addr) {
 		t.st.SlicesMerged++
 		e.syncEvent(t, "lock*", m)
 		t.finishOpLocked()
-		sh.mu.Unlock()
+		e.leave(t)
 		return
 	}
-	t.endSliceDropShard(sh)
-	slices := t.acquireCollectLocked(sh, sv)
+	t.endSliceDropMonitor()
+	slices := t.acquireCollectLocked(sv)
 	// Pinned before finishOpLocked passes the turn: the apply below runs
 	// off-monitor, where another thread's turn may run a GC pass over the
 	// just-collected slices.
@@ -133,23 +131,36 @@ func (t *thread) Lock(m api.Addr) {
 	t.beginSlice()
 	e.syncEvent(t, "lock", m)
 	t.finishOpLocked()
-	sh.mu.Unlock()
+	e.leave(t)
 	t.applySlices(slices, false)
 	pin.Release()
+}
+
+// syncvar returns (creating if needed) the internal synchronization variable
+// at address a.
+//
+//detvet:holds exec.mu
+func (e *exec) syncvar(a api.Addr) *syncVar {
+	sv, ok := e.syncvars[a]
+	if !ok {
+		sv = &syncVar{owner: -1, lastTid: -1}
+		e.syncvars[a] = sv
+	}
+	return sv
 }
 
 // handoffLocked grants a released mutex to the head of its queue: the
 // remaining waiters pre-merge the release in parallel with the new holder's
 // critical section (prelock, §4.5), and the new holder is woken with its
-// acquire pre-collected. Caller holds the mutex's domain.
+// acquire pre-collected.
 //
-//detvet:holds sh.mu
-func (e *exec) handoffLocked(sh *monShard, sv *syncVar, releaser *thread) {
+//detvet:holds exec.mu
+func (e *exec) handoffLocked(sv *syncVar, releaser *thread) {
 	next := sv.lockQ.pop()
 	sv.owner = next
 	e.prelockReleaseLocked(sv, releaser)
 	w := e.threads[next]
-	e.wakeLocked(w, e.prepareAcquireLocked(w, sh, sv, releaser.vt))
+	e.wakeLocked(w, e.prepareAcquireLocked(w, sv, releaser.vt))
 }
 
 // Unlock implements pthread_mutex_unlock (§4.1): a release that records
@@ -158,19 +169,18 @@ func (t *thread) Unlock(m api.Addr) {
 	t.turn()
 	s := t.finishSlice()
 	e := t.exec
-	sh := e.shardFor(m)
-	e.lockShard(t, sh)
+	e.enter(t)
 	t.st.Unlocks++
-	sv := sh.syncvar(m)
+	sv := e.syncvar(m)
 	if !sv.held || sv.owner != t.id {
-		e.fail(fmt.Errorf("rfdet: thread %d: unlock of mutex %#x not held by it", t.id, uint64(m)))
-		sh.mu.Unlock()
+		e.failLocked(fmt.Errorf("rfdet: thread %d: unlock of mutex %#x not held by it", t.id, uint64(m)))
+		e.leave(t)
 		panic(errAborted)
 	}
 	tend := t.commitSliceLocked(s)
-	t.releaseLocked(sh, sv, tend)
+	t.releaseLocked(sv, tend)
 	if sv.lockQ.len() > 0 {
-		e.handoffLocked(sh, sv, t)
+		e.handoffLocked(sv, t)
 	} else {
 		sv.held = false
 		sv.owner = -1
@@ -178,21 +188,15 @@ func (t *thread) Unlock(m api.Addr) {
 	t.beginSlice()
 	e.syncEvent(t, "unlock", m)
 	t.finishOpLocked()
-	sh.mu.Unlock()
+	e.leave(t)
 }
 
 // releaseLocked records this thread as the variable's last releaser, with
-// the just-ended slice's timestamp as the release time, stamped with the
-// owning domain's next release version (the Louvre-style counter that
-// orders cross-domain acquires; shard.go).
-//
-//detvet:holds sh.mu
-func (t *thread) releaseLocked(sh *monShard, sv *syncVar, tend vclock.VC) {
+// the just-ended slice's timestamp as the release time.
+func (t *thread) releaseLocked(sv *syncVar, tend vclock.VC) {
 	sv.lastTid = int32(t.id)
 	sv.lastTime = tend
 	sv.lastVT = t.vt
-	sv.lastVer = sh.stampRelease(tend)
-	t.lastShard = int32(sh.id)
 }
 
 // Wait implements pthread_cond_wait: a release of the mutex and of the wait
@@ -202,35 +206,29 @@ func (t *thread) Wait(c, m api.Addr) {
 	t.turn()
 	s := t.finishSlice()
 	e := t.exec
-	// Wait touches two variables — the mutex and the condvar — whose
-	// domains may differ; take both (ascending, deduplicated).
-	set := t.shardSet(m, c)
-	e.lockShardSet(t, set)
-	shm := e.shardFor(m)
+	e.enter(t)
 	t.st.Waits++
-	svm := shm.syncvar(m)
+	svm := e.syncvar(m)
 	if !svm.held || svm.owner != t.id {
-		e.fail(fmt.Errorf("rfdet: thread %d: cond wait with mutex %#x not held", t.id, uint64(m)))
-		unlockShardSet(set)
+		e.failLocked(fmt.Errorf("rfdet: thread %d: cond wait with mutex %#x not held", t.id, uint64(m)))
+		e.leave(t)
 		panic(errAborted)
 	}
 	tend := t.commitSliceLocked(s)
-	// Queue on the condition variable, in deterministic order — before the
-	// mutex is handed off. The handoff wakes the next owner, whose frozen
-	// Kendo clock is below ours: it wins the turn at once, and its signal's
-	// turn-held peek at this queue (signal, below) takes no lock. The wake
-	// mailbox send is what orders this push before that peek; handoffLocked
-	// never reads condQ, so the order of the two changes nothing else.
-	svc := e.shardFor(c).syncvar(c)
+	// Queue on the condition variable, in deterministic order. The handoff
+	// below wakes the next owner, whose frozen Kendo clock is below ours: it
+	// wins the turn at once, and its next operation waits at enter until this
+	// section is over — so its signal finds us queued and Blocked.
+	svc := e.syncvar(c)
 	svc.condQ.push(condEntry{tid: t.id, mutex: m})
 	// Release the mutex — exactly like Unlock, including the prelock
 	// pre-merge for the waiters that stay queued: a release performed inside
 	// pthread_cond_wait is a release like any other, and skipping the
 	// pre-merge here silently lost the §4.5 overlap on condvar-heavy
 	// workloads.
-	t.releaseLocked(shm, svm, tend)
+	t.releaseLocked(svm, tend)
 	if svm.lockQ.len() > 0 {
-		e.handoffLocked(shm, svm, t)
+		e.handoffLocked(svm, t)
 	} else {
 		svm.held = false
 		svm.owner = -1
@@ -238,7 +236,7 @@ func (t *thread) Wait(c, m api.Addr) {
 	e.syncEvent(t, "wait", c)
 	t.blockLocked("cond wait %#x (mutex %#x)", uint64(c), uint64(m))
 	t.finishOpLocked()
-	unlockShardSet(set)
+	e.leave(t)
 
 	// We are woken only once we own the mutex again (the signaler either
 	// granted it directly or queued us on it); whoever handed the mutex
@@ -268,29 +266,10 @@ func (t *thread) signal(c api.Addr, all bool) {
 	t.turn()
 	s := t.finishSlice()
 	e := t.exec
-	shc := e.shardFor(c)
-	// The woken waiters' mutexes may live in other domains; assemble the
-	// full ascending domain set before locking. Peeking the condvar's wait
-	// queue without its mutex is safe because we hold the deterministic
-	// turn: every mutation of domain state happens under the turn, so the
-	// queue cannot change between the peek and the locked pops below.
-	set := t.shardScratch[:0]
-	set = insertShard(set, shc)
-	//detvet:lockcheck turn-held peek: domain state only changes under the deterministic turn, which this thread holds (comment above).
-	if svc, ok := shc.syncvars[c]; ok {
-		n := svc.condQ.len()
-		if !all && n > 1 {
-			n = 1
-		}
-		for i := 0; i < n; i++ {
-			set = insertShard(set, e.shardFor(svc.condQ.at(i).mutex))
-		}
-	}
-	t.shardScratch = set
-	e.lockShardSet(t, set)
+	e.enter(t)
 	t.st.Signals++
 	tend := t.commitSliceLocked(s)
-	svc := shc.syncvar(c)
+	svc := e.syncvar(c)
 	n := 1
 	if all {
 		n = svc.condQ.len()
@@ -299,21 +278,15 @@ func (t *thread) signal(c api.Addr, all bool) {
 		entry := svc.condQ.pop()
 		w := e.threads[entry.tid]
 		w.pendingSignal = &signalRecord{tid: int32(t.id), v: tend, vt: t.vt}
-		shm := e.shardFor(entry.mutex)
-		svm := shm.syncvar(entry.mutex)
+		svm := e.syncvar(entry.mutex)
 		if svm.held {
 			svm.lockQ.push(entry.tid)
 		} else {
 			svm.held = true
 			svm.owner = entry.tid
-			e.wakeLocked(w, e.prepareAcquireLocked(w, shm, svm, t.vt))
+			e.wakeLocked(w, e.prepareAcquireLocked(w, svm, t.vt))
 		}
 	}
-	// A signal is a release: stamp it on the condvar's domain so the
-	// Louvre invariant (the stamping domain's frontier covers every
-	// release timestamp an acquire can join) holds for cond wakeups too.
-	shc.stampRelease(tend)
-	t.lastShard = int32(shc.id)
 	t.beginSlice()
 	if all {
 		e.syncEvent(t, "broadcast", c)
@@ -321,7 +294,7 @@ func (t *thread) signal(c api.Addr, all bool) {
 		e.syncEvent(t, "signal", c)
 	}
 	t.finishOpLocked()
-	unlockShardSet(set)
+	e.leave(t)
 }
 
 // Barrier implements a pthreads-style barrier (§4.1): both an acquire and a
@@ -335,32 +308,27 @@ func (t *thread) Barrier(b api.Addr, n int) {
 	if n <= 0 {
 		// Pre-turn failure: no turn is held and no monitor is entered, so
 		// this abort reaches failLocked from outside the usual in-turn
-		// paths. That is safe by construction — failLocked takes only
-		// exec.mu, flips the Kendo abort flag (unwinding spinners), and
-		// probes every Blocked thread's mailbox — and the unwind below
-		// goes through threadExit's abnormal path, which performs the
-		// rendezvous itself. TestZeroCountBarrierAborts exercises exactly
-		// this: peers blocked on locks, condvars and joins when the
-		// pre-turn abort lands.
+		// paths, at any point of a peer's operation except inside its
+		// monitor section (enter's comment says why that is enough). The
+		// unwind below goes through threadExit's abnormal path.
+		// TestZeroCountBarrierAborts exercises exactly this: peers blocked
+		// on, or entering, locks, condvars and joins when the abort lands.
 		t.exec.fail(fmt.Errorf("rfdet: thread %d: barrier with count %d", t.id, n))
 		panic(errAborted)
 	}
 	t.turn()
 	s := t.finishSlice()
 	e := t.exec
-	// Barriers take the global rendezvous: the last arrival merges into —
-	// and re-clones — the *blocked* arrivals' spaces, state no single
-	// domain guards.
-	e.rendezvous(t)
+	e.enter(t)
 	t.st.Barriers++
 	tend := t.commitSliceLocked(s)
 	t.flushAllPending()
-	sv := e.shardFor(b).syncvar(b)
+	sv := e.syncvar(b)
 	sv.barArrivals = append(sv.barArrivals, barArrival{tid: t.id, v: tend, vt: t.vt})
 	if len(sv.barArrivals) < n {
 		t.blockLocked("barrier %#x (%d/%d)", uint64(b), uint64(len(sv.barArrivals)), uint64(n))
 		t.finishOpLocked()
-		e.releaseRendezvous(t)
+		e.leave(t)
 		// The last arrival merges on our behalf and hands us the merged
 		// memory; nothing after the wake touches shared state.
 		ev := t.sleep()
@@ -458,7 +426,7 @@ func (t *thread) Barrier(b api.Addr, n int) {
 	t.beginSlice()
 	e.syncEvent(t, "barrier", b)
 	t.finishOpLocked()
-	e.releaseRendezvous(t)
+	e.leave(t)
 }
 
 // Spawn implements pthread_create (§4.1): a release. The child inherits the
@@ -471,9 +439,13 @@ func (t *thread) Spawn(fn api.ThreadFunc) api.ThreadID {
 	// commutes with the flush below.
 	s := t.finishSlice()
 	e := t.exec
-	// Spawn mutates the thread table and live accounting: rendezvous.
-	e.rendezvous(t)
+	e.enter(t)
 	t.st.Forks++
+	if len(e.threads) >= alloc.MaxThreads {
+		e.failLocked(fmt.Errorf("rfdet: thread %d: too many threads (max %d)", t.id, alloc.MaxThreads))
+		e.leave(t)
+		panic(errAborted)
+	}
 	// Lazily pended updates must be resident before the memory is cloned.
 	t.flushAllPending()
 	tend := t.commitSliceLocked(s)
@@ -484,7 +456,6 @@ func (t *thread) Spawn(fn api.ThreadFunc) api.ThreadID {
 		id:         id,
 		fn:         fn,
 		monitoring: true,
-		lastShard:  -1,
 		space:      t.space.Clone(),
 		vtime:      tend.Clone().Set(int(id), 1),
 		vt:         t.vt + vtime.ThreadSpawn,
@@ -504,9 +475,8 @@ func (t *thread) Spawn(fn api.ThreadFunc) api.ThreadID {
 	child.tb = e.phases.NewThread(int(id))
 	e.alloc.Register(int(id))
 	e.threads = append(e.threads, child)
-	if live := int(e.liveCount.Add(1)); live > e.maxLive {
-		e.maxLive = live
-	}
+	e.liveCount++
+	e.maxLive = max(e.maxLive, e.liveCount)
 	// From the first fork on, the main thread must monitor its
 	// modifications (§4.1).
 	if !t.monitoring {
@@ -522,7 +492,7 @@ func (t *thread) Spawn(fn api.ThreadFunc) api.ThreadID {
 	t.beginSlice()
 	e.syncEvent(t, "spawn", api.Addr(id))
 	t.finishOpLocked()
-	e.releaseRendezvous(t)
+	e.leave(t)
 	return id
 }
 
@@ -532,18 +502,16 @@ func (t *thread) Join(id api.ThreadID) {
 	t.turn()
 	s := t.finishSlice()
 	e := t.exec
-	// Join synchronizes with threadExit's rendezvous: the joiner list and
-	// exit records are lifecycle state, not domain state.
-	e.rendezvous(t)
+	e.enter(t)
 	t.st.Joins++
 	if id < 0 || int(id) >= len(e.threads) {
 		e.failLocked(fmt.Errorf("rfdet: thread %d: join of unknown thread %d", t.id, id))
-		e.releaseRendezvous(t)
+		e.leave(t)
 		panic(errAborted)
 	}
 	if id == t.id {
 		e.failLocked(fmt.Errorf("rfdet: thread %d: join of itself", t.id))
-		e.releaseRendezvous(t)
+		e.leave(t)
 		panic(errAborted)
 	}
 	target := e.threads[id]
@@ -552,7 +520,7 @@ func (t *thread) Join(id api.ThreadID) {
 		target.joiners = append(target.joiners, t)
 		t.blockLocked("join of thread %d", uint64(id))
 		t.finishOpLocked()
-		e.releaseRendezvous(t)
+		e.leave(t)
 		// The exiting thread performs our acquire of its exit release
 		// (threadExit) and hands us the slices to apply.
 		ev := t.sleep()
@@ -565,13 +533,13 @@ func (t *thread) Join(id api.ThreadID) {
 		return
 	}
 	slices := t.acquireFromCollectLocked(int32(target.id), target.exitV, target.exitVT)
-	// Pinned under the rendezvous: the apply below runs after the turn and
-	// the rendezvous are released.
+	// Pinned under the turn: the apply below runs after the turn and the
+	// monitor are released.
 	pin := e.pinFor(slices)
 	t.beginSlice()
 	e.syncEvent(t, "join", api.Addr(id))
 	t.finishOpLocked()
-	e.releaseRendezvous(t)
+	e.leave(t)
 	t.applySlices(slices, false)
 	pin.Release()
 }
@@ -607,24 +575,23 @@ func (t *thread) atomicOp(a api.Addr, op func(cur uint64) (newVal uint64, wrote 
 	t.turn()
 	s := t.finishSlice()
 	e := t.exec
-	sh := e.shardFor(a)
-	e.lockShard(t, sh)
+	e.enter(t)
 	t.st.AtomicsOps++
-	sv := sh.syncvar(a)
+	sv := e.syncvar(a)
 	t.commitSliceLocked(s)
-	slices := t.acquireCollectLocked(sh, sv)
+	slices := t.acquireCollectLocked(sv)
 	if len(slices) > 0 {
 		// The acquired updates must be resident before the word is read, but
 		// applying them touches only this thread's private space: drop the
-		// domain around the application like any other acquire path. The
+		// monitor around the application like any other acquire path. The
 		// turn is still held, so the monitor state cannot shift meanwhile —
 		// which also means no GC pass can run; the pin simply keeps every
 		// deferred-apply window under the same discipline.
 		pin := e.pinFor(slices)
-		sh.mu.Unlock()
+		e.leave(t)
 		t.applySlices(slices, false)
 		pin.Release()
-		e.relockShard(t, sh)
+		e.enter(t)
 	}
 	cur := t.space.Load64(uint64(a)) // flushes lazily pended updates if any
 	newVal, wrote := op(cur)
@@ -669,14 +636,16 @@ func (t *thread) atomicOp(a api.Addr, op func(cur uint64) (newVal uint64, wrote 
 		}
 		t.st.SlicesCreated++
 		t.slicePtrs = append(t.slicePtrs, micro)
-		e.maybeGC(t, e.store.Commit(micro))
+		if e.store.Commit(micro) {
+			e.gcLocked()
+		}
 		t.vtime = t.vtime.Bump(int(t.id))
 		// The micro-slice's stamp is the pre-bump clock: share it as the
 		// release time, as commitSliceLocked does.
-		t.releaseLocked(sh, sv, micro.Time)
+		t.releaseLocked(sv, micro.Time)
 	}
 	t.beginSlice()
 	e.syncEvent(t, "atomic", a)
 	t.finishOpLocked()
-	sh.mu.Unlock()
+	e.leave(t)
 }

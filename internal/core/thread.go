@@ -20,24 +20,18 @@ import (
 // thread is one logical DMT thread: a private address space, a DLRC vector
 // clock, the slice-pointer list of §4.3, and the current slice's monitoring
 // state. A thread struct is mutated by its own goroutine, or — for the
-// monitor-guarded fields — by other threads holding the relevant
-// commit-monitor domain (or the rendezvous) while this thread is provably
-// blocked (lock grant, barrier merge).
+// monitor-guarded fields — by other threads inside the monitor while this
+// thread is provably blocked (lock grant, barrier merge).
 type thread struct {
 	exec *exec
 	id   api.ThreadID
 	fn   api.ThreadFunc
 	proc *kendo.Proc
 
-	// lastShard is the id of the commit-monitor domain of this thread's
-	// most recent release or variable acquire, -1 before the first
-	// (cross-domain acquire accounting; shard.go). holdsGlobal marks that
-	// the thread currently holds the global rendezvous, which routes GC
-	// requests straight to gcLocked. shardScratch is the reusable buffer
-	// behind shardSet.
-	lastShard    int32
-	holdsGlobal  bool
-	shardScratch []*monShard
+	// inMonitor is set between enter and leave, by this thread's goroutine
+	// only: runThread's recover reads it to learn whether a panic unwound out
+	// of a monitor section with exec.mu still held.
+	inMonitor bool
 
 	// space is the thread's private view of shared memory.
 	space *mem.Space
@@ -67,8 +61,8 @@ type thread struct {
 	// saw every one of slicePtrs[:k] ≤ r's clock, so r's next collection
 	// starts at k. It lives with the list it indexes — whoever trims or
 	// replaces slicePtrs calls forgetMarks — and behind one pointer, nil until
-	// a reader first advances a mark, because thread sits 16 bytes under its
-	// allocation size class. Same turn discipline as slicePtrs.
+	// a reader first advances a mark, because thread (704 bytes) exactly fills
+	// its allocation size class. Same turn discipline as slicePtrs.
 	//detvet:notguarded ordered by the deterministic turn, like slicePtrs: written only by collectLocked and the two list-rewriting sites, all turn-held
 	marks *[]int
 
@@ -113,7 +107,7 @@ type thread struct {
 	exitV      vclock.VC
 	exitVT     vtime.Time
 	// scratch is set at creation and never changed. One pointer, because
-	// thread sits just under its allocation size class.
+	// thread exactly fills its allocation size class.
 	scratch *threadScratch
 
 	st  api.Stats
@@ -545,6 +539,10 @@ func (t *thread) finishSlice() *slicestore.Slice {
 // operation must publish as lastTime: using the post-bump clock would let a
 // slice committed later (with the bumped component) appear already-seen to a
 // thread that joined this release's time, silently losing its modifications.
+// A commit that crosses the metadata threshold runs the garbage-collection
+// pass then and there.
+//
+//detvet:holds exec.mu
 func (t *thread) commitSliceLocked(s *slicestore.Slice) vclock.VC {
 	var tend vclock.VC
 	if s != nil {
@@ -554,7 +552,9 @@ func (t *thread) commitSliceLocked(s *slicestore.Slice) vclock.VC {
 		tend = s.Time
 		t.st.SlicesCreated++
 		t.slicePtrs = append(t.slicePtrs, s)
-		t.exec.maybeGC(t, t.exec.store.Commit(s))
+		if t.exec.store.Commit(s) {
+			t.exec.gcLocked()
+		}
 	} else {
 		tend = t.vtime.Clone()
 	}
@@ -568,10 +568,8 @@ func (t *thread) commitSliceLocked(s *slicestore.Slice) vclock.VC {
 // recordAccessLocked hands the just-committed slice's access footprint —
 // writes from its modification list, reads harvested by finishSlice — to the
 // race detector, stamped with the slice's pre-bump clock. Always reached
-// turn-held (commits happen only under the deterministic turn), which is
-// what serializes and orders detector mutations now that commits from
-// different monitor domains no longer share a mutex; charges no virtual
-// time.
+// inside the monitor and turn-held, which is what serializes and orders
+// detector mutations; charges no virtual time.
 func (t *thread) recordAccessLocked(s *slicestore.Slice, tend vclock.VC) {
 	var writes []racecheck.Range
 	if s != nil {
@@ -602,26 +600,27 @@ func (t *thread) recordAccessLocked(s *slicestore.Slice, tend vclock.VC) {
 // thread exit (the final slice is cut while the monitor already decides the
 // exit) and Lock, which learns whether the slice even ends (slice merging)
 // only from monitor-guarded state.
+//
+//detvet:holds exec.mu
 func (t *thread) endSliceLocked() vclock.VC {
 	return t.commitSliceLocked(t.finishSlice())
 }
 
-// endSliceDropShard ends the current slice from within a domain section by
-// dropping the domain mutex around the page diffing, then retaking it to
-// commit. Safe because the caller holds the deterministic turn: every
-// mutation of monitor-guarded synchronization state happens under the turn,
-// so the state the caller was looking at cannot change while the domain is
-// released.
+// endSliceDropMonitor ends the current slice from within a monitor section by
+// leaving the monitor around the page diffing, then re-entering it to commit.
+// Safe because the caller holds the deterministic turn: every mutation of
+// monitor-guarded synchronization state happens under the turn, so the state
+// the caller was looking at cannot change while the monitor is released. If
+// the execution aborted meanwhile, the re-entry unwinds the thread.
 //
-//detvet:holds sh.mu
-func (t *thread) endSliceDropShard(sh *monShard) vclock.VC {
+//detvet:holds t.exec.mu
+func (t *thread) endSliceDropMonitor() vclock.VC {
 	if len(t.snapOrder) == 0 {
 		return t.endSliceLocked()
 	}
-	e := t.exec
-	sh.mu.Unlock()
+	t.exec.leave(t)
 	s := t.finishSlice()
-	e.relockShard(t, sh)
+	t.exec.enter(t)
 	return t.commitSliceLocked(s)
 }
 

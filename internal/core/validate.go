@@ -12,6 +12,8 @@ import (
 // checks run over whatever state garbage collection has retained — the
 // invariants are preserved by collection, which only removes
 // globally-dominated slices.
+//
+//detvet:holds exec.mu
 func (e *exec) validateLocked() error {
 	// 0. Every collection of the run returned what the paper's whole-list
 	//    scan returns (collectLocked compared them as it went).
@@ -83,29 +85,6 @@ func (e *exec) validateLocked() error {
 					return fmt.Errorf("rfdet: validate: thread %d mark %d on thread %d's list covers slice %s not happened-before its clock %s",
 						r.id, mark, t.id, s.Time, seen)
 				}
-			}
-		}
-	}
-	// 5. The Louvre invariant of the sharded monitor (shard.go): every
-	//    release record is stamped with a version its domain's counter has
-	//    reached, and the domain frontier — the join of every release
-	//    advanced in the domain — covers the record's timestamp. Together
-	//    these are what make a cross-domain acquire's clock join equivalent
-	//    to the one the global monitor performed.
-	//detvet:lockcheck post-execution validation: every worker has exited, so the domains are quiescent and exec.mu alone orders these reads.
-	for _, sh := range e.shards {
-		//detvet:orderfree only the first violation is reported, and any violation fails validation regardless of which map order surfaces it.
-		for a, sv := range sh.syncvars {
-			if sv.lastTid < 0 {
-				continue
-			}
-			if sv.lastVer == 0 || sv.lastVer > sh.frontier.Version() {
-				return fmt.Errorf("rfdet: validate: shard %d var %#x release version %d outside domain counter %d",
-					sh.id, uint64(a), sv.lastVer, sh.frontier.Version())
-			}
-			if !sh.frontier.Covers(sv.lastTime) {
-				return fmt.Errorf("rfdet: validate: shard %d var %#x release time %s not covered by domain frontier %s",
-					sh.id, uint64(a), sv.lastTime, sh.frontier.Clock())
 			}
 		}
 	}

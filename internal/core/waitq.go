@@ -36,9 +36,6 @@ func (q *waitq[T]) pop() T {
 	return v
 }
 
-// at returns the i-th queued entry (0 = head) without removing it.
-func (q *waitq[T]) at(i int) T { return q.buf[q.head+i] }
-
 // items returns the queued entries in order, as a read-only view into the
 // backing array (valid until the next push or pop).
 func (q *waitq[T]) items() []T { return q.buf[q.head:] }

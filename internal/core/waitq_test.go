@@ -10,8 +10,8 @@ func TestWaitqFIFO(t *testing.T) {
 	if q.len() != 5 {
 		t.Fatalf("len = %d, want 5", q.len())
 	}
-	if q.at(0) != 0 || q.at(4) != 4 {
-		t.Fatalf("at = %d,%d", q.at(0), q.at(4))
+	if it := q.items(); it[0] != 0 || it[4] != 4 {
+		t.Fatalf("items = %v", it)
 	}
 	for i := 0; i < 5; i++ {
 		if got := q.pop(); got != i {

@@ -3,14 +3,13 @@ package harness
 // Replicated divergence checking — determinism used for what production
 // wants it for. A deterministic runtime turns active replication into a
 // trivial protocol: run k replicas of the same request log and the replicas
-// *must* be byte-identical, whatever host parallelism or commit-monitor
-// sharding each one runs with (Aviram & Ford, "Efficient System-Enforced
-// Deterministic Parallelism"). This file runs k replicas of the KV server
-// workload across differing GOMAXPROCS and commit-monitor shard counts,
-// byte-compares their state hashes, response hashes, full observation logs
-// and virtual times, and reports requests/sec in virtual and host time plus
-// per-request phase breakdowns from the phase trace. A replica whose run
-// aborts is reported as divergent-by-abort, never hung.
+// *must* be byte-identical, whatever host parallelism each one runs with
+// (Aviram & Ford, "Efficient System-Enforced Deterministic Parallelism").
+// This file runs k replicas of the KV server workload across differing
+// GOMAXPROCS, byte-compares their state hashes, response hashes, full
+// observation logs and virtual times, and reports requests/sec in virtual and
+// host time plus per-request phase breakdowns from the phase trace. A replica
+// whose run aborts is reported as divergent-by-abort, never hung.
 
 import (
 	"fmt"
@@ -28,7 +27,7 @@ import (
 // here is host-side strategy: none of it may change a deterministic
 // observable, which is exactly what the divergence check enforces.
 type ReplicaVariant struct {
-	// Name labels the variant in reports ("default/r0", "p4/s1", ...).
+	// Name labels the variant in reports ("ambient/r0", "p4", ...).
 	Name string
 	// Procs pins GOMAXPROCS for the replica's run (0 keeps the ambient
 	// value, so external matrix sweeps stay in control).
@@ -173,17 +172,14 @@ func runOneReplica(cfg workloads.Config, seed uint64, requests int, v ReplicaVar
 	return run
 }
 
-// DefaultVariants returns k replica variants alternating between the
-// default four-domain commit monitor and the single-domain one, all with
-// phase tracing on so the replica table can report per-request phase costs.
-// Procs stays 0: ambient GOMAXPROCS, so CI matrix sweeps control host
-// parallelism externally.
+// DefaultVariants returns k replica variants alternating between the ambient
+// GOMAXPROCS — so CI matrix sweeps control host parallelism externally — and
+// one processor, all with phase tracing on so the replica table can report
+// per-request phase costs.
 func DefaultVariants(k int) []ReplicaVariant {
-	shards1 := core.DefaultOptions()
-	shards1.ShardCount = 1
 	base := []ReplicaVariant{
-		{Name: "default", Opts: core.DefaultOptions()},
-		{Name: "shards1", Opts: shards1},
+		{Name: "ambient", Opts: core.DefaultOptions()},
+		{Name: "p1", Procs: 1, Opts: core.DefaultOptions()},
 	}
 	variants := make([]ReplicaVariant, 0, k)
 	for i := 0; i < k; i++ {
@@ -195,28 +191,24 @@ func DefaultVariants(k int) []ReplicaVariant {
 	return variants
 }
 
-// MatrixVariants returns the full acceptance matrix: GOMAXPROCS {1,4,8} ×
-// commit-monitor shards {1,4} — 6 replicas of the same request log, every
-// one of which must be byte-identical to the rest.
+// MatrixVariants returns the full acceptance matrix: GOMAXPROCS {1,4,8} — 3
+// replicas of the same request log, every one of which must be
+// byte-identical to the rest.
 func MatrixVariants() []ReplicaVariant {
 	var variants []ReplicaVariant
 	for _, procs := range []int{1, 4, 8} {
-		for _, shards := range []int{1, 4} {
-			o := core.DefaultOptions()
-			o.ShardCount = shards
-			variants = append(variants, ReplicaVariant{
-				Name:  fmt.Sprintf("p%d/s%d", procs, shards),
-				Procs: procs,
-				Opts:  o,
-			})
-		}
+		variants = append(variants, ReplicaVariant{
+			Name:  fmt.Sprintf("p%d", procs),
+			Procs: procs,
+			Opts:  core.DefaultOptions(),
+		})
 	}
 	return variants
 }
 
 // ReplicaTable renders the replica-divergence artifact: k replicas of the
-// same KV-server request log across commit-monitor shard counts, their
-// deterministic fingerprints, requests/sec in virtual and host time, and the
+// same KV-server request log (DefaultVariants), their deterministic
+// fingerprints, requests/sec in virtual and host time, and the
 // per-request phase breakdown from the phase trace. It errors if any replica
 // diverges — this table doubles as the end-to-end wall rfdet-bench runs.
 func ReplicaTable(out io.Writer, size workloads.Size, threads, k int) error {

@@ -10,8 +10,8 @@ import (
 )
 
 // TestReplicasAgreeAcrossStacks is the harness-level acceptance check: k=3
-// replicas of the same request log across the four- and single-domain commit
-// monitors must be byte-identical in every fingerprint.
+// replicas of the same request log, at the ambient GOMAXPROCS and at 1, must
+// be byte-identical in every fingerprint.
 func TestReplicasAgreeAcrossStacks(t *testing.T) {
 	cfg := workloads.Config{Threads: 4, Size: workloads.SizeTest}
 	rep := RunServerReplicas(cfg, workloads.DefaultServerSeed, DefaultVariants(3))
@@ -38,11 +38,11 @@ func TestReplicasAgreeAcrossStacks(t *testing.T) {
 }
 
 // TestReplicaMatrixVariantsShape pins the acceptance matrix: GOMAXPROCS
-// {1,4,8} × shards {1,4} = 6 distinct variants.
+// {1,4,8} = 3 distinct variants.
 func TestReplicaMatrixVariantsShape(t *testing.T) {
 	vs := MatrixVariants()
-	if len(vs) != 6 {
-		t.Fatalf("%d matrix variants, want 6", len(vs))
+	if len(vs) != 3 {
+		t.Fatalf("%d matrix variants, want 3", len(vs))
 	}
 	seen := map[string]bool{}
 	for _, v := range vs {
@@ -52,9 +52,6 @@ func TestReplicaMatrixVariantsShape(t *testing.T) {
 		seen[v.Name] = true
 		if v.Procs != 1 && v.Procs != 4 && v.Procs != 8 {
 			t.Fatalf("variant %q procs %d", v.Name, v.Procs)
-		}
-		if v.Opts.ShardCount != 1 && v.Opts.ShardCount != 4 {
-			t.Fatalf("variant %q shards %d", v.Name, v.Opts.ShardCount)
 		}
 	}
 }

@@ -133,9 +133,9 @@ func (rep *Report) Hash() uint64 {
 }
 
 // Detector accumulates slice access records and analyzes them at the end of
-// the run. The runtime records only under the deterministic turn, but
-// commits in different commit-monitor domains share no runtime lock, so the
-// detector carries its own mutex rather than lean on a caller's. The mutex
+// the run. The runtime records only under the deterministic turn, inside its
+// monitor; the detector still carries its own mutex rather than lean on a
+// caller's. The mutex
 // guards only the appends — the report's order comes from Analyze's
 // deterministic sort, never from arrival order, so the report stays
 // byte-identical.

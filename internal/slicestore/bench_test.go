@@ -24,7 +24,7 @@ func BenchmarkSliceStoreChurn(b *testing.B) {
 	const collectEvery = 64
 
 	b.Run("map", func(b *testing.B) {
-		st := NewStriped(1<<30, 90, 4)
+		st := NewStore(1<<30, 90)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			mods := make([]mem.Run, runsPerSlice)

@@ -54,8 +54,7 @@ type segment struct {
 	arena   *alloc.Arena
 }
 
-// epochStripe is one commit lane: threads map to stripes by id, so commits
-// from different monitor domains append under different mutexes.
+// epochStripe is one commit lane: threads map to stripes by id.
 type epochStripe struct {
 	//detvet:lockorder 30
 	mu sync.Mutex //detvet:nativesync commit lane for host-side segment appends; turn order already serializes conflicting commits, the mutex only protects the lane against off-turn elided commits and Collect

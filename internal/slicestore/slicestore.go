@@ -22,7 +22,6 @@ import (
 	"sync/atomic"
 
 	"rfdet/internal/mem"
-	"rfdet/internal/stats"
 	"rfdet/internal/vclock"
 )
 
@@ -84,7 +83,8 @@ type Metrics struct {
 type Store interface {
 	// AllocSnapshot charges one page snapshot to the metadata space (taken
 	// on the first write to a page within a slice, Figure 4). The stripe
-	// hint attributes the charge to the calling thread's accounting cell.
+	// hint attributes the charge to the calling thread's accounting cell
+	// in the epoch store; the map store ignores it.
 	AllocSnapshot(stripe int)
 	// FreeSnapshot releases one page snapshot's accounting: the paper frees
 	// snapshot memory immediately after the byte-granularity modification
@@ -115,8 +115,6 @@ type Store interface {
 	EmptyGCCount() uint64
 	Live() int
 	TotalCreated() uint64
-	Stripes() int
-	StripeUsed(stripe int) int64
 	// Metrics returns implementation-specific counters (zeros for MapStore).
 	Metrics() Metrics
 }
@@ -146,15 +144,11 @@ func (p Pin) Release() {
 // running slice, FreeSnapshot on the off-monitor diff path — never contends
 // with commits or collections. The mutex guards only the live-slice map.
 //
-// Usage is kept twice: one exact atomic (used) that is the capacity budget,
-// and a striped per-domain attribution (perStripe) whose cells sum to used.
-// The budget deliberately stays a single atomic: GC-trigger decisions must
-// see the exact linearized usage at each charge, and a stripe-summed
-// approximation would reintroduce the missed/double-trigger races that
-// Commit's charge-returned value exists to rule out.
+// The budget (used) is a single exact atomic: GC-trigger decisions must see
+// the exact linearized usage at each charge.
 type MapStore struct {
 	//detvet:lockorder 30
-	mu sync.Mutex //detvet:nativesync guards only the live-slice map; charging is lock-free and commits/collections from different monitor domains must not serialize on usage accounting
+	mu sync.Mutex //detvet:nativesync guards only the live-slice map; charging is lock-free, because snapshot accounting runs off the monitor
 	//detvet:guardedby mu
 	slices map[uint64]*Slice
 	//detvet:notguarded fixed at construction, immutable thereafter
@@ -163,7 +157,6 @@ type MapStore struct {
 
 	nextID       atomic.Uint64
 	used         atomic.Int64 // slices + snapshots, bytes (the exact budget)
-	perStripe    *stats.Striped
 	highWater    atomic.Int64
 	gcCount      atomic.Uint64
 	emptyGC      atomic.Uint64
@@ -171,24 +164,13 @@ type MapStore struct {
 }
 
 // NewStore returns a map-backed metadata space with the given capacity (0
-// means DefaultCapacity) and GC threshold percentage (0 means 90), with a
-// single accounting stripe.
+// means DefaultCapacity) and GC threshold percentage (0 means 90).
 func NewStore(capacity uint64, thresholdPct int) *MapStore {
-	return NewStriped(capacity, thresholdPct, 1)
-}
-
-// NewStriped is NewStore with per-domain usage attribution: charges carry a
-// stripe hint (a thread or shard id) and accumulate into one of stripes
-// cache-padded cells, so concurrent accounting from different commit-monitor
-// domains does not bounce a shared cache line for the observability half of
-// the bookkeeping. The stripes always sum to the single exact budget.
-func NewStriped(capacity uint64, thresholdPct, stripes int) *MapStore {
 	capacity, threshold := capacityAndThreshold(capacity, thresholdPct)
 	return &MapStore{
 		slices:      make(map[uint64]*Slice),
 		capacity:    capacity,
 		gcThreshold: threshold,
-		perStripe:   stats.NewStriped(stripes),
 	}
 }
 
@@ -215,19 +197,18 @@ func (st *MapStore) Capacity() uint64 { return st.capacity }
 func (st *MapStore) GCThreshold() uint64 { return st.gcThreshold }
 
 // AllocSnapshot implements Store.
-func (st *MapStore) AllocSnapshot(stripe int) { st.charge(stripe, mem.PageSize) }
+func (st *MapStore) AllocSnapshot(int) { st.charge(mem.PageSize) }
 
 // FreeSnapshot implements Store.
-func (st *MapStore) FreeSnapshot(stripe int) { st.charge(stripe, -mem.PageSize) }
+func (st *MapStore) FreeSnapshot(int) { st.charge(-mem.PageSize) }
 
-// charge adjusts usage by delta, attributes it to the given stripe, and
-// returns the post-add budget value — the exact usage at the instant this
-// charge linearized on the used atomic. Callers deciding anything from the
-// charge (Commit's GC trigger) must use the returned value, never a
-// re-load: between Add and a later Load, a FreeSnapshot on the off-monitor
-// diff path can dip usage back under a threshold the Add crossed.
-func (st *MapStore) charge(stripe int, delta int64) int64 {
-	st.perStripe.Add(stripe, delta)
+// charge adjusts usage by delta and returns the post-add budget value — the
+// exact usage at the instant this charge linearized on the used atomic.
+// Callers deciding anything from the charge (Commit's GC trigger) must use
+// the returned value, never a re-load: between Add and a later Load, a
+// FreeSnapshot on the off-monitor diff path can dip usage back under a
+// threshold the Add crossed.
+func (st *MapStore) charge(delta int64) int64 {
 	used := st.used.Add(delta)
 	for {
 		hw := st.highWater.Load()
@@ -252,7 +233,7 @@ func (st *MapStore) charge(stripe int, delta int64) int64 {
 func (st *MapStore) Commit(s *Slice) (needGC bool) {
 	s.ID = st.nextID.Add(1)
 	st.totalCreated.Add(1)
-	needGC = uint64(st.charge(int(s.Tid), int64(s.Cost()))) >= st.gcThreshold
+	needGC = uint64(st.charge(int64(s.Cost()))) >= st.gcThreshold
 	st.mu.Lock()
 	st.slices[s.ID] = s
 	st.mu.Unlock()
@@ -279,10 +260,8 @@ func (st *MapStore) Collect(frontier vclock.VC) int {
 			delete(st.slices, id)
 		}
 	}
-	// Credit each victim back to the stripe its commit charged, so the
-	// stripes keep summing to the budget.
 	for _, s := range victims {
-		st.charge(int(s.Tid), -int64(s.Cost()))
+		st.charge(-int64(s.Cost()))
 	}
 	st.mu.Unlock()
 	if len(victims) > 0 {
@@ -297,14 +276,6 @@ func (st *MapStore) Collect(frontier vclock.VC) int {
 // so readers never need protection; the returned pin is the released zero
 // value.
 func (st *MapStore) Pin() Pin { return Pin{} }
-
-// Stripes returns the number of usage-attribution stripes.
-func (st *MapStore) Stripes() int { return st.perStripe.Len() }
-
-// StripeUsed returns the usage attributed to one stripe. Stripes are
-// attribution for observability, not budgets; only their sum (== Used when
-// quiescent) is the capacity budget.
-func (st *MapStore) StripeUsed(stripe int) int64 { return st.perStripe.Load(stripe) }
 
 // Used returns the current metadata-space usage in bytes.
 func (st *MapStore) Used() uint64 { return uint64(st.used.Load()) }

@@ -256,7 +256,7 @@ func TestCommitGCDecisionIgnoresConcurrentFrees(t *testing.T) {
 	for i := 0; i < iters; i++ {
 		// Capacity 100 KiB, threshold 90 KiB. Pre-fill with snapshots so the
 		// next commit's charge is exactly what crosses the threshold.
-		st := NewStriped(100*1024, 90, 2)
+		st := NewStore(100*1024, 90)
 		for st.Used()+mem.PageSize <= st.GCThreshold() {
 			st.AllocSnapshot(0)
 		}
@@ -281,37 +281,6 @@ func TestCommitGCDecisionIgnoresConcurrentFrees(t *testing.T) {
 			t.Fatalf("iter %d: commit crossed the GC threshold but needGC = false (usage now %d, threshold %d)",
 				i, st.Used(), st.GCThreshold())
 		}
-	}
-}
-
-func TestStripesSumToBudget(t *testing.T) {
-	st := NewStriped(1<<20, 90, 4)
-	if st.Stripes() != 4 {
-		t.Fatalf("Stripes = %d, want 4", st.Stripes())
-	}
-	st.AllocSnapshot(2)
-	st.Commit(mkSlice(0, vclock.VC{1}, 100))
-	st.Commit(mkSlice(1, vclock.VC{0, 1}, 200))
-	st.Commit(mkSlice(5, vclock.VC{0, 0, 0, 0, 0, 1}, 300)) // tid wraps to stripe 1
-	var sum int64
-	for i := 0; i < st.Stripes(); i++ {
-		sum += st.StripeUsed(i)
-	}
-	if uint64(sum) != st.Used() {
-		t.Fatalf("stripe sum %d != budget %d", sum, st.Used())
-	}
-	// Collection credits each victim back to the stripe its commit charged.
-	st.Collect(vclock.VC{9, 9, 9, 9, 9, 9})
-	st.FreeSnapshot(2)
-	sum = 0
-	for i := 0; i < st.Stripes(); i++ {
-		if u := st.StripeUsed(i); u != 0 {
-			t.Errorf("stripe %d retains %d bytes after full collection", i, u)
-		}
-		sum += st.StripeUsed(i)
-	}
-	if st.Used() != 0 || sum != 0 {
-		t.Fatalf("budget %d / stripe sum %d after full collection, want 0/0", st.Used(), sum)
 	}
 }
 

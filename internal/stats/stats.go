@@ -22,11 +22,10 @@ func Now() time.Time { return time.Now() }
 func Since(t time.Time) time.Duration { return time.Since(t) }
 
 // Striped is a set of independently updated int64 cells, one per stripe,
-// each padded out to its own cache line. Sharded subsystems (the commit
-// monitor domains, the metadata space's per-domain usage attribution) use it
-// so that concurrent bookkeeping from different domains never bounces a
-// shared cache line. Stripe indices are taken modulo the stripe count, so
-// any non-negative hint (a thread id, a shard id) is a valid stripe.
+// each padded out to its own cache line, so that concurrent bookkeeping from
+// different stripes never bounces a shared cache line. Its one user is the
+// epoch store's per-stripe usage attribution. Stripe indices are taken modulo
+// the stripe count, so any non-negative hint (a thread id) is a valid stripe.
 type Striped struct {
 	cells []stripedCell
 }

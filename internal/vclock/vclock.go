@@ -200,43 +200,6 @@ func MeetAll(clocks []VC) VC {
 	return m
 }
 
-// Frontier is a Louvre-style versioned join accumulator: a monotone vector
-// clock fused with a monotone release-version counter (PAPERS.md: *Louvre:
-// Lightweight Ordering Using Versioning for Release Consistency*). Each
-// commit-monitor domain owns one; every release performed in the domain
-// advances it — joining the release timestamp into the frontier clock and
-// stamping the release with the next version. A cross-domain acquire that
-// joins a release timestamp stamped at version v is therefore guaranteed to
-// observe a clock covered by the domain frontier at any version ≥ v, which
-// is the invariant that lets per-domain counters order cross-domain
-// releases without a global serialization point.
-//
-// The zero Frontier is ready to use: the bottom clock at version 0.
-type Frontier struct {
-	v   VC
-	ver uint64
-}
-
-// Advance folds the release timestamp ts into the frontier and returns the
-// release's stamped version (1-based, strictly increasing per frontier).
-func (f *Frontier) Advance(ts VC) uint64 {
-	f.v = f.v.Join(ts)
-	f.ver++
-	return f.ver
-}
-
-// Version returns the number of releases folded into the frontier — the
-// current value of the domain's version counter.
-func (f *Frontier) Version() uint64 { return f.ver }
-
-// Clock returns the frontier clock: the join of every release timestamp
-// advanced so far. Callers must not mutate the returned clock.
-func (f *Frontier) Clock() VC { return f.v }
-
-// Covers reports whether ts ≤ the frontier clock: every release stamped by
-// Advance is covered by the frontier at all later versions.
-func (f *Frontier) Covers(ts VC) bool { return ts.Leq(f.v) }
-
 // String renders the clock as "[a b c]" with trailing zeros trimmed.
 func (v VC) String() string {
 	n := len(v)

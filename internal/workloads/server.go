@@ -101,8 +101,7 @@ func serverProg(cfg Config, seed uint64, poisonAt int) api.ThreadFunc {
 		}
 
 		// Shared layout. Every region is a separate allocation so the KV
-		// shards land in distinct address ranges (and therefore, under the
-		// sharded commit monitor, in distinct domains).
+		// shards land in distinct address ranges.
 		reqLog := t.Malloc(uint64(32 * p.requests))   // op, key, arg, arg2 per request
 		responses := t.Malloc(uint64(8 * p.requests)) // one response word per request
 		shardBase := make([]api.Addr, p.storeShards)  // per shard: lock, 16B slots

@@ -114,41 +114,35 @@ func TestRaceDetectOffByDefault(t *testing.T) {
 	}
 }
 
-// TestRaceDetectShardCountInvariant: the deterministic race report is an
-// observable like any other — it must be byte-identical whether the commit
-// monitor runs as the seed's single global domain or as four sharded
-// domains, at every GOMAXPROCS. Access recording happens turn-held at
-// commit time, so the report order cannot depend on which host mutex
-// covered the commit.
-func TestRaceDetectShardCountInvariant(t *testing.T) {
+// TestRaceDetectReportAcrossGOMAXPROCS: the deterministic race report is an
+// observable like any other — it must be byte-identical at every GOMAXPROCS.
+// Access recording happens turn-held at commit time, so the report order
+// cannot depend on how the host interleaved the threads.
+func TestRaceDetectReportAcrossGOMAXPROCS(t *testing.T) {
 	racey, err := workloads.ByName("racey")
 	if err != nil {
 		t.Fatal(err)
 	}
+	opts := rfdet.DefaultOptions()
+	opts.RaceDetect = true
 	var want string
-	for _, shards := range []int{1, 4} {
-		opts := rfdet.DefaultOptions()
-		opts.ShardCount = shards
-		opts.RaceDetect = true
-		for _, p := range []int{1, 4, 8} {
-			old := runtime.GOMAXPROCS(p)
-			rep, err := rfdet.New(opts).Run(racey.Prog(seedConfig))
-			runtime.GOMAXPROCS(old)
-			if err != nil {
-				t.Fatalf("shards=%d P=%d: %v", shards, p, err)
-			}
-			if rep.Races == nil {
-				t.Fatalf("shards=%d P=%d: no race report", shards, p)
-			}
-			got := rep.Races.String()
-			if want == "" {
-				want = got
-				continue
-			}
-			if got != want {
-				t.Fatalf("shards=%d P=%d: race report differs from the shards=1 P=1 report:\n%s\nvs\n%s",
-					shards, p, got, want)
-			}
+	for _, p := range []int{1, 4, 8} {
+		old := runtime.GOMAXPROCS(p)
+		rep, err := rfdet.New(opts).Run(racey.Prog(seedConfig))
+		runtime.GOMAXPROCS(old)
+		if err != nil {
+			t.Fatalf("P=%d: %v", p, err)
+		}
+		if rep.Races == nil {
+			t.Fatalf("P=%d: no race report", p)
+		}
+		got := rep.Races.String()
+		if want == "" {
+			want = got
+			continue
+		}
+		if got != want {
+			t.Fatalf("P=%d: race report differs from the P=1 report:\n%s\nvs\n%s", p, got, want)
 		}
 	}
 }

@@ -50,8 +50,8 @@
 // last-writer-wins write plans shared across blocked waiters — change only
 // wall-clock time. They are the only paths: the seed-regression goldens,
 // captured from the seed runtime before each was added, pin the
-// equivalence. The host-side choices that remain options (ShardCount,
-// EpochStore) are pinned by the fuzz and seed-regression walls.
+// equivalence. The one host-side choice that remains an option (EpochStore)
+// is pinned by the fuzz and seed-regression walls.
 package rfdet
 
 import (

@@ -12,18 +12,16 @@
 #   6. race tests — `make race`: the packages with real concurrency, under
 #                   -race with GOMAXPROCS oversubscribed (the off-monitor
 #                   diff/apply windows only interleave when the host preempts),
-#                   then 30 runs of the litmus classification test, the
-#                   reproducer of the Wait-handoff race
-#   7. shard sweep— the seed-regression goldens that read RFDET_SHARDS, once
-#                   per commit-monitor domain count: the sharded monitor may
-#                   not be visible to any deterministic observable (the
-#                   metadata-store axis needs no sweep: step 5's
+#                   then 30 runs of the litmus classification test (the
+#                   Makefile says what they are for)
+#   7. churn bench— one iteration of the slice-store churn benchmark so the
+#                   map-vs-epoch comparison stays runnable (the metadata-store
+#                   axis needs no sweep: step 5's
 #                   TestSeedRegressionEpochStoreMatches sets it both ways
-#                   in-process). Plus one iteration of the slice-store churn
-#                   benchmark so the map-vs-epoch comparison stays runnable
+#                   in-process)
 #   8. replicas   — the KV-server divergence check: k=3 replicas of one
-#                   request log across commit-monitor domain counts must
-#                   agree byte-for-byte (rfdet-serve exits 1 on divergence)
+#                   request log, alternating the ambient GOMAXPROCS and 1,
+#                   must agree byte-for-byte (rfdet-serve exits 1 on divergence)
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -50,12 +48,6 @@ go test ./...
 
 echo "==> race tests (GOMAXPROCS=4)"
 make race
-
-echo "==> seed goldens per shard count"
-for shards in 1 4; do
-	echo "    RFDET_SHARDS=$shards"
-	RFDET_SHARDS="$shards" go test -count=1 -run 'TestSeedRegressionTraces|TestSeedRegressionServer$' .
-done
 
 echo "==> slice-store churn benchmark (1 iteration)"
 go test -run=NONE -bench SliceStoreChurn -benchtime=1x ./internal/slicestore/

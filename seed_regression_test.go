@@ -4,9 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"hash/fnv"
-	"os"
 	"runtime"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -45,8 +43,8 @@ const (
 	goldenRaceyVTime  = uint64(24179)
 
 	// KV-server goldens (PR 7), captured at 4 worker threads / SizeTest /
-	// DefaultServerSeed across GOMAXPROCS 1-8 × ShardCount {1,4} — all
-	// identical, as the replica-divergence property demands. The state and
+	// DefaultServerSeed across GOMAXPROCS 1-8 — all identical, as the
+	// replica-divergence property demands. The state and
 	// response hashes are the replica fingerprints the harness compares;
 	// output/vtime/trace pin the full runtime behavior around them.
 	goldenServerOutput = uint64(0x4e54dc625c3bc116)
@@ -61,24 +59,6 @@ var regressionProcs = []int{1, 2, 4, 8}
 
 // seedConfig is the workload configuration the goldens were captured with.
 var seedConfig = workloads.Config{Threads: 4, Size: workloads.SizeTest}
-
-// seedTestOptions returns the configuration the goldens were captured with,
-// honoring the RFDET_SHARDS environment variable so CI can sweep the
-// determinism matrix across commit-monitor domain counts without a test-code
-// change. The goldens are independent of that axis by construction — that
-// independence is exactly what the sweep asserts. A value that is not a
-// positive integer panics: ignoring it would run the default in every cell.
-func seedTestOptions() core.Options {
-	opts := core.DefaultOptions()
-	if s := os.Getenv("RFDET_SHARDS"); s != "" {
-		n, err := strconv.Atoi(s)
-		if err != nil || n <= 0 {
-			panic(fmt.Sprintf("RFDET_SHARDS=%q: want a positive integer", s))
-		}
-		opts.ShardCount = n
-	}
-	return opts
-}
 
 func fnvString(s string) uint64 {
 	h := fnv.New64a()
@@ -123,7 +103,7 @@ func TestSeedRegressionTraces(t *testing.T) {
 		{"wordcount", goldenWordcountOutput, goldenWordcountVTime, goldenWordcountTrace},
 		{"fft", goldenFFTOutput, goldenFFTVTime, goldenFFTTrace},
 	}
-	opts := seedTestOptions()
+	opts := core.DefaultOptions()
 	opts.Trace = true
 	rt := core.New(opts)
 	for _, p := range regressionProcs {
@@ -161,7 +141,7 @@ func TestSeedRegressionTraces(t *testing.T) {
 				runtime.GOMAXPROCS(old)
 				t.Fatal(err)
 			}
-			r, err := rfdet.New(seedTestOptions()).Run(w.Prog(seedConfig))
+			r, err := rfdet.New(core.DefaultOptions()).Run(w.Prog(seedConfig))
 			if err != nil {
 				runtime.GOMAXPROCS(old)
 				t.Fatalf("P=%d run %d racey: %v", p, rep, err)
@@ -177,9 +157,8 @@ func TestSeedRegressionTraces(t *testing.T) {
 }
 
 // TestSeedRegressionServer freezes the KV-server workload like the kernel
-// goldens: at every GOMAXPROCS in {1,2,4,8} (× whatever RFDET_SHARDS the CI
-// matrix pins via seedTestOptions), the traced run must reproduce the exact
-// output hash, virtual time, trace digest, state hash, response hash and
+// goldens: at every GOMAXPROCS in {1,2,4,8}, the traced run must reproduce
+// the exact output hash, virtual time, trace digest, state hash, response hash and
 // full observation digest. These are the replica fingerprints: if one of
 // them moves, replicas built from different checkouts would diverge.
 func TestSeedRegressionServer(t *testing.T) {
@@ -187,7 +166,7 @@ func TestSeedRegressionServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := seedTestOptions()
+	opts := core.DefaultOptions()
 	opts.Trace = true
 	rt := core.New(opts)
 	for _, p := range regressionProcs {
@@ -221,8 +200,8 @@ func TestSeedRegressionServer(t *testing.T) {
 
 // TestSeedRegressionServerReplicas is the replica-divergence matrix body: the
 // golden request log replicated across harness.MatrixVariants (GOMAXPROCS
-// {1,4,8} × shards {1,4}) must agree with each other AND with the pinned
-// golden fingerprints.
+// {1,4,8}) must agree with each other AND with the pinned golden
+// fingerprints.
 func TestSeedRegressionServerReplicas(t *testing.T) {
 	rep := harness.RunServerReplicas(seedConfig, workloads.DefaultServerSeed, harness.MatrixVariants())
 	if rep.Divergent() {
@@ -365,58 +344,6 @@ func TestSeedRegressionPhaseTraceMatches(t *testing.T) {
 	}
 	if err := trace.ValidateChrome(buf.Bytes()); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestSeedRegressionShardCounts replays the seed goldens once per
-// commit-monitor domain count, at several GOMAXPROCS each: the sharded
-// monitor (default four domains) and the seed's single global domain must
-// both hit the exact pre-sharding outputs, virtual times and trace digests.
-// This is the in-tree half of the CI determinism matrix (scripts/verify.sh
-// additionally sweeps RFDET_SHARDS over the whole seed-regression wall).
-func TestSeedRegressionShardCounts(t *testing.T) {
-	goldens := []struct {
-		workload             string
-		output, vtime, trace uint64
-	}{
-		{"wordcount", goldenWordcountOutput, goldenWordcountVTime, goldenWordcountTrace},
-		{"fft", goldenFFTOutput, goldenFFTVTime, goldenFFTTrace},
-	}
-	for _, shards := range []int{1, 4} {
-		opts := core.DefaultOptions()
-		opts.ShardCount = shards
-		opts.Trace = true
-		rt := core.New(opts)
-		for _, p := range []int{1, 4, 8} {
-			old := runtime.GOMAXPROCS(p)
-			for _, g := range goldens {
-				w, err := workloads.ByName(g.workload)
-				if err != nil {
-					runtime.GOMAXPROCS(old)
-					t.Fatal(err)
-				}
-				r, tr, err := rt.RunTraced(w.Prog(seedConfig))
-				if err != nil {
-					runtime.GOMAXPROCS(old)
-					t.Fatalf("shards=%d P=%d %s: %v", shards, p, g.workload, err)
-				}
-				if r.OutputHash != g.output || r.VirtualTime != g.vtime {
-					runtime.GOMAXPROCS(old)
-					t.Fatalf("shards=%d P=%d %s: output=%#x vtime=%d, seed output=%#x vtime=%d",
-						shards, p, g.workload, r.OutputHash, r.VirtualTime, g.output, g.vtime)
-				}
-				if th := fnvString(tr.String()); th != g.trace {
-					runtime.GOMAXPROCS(old)
-					t.Fatalf("shards=%d P=%d %s: trace hash %#x, seed %#x — sharding changed event-level behavior",
-						shards, p, g.workload, th, g.trace)
-				}
-				if want := uint64(shards); r.Stats.MonitorShards != want {
-					runtime.GOMAXPROCS(old)
-					t.Fatalf("shards=%d: Stats.MonitorShards = %d", shards, r.Stats.MonitorShards)
-				}
-			}
-			runtime.GOMAXPROCS(old)
-		}
 	}
 }
 

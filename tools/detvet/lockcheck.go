@@ -23,9 +23,8 @@ import (
 //  2. Lock order. Mutex fields annotated //detvet:lockorder <rank> form a
 //     global acquisition order (documented in DESIGN.md §17); acquiring a
 //     lower-ranked lock while holding a higher-ranked one is an inversion.
-//     Same-rank re-acquisition is allowed: the monitor domains are taken in
-//     ascending shard-id order, which is a runtime invariant, not a static
-//     one.
+//     Two instances of one class may be held together: their order is a
+//     runtime invariant, not a static one.
 //  3. Held-across-blocking. A blocking operation — channel send/receive,
 //     select without default, sync.Cond.Wait, sync.WaitGroup.Wait, or a call
 //     to a function annotated //detvet:blocks — executed while any annotated
@@ -54,11 +53,6 @@ var lockcheck = &Analyzer{
 	Run: runLockcheck,
 }
 
-// wildcardKey is the held-set entry added by //detvet:acquires * (the global
-// rendezvous): it satisfies every guard requirement and every holds
-// precondition until removed by //detvet:releases *.
-const wildcardKey = "*"
-
 // A guardAlt is one alternative of a guardedby specification: either a
 // sibling mutex field of the same struct (resolved against the accessed
 // expression's base) or a class `Type.field` (any held instance of that
@@ -77,11 +71,10 @@ type fieldGuard struct {
 // lockRef is one lock named by a function-level effect annotation, resolved
 // lazily against the function's receiver and parameters.
 type lockRef struct {
-	wildcard bool
-	base     string   // receiver/parameter name ("" for class form)
-	path     []string // field path below the base
-	class    string   // class form: "Type.field"
-	spec     string   // original text, for diagnostics
+	base  string   // receiver/parameter name ("" for class form)
+	path  []string // field path below the base
+	class string   // class form: "Type.field"
+	spec  string   // original text, for diagnostics
 }
 
 // funcEffects are the lock-relevant annotations of one function.
@@ -480,8 +473,8 @@ func (lc *lockcheckState) collectFuncAnnotations(f *ast.File) {
 }
 
 // parseLockRefs parses the space-separated lock specs of one holds/acquires/
-// releases annotation. A spec is `*`, a receiver field name, a `param.field`
-// path, or a `Type.field` class.
+// releases annotation. A spec is a receiver field name, a `param.field` path,
+// or a `Type.field` class.
 func (lc *lockcheckState) parseLockRefs(fd *ast.FuncDecl, pos token.Pos, rest string) []lockRef {
 	specs := strings.Fields(rest)
 	if len(specs) == 0 {
@@ -501,10 +494,6 @@ func (lc *lockcheckState) parseLockRefs(fd *ast.FuncDecl, pos token.Pos, rest st
 	}
 	var refs []lockRef
 	for _, spec := range specs {
-		if spec == "*" {
-			refs = append(refs, lockRef{wildcard: true, spec: spec})
-			continue
-		}
 		parts := strings.Split(spec, ".")
 		switch {
 		case len(parts) == 1:
@@ -599,9 +588,6 @@ func (ff *funcFlow) funcEffectsOf(fd *ast.FuncDecl) *funcEffects {
 // refKey resolves an annotation lockRef against the declared function's
 // receiver/parameter objects, returning the canonical key and class.
 func (ff *funcFlow) refKey(fd *ast.FuncDecl, ref lockRef) (string, string) {
-	if ref.wildcard {
-		return wildcardKey, wildcardKey
-	}
 	if ref.class != "" {
 		return "class:" + ref.class, ref.class
 	}
@@ -948,7 +934,7 @@ func (ff *funcFlow) walkStmt(s ast.Stmt, in flowState) flowState {
 		// The spawned goroutine runs later with its own locks; analyze its
 		// body with an empty held set and leave the caller's state alone.
 		if fl, ok := s.Call.Fun.(*ast.FuncLit); ok {
-			ff.walkStmt(fl.Body, newFlowState())
+			ff.walkFuncLit(fl, newFlowState())
 		}
 		st := in
 		for _, a := range s.Call.Args {
@@ -966,6 +952,15 @@ func (ff *funcFlow) walkStmt(s ast.Stmt, in flowState) flowState {
 		return in
 	}
 	return in
+}
+
+// walkFuncLit analyzes a closure body against the given held set. A return
+// inside it leaves the closure, not the declared function, so it stays out
+// of the exit-balance check.
+func (ff *funcFlow) walkFuncLit(fl *ast.FuncLit, in flowState) {
+	exits := ff.exits
+	ff.walkStmt(fl.Body, in)
+	ff.exits = exits
 }
 
 func (ff *funcFlow) walkLabeled(s *ast.LabeledStmt, in flowState) flowState {
@@ -1422,7 +1417,7 @@ func (ff *funcFlow) walkExpr(e ast.Expr, in flowState, write bool) flowState {
 		// A closure usually runs where it is created (worker bodies are the
 		// exception and are reached via go statements, handled above):
 		// analyze it against the current held set.
-		ff.walkStmt(e.Body, in.clone())
+		ff.walkFuncLit(e, in.clone())
 		return in
 	case *ast.CallExpr:
 		return ff.walkCall(e, in)
@@ -1501,11 +1496,7 @@ func (ff *funcFlow) mutexOp(sel *ast.SelectorExpr, in flowState) (flowState, boo
 		ff.acquire(&st, key, class, sel.Sel.Name == "RLock", sel.Pos())
 	case "Unlock", "RUnlock":
 		if _, held := st.locks[key]; !held {
-			// A held wildcard (//detvet:acquires *) covers unlocks of locks
-			// the analyzer cannot name individually.
-			if _, wild := st.locks[wildcardKey]; !wild {
-				ff.reportOnce(sel.Pos(), "unlock of %s, which is not provably held here", types.ExprString(sel.X))
-			}
+			ff.reportOnce(sel.Pos(), "unlock of %s, which is not provably held here", types.ExprString(sel.X))
 		}
 		delete(st.locks, key)
 	case "TryLock", "TryRLock":
@@ -1520,7 +1511,7 @@ func (ff *funcFlow) mutexOp(sel *ast.SelectorExpr, in flowState) (flowState, boo
 // acquisition keeps the original held entry (and its deferred-release flag)
 // so one bug reports once.
 func (ff *funcFlow) acquire(st *flowState, key, class string, read bool, pos token.Pos) {
-	if _, held := st.locks[key]; held && key != wildcardKey {
+	if _, held := st.locks[key]; held {
 		ff.reportOnce(pos, "lock already held: second acquisition of %s on this path", describeLock(key, class))
 		return
 	}
@@ -1531,7 +1522,7 @@ func (ff *funcFlow) acquire(st *flowState, key, class string, read bool, pos tok
 // checkOrder reports an inversion when a ranked lock is acquired while a
 // strictly higher-ranked lock is held.
 func (ff *funcFlow) checkOrder(st *flowState, class string, pos token.Pos) {
-	if class == "" || class == wildcardKey {
+	if class == "" {
 		return
 	}
 	rank, ok := ff.lc.ranks[class]
@@ -1539,7 +1530,7 @@ func (ff *funcFlow) checkOrder(st *flowState, class string, pos token.Pos) {
 		return
 	}
 	for _, h := range st.locks {
-		if h.class == "" || h.class == wildcardKey || h.class == class {
+		if h.class == "" || h.class == class {
 			continue
 		}
 		heldRank, ok := ff.lc.ranks[h.class]
@@ -1559,9 +1550,6 @@ func (ff *funcFlow) checkOrder(st *flowState, class string, pos token.Pos) {
 func (ff *funcFlow) applyEffects(call *ast.CallExpr, fn *types.Func, eff *funcEffects, in flowState) flowState {
 	st := in.clone()
 	subst := func(ref lockRef) (string, string) {
-		if ref.wildcard {
-			return wildcardKey, wildcardKey
-		}
 		if ref.class != "" {
 			return "class:" + ref.class, ref.class
 		}
@@ -1603,9 +1591,6 @@ func (ff *funcFlow) applyEffects(call *ast.CallExpr, fn *types.Func, eff *funcEf
 // satisfiedExact reports whether a specific lock (by key, or any instance of
 // its class for class-form refs) is held. needWrite demands a write hold.
 func (ff *funcFlow) satisfiedExact(st flowState, key, class string, needWrite bool) bool {
-	if _, ok := st.locks[wildcardKey]; ok {
-		return true
-	}
 	if h, ok := st.locks[key]; ok && !(needWrite && h.read) {
 		return true
 	}
@@ -1683,7 +1668,7 @@ func (ff *funcFlow) checkBlocking(pos token.Pos, what string, st flowState) {
 
 // describeLock renders a lock key for diagnostics, preferring the class.
 func describeLock(key, class string) string {
-	if class != "" && class != wildcardKey {
+	if class != "" {
 		return class
 	}
 	if i := strings.IndexByte(key, '@'); i >= 0 {
@@ -1728,9 +1713,6 @@ func (ff *funcFlow) checkFieldAccess(sel *ast.SelectorExpr, st flowState, write 
 // demand the same base's mutex; class specs accept any held instance. Write
 // access demands a write hold (RLock does not suffice).
 func (ff *funcFlow) guardSatisfied(sel *ast.SelectorExpr, guard *fieldGuard, st flowState, write bool) bool {
-	if _, ok := st.locks[wildcardKey]; ok {
-		return true
-	}
 	for _, alt := range guard.alts {
 		if alt.sibling != "" {
 			key := ff.keyOf(sel.X) + "." + alt.sibling
@@ -1753,30 +1735,21 @@ func (ff *funcFlow) guardSatisfied(sel *ast.SelectorExpr, guard *fieldGuard, st 
 // and every annotated acquires lock must actually be held.
 func (ff *funcFlow) checkExits(fd *ast.FuncDecl, eff *funcEffects, entry flowState) {
 	expected := map[string]bool{}
-	wildcardOK := false
 	if eff != nil {
 		for _, refs := range [][]lockRef{eff.holds, eff.acquires} {
 			for _, ref := range refs {
 				key, _ := ff.refKey(fd, ref)
-				if key == wildcardKey {
-					wildcardOK = true
-				}
 				expected[key] = true
 			}
 		}
 		for _, ref := range eff.releases {
 			key, _ := ff.refKey(fd, ref)
 			delete(expected, key)
-			if key == wildcardKey {
-				wildcardOK = false
-			}
 		}
 	}
 	for _, exit := range ff.exits {
 		for key, h := range exit.locks {
-			// A leftover wildcard is an annotation artifact (seeded by
-			// //detvet:releases *), never a concrete lock.
-			if key == wildcardKey || h.deferred || expected[key] || wildcardOK {
+			if h.deferred || expected[key] {
 				continue
 			}
 			ff.reportOnce(h.pos,
@@ -1784,13 +1757,7 @@ func (ff *funcFlow) checkExits(fd *ast.FuncDecl, eff *funcEffects, entry flowSta
 				describeLock(key, h.class), fd.Name.Name)
 		}
 		for key := range expected {
-			if key == wildcardKey {
-				continue
-			}
 			if _, ok := exit.locks[key]; !ok {
-				if _, wild := exit.locks[wildcardKey]; wild {
-					continue
-				}
 				ff.reportOnce(fd.Name.Pos(),
 					"%s is annotated to hold %s at return, but a path releases it",
 					fd.Name.Name, describeLock(key, ""))

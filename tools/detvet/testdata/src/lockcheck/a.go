@@ -96,7 +96,7 @@ func deferredFuncLit(c *counter) {
 	c.n++
 }
 
-// panicUnwind mirrors relockShard's abort path: the explicit panic
+// panicUnwind mirrors the abort path of core's exec.enter: the explicit panic
 // terminates its branch, so only the locked fall-through reaches the
 // exit-balance check and the acquires annotation is satisfied.
 //

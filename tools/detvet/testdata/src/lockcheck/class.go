@@ -4,8 +4,7 @@ import "sync"
 
 // Class-form guardedby (Type.field) covers state whose guard lives in
 // another struct: any held instance of that mutex class satisfies the
-// access, the way syncVar state is guarded by whichever monitor domain owns
-// it.
+// access, the way core's thread methods reach the fields exec.mu guards.
 
 type registry struct {
 	mu      sync.Mutex //detvet:lockorder 60

@@ -1,86 +1,74 @@
 package lockcheck
 
-import "sync"
+import (
+	"sort"
+	"sync"
+)
 
 // Function-effect annotations cross call boundaries: holds is a call-site
-// precondition, acquires/releases transfer the lock in and out of helper
-// functions, and the * wildcard models dynamic lock sets (the global
-// rendezvous).
+// precondition, and acquires/releases transfer the lock in and out of helper
+// functions.
 
-type shard struct {
+type bucket struct {
 	mu    sync.Mutex //detvet:lockorder 50
 	items []int      //detvet:guardedby mu
 }
 
 // fillLocked appends under the caller's lock.
 //
-//detvet:holds sh.mu
-func fillLocked(sh *shard, v int) {
-	sh.items = append(sh.items, v)
+//detvet:holds b.mu
+func fillLocked(b *bucket, v int) {
+	b.items = append(b.items, v)
 }
 
-// lockShard hands the locked shard back to the caller.
+// lockBucket hands the locked bucket back to the caller.
 //
-//detvet:acquires sh.mu
-func lockShard(sh *shard) {
-	sh.mu.Lock()
+//detvet:acquires b.mu
+func lockBucket(b *bucket) {
+	b.mu.Lock()
 }
 
-// unlockShard releases a shard locked by lockShard.
+// unlockBucket releases a bucket locked by lockBucket.
 //
-//detvet:releases sh.mu
-func unlockShard(sh *shard) {
-	sh.mu.Unlock()
+//detvet:releases b.mu
+func unlockBucket(b *bucket) {
+	b.mu.Unlock()
 }
 
-func callsHelperLocked(sh *shard) {
-	sh.mu.Lock()
-	fillLocked(sh, 1)
-	sh.mu.Unlock()
+func callsHelperLocked(b *bucket) {
+	b.mu.Lock()
+	fillLocked(b, 1)
+	b.mu.Unlock()
 }
 
-func callsHelperUnlocked(sh *shard) {
-	fillLocked(sh, 2) // want "requires shard.mu held"
+func callsHelperUnlocked(b *bucket) {
+	fillLocked(b, 2) // want "requires bucket.mu held"
 }
 
-func usesAcquireRelease(sh *shard) {
-	lockShard(sh)
-	sh.items = nil
-	unlockShard(sh)
+func usesAcquireRelease(b *bucket) {
+	lockBucket(b)
+	b.items = nil
+	unlockBucket(b)
 }
 
-func forgetsRelease(sh *shard) {
-	lockShard(sh) // want "may still be held when forgetsRelease returns"
-	sh.items = nil
+func forgetsRelease(b *bucket) {
+	lockBucket(b) // want "may still be held when forgetsRelease returns"
+	b.items = nil
 }
 
-// lockAll models the global rendezvous: it acquires a dynamic set of locks
-// the analyzer cannot name individually.
-//
-//detvet:acquires *
-func lockAll(sh *shard) {
-	sh.mu.Lock()
-}
-
-// unlockAll releases everything lockAll took.
-//
-//detvet:releases *
-func unlockAll(sh *shard) {
-	sh.mu.Unlock()
-}
-
-func rendezvous(sh *shard) int {
-	lockAll(sh)
-	n := len(sh.items)
-	unlockAll(sh)
-	return n
+// closureReturn returns from a closure with the lock held; that is not an
+// exit of the function.
+func closureReturn(b *bucket) {
+	lockBucket(b)
+	sort.Slice(b.items, func(i, j int) bool { return b.items[i] < b.items[j] })
+	unlockBucket(b)
 }
 
 // aliasLock binds the lock through a local alias; the canonical key must
 // match the direct spelling.
-func aliasLock(sh *shard) {
-	m := &sh.mu
+func aliasLock(b *bucket) {
+	m := &b.mu
 	m.Lock()
-	sh.items = append(sh.items, 3)
+	b.items = append(b.items, 3)
 	m.Unlock()
 }

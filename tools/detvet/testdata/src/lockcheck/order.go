@@ -32,8 +32,8 @@ func inverted(o *outer, i *inner) {
 }
 
 func sameClassPair(a, b *inner) {
-	// Same-rank re-acquisition across distinct instances is allowed (the
-	// monitor takes its domains in ascending shard-id order at runtime).
+	// Two instances of one class may be held together: which goes first is
+	// a runtime invariant the ranks do not express.
 	a.mu.Lock()
 	b.mu.Lock()
 	b.y = a.y
