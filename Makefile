@@ -2,6 +2,9 @@ GO ?= go
 
 .PHONY: verify build test race bench fmt vet detvet
 
+# Every go test here passes -timeout 120s: a hang costs two minutes, not go
+# test's default ten.
+
 verify:
 	sh scripts/verify.sh
 
@@ -9,7 +12,7 @@ build:
 	$(GO) build ./...
 
 test:
-	$(GO) test ./...
+	$(GO) test -timeout 120s ./...
 
 # race runs the packages with real concurrency under -race with GOMAXPROCS
 # oversubscribed; scripts/verify.sh calls this target, so the list lives here.
@@ -22,11 +25,11 @@ test:
 # PR 18's unlocked read of the condvar queue was such a touch and showed once
 # in 30-100 runs of this test, hence the count.
 race:
-	GOMAXPROCS=4 $(GO) test -race ./internal/core/ ./internal/mem/ ./internal/slicestore/ ./internal/alloc/ ./internal/kendo/
-	GOMAXPROCS=4 $(GO) test -race -count=30 -run TestRaceDetectLitmusClassification .
+	GOMAXPROCS=4 $(GO) test -timeout 120s -race ./internal/core/ ./internal/mem/ ./internal/slicestore/ ./internal/alloc/ ./internal/kendo/
+	GOMAXPROCS=4 $(GO) test -timeout 120s -race -count=30 -run TestRaceDetectLitmusClassification .
 
 bench:
-	$(GO) test -run xxx -bench . -benchtime 10x .
+	$(GO) test -timeout 120s -run xxx -bench . -benchtime 10x .
 
 fmt:
 	gofmt -w .

@@ -139,11 +139,12 @@ func DefaultOptions() Options {
 // Runtime is an RFDet deterministic multithreading runtime. It satisfies
 // api.Runtime; each Run call is an independent deterministic execution.
 type Runtime struct {
-	opts Options
+	opts  Options
+	chunk chunking // tickChunk; only TestDeterminismIndependentOfChunk sets anything else
 }
 
 // New returns an RFDet runtime with the given options.
-func New(opts Options) *Runtime { return &Runtime{opts: opts} }
+func New(opts Options) *Runtime { return &Runtime{opts: opts, chunk: tickChunk} }
 
 // Name returns "rfdet-ci" or "rfdet-pf".
 func (r *Runtime) Name() string { return "rfdet-" + r.opts.Monitor.String() }
@@ -161,6 +162,7 @@ var errAborted = errors.New("rfdet: execution aborted")
 // deterministic turn, so every access sequence is deterministic.
 type exec struct {
 	opts   Options
+	chunk  chunking // when a thread publishes its Kendo clock (thread.tick)
 	sched  *kendo.Sched
 	alloc  *alloc.Allocator
 	store  slicestore.Store
@@ -292,7 +294,7 @@ type signalRecord struct {
 	vt  vtime.Time
 }
 
-func newExec(opts Options) *exec {
+func newExec(opts Options, chunk chunking) *exec {
 	if opts.MetadataCapacity == 0 {
 		opts.MetadataCapacity = slicestore.DefaultCapacity
 	}
@@ -302,6 +304,7 @@ func newExec(opts Options) *exec {
 	}
 	e := &exec{
 		opts:     opts,
+		chunk:    chunk,
 		sched:    kendo.NewSched(),
 		alloc:    alloc.New(),
 		syncvars: make(map[api.Addr]*syncVar),
@@ -333,7 +336,7 @@ func (r *Runtime) Run(main api.ThreadFunc) (*api.Report, error) {
 // Options.Trace is set). The trace must be byte-identical across runs of
 // the same program — the event-level form of the determinism guarantee.
 func (r *Runtime) RunTraced(main api.ThreadFunc) (*api.Report, *Trace, error) {
-	e := newExec(r.opts)
+	e := newExec(r.opts, r.chunk)
 	if r.opts.Trace {
 		e.tracer = &tracer{}
 	}
@@ -459,6 +462,7 @@ func (e *exec) threadExit(t *thread, abnormal bool) {
 		// Exit is a synchronization (release) operation: take the turn so
 		// the exit point is deterministic.
 		ts := t.tb.Now()
+		t.publish(0, e.chunk.first)
 		if ok, waited := e.sched.WaitForTurn(t.proc); ok {
 			if waited {
 				t.st.TurnWaits++

@@ -116,6 +116,38 @@ func TestPublishedSliceOwnsItsBytes(t *testing.T) {
 	}
 }
 
+// TestParallelDiffBeyondThePageCache: the diff workers read the space while
+// its owner diffs inline, so nothing they call may write it — the page cache's
+// refill on a miss least of all. One slice stores to 40 pages, more than the
+// cache holds and ids 0, 16 and 32 in one slot, so most lookups in the fan-out
+// miss; the cut at GOMAXPROCS 4 must equal the sequential one run for run, and
+// `make race` must see no write.
+func TestParallelDiffBeyondThePageCache(t *testing.T) {
+	const pages = 40
+	cut := func(procs int) (*slicestore.Slice, uint64) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs)) // newExec sizes the diff pool from it
+		th := cutThread()
+		for round := uint64(1); round <= 2; round++ { // the second pass stores to snapshotted pages
+			for p := 0; p < pages; p++ {
+				for off := 0; off < mem.PageSize; off += 16 {
+					th.Store64(api.Addr(p*mem.PageSize+off), round<<32|uint64(p)<<16|uint64(off))
+				}
+			}
+		}
+		return th.finishSlice(), th.space.Hash()
+	}
+	want, wantHash := cut(1)
+	if want == nil || len(want.Mods) == 0 || want.Bytes == 0 {
+		t.Fatalf("sequential cut = %+v", want)
+	}
+	for i := 0; i < 20; i++ {
+		got, hash := cut(4)
+		if got == nil || !sameMods(got.Mods, want.Mods) || got.Bytes != want.Bytes || hash != wantHash {
+			t.Fatalf("run %d: the fanned-out cut differs from the sequential one", i)
+		}
+	}
+}
+
 // TestWarmCutAllocatesWhatTheSliceOwns: a cut on a thread that has cut
 // before allocates the Slice, its clock, its run list and its payload block,
 // and nothing else.

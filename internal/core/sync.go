@@ -54,6 +54,7 @@ import (
 // operation (§4.1). It panics with errAborted if the execution failed.
 func (t *thread) turn() {
 	ts := t.tb.Now()
+	t.publish(0, t.exec.chunk.first)
 	ok, waited := t.exec.sched.WaitForTurn(t.proc)
 	if waited {
 		t.st.TurnWaits++
@@ -70,7 +71,7 @@ func (t *thread) turn() {
 // bumping earlier could make another thread eligible and let it contend for
 // the monitor nondeterministically.
 func (t *thread) finishOpLocked() {
-	t.proc.Tick(2)
+	t.publish(2, t.exec.chunk.first)
 }
 
 // Lock implements pthread_mutex_lock (§4.1). Whether the current slice ends

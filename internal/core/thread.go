@@ -47,6 +47,10 @@ type thread struct {
 	// noComm marks a thread the programmer hinted as never-communicating
 	// (Options.NoCommHint): its clock is excluded from the GC frontier.
 	noComm bool
+	// lag is the ticks not yet published to proc's clock, 1<<shift the lag that
+	// publishes them (tick); both sit in the flags' padding.
+	shift uint8
+	lag   uint32
 
 	// slicePtrs is the happens-before-ordered list of all slices visible to
 	// this thread (§4.3). It is mutated only by a turn holder: this thread's
@@ -132,9 +136,40 @@ type threadScratch struct {
 // ID returns the deterministic thread ID.
 func (t *thread) ID() api.ThreadID { return t.id }
 
+// chunking is when a thread publishes its Kendo clock: at a lag of 1<<first
+// ticks after an operation, doubling with each publication up to 1<<last.
+type chunking struct{ first, last uint8 }
+
+// tickChunk, 1 to 64 ticks, is every execution's but one test's. Kendo publishes
+// a chunk at a time too (§4.1); a largest chunk of 16, 64 or 256 reads the same
+// on every workload (EXPERIMENTS.md, "Access fast path"), and 64 is ~0.5 µs.
+var tickChunk = chunking{0, 6}
+
+// tick counts n instructions. The published clock only ever lags the true one:
+// a waiter is admitted later than under exact clocks, never earlier, and the
+// (clock, tid) admission order is unchanged (DESIGN.md §6). The chunk doubles
+// because a thread fresh from an operation held the smallest clock: the waiters
+// it will pass sit a few ticks ahead, and one d ticks ahead is admitted within
+// 2d (a fixed chunk cost water_ns, 2–10 ticks between operations, 2–3.5%).
+func (t *thread) tick(n uint64) {
+	if l := uint64(t.lag) + n; l < 1<<(t.shift&63) {
+		t.lag = uint32(l)
+	} else {
+		t.publish(n, min(t.shift+1, t.exec.chunk.last))
+	}
+}
+
+// publish makes the Kendo clock exact, plus extra. turn, threadExit and
+// finishOpLocked — every way a Running thread stops ticking — start with it,
+// and restart the chunk at chunk.first.
+func (t *thread) publish(extra uint64, shift uint8) {
+	t.proc.Tick(uint64(t.lag) + extra)
+	t.lag, t.shift = 0, shift
+}
+
 // Tick advances the Kendo logical clock and virtual time by n instructions.
 func (t *thread) Tick(n uint64) {
-	t.proc.Tick(n)
+	t.tick(n)
 	t.vt += vtime.Time(n) * vtime.MemOp
 }
 
@@ -144,18 +179,18 @@ func (t *thread) Observe(vals ...uint64) {
 }
 
 //
-// Memory accesses. Every load/store ticks the Kendo clock by one, mirroring
-// the paper's per-basic-block memory-instruction counting (§4.1).
+// Memory accesses. Every load/store counts one tick, as the paper's per-basic-
+// block instrumentation does (§4.1); tick publishes them a chunk at a time.
 //
 
 func (t *thread) loadTick() {
-	t.proc.Tick(1)
+	t.tick(1)
 	t.st.Loads++
 	t.vt += vtime.MemOp
 }
 
 func (t *thread) storeTick() {
-	t.proc.Tick(1)
+	t.tick(1)
 	t.st.Stores++
 	t.vt += vtime.MemOp
 }
@@ -171,7 +206,7 @@ func (t *thread) recordStore(a, n uint64) {
 	t.vt += vtime.StoreCheck
 	first, last := mem.PageOf(a), mem.PageOf(a+n-1)
 	for pid := first; ; pid++ {
-		if _, ok := t.snapshots[pid]; !ok {
+		if !t.snapshotted(pid) {
 			// Pending lazy modifications must land before the snapshot so
 			// the diff baseline reflects everything that happens-before
 			// this slice.
@@ -186,6 +221,13 @@ func (t *thread) recordStore(a, n uint64) {
 			break
 		}
 	}
+}
+
+// snapshotted reports whether the current slice holds a snapshot of page pid;
+// snapOrder's tail, the likeliest page to be stored to next, skips the map.
+func (t *thread) snapshotted(pid mem.PageID) bool {
+	n := len(t.snapOrder)
+	return n > 0 && t.snapOrder[n-1] == pid || t.snapshots[pid] != nil
 }
 
 // pendPatchFor returns (creating if needed) the pending patch for page pid.
@@ -222,7 +264,7 @@ func (t *thread) onFault(pid mem.PageID, write bool) {
 		}
 	}
 	if t.monitoring && t.exec.opts.Monitor == MonitorPF {
-		if _, ok := t.snapshots[pid]; !ok {
+		if !t.snapshotted(pid) {
 			if write {
 				t.st.PageFaults++
 				t.vt += vtime.Fault
@@ -280,7 +322,7 @@ func (t *thread) ReadBytes(a api.Addr, buf []byte) {
 	if len(buf) == 0 {
 		return
 	}
-	t.proc.Tick(uint64(len(buf)))
+	t.tick(uint64(len(buf)))
 	t.st.Loads++
 	t.vt += vtime.Time(len(buf)) * vtime.MemOp
 	t.space.ReadBytes(uint64(a), buf)
@@ -290,7 +332,7 @@ func (t *thread) WriteBytes(a api.Addr, data []byte) {
 	if len(data) == 0 {
 		return
 	}
-	t.proc.Tick(uint64(len(data)))
+	t.tick(uint64(len(data)))
 	t.st.Stores++
 	t.vt += vtime.Time(len(data)) * vtime.MemOp
 	t.recordStore(uint64(a), uint64(len(data)))
@@ -433,6 +475,9 @@ func (t *thread) runDiffTask(i int) {
 // one []mem.Run, one payload block every Run.Data sub-slices — and never a
 // byte of scratch, which the next cut overwrites while the store holds this.
 func (t *thread) finishSlice() *slicestore.Slice {
+	if t.exec.opts.Validate && !t.space.CacheConsistent() {
+		panic("page cache disagrees with the page table")
+	}
 	t.harvestReads()
 	if len(t.snapOrder) == 0 {
 		t.space.ResetDirty()

@@ -60,7 +60,7 @@ func (tr *tracer) record(t *thread, op string, addr api.Addr) {
 		seq:   t.traceSeq,
 		op:    op,
 		addr:  addr,
-		clock: t.proc.Clock(),
+		clock: t.proc.Clock() + uint64(t.lag),
 		vtime: t.vtime.Clone(),
 	}
 	t.traceSeq++

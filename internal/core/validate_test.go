@@ -26,7 +26,7 @@ func fakeThread(e *exec, id int, v vclock.VC) *thread {
 }
 
 func newTestExec() *exec {
-	return newExec(Options{})
+	return newExec(Options{}, tickChunk)
 }
 
 func sliceWith(tid int32, time vclock.VC) *slicestore.Slice {
@@ -122,7 +122,7 @@ func TestValidatorCatchesStaleMark(t *testing.T) {
 // TestValidatorReportsCollectMismatch: a window/full-scan disagreement
 // recorded during the run is what validation returns.
 func TestValidatorReportsCollectMismatch(t *testing.T) {
-	e := newExec(Options{Validate: true})
+	e := newExec(Options{Validate: true}, tickChunk)
 	reader := fakeThread(e, 0, vclock.VC{1, 0})
 	from := fakeThread(e, 1, vclock.VC{1, 9})
 	from.slicePtrs = []*slicestore.Slice{sliceWith(1, vclock.VC{0, 4}), sliceWith(1, vclock.VC{0, 7})}

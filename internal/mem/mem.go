@@ -83,9 +83,21 @@ func (p *Page) Shared() bool { return atomic.LoadInt32(&p.refs) > 1 }
 // instruction restarts after mprotect in the real system.
 type FaultHandler func(p PageID, write bool)
 
+// pageCacheSize is the slot count of a Space's direct-mapped page cache. One
+// slot thrashes on matmul, which alternates between an A page and a B page;
+// Space is 4,264 bytes in the 4,864-byte size class, so ≤ 32 slots are free.
+const pageCacheSize = 16
+
 // Space is one thread's private view of the shared address range.
 type Space struct {
 	pages map[PageID]*Page
+	// cache[id%pageCacheSize] is {id, pages[id]} or has a nil p: the pointer
+	// only — writablePage still tests Shared — so Clone leaves it alone, and
+	// never &zero. Only the space's owner touches it (PageData goes round it).
+	cache [pageCacheSize]struct {
+		id PageID
+		p  *Page
+	}
 	// prot holds explicit per-page protections; pages without an entry use
 	// defaultProt. ProtectAll works by swapping defaultProt (one "mprotect
 	// of the whole mapping"), which also covers pages that are not resident
@@ -156,6 +168,18 @@ func (s *Space) Release() {
 		p.Unref()
 		delete(s.pages, id)
 	}
+	clear(s.cache[:])
+}
+
+// CacheConsistent reports whether every cache slot agrees with the page table
+// (Options.Validate asks at each slice end; no access pays for it).
+func (s *Space) CacheConsistent() bool {
+	for _, c := range s.cache {
+		if c.p != nil && c.p != s.pages[c.id] {
+			return false
+		}
+	}
+	return true
 }
 
 // PageCount returns the number of resident pages.
@@ -191,7 +215,12 @@ func (s *Space) Pages(fn func(PageID, *Page)) {
 
 // readPage returns the page for reading; unmapped pages read as zeros.
 func (s *Space) readPage(id PageID) *Page {
+	c := &s.cache[id%pageCacheSize]
+	if c.id == id && c.p != nil {
+		return c.p
+	}
 	if p, ok := s.pages[id]; ok {
+		c.id, c.p = id, p
 		return p
 	}
 	return &s.zero
@@ -200,19 +229,22 @@ func (s *Space) readPage(id PageID) *Page {
 // writablePage returns a page that may be written in place, performing the
 // copy-on-write if the page is shared or absent.
 func (s *Space) writablePage(id PageID) *Page {
+	c := &s.cache[id%pageCacheSize]
+	if c.id == id && c.p != nil && !c.p.Shared() {
+		return c.p
+	}
 	p, ok := s.pages[id]
 	if !ok {
 		p = NewPage()
 		s.pages[id] = p
-		return p
-	}
-	if p.Shared() {
+	} else if p.Shared() {
 		np := NewPage()
 		np.Data = p.Data
 		p.Unref()
-		s.pages[id] = np
-		return np
+		p = np
+		s.pages[id] = p
 	}
+	c.id, c.p = id, p
 	return p
 }
 
@@ -401,9 +433,13 @@ func (s *Space) Snapshot(id PageID) []byte {
 }
 
 // PageData returns the current contents of page id for read-only use (the
-// returned slice aliases the live page; do not retain it across writes).
+// returned slice aliases the live page; do not retain it across writes). The
+// diff workers call it at once: it reads the table and never fills the cache.
 func (s *Space) PageData(id PageID) []byte {
-	return s.readPage(id).Data[:]
+	if p, ok := s.pages[id]; ok {
+		return p.Data[:]
+	}
+	return s.zero.Data[:]
 }
 
 // Hash folds every resident page into a 64-bit FNV digest, in ascending page

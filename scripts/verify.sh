@@ -22,6 +22,9 @@
 #   8. replicas   — the KV-server divergence check: k=3 replicas of one
 #                   request log, alternating the ambient GOMAXPROCS and 1,
 #                   must agree byte-for-byte (rfdet-serve exits 1 on divergence)
+#
+# Every go test here and in the Makefile passes -timeout 120s: a hung
+# execution fails its step after two minutes, not go test's default ten.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -44,13 +47,13 @@ echo "==> go build ./..."
 go build ./...
 
 echo "==> go test ./..."
-go test ./...
+go test -timeout 120s ./...
 
 echo "==> race tests (GOMAXPROCS=4)"
 make race
 
 echo "==> slice-store churn benchmark (1 iteration)"
-go test -run=NONE -bench SliceStoreChurn -benchtime=1x ./internal/slicestore/
+go test -timeout 120s -run=NONE -bench SliceStoreChurn -benchtime=1x ./internal/slicestore/
 
 echo "==> replica divergence check (k=3)"
 go run ./cmd/rfdet-serve -size test -threads 4 -replicas 3
