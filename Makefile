@@ -16,8 +16,8 @@ test:
 
 # race runs the packages with real concurrency under -race with GOMAXPROCS
 # oversubscribed; scripts/verify.sh calls this target, so the list lives here.
-# internal/mem is on it because the diff workers write disjoint regions of one
-# shared staging buffer and patches and plans cross goroutines through pools.
+# internal/mem is on it because patches and plans cross goroutines through
+# pools and a waker pre-merges into a blocked peer's space.
 # The second line runs the root package's condvar-heavy litmus test 30 times.
 # A Wait's handoff wakes a thread that wins the turn at once, so its next
 # operation overlaps the waker's tail: the one place two monitor sections

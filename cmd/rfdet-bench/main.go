@@ -3,7 +3,6 @@
 //	rfdet-bench figure7   execution time normalized to pthreads (Figure 7)
 //	rfdet-bench table1    per-benchmark profiling data (Table 1)
 //	rfdet-bench propagation  write-plan propagation profile
-//	rfdet-bench slicestore  metadata-store profile: map vs epoch store (DESIGN.md §16)
 //	rfdet-bench phases    phase-level wall-clock breakdown (observability)
 //	rfdet-bench figure8   scalability, 2→4→8 threads (Figure 8)
 //	rfdet-bench figure9   prelock / lazy-writes optimization study (Figure 9)
@@ -102,7 +101,7 @@ func main() {
 	tracePath := flag.String("trace", "", "write a Chrome-trace phase timeline of one workload to this file")
 	traceWorkload := flag.String("traceworkload", "wordcount", "workload to trace with -trace")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: rfdet-bench [flags] figure7|table1|propagation|slicestore|phases|figure8|figure9|racey|litmus|racetable|replicas|lint|all\n")
+		fmt.Fprintf(os.Stderr, "usage: rfdet-bench [flags] figure7|table1|propagation|phases|figure8|figure9|racey|litmus|racetable|replicas|lint|all\n")
 		fmt.Fprintf(os.Stderr, "       rfdet-bench [flags] validate-trace <file>\n")
 		fmt.Fprintf(os.Stderr, "       rfdet-bench [flags] -trace out.json\n")
 		flag.PrintDefaults()
@@ -144,8 +143,6 @@ func main() {
 		err = harness.Table1(os.Stdout, sz, *threads)
 	case "propagation":
 		err = harness.PropagationTable(os.Stdout, sz, *threads)
-	case "slicestore":
-		err = harness.SliceStoreTable(os.Stdout, sz, *threads)
 	case "phases":
 		err = harness.PhaseTable(os.Stdout, sz, *threads)
 	case "figure8":

@@ -130,8 +130,8 @@ func printReport(runtime, workload string, cfg workloads.Config, rep *api.Report
 		s.Locks, s.Unlocks, s.Waits, s.Signals, s.Forks, s.Joins, s.Barriers, s.AtomicsOps)
 	fmt.Printf("  memory ops:    %d (%d loads, %d stores, %d with page copy)\n",
 		s.MemOps(), s.Loads, s.Stores, s.StoresWithCopy)
-	fmt.Printf("  memory:        shared %d KB, runtime %d KB, metadata %d KB of %d KB (GC passes: %d)\n",
-		s.SharedMemBytes/1024, s.RuntimeMemBytes/1024, s.MetadataBytes/1024, s.MetadataCapacity/1024, s.GCCount)
+	fmt.Printf("  memory:        shared %d KB, runtime %d KB, metadata %d KB of %d KB (GC passes: %d, %d more reclaimed nothing)\n",
+		s.SharedMemBytes/1024, s.RuntimeMemBytes/1024, s.MetadataBytes/1024, s.MetadataCapacity/1024, s.GCCount, s.GCEmptyPasses)
 	if s.SlicesCreated > 0 {
 		fmt.Printf("  slices:        %d created, %d merged away, %d propagated (%d+%d filtered), %d KB moved\n",
 			s.SlicesCreated, s.SlicesMerged, s.SlicesPropagated,
@@ -144,10 +144,6 @@ func printReport(runtime, workload string, cfg workloads.Config, rep *api.Report
 	if s.DirtyExtents > 0 {
 		fmt.Printf("  dirty extents: %d consumed; diffs scanned %d KB, skipped %d KB\n",
 			s.DirtyExtents, s.DiffBytesScanned/1024, s.DiffBytesSkipped/1024)
-	}
-	if s.ArenaBytesInterned > 0 {
-		fmt.Printf("  arena intern:  %d KB of slice payload copied into epoch segments\n",
-			s.ArenaBytesInterned/1024)
 	}
 	if s.RaceRecords > 0 {
 		fmt.Printf("  race detect:   %d access records, %d KB of harvested read sets\n",

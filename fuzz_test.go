@@ -412,48 +412,3 @@ func TestFuzzHostParallelismAgrees(t *testing.T) {
 		}
 	}
 }
-
-// TestFuzzEpochStoreAgrees: the epoch-based metadata store must be invisible
-// to every deterministic observable. This is a strict equivalence: the store only changes *how* collected slices'
-// bytes are reclaimed (whole arena-backed segments vs a map sweep) and how
-// commit payloads are owned (interned vs caller-retained) — never which
-// slices exist, which propagation filters pass, or when GC passes run. Even
-// racy programs, under either store, with the full optimization stack, at
-// any GOMAXPROCS, must produce bit-identical output hashes AND virtual times.
-func TestFuzzEpochStoreAgrees(t *testing.T) {
-	seeds := 10
-	if testing.Short() {
-		seeds = 3
-	}
-	bases := []rfdet.Options{
-		{Monitor: rfdet.MonitorCI},
-		{Monitor: rfdet.MonitorPF},
-		{Monitor: rfdet.MonitorCI, SliceMerging: true, Prelock: true, LazyWrites: true},
-		{Monitor: rfdet.MonitorPF, SliceMerging: true, Prelock: true, LazyWrites: true},
-	}
-	for seed := int64(1700); seed < 1700+int64(seeds); seed++ {
-		prog := fuzzProgram(seed, false)
-		for _, base := range bases {
-			var firstOut, firstVT uint64
-			haveFirst := false
-			for _, epoch := range []bool{false, true} {
-				for _, procs := range []int{1, 2, 4, 8} {
-					old := runtime.GOMAXPROCS(procs)
-					o := base
-					o.EpochStore = epoch
-					rep, err := rfdet.New(o).Run(prog)
-					runtime.GOMAXPROCS(old)
-					if err != nil {
-						t.Fatalf("seed %d opts %+v epoch=%v P=%d: %v", seed, base, epoch, procs, err)
-					}
-					if !haveFirst {
-						firstOut, firstVT, haveFirst = rep.OutputHash, rep.VirtualTime, true
-					} else if rep.OutputHash != firstOut || rep.VirtualTime != firstVT {
-						t.Fatalf("seed %d opts %+v epoch=%v P=%d: store changed the result (output %#x vtime %d != %#x %d)",
-							seed, base, epoch, procs, rep.OutputHash, rep.VirtualTime, firstOut, firstVT)
-					}
-				}
-			}
-		}
-	}
-}

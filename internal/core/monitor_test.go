@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"rfdet/internal/api"
+	"rfdet/internal/workloads"
 )
 
 // waitPrelockProg produces the one scenario where the release performed
@@ -276,5 +277,32 @@ func TestOffMonitorDeterminism(t *testing.T) {
 	}
 	if runs < 20 {
 		t.Fatalf("expected >= 20 runs, got %d", runs)
+	}
+}
+
+// TestOneMonitorSectionPerOperation: an operation enters the monitor once and
+// a thread once more to exit, so on the four benchmark programs
+// Stats.MonitorAcquires is the operation count plus the thread count. A
+// section given up midway and re-entered counts twice and breaks the sum.
+func TestOneMonitorSectionPerOperation(t *testing.T) {
+	for _, p := range []struct {
+		name string
+		prog api.ThreadFunc
+	}{
+		{"kv_server", workloads.ServerSeeded(workloads.Config{Threads: 4, Size: workloads.SizeTest}, workloads.DefaultServerSeed)},
+		{"water_ns", workloads.WaterNS(workloads.Config{Threads: 4, Size: workloads.SizeSmall})},
+		{"fft", workloads.FFT(workloads.Config{Threads: 4, Size: workloads.SizeMedium})},
+		{"matmul", workloads.MatrixMultiply(workloads.Config{Threads: 4, Size: workloads.SizeMedium})},
+	} {
+		rep, err := New(DefaultOptions()).Run(p.prog)
+		if err != nil {
+			t.Fatalf("%s: %v", p.name, err)
+		}
+		s := &rep.Stats
+		ops := s.Locks + s.Unlocks + s.Waits + s.Signals + s.Forks + s.Joins + s.Barriers + s.AtomicsOps
+		if want := ops + uint64(rep.Threads); s.MonitorAcquires != want {
+			t.Errorf("%s: %d monitor sections for %d operations and %d exits, want %d",
+				p.name, s.MonitorAcquires, ops, rep.Threads, want)
+		}
 	}
 }

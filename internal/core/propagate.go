@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"rfdet/internal/api"
 	"rfdet/internal/mem"
@@ -36,7 +35,8 @@ import (
 // actually orders the lists). Applying the collected modification runs
 // touches only the acquirer's private address space: for the acquire paths —
 // where the applying thread owns its space — it runs off the monitor, after
-// the operation leaves it. The prelock pre-merge and the barrier merge
+// the operation leaves it (an atomic, which reads the word inside its
+// section, applies there). The prelock pre-merge and the barrier merge
 // instead mutate *blocked* threads' spaces, which is only sound while the
 // monitor proves they stay blocked, so those applications remain inside it.
 
@@ -168,11 +168,6 @@ func (t *thread) forgetMarks() {
 // and a micro-slice carries one run), so there is nothing to coalesce.
 const planCoalesceMin = 2
 
-// minBytesForParallelApply is the plan size below which fanning per-page
-// copies out to the worker pool is not worth the goroutine handoff; mirrors
-// minBytesForParallelDiff.
-const minBytesForParallelApply = 4 * mem.PageSize
-
 // buildPlan collapses an ordered slice list into a last-writer-wins write
 // plan and accounts the coalesced-away bytes to t (the thread doing the
 // build).
@@ -273,7 +268,7 @@ func (t *thread) applySlicesPlanned(slices []*slicestore.Slice, plan *mem.WriteP
 		if t.pending != nil {
 			t.pendPlan(plan)
 		} else {
-			t.applyPlanToSpace(plan)
+			t.space.ApplyPlan(plan)
 		}
 		if ownPlan {
 			plan.Release()
@@ -286,43 +281,6 @@ func (t *thread) applySlicesPlanned(slices []*slicestore.Slice, plan *mem.WriteP
 		phase = trace.PhasePremerge
 	}
 	t.tb.SpanDur(phase, start, el)
-}
-
-// applyPlanToSpace writes a plan into t's space, fanning the disjoint
-// per-page copies out to the bounded diff/apply worker pool when the plan is
-// large enough. The copy-on-write page resolution runs first, sequentially —
-// the page table belongs to the owning thread — after which each worker
-// touches only its own page's bytes, so the result is deterministic
-// regardless of scheduling ("reassembly" is the identity: plan runs are
-// mutually disjoint).
-func (t *thread) applyPlanToSpace(plan *mem.WritePlan) {
-	e := t.exec
-	if plan.UniqueBytes < minBytesForParallelApply || len(plan.Patches) < 2 || cap(e.diffSem) <= 1 {
-		t.space.ApplyPlan(plan)
-		return
-	}
-	targets := make([][]byte, len(plan.Patches))
-	for i, pp := range plan.Patches {
-		targets[i] = t.space.WritablePageData(pp.Page())
-	}
-	var wg sync.WaitGroup //detvet:nativesync joins the bounded patch workers below.
-	for i := range plan.Patches {
-		//detvet:nativesync non-blocking token acquire; on saturation the patch applies inline.
-		select {
-		case e.diffSem <- struct{}{}:
-			wg.Add(1)
-			//detvet:nativesync bounded diffSem worker: patches are disjoint, reassembly is the identity.
-			go func(i int) {
-				defer wg.Done()
-				mem.ApplyPatchData(targets[i], plan.Patches[i])
-				<-e.diffSem
-			}(i)
-		default:
-			// Pool saturated: copy inline rather than queueing.
-			mem.ApplyPatchData(targets[i], plan.Patches[i])
-		}
-	}
-	wg.Wait()
 }
 
 // acquireCollectLocked performs the monitor half of an acquire against
@@ -400,7 +358,7 @@ func (e *exec) prepareAcquireLocked(w *thread, sv *syncVar, handoffVT vtime.Time
 	} else {
 		slices = append(slices, acq...)
 	}
-	return wakeEvent{vt: w.vt, slices: slices, pin: e.pinFor(slices)}
+	return wakeEvent{vt: w.vt, slices: slices}
 }
 
 // premergeLocked applies slices to thread w as a prelock pre-merge,

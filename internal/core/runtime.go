@@ -15,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"runtime"
 	"sync"
 	"time"
 
@@ -76,21 +75,6 @@ type Options struct {
 	// GCThresholdPct triggers slice garbage collection at this metadata
 	// usage percentage (default 90 as in §5.4).
 	GCThresholdPct int
-	// EpochStore selects the log-structured epoch implementation of the
-	// metadata space (slicestore.EpochStore): commits append into per-stripe
-	// arena-backed segments whose run payloads are interned and recycled,
-	// and garbage collection drops whole segments against the vclock
-	// frontier. Off — the DefaultOptions value — selects the map store
-	// (slicestore.MapStore), which keeps the committer's run payloads as
-	// they are and sweeps a map under a mutex; it allocates 6–32% fewer KiB
-	// per run on every benchmark workload and is no slower (DESIGN.md §16).
-	// Results are identical either way — the store only changes how payload
-	// memory is owned and reclaimed, never which bytes a reader sees — so
-	// outputs, virtual times, traces and race reports are bit-identical
-	// across this option (TestFuzzEpochStoreAgrees,
-	// TestSeedRegressionEpochStoreMatches). The epoch store is pending
-	// deletion (ROADMAP item 3).
-	EpochStore bool
 	// NoCommHint implements the eager-collection extension sketched at the
 	// end of §5.4: it names threads that the programmer asserts never
 	// communicate through shared memory after their creation (pure fork/
@@ -165,7 +149,7 @@ type exec struct {
 	chunk  chunking // when a thread publishes its Kendo clock (thread.tick)
 	sched  *kendo.Sched
 	alloc  *alloc.Allocator
-	store  slicestore.Store
+	store  *slicestore.MapStore
 	tracer *tracer
 	// phases is the phase-level observability collector (nil unless
 	// Options.PhaseTrace): per-thread wall-clock span buffers, rendered
@@ -213,11 +197,6 @@ type exec struct {
 	//detvet:guardedby exec.mu
 	collectErr error
 
-	// diffSem bounds the worker pool that byte-diffs snapshotted pages
-	// concurrently during off-monitor slice finishing. One token per worker;
-	// a diff that cannot get a token runs inline on the owning thread.
-	diffSem chan struct{}
-
 	wg sync.WaitGroup //detvet:nativesync joins thread goroutines at run end; no ordering role.
 }
 
@@ -264,26 +243,6 @@ type wakeEvent struct {
 	// slices are the pre-collected propagated slices the woken thread must
 	// apply to its private memory before returning to user code.
 	slices []*slicestore.Slice
-	// pin holds the store's reclamation epoch open while the woken thread
-	// applies the slices: the waker takes it under the same turn that
-	// collected them, so an intervening GC pass cannot recycle their
-	// payload memory before the off-monitor apply reads it. The sleeper
-	// releases it after applying (the zero pin is a no-op, covering wakes
-	// that carry no slices; an abort wake leaks it harmlessly — the
-	// execution is unwinding).
-	pin slicestore.Pin
-}
-
-// pinFor takes a store pin covering a deferred application of the given
-// collected slices. It must be called while the collector still holds the
-// deterministic turn (Collect passes only run under a turn, so the pin is
-// ordered before any pass that could reclaim the slices). No pin is needed
-// for an empty collection.
-func (e *exec) pinFor(slices []*slicestore.Slice) slicestore.Pin {
-	if len(slices) == 0 {
-		return slicestore.Pin{}
-	}
-	return e.store.Pin()
 }
 
 // signalRecord carries the release information of a cond signal to the
@@ -295,27 +254,13 @@ type signalRecord struct {
 }
 
 func newExec(opts Options, chunk chunking) *exec {
-	if opts.MetadataCapacity == 0 {
-		opts.MetadataCapacity = slicestore.DefaultCapacity
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > 8 {
-		workers = 8
-	}
 	e := &exec{
 		opts:     opts,
 		chunk:    chunk,
 		sched:    kendo.NewSched(),
 		alloc:    alloc.New(),
+		store:    slicestore.NewStore(opts.MetadataCapacity, opts.GCThresholdPct),
 		syncvars: make(map[api.Addr]*syncVar),
-		diffSem:  make(chan struct{}, workers), //detvet:nativesync semaphore bounding the diff worker pool; tokens carry no data.
-	}
-	if opts.EpochStore {
-		// Four stripes: the segment placement every EpochStore result so far
-		// was measured with.
-		e.store = slicestore.NewEpochStore(opts.MetadataCapacity, opts.GCThresholdPct, 4)
-	} else {
-		e.store = slicestore.NewStore(opts.MetadataCapacity, opts.GCThresholdPct)
 	}
 	if opts.PhaseTrace {
 		e.phases = trace.NewCollector()
@@ -394,9 +339,10 @@ func (r *Runtime) RunTraced(main api.ThreadFunc) (*api.Report, *Trace, error) {
 // That check is what makes an abort unable to strand a thread entering a
 // block. failLocked runs under mu and probes every thread whose status is
 // Blocked; a blocker flips itself to Blocked (blockLocked) inside the same mu
-// section whose entry made this check, and no section is reopened except
-// through enter again. So an abort either precedes the section — the thread
-// unwinds here — or follows it, and finds the thread Blocked and probes it.
+// section whose entry made this check — an operation enters once and holds the
+// monitor until it is done. So an abort either precedes the section — the
+// thread unwinds here — or follows it, and finds the thread Blocked and probes
+// it.
 //
 //detvet:acquires mu
 func (e *exec) enter(t *thread) {
@@ -506,7 +452,7 @@ func (e *exec) exitLocked(t *thread) {
 		// it must apply once awake. The acquire advances j.vt, so the
 		// event's virtual time is read after it.
 		slices := j.acquireFromCollectLocked(int32(t.id), t.exitV, t.exitVT)
-		e.wakeLocked(j, wakeEvent{vt: j.vt, slices: slices, pin: e.pinFor(slices)})
+		e.wakeLocked(j, wakeEvent{vt: j.vt, slices: slices})
 	}
 	t.joiners = nil
 	// The Exited flip must come AFTER the joiner wakeups: it is this
@@ -694,12 +640,6 @@ func (e *exec) buildReportLocked(elapsed time.Duration) *api.Report {
 	rep.Stats.MetadataCapacity = e.store.Capacity()
 	rep.Stats.GCCount = e.store.GCCount()
 	rep.Stats.GCEmptyPasses = e.store.EmptyGCCount()
-	m := e.store.Metrics()
-	rep.Stats.StoreSegments = m.SegmentsLive
-	rep.Stats.StoreSegmentsDropped = m.SegmentsDropped
-	rep.Stats.ArenaChunksAllocated = m.ArenaChunksAllocated
-	rep.Stats.ArenaChunksReused = m.ArenaChunksReused
-	rep.Stats.ArenaBytesInterned = m.ArenaBytesInterned
 	rep.Stats.RuntimeMemBytes = uint64(e.maxLive)*e.alloc.HighWater() + e.store.HighWater()
 	// Attached after the hash: phase spans are wall-clock observability and
 	// the race report, while itself deterministic, must never influence the

@@ -65,10 +65,8 @@ func sameMods(a, b []mem.Run) bool {
 // modification list against a copy taken before B: the store keeps A for the
 // whole run, while the staging area A's diff was written into is B's to
 // overwrite. Poisoning makes the overwrite happen at the end of A's own cut.
-// Two shapes: one page (sequential diff) and eight densely written pages
-// (tasks fanned out to the diff pool, each in its own staging region).
+// Two shapes: one page and eight densely written pages.
 func TestPublishedSliceOwnsItsBytes(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4)) // newExec sizes the diff pool from it
 	mem.SetPageBufPoison(true)
 	defer mem.SetPageBufPoison(false)
 	for _, pages := range []int{1, 8} {
@@ -116,35 +114,36 @@ func TestPublishedSliceOwnsItsBytes(t *testing.T) {
 	}
 }
 
-// TestParallelDiffBeyondThePageCache: the diff workers read the space while
-// its owner diffs inline, so nothing they call may write it — the page cache's
-// refill on a miss least of all. One slice stores to 40 pages, more than the
-// cache holds and ids 0, 16 and 32 in one slot, so most lookups in the fan-out
-// miss; the cut at GOMAXPROCS 4 must equal the sequential one run for run, and
-// `make race` must see no write.
-func TestParallelDiffBeyondThePageCache(t *testing.T) {
+// TestCutBeyondThePageCacheMatchesFullPageDiff: the cut reads every page
+// through Space.PageData and only its dirty extents; the reference reads the
+// same snapshots whole (mem.DiffPage). One slice stores to 40 pages in two
+// passes, more than the page cache holds and ids 0, 16 and 32 in one slot, so
+// most of the cut's lookups miss the cache; the cut must equal the reference
+// run for run, and leave the space as it found it.
+func TestCutBeyondThePageCacheMatchesFullPageDiff(t *testing.T) {
 	const pages = 40
-	cut := func(procs int) (*slicestore.Slice, uint64) {
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs)) // newExec sizes the diff pool from it
-		th := cutThread()
-		for round := uint64(1); round <= 2; round++ { // the second pass stores to snapshotted pages
-			for p := 0; p < pages; p++ {
-				for off := 0; off < mem.PageSize; off += 16 {
-					th.Store64(api.Addr(p*mem.PageSize+off), round<<32|uint64(p)<<16|uint64(off))
-				}
+	th := cutThread()
+	for round := uint64(1); round <= 2; round++ { // the second pass stores to snapshotted pages
+		for p := 0; p < pages; p++ {
+			for off := 0; off < mem.PageSize; off += 16 {
+				th.Store64(api.Addr(p*mem.PageSize+off), round<<32|uint64(p)<<16|uint64(off))
 			}
 		}
-		return th.finishSlice(), th.space.Hash()
 	}
-	want, wantHash := cut(1)
-	if want == nil || len(want.Mods) == 0 || want.Bytes == 0 {
-		t.Fatalf("sequential cut = %+v", want)
+	var want []mem.Run
+	for _, pid := range th.snapOrder {
+		want = append(want, mem.DiffPage(pid, th.snapshots[pid], th.space.PageData(pid))...)
 	}
-	for i := 0; i < 20; i++ {
-		got, hash := cut(4)
-		if got == nil || !sameMods(got.Mods, want.Mods) || got.Bytes != want.Bytes || hash != wantHash {
-			t.Fatalf("run %d: the fanned-out cut differs from the sequential one", i)
-		}
+	if len(th.snapOrder) != pages || len(want) == 0 {
+		t.Fatalf("%d pages snapshotted, reference diff of %d runs", len(th.snapOrder), len(want))
+	}
+	hash := th.space.Hash()
+	got := th.finishSlice()
+	if got == nil || !sameMods(got.Mods, want) || got.Bytes != mem.RunBytes(want) {
+		t.Fatalf("the cut differs from the full-page diff of the same snapshots (%d runs): %+v", len(want), got)
+	}
+	if th.space.Hash() != hash || !th.space.CacheConsistent() {
+		t.Fatal("the cut changed the space or its page cache")
 	}
 }
 

@@ -18,27 +18,28 @@ import (
 
 // Synchronization operations (§4.1).
 //
-// Every operation follows the same monitor-decomposed shape:
+// Every operation follows the same shape, on its thread's own goroutine:
 //
 //	turn()                    — win the deterministic Kendo turn
-//	finishSlice()             — OFF-monitor: byte-diff the snapshotted pages
+//	finishSlice()             — byte-diff the snapshotted pages
 //	enter()                   — take the commit monitor (runtime.go)
 //	  commitSliceLocked()     — publish the slice, bump the clock
 //	  ...collect/queue/wake   — mutate monitor-guarded state
 //	  finishOpLocked()        — tick the Kendo clock: pass the turn
 //	leave()
-//	applySlices()             — OFF-monitor: absorb propagated runs
+//	applySlices()             — absorb propagated runs
 //
 // There is one monitor over one metadata space, as in the paper (§4.1,
-// §4.2). The turn admits one operation at a time, so monitor sections never
-// overlap except for a waker's tail against the next operation of the thread
-// it just woke; the mutex is there for that tail and for the abort path,
-// which holds no turn.
+// §4.2), and an operation enters it once. The turn admits one operation at a
+// time, so monitor sections never overlap except for a waker's tail against
+// the next operation of the thread it just woke; the mutex is there for that
+// tail and for the abort path, which holds no turn.
 //
-// Holding the turn makes the off-monitor windows safe: every mutation of
-// monitor-guarded synchronization state happens under the turn, so nothing a
-// thread observed under the monitor can change while it diffs or applies
-// outside it.
+// Where the diff or the apply falls inside the section — Lock and thread exit
+// cut their slice there (endSliceLocked), an atomic applies what it acquired
+// before it reads the word, and a waker pre-merges into blocked peers — it
+// delays nobody: the turn is held until finishOpLocked, so no other operation
+// is at enter, and only the abort path can want mu meanwhile.
 //
 // Wakeups never re-enter the monitor at all: the waker — which holds the
 // turn and the monitor while the sleeper is provably blocked — performs the
@@ -76,8 +77,8 @@ func (t *thread) finishOpLocked() {
 
 // Lock implements pthread_mutex_lock (§4.1). Whether the current slice ends
 // at all depends on monitor-guarded state (slice merging, §4.5), so Lock
-// cannot pre-diff before entering the monitor; it drops the monitor around
-// the diff instead (endSliceDropMonitor).
+// cannot pre-diff before entering the monitor; it cuts the slice inside
+// (endSliceLocked).
 func (t *thread) Lock(m api.Addr) {
 	t.turn()
 	e := t.exec
@@ -93,7 +94,7 @@ func (t *thread) Lock(m api.Addr) {
 		}
 		// Contended: end the slice, reserve our place in the deterministic
 		// grant queue, pre-merge (prelock, §4.5), and sleep.
-		t.endSliceDropMonitor()
+		t.endSliceLocked()
 		sv.lockQ.push(t.id)
 		t.prelockLocked(sv)
 		t.blockLocked("lock %#x", uint64(m))
@@ -107,7 +108,6 @@ func (t *thread) Lock(m api.Addr) {
 		t.beginSlice()
 		e.syncEvent(t, "lock", m)
 		t.applySlices(ev.slices, false)
-		ev.pin.Release()
 		return
 	}
 
@@ -123,18 +123,13 @@ func (t *thread) Lock(m api.Addr) {
 		e.leave(t)
 		return
 	}
-	t.endSliceDropMonitor()
+	t.endSliceLocked()
 	slices := t.acquireCollectLocked(sv)
-	// Pinned before finishOpLocked passes the turn: the apply below runs
-	// off-monitor, where another thread's turn may run a GC pass over the
-	// just-collected slices.
-	pin := e.pinFor(slices)
 	t.beginSlice()
 	e.syncEvent(t, "lock", m)
 	t.finishOpLocked()
 	e.leave(t)
 	t.applySlices(slices, false)
-	pin.Release()
 }
 
 // syncvar returns (creating if needed) the internal synchronization variable
@@ -248,7 +243,6 @@ func (t *thread) Wait(c, m api.Addr) {
 	t.beginSlice()
 	e.syncEvent(t, "wake", c)
 	t.applySlices(ev.slices, false)
-	ev.pin.Release()
 }
 
 // Signal implements pthread_cond_signal (§4.1): a release whose timestamp
@@ -384,7 +378,7 @@ func (t *thread) Barrier(b api.Addr, n int) {
 			}
 		} else {
 			plan := leader.buildPlan(propagated)
-			leader.applyPlanToSpace(plan)
+			leader.space.ApplyPlan(plan)
 			plan.Release()
 		}
 		el := stats.Since(start)
@@ -530,19 +524,14 @@ func (t *thread) Join(id api.ThreadID) {
 		t.beginSlice()
 		e.syncEvent(t, "join", api.Addr(id))
 		t.applySlices(ev.slices, false)
-		ev.pin.Release()
 		return
 	}
 	slices := t.acquireFromCollectLocked(int32(target.id), target.exitV, target.exitVT)
-	// Pinned under the turn: the apply below runs after the turn and the
-	// monitor are released.
-	pin := e.pinFor(slices)
 	t.beginSlice()
 	e.syncEvent(t, "join", api.Addr(id))
 	t.finishOpLocked()
 	e.leave(t)
 	t.applySlices(slices, false)
-	pin.Release()
 }
 
 // AtomicAdd64 is the §4.6 low-level-atomics extension: a Kendo-ordered
@@ -580,20 +569,9 @@ func (t *thread) atomicOp(a api.Addr, op func(cur uint64) (newVal uint64, wrote 
 	t.st.AtomicsOps++
 	sv := e.syncvar(a)
 	t.commitSliceLocked(s)
-	slices := t.acquireCollectLocked(sv)
-	if len(slices) > 0 {
-		// The acquired updates must be resident before the word is read, but
-		// applying them touches only this thread's private space: drop the
-		// monitor around the application like any other acquire path. The
-		// turn is still held, so the monitor state cannot shift meanwhile —
-		// which also means no GC pass can run; the pin simply keeps every
-		// deferred-apply window under the same discipline.
-		pin := e.pinFor(slices)
-		e.leave(t)
-		t.applySlices(slices, false)
-		pin.Release()
-		e.enter(t)
-	}
+	// The acquired updates must be resident (or pended) before the word is
+	// read, so this acquire applies inside the section.
+	t.applySlices(t.acquireCollectLocked(sv), false)
 	cur := t.space.Load64(uint64(a)) // flushes lazily pended updates if any
 	newVal, wrote := op(cur)
 	t.vt += 2 * vtime.MemOp

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 
 	"rfdet/internal/api"
 	"rfdet/internal/kendo"
@@ -122,10 +121,12 @@ type thread struct {
 // re-making, plus its block site. No published slice, collect result or wake
 // event ever aliases it: the next call that uses it overwrites it.
 type threadScratch struct {
-	// finishSlice's diff tasks, each keeping its run list's storage from cut
-	// to cut, and the payload staging area they diff into.
-	tasks []diffTask
-	stage []byte
+	// finishSlice's: a run list per snapshotted page, by position in snapOrder
+	// and never shortened, and the one payload staging area under them. (One
+	// list for all pages regrows through append's 1.25× steps on a thread's
+	// first cuts: matmul allocated 17% more KiB per run that way.)
+	pageRuns [][]mem.Run
+	stage    []byte
 	// picked is collectLocked's: list positions of the slices it takes.
 	picked []int32
 	// flushOrder is flushAllPending's: the pended pages, ascending.
@@ -403,45 +404,6 @@ func (t *thread) harvestReads() {
 	t.space.ResetReads()
 }
 
-// minBytesForParallelDiff is the total scan size below which fanning diff
-// tasks out to the worker pool is not worth the goroutine handoff. Equals
-// the seed's threshold of 4 whole pages.
-const minBytesForParallelDiff = 4 * mem.PageSize
-
-// diffTaskBytes is the target scan size of one worker task. Extent groups —
-// not whole pages — are the unit of fan-out, so a slice of sparsely written
-// pages produces small tasks while one densely written page can still be
-// diffed as a unit.
-const diffTaskBytes = mem.PageSize
-
-// diffTask is one worker-pool unit: a group of dirty extents on one page,
-// the runs its diff found, and its region [off, end) of the payload staging
-// area — ExtentBytes(exts) long, an upper bound on what the diff can emit.
-type diffTask struct {
-	pid      mem.PageID
-	exts     []mem.Extent
-	off, end int
-	runs     []mem.Run
-}
-
-// addDiffTask queues exts of page pid in the next task slot, its staging
-// region starting at off, and returns where that region ends.
-func (sc *threadScratch) addDiffTask(pid mem.PageID, exts []mem.Extent, off int) int {
-	n := len(sc.tasks)
-	sc.tasks = slices.Grow(sc.tasks, 1)[:n+1]
-	tk := &sc.tasks[n]
-	*tk = diffTask{pid: pid, exts: exts, off: off, end: off + int(mem.ExtentBytes(exts)), runs: tk.runs[:0]}
-	return tk.end
-}
-
-// runDiffTask diffs task i into its own run list and staging region. Tasks
-// share nothing they write, so any number may run at once.
-func (t *thread) runDiffTask(i int) {
-	tk := &t.scratch.tasks[i]
-	tk.runs, _ = mem.AppendDiffPageExtents(tk.runs, t.scratch.stage[tk.off:tk.off:tk.end],
-		tk.pid, t.snapshots[tk.pid], t.space.PageData(tk.pid), tk.exts)
-}
-
 // finishSlice ends the current slice: each snapshotted page is byte-diffed
 // against its current contents to produce the modification list (§4.2). It
 // returns nil when the slice made no modifications. The snapshot memory is
@@ -461,19 +423,17 @@ func (t *thread) runDiffTask(i int) {
 // cannot see sub-page extents, so the win is host wall time (DiffNanos),
 // deliberately invisible to the deterministic virtual clock and the trace.
 //
-// finishSlice touches only thread-private state (the snapshots, the space)
-// and runs OFF the exec monitor, between winning the deterministic turn and
-// taking e.mu — the monitor decomposition that keeps the most expensive
-// per-sync work from serializing unrelated threads. Large scans fan out as
-// per-extent-group tasks to the bounded exec.diffSem worker pool; the runs
-// are reassembled in (snapOrder, extent) order, so the modification list is
-// identical to the sequential one.
+// finishSlice touches only thread-private state (the snapshots, the space),
+// on the thread's own goroutine: before enter where the operation is known to
+// end the slice, inside the monitor section where only monitor-guarded state
+// says so (Lock, thread exit — endSliceLocked).
 //
-// The cut works in the thread's scratch: the staging area is sized before
-// any fan-out, so no worker grows it, and task regions are disjoint. What the
-// slice keeps is then copied out once, exact-size — its struct, its clock,
-// one []mem.Run, one payload block every Run.Data sub-slices — and never a
-// byte of scratch, which the next cut overwrites while the store holds this.
+// The cut works in the thread's scratch: the pages are diffed in snapOrder,
+// extent by extent, each into its run list over one staging area, sized first
+// so that the diff never grows it. What the slice keeps is then copied out once,
+// exact-size — its struct, its clock, one []mem.Run, one payload block every
+// Run.Data sub-slices — and never a byte of scratch, which the next cut
+// overwrites while the store holds this.
 func (t *thread) finishSlice() *slicestore.Slice {
 	if t.exec.opts.Validate && !t.space.CacheConsistent() {
 		panic("page cache disagrees with the page table")
@@ -485,8 +445,7 @@ func (t *thread) finishSlice() *slicestore.Slice {
 	}
 	start := stats.Now()
 	sc := t.scratch
-	sc.tasks = sc.tasks[:0]
-	scanBytes := 0
+	var scanBytes uint64
 	for _, pid := range t.snapOrder {
 		exts := t.space.DirtyExtentsOf(pid)
 		bytes := mem.ExtentBytes(exts)
@@ -495,62 +454,30 @@ func (t *thread) finishSlice() *slicestore.Slice {
 		if bytes < mem.PageSize {
 			t.st.DiffBytesSkipped += mem.PageSize - bytes
 		}
-		if bytes <= diffTaskBytes || len(exts) == 1 {
-			scanBytes = sc.addDiffTask(pid, exts, scanBytes)
-			continue
-		}
-		// A heavily written page splits into several tasks so the pool can
-		// balance it; group boundaries fall on extent boundaries, which are
-		// also run boundaries, so reassembly stays exact.
-		first, groupBytes := 0, uint64(0)
-		for i, e := range exts {
-			groupBytes += uint64(e.Len)
-			if groupBytes >= diffTaskBytes || i == len(exts)-1 {
-				scanBytes = sc.addDiffTask(pid, exts[first:i+1], scanBytes)
-				first, groupBytes = i+1, 0
-			}
-		}
+		scanBytes += bytes
 	}
-	if cap(sc.stage) < scanBytes {
+	if uint64(cap(sc.stage)) < scanBytes {
 		sc.stage = make([]byte, scanBytes)
 	}
-	if len(sc.tasks) > 1 && scanBytes >= minBytesForParallelDiff && cap(t.exec.diffSem) > 1 {
-		var wg sync.WaitGroup //detvet:nativesync joins the bounded diff workers below.
-		for i := range sc.tasks {
-			//detvet:nativesync non-blocking token acquire; on saturation the diff runs inline.
-			select {
-			case t.exec.diffSem <- struct{}{}:
-				wg.Add(1)
-				//detvet:nativesync bounded diffSem worker: results reassemble in (snapOrder, extent) order.
-				go func(i int) {
-					defer wg.Done()
-					t.runDiffTask(i)
-					<-t.exec.diffSem
-				}(i)
-			default:
-				// Pool saturated: diff inline rather than queueing.
-				t.runDiffTask(i)
-			}
+	stage, nRuns := sc.stage[:0], 0
+	for i, pid := range t.snapOrder {
+		if i == len(sc.pageRuns) {
+			sc.pageRuns = append(sc.pageRuns, nil)
 		}
-		wg.Wait()
-	} else {
-		for i := range sc.tasks {
-			t.runDiffTask(i)
-		}
+		sc.pageRuns[i], stage = mem.AppendDiffPageExtents(sc.pageRuns[i][:0], stage,
+			pid, t.snapshots[pid], t.space.PageData(pid), t.space.DirtyExtentsOf(pid))
+		nRuns += len(sc.pageRuns[i])
 	}
-	var nRuns int
-	var nBytes uint64
-	for i := range sc.tasks {
-		nRuns += len(sc.tasks[i].runs)
-		nBytes += mem.RunBytes(sc.tasks[i].runs)
-	}
+	// The runs' bytes lie end to end in stage, in run order.
+	payload := make([]byte, len(stage))
+	copy(payload, stage)
 	mods := make([]mem.Run, 0, nRuns)
-	payload := make([]byte, 0, nBytes)
-	for i := range sc.tasks {
-		for _, r := range sc.tasks[i].runs {
-			at := len(payload)
-			payload = append(payload, r.Data...)
-			mods = append(mods, mem.Run{Addr: r.Addr, Data: payload[at:len(payload):len(payload)]})
+	off := 0
+	for _, runs := range sc.pageRuns[:len(t.snapOrder)] {
+		for _, r := range runs {
+			end := off + len(r.Data)
+			mods = append(mods, mem.Run{Addr: r.Addr, Data: payload[off:end:end]})
+			off = end
 		}
 	}
 	mem.PoisonScratch(sc.stage)
@@ -573,7 +500,7 @@ func (t *thread) finishSlice() *slicestore.Slice {
 		Tid:   int32(t.id),
 		Time:  t.vtime.Clone(),
 		Mods:  mods,
-		Bytes: nBytes,
+		Bytes: uint64(len(payload)),
 	}
 }
 
@@ -641,32 +568,15 @@ func (t *thread) recordAccessLocked(s *slicestore.Slice, tend vclock.VC) {
 }
 
 // endSliceLocked ends the current slice entirely under the monitor: diff and
-// commit in one step. Only paths that cannot pre-diff off-monitor use it —
+// commit in one step. Only paths that cannot pre-diff before entering use it —
 // thread exit (the final slice is cut while the monitor already decides the
 // exit) and Lock, which learns whether the slice even ends (slice merging)
-// only from monitor-guarded state.
+// only from monitor-guarded state. The diff holds nobody up: the turn is held,
+// so no other operation can be at enter (sync.go header).
 //
 //detvet:holds exec.mu
 func (t *thread) endSliceLocked() vclock.VC {
 	return t.commitSliceLocked(t.finishSlice())
-}
-
-// endSliceDropMonitor ends the current slice from within a monitor section by
-// leaving the monitor around the page diffing, then re-entering it to commit.
-// Safe because the caller holds the deterministic turn: every mutation of
-// monitor-guarded synchronization state happens under the turn, so the state
-// the caller was looking at cannot change while the monitor is released. If
-// the execution aborted meanwhile, the re-entry unwinds the thread.
-//
-//detvet:holds t.exec.mu
-func (t *thread) endSliceDropMonitor() vclock.VC {
-	if len(t.snapOrder) == 0 {
-		return t.endSliceLocked()
-	}
-	t.exec.leave(t)
-	s := t.finishSlice()
-	t.exec.enter(t)
-	return t.commitSliceLocked(s)
 }
 
 //

@@ -189,52 +189,6 @@ func PropagationTable(out io.Writer, size workloads.Size, threads int) error {
 	return nil
 }
 
-// SliceStoreTable profiles the metadata space under both store
-// implementations: every workload runs once with the default map store and
-// once with the epoch store (all other options identical), asserting
-// bit-identical output and virtual time — the store is pure bookkeeping —
-// and reporting the high-water metadata footprint, the GC pass split
-// (reclaiming vs empty), and the epoch store's segment and arena-recycling
-// counters.
-func SliceStoreTable(out io.Writer, size workloads.Size, threads int) error {
-	cfg := workloads.Config{Threads: threads, Size: size}
-	fmt.Fprintf(out, "Metadata-store profile (%d threads, size %s, RFDet-ci)\n\n", threads, size)
-	fmt.Fprintf(out, "%-18s | %9s %5s %6s | %9s %5s %6s %6s %8s %7s %10s\n",
-		"benchmark",
-		"map(KB)", "gc", "empty",
-		"epoch(KB)", "gc", "empty", "segs", "drop", "reuse%", "intern(KB)")
-	for _, w := range workloads.All() {
-		mr, err := Run(core.New(core.DefaultOptions()), w, cfg, 1)
-		if err != nil {
-			return err
-		}
-		epochOpts := core.DefaultOptions()
-		epochOpts.EpochStore = true
-		er, err := Run(core.New(epochOpts), w, cfg, 1)
-		if err != nil {
-			return err
-		}
-		if mr.Report.OutputHash != er.Report.OutputHash || mr.Report.VirtualTime != er.Report.VirtualTime {
-			return fmt.Errorf("%s: stores disagree (map output=%#x vtime=%d, epoch output=%#x vtime=%d)",
-				w.Name, mr.Report.OutputHash, mr.Report.VirtualTime, er.Report.OutputHash, er.Report.VirtualTime)
-		}
-		ms, es := mr.Report.Stats, er.Report.Stats
-		reusePct := 0.0
-		if gets := es.ArenaChunksAllocated + es.ArenaChunksReused; gets > 0 {
-			reusePct = 100 * float64(es.ArenaChunksReused) / float64(gets)
-		}
-		fmt.Fprintf(out, "%-18s | %9d %5d %6d | %9d %5d %6d %6d %8d %6.1f%% %10d\n",
-			w.Name,
-			ms.MetadataBytes/1024, ms.GCCount, ms.GCEmptyPasses,
-			es.MetadataBytes/1024, es.GCCount, es.GCEmptyPasses,
-			es.StoreSegments, es.StoreSegmentsDropped, reusePct,
-			es.ArenaBytesInterned/1024)
-	}
-	fmt.Fprintln(out, "\nBoth columns ran the same programs to the same outputs and virtual times;")
-	fmt.Fprintln(out, "the store only changes how collected slices' bytes are reclaimed (§4.5).")
-	return nil
-}
-
 // NewRFDetCITraced returns RFDet-ci with phase-level wall-clock tracing
 // enabled. Tracing is observational: the deterministic output is identical to
 // NewRFDetCI's.
@@ -447,7 +401,6 @@ func AllExperiments(out io.Writer, size workloads.Size, threads, repeats, raceyR
 		func() error { return Figure7(out, size, threads, repeats) },
 		func() error { return Table1(out, size, threads) },
 		func() error { return PropagationTable(out, size, threads) },
-		func() error { return SliceStoreTable(out, size, threads) },
 		func() error { return PhaseTable(out, size, threads) },
 		func() error { return Figure8(out, size, repeats) },
 		func() error { return Figure9(out, size, threads, repeats) },

@@ -78,9 +78,10 @@ func DiffPageExtents(pageID PageID, snapshot, current []byte, exts []Extent) []R
 // are appended to runs, their payload bytes to buf, and both are returned.
 // Each Run.Data is a full-slice expression over its bytes in buf, so appending
 // to one run never reaches its neighbour. With ExtentBytes(exts) of spare
-// capacity buf is never reallocated, which lets concurrent diffs write
-// disjoint regions of one staging buffer (the runtime's finishSlice); a short
-// buf is slower, not wrong: emitted runs keep the array they were carved from.
+// capacity buf is never reallocated, so a caller that sizes it for every page
+// first diffs them all into one staging buffer (the runtime's finishSlice); a
+// short buf is slower, not wrong: emitted runs keep the array they were carved
+// from.
 func AppendDiffPageExtents(runs []Run, buf []byte, pageID PageID, snapshot, current []byte, exts []Extent) ([]Run, []byte) {
 	base := PageAddr(pageID)
 	n := min(len(current), len(snapshot))

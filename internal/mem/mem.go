@@ -433,8 +433,9 @@ func (s *Space) Snapshot(id PageID) []byte {
 }
 
 // PageData returns the current contents of page id for read-only use (the
-// returned slice aliases the live page; do not retain it across writes). The
-// diff workers call it at once: it reads the table and never fills the cache.
+// returned slice aliases the live page; do not retain it across writes). It
+// is the read-only lookup — dthreads and the owner's slice-end diff call it —
+// and reads the table without filling the cache.
 func (s *Space) PageData(id PageID) []byte {
 	if p, ok := s.pages[id]; ok {
 		return p.Data[:]

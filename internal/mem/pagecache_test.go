@@ -220,7 +220,7 @@ func runSpaceProgram(t *testing.T, prog []byte) {
 			a = PageAddr(id)
 			read(snap)
 			PutPageBuf(snap)
-			read(sp.s.PageData(id)) // the diff workers' lookup: the table, past the cache
+			read(sp.s.PageData(id)) // the read-only lookup: the table, past the cache
 		case 11, 13:
 			data := fill(min(n*16, PageSize-int(a&PageMask)))
 			if len(data) == 0 {

@@ -94,7 +94,7 @@ func checkPatch(t *testing.T, where string, s *Space, p *PagePatch, m *patchMode
 	if got, want := patchRuns(p), m.runs(); !runsEqual(got, want) {
 		t.Fatalf("%s: %d runs, model %d:\n got %v\nwant %v", where, len(got), len(want), got, want)
 	}
-	page := s.WritablePageData(m.page)
+	page := s.writablePage(m.page).Data[:]
 	for i := range page {
 		page[i] = patchFill
 	}

@@ -275,9 +275,11 @@ func AddRunsByPage(runs []Run, patchFor func(PageID) *PagePatch) {
 
 // ApplyPatch writes the patch's unique bytes into the space in a single
 // pass, bypassing protection faults exactly like ApplyRuns (the writes are
-// propagated remote modifications, §4.3).
+// propagated remote modifications, §4.3). The page is the space's own after
+// writablePage's copy-on-write, and the space the applying thread's or a
+// provably blocked one's: nobody reads it under mergeInto's write-back.
 func (s *Space) ApplyPatch(p *PagePatch) {
-	ApplyPatchData(s.writablePage(p.page).Data[:], p)
+	p.mergeInto(s.writablePage(p.page).Data[:])
 }
 
 // WritePlan is the collapsed form of an ordered modification-list sequence.
@@ -370,26 +372,4 @@ func (s *Space) ApplyPlan(p *WritePlan) {
 	for _, pp := range p.Patches {
 		s.ApplyPatch(pp)
 	}
-}
-
-// ApplyPatchData copies a patch's unique bytes into page data that the
-// caller has already resolved for writing. Split out from Space.ApplyPatch
-// so callers can resolve the writable pages first (the page table is
-// single-threaded) and fan the disjoint copies out to a worker pool.
-//
-// The copy is a masked merge (mergeInto) that rewrites some of data's other
-// bytes with the values they already hold, so no other goroutine may be
-// reading data during the call. Every caller's data is such a page: the
-// applying thread's own after writablePage's copy-on-write, or a provably
-// blocked thread's, and the fan-out hands each worker whole pages.
-func ApplyPatchData(data []byte, p *PagePatch) {
-	p.mergeInto(data)
-}
-
-// WritablePageData resolves page id for in-place writing — performing the
-// copy-on-write if needed — and returns the live page data. Intended for
-// plan application only: writes through it bypass both protection faults and
-// dirty tracking, exactly like ApplyRuns.
-func (s *Space) WritablePageData(id PageID) []byte {
-	return s.writablePage(id).Data[:]
 }

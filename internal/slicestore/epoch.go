@@ -331,8 +331,8 @@ func (es *EpochStore) drainLimboLocked() {
 }
 
 // Pin implements Store: it records the current reclamation epoch as in use.
-// The runtime takes pins while still holding the turn in which it collected
-// slice pointers — no Collect can run during a held turn, so the pin is
+// A reader takes its pin where no Collect can run — a runtime reader, inside
+// the turn in which it collected the slice pointers — so that the pin is
 // ordered before any pass that could drop those slices' segments.
 func (es *EpochStore) Pin() Pin {
 	es.pinMu.Lock()

@@ -12,9 +12,10 @@
 // Two implementations of the Store interface exist: MapStore, the seed's
 // mutex-guarded map with a frontier sweep, and EpochStore (epoch.go), a
 // log-structured store that appends commits into per-stripe arena-backed
-// segments and reclaims whole segments against the vclock frontier. They are
-// interchangeable behind core's Options.EpochStore; every deterministic
-// observable is identical across the two.
+// segments and reclaims whole segments against the vclock frontier. The
+// runtime constructs the MapStore only; the EpochStore is kept for the
+// benchmark's slice-store driver (bench/layers.go) until that is retargeted
+// (ROADMAP item 1).
 package slicestore
 
 import (
@@ -36,12 +37,12 @@ type Slice struct {
 	// when the slice ended. Slice A happens-before slice B iff
 	// A.Time < B.Time (§4.2).
 	Time vclock.VC
-	// Mods is the ordered modification list, as byte runs. Under the
-	// EpochStore the run payloads point into segment arena memory; the Run
-	// headers and the Slice itself stay ordinary Go objects, so holding a
-	// *Slice (propagation lists, pre-merge dedup) is always safe — only
-	// reading payload bytes requires the slice to be uncollected or the
-	// reader to hold an epoch pin.
+	// Mods is the ordered modification list, as byte runs. In the MapStore
+	// the payloads stay the committer's own block, ordinary Go memory, so a
+	// reader may hold a *Slice and read its bytes after the slice is
+	// collected. An EpochStore commit re-points them into segment arena
+	// memory, which is recycled: there, reading payload bytes requires the
+	// slice to be uncollected or the reader to hold a Pin.
 	Mods []mem.Run
 	// Bytes caches mem.RunBytes(Mods).
 	Bytes uint64
@@ -121,15 +122,14 @@ type Store interface {
 
 // Pin is a handle on a reclamation epoch; see Store.Pin. The zero value is
 // released and Release on it is a no-op, so pins can be passed by value
-// through wake events unconditionally.
+// unconditionally.
 type Pin struct {
 	es *EpochStore
 	id uint64
 }
 
-// Release ends the pin. Idempotence is not required of callers; the runtime
-// releases each pin exactly once, after the deferred slice application it
-// protects.
+// Release ends the pin. Idempotence is not required of callers: a reader
+// releases each pin exactly once, after the deferred read it protects.
 func (p Pin) Release() {
 	if p.es != nil {
 		p.es.unpin(p.id)

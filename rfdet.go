@@ -46,12 +46,11 @@
 //
 // The deterministic results (outputs, virtual times, trace hashes) are
 // independent of host-side execution strategy. Internal fast paths —
-// off-monitor diffing and application, sub-page dirty extents, coalesced
-// last-writer-wins write plans shared across blocked waiters — change only
-// wall-clock time. They are the only paths: the seed-regression goldens,
-// captured from the seed runtime before each was added, pin the
-// equivalence. The one host-side choice that remains an option (EpochStore)
-// is pinned by the fuzz and seed-regression walls.
+// sub-page dirty extents, coalesced last-writer-wins write plans shared
+// across blocked waiters — change only wall-clock time. They are the only
+// paths, with no host-side choice left as an option: the seed-regression
+// goldens, captured from the seed runtime before each was added, pin the
+// equivalence.
 package rfdet
 
 import (

@@ -10,16 +10,12 @@
 #   4. go build   — everything compiles
 #   5. go test    — full suite
 #   6. race tests — `make race`: the packages with real concurrency, under
-#                   -race with GOMAXPROCS oversubscribed (the off-monitor
-#                   diff/apply windows only interleave when the host preempts),
-#                   then 30 runs of the litmus classification test (the
-#                   Makefile says what they are for)
-#   7. churn bench— one iteration of the slice-store churn benchmark so the
-#                   map-vs-epoch comparison stays runnable (the metadata-store
-#                   axis needs no sweep: step 5's
-#                   TestSeedRegressionEpochStoreMatches sets it both ways
-#                   in-process)
-#   8. replicas   — the KV-server divergence check: k=3 replicas of one
+#                   -race with GOMAXPROCS oversubscribed (a thread's diff
+#                   before enter and its apply after leave only interleave
+#                   with a peer's operation when the host preempts), then 30
+#                   runs of the litmus classification test (the Makefile says
+#                   what they are for)
+#   7. replicas   — the KV-server divergence check: k=3 replicas of one
 #                   request log, alternating the ambient GOMAXPROCS and 1,
 #                   must agree byte-for-byte (rfdet-serve exits 1 on divergence)
 #
@@ -51,9 +47,6 @@ go test -timeout 120s ./...
 
 echo "==> race tests (GOMAXPROCS=4)"
 make race
-
-echo "==> slice-store churn benchmark (1 iteration)"
-go test -timeout 120s -run=NONE -bench SliceStoreChurn -benchtime=1x ./internal/slicestore/
 
 echo "==> replica divergence check (k=3)"
 go run ./cmd/rfdet-serve -size test -threads 4 -replicas 3

@@ -347,69 +347,6 @@ func TestSeedRegressionPhaseTraceMatches(t *testing.T) {
 	}
 }
 
-// TestSeedRegressionEpochStoreMatches closes the loop on the metadata-store
-// axis: the map store (the DefaultOptions path, which every golden above
-// already exercises) and the epoch store must both reproduce the seed goldens
-// bit-for-bit — output, virtual time AND event trace, plus the server's state
-// and response hashes — at every GOMAXPROCS. The metadata space is pure
-// bookkeeping: which store reclaims a collected slice's bytes must never leak
-// into a deterministic observable.
-func TestSeedRegressionEpochStoreMatches(t *testing.T) {
-	goldens := []struct {
-		workload             string
-		output, vtime, trace uint64
-	}{
-		{"wordcount", goldenWordcountOutput, goldenWordcountVTime, goldenWordcountTrace},
-		{"fft", goldenFFTOutput, goldenFFTVTime, goldenFFTTrace},
-		{"server", goldenServerOutput, goldenServerVTime, goldenServerTrace},
-	}
-	for _, epoch := range []bool{false, true} {
-		opts := core.DefaultOptions()
-		opts.EpochStore = epoch
-		opts.Trace = true
-		rt := core.New(opts)
-		for _, p := range []int{1, 4, 8} {
-			old := runtime.GOMAXPROCS(p)
-			for _, g := range goldens {
-				w, err := workloads.ByName(g.workload)
-				if err != nil {
-					runtime.GOMAXPROCS(old)
-					t.Fatal(err)
-				}
-				r, tr, err := rt.RunTraced(w.Prog(seedConfig))
-				if err != nil {
-					runtime.GOMAXPROCS(old)
-					t.Fatalf("epoch=%v P=%d %s: %v", epoch, p, g.workload, err)
-				}
-				if r.OutputHash != g.output || r.VirtualTime != g.vtime {
-					runtime.GOMAXPROCS(old)
-					t.Fatalf("epoch=%v P=%d %s: output=%#x vtime=%d, seed output=%#x vtime=%d",
-						epoch, p, g.workload, r.OutputHash, r.VirtualTime, g.output, g.vtime)
-				}
-				if th := fnvString(tr.String()); th != g.trace {
-					runtime.GOMAXPROCS(old)
-					t.Fatalf("epoch=%v P=%d %s: trace hash %#x, seed %#x — the store changed event-level behavior",
-						epoch, p, g.workload, th, g.trace)
-				}
-				if g.workload != "server" {
-					continue
-				}
-				sum, err := workloads.SummarizeServer(r)
-				if err != nil {
-					runtime.GOMAXPROCS(old)
-					t.Fatal(err)
-				}
-				if sum.StateHash != goldenServerState || sum.ResponseHash != goldenServerResp {
-					runtime.GOMAXPROCS(old)
-					t.Fatalf("epoch=%v P=%d: state=%#x resp=%#x, seed state=%#x resp=%#x",
-						epoch, p, sum.StateHash, sum.ResponseHash, goldenServerState, goldenServerResp)
-				}
-			}
-			runtime.GOMAXPROCS(old)
-		}
-	}
-}
-
 // TestSeedRegressionPoisonedPools runs the seed goldens with poison-on-recycle
 // on (mem.SetPageBufPoison): snapshot buffers, released patches' staging
 // buffers and extent lists, the dirty tracker's extent lists and every

@@ -10,7 +10,7 @@ import (
 // three acquire/release pairs whose imbalance is invisible to the race
 // detector but fatal to reclamation:
 //
-//   - slicestore.EpochStore pins: a value of type Pin returned by Pin() or a
+//   - slicestore's epoch pins: a value of type Pin returned by Pin() or a
 //     pin-returning helper must reach Release() on every path, or retired
 //     epochs accumulate on the limbo list forever;
 //   - alloc.ChunkPool chunks: a chunk obtained from Get must be returned
