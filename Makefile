@@ -30,6 +30,7 @@ race:
 
 bench:
 	$(GO) test -timeout 120s -run xxx -bench . -benchtime 10x .
+	$(GO) test -timeout 120s -run xxx -bench ThreadAccess -benchtime 3000000x -cpu 2 ./internal/core/
 
 fmt:
 	gofmt -w .

@@ -280,20 +280,27 @@ func TestOffMonitorDeterminism(t *testing.T) {
 	}
 }
 
+type namedProgram struct {
+	name string
+	prog api.ThreadFunc
+}
+
+// benchmarkPrograms are the four programs bench/ times, at its sizes.
+func benchmarkPrograms() []namedProgram {
+	return []namedProgram{
+		{"kv_server", workloads.ServerSeeded(workloads.Config{Threads: 4, Size: workloads.SizeTest}, workloads.DefaultServerSeed)},
+		{"water_ns", workloads.WaterNS(workloads.Config{Threads: 4, Size: workloads.SizeSmall})},
+		{"fft", workloads.FFT(workloads.Config{Threads: 4, Size: workloads.SizeMedium})},
+		{"matmul", workloads.MatrixMultiply(workloads.Config{Threads: 4, Size: workloads.SizeMedium})},
+	}
+}
+
 // TestOneMonitorSectionPerOperation: an operation enters the monitor once and
 // a thread once more to exit, so on the four benchmark programs
 // Stats.MonitorAcquires is the operation count plus the thread count. A
 // section given up midway and re-entered counts twice and breaks the sum.
 func TestOneMonitorSectionPerOperation(t *testing.T) {
-	for _, p := range []struct {
-		name string
-		prog api.ThreadFunc
-	}{
-		{"kv_server", workloads.ServerSeeded(workloads.Config{Threads: 4, Size: workloads.SizeTest}, workloads.DefaultServerSeed)},
-		{"water_ns", workloads.WaterNS(workloads.Config{Threads: 4, Size: workloads.SizeSmall})},
-		{"fft", workloads.FFT(workloads.Config{Threads: 4, Size: workloads.SizeMedium})},
-		{"matmul", workloads.MatrixMultiply(workloads.Config{Threads: 4, Size: workloads.SizeMedium})},
-	} {
+	for _, p := range benchmarkPrograms() {
 		rep, err := New(DefaultOptions()).Run(p.prog)
 		if err != nil {
 			t.Fatalf("%s: %v", p.name, err)

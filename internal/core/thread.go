@@ -64,14 +64,10 @@ type thread struct {
 	// saw every one of slicePtrs[:k] ≤ r's clock, so r's next collection
 	// starts at k. It lives with the list it indexes — whoever trims or
 	// replaces slicePtrs calls forgetMarks — and behind one pointer, nil until
-	// a reader first advances a mark, because thread (704 bytes) exactly fills
-	// its allocation size class. Same turn discipline as slicePtrs.
+	// a reader first advances a mark, which keeps thread small
+	// (TestThreadStaysInSizeClass). Same turn discipline as slicePtrs.
 	//detvet:notguarded ordered by the deterministic turn, like slicePtrs: written only by collectLocked and the two list-rewriting sites, all turn-held
 	marks *[]int
-
-	// Current-slice monitoring state: page snapshots in first-touch order.
-	snapshots map[mem.PageID][]byte
-	snapOrder []mem.PageID
 
 	// Lazy-writes state (§4.5): pending modifications per page, applied on
 	// first access. Non-nil iff the optimization is enabled. Each entry is a
@@ -109,8 +105,7 @@ type thread struct {
 	joiners    []*thread
 	exitV      vclock.VC
 	exitVT     vtime.Time
-	// scratch is set at creation and never changed. One pointer, because
-	// thread exactly fills its allocation size class.
+	// scratch is set at creation and never changed.
 	scratch *threadScratch
 
 	st  api.Stats
@@ -121,7 +116,7 @@ type thread struct {
 // re-making, plus its block site. No published slice, collect result or wake
 // event ever aliases it: the next call that uses it overwrites it.
 type threadScratch struct {
-	// finishSlice's: a run list per snapshotted page, by position in snapOrder
+	// finishSlice's: a run list per page record, by position in DirtyPages
 	// and never shortened, and the one payload staging area under them. (One
 	// list for all pages regrows through append's 1.25× steps on a thread's
 	// first cuts: matmul allocated 17% more KiB per run that way.)
@@ -182,6 +177,8 @@ func (t *thread) Observe(vals ...uint64) {
 //
 // Memory accesses. Every load/store counts one tick, as the paper's per-basic-
 // block instrumentation does (§4.1); tick publishes them a chunk at a time.
+// The slice's snapshot of a page and its written extents are one record, kept
+// by the thread's space (mem.Space.SnapshotPage); the thread has no list.
 //
 
 func (t *thread) loadTick() {
@@ -207,7 +204,7 @@ func (t *thread) recordStore(a, n uint64) {
 	t.vt += vtime.StoreCheck
 	first, last := mem.PageOf(a), mem.PageOf(a+n-1)
 	for pid := first; ; pid++ {
-		if !t.snapshotted(pid) {
+		if t.space.SnapshotOf(pid) == nil {
 			// Pending lazy modifications must land before the snapshot so
 			// the diff baseline reflects everything that happens-before
 			// this slice.
@@ -224,13 +221,6 @@ func (t *thread) recordStore(a, n uint64) {
 	}
 }
 
-// snapshotted reports whether the current slice holds a snapshot of page pid;
-// snapOrder's tail, the likeliest page to be stored to next, skips the map.
-func (t *thread) snapshotted(pid mem.PageID) bool {
-	n := len(t.snapOrder)
-	return n > 0 && t.snapOrder[n-1] == pid || t.snapshots[pid] != nil
-}
-
 // pendPatchFor returns (creating if needed) the pending patch for page pid.
 func (t *thread) pendPatchFor(pid mem.PageID) *mem.PagePatch {
 	pp := t.pending[pid]
@@ -245,12 +235,7 @@ func (t *thread) pendPatchFor(pid mem.PageID) *mem.PagePatch {
 // 5-7).
 func (t *thread) takeSnapshot(pid mem.PageID) {
 	t.exec.store.AllocSnapshot(int(t.id))
-	if t.snapshots == nil {
-		t.snapshots = make(map[mem.PageID][]byte)
-	}
-	//detvet:pincheck the buffer is owned by t.snapshots until finishSlice, which hands every entry to PutPageBuf once its page is diffed.
-	t.snapshots[pid] = t.space.Snapshot(pid)
-	t.snapOrder = append(t.snapOrder, pid)
+	t.space.SnapshotPage(pid)
 	t.st.StoresWithCopy++
 	t.vt += vtime.SnapshotPage
 }
@@ -265,7 +250,7 @@ func (t *thread) onFault(pid mem.PageID, write bool) {
 		}
 	}
 	if t.monitoring && t.exec.opts.Monitor == MonitorPF {
-		if !t.snapshotted(pid) {
+		if t.space.SnapshotOf(pid) == nil {
 			if write {
 				t.st.PageFaults++
 				t.vt += vtime.Fault
@@ -409,44 +394,40 @@ func (t *thread) harvestReads() {
 // returns nil when the slice made no modifications. The snapshot memory is
 // released immediately after diffing, as in §5.4.
 //
-// Only the page's sub-page dirty extents are scanned (DiffPageExtents): the
-// diff is O(written bytes), not O(snapshotted pages × page size). Every
-// snapshotted page has extents: a snapshot is taken only by recordStore,
-// immediately before a space store that marks every page of the range it
-// just snapshotted, or by onFault's write-fault branch, which only a space
-// store fires and which marks the page as soon as the handler returns; a
-// panic in between aborts the execution, and an aborted exit never diffs.
-// Tracking is on whenever monitoring is (enableDirtyTracking). The
-// modification list is byte-for-byte the one a full-page scan would produce
-// (see mem.DiffPageExtents for the argument), and the virtual-time model
-// still charges vtime.DiffPage per snapshotted page: the paper's system
-// cannot see sub-page extents, so the win is host wall time (DiffNanos),
-// deliberately invisible to the deterministic virtual clock and the trace.
+// The pages are the space's page records, in first-touch order, each with its
+// snapshot and its written extents (mem's dirtyPage has the invariant). Only
+// the extents are scanned (DiffPageExtents): the diff is O(written bytes),
+// not O(snapshotted pages × page size). The modification list is
+// byte-for-byte the one a full-page scan would produce (see
+// mem.DiffPageExtents for the argument), and the virtual-time model still
+// charges vtime.DiffPage per snapshotted page: the paper's system cannot see
+// sub-page extents, so the win is host wall time (DiffNanos), deliberately
+// invisible to the deterministic virtual clock and the trace.
 //
-// finishSlice touches only thread-private state (the snapshots, the space),
-// on the thread's own goroutine: before enter where the operation is known to
-// end the slice, inside the monitor section where only monitor-guarded state
-// says so (Lock, thread exit — endSliceLocked).
+// finishSlice touches only thread-private state (the space), on the thread's
+// own goroutine: before enter where the operation is known to end the slice,
+// inside the monitor section where only monitor-guarded state says so (Lock,
+// thread exit — endSliceLocked).
 //
-// The cut works in the thread's scratch: the pages are diffed in snapOrder,
+// The cut works in the thread's scratch: the pages are diffed in record order,
 // extent by extent, each into its run list over one staging area, sized first
 // so that the diff never grows it. What the slice keeps is then copied out once,
 // exact-size — its struct, its clock, one []mem.Run, one payload block every
 // Run.Data sub-slices — and never a byte of scratch, which the next cut
-// overwrites while the store holds this.
+// overwrites while the store holds this. ResetDirty hands the snapshots back.
 func (t *thread) finishSlice() *slicestore.Slice {
 	if t.exec.opts.Validate && !t.space.CacheConsistent() {
 		panic("page cache disagrees with the page table")
 	}
 	t.harvestReads()
-	if len(t.snapOrder) == 0 {
-		t.space.ResetDirty()
+	pages := t.space.DirtyPages()
+	if len(pages) == 0 {
 		return nil
 	}
 	start := stats.Now()
 	sc := t.scratch
 	var scanBytes uint64
-	for _, pid := range t.snapOrder {
+	for _, pid := range pages {
 		exts := t.space.DirtyExtentsOf(pid)
 		bytes := mem.ExtentBytes(exts)
 		t.st.DirtyExtents += uint64(len(exts))
@@ -460,12 +441,12 @@ func (t *thread) finishSlice() *slicestore.Slice {
 		sc.stage = make([]byte, scanBytes)
 	}
 	stage, nRuns := sc.stage[:0], 0
-	for i, pid := range t.snapOrder {
+	for i, pid := range pages {
 		if i == len(sc.pageRuns) {
 			sc.pageRuns = append(sc.pageRuns, nil)
 		}
 		sc.pageRuns[i], stage = mem.AppendDiffPageExtents(sc.pageRuns[i][:0], stage,
-			pid, t.snapshots[pid], t.space.PageData(pid), t.space.DirtyExtentsOf(pid))
+			pid, t.space.SnapshotOf(pid), t.space.PageData(pid), t.space.DirtyExtentsOf(pid))
 		nRuns += len(sc.pageRuns[i])
 	}
 	// The runs' bytes lie end to end in stage, in run order.
@@ -473,7 +454,7 @@ func (t *thread) finishSlice() *slicestore.Slice {
 	copy(payload, stage)
 	mods := make([]mem.Run, 0, nRuns)
 	off := 0
-	for _, runs := range sc.pageRuns[:len(t.snapOrder)] {
+	for _, runs := range sc.pageRuns[:len(pages)] {
 		for _, r := range runs {
 			end := off + len(r.Data)
 			mods = append(mods, mem.Run{Addr: r.Addr, Data: payload[off:end:end]})
@@ -481,14 +462,10 @@ func (t *thread) finishSlice() *slicestore.Slice {
 		}
 	}
 	mem.PoisonScratch(sc.stage)
-	for _, pid := range t.snapOrder {
+	for range pages {
 		t.exec.store.FreeSnapshot(int(t.id))
 		t.vt += vtime.DiffPage
-		// The diff has consumed the snapshot; recycle its pooled buffer.
-		mem.PutPageBuf(t.snapshots[pid])
-		delete(t.snapshots, pid)
 	}
-	t.snapOrder = t.snapOrder[:0]
 	t.space.ResetDirty()
 	el := stats.Since(start)
 	t.st.DiffNanos += uint64(el)

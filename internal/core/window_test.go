@@ -112,10 +112,12 @@ func TestCollectScanLinearInListGrowth(t *testing.T) {
 	}
 }
 
-// TestThreadStaysInSizeClass: thread is 704 bytes, which is an allocation size
-// class exactly (the next is 768), so one more field of any size costs every
-// thread 64 bytes and moves alloc_kb_per_run. The window state is one pointer
-// and the clock lag sits in the flags' padding for this reason.
+// TestThreadStaysInSizeClass: thread is 656 bytes in the 704-byte allocation
+// size class (it filled the class until the slice's snapshots moved into the
+// space's page records; the next class is 768), so 48 bytes of fields are
+// free and the 49th costs every thread 64 bytes and moves alloc_kb_per_run.
+// The window state is one pointer and the clock lag sits in the flags' padding
+// from when there was no room at all.
 func TestThreadStaysInSizeClass(t *testing.T) {
 	if sz := unsafe.Sizeof(thread{}); sz > 704 {
 		t.Fatalf("unsafe.Sizeof(thread{}) = %d, want ≤ 704", sz)

@@ -85,19 +85,30 @@ type FaultHandler func(p PageID, write bool)
 
 // pageCacheSize is the slot count of a Space's direct-mapped page cache. One
 // slot thrashes on matmul, which alternates between an A page and a B page;
-// Space is 4,264 bytes in the 4,864-byte size class, so ≤ 32 slots are free.
+// Space is 4,760 bytes in the 4,864-byte size class: three more slots fit.
 const pageCacheSize = 16
+
+// pageSlot is what an access asks about page id, so that a hit consults no
+// map; a nil p marks it empty. Whoever changes a fact updates the slot: p is
+// pages[id] (writablePage, Release), prot is ProtectionOf(id) (Protect,
+// ProtectAll), d is dirty[id] once a store has asked for it, else nil (record,
+// recordOf, ResetDirty). A fill reads the first two; loads never need the third.
+type pageSlot struct {
+	id   PageID
+	p    *Page
+	d    *dirtyPage
+	prot Prot
+}
 
 // Space is one thread's private view of the shared address range.
 type Space struct {
 	pages map[PageID]*Page
-	// cache[id%pageCacheSize] is {id, pages[id]} or has a nil p: the pointer
-	// only — writablePage still tests Shared — so Clone leaves it alone, and
-	// never &zero. Only the space's owner touches it (PageData goes round it).
-	cache [pageCacheSize]struct {
-		id PageID
-		p  *Page
-	}
+	// cache[id%pageCacheSize] describes page id or is empty. It holds the page
+	// pointer, not its sharing — a store still tests Shared — so Clone leaves
+	// it alone, and never &zero. Only the owner touches it, or a turn holder
+	// acting for a provably blocked owner (a waker's pendPlan protects the
+	// peer's pages), as with core's thread.pending. PageData goes round it.
+	cache [pageCacheSize]pageSlot
 	// prot holds explicit per-page protections; pages without an entry use
 	// defaultProt. ProtectAll works by swapping defaultProt (one "mprotect
 	// of the whole mapping"), which also covers pages that are not resident
@@ -110,17 +121,14 @@ type Space struct {
 	// zero is returned for reads of unmapped pages.
 	zero Page
 
-	// Sub-page dirty tracking (dirty.go): per-page written-byte extents,
-	// recorded on every store while trackDirty is set and reset at slice
-	// end. lastDirtyID/lastDirty cache the most recently marked page so
-	// loops over one page skip the map lookup. dirtyFree holds the records
-	// ResetDirty retired, for the next slice's first touches.
-	trackDirty  bool
-	dirty       map[PageID]*dirtyPage
-	dirtyOrder  []PageID
-	dirtyFree   []*dirtyPage
-	lastDirtyID PageID
-	lastDirty   *dirtyPage
+	// The slice's page records (dirty.go): one per page written or snapshotted
+	// while trackDirty is set, in first-touch order, reset at slice end; the
+	// slot of a page being stored to holds its record. dirtyFree holds the
+	// records ResetDirty retired, for the next slice's first touches.
+	trackDirty bool
+	dirty      map[PageID]*dirtyPage
+	dirtyOrder []PageID
+	dirtyFree  []*dirtyPage
 
 	// Per-slice read-set tracking (reads.go): per-page loaded-byte extents,
 	// recorded on every load while trackReads is set (race detection only)
@@ -160,22 +168,23 @@ func (s *Space) Clone() *Space {
 	return c
 }
 
-// Release drops all page references held by s. The space must not be used
-// afterwards.
+// Release drops all page references held by s, and hands back any snapshot
+// a page record still holds. The space must not be used afterwards.
 func (s *Space) Release() {
 	//detvet:orderfree per-page Unref+delete commutes; the map is discarded afterwards.
 	for id, p := range s.pages {
 		p.Unref()
 		delete(s.pages, id)
 	}
+	s.ResetDirty()
 	clear(s.cache[:])
 }
 
-// CacheConsistent reports whether every cache slot agrees with the page table
+// CacheConsistent reports whether every cache slot agrees with the tables
 // (Options.Validate asks at each slice end; no access pays for it).
 func (s *Space) CacheConsistent() bool {
 	for _, c := range s.cache {
-		if c.p != nil && c.p != s.pages[c.id] {
+		if c.p != nil && (c.p != s.pages[c.id] || c.prot != s.ProtectionOf(c.id) || c.d != nil && c.d != s.dirty[c.id]) {
 			return false
 		}
 	}
@@ -213,21 +222,41 @@ func (s *Space) Pages(fn func(PageID, *Page)) {
 	}
 }
 
-// readPage returns the page for reading; unmapped pages read as zeros.
+// readPage returns the page for reading, faults aside; unmapped reads as zeros.
 func (s *Space) readPage(id PageID) *Page {
 	c := &s.cache[id%pageCacheSize]
 	if c.id == id && c.p != nil {
 		return c.p
 	}
 	if p, ok := s.pages[id]; ok {
-		c.id, c.p = id, p
+		*c = pageSlot{id: id, p: p, prot: s.ProtectionOf(id)}
 		return p
 	}
 	return &s.zero
 }
 
-// writablePage returns a page that may be written in place, performing the
-// copy-on-write if the page is shared or absent.
+// loadPage returns the page a load reads, after any fault it takes; a slot
+// that allows the load is the whole answer.
+func (s *Space) loadPage(id PageID) *Page {
+	if c := &s.cache[id%pageCacheSize]; c.id == id && c.p != nil && c.prot != ProtNone {
+		return c.p
+	}
+	s.checkFault(id, false)
+	return s.readPage(id)
+}
+
+// storePage returns the page a store writes in place, after any fault it
+// takes; a slot that allows the store, over an unshared page, is the whole answer.
+func (s *Space) storePage(id PageID) *Page {
+	if c := &s.cache[id%pageCacheSize]; c.id == id && c.p != nil && c.prot == ProtRW && !c.p.Shared() {
+		return c.p
+	}
+	s.checkFault(id, true)
+	return s.writablePage(id)
+}
+
+// writablePage returns a page that may be written in place, faults aside,
+// copying it first if it is shared or absent, and leaves it in its slot.
 func (s *Space) writablePage(id PageID) *Page {
 	c := &s.cache[id%pageCacheSize]
 	if c.id == id && c.p != nil && !c.p.Shared() {
@@ -244,7 +273,7 @@ func (s *Space) writablePage(id PageID) *Page {
 		p = np
 		s.pages[id] = p
 	}
-	c.id, c.p = id, p
+	*c = pageSlot{id: id, p: p, prot: s.ProtectionOf(id)}
 	return p
 }
 
@@ -252,26 +281,20 @@ func (s *Space) writablePage(id PageID) *Page {
 // given access. The handler is expected to lower the protection; the access
 // then proceeds.
 func (s *Space) checkFault(id PageID, write bool) {
-	if s.onFault == nil || (s.defaultProt == ProtRW && len(s.prot) == 0) {
+	if s.onFault == nil {
 		return
 	}
-	pr, ok := s.prot[id]
-	if !ok {
-		pr = s.defaultProt
-	}
-	switch pr {
-	case ProtNone:
+	if pr := s.ProtectionOf(id); pr == ProtNone || pr == ProtRead && write {
 		s.onFault(id, write)
-	case ProtRead:
-		if write {
-			s.onFault(id, write)
-		}
 	}
 }
 
 // Protect sets the protection of page id, overriding any whole-mapping
 // protection installed by ProtectAll.
 func (s *Space) Protect(id PageID, pr Prot) {
+	if c := &s.cache[id%pageCacheSize]; c.id == id {
+		c.prot = pr
+	}
 	if pr == ProtRW && s.defaultProt == ProtRW {
 		delete(s.prot, id)
 		return
@@ -281,8 +304,10 @@ func (s *Space) Protect(id PageID, pr Prot) {
 
 // ProtectionOf returns the effective protection of page id.
 func (s *Space) ProtectionOf(id PageID) Prot {
-	if pr, ok := s.prot[id]; ok {
-		return pr
+	if len(s.prot) != 0 {
+		if pr, ok := s.prot[id]; ok {
+			return pr
+		}
 	}
 	return s.defaultProt
 }
@@ -295,37 +320,31 @@ func (s *Space) ProtectionOf(id PageID) Prot {
 // sync-heavy programs.
 func (s *Space) ProtectAll(pr Prot) int {
 	s.defaultProt = pr
-	for id := range s.prot {
-		delete(s.prot, id)
+	clear(s.prot)
+	for i := range s.cache {
+		s.cache[i].prot = pr
 	}
 	return len(s.pages)
 }
 
 // ClearProtections removes all page protections.
-func (s *Space) ClearProtections() {
-	s.defaultProt = ProtRW
-	for id := range s.prot {
-		delete(s.prot, id)
-	}
-}
+func (s *Space) ClearProtections() { s.ProtectAll(ProtRW) }
 
 // Load8 reads one byte.
 func (s *Space) Load8(a uint64) uint8 {
 	id := PageOf(a)
-	s.checkFault(id, false)
 	if s.trackReads {
 		s.markRead(id, uint32(a&PageMask), 1)
 	}
-	return s.readPage(id).Data[a&PageMask]
+	return s.loadPage(id).Data[a&PageMask]
 }
 
 // Store8 writes one byte.
 func (s *Space) Store8(a uint64, v uint8) {
 	id := PageOf(a)
-	s.checkFault(id, true)
-	s.writablePage(id).Data[a&PageMask] = v
+	s.storePage(id).Data[a&PageMask] = v
 	if s.trackDirty {
-		s.markDirty(id, uint32(a&PageMask), 1)
+		s.recordOf(id).mark(uint32(a&PageMask), 1)
 	}
 }
 
@@ -333,11 +352,10 @@ func (s *Space) Store8(a uint64, v uint8) {
 func (s *Space) Load32(a uint64) uint32 {
 	if a&PageMask <= PageSize-4 {
 		id := PageOf(a)
-		s.checkFault(id, false)
 		if s.trackReads {
 			s.markRead(id, uint32(a&PageMask), 4)
 		}
-		return binary.LittleEndian.Uint32(s.readPage(id).Data[a&PageMask:])
+		return binary.LittleEndian.Uint32(s.loadPage(id).Data[a&PageMask:])
 	}
 	var buf [4]byte
 	s.ReadBytes(a, buf[:])
@@ -348,10 +366,9 @@ func (s *Space) Load32(a uint64) uint32 {
 func (s *Space) Store32(a uint64, v uint32) {
 	if a&PageMask <= PageSize-4 {
 		id := PageOf(a)
-		s.checkFault(id, true)
-		binary.LittleEndian.PutUint32(s.writablePage(id).Data[a&PageMask:], v)
+		binary.LittleEndian.PutUint32(s.storePage(id).Data[a&PageMask:], v)
 		if s.trackDirty {
-			s.markDirty(id, uint32(a&PageMask), 4)
+			s.recordOf(id).mark(uint32(a&PageMask), 4)
 		}
 		return
 	}
@@ -364,11 +381,10 @@ func (s *Space) Store32(a uint64, v uint32) {
 func (s *Space) Load64(a uint64) uint64 {
 	if a&PageMask <= PageSize-8 {
 		id := PageOf(a)
-		s.checkFault(id, false)
 		if s.trackReads {
 			s.markRead(id, uint32(a&PageMask), 8)
 		}
-		return binary.LittleEndian.Uint64(s.readPage(id).Data[a&PageMask:])
+		return binary.LittleEndian.Uint64(s.loadPage(id).Data[a&PageMask:])
 	}
 	var buf [8]byte
 	s.ReadBytes(a, buf[:])
@@ -379,10 +395,9 @@ func (s *Space) Load64(a uint64) uint64 {
 func (s *Space) Store64(a uint64, v uint64) {
 	if a&PageMask <= PageSize-8 {
 		id := PageOf(a)
-		s.checkFault(id, true)
-		binary.LittleEndian.PutUint64(s.writablePage(id).Data[a&PageMask:], v)
+		binary.LittleEndian.PutUint64(s.storePage(id).Data[a&PageMask:], v)
 		if s.trackDirty {
-			s.markDirty(id, uint32(a&PageMask), 8)
+			s.recordOf(id).mark(uint32(a&PageMask), 8)
 		}
 		return
 	}
@@ -395,9 +410,8 @@ func (s *Space) Store64(a uint64, v uint64) {
 func (s *Space) ReadBytes(a uint64, buf []byte) {
 	for len(buf) > 0 {
 		id := PageOf(a)
-		s.checkFault(id, false)
 		off := a & PageMask
-		n := copy(buf, s.readPage(id).Data[off:])
+		n := copy(buf, s.loadPage(id).Data[off:])
 		if s.trackReads {
 			s.markRead(id, uint32(off), uint32(n))
 		}
@@ -410,11 +424,10 @@ func (s *Space) ReadBytes(a uint64, buf []byte) {
 func (s *Space) WriteBytes(a uint64, data []byte) {
 	for len(data) > 0 {
 		id := PageOf(a)
-		s.checkFault(id, true)
 		off := a & PageMask
-		n := copy(s.writablePage(id).Data[off:], data)
+		n := copy(s.storePage(id).Data[off:], data)
 		if s.trackDirty {
-			s.markDirty(id, uint32(off), uint32(n))
+			s.recordOf(id).mark(uint32(off), uint32(n))
 		}
 		data = data[n:]
 		a += uint64(n)

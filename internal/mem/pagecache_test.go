@@ -11,20 +11,48 @@ import (
 	"unsafe"
 )
 
-// A Space against the obvious model of one: a page table that is a map and
-// nothing else, with copy-on-write sharing counted per page. The Space puts a
-// direct-mapped cache in front of its table; the model stays here as the
-// reference whatever the Space's lookup becomes.
+// A Space against the obvious model of one: a page table, a protection table
+// and a per-page written-byte set that are maps and nothing else, with
+// copy-on-write sharing counted per page. The Space puts a direct-mapped cache
+// in front of its tables, each slot carrying the page, its protection and the
+// slice's record of it; the model stays here as the reference whatever the
+// Space's lookup becomes.
 
 type modelPage struct {
 	refs int
 	data [PageSize]byte
 }
 
-type modelSpace struct{ pages map[PageID]*modelPage }
+// fault is one firing of the fault handler.
+type fault struct {
+	id    PageID
+	write bool
+}
 
-func newModelSpace() *modelSpace { return &modelSpace{pages: map[PageID]*modelPage{}} }
+type modelSpace struct {
+	pages   map[PageID]*modelPage
+	prot    map[PageID]Prot
+	defProt Prot
+	faults  []fault // what the handler must have been called with, in order
 
+	// The slice's records, while tracking: pages in first-touch order, the
+	// bytes written since the last reset, the snapshot taken at first write.
+	tracking bool
+	order    []PageID
+	written  map[PageID]*[PageSize]bool
+	snaps    map[PageID]*[PageSize]byte
+}
+
+func newModelSpace() *modelSpace {
+	return &modelSpace{
+		pages:   map[PageID]*modelPage{},
+		prot:    map[PageID]Prot{},
+		written: map[PageID]*[PageSize]bool{},
+		snaps:   map[PageID]*[PageSize]byte{},
+	}
+}
+
+// clone shares the pages; protections and records are not inherited.
 func (m *modelSpace) clone() *modelSpace {
 	c := newModelSpace()
 	for id, p := range m.pages {
@@ -41,7 +69,41 @@ func (m *modelSpace) release() {
 	}
 }
 
+func (m *modelSpace) protect(id PageID, pr Prot) {
+	if pr == ProtRW && m.defProt == ProtRW {
+		delete(m.prot, id)
+	} else {
+		m.prot[id] = pr
+	}
+}
+
+func (m *modelSpace) protectAll(pr Prot) {
+	m.defProt = pr
+	clear(m.prot)
+}
+
+// access takes the faults of an n-byte access at a, a page at a time; the
+// handler lowers each faulting page to read-write, as the test's handler does.
+func (m *modelSpace) access(a uint64, n int, write bool) {
+	for id := PageOf(a); n > 0 && id <= PageOf(a+uint64(n)-1); id++ {
+		pr, ok := m.prot[id]
+		if !ok {
+			pr = m.defProt
+		}
+		if pr == ProtNone || pr == ProtRead && write {
+			m.faults = append(m.faults, fault{id, write})
+			m.protect(id, ProtRW)
+		}
+	}
+}
+
 func (m *modelSpace) read(a uint64, buf []byte) {
+	m.access(a, len(buf), false)
+	m.peek(a, buf)
+}
+
+// peek reads past the protections, as Snapshot and PageData do.
+func (m *modelSpace) peek(a uint64, buf []byte) {
 	for i := range buf {
 		buf[i] = 0
 		if p, ok := m.pages[PageOf(a+uint64(i))]; ok {
@@ -50,7 +112,45 @@ func (m *modelSpace) read(a uint64, buf []byte) {
 	}
 }
 
+// touch starts page id's record if the slice has none.
+func (m *modelSpace) touch(id PageID) {
+	if !slices.Contains(m.order, id) {
+		m.order = append(m.order, id)
+	}
+}
+
+// snapshot is the monitor's: the page's contents at the slice's first write.
+func (m *modelSpace) snapshot(id PageID) {
+	m.touch(id)
+	snap := new([PageSize]byte)
+	m.peek(PageAddr(id), snap[:])
+	m.snaps[id] = snap
+}
+
+func (m *modelSpace) resetDirty() {
+	m.order = nil
+	clear(m.written)
+	clear(m.snaps)
+}
+
 func (m *modelSpace) write(a uint64, data []byte) {
+	m.access(a, len(data), true)
+	m.poke(a, data)
+	if !m.tracking {
+		return
+	}
+	for i := range data {
+		id := PageOf(a + uint64(i))
+		m.touch(id)
+		if m.written[id] == nil {
+			m.written[id] = new([PageSize]bool)
+		}
+		m.written[id][(a+uint64(i))&PageMask] = true
+	}
+}
+
+// poke writes past protections and records, as a propagated update does.
+func (m *modelSpace) poke(a uint64, data []byte) {
 	for i, b := range data {
 		id := PageOf(a + uint64(i))
 		p, ok := m.pages[id]
@@ -99,7 +199,7 @@ func (m *modelSpace) privateBytes() uint64 {
 // page%4 + (page/4%4)·pageCacheSize: four cache slots with four pages
 // colliding in each.
 //
-//	kind%14  0 1 2   Load8, Load32, Load64 at the page's offset%PageSize
+//	kind%19  0 1 2   Load8, Load32, Load64 at the page's offset%PageSize
 //	         3 4 5   Store8, Store32, Store64 there (accesses near the end of
 //	                 a page straddle into the next)
 //	         6 7     ReadBytes, WriteBytes of length·40 bytes (up to three pages)
@@ -111,10 +211,23 @@ func (m *modelSpace) privateBytes() uint64 {
 //	         12      Protect the page: none (length%3 = 0), read, read-write;
 //	                 the fault handler lowers it again, as the runtime's does
 //	         13      ApplyRuns of the same run as 11
+//	         14      ProtectAll: none (length%3 = 0), read, read-write
+//	         15      ClearProtections
+//	         16      SetDirtyTracking(length odd)
+//	         17      ResetDirty
+//	         18      the CI monitor's Store64: SnapshotPage of every page of the
+//	                 range the slice has no snapshot of, then the store (a plain
+//	                 Store64 while tracking is off)
 //
-// Every read is compared with the model's; after every operation every slot's
-// Hash, PrivateBytes and PageCount are, and every cache is checked against its
-// page table. A trailing fragment shorter than an operation is ignored.
+// Every read is compared with the model's, and the handler's calls — which
+// page, load or store, in which order — with the faults the model took; after
+// every operation every slot's Hash, PrivateBytes and PageCount are compared,
+// every cache is checked against its tables, and the operated slot's records
+// are: the pages in first-touch order, each page's extents well-formed and a
+// superset of the bytes written since the last reset (exactly those bytes
+// until the page degrades to the chunk bitmap), each snapshot the page as it
+// was at its first write. A trailing fragment shorter than an operation is
+// ignored.
 const spaceOpLen = 6
 
 func spaceOp(kind, slot, src, page byte, off, n int) []byte {
@@ -124,14 +237,56 @@ func spaceOp(kind, slot, src, page byte, off, n int) []byte {
 }
 
 type spacePair struct {
-	s *Space
-	m *modelSpace
+	s      *Space
+	m      *modelSpace
+	faults *[]fault // the handler's calls since the last comparison
 }
 
-func newSpacePair() spacePair {
-	s := NewSpace()
-	s.SetFaultHandler(func(id PageID, _ bool) { s.Protect(id, ProtRW) })
-	return spacePair{s, newModelSpace()}
+func pairOf(s *Space, m *modelSpace) spacePair {
+	sp := spacePair{s, m, new([]fault)}
+	s.SetFaultHandler(func(id PageID, write bool) {
+		*sp.faults = append(*sp.faults, fault{id, write})
+		s.Protect(id, ProtRW)
+	})
+	return sp
+}
+
+func newSpacePair() spacePair { return pairOf(NewSpace(), newModelSpace()) }
+
+// checkRecords compares the space's page records with the model's.
+func (sp spacePair) checkRecords(t *testing.T, where string) {
+	t.Helper()
+	if got := sp.s.DirtyPages(); !slices.Equal(got, sp.m.order) || sp.s.DirtyPageCount() != len(sp.m.order) {
+		t.Fatalf("%s: %d records, of pages %v; model's first-touch order %v", where, sp.s.DirtyPageCount(), got, sp.m.order)
+	}
+	for _, id := range sp.m.order {
+		exts := sp.s.DirtyExtentsOf(id)
+		if err := extentsWellFormed(exts); err != nil {
+			t.Fatalf("%s: page %d extents %+v: %v", where, id, exts, err)
+		}
+		var covered [PageSize]bool
+		for _, e := range exts {
+			for b := e.Off; b < e.End(); b++ {
+				covered[b] = true
+			}
+		}
+		written := sp.m.written[id]
+		if written == nil {
+			written = new([PageSize]bool) // snapshotted, not yet stored to
+		}
+		exact := !sp.s.dirty[id].bitmapped
+		for b := range covered {
+			if written[b] && !covered[b] || exact && covered[b] && !written[b] {
+				t.Fatalf("%s: page %d byte %d: written %v, in extents %+v (exact: %v)", where, id, b, written[b], exts, exact)
+			}
+		}
+		switch snap, want := sp.s.SnapshotOf(id), sp.m.snaps[id]; {
+		case want == nil && snap != nil:
+			t.Fatalf("%s: page %d has a snapshot the model never took", where, id)
+		case want != nil && !bytes.Equal(snap, want[:]):
+			t.Fatalf("%s: page %d snapshot is not the page at its first write", where, id)
+		}
+	}
 }
 
 func runSpaceProgram(t *testing.T, prog []byte) {
@@ -156,8 +311,9 @@ func runSpaceProgram(t *testing.T, prog []byte) {
 		}
 		return data
 	}
+	prots := []Prot{ProtNone, ProtRead, ProtRW}
 	for step := 0; len(prog) >= spaceOpLen; step, prog = step+1, prog[spaceOpLen:] {
-		kind := prog[0] % 14
+		kind := prog[0] % 19
 		sp, src := &slots[prog[1]&3], &slots[prog[1]>>2&3]
 		id := PageID(prog[2]%4) + PageID(prog[2]/4%4)*pageCacheSize
 		a := PageAddr(id) + uint64(binary.LittleEndian.Uint16(prog[3:]))%PageSize
@@ -189,8 +345,19 @@ func runSpaceProgram(t *testing.T, prog []byte) {
 			data := fill(4)
 			sp.s.Store32(a, binary.LittleEndian.Uint32(data))
 			sp.m.write(a, data)
-		case 5:
+		case 5, 18:
 			data := fill(8)
+			if kind == 18 && sp.m.tracking {
+				for pid := PageOf(a); pid <= PageOf(a+7); pid++ {
+					if (sp.s.SnapshotOf(pid) == nil) != (sp.m.snaps[pid] == nil) {
+						t.Fatalf("%s: SnapshotOf(%d) = %v, model has one: %v", where, pid, sp.s.SnapshotOf(pid), sp.m.snaps[pid] != nil)
+					}
+					if sp.m.snaps[pid] == nil {
+						sp.s.SnapshotPage(pid)
+						sp.m.snapshot(pid)
+					}
+				}
+			}
 			sp.s.Store64(a, binary.LittleEndian.Uint64(data))
 			sp.m.write(a, data)
 		case 6:
@@ -206,9 +373,7 @@ func runSpaceProgram(t *testing.T, prog []byte) {
 				continue
 			}
 			old := *sp
-			*sp = spacePair{src.s.Clone(), src.m.clone()}
-			s := sp.s
-			s.SetFaultHandler(func(id PageID, _ bool) { s.Protect(id, ProtRW) })
+			*sp = pairOf(src.s.Clone(), src.m.clone())
 			old.s.Release()
 			old.m.release()
 		case 9:
@@ -217,10 +382,12 @@ func runSpaceProgram(t *testing.T, prog []byte) {
 			*sp = newSpacePair()
 		case 10:
 			snap := sp.s.Snapshot(id)
-			a = PageAddr(id)
-			read(snap)
+			want := make([]byte, PageSize)
+			sp.m.peek(PageAddr(id), want)
+			if !bytes.Equal(snap, want) || !bytes.Equal(sp.s.PageData(id), want) { // PageData: the table, past the cache
+				t.Fatalf("%s: Snapshot or PageData differs from the model's page", where)
+			}
 			PutPageBuf(snap)
-			read(sp.s.PageData(id)) // the read-only lookup: the table, past the cache
 		case 11, 13:
 			data := fill(min(n*16, PageSize-int(a&PageMask)))
 			if len(data) == 0 {
@@ -234,10 +401,30 @@ func runSpaceProgram(t *testing.T, prog []byte) {
 			} else {
 				sp.s.ApplyRuns(runs)
 			}
-			sp.m.write(a, data)
+			sp.m.poke(a, data)
 		case 12:
-			sp.s.Protect(id, []Prot{ProtNone, ProtRead, ProtRW}[n%3])
+			sp.s.Protect(id, prots[n%3])
+			sp.m.protect(id, prots[n%3])
+		case 14:
+			sp.s.ProtectAll(prots[n%3])
+			sp.m.protectAll(prots[n%3])
+		case 15:
+			sp.s.ClearProtections()
+			sp.m.protectAll(ProtRW)
+		case 16:
+			sp.s.SetDirtyTracking(n%2 == 1)
+			if sp.m.tracking = n%2 == 1; !sp.m.tracking {
+				sp.m.resetDirty()
+			}
+		case 17:
+			sp.s.ResetDirty()
+			sp.m.resetDirty()
 		}
+		if !slices.Equal(*sp.faults, sp.m.faults) {
+			t.Fatalf("%s: the handler saw %+v, the model faults %+v", where, *sp.faults, sp.m.faults)
+		}
+		*sp.faults, sp.m.faults = nil, nil
+		sp.checkRecords(t, where)
 		for i, sp := range slots {
 			if got, want := sp.s.Hash(), sp.m.hash(); got != want {
 				t.Fatalf("%s: slot %d Hash = %#x, model %#x", where, i, got, want)
@@ -249,21 +436,30 @@ func runSpaceProgram(t *testing.T, prog []byte) {
 				t.Fatalf("%s: slot %d PageCount = %d, model %d", where, i, got, want)
 			}
 			if !sp.s.CacheConsistent() {
-				t.Fatalf("%s: slot %d: a cache entry disagrees with the page table", where, i)
+				t.Fatalf("%s: slot %d: a cache entry disagrees with the page, protection or record table", where, i)
 			}
 		}
 	}
 }
 
 // randomSpaceProgram draws operations biased to what a cache in front of the
-// table can get wrong: few slots and pages, so that clones, releases and
-// colliding pages meet cached entries, and offsets at both ends of a page.
+// tables can get wrong: few slots and pages, so that clones, releases,
+// protections, resets and colliding pages meet cached entries, and offsets at
+// both ends of a page. Two programs in three start with tracking on.
 func randomSpaceProgram(r *rand.Rand, ops int) []byte {
 	var prog []byte
+	if r.Intn(3) != 0 {
+		for slot := byte(0); slot < 3; slot++ {
+			prog = append(prog, spaceOp(16, slot, 0, 0, 0, 1)...)
+		}
+	}
 	for i := 0; i < ops; i++ {
 		kind := byte(r.Intn(8)) // an access, most of the time
-		if r.Intn(3) == 0 {
-			kind = byte(8 + r.Intn(6))
+		switch r.Intn(6) {
+		case 0:
+			kind = 18
+		case 1, 2:
+			kind = byte(8 + r.Intn(10))
 		}
 		off := r.Intn(PageSize)
 		switch r.Intn(4) {
@@ -278,8 +474,8 @@ func randomSpaceProgram(r *rand.Rand, ops int) []byte {
 }
 
 // TestSpaceMatchesModel: random programs of accesses, clones, releases,
-// snapshots, applies and protections leave every space answering exactly as
-// the map-only model.
+// snapshots, applies, protections and slice resets leave every space
+// answering, faulting and recording exactly as the map-only model.
 func TestSpaceMatchesModel(t *testing.T) {
 	r := rand.New(rand.NewSource(22))
 	for i := 0; i < 60; i++ {
@@ -301,7 +497,9 @@ func FuzzSpacePageCache(f *testing.F) {
 
 // TestSpaceStaysInSizeClass: with the 8-byte allocation header a Space must
 // stay ≤ 4,856 bytes to be served from the 4,864-byte class it was in before
-// it had a page cache; the next class is 5,376.
+// it had a page cache; the next class is 5,376, and one class more per Clone
+// is past matmul's 1% alloc_kb_per_run bound. It is 4,760 with sixteen
+// 32-byte slots: three more would fit, thirty-two do not.
 func TestSpaceStaysInSizeClass(t *testing.T) {
 	if sz := unsafe.Sizeof(Space{}); sz > 4856 {
 		t.Fatalf("unsafe.Sizeof(Space{}) = %d, want ≤ 4856", sz)

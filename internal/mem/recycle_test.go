@@ -293,6 +293,50 @@ func TestPoisonOnRecycle(t *testing.T) {
 	}
 }
 
+// TestRecordSnapshotsGoBackToThePool: a page record owns its snapshot until
+// the record is retired, and every way of retiring one — ResetDirty at slice
+// end, SetDirtyTracking(false), Release of a space cut off mid-slice — hands
+// the buffer to PutPageBuf, which the poison hook makes visible through an
+// alias. A second SnapshotPage of the slice must not happen: the monitors
+// ask SnapshotOf first.
+func TestRecordSnapshotsGoBackToThePool(t *testing.T) {
+	SetPageBufPoison(true)
+	defer SetPageBufPoison(false)
+	poison := bytes.Repeat([]byte{0xDB}, PageSize)
+	for _, retire := range []struct {
+		name string
+		do   func(*Space)
+	}{
+		{"ResetDirty", (*Space).ResetDirty},
+		{"SetDirtyTracking(false)", func(s *Space) { s.SetDirtyTracking(false) }},
+		{"Release", (*Space).Release},
+	} {
+		s := NewSpace()
+		s.SetDirtyTracking(true)
+		var held [][]byte
+		for _, id := range []PageID{3, 3 + pageCacheSize, 5} { // two in one slot, one never stored to
+			s.SnapshotPage(id)
+			if id != 5 {
+				s.Store64(PageAddr(id)+8, 7)
+			}
+			held = append(held, s.SnapshotOf(id))
+		}
+		if s.DirtyPageCount() != 3 || held[0] == nil || bytes.Equal(held[0], poison) {
+			t.Fatalf("%s: %d records before retiring, snapshot %x…", retire.name, s.DirtyPageCount(), held[0][:4])
+		}
+		retire.do(s)
+		for i, snap := range held {
+			if !bytes.Equal(snap, poison) {
+				t.Errorf("%s: snapshot %d was not handed back to the pool", retire.name, i)
+			}
+		}
+		if s.DirtyPageCount() != 0 || s.SnapshotOf(3) != nil || !s.CacheConsistent() {
+			t.Errorf("%s left records, a snapshot or a slot behind", retire.name)
+		}
+		s.Release()
+	}
+}
+
 // TestMaskedMergeWritesOnlyMaskedBytes is the poison wall for the word-wise
 // merge. Absorb and the flush move eight bytes at a time and read, on both
 // sides, bytes no run wrote; this fails if one of those ever lands. A plan

@@ -402,3 +402,51 @@ func TestSeedRegressionPoisonedPools(t *testing.T) {
 		}
 	}
 }
+
+// TestBenchmarkProgramsPoisonedMatchParentStats runs the four programs
+// bench/ times, at its sizes — kv_server is the golden server — with
+// poison-on-recycle on, and pins everything deterministic an execution reports — output hash,
+// virtual time, the synchronization trace and every Stats field the host does
+// not decide — to the values of commit 87e3df6, the last one at which a
+// thread kept its slice's snapshots in a map of its own. Since then they live
+// in the space's page records and go back to the pool where the records are
+// reset: a snapshot handed back before its page is diffed reads 0xDB and
+// changes the modification list, so BytesPropagated and the output with it.
+func TestBenchmarkProgramsPoisonedMatchParentStats(t *testing.T) {
+	mem.SetPageBufPoison(true)
+	defer mem.SetPageBufPoison(false)
+	bench := func(size workloads.Size) workloads.Config { return workloads.Config{Threads: 4, Size: size} }
+	opts := core.DefaultOptions()
+	opts.Trace = true
+	rt := core.New(opts)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, g := range []struct {
+		name                        string
+		prog                        rfdet.ThreadFunc
+		output, vtime, trace, stats uint64
+	}{
+		// The benchmark's kv_server at the default seed is the golden server.
+		{"kv_server", workloads.ServerSeeded(bench(workloads.SizeTest), workloads.DefaultServerSeed),
+			goldenServerOutput, goldenServerVTime, goldenServerTrace, 0xfc6a487ff90ae630},
+		{"water_ns", workloads.WaterNS(bench(workloads.SizeSmall)), 0xf8591d83f6e0bdb3, 1977205, 0xf8bffd9aa9b8cd8b, 0xf2bf64771a20558d},
+		{"fft", workloads.FFT(bench(workloads.SizeMedium)), 0x918759f64874e596, 1522575, 0x2352dae3d6166543, 0x5278514aab74f9e6},
+		{"matmul", workloads.MatrixMultiply(bench(workloads.SizeMedium)), 0xcec7e115888aade4, 388887, 0xe7f1c6aacd28269, 0x1f0a7d2616b2f7d1},
+	} {
+		for _, p := range []int{1, 4} {
+			runtime.GOMAXPROCS(p)
+			r, tr, err := rt.RunTraced(g.prog)
+			if err != nil {
+				t.Fatalf("P=%d %s: %v", p, g.name, err)
+			}
+			st := r.Stats
+			// Host facts: wall time, who actually had to wait, and the metadata
+			// high-water, which depends on when concurrent snapshots are charged.
+			st.DiffNanos, st.ApplyNanos, st.TurnWaits, st.MetadataBytes, st.RuntimeMemBytes = 0, 0, 0, 0, 0
+			trace, stats := fnvString(tr.String()), fnvString(fmt.Sprintf("%+v", st))
+			if r.OutputHash != g.output || r.VirtualTime != g.vtime || trace != g.trace || stats != g.stats {
+				t.Errorf("P=%d %s: output=%#x vtime=%d trace=%#x stats=%#x, parent output=%#x vtime=%d trace=%#x stats=%#x\n%+v",
+					p, g.name, r.OutputHash, r.VirtualTime, trace, stats, g.output, g.vtime, g.trace, g.stats, st)
+			}
+		}
+	}
+}
