@@ -138,7 +138,7 @@ func printReport(runtime, workload string, cfg workloads.Config, rep *api.Report
 			s.SlicesFilteredLow, s.SlicesFilteredPremerged, s.BytesPropagated/1024)
 	}
 	if s.LazyPendingApplied > 0 || s.LazyRunsElided > 0 {
-		fmt.Printf("  lazy writes:   %d pended runs applied on access, %d coalesced away untouched\n",
+		fmt.Printf("  lazy writes:   %d runs pended, %d pended bytes covered by a later pend and never copied\n",
 			s.LazyPendingApplied, s.LazyRunsElided)
 	}
 	if s.DirtyExtents > 0 {

@@ -167,8 +167,8 @@ type Stats struct {
 	SlicesFilteredPremerged uint64 // propagations skipped because a prelock pre-merge already applied them
 	BytesPropagated         uint64 // modification bytes applied to local memories
 	PrelockBytes            uint64 // modification bytes applied during prelock pre-merge
-	LazyPendingApplied      uint64 // lazily pended modification runs applied on access
-	LazyRunsElided          uint64 // pended runs coalesced away before any access
+	LazyPendingApplied      uint64 // runs pended by lazy writes, each counted once, at its page's flush
+	LazyRunsElided          uint64 // pended bytes a later pend to the same page covered, never copied
 	PageFaults              uint64 // simulated write-protection faults (pf monitor)
 	PageProtects            uint64 // simulated per-page mprotect operations
 
@@ -208,11 +208,13 @@ type Stats struct {
 	// the modification bytes the last-writer-wins plan avoided writing
 	// (input bytes minus unique destination bytes). PlanReuse counts
 	// blocked waiters that reused a release's already-built plan instead of
-	// rebuilding it.
+	// rebuilding it. Both count eager plans only (LazyWrites off, the main
+	// thread before its first spawn, a barrier leader): a lazy acquire builds
+	// none, and what a plan would have coalesced away is in LazyRunsElided.
 	CollectScanned     uint64 // slice pointers scanned during collection (window entries)
 	SliceListLen       uint64 // high-water length of a collected-from slice list
-	BytesCoalescedAway uint64 // duplicate bytes elided by write plans
-	PlanReuse          uint64 // waiters that shared a cached write plan
+	BytesCoalescedAway uint64 // duplicate bytes elided by eager write plans
+	PlanReuse          uint64 // eager waiters that shared a cached write plan
 
 	// Read 0: they counted events of the sharded commit monitor, which is one
 	// mutex again (DESIGN.md §13), and nothing writes them. The fields stay

@@ -196,10 +196,11 @@ func sameSlices(a, b []*slicestore.Slice) bool {
 	return true
 }
 
-// applySlices applies propagated slices to t's memory. With lazy writes the
-// modifications are pended per page instead of written eagerly (§4.5);
-// prelock marks applications performed during the prelock pre-merge, whose
-// cost overlaps the lock holder's critical section.
+// applySlices applies propagated slices to t's memory. With lazy writes they
+// are pended per page as references (§4.5): no plan, no byte copied. An eager
+// apply goes through plan, if the caller shares one built for exactly this
+// list, or one built here for two slices or more. prelock marks a prelock
+// pre-merge, whose cost overlaps the lock holder's critical section.
 //
 // The slices themselves are immutable and the target space is t's own, so
 // the caller need not hold the monitor — unless t is a *blocked* thread
@@ -214,64 +215,36 @@ func sameSlices(a, b []*slicestore.Slice) bool {
 // dirty, the next slice-end diff would merely scan bytes that equal the
 // snapshot; by staying unmarked they keep the extent set the exact write-set
 // of the slice (§4.3's "must not be monitored as local modifications").
-func (t *thread) applySlices(slices []*slicestore.Slice, prelock bool) {
-	t.applySlicesPlanned(slices, nil, prelock)
-}
-
-// applySlicesPlanned is applySlices with an optional pre-built coalesced
-// plan for exactly this slice list (plan sharing across blocked waiters).
-// With plan == nil one is built here when coalescing applies.
 //
-// Two invariants keep the plan path bit-identical to the sequential seed
-// path:
-//
-//   - memory: a last-writer-wins plan leaves every covered byte at the value
-//     of its last covering run in list order — exactly the state sequential
-//     list-order application converges to — and the intermediate states are
-//     unobservable (t is between slices, or provably blocked);
-//   - virtual time: the cost model still charges per-slice ApplyCost (or the
-//     per-slice lazy bookkeeping cost) for every propagated slice, as the
-//     paper's system would — the coalescing win is host wall time
-//     (Stats.ApplyNanos), deliberately invisible to the deterministic clock.
-func (t *thread) applySlicesPlanned(slices []*slicestore.Slice, plan *mem.WritePlan, prelock bool) {
+// A plan leaves every covered byte at its last covering run's value in list
+// order, as sequential application does, and nobody observes the states in
+// between (t is between slices, or provably blocked). The cost model still
+// charges per-slice ApplyCost: coalescing saves host time only.
+func (t *thread) applySlices(slices []*slicestore.Slice, plan *mem.WritePlan, prelock bool) {
 	if len(slices) == 0 {
 		return
 	}
 	start := stats.Now()
-	coalesce := plan != nil || len(slices) >= planCoalesceMin
-	ownPlan := coalesce && plan == nil
-	if ownPlan {
+	switch {
+	case t.pending != nil:
+		t.pendSlices(slices)
+	case plan != nil:
+		t.space.ApplyPlan(plan)
+	case len(slices) >= planCoalesceMin:
 		plan = t.buildPlan(slices)
+		t.space.ApplyPlan(plan)
+		plan.Release()
+	default:
+		t.space.ApplyRuns(slices[0].Mods)
 	}
 	for _, s := range slices {
-		switch {
-		case t.pending == nil && coalesce:
-			// The write itself happens once, through the plan, below.
+		if t.pending == nil {
 			t.vt += vtime.ApplyCost(uint64(len(s.Mods)), s.Bytes)
-		case t.pending == nil:
-			t.space.ApplyRuns(s.Mods)
-			t.vt += vtime.ApplyCost(uint64(len(s.Mods)), s.Bytes)
-		case coalesce:
-			// The pend itself happens once, through the plan, below; charge
-			// the same per-slice bookkeeping cost pendSlice charges.
-			t.vt += vtime.Time(len(s.Mods)) * 4
-		default:
-			t.pendSlice(s)
 		}
 		t.st.SlicesPropagated++
 		t.st.BytesPropagated += s.Bytes
 		if prelock {
 			t.st.PrelockBytes += s.Bytes
-		}
-	}
-	if coalesce {
-		if t.pending != nil {
-			t.pendPlan(plan)
-		} else {
-			t.space.ApplyPlan(plan)
-		}
-		if ownPlan {
-			plan.Release()
 		}
 	}
 	el := stats.Since(start)
@@ -361,17 +334,11 @@ func (e *exec) prepareAcquireLocked(w *thread, sv *syncVar, handoffVT vtime.Time
 	return wakeEvent{vt: w.vt, slices: slices}
 }
 
-// premergeLocked applies slices to thread w as a prelock pre-merge,
-// remembering them in w.preMerged so the eventual acquire skips them. w is
-// either the calling thread (queueing on a held lock) or a provably blocked
-// waiter mutated under the monitor.
-func (w *thread) premergeLocked(slices []*slicestore.Slice) {
-	w.premergePlannedLocked(slices, nil)
-}
-
-// premergePlannedLocked is premergeLocked with an optional pre-built write
-// plan for exactly this slice list (the shared-plan release path below).
-func (w *thread) premergePlannedLocked(slices []*slicestore.Slice, plan *mem.WritePlan) {
+// premergeLocked applies slices to thread w as a prelock pre-merge, through
+// plan if one is shared (applySlices), remembering them in w.preMerged so the
+// eventual acquire skips them. w is either the calling thread (queueing on a
+// held lock) or a provably blocked waiter mutated under the monitor.
+func (w *thread) premergeLocked(slices []*slicestore.Slice, plan *mem.WritePlan) {
 	if len(slices) == 0 {
 		return
 	}
@@ -381,7 +348,7 @@ func (w *thread) premergePlannedLocked(slices []*slicestore.Slice, plan *mem.Wri
 	for _, s := range slices {
 		w.preMerged[s] = true
 	}
-	w.applySlicesPlanned(slices, plan, true)
+	w.applySlices(slices, plan, true)
 	w.slicePtrs = append(w.slicePtrs, slices...)
 }
 
@@ -404,7 +371,7 @@ func (t *thread) prelockLocked(sv *syncVar) {
 	// against upper and drops it, and the turn is held, so the holder cannot
 	// Join or Bump before the call returns. A caller that parked upper
 	// anywhere would need the clone back.
-	t.premergeLocked(t.collectLocked(holder, holder.vtime))
+	t.premergeLocked(t.collectLocked(holder, holder.vtime), nil)
 }
 
 // prelockReleaseLocked continues the prelock pre-merge while a thread stays
@@ -416,8 +383,9 @@ func (t *thread) prelockLocked(sv *syncVar) {
 // critical path (§4.5). The waiter is provably blocked, so its state may be
 // mutated under the monitor (as in the barrier merge).
 //
-// The write plan is computed once per release and shared across every
-// queued waiter whose lowerlimit filter collected the identical slice list —
+// Plans are shared only among eager waiters (a lazy one pends references and
+// needs none): the write plan is computed once per release and shared across
+// every queued waiter whose lowerlimit filter collected the identical slice list —
 // the common case: waiters that have been queued since the previous release
 // have pre-merged everything except exactly the slices this release commits.
 // Sharing is sound because a plan's effect depends only on the list it was
@@ -440,8 +408,8 @@ func (e *exec) prelockReleaseLocked(sv *syncVar, releaser *thread) {
 	for _, wid := range sv.lockQ.items() {
 		w := e.threads[wid]
 		slices := w.collectLocked(releaser, sv.lastTime)
-		if len(slices) < planCoalesceMin {
-			w.premergeLocked(slices)
+		if w.pending != nil || len(slices) < planCoalesceMin {
+			w.premergeLocked(slices, nil)
 			continue
 		}
 		if sameSlices(slices, planList) {
@@ -453,7 +421,7 @@ func (e *exec) prelockReleaseLocked(sv *syncVar, releaser *thread) {
 			planList = slices
 			plan = w.buildPlan(slices)
 		}
-		w.premergePlannedLocked(slices, plan)
+		w.premergeLocked(slices, plan)
 	}
 	if plan != nil {
 		plan.Release()

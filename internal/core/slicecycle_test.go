@@ -236,9 +236,9 @@ func TestPendSliceMatchesSequentialApply(t *testing.T) {
 		mkRun(mem.PageAddr(9)+16, 11),
 		mkRun(mem.PageAddr(1)+100, 77), // overwrites s1's page-1 byte
 	}}
-	th := &thread{space: mem.NewSpace(), pending: make(map[mem.PageID]*mem.PagePatch), scratch: new(threadScratch)}
-	th.pendSlice(s1)
-	th.pendSlice(s2)
+	th := &thread{exec: newTestExec(), space: mem.NewSpace(), pending: make(map[mem.PageID]*mem.PendingPage), scratch: new(threadScratch)}
+	th.pendSlices([]*slicestore.Slice{s1})
+	th.pendSlices([]*slicestore.Slice{s2})
 	if want := int64(len(s1.Mods)+len(s2.Mods)) * 4; int64(th.vt) != want {
 		t.Fatalf("pend charged %d, want %d", th.vt, want)
 	}

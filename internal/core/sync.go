@@ -107,7 +107,7 @@ func (t *thread) Lock(m api.Addr) {
 		t.vt = ev.vt
 		t.beginSlice()
 		e.syncEvent(t, "lock", m)
-		t.applySlices(ev.slices, false)
+		t.applySlices(ev.slices, nil, false)
 		return
 	}
 
@@ -129,7 +129,7 @@ func (t *thread) Lock(m api.Addr) {
 	e.syncEvent(t, "lock", m)
 	t.finishOpLocked()
 	e.leave(t)
-	t.applySlices(slices, false)
+	t.applySlices(slices, nil, false)
 }
 
 // syncvar returns (creating if needed) the internal synchronization variable
@@ -242,7 +242,7 @@ func (t *thread) Wait(c, m api.Addr) {
 	t.vt = ev.vt
 	t.beginSlice()
 	e.syncEvent(t, "wake", c)
-	t.applySlices(ev.slices, false)
+	t.applySlices(ev.slices, nil, false)
 }
 
 // Signal implements pthread_cond_signal (§4.1): a release whose timestamp
@@ -461,7 +461,7 @@ func (t *thread) Spawn(fn api.ThreadFunc) api.ThreadID {
 	child.enableDirtyTracking()
 	child.slicePtrs = append(child.slicePtrs, t.slicePtrs...)
 	if e.opts.LazyWrites {
-		child.pending = make(map[mem.PageID]*mem.PagePatch)
+		child.pending = make(map[mem.PageID]*mem.PendingPage)
 	}
 	if e.opts.NoCommHint != nil && e.opts.NoCommHint(int32(id)) {
 		child.noComm = true
@@ -478,7 +478,7 @@ func (t *thread) Spawn(fn api.ThreadFunc) api.ThreadID {
 		t.monitoring = true
 		t.enableDirtyTracking()
 		if e.opts.LazyWrites && t.pending == nil {
-			t.pending = make(map[mem.PageID]*mem.PagePatch)
+			t.pending = make(map[mem.PageID]*mem.PendingPage)
 		}
 	}
 	e.wg.Add(1)
@@ -523,7 +523,7 @@ func (t *thread) Join(id api.ThreadID) {
 		t.finishOpLocked()
 		t.beginSlice()
 		e.syncEvent(t, "join", api.Addr(id))
-		t.applySlices(ev.slices, false)
+		t.applySlices(ev.slices, nil, false)
 		return
 	}
 	slices := t.acquireFromCollectLocked(int32(target.id), target.exitV, target.exitVT)
@@ -531,7 +531,7 @@ func (t *thread) Join(id api.ThreadID) {
 	e.syncEvent(t, "join", api.Addr(id))
 	t.finishOpLocked()
 	e.leave(t)
-	t.applySlices(slices, false)
+	t.applySlices(slices, nil, false)
 }
 
 // AtomicAdd64 is the §4.6 low-level-atomics extension: a Kendo-ordered
@@ -571,7 +571,7 @@ func (t *thread) atomicOp(a api.Addr, op func(cur uint64) (newVal uint64, wrote 
 	t.commitSliceLocked(s)
 	// The acquired updates must be resident (or pended) before the word is
 	// read, so this acquire applies inside the section.
-	t.applySlices(t.acquireCollectLocked(sv), false)
+	t.applySlices(t.acquireCollectLocked(sv), nil, false)
 	cur := t.space.Load64(uint64(a)) // flushes lazily pended updates if any
 	newVal, wrote := op(cur)
 	t.vt += 2 * vtime.MemOp

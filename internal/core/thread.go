@@ -70,10 +70,10 @@ type thread struct {
 	marks *[]int
 
 	// Lazy-writes state (§4.5): pending modifications per page, applied on
-	// first access. Non-nil iff the optimization is enabled. Each entry is a
-	// coalescing PagePatch, so a hot page absorbs any number of propagated
-	// updates and flushes in one pass.
-	pending map[mem.PageID]*mem.PagePatch
+	// first access. Non-nil iff the optimization is enabled. Each entry
+	// references the propagated slices' own runs on its page; it is owned
+	// like the space (this thread, or a turn holder pre-merging into it).
+	pending map[mem.PageID]*mem.PendingPage
 
 	// preMerged records slices applied by a prelock pre-merge (§4.5) so the
 	// eventual acquire skips them. Empty when no pre-merge is outstanding.
@@ -219,16 +219,6 @@ func (t *thread) recordStore(a, n uint64) {
 			break
 		}
 	}
-}
-
-// pendPatchFor returns (creating if needed) the pending patch for page pid.
-func (t *thread) pendPatchFor(pid mem.PageID) *mem.PagePatch {
-	pp := t.pending[pid]
-	if pp == nil {
-		pp = mem.NewPagePatch(pid)
-		t.pending[pid] = pp
-	}
-	return pp
 }
 
 // takeSnapshot copies the page into the metadata space (Figure 4, lines
@@ -560,57 +550,47 @@ func (t *thread) endSliceLocked() vclock.VC {
 // Lazy writes (§4.5).
 //
 
-// pendSlice records a propagated slice's modifications as per-page pending
-// state instead of applying them eagerly, and revokes access to the affected
-// pages so the first access applies them. The runs land in the page's
-// coalescing patch: later pends overwrite earlier ones immediately, so the
-// eventual flush is one pass over unique bytes. AddRun copies, so the pend
-// never retains store-owned payload memory.
-func (t *thread) pendSlice(s *slicestore.Slice) {
-	mem.AddRunsByPage(s.Mods, func(pid mem.PageID) *mem.PagePatch {
-		t.space.Protect(pid, mem.ProtNone)
-		return t.pendPatchFor(pid)
-	})
-	// Bookkeeping cost only: the writes themselves are deferred.
-	t.vt += vtime.Time(len(s.Mods)) * 4
-}
-
-// pendPlan pends a coalesced write plan: each page patch is absorbed, mask
-// word by mask word, into the page's pending patch (the patches of one plan
-// write disjoint bytes, and plans of successive propagations arrive in
-// acquire order, so patch state stays the last-writer-wins image of
-// everything pended). Absorb counts each of the plan patch's runs as one raw
-// run of the pending patch, as replaying them through AddRun did — that is
-// what LazyPendingApplied and LazyRunsElided read at the flush — and it
-// copies, so the plan's staging buffers may be released as soon as pendPlan
-// returns. The per-slice bookkeeping virtual time is charged by the caller
-// (applySlicesPlanned), exactly as pendSlice would charge it.
-func (t *thread) pendPlan(plan *mem.WritePlan) {
-	for _, pp := range plan.Patches {
-		pend := t.pendPatchFor(pp.Page())
-		pend.Absorb(pp)
-		t.space.Protect(pp.Page(), mem.ProtNone)
+// pendSlices pends propagated slices per page instead of applying them: a
+// page's record references the runs on it and copies nothing, and the page
+// stays ProtNone until the flush its first access triggers.
+func (t *thread) pendSlices(slices []*slicestore.Slice) {
+	var lastID mem.PageID
+	var last *mem.PendingPage // consecutive slices mostly pend onto one page
+	pendFor := func(pid mem.PageID) *mem.PendingPage {
+		if last == nil || pid != lastID {
+			if last, lastID = t.pending[pid], pid; last == nil {
+				last = mem.NewPendingPage(pid)
+				t.pending[pid] = last
+				t.space.Protect(pid, mem.ProtNone)
+			}
+		}
+		if t.exec.opts.Validate && last.Len() >= mem.PendFold {
+			panic(fmt.Sprintf("page %d pends %d references, past the fold bound %d", pid, last.Len(), mem.PendFold))
+		}
+		return last
+	}
+	for _, s := range slices {
+		mem.PendRunsByPage(s.Mods, pendFor)
+		// Bookkeeping cost only: the writes themselves are deferred.
+		t.vt += vtime.Time(len(s.Mods)) * 4
 	}
 }
 
-// flushPage applies the pended modifications for one page, in propagation
-// order, and restores access. The virtual-time cost counts each byte once
-// even if multiple propagations pended overlapping updates — the
-// "just one update" saving of §4.5. The host-time cost matches the model: the
-// patch has the distinct-byte set already materialized and the apply is a
-// single pass.
+// flushPage applies the pended modifications for one page, last writer
+// winning in propagation order, and restores access. The virtual-time cost
+// counts each byte once even if multiple propagations pended overlapping
+// updates — the "just one update" saving of §4.5 — and so does the host: the
+// flush copies each distinct byte once, from the newest run that wrote it.
 func (t *thread) flushPage(pid mem.PageID) {
 	ts := t.tb.Now()
 	defer t.tb.Span(trace.PhaseLazyFlush, ts)
-	pp := t.pending[pid]
+	p := t.pending[pid]
 	delete(t.pending, pid)
 	t.space.Protect(pid, mem.ProtRW)
-	distinct := pp.UniqueBytes()
-	t.space.ApplyPatch(pp)
-	t.st.LazyPendingApplied += pp.RawRuns()
-	t.st.LazyRunsElided += pp.RawBytes() - distinct
+	runs, raw, distinct := t.space.ApplyPending(p)
+	t.st.LazyPendingApplied += runs
+	t.st.LazyRunsElided += raw - distinct
 	t.vt += vtime.ApplyCost(1, distinct)
-	pp.Release()
 }
 
 // flushAllPending applies every pended page in deterministic order (thread

@@ -382,3 +382,37 @@ func TestExtentBytes(t *testing.T) {
 		t.Fatalf("ExtentBytes = %d, want 15", n)
 	}
 }
+
+// BenchmarkDiffFragmented diffs an fft-shaped page: every float64 rewritten,
+// each sharing a byte (now and then two) with the value it replaced, so the
+// byte-granular diff cuts a run at nearly every word — 516 runs of about 7
+// bytes, into storage that has held the same diff before, as finishSlice's
+// scratch has. A word-stride diff (XOR eight bytes, then an exact zero-byte
+// test) emitting the same runs was tried against it: byte-identical on 20,000
+// random pages, and slower here — 5.4–6.0 against 8.8–10.6 µs, three runs
+// each on a 2-vCPU x86-64 host. Runs this short are bound by the per-run
+// append, not by the compare; a word stride pays only if its output is a mask.
+func BenchmarkDiffFragmented(b *testing.B) {
+	r := rand.New(rand.NewSource(1))
+	snap, cur := make([]byte, PageSize), make([]byte, PageSize)
+	r.Read(snap)
+	for w := 0; w < PageSize; w += 8 {
+		same := w + r.Intn(8)
+		for i := w; i < w+8; i++ {
+			cur[i] = snap[i] ^ byte(1+r.Intn(255))
+		}
+		cur[same] = snap[same]
+		if r.Intn(16) == 0 { // now and then a second shared byte
+			same = w + r.Intn(8)
+			cur[same] = snap[same]
+		}
+	}
+	exts := []Extent{{Off: 0, Len: PageSize}}
+	runs, buf := AppendDiffPageExtents(nil, make([]byte, 0, PageSize), 0, snap, cur, exts)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		runs, buf = AppendDiffPageExtents(runs[:0], buf[:0], 0, snap, cur, exts)
+	}
+	b.ReportMetric(float64(len(runs)), "runs")
+}

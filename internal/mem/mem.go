@@ -106,8 +106,8 @@ type Space struct {
 	// cache[id%pageCacheSize] describes page id or is empty. It holds the page
 	// pointer, not its sharing — a store still tests Shared — so Clone leaves
 	// it alone, and never &zero. Only the owner touches it, or a turn holder
-	// acting for a provably blocked owner (a waker's pendPlan protects the
-	// peer's pages), as with core's thread.pending. PageData goes round it.
+	// acting for a provably blocked owner (a waker's pre-merge protects the
+	// peer's pended pages), as with core's thread.pending. PageData goes round it.
 	cache [pageCacheSize]pageSlot
 	// prot holds explicit per-page protections; pages without an entry use
 	// defaultProt. ProtectAll works by swapping defaultProt (one "mprotect

@@ -81,15 +81,15 @@ const (
 // written must still read patchFill afterwards.
 func checkPatch(t *testing.T, where string, s *Space, p *PagePatch, m *patchModel) {
 	t.Helper()
-	if p.Page() != m.page {
-		t.Fatalf("%s: Page() = %d, want %d", where, p.Page(), m.page)
+	if p.page != m.page {
+		t.Fatalf("%s: page = %d, want %d", where, p.page, m.page)
 	}
 	if got, want := p.UniqueBytes(), m.unique(); got != want {
 		t.Fatalf("%s: UniqueBytes = %d, model %d", where, got, want)
 	}
-	if p.RawRuns() != m.rawRuns || p.RawBytes() != m.rawBytes {
+	if p.rawRuns != m.rawRuns || p.rawBytes != m.rawBytes {
 		t.Fatalf("%s: raw counters %d runs / %d bytes, model %d / %d",
-			where, p.RawRuns(), p.RawBytes(), m.rawRuns, m.rawBytes)
+			where, p.rawRuns, p.rawBytes, m.rawRuns, m.rawBytes)
 	}
 	if got, want := patchRuns(p), m.runs(); !runsEqual(got, want) {
 		t.Fatalf("%s: %d runs, model %d:\n got %v\nwant %v", where, len(got), len(want), got, want)
@@ -115,7 +115,7 @@ func checkPatch(t *testing.T, where string, s *Space, p *PagePatch, m *patchMode
 //
 //	kind%8  0–3  p.AddRun at offset%PageSize, length%(PageSize+1) clamped to the page
 //	        4–5  q.AddRun, same operands
-//	        6    p.Absorb(q); q must come out of it unchanged
+//	        6    p takes q's runs in address order, one AddRun each; q must come out unchanged
 //	        7    Release p (offset even) or q (odd) and re-issue it for page length%3
 //
 // A trailing fragment shorter than an operation is ignored.
@@ -178,9 +178,11 @@ func runPatchProgram(t *testing.T, prog []byte) {
 			checkP, checkQ = kind < 4, kind >= 4
 		case kind == 6:
 			if pm.page != qm.page {
-				continue // the runtime absorbs a plan's patch into the same page's
+				continue // a patch takes runs on its own page only
 			}
-			p.Absorb(q)
+			for _, r := range patchRuns(q) {
+				p.AddRun(r)
+			}
 			pm.absorb(qm)
 			checkP, checkQ = true, true
 		case off%2 == 0:
@@ -250,8 +252,8 @@ func randomPatchProgram(r *rand.Rand, ops int) []byte {
 	return prog
 }
 
-// TestPagePatchMatchesModel: random edge-biased programs of AddRun, Absorb
-// and Release + re-issue leave both patches answering exactly as the model.
+// TestPagePatchMatchesModel: random edge-biased programs of AddRun, run
+// transfer and Release + re-issue leave both patches answering exactly as the model.
 func TestPagePatchMatchesModel(t *testing.T) {
 	r := rand.New(rand.NewSource(20))
 	for i := 0; i < 150; i++ {
@@ -308,53 +310,9 @@ func TestPagePatchEdgeCases(t *testing.T) {
 		if !slices.Equal(got, c.want) {
 			t.Errorf("%s: runs %v, want %v", c.name, got, c.want)
 		}
-		if p.UniqueBytes() != unique || p.RawBytes() != raw {
-			t.Errorf("%s: UniqueBytes %d (runs carry %d), RawBytes %d (added %d)", c.name, p.UniqueBytes(), unique, p.RawBytes(), raw)
+		if p.UniqueBytes() != unique || p.rawBytes != raw {
+			t.Errorf("%s: UniqueBytes %d (runs carry %d), RawBytes %d (added %d)", c.name, p.UniqueBytes(), unique, p.rawBytes, raw)
 		}
 		p.Release()
-	}
-}
-
-// TestAbsorbMatchesReplay: p.Absorb(q) leaves p exactly as adding q's runs to
-// it one by one in address order does — which is what pendPlan did before
-// Absorb existed — raw counters included, and leaves q alone.
-func TestAbsorbMatchesReplay(t *testing.T) {
-	SetPageBufPoison(true)
-	defer SetPageBufPoison(false)
-	s := NewSpace()
-	defer s.Release()
-	// build reads every operation of an edge-biased program as an AddRun.
-	build := func(seed int64) (*PagePatch, *patchModel) {
-		r := rand.New(rand.NewSource(seed))
-		p, m := NewPagePatch(2), &patchModel{page: 2}
-		prog := randomPatchProgram(r, r.Intn(40))
-		for ; len(prog) >= patchOpLen; prog = prog[patchOpLen:] {
-			_, off, _, runLen := patchOperands(prog)
-			data := make([]byte, runLen)
-			for i := range data {
-				data[i] = byte(1 + r.Intn(0x50))
-			}
-			p.AddRun(Run{Addr: PageAddr(2) + uint64(off), Data: data})
-			m.addRun(off, data)
-		}
-		return p, m
-	}
-	for seed := int64(0); seed < 80; seed++ {
-		absorbed, am := build(seed)
-		replayed, _ := build(seed)
-		q, qm := build(seed + 1000)
-		qRuns := patchRuns(q)
-
-		absorbed.Absorb(q)
-		for _, r := range qRuns {
-			replayed.AddRun(r)
-		}
-		am.absorb(qm)
-		checkPatch(t, "absorbed", s, absorbed, am)
-		checkPatch(t, "replayed", s, replayed, am)
-		checkPatch(t, "absorbed-from", s, q, qm)
-		absorbed.Release()
-		replayed.Release()
-		q.Release()
 	}
 }

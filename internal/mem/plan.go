@@ -82,9 +82,8 @@ func poison[T any](s []T, v T) {
 
 // PagePatch accumulates last-writer-wins writes to a single page: later
 // AddRun calls overwrite earlier ones byte-for-byte, and the mask records
-// exactly which bytes have been written. It backs both plan construction and
-// the lazy-writes pending state (a hot page absorbs any number of propagated
-// updates and flushes in one pass).
+// exactly which bytes have been written. It backs plan construction and the
+// fold of a PendingPage whose reference list reached PendFold.
 //
 // A patch is live from NewPagePatch until Release. A released patch is dead:
 // it sits in patchPool or has been re-issued for another page, so no method
@@ -132,9 +131,6 @@ func NewPagePatch(id PageID) *PagePatch {
 	return p
 }
 
-// Page returns the page the patch targets.
-func (p *PagePatch) Page() PageID { return p.page }
-
 // AddRun absorbs a run, which must lie entirely within the patch's page.
 // Later runs overwrite earlier ones on overlapping bytes.
 func (p *PagePatch) AddRun(r Run) {
@@ -161,27 +157,6 @@ func (p *PagePatch) AddRun(r Run) {
 	p.rawBytes += uint64(n)
 }
 
-// Absorb adds q's runs, in address order, to p — what calling p.AddRun on
-// each of them does, raw counters included — a mask word at a time. q is a
-// patch for the same page and is only read.
-func (p *PagePatch) Absorb(q *PagePatch) {
-	q.mergeInto(p.buf)
-	for ws := q.words; ws != 0; ws &= ws - 1 {
-		w := bits.TrailingZeros64(ws)
-		m := q.mask[w]
-		p.mask[w] |= m
-		// A run starts at every set bit whose predecessor is clear; bit 0's
-		// predecessor is the previous word's top bit.
-		var carry uint64
-		if w > 0 {
-			carry = q.mask[w-1] >> 63
-		}
-		p.rawRuns += uint64(bits.OnesCount64(m &^ (m<<1 | carry)))
-		p.rawBytes += uint64(bits.OnesCount64(m))
-	}
-	p.words |= q.words
-}
-
 // UniqueBytes returns the number of distinct bytes written so far.
 func (p *PagePatch) UniqueBytes() uint64 {
 	var n int
@@ -190,12 +165,6 @@ func (p *PagePatch) UniqueBytes() uint64 {
 	}
 	return uint64(n)
 }
-
-// RawRuns returns the number of runs absorbed.
-func (p *PagePatch) RawRuns() uint64 { return p.rawRuns }
-
-// RawBytes returns the total input bytes absorbed, counting overwrites.
-func (p *PagePatch) RawBytes() uint64 { return p.rawBytes }
 
 // Release gives the patch back for reuse; it is dead afterwards. Releasing a
 // dead patch panics: it would go into the pool twice and out to two owners.

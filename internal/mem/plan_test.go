@@ -123,7 +123,7 @@ func TestPlanSharedAcrossSpaces(t *testing.T) {
 			t.Fatalf("round %d: rebuilt plan counts %d runs / %d in / %d unique, want 2 / 5 / 5",
 				round, plan.InputRuns, plan.InputBytes, plan.UniqueBytes)
 		}
-		if len(plan.Patches) != 2 || plan.Patches[0].Page() != 2 || plan.Patches[1].Page() != 9 {
+		if len(plan.Patches) != 2 || plan.Patches[0].page != 2 || plan.Patches[1].page != 9 {
 			t.Fatalf("round %d: rebuilt plan has %d patches, want pages 2 and 9", round, len(plan.Patches))
 		}
 		got, want := NewSpace(), NewSpace()
@@ -190,11 +190,11 @@ func TestPlanInvariants(t *testing.T) {
 		}
 		var unique uint64
 		for i, pp := range plan.Patches {
-			if i > 0 && plan.Patches[i-1].Page() >= pp.Page() {
+			if i > 0 && plan.Patches[i-1].page >= pp.page {
 				t.Errorf("seed %d: pages not ascending at %d", seed, i)
 				return false
 			}
-			base := PageAddr(pp.Page())
+			base := PageAddr(pp.page)
 			// The runs must be address-sorted, in-page and gap-separated
 			// (coalescing guarantees a strict gap, not mere disjointness).
 			runs := patchRuns(pp)
@@ -250,8 +250,8 @@ func TestPagePatchLastWriterWins(t *testing.T) {
 	if got := p.UniqueBytes(); got != uint64(2*maxExtentsPerPage) {
 		t.Fatalf("UniqueBytes = %d, want %d (degraded to superset?)", got, 2*maxExtentsPerPage)
 	}
-	if p.RawRuns() != uint64(2*maxExtentsPerPage)+1 || p.RawBytes() != uint64(2*maxExtentsPerPage)+1 {
-		t.Fatalf("raw accounting = %d runs / %d bytes", p.RawRuns(), p.RawBytes())
+	if p.rawRuns != uint64(2*maxExtentsPerPage)+1 || p.rawBytes != uint64(2*maxExtentsPerPage)+1 {
+		t.Fatalf("raw accounting = %d runs / %d bytes", p.rawRuns, p.rawBytes)
 	}
 	runs := patchRuns(p)
 	if len(runs) != 2*maxExtentsPerPage {
@@ -358,7 +358,7 @@ func stripMods() [][]Run {
 // fragmentedMods is the traffic fft's propagation was measured to carry: 4
 // writers over 8 pages, every written page some 270 runs of 11–15 bytes
 // separated by 1–3 bytes. Counted at ad3c21f with counters added to a scratch
-// copy of applySlicesPlanned and pendPlan, fft at SizeMedium with 4 threads,
+// copy of the propagation path, fft at SizeMedium with 4 threads,
 // per execution: 396 propagated slices carrying 208,280 runs and 2,800,768
 // bytes — 526 runs a slice, 13.4 bytes a run — because a butterfly's new
 // float64 shares a byte or two with the old one often enough that the
@@ -418,29 +418,6 @@ func BenchmarkBuildPlan(b *testing.B) {
 				BuildPlan(shape.mods).Release()
 			}
 		})
-	}
-}
-
-// BenchmarkPendPlan measures what pendPlan does with built plans: each page's
-// pending patch absorbs that page's patch from four successive fragmented
-// plans — one into an empty pending patch, three into what is already there,
-// the proportion measured on fft — and is released as a flush would.
-func BenchmarkPendPlan(b *testing.B) {
-	var plans [4]*WritePlan
-	for i := range plans {
-		plans[i] = BuildPlan(fragmentedMods(int64(i)))
-		defer plans[i].Release()
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for k := range plans[0].Patches {
-			pend := NewPagePatch(plans[0].Patches[k].Page())
-			for _, plan := range plans {
-				pend.Absorb(plan.Patches[k])
-			}
-			pend.Release()
-		}
 	}
 }
 

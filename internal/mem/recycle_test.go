@@ -338,75 +338,69 @@ func TestRecordSnapshotsGoBackToThePool(t *testing.T) {
 }
 
 // TestMaskedMergeWritesOnlyMaskedBytes is the poison wall for the word-wise
-// merge. Absorb and the flush move eight bytes at a time and read, on both
-// sides, bytes no run wrote; this fails if one of those ever lands. A plan
-// over a fragmented list (13-byte runs, 2-byte gaps, so every mask word is
-// partial) is absorbed into a pending patch that already holds other bytes —
-// some under the plan's runs, some in its gaps — and flushed onto a page of
-// zeros; both staging buffers hold 0xDB wherever their own patch has not
-// written.
+// merge. A pending page's flush copies its references' bytes, then merges its
+// folded patch eight bytes at a time where no reference wrote, reading on both
+// sides bytes no run wrote; this fails if a byte outside every run ever lands.
+// PendFold lists of 7-byte runs 41 bytes apart fold into the record's patch,
+// whose staging buffer holds 0xDB wherever they have not written; one newer
+// list over the whole page (13-byte runs, 2-byte gaps, so every mask word is
+// partial) overwrites some of their bytes and leaves others in its gaps; the
+// flush lands on a page of zeros.
 func TestMaskedMergeWritesOnlyMaskedBytes(t *testing.T) {
 	SetPageBufPoison(true)
 	defer SetPageBufPoison(false)
 	const page = PageID(3)
 	var want [PageSize]byte
-	var planned, pended [PageSize]bool
-
-	pend := NewPagePatch(page)
-	defer pend.Release()
-	PoisonScratch(pend.buf) // whether or not the pool served a recycled patch
-	var pendRuns uint64
-	for off := 5; off+7 <= PageSize; off += 41 {
-		data := bytes.Repeat([]byte{0x80 | byte(off)&0x3f}, 7)
-		pend.AddRun(Run{Addr: PageAddr(page) + uint64(off), Data: data})
+	var written [PageSize]bool
+	var nRuns, nBytes uint64
+	add := func(runs []Run, off, n int, v byte) []Run {
+		data := bytes.Repeat([]byte{v}, n)
 		copy(want[off:], data)
 		for i := range data {
-			pended[off+i] = true
+			written[off+i] = true
 		}
-		pendRuns++
+		nRuns++
+		nBytes += uint64(n)
+		return append(runs, Run{Addr: PageAddr(page) + uint64(off), Data: data})
 	}
 
-	var runs []Run
+	pend := NewPendingPage(page)
+	older := make([][]Run, PendFold)
+	for k, off := 0, 5; off+7 <= PageSize; k, off = k+1, off+41 {
+		older[k%PendFold] = add(older[k%PendFold], off, 7, 0x80|byte(off)&0x3f)
+	}
+	for _, runs := range older {
+		pend.Pend(runs)
+	}
+	if pend.Len() != 0 || pend.folded == nil {
+		t.Fatalf("%d pends left %d references and folded patch %v, want a fold", PendFold, pend.Len(), pend.folded)
+	}
+	var newer []Run
 	for off := 0; off+13 <= PageSize; off += 15 {
-		data := bytes.Repeat([]byte{1 + byte(off/15)%0x7f}, 13)
-		runs = append(runs, Run{Addr: PageAddr(page) + uint64(off), Data: data})
-		copy(want[off:], data) // the later writer
-		for i := range data {
-			planned[off+i] = true
-		}
+		newer = add(newer, off, 13, 1+byte(off/15)%0x7f) // the later writer
 	}
-	plan := BuildPlan([][]Run{runs})
-	defer plan.Release()
-	pp := plan.Patches[0]
-	for i := range pp.buf {
-		if !planned[i] {
-			pp.buf[i] = 0xDB
-		}
-	}
+	pend.Pend(newer)
 
-	pend.Absorb(pp)
 	var union uint64
-	for i := range want {
-		if planned[i] || pended[i] {
+	for _, w := range written {
+		if w {
 			union++
 		}
 	}
-	if pend.UniqueBytes() != union || pend.RawRuns() != pendRuns+uint64(len(runs)) {
-		t.Fatalf("pending patch after Absorb: %d unique bytes / %d raw runs, want %d / %d",
-			pend.UniqueBytes(), pend.RawRuns(), union, pendRuns+uint64(len(runs)))
-	}
 	s := NewSpace()
 	defer s.Release()
-	s.ApplyPatch(pend)
+	if runs, raw, distinct := s.ApplyPending(pend); runs != nRuns || raw != nBytes || distinct != union {
+		t.Fatalf("flush counted %d runs / %d bytes / %d distinct, want %d / %d / %d", runs, raw, distinct, nRuns, nBytes, union)
+	}
 	for i, b := range s.PageData(page) {
 		switch {
 		case b == want[i]:
-		case planned[i] || pended[i]:
+		case written[i]:
 			t.Fatalf("byte %d = %#x, want its last writer's %#x", i, b, want[i])
 		case b == 0xDB:
-			t.Fatalf("byte %d: staging-buffer poison landed outside both masks", i)
+			t.Fatalf("byte %d: staging-buffer poison landed outside every run", i)
 		default:
-			t.Fatalf("byte %d = %#x changed outside both masks", i, b)
+			t.Fatalf("byte %d = %#x changed outside every run", i, b)
 		}
 	}
 }

@@ -43,6 +43,9 @@ type Slice struct {
 	// collected. An EpochStore commit re-points them into segment arena
 	// memory, which is recycled: there, reading payload bytes requires the
 	// slice to be uncollected or the reader to hold a Pin.
+	//
+	// Neither Mods nor its payload is written or recycled after Commit: lazy
+	// writes keep sub-slices of Mods in pending records (mem.PendingPage).
 	Mods []mem.Run
 	// Bytes caches mem.RunBytes(Mods).
 	Bytes uint64
