@@ -492,12 +492,11 @@ func BenchmarkBarrierPropagation(b *testing.B) {
 	})
 }
 
-// BenchmarkLockChainPropagation measures plan construction and sharing on a
-// deep lock-grant chain: six threads contend one mutex, each critical
-// section split into several slices by an atomic, with Prelock pre-merging
-// at every release. Each release builds one plan and the lockstep waiters
-// reuse it ("plan-reuse"); overlapping writes across the collected slices are
-// deduplicated ("coalesced-away-bytes").
+// BenchmarkLockChainPropagation measures propagation on a deep lock-grant
+// chain: six threads contend one mutex, each critical section split into
+// several slices by an atomic, with Prelock pre-merging at every release.
+// Overlapping writes across a collected list are deduplicated where an eager
+// plan applies it ("coalesced-away-bytes").
 func BenchmarkLockChainPropagation(b *testing.B) {
 	const (
 		workers = 6
@@ -531,7 +530,6 @@ func BenchmarkLockChainPropagation(b *testing.B) {
 	b.Run("coalesce", func(b *testing.B) {
 		st := runDefaultStack(b, prog)
 		b.ReportMetric(float64(st.ApplyNanos), "apply-ns")
-		b.ReportMetric(float64(st.PlanReuse), "plan-reuse")
 		b.ReportMetric(float64(st.BytesCoalescedAway), "coalesced-away-bytes")
 		b.ReportMetric(float64(st.CollectScanned), "collect-scanned")
 	})

@@ -206,15 +206,15 @@ type Stats struct {
 	// SliceListLen is the high-water length of any single source list a
 	// collection walked, scanned or not. BytesCoalescedAway is
 	// the modification bytes the last-writer-wins plan avoided writing
-	// (input bytes minus unique destination bytes). PlanReuse counts
-	// blocked waiters that reused a release's already-built plan instead of
-	// rebuilding it. Both count eager plans only (LazyWrites off, the main
-	// thread before its first spawn, a barrier leader): a lazy acquire builds
-	// none, and what a plan would have coalesced away is in LazyRunsElided.
+	// (input bytes minus unique destination bytes), for eager plans only
+	// (LazyWrites off, the main thread before its first spawn, a barrier
+	// leader): a lazy acquire builds none, and what a plan would have
+	// coalesced away is in LazyRunsElided. PlanReuse reads 0: it counted
+	// eager waiters that shared a release's plan, and no plan is shared now.
 	CollectScanned     uint64 // slice pointers scanned during collection (window entries)
 	SliceListLen       uint64 // high-water length of a collected-from slice list
 	BytesCoalescedAway uint64 // duplicate bytes elided by eager write plans
-	PlanReuse          uint64 // eager waiters that shared a cached write plan
+	PlanReuse          uint64 //detvet:statwire always 0; read by bench/metrics.go (frozen) until ROADMAP item 1 drops core.plan_reuse.
 
 	// Read 0: they counted events of the sharded commit monitor, which is one
 	// mutex again (DESIGN.md §13), and nothing writes them. The fields stay
@@ -262,7 +262,6 @@ func (s *Stats) Add(other *Stats) {
 		s.SliceListLen = other.SliceListLen
 	}
 	s.BytesCoalescedAway += other.BytesCoalescedAway
-	s.PlanReuse += other.PlanReuse
 	// High-water and pass counters take the max / sum as appropriate.
 	if other.SharedMemBytes > s.SharedMemBytes {
 		s.SharedMemBytes = other.SharedMemBytes

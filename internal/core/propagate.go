@@ -162,28 +162,27 @@ func (t *thread) forgetMarks() {
 	}
 }
 
-// planCoalesceMin is the minimum propagated-list length for which building
-// a coalesced write plan can pay off: a single slice's runs are already
-// mutually disjoint (slice-end diffing emits gap-separated runs per page,
-// and a micro-slice carries one run), so there is nothing to coalesce.
-const planCoalesceMin = 2
-
-// buildPlan collapses an ordered slice list into a last-writer-wins write
-// plan and accounts the coalesced-away bytes to t (the thread doing the
-// build).
-func (t *thread) buildPlan(slices []*slicestore.Slice) *mem.WritePlan {
+// applyNow writes an ordered slice list into t's space at once. One slice's
+// runs are disjoint (slice-end diffing emits gap-separated runs per page); two
+// or more go through a write plan, which copies each covered byte once, at its
+// last writer's value in list order, and counts what a later slice covered.
+// Nobody observes the states in between: t is between slices, or blocked.
+func (t *thread) applyNow(slices []*slicestore.Slice) {
+	if len(slices) == 1 {
+		t.space.ApplyRuns(slices[0].Mods)
+		return
+	}
 	ts := t.tb.Now()
 	plan := mem.BuildPlanFunc(len(slices), func(i int) []mem.Run { return slices[i].Mods })
 	t.st.BytesCoalescedAway += plan.InputBytes - plan.UniqueBytes
 	t.tb.Span(trace.PhasePlanBuild, ts)
-	return plan
+	t.space.ApplyPlan(plan)
+	plan.Release()
 }
 
-// sameSlices reports whether two collected lists are element-wise identical
-// (slices are compared by pointer — they are immutable and interned in the
-// slice store). Used to share one write plan across blocked waiters whose
-// lowerlimit filters selected the same propagation set, and to compare a
-// windowed collection with the reference scan.
+// sameSlices reports whether two collected lists are element-wise identical,
+// by pointer (slices are immutable and interned in the slice store): a
+// windowed collection against the reference scan.
 func sameSlices(a, b []*slicestore.Slice) bool {
 	if len(a) != len(b) {
 		return false
@@ -197,10 +196,10 @@ func sameSlices(a, b []*slicestore.Slice) bool {
 }
 
 // applySlices applies propagated slices to t's memory. With lazy writes they
-// are pended per page as references (§4.5): no plan, no byte copied. An eager
-// apply goes through plan, if the caller shares one built for exactly this
-// list, or one built here for two slices or more. prelock marks a prelock
-// pre-merge, whose cost overlaps the lock holder's critical section.
+// are pended per page as references (§4.5): no plan, no byte copied. Without,
+// they are applied at once (applyNow) and charged per-slice ApplyCost,
+// whatever was copied. prelock marks a prelock pre-merge, whose cost overlaps
+// the lock holder's critical section.
 //
 // The slices themselves are immutable and the target space is t's own, so
 // the caller need not hold the monitor — unless t is a *blocked* thread
@@ -215,27 +214,15 @@ func sameSlices(a, b []*slicestore.Slice) bool {
 // dirty, the next slice-end diff would merely scan bytes that equal the
 // snapshot; by staying unmarked they keep the extent set the exact write-set
 // of the slice (§4.3's "must not be monitored as local modifications").
-//
-// A plan leaves every covered byte at its last covering run's value in list
-// order, as sequential application does, and nobody observes the states in
-// between (t is between slices, or provably blocked). The cost model still
-// charges per-slice ApplyCost: coalescing saves host time only.
-func (t *thread) applySlices(slices []*slicestore.Slice, plan *mem.WritePlan, prelock bool) {
+func (t *thread) applySlices(slices []*slicestore.Slice, prelock bool) {
 	if len(slices) == 0 {
 		return
 	}
 	start := stats.Now()
-	switch {
-	case t.pending != nil:
+	if t.pending != nil {
 		t.pendSlices(slices)
-	case plan != nil:
-		t.space.ApplyPlan(plan)
-	case len(slices) >= planCoalesceMin:
-		plan = t.buildPlan(slices)
-		t.space.ApplyPlan(plan)
-		plan.Release()
-	default:
-		t.space.ApplyRuns(slices[0].Mods)
+	} else {
+		t.applyNow(slices)
 	}
 	for _, s := range slices {
 		if t.pending == nil {
@@ -334,11 +321,11 @@ func (e *exec) prepareAcquireLocked(w *thread, sv *syncVar, handoffVT vtime.Time
 	return wakeEvent{vt: w.vt, slices: slices}
 }
 
-// premergeLocked applies slices to thread w as a prelock pre-merge, through
-// plan if one is shared (applySlices), remembering them in w.preMerged so the
-// eventual acquire skips them. w is either the calling thread (queueing on a
-// held lock) or a provably blocked waiter mutated under the monitor.
-func (w *thread) premergeLocked(slices []*slicestore.Slice, plan *mem.WritePlan) {
+// premergeLocked applies slices to thread w as a prelock pre-merge
+// (applySlices), remembering them in w.preMerged so the eventual acquire
+// skips them. w is either the calling thread (queueing on a held lock) or a
+// provably blocked waiter mutated under the monitor.
+func (w *thread) premergeLocked(slices []*slicestore.Slice) {
 	if len(slices) == 0 {
 		return
 	}
@@ -348,7 +335,7 @@ func (w *thread) premergeLocked(slices []*slicestore.Slice, plan *mem.WritePlan)
 	for _, s := range slices {
 		w.preMerged[s] = true
 	}
-	w.applySlices(slices, plan, true)
+	w.applySlices(slices, true)
 	w.slicePtrs = append(w.slicePtrs, slices...)
 }
 
@@ -371,7 +358,7 @@ func (t *thread) prelockLocked(sv *syncVar) {
 	// against upper and drops it, and the turn is held, so the holder cannot
 	// Join or Bump before the call returns. A caller that parked upper
 	// anywhere would need the clone back.
-	t.premergeLocked(t.collectLocked(holder, holder.vtime), nil)
+	t.premergeLocked(t.collectLocked(holder, holder.vtime))
 }
 
 // prelockReleaseLocked continues the prelock pre-merge while a thread stays
@@ -383,47 +370,13 @@ func (t *thread) prelockLocked(sv *syncVar) {
 // critical path (§4.5). The waiter is provably blocked, so its state may be
 // mutated under the monitor (as in the barrier merge).
 //
-// Plans are shared only among eager waiters (a lazy one pends references and
-// needs none): the write plan is computed once per release and shared across
-// every queued waiter whose lowerlimit filter collected the identical slice list —
-// the common case: waiters that have been queued since the previous release
-// have pre-merged everything except exactly the slices this release commits.
-// Sharing is sound because a plan's effect depends only on the list it was
-// built from, never on the target space: applying it to any waiter leaves
-// every covered byte at its list-order last writer, exactly as that waiter's
-// own sequential application of the same list would. Waiters that collected
-// a *different* list (they queued mid-stream and have seen a different
-// prefix) get their own plan — per-waiter application order is part of the
-// deterministic race-resolution policy and must not be perturbed. This turns
-// the release from O(waiters × slices × bytes) under the monitor into one
-// O(slices × bytes) build plus O(unique bytes) per waiter.
-//
 //detvet:holds exec.mu
 func (e *exec) prelockReleaseLocked(sv *syncVar, releaser *thread) {
 	if !e.opts.Prelock {
 		return
 	}
-	var planList []*slicestore.Slice
-	var plan *mem.WritePlan
 	for _, wid := range sv.lockQ.items() {
 		w := e.threads[wid]
-		slices := w.collectLocked(releaser, sv.lastTime)
-		if w.pending != nil || len(slices) < planCoalesceMin {
-			w.premergeLocked(slices, nil)
-			continue
-		}
-		if sameSlices(slices, planList) {
-			w.st.PlanReuse++
-		} else {
-			if plan != nil {
-				plan.Release()
-			}
-			planList = slices
-			plan = w.buildPlan(slices)
-		}
-		w.premergeLocked(slices, plan)
-	}
-	if plan != nil {
-		plan.Release()
+		w.premergeLocked(w.collectLocked(releaser, sv.lastTime))
 	}
 }

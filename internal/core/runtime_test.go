@@ -157,17 +157,14 @@ func TestPrelockMovesPropagationOffCriticalPath(t *testing.T) {
 	}
 }
 
-// TestPrelockPlanSharing verifies the coalesced-propagation release path:
-// on a heavily contended lock whose releases each commit several slices
-// (the atomic op splits every critical section into multiple slices), the
-// queued waiters collect identical slice lists, so the release builds one
-// write plan and the remaining waiters reuse it instead of re-applying
-// run by run. Six workers keep the grant queue deep enough that at least
-// two waiters are in lockstep at each release: a waiter that queued
-// mid-critical-section has pre-merged the holder's in-progress slices and
-// legitimately collects a shorter list, so reuse needs two waiters whose
-// last sync was the same earlier release.
-func TestPrelockPlanSharing(t *testing.T) {
+// TestEagerPrelockPremerge verifies the prelock release path on the eager
+// stack (LazyWrites off): on a heavily contended lock whose releases each
+// commit several slices (the atomic op splits every critical section into
+// multiple slices), every queued waiter pre-merges each release's list into
+// its own space at once, through a write plan that coalesces the slices'
+// overlapping writes. Six workers keep the grant queue deep, so most of the
+// propagation happens in pre-merges, into blocked waiters.
+func TestEagerPrelockPremerge(t *testing.T) {
 	prog := func(th api.Thread) {
 		buf := th.Malloc(32 * 1024)
 		atom := th.Malloc(8)
@@ -197,8 +194,8 @@ func TestPrelockPlanSharing(t *testing.T) {
 	if rep.Observations[0][0] != 48 || rep.Observations[0][1] != 48 {
 		t.Fatalf("observations = %v, want [48 48]", rep.Observations[0])
 	}
-	if rep.Stats.PlanReuse == 0 {
-		t.Fatal("no waiter ever reused a release's write plan on a contended chain")
+	if rep.Stats.PrelockBytes == 0 {
+		t.Fatal("no waiter pre-merged a release on a contended chain")
 	}
 	if rep.Stats.BytesCoalescedAway == 0 {
 		t.Fatal("overlapping propagated writes were never coalesced")

@@ -107,7 +107,7 @@ func (t *thread) Lock(m api.Addr) {
 		t.vt = ev.vt
 		t.beginSlice()
 		e.syncEvent(t, "lock", m)
-		t.applySlices(ev.slices, nil, false)
+		t.applySlices(ev.slices, false)
 		return
 	}
 
@@ -129,7 +129,7 @@ func (t *thread) Lock(m api.Addr) {
 	e.syncEvent(t, "lock", m)
 	t.finishOpLocked()
 	e.leave(t)
-	t.applySlices(slices, nil, false)
+	t.applySlices(slices, false)
 }
 
 // syncvar returns (creating if needed) the internal synchronization variable
@@ -242,7 +242,7 @@ func (t *thread) Wait(c, m api.Addr) {
 	t.vt = ev.vt
 	t.beginSlice()
 	e.syncEvent(t, "wake", c)
-	t.applySlices(ev.slices, nil, false)
+	t.applySlices(ev.slices, false)
 }
 
 // Signal implements pthread_cond_signal (§4.1): a release whose timestamp
@@ -299,6 +299,13 @@ func (t *thread) signal(c api.Addr, all bool) {
 // barrier algorithm. The merge mutates the blocked arrivals' spaces, which
 // is only sound while the monitor proves they stay blocked, so unlike the
 // acquire paths it runs entirely under the lock.
+//
+// Barrier arrivals hold no pending records (lazy writes, §4.5): each flushes
+// its own before it blocks, and nothing pends onto a barrier-blocked thread —
+// a pend comes only from the thread's own acquires or from a prelock
+// pre-merge, which reaches a lock's queue, never a barrier's. So the leader
+// merges into a space with nothing pended, and an arrival's space can be
+// replaced by the leader's clone without dropping a record.
 func (t *thread) Barrier(b api.Addr, n int) {
 	if n <= 0 {
 		// Pre-turn failure: no turn is held and no monitor is entered, so
@@ -341,21 +348,17 @@ func (t *thread) Barrier(b api.Addr, n int) {
 	sort.Slice(arrivals, func(i, j int) bool { return arrivals[i].tid < arrivals[j].tid })
 
 	leader := e.threads[arrivals[0].tid]
-	leader.flushAllPending()
 	releaseVT := arrivals[0].vt
 	merged := arrivals[0].v.Clone()
 	for _, a := range arrivals[1:] {
 		releaseVT = vtime.Max(releaseVT, a.vt)
 		merged = merged.Join(a.v)
 	}
-	// Merge in ascending thread-ID order: the thread with the smallest ID
-	// merges first, so later (higher-ID) arrivals deterministically win
-	// write-write races (§4.1). Collection only reads clocks and slice
-	// pointers — never memory contents — so the applies can be deferred
-	// until every arrival has been collected and then performed as one
-	// coalesced last-writer-wins pass over the concatenated list. The
-	// virtual-time charge stays per-slice, exactly as if each slice had
-	// been applied in turn.
+	// Merge in ascending thread-ID order, so later (higher-ID) arrivals
+	// deterministically win write-write races (§4.1). Collection reads only
+	// clocks and slice pointers, never memory, so the concatenated list is
+	// applied once, after every arrival is collected (applyNow); the
+	// virtual-time charge stays per-slice, as if each had been applied in turn.
 	var mergeCost vtime.Time
 	var propagated []*slicestore.Slice
 	for _, a := range arrivals[1:] {
@@ -372,15 +375,7 @@ func (t *thread) Barrier(b api.Addr, n int) {
 	}
 	if len(propagated) > 0 {
 		start := stats.Now()
-		if len(propagated) < planCoalesceMin {
-			for _, sl := range propagated {
-				leader.space.ApplyRuns(sl.Mods)
-			}
-		} else {
-			plan := leader.buildPlan(propagated)
-			leader.space.ApplyPlan(plan)
-			plan.Release()
-		}
+		leader.applyNow(propagated)
 		el := stats.Since(start)
 		leader.st.ApplyNanos += uint64(el)
 		leader.tb.SpanDur(trace.PhaseApply, start, el)
@@ -404,11 +399,6 @@ func (t *thread) Barrier(b api.Addr, n int) {
 		w.forgetMarks()
 		w.vtime = w.vtime.Join(merged)
 		w.preMerged = nil
-		//detvet:orderfree drain-and-release of independent per-page entries; see TestPendingResetOrderFree.
-		for pid, pp := range w.pending {
-			pp.Release()
-			delete(w.pending, pid)
-		}
 	}
 	// Resume everyone.
 	for _, a := range arrivals {
@@ -523,7 +513,7 @@ func (t *thread) Join(id api.ThreadID) {
 		t.finishOpLocked()
 		t.beginSlice()
 		e.syncEvent(t, "join", api.Addr(id))
-		t.applySlices(ev.slices, nil, false)
+		t.applySlices(ev.slices, false)
 		return
 	}
 	slices := t.acquireFromCollectLocked(int32(target.id), target.exitV, target.exitVT)
@@ -531,7 +521,7 @@ func (t *thread) Join(id api.ThreadID) {
 	e.syncEvent(t, "join", api.Addr(id))
 	t.finishOpLocked()
 	e.leave(t)
-	t.applySlices(slices, nil, false)
+	t.applySlices(slices, false)
 }
 
 // AtomicAdd64 is the §4.6 low-level-atomics extension: a Kendo-ordered
@@ -571,7 +561,7 @@ func (t *thread) atomicOp(a api.Addr, op func(cur uint64) (newVal uint64, wrote 
 	t.commitSliceLocked(s)
 	// The acquired updates must be resident (or pended) before the word is
 	// read, so this acquire applies inside the section.
-	t.applySlices(t.acquireCollectLocked(sv), nil, false)
+	t.applySlices(t.acquireCollectLocked(sv), false)
 	cur := t.space.Load64(uint64(a)) // flushes lazily pended updates if any
 	newVal, wrote := op(cur)
 	t.vt += 2 * vtime.MemOp

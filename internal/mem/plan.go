@@ -11,12 +11,11 @@ package mem
 // the *last* run in list order that covers it — so applying the plan writes
 // each unique byte exactly once: O(unique bytes).
 //
-// The collapse is a pure function of the run list, so a plan built once can
-// be applied to any number of spaces (plan sharing across blocked waiters)
-// and is exactly equivalent to sequential list-order application: both leave
-// every covered byte at its last writer's value and touch no other byte, and
-// no one can observe the intermediate states (the applying thread is between
-// slices, or provably blocked under the monitor).
+// The collapse is a pure function of the run list, and applying it is
+// exactly equivalent to sequential list-order application: both leave every
+// covered byte at its last writer's value and touch no other byte, and no one
+// can observe the intermediate states (the applying thread is between slices,
+// or provably blocked under the monitor).
 //
 // A plan's per-page patches record what they have written in a mask of one
 // bit per byte — not the dirty tracker's extent list, whose insert costs a
@@ -255,9 +254,8 @@ func (s *Space) ApplyPatch(p *PagePatch) {
 // It holds the per-page last-writer-wins images directly in the patches'
 // staging buffers — applying a plan copies each unique byte straight from
 // the staging buffer into the target page, with no intermediate
-// materialization. Once built a plan is read-only and safe to apply to any
-// number of spaces from any goroutine (applications to distinct spaces never
-// share state); call Release when no application can still be in flight.
+// materialization. Once built a plan is read-only; call Release once it has
+// been applied.
 //
 // A plan is live from BuildPlan until Release. A released plan is dead: it
 // sits in planPool or has been re-issued as somebody else's plan, so no field
@@ -318,9 +316,8 @@ func BuildPlanFunc(n int, modsOf func(i int) []Run) *WritePlan {
 }
 
 // Release gives every patch, and the plan itself, back for reuse; the plan
-// is dead afterwards. Callers that share a plan across waiters call this
-// once, after the last application. Releasing a dead plan panics, like
-// releasing a dead patch.
+// is dead afterwards. Releasing a dead plan panics, like releasing a dead
+// patch.
 func (p *WritePlan) Release() {
 	if p.dead {
 		panic("mem: WritePlan released twice")

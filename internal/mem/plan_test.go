@@ -82,9 +82,8 @@ func TestPlanEquivalentToSequentialApply(t *testing.T) {
 }
 
 // TestPlanSharedAcrossSpaces checks immutability under application: the same
-// plan applied to several spaces (plan sharing across blocked waiters) gives
-// every space the identical final image, and a re-application is idempotent.
-// It then releases the plan and builds another, smaller one over different
+// plan applied to several spaces gives every space the identical final image,
+// and a re-application is idempotent. It then releases the plan and builds another, smaller one over different
 // pages — which the pool serves from the released plan and its patches — and
 // demands that nothing carried over: no patch for a page only the first plan
 // wrote (a stale page-index entry), no byte outside the new runs (a stale

@@ -46,8 +46,8 @@
 //
 // The deterministic results (outputs, virtual times, trace hashes) are
 // independent of host-side execution strategy. Internal fast paths —
-// sub-page dirty extents, coalesced last-writer-wins write plans shared
-// across blocked waiters — change only wall-clock time. They are the only
+// sub-page dirty extents, coalesced last-writer-wins write plans, lazily
+// pended run references — change only wall-clock time. They are the only
 // paths, with no host-side choice left as an option: the seed-regression
 // goldens, captured from the seed runtime before each was added, pin the
 // equivalence.

@@ -423,28 +423,64 @@ func TestSeedRegressionPoisonedPools(t *testing.T) {
 // flush, so BytesCoalescedAway + LazyRunsElided — elided below — is still the
 // parent's sum, byte for byte.
 func TestBenchmarkProgramsPoisonedMatchParentStats(t *testing.T) {
+	checkBenchmarkPrograms(t, core.DefaultOptions(), []benchmarkProgramPin{
+		// The benchmark's kv_server at the default seed is the golden server.
+		{"kv_server", goldenServerOutput, goldenServerVTime, goldenServerTrace, 0x4d4b07d01882c5fa, 4978},
+		{"water_ns", 0xf8591d83f6e0bdb3, 1977205, 0xf8bffd9aa9b8cd8b, 0x70b4256cb3895465, 20631},
+		{"fft", 0x918759f64874e596, 1522575, 0x2352dae3d6166543, 0xd4b212e5c3fe1ff, 2466344},
+		{"matmul", 0xcec7e115888aade4, 388887, 0xe7f1c6aacd28269, 0x1f0a7d2616b2f7d1, 0},
+	})
+}
+
+// TestBenchmarkProgramsEagerMatchParentStats pins the same four programs on
+// the eager stack — DefaultOptions with LazyWrites off, the paper's
+// lazy-writes ablation — to the values of commit 1905076, the last one with
+// three copies of the eager apply (applySlices, the barrier leader's own
+// branch and prelock plan sharing). Every propagated list is applied at once
+// there, so BytesCoalescedAway is the whole elided column: LazyRunsElided is
+// 0. PlanReuse, which counted shared prelock plans, is zeroed in the stats
+// hash: it read 2 on kv_server then and reads 0 since plans stopped being
+// shared.
+func TestBenchmarkProgramsEagerMatchParentStats(t *testing.T) {
+	opts := core.DefaultOptions()
+	opts.LazyWrites = false
+	checkBenchmarkPrograms(t, opts, []benchmarkProgramPin{
+		{"kv_server", goldenServerOutput, 468952, 0x61e7c43773cd6023, 0xc3352523b26f92d2, 3903},
+		{"water_ns", 0xf8591d83f6e0bdb3, 1982267, 0xa7edf501e2739d6f, 0x6b5951f073549c1e, 20278},
+		{"fft", 0x918759f64874e596, 2166618, 0x4fda62080c21f6ff, 0xa31ee6fe516e5808, 634748},
+		{"matmul", 0xcec7e115888aade4, 391174, 0xe7f1c6aacd28269, 0x42dc64a013c8630, 0},
+	})
+}
+
+// benchmarkProgramPin is one program's pinned execution: output hash, virtual
+// time, synchronization-trace hash, the hash of its Stats with the host facts
+// zeroed, and BytesCoalescedAway + LazyRunsElided.
+type benchmarkProgramPin struct {
+	name                                string
+	output, vtime, trace, stats, elided uint64
+}
+
+// checkBenchmarkPrograms runs the four programs bench/ times, at its sizes —
+// kv_server is the golden server — traced, with poison-on-recycle on, at
+// GOMAXPROCS 1 and 4, and compares each execution with its pin.
+func checkBenchmarkPrograms(t *testing.T, opts core.Options, pins []benchmarkProgramPin) {
+	t.Helper()
 	mem.SetPageBufPoison(true)
 	defer mem.SetPageBufPoison(false)
 	bench := func(size workloads.Size) workloads.Config { return workloads.Config{Threads: 4, Size: size} }
-	opts := core.DefaultOptions()
+	progs := map[string]rfdet.ThreadFunc{
+		"kv_server": workloads.ServerSeeded(bench(workloads.SizeTest), workloads.DefaultServerSeed),
+		"water_ns":  workloads.WaterNS(bench(workloads.SizeSmall)),
+		"fft":       workloads.FFT(bench(workloads.SizeMedium)),
+		"matmul":    workloads.MatrixMultiply(bench(workloads.SizeMedium)),
+	}
 	opts.Trace = true
 	rt := core.New(opts)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	for _, g := range []struct {
-		name                                string
-		prog                                rfdet.ThreadFunc
-		output, vtime, trace, stats, elided uint64
-	}{
-		// The benchmark's kv_server at the default seed is the golden server.
-		{"kv_server", workloads.ServerSeeded(bench(workloads.SizeTest), workloads.DefaultServerSeed),
-			goldenServerOutput, goldenServerVTime, goldenServerTrace, 0x4d4b07d01882c5fa, 4978},
-		{"water_ns", workloads.WaterNS(bench(workloads.SizeSmall)), 0xf8591d83f6e0bdb3, 1977205, 0xf8bffd9aa9b8cd8b, 0x70b4256cb3895465, 20631},
-		{"fft", workloads.FFT(bench(workloads.SizeMedium)), 0x918759f64874e596, 1522575, 0x2352dae3d6166543, 0xd4b212e5c3fe1ff, 2466344},
-		{"matmul", workloads.MatrixMultiply(bench(workloads.SizeMedium)), 0xcec7e115888aade4, 388887, 0xe7f1c6aacd28269, 0x1f0a7d2616b2f7d1, 0},
-	} {
+	for _, g := range pins {
 		for _, p := range []int{1, 4} {
 			runtime.GOMAXPROCS(p)
-			r, tr, err := rt.RunTraced(g.prog)
+			r, tr, err := rt.RunTraced(progs[g.name])
 			if err != nil {
 				t.Fatalf("P=%d %s: %v", p, g.name, err)
 			}
@@ -455,11 +491,14 @@ func TestBenchmarkProgramsPoisonedMatchParentStats(t *testing.T) {
 			}
 			// Host facts: wall time, who actually had to wait, and the metadata
 			// high-water, which depends on when concurrent snapshots are charged.
+			// PlanReuse is always 0 and kept only for bench/metrics.go.
 			st.DiffNanos, st.ApplyNanos, st.TurnWaits, st.MetadataBytes, st.RuntimeMemBytes = 0, 0, 0, 0, 0
+			st.PlanReuse = 0
 			trace, stats := fnvString(tr.String()), fnvString(fmt.Sprintf("%+v", st))
 			if r.OutputHash != g.output || r.VirtualTime != g.vtime || trace != g.trace || stats != g.stats {
-				t.Errorf("P=%d %s: output=%#x vtime=%d trace=%#x stats=%#x, parent output=%#x vtime=%d trace=%#x stats=%#x\n%+v",
-					p, g.name, r.OutputHash, r.VirtualTime, trace, stats, g.output, g.vtime, g.trace, g.stats, st)
+				t.Errorf("P=%d %s: output=%#x vtime=%d trace=%#x stats=%#x elided=%d, parent output=%#x vtime=%d trace=%#x stats=%#x\n%+v",
+					p, g.name, r.OutputHash, r.VirtualTime, trace, stats, st.BytesCoalescedAway+st.LazyRunsElided,
+					g.output, g.vtime, g.trace, g.stats, st)
 			}
 		}
 	}
