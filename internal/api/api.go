@@ -167,7 +167,7 @@ type Stats struct {
 	SlicesFilteredPremerged uint64 // propagations skipped because a prelock pre-merge already applied them
 	BytesPropagated         uint64 // modification bytes applied to local memories
 	PrelockBytes            uint64 // modification bytes applied during prelock pre-merge
-	LazyPendingApplied      uint64 // runs pended by lazy writes, each counted once, at its page's flush
+	LazyPendingApplied      uint64 // runs pended by lazy writes, each counted once, at its page's flush or its thread's exit
 	LazyRunsElided          uint64 // pended bytes a later pend to the same page covered, never copied
 	PageFaults              uint64 // simulated write-protection faults (pf monitor)
 	PageProtects            uint64 // simulated per-page mprotect operations
@@ -189,11 +189,12 @@ type Stats struct {
 	// Monitor-contention observability. MonitorAcquires counts acquisitions
 	// of the runtime's global monitor; DiffNanos and ApplyNanos are the
 	// wall-clock time spent byte-diffing snapshotted pages and applying
-	// propagated modification runs. After the monitor decomposition, diffing
-	// and eager application run off the monitor, so these nanos measure work
-	// that no longer serializes unrelated threads. Wall-clock times are
-	// host-dependent: they are observability counters, never part of the
-	// deterministic output.
+	// propagated modification runs. Diffing runs before the turn and eager
+	// application off the monitor, so these nanos measure work that does not
+	// serialize unrelated threads. DiffNanos times each slice end's pre-cut,
+	// including those slice merging discards, and not its commit. Wall-clock
+	// times are host-dependent: they are observability counters, never part
+	// of the deterministic output.
 	MonitorAcquires uint64 // global-monitor lock acquisitions
 	DiffNanos       uint64 // wall nanos spent in page diffing
 	ApplyNanos      uint64 // wall nanos spent applying propagated runs

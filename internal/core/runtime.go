@@ -406,15 +406,9 @@ func (e *exec) runThread(t *thread) {
 func (e *exec) threadExit(t *thread, abnormal bool) {
 	if !abnormal && !e.sched.Aborted() {
 		// Exit is a synchronization (release) operation: take the turn so
-		// the exit point is deterministic.
-		ts := t.tb.Now()
-		t.publish(0, e.chunk.first)
-		if ok, waited := e.sched.WaitForTurn(t.proc); ok {
-			if waited {
-				t.st.TurnWaits++
-				t.tb.Span(trace.PhaseTurnWait, ts)
-			}
-		}
+		// the exit point is deterministic. An abort meanwhile is settled
+		// under the monitor, where exitLocked sees it.
+		t.waitTurn()
 	}
 	e.enterUnchecked(t)
 	e.exitLocked(t)
@@ -426,7 +420,9 @@ func (e *exec) threadExit(t *thread, abnormal bool) {
 //detvet:holds exec.mu
 func (e *exec) exitLocked(t *thread) {
 	if !e.aborted {
-		t.flushAllPending()
+		// Only thread 0's memory is read after its exit (buildReportLocked
+		// hashes it; a joiner collects slices, never memory).
+		t.flushAllPending(t.id == 0)
 		t.exitV = t.endSliceLocked()
 	} else {
 		t.exitV = t.vtime.Clone()

@@ -40,6 +40,12 @@ func cutThread() *thread {
 	return th
 }
 
+// endSlice is both halves of a slice end, the pre-cut and its commit.
+func endSlice(th *thread) *slicestore.Slice {
+	th.precut()
+	return th.finishSlice()
+}
+
 func cloneMods(mods []mem.Run) []mem.Run {
 	out := make([]mem.Run, len(mods))
 	for i, r := range mods {
@@ -79,7 +85,7 @@ func TestPublishedSliceOwnsItsBytes(t *testing.T) {
 			}
 		}
 		write(0x1111111111111111)
-		a := th.finishSlice()
+		a := endSlice(th)
 		if a == nil || len(a.Mods) != pages*mem.PageSize/16 || a.Bytes != uint64(pages*mem.PageSize/2) {
 			t.Fatalf("%d pages: slice A = %+v, want %d runs of 8 bytes", pages, a, pages*mem.PageSize/16)
 		}
@@ -88,7 +94,7 @@ func TestPublishedSliceOwnsItsBytes(t *testing.T) {
 			t.Fatalf("%d pages: slice A already reads %#x at its cut", pages, want[0].Data[0])
 		}
 		write(0x2222222222222222)
-		b := th.finishSlice()
+		b := endSlice(th)
 		if !sameMods(a.Mods, want) {
 			t.Fatalf("%d pages: cutting slice B changed slice A's bytes: A aliases scratch", pages)
 		}
@@ -139,7 +145,7 @@ func TestCutBeyondThePageCacheMatchesFullPageDiff(t *testing.T) {
 		t.Fatalf("%d pages snapshotted, reference diff of %d runs", len(snapped), len(want))
 	}
 	hash := th.space.Hash()
-	got := th.finishSlice()
+	got := endSlice(th)
 	if got == nil || !sameMods(got.Mods, want) || got.Bytes != mem.RunBytes(want) {
 		t.Fatalf("the cut differs from the full-page diff of the same snapshots (%d runs): %+v", len(want), got)
 	}
@@ -165,7 +171,7 @@ func TestWarmCutAllocatesWhatTheSliceOwns(t *testing.T) {
 				th.Store64(api.Addr(p*mem.PageSize+off), v)
 			}
 		}
-		kept = th.finishSlice()
+		kept = endSlice(th)
 	}
 	cut()
 	if got := testing.AllocsPerRun(50, cut); got != 4 {
@@ -251,7 +257,7 @@ func TestPendSliceMatchesSequentialApply(t *testing.T) {
 			t.Fatalf("page %d: not pended behind ProtNone", pid)
 		}
 	}
-	th.flushAllPending()
+	th.flushAllPending(true)
 	want := mem.NewSpace()
 	want.ApplyRuns(s1.Mods)
 	want.ApplyRuns(s2.Mods)

@@ -20,8 +20,10 @@ import (
 //
 // Every operation follows the same shape, on its thread's own goroutine:
 //
-//	turn()                    — win the deterministic Kendo turn
-//	finishSlice()             — byte-diff the snapshotted pages
+//	turn()                    — publish the clock, then:
+//	  precut()                — byte-diff the snapshotted pages into scratch
+//	  WaitForTurn()           — win the deterministic Kendo turn
+//	finishSlice()             — commit the diff: the slice, its charges
 //	enter()                   — take the commit monitor (runtime.go)
 //	  commitSliceLocked()     — publish the slice, bump the clock
 //	  ...collect/queue/wake   — mutate monitor-guarded state
@@ -29,17 +31,24 @@ import (
 //	leave()
 //	applySlices()             — absorb propagated runs
 //
+// Only the order of a release needs the turn, not the work that produces its
+// data: the diff reads the thread's own space and writes its scratch, which no
+// other thread touches while this one runs, so it runs before the wait and
+// overlaps the turn holder's operation. Everything the turn orders — the
+// store's snapshot release, the virtual-time charges, the slice's clock — is
+// in the commit.
+//
 // There is one monitor over one metadata space, as in the paper (§4.1,
 // §4.2), and an operation enters it once. The turn admits one operation at a
 // time, so monitor sections never overlap except for a waker's tail against
 // the next operation of the thread it just woke; the mutex is there for that
 // tail and for the abort path, which holds no turn.
 //
-// Where the diff or the apply falls inside the section — Lock and thread exit
-// cut their slice there (endSliceLocked), an atomic applies what it acquired
-// before it reads the word, and a waker pre-merges into blocked peers — it
-// delays nobody: the turn is held until finishOpLocked, so no other operation
-// is at enter, and only the abort path can want mu meanwhile.
+// Where a commit or an apply falls inside the section — Lock and thread exit
+// commit their slice there (endSliceLocked), an atomic applies what it
+// acquired before it reads the word, and a waker pre-merges into blocked peers
+// — it delays nobody: the turn is held until finishOpLocked, so no other
+// operation is at enter, and only the abort path can want mu meanwhile.
 //
 // Wakeups never re-enter the monitor at all: the waker — which holds the
 // turn and the monitor while the sleeper is provably blocked — performs the
@@ -54,17 +63,28 @@ import (
 // turn waits for the deterministic Kendo turn before a synchronization
 // operation (§4.1). It panics with errAborted if the execution failed.
 func (t *thread) turn() {
-	ts := t.tb.Now()
+	if !t.waitTurn() {
+		panic(errAborted)
+	}
+	t.vt += vtime.SyncBase
+}
+
+// waitTurn is how a synchronization operation or a thread exit takes the
+// turn: publish the clock, pre-cut the slice, then wait, reporting whether the
+// execution is still live. The pre-cut comes after publish, so no peer waits
+// behind an unpublished lag while it runs (DESIGN.md §6), and before the wait,
+// so the diff holds no turn; the turn-wait span starts after it and measures
+// the wait alone.
+func (t *thread) waitTurn() bool {
 	t.publish(0, t.exec.chunk.first)
+	t.precut()
+	ts := t.tb.Now()
 	ok, waited := t.exec.sched.WaitForTurn(t.proc)
 	if waited {
 		t.st.TurnWaits++
 		t.tb.Span(trace.PhaseTurnWait, ts)
 	}
-	if !ok {
-		panic(errAborted)
-	}
-	t.vt += vtime.SyncBase
+	return ok
 }
 
 // finishOpLocked advances the Kendo clock past the synchronization operation
@@ -76,9 +96,10 @@ func (t *thread) finishOpLocked() {
 }
 
 // Lock implements pthread_mutex_lock (§4.1). Whether the current slice ends
-// at all depends on monitor-guarded state (slice merging, §4.5), so Lock
-// cannot pre-diff before entering the monitor; it cuts the slice inside
-// (endSliceLocked).
+// at all depends on monitor-guarded state (slice merging, §4.5), so Lock's
+// pre-cut is speculative and its commit happens inside the monitor
+// (endSliceLocked). When the slice continues, the pre-cut is dropped unused:
+// host time only, since every charge and counter is in the commit.
 func (t *thread) Lock(m api.Addr) {
 	t.turn()
 	e := t.exec
@@ -324,7 +345,7 @@ func (t *thread) Barrier(b api.Addr, n int) {
 	e.enter(t)
 	t.st.Barriers++
 	tend := t.commitSliceLocked(s)
-	t.flushAllPending()
+	t.flushAllPending(true)
 	sv := e.syncvar(b)
 	sv.barArrivals = append(sv.barArrivals, barArrival{tid: t.id, v: tend, vt: t.vt})
 	if len(sv.barArrivals) < n {
@@ -420,7 +441,7 @@ func (t *thread) Barrier(b api.Addr, n int) {
 func (t *thread) Spawn(fn api.ThreadFunc) api.ThreadID {
 	t.turn()
 	// Pages with lazily pended updates are never snapshotted (the flush
-	// happens before the snapshot on first touch), so the off-monitor diff
+	// happens before the snapshot on first touch), so the pre-cut diff
 	// commutes with the flush below.
 	s := t.finishSlice()
 	e := t.exec
@@ -432,7 +453,7 @@ func (t *thread) Spawn(fn api.ThreadFunc) api.ThreadID {
 		panic(errAborted)
 	}
 	// Lazily pended updates must be resident before the memory is cloned.
-	t.flushAllPending()
+	t.flushAllPending(true)
 	tend := t.commitSliceLocked(s)
 
 	id := api.ThreadID(len(e.threads))

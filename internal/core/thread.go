@@ -116,17 +116,26 @@ type thread struct {
 // re-making, plus its block site. No published slice, collect result or wake
 // event ever aliases it: the next call that uses it overwrites it.
 type threadScratch struct {
-	// finishSlice's: a run list per page record, by position in DirtyPages
-	// and never shortened, and the one payload staging area under them. (One
-	// list for all pages regrows through append's 1.25× steps on a thread's
-	// first cuts: matmul allocated 17% more KiB per run that way.)
+	// precut's, which finishSlice commits: a run list per page record, by
+	// position in DirtyPages and never shortened, the one payload staging area
+	// under them, and the cut's tally. (One list for all pages regrows through
+	// append's 1.25× steps on a thread's first cuts: matmul allocated 17% more
+	// KiB per run that way.)
 	pageRuns [][]mem.Run
 	stage    []byte
+	cut      cutTally
 	// picked is collectLocked's: list positions of the slices it takes.
 	picked []int32
 	// flushOrder is flushAllPending's: the pended pages, ascending.
 	flushOrder []mem.PageID
 	site       blockSite
+}
+
+// cutTally is what a pre-cut diffed: its runs, and the extents and bytes it
+// scanned, which finishSlice counts.
+type cutTally struct {
+	runs             int
+	extents, scanned uint64
 }
 
 // ID returns the deterministic thread ID.
@@ -155,9 +164,9 @@ func (t *thread) tick(n uint64) {
 	}
 }
 
-// publish makes the Kendo clock exact, plus extra. turn, threadExit and
-// finishOpLocked — every way a Running thread stops ticking — start with it,
-// and restart the chunk at chunk.first.
+// publish makes the Kendo clock exact, plus extra. waitTurn (an operation's or
+// an exit's) and finishOpLocked — every way a Running thread stops ticking —
+// start with it, and restart the chunk at chunk.first.
 func (t *thread) publish(extra uint64, shift uint8) {
 	t.proc.Tick(uint64(t.lag) + extra)
 	t.lag, t.shift = 0, shift
@@ -210,7 +219,7 @@ func (t *thread) recordStore(a, n uint64) {
 			// this slice.
 			if t.pending != nil {
 				if _, has := t.pending[pid]; has {
-					t.flushPage(pid)
+					t.flushPage(pid, true)
 				}
 			}
 			t.takeSnapshot(pid)
@@ -236,7 +245,7 @@ func (t *thread) takeSnapshot(pid mem.PageID) {
 func (t *thread) onFault(pid mem.PageID, write bool) {
 	if t.pending != nil {
 		if _, has := t.pending[pid]; has {
-			t.flushPage(pid)
+			t.flushPage(pid, true)
 		}
 	}
 	if t.monitoring && t.exec.opts.Monitor == MonitorPF {
@@ -379,10 +388,10 @@ func (t *thread) harvestReads() {
 	t.space.ResetReads()
 }
 
-// finishSlice ends the current slice: each snapshotted page is byte-diffed
-// against its current contents to produce the modification list (§4.2). It
-// returns nil when the slice made no modifications. The snapshot memory is
-// released immediately after diffing, as in §5.4.
+// A slice ends (§4.2) in two halves: precut byte-diffs each snapshotted page
+// against its current contents into the thread's scratch, and finishSlice
+// commits that diff as the slice's modification list and releases the
+// snapshot memory at once, as in §5.4.
 //
 // The pages are the space's page records, in first-touch order, each with its
 // snapshot and its written extents (mem's dirtyPage has the invariant). Only
@@ -394,55 +403,70 @@ func (t *thread) harvestReads() {
 // sub-page extents, so the win is host wall time (DiffNanos), deliberately
 // invisible to the deterministic virtual clock and the trace.
 //
-// finishSlice touches only thread-private state (the space), on the thread's
-// own goroutine: before enter where the operation is known to end the slice,
-// inside the monitor section where only monitor-guarded state says so (Lock,
-// thread exit — endSliceLocked).
-//
-// The cut works in the thread's scratch: the pages are diffed in record order,
-// extent by extent, each into its run list over one staging area, sized first
-// so that the diff never grows it. What the slice keeps is then copied out once,
-// exact-size — its struct, its clock, one []mem.Run, one payload block every
-// Run.Data sub-slices — and never a byte of scratch, which the next cut
-// overwrites while the store holds this. ResetDirty hands the snapshots back.
-func (t *thread) finishSlice() *slicestore.Slice {
-	if t.exec.opts.Validate && !t.space.CacheConsistent() {
-		panic("page cache disagrees with the page table")
-	}
-	t.harvestReads()
+// precut reads the space and writes only the scratch and the host-only
+// DiffNanos, so it needs no turn: waitTurn runs it before WaitForTurn. Lock's
+// is speculative, and when slice merging continues the slice nothing commits
+// it. The pages are diffed in record order, extent by extent, each into its run
+// list over one staging area, sized first so that the diff never grows it.
+// DiffNanos and the diff span time the pre-cut alone; the commit is untimed,
+// which spares two clock reads per cut.
+func (t *thread) precut() {
+	sc := t.scratch
+	sc.cut = cutTally{}
 	pages := t.space.DirtyPages()
 	if len(pages) == 0 {
-		return nil
+		return
 	}
 	start := stats.Now()
-	sc := t.scratch
-	var scanBytes uint64
 	for _, pid := range pages {
 		exts := t.space.DirtyExtentsOf(pid)
-		bytes := mem.ExtentBytes(exts)
-		t.st.DirtyExtents += uint64(len(exts))
-		t.st.DiffBytesScanned += bytes
-		if bytes < mem.PageSize {
-			t.st.DiffBytesSkipped += mem.PageSize - bytes
-		}
-		scanBytes += bytes
+		sc.cut.extents += uint64(len(exts))
+		sc.cut.scanned += mem.ExtentBytes(exts)
 	}
-	if uint64(cap(sc.stage)) < scanBytes {
-		sc.stage = make([]byte, scanBytes)
+	if uint64(cap(sc.stage)) < sc.cut.scanned {
+		sc.stage = make([]byte, 0, sc.cut.scanned)
 	}
-	stage, nRuns := sc.stage[:0], 0
+	stage := sc.stage[:0]
 	for i, pid := range pages {
 		if i == len(sc.pageRuns) {
 			sc.pageRuns = append(sc.pageRuns, nil)
 		}
 		sc.pageRuns[i], stage = mem.AppendDiffPageExtents(sc.pageRuns[i][:0], stage,
 			pid, t.space.SnapshotOf(pid), t.space.PageData(pid), t.space.DirtyExtentsOf(pid))
-		nRuns += len(sc.pageRuns[i])
+		sc.cut.runs += len(sc.pageRuns[i])
 	}
+	sc.stage = stage
+	el := stats.Since(start)
+	t.st.DiffNanos += uint64(el)
+	t.tb.SpanDur(trace.PhaseDiff, start, el)
+}
+
+// finishSlice commits the operation's pre-cut under the turn, which orders the
+// store's snapshot release and the clock stamped on the slice: between the turn
+// and enter where the operation always ends the slice, inside the monitor
+// section where monitor-guarded state decides (Lock, thread exit —
+// endSliceLocked). It returns nil when the slice made no modifications. What
+// the slice keeps is copied out once, exact-size — its struct, its clock, one
+// []mem.Run, one payload block every Run.Data sub-slices — and never a byte of
+// scratch, which the next pre-cut overwrites while the store holds this.
+// ResetDirty hands the snapshots back.
+func (t *thread) finishSlice() *slicestore.Slice {
+	if t.exec.opts.Validate && !t.space.CacheConsistent() {
+		panic("page cache disagrees with the page table")
+	}
+	t.harvestReads()
+	pages, sc := t.space.DirtyPages(), t.scratch
+	if len(pages) == 0 {
+		return nil
+	}
+	t.st.DirtyExtents += sc.cut.extents
+	t.st.DiffBytesScanned += sc.cut.scanned
+	// An extent never crosses its page, so each page skips PageSize - its bytes.
+	t.st.DiffBytesSkipped += uint64(len(pages))*mem.PageSize - sc.cut.scanned
 	// The runs' bytes lie end to end in stage, in run order.
-	payload := make([]byte, len(stage))
-	copy(payload, stage)
-	mods := make([]mem.Run, 0, nRuns)
+	payload := make([]byte, len(sc.stage))
+	copy(payload, sc.stage)
+	mods := make([]mem.Run, 0, sc.cut.runs)
 	off := 0
 	for _, runs := range sc.pageRuns[:len(pages)] {
 		for _, r := range runs {
@@ -457,9 +481,6 @@ func (t *thread) finishSlice() *slicestore.Slice {
 		t.vt += vtime.DiffPage
 	}
 	t.space.ResetDirty()
-	el := stats.Since(start)
-	t.st.DiffNanos += uint64(el)
-	t.tb.SpanDur(trace.PhaseDiff, start, el)
 	if len(mods) == 0 {
 		return nil
 	}
@@ -534,12 +555,12 @@ func (t *thread) recordAccessLocked(s *slicestore.Slice, tend vclock.VC) {
 	})
 }
 
-// endSliceLocked ends the current slice entirely under the monitor: diff and
-// commit in one step. Only paths that cannot pre-diff before entering use it —
-// thread exit (the final slice is cut while the monitor already decides the
-// exit) and Lock, which learns whether the slice even ends (slice merging)
-// only from monitor-guarded state. The diff holds nobody up: the turn is held,
-// so no other operation can be at enter (sync.go header).
+// endSliceLocked commits the pre-cut slice under the monitor. Only the paths
+// that decide under the monitor whether or how the slice ends use it: thread
+// exit (whose section also settles the pended pages) and Lock, which learns
+// whether the slice even ends (slice merging) only from monitor-guarded state.
+// Their diff ran before the turn, like every operation's; what is left here is
+// the commit.
 //
 //detvet:holds exec.mu
 func (t *thread) endSliceLocked() vclock.VC {
@@ -581,21 +602,31 @@ func (t *thread) pendSlices(slices []*slicestore.Slice) {
 // counts each byte once even if multiple propagations pended overlapping
 // updates — the "just one update" saving of §4.5 — and so does the host: the
 // flush copies each distinct byte once, from the newest run that wrote it.
-func (t *thread) flushPage(pid mem.PageID) {
+// Without apply it copies none: the page is charged exactly as its flush
+// would be, released unapplied (mem.PendingPage.Discard) and left ProtNone.
+func (t *thread) flushPage(pid mem.PageID, apply bool) {
 	ts := t.tb.Now()
 	defer t.tb.Span(trace.PhaseLazyFlush, ts)
 	p := t.pending[pid]
 	delete(t.pending, pid)
-	t.space.Protect(pid, mem.ProtRW)
-	runs, raw, distinct := t.space.ApplyPending(p)
+	var runs, raw, distinct uint64
+	if apply {
+		t.space.Protect(pid, mem.ProtRW)
+		runs, raw, distinct = t.space.ApplyPending(p)
+	} else {
+		runs, raw, distinct = p.Discard()
+	}
 	t.st.LazyPendingApplied += runs
 	t.st.LazyRunsElided += raw - distinct
 	t.vt += vtime.ApplyCost(1, distinct)
 }
 
-// flushAllPending applies every pended page in deterministic order (thread
-// exit, barrier merge, final memory hashing).
-func (t *thread) flushAllPending() {
+// flushAllPending flushes every pended page in deterministic order: applying
+// them at a barrier arrival, before Spawn clones the space, and at thread 0's
+// exit, whose space the report hashes; at any other thread's exit, whose
+// space nobody reads again, only charging them — zero updates where §4.5's
+// flush makes one.
+func (t *thread) flushAllPending(apply bool) {
 	if len(t.pending) == 0 {
 		return
 	}
@@ -606,6 +637,6 @@ func (t *thread) flushAllPending() {
 	slices.Sort(pids)
 	t.scratch.flushOrder = pids
 	for _, pid := range pids {
-		t.flushPage(pid)
+		t.flushPage(pid, apply)
 	}
 }

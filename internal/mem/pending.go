@@ -13,7 +13,7 @@ const PendFold = 16
 // PendingPage is one page's lazily pended modifications (§4.5): the run lists
 // propagated onto it, in order, by reference — never a copy of their bytes, so
 // the lists must not change; a published slice's Mods never do. A record is
-// dead after ApplyPending or Release: the pool may re-issue it.
+// dead after ApplyPending, Discard or Release: the pool may re-issue it.
 type PendingPage struct {
 	page   PageID
 	refs   [][]Run
@@ -102,9 +102,32 @@ func (s *Space) ApplyPending(p *PendingPage) (runs, raw, distinct uint64) {
 		q.mergeInto(dst)
 		runs, raw, distinct = runs+q.rawRuns, raw+q.rawBytes, q.UniqueBytes()
 	}
-	for ws := done.words; ws != 0; ws &= ws - 1 {
-		distinct += uint64(bits.OnesCount64(done.mask[bits.TrailingZeros64(ws)]))
+	distinct += done.bytes()
+	p.Release()
+	return runs, raw, distinct
+}
+
+// Discard releases p unapplied and returns what ApplyPending would have: the
+// runs, bytes and distinct bytes. It is a count-only walk, with no page, no
+// copy and no protection change: the distinct bytes are those the runs and
+// the folded patch cover, in any order, so each run only marks its span.
+func (p *PendingPage) Discard() (runs, raw, distinct uint64) {
+	var done flushMask
+	if q := p.folded; q != nil {
+		runs, raw, done.words, done.mask = q.rawRuns, q.rawBytes, q.words, q.mask
 	}
+	for _, list := range p.refs {
+		for _, r := range list {
+			runs, raw = runs+1, raw+uint64(len(r.Data))
+			off := uint32(r.Addr & PageMask)
+			end := off + uint32(len(r.Data))
+			for w := off / 64; w*64 < end; w++ { // an empty run marks nothing
+				done.mask[w] |= spanBits(w, off, end)
+				done.words |= 1 << w
+			}
+		}
+	}
+	distinct = done.bytes()
 	p.Release()
 	return runs, raw, distinct
 }
@@ -114,6 +137,15 @@ func (s *Space) ApplyPending(p *PendingPage) (runs, raw, distinct uint64) {
 type flushMask struct {
 	words uint64
 	mask  [maskWords]uint64
+}
+
+// bytes returns the number of bytes marked.
+func (f *flushMask) bytes() uint64 {
+	var n int
+	for ws := f.words; ws != 0; ws &= ws - 1 {
+		n += bits.OnesCount64(f.mask[bits.TrailingZeros64(ws)])
+	}
+	return uint64(n)
 }
 
 // copyNew copies the bytes of data, bound for dst[off:], that no newer run

@@ -11,7 +11,9 @@ import (
 // A PendingPage against its reference model: the run lists pended since the
 // last flush, applied at the flush in order, run after run, by ApplyRuns —
 // what propagation without lazy writes does — with the distinct, raw-run and
-// raw-byte counts taken from the lists themselves.
+// raw-byte counts taken from the lists themselves. A twin record, pended the
+// same lists, is walked by Discard at every flush: an exiting thread's charge
+// must be its flush's, count for count.
 
 // A pending program is a sequence of 6-byte operations — kind, offset,
 // length, the middle two little-endian, and a shape byte — over one live
@@ -89,7 +91,7 @@ func runPendingProgram(t *testing.T, prog []byte) {
 	}
 
 	page := PageID(0)
-	rec := NewPendingPage(page)
+	rec, twin := NewPendingPage(page), NewPendingPage(page)
 	var lists [][]Run
 	flush := func(where string) {
 		t.Helper()
@@ -115,6 +117,10 @@ func runPendingProgram(t *testing.T, prog []byte) {
 			t.Fatalf("%s: flush counted %d runs / %d bytes / %d distinct, model %d / %d / %d",
 				where, runs, raw, distinct, wantRuns, wantRaw, wantDistinct)
 		}
+		if r, b, d := twin.Discard(); r != runs || b != raw || d != distinct {
+			t.Fatalf("%s: the walk counted %d runs / %d bytes / %d distinct, the flush %d / %d / %d",
+				where, r, b, d, runs, raw, distinct)
+		}
 		g, w := got.PageData(page), ref.PageData(page)
 		for i := range g {
 			if g[i] != w[i] {
@@ -129,6 +135,7 @@ func runPendingProgram(t *testing.T, prog []byte) {
 		case kind <= 5:
 			runs := pendRuns(page, prog, next)
 			rec.Pend(runs)
+			twin.Pend(runs)
 			lists = append(lists, runs)
 			if want := len(lists) % PendFold; rec.Len() != want || (len(lists) >= PendFold) != (rec.folded != nil) {
 				t.Fatalf("%s: %d lists pended leave %d references and folded patch %v, want %d references",
@@ -136,12 +143,13 @@ func runPendingProgram(t *testing.T, prog []byte) {
 			}
 		case kind == 6:
 			flush(where)
-			rec = NewPendingPage(page)
+			rec, twin = NewPendingPage(page), NewPendingPage(page)
 		default:
 			rec.Release()
+			twin.Release()
 			lists = nil
 			page = PageID(prog[5] % 3)
-			rec = NewPendingPage(page)
+			rec, twin = NewPendingPage(page), NewPendingPage(page)
 			if rec.Len() != 0 || rec.folded != nil {
 				t.Fatalf("%s: a re-issued record holds %d references and folded patch %v", where, rec.Len(), rec.folded != nil)
 			}
@@ -237,7 +245,10 @@ func TestPendRunsByPage(t *testing.T) {
 }
 
 // BenchmarkLazyFlushPage is one fft page's life under lazy writes: four
-// writers' fragmented run lists pended onto it and flushed, newest first.
+// writers' fragmented run lists pended onto it — two of them reach the page,
+// 400 or so short runs — then flushed newest first (apply), or only counted,
+// as a thread other than 0 does at its exit (discard). The walk is meant to
+// cost less than half the flush.
 func BenchmarkLazyFlushPage(b *testing.B) {
 	mods := fragmentedMods(1)
 	var lists [][]Run
@@ -252,12 +263,22 @@ func BenchmarkLazyFlushPage(b *testing.B) {
 	}
 	s := NewSpace()
 	defer s.Release()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		p := NewPendingPage(2)
-		for _, runs := range lists {
-			p.Pend(runs)
-		}
-		s.ApplyPending(p)
+	for _, end := range []struct {
+		name string
+		fn   func(*PendingPage)
+	}{
+		{"apply", func(p *PendingPage) { s.ApplyPending(p) }},
+		{"discard", func(p *PendingPage) { p.Discard() }},
+	} {
+		b.Run(end.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				p := NewPendingPage(2)
+				for _, runs := range lists {
+					p.Pend(runs)
+				}
+				end.fn(p)
+			}
+		})
 	}
 }
