@@ -11,7 +11,6 @@
 //	rfdet-bench racetable happens-before race detection vs litmus classification (DESIGN.md §12)
 //	rfdet-bench replicas  KV-server k-replica divergence check + requests/sec (DESIGN.md §14)
 //	rfdet-bench all       everything, in paper order
-//	rfdet-bench lint      determinism-lint smoke: run tools/detvet -json, assert a clean tree
 //	rfdet-bench validate-trace <file>  check an exported trace file
 //
 // Flags select the problem size (-size test|small|medium), the thread count
@@ -101,7 +100,7 @@ func main() {
 	tracePath := flag.String("trace", "", "write a Chrome-trace phase timeline of one workload to this file")
 	traceWorkload := flag.String("traceworkload", "wordcount", "workload to trace with -trace")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: rfdet-bench [flags] figure7|table1|propagation|phases|figure8|figure9|racey|litmus|racetable|replicas|lint|all\n")
+		fmt.Fprintf(os.Stderr, "usage: rfdet-bench [flags] figure7|table1|propagation|phases|figure8|figure9|racey|litmus|racetable|replicas|all\n")
 		fmt.Fprintf(os.Stderr, "       rfdet-bench [flags] validate-trace <file>\n")
 		fmt.Fprintf(os.Stderr, "       rfdet-bench [flags] -trace out.json\n")
 		flag.PrintDefaults()
@@ -159,8 +158,6 @@ func main() {
 		err = harness.ReplicaTable(os.Stdout, sz, *threads, *replicas)
 	case "all":
 		err = harness.AllExperiments(os.Stdout, sz, *threads, *repeats, *runs)
-	case "lint":
-		err = runLint(os.Stdout)
 	case "validate-trace":
 		if flag.NArg() != 2 {
 			fmt.Fprintf(os.Stderr, "usage: rfdet-bench validate-trace <file>\n")

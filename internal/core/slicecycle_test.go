@@ -182,6 +182,42 @@ func TestWarmCutAllocatesWhatTheSliceOwns(t *testing.T) {
 	}
 }
 
+// TestWarmEagerApplyAllocatesNothing: applyNow merges two or more slices
+// through a pooled write plan, and a warm merge of two slices over the same
+// four pages is served from the pools entirely. The plan's Release is what
+// hands the plan and its patches back: an apply that drops it allocates a new
+// plan, its page map and a patch per page on every call, and fails here. The
+// budget of 2 leaves room for a garbage collection emptying the pools
+// mid-measurement.
+func TestWarmEagerApplyAllocatesNothing(t *testing.T) {
+	if raceBuild() {
+		t.Skip("sync.Pool drops puts at random under -race")
+	}
+	slices := make([]*slicestore.Slice, 2)
+	for i := range slices {
+		var mods []mem.Run
+		for p := 0; p < 4; p++ {
+			for off := 0; off < 512; off += 64 {
+				mods = append(mods, mem.Run{Addr: mem.PageAddr(mem.PageID(p)) + uint64(off+8*i), Data: bytes.Repeat([]byte{byte(i + 1)}, 16)})
+			}
+		}
+		slices[i] = &slicestore.Slice{Mods: mods, Bytes: mem.RunBytes(mods)}
+	}
+	th := cutThread()
+	th.applyNow(slices)
+	if got := testing.AllocsPerRun(100, func() { th.applyNow(slices) }); got > 2 {
+		t.Errorf("warm two-slice eager apply allocates %.0f objects, want ≤ 2", got)
+	}
+	want := mem.NewSpace()
+	defer want.Release()
+	for _, s := range slices {
+		want.ApplyRuns(s.Mods)
+	}
+	if th.space.Hash() != want.Hash() {
+		t.Fatal("two-slice eager apply differs from applying the slices in list order")
+	}
+}
+
 // TestLockPingPongAllocationBudget bounds the whole sync path: two threads,
 // N rounds each of Lock; Store64; Unlock; Tick(50) under DefaultOptions. A
 // round costs the four allocations its slice owns, one collect result and the

@@ -288,7 +288,8 @@ func (s *Space) recordOf(id PageID) *dirtyPage {
 // paper): a copy of its current contents, kept in the page's record until
 // ResetDirty hands the buffer back. Dirty tracking must be on.
 func (s *Space) SnapshotPage(id PageID) {
-	//detvet:pincheck the buffer is owned by the page's record until ResetDirty, which hands every record's snapshot to PutPageBuf.
+	// The buffer is owned by the page's record until ResetDirty, which hands
+	// every record's snapshot to PutPageBuf.
 	s.recordOf(id).snap = s.Snapshot(id)
 }
 

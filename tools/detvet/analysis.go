@@ -3,8 +3,8 @@
 //
 //	go run ./tools/detvet ./...
 //
-// Three analyzers enforce the invariants the deterministic runtime depends
-// on (DESIGN.md §12):
+// Five analyzers enforce the invariants the deterministic runtime depends on
+// (DESIGN.md §12, §17):
 //
 //   - maporder: no raw iteration over Go maps in the deterministic packages
 //     (internal/core, internal/mem, internal/slicestore). Go randomizes map
@@ -15,6 +15,11 @@
 //     (internal/stats, internal/trace, internal/harness).
 //   - nativesync: no raw go statements, sync primitives or channel
 //     operations in internal/core outside the audited monitor protocol.
+//   - lockcheck: guarded fields accessed only under their sync.Mutex, lock
+//     ranks never inverted, no blocking with a lock held, and lock effects
+//     balanced at every function exit.
+//   - statwire: every api.Stats counter is incremented and surfaced
+//     somewhere (whole-program, so it runs only over ./...).
 //
 // A finding is silenced by an annotation comment on the same line as the
 // offending construct, or on the line directly above it:
@@ -24,7 +29,8 @@
 // The justification is mandatory: a bare annotation is itself a finding.
 // An annotation suppresses every finding of its analyzer inside the full
 // syntax node it is attached to (so one annotation before a `go func` or a
-// `select` covers the channel operations in its body).
+// `select` covers the channel operations in its body). A //detvet: token that
+// no analyzer reads is a finding too.
 package main
 
 import (
@@ -50,6 +56,14 @@ type Analyzer struct {
 	Exempt []string
 
 	Run func(*Pass)
+}
+
+// token is the annotation token that silences the analyzer.
+func (a *Analyzer) token() string {
+	if a.Annotation != "" {
+		return a.Annotation
+	}
+	return a.Name
 }
 
 // applies reports whether the analyzer runs on the package with the given
@@ -112,10 +126,7 @@ const annotationPrefix = "detvet:"
 // reports bare annotations (missing justification) as findings. Must run
 // before the analyzer body so suppression is in place.
 func (p *Pass) prepareAnnotations() {
-	tok := p.Analyzer.Annotation
-	if tok == "" {
-		tok = p.Analyzer.Name
-	}
+	tok := p.Analyzer.token()
 	for _, f := range p.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {

@@ -22,7 +22,13 @@ func TestMaporderFixtures(t *testing.T)   { runFixture(t, maporder) }
 func TestWallclockFixtures(t *testing.T)  { runFixture(t, wallclock) }
 func TestNativesyncFixtures(t *testing.T) { runFixture(t, nativesync) }
 func TestLockcheckFixtures(t *testing.T)  { runFixture(t, lockcheck) }
-func TestPincheckFixtures(t *testing.T)   { runFixture(t, pincheck) }
+
+// TestUnknownAnnotationFixtures runs the driver's per-file token check: a
+// //detvet: token no analyzer reads is reported, a known one is not.
+func TestUnknownAnnotationFixtures(t *testing.T) {
+	fset, files, _, _ := loadFixture(t, "annotations")
+	matchWants(t, fset, files, unknownAnnotations(files))
+}
 
 // TestStatwireFixtures runs the whole-program statwire pass with every
 // configured role (stats package, surface packages) pointed at
@@ -154,10 +160,6 @@ func TestApplies(t *testing.T) {
 		{lockcheck, "rfdet/internal/kendo", true},
 		{lockcheck, "rfdet/internal/harness", false},
 		{lockcheck, "rfdet/cmd/rfdet-run", false},
-		{pincheck, "rfdet/internal/slicestore", true},
-		{pincheck, "rfdet/internal/alloc", true},
-		{pincheck, "rfdet/internal/kendo", false},
-		{pincheck, "rfdet/internal/trace", false},
 	}
 	for _, c := range cases {
 		if got := c.a.applies(c.path); got != c.want {

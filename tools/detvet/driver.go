@@ -34,26 +34,28 @@ type listPackage struct {
 	GoFiles    []string
 }
 
-// jsonDiagnostic is one finding in -json output, sorted by position.
-type jsonDiagnostic struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
+// finding is one diagnostic as printed: its position relative to the working
+// directory, and the analyzer that reported it.
+type finding struct {
+	File     string
+	Line     int
+	Col      int
+	Analyzer string
+	Message  string
 }
 
 // run loads the packages matching patterns (default ./...) with one shared
-// FileSet and type-check universe, runs the per-package analyzer suite on
-// every module package, then — when the patterns cover the whole module —
-// the whole-program statwire pass, and prints the findings. Exits 0 when
-// clean, 2 on findings, so CI can gate on it.
+// FileSet and type-check universe, checks every file's annotation tokens, runs
+// the per-package analyzer suite on every module package, then — when the
+// patterns cover the whole module — the whole-program statwire pass, and
+// prints the findings. Exits 0 when clean, 2 on findings, so CI can gate on
+// it.
 //
 // The load path is `go list -deps -export -json`, which hands back
 // dependency-ordered packages plus compiled export data straight from the
 // go build cache: repeat runs re-typecheck only the module's own sources,
 // which keeps the full-repo sweep inside the CI lint budget.
-func run(patterns []string, jsonOut bool) {
+func run(patterns []string) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
@@ -93,7 +95,7 @@ func run(patterns []string, jsonOut bool) {
 
 	// Type-check the module's packages from source, in the dependency order
 	// go list already established, and build the analyzer passes.
-	var diags []jsonDiagnostic
+	var diags []finding
 	var statPasses []*Pass
 	for _, p := range pkgs {
 		if p.Standard || !isModulePkg(p.ImportPath) {
@@ -114,6 +116,9 @@ func run(patterns []string, jsonOut bool) {
 		}
 		srcPkgs[p.ImportPath] = pkg
 
+		for _, d := range unknownAnnotations(files) {
+			diags = append(diags, newFinding(fset, d, "detvet"))
+		}
 		diags = append(diags, analyze(fset, files, pkg, info, p.ImportPath)...)
 		// A parallel pass carries statwire's own suppression intervals.
 		sp := &Pass{Analyzer: statwire, Fset: fset, Files: files, Pkg: pkg, Info: info, PkgPath: p.ImportPath}
@@ -131,7 +136,7 @@ func run(patterns []string, jsonOut bool) {
 	}
 	for _, sp := range statPasses {
 		for _, d := range sp.diags {
-			diags = append(diags, toJSON(fset, d, statwire.Name))
+			diags = append(diags, newFinding(fset, d, statwire.Name))
 		}
 	}
 
@@ -149,19 +154,8 @@ func run(patterns []string, jsonOut bool) {
 		return a.Analyzer < b.Analyzer
 	})
 
-	if jsonOut {
-		if diags == nil {
-			diags = []jsonDiagnostic{} // a clean tree encodes as [], not null
-		}
-		out, err := json.MarshalIndent(diags, "", "\t")
-		if err != nil {
-			log.Fatal(err)
-		}
-		os.Stdout.Write(append(out, '\n'))
-	} else {
-		for _, d := range diags {
-			fmt.Fprintf(os.Stderr, "%s:%d:%d: [%s] %s\n", d.File, d.Line, d.Col, d.Analyzer, d.Message)
-		}
+	for _, d := range diags {
+		fmt.Fprintf(os.Stderr, "%s:%d:%d: [%s] %s\n", d.File, d.Line, d.Col, d.Analyzer, d.Message)
 	}
 	if len(diags) > 0 {
 		os.Exit(2)
@@ -183,7 +177,7 @@ func coversModule(patterns []string) bool {
 	return false
 }
 
-func toJSON(fset *token.FileSet, d Diagnostic, analyzer string) jsonDiagnostic {
+func newFinding(fset *token.FileSet, d Diagnostic, analyzer string) finding {
 	pos := fset.Position(d.Pos)
 	file := pos.Filename
 	if wd, err := os.Getwd(); err == nil {
@@ -191,7 +185,32 @@ func toJSON(fset *token.FileSet, d Diagnostic, analyzer string) jsonDiagnostic {
 			file = rel
 		}
 	}
-	return jsonDiagnostic{File: file, Line: pos.Line, Col: pos.Column, Analyzer: analyzer, Message: d.Message}
+	return finding{File: file, Line: pos.Line, Col: pos.Column, Analyzer: analyzer, Message: d.Message}
+}
+
+// unknownAnnotations reports every //detvet:<token> comment whose token no
+// analyzer reads: such an annotation checks and silences nothing, which is
+// how a retired token would rot in place unnoticed.
+func unknownAnnotations(files []*ast.File) []Diagnostic {
+	known := map[string]bool{statwire.Name: true}
+	for _, a := range analyzers {
+		known[a.token()] = true
+	}
+	for _, kw := range lockcheckKeywords {
+		known[kw] = true
+	}
+	var diags []Diagnostic
+	for _, f := range files {
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				text, ok := strings.CutPrefix(c.Text, "//"+annotationPrefix)
+				if tok, _, _ := strings.Cut(text, " "); ok && !known[tok] {
+					diags = append(diags, Diagnostic{Pos: c.Pos(), Message: fmt.Sprintf("unknown annotation //detvet:%s: no analyzer reads it", tok)})
+				}
+			}
+		}
+	}
+	return diags
 }
 
 // goList runs `go list -deps -export -json` and decodes the package stream.

@@ -14,11 +14,10 @@ import (
 //
 //  1. Guarded fields. A struct field annotated //detvet:guardedby <spec> may
 //     only be accessed while the named mutex is provably held. The lattice is
-//     a must-hold set computed structurally over each function body: Lock and
-//     RLock add, Unlock and RUnlock remove, `defer mu.Unlock()` keeps the
-//     lock held to every exit, TryLock adds only on its success branch, and
-//     control-flow joins intersect. Function boundaries are crossed through
-//     effect annotations (//detvet:holds, //detvet:acquires,
+//     a must-hold set computed structurally over each function body: Lock
+//     adds, Unlock removes, `defer mu.Unlock()` keeps the lock held to every
+//     exit, and control-flow joins intersect. Function boundaries are crossed
+//     through effect annotations (//detvet:holds, //detvet:acquires,
 //     //detvet:releases) so the repo's Locked-suffix helpers check precisely.
 //  2. Lock order. Mutex fields annotated //detvet:lockorder <rank> form a
 //     global acquisition order (documented in DESIGN.md §17); acquiring a
@@ -26,16 +25,21 @@ import (
 //     Two instances of one class may be held together: their order is a
 //     runtime invariant, not a static one.
 //  3. Held-across-blocking. A blocking operation — channel send/receive,
-//     select without default, sync.Cond.Wait, sync.WaitGroup.Wait, or a call
-//     to a function annotated //detvet:blocks — executed while any annotated
-//     lock is held is a latent deadlock against the deterministic turn
-//     protocol and is reported.
+//     select without default, sync.Cond.Wait or sync.WaitGroup.Wait —
+//     executed while any annotated lock is held is a latent deadlock against
+//     the deterministic turn protocol and is reported.
 //
 // Unannotated fields are not exempt: any field sharing a declaration
 // paragraph (a run of fields with no blank line between them) with a
-// sync.Mutex or sync.RWMutex must carry //detvet:guardedby or
-// //detvet:notguarded <why>, so a new field slipped under a mutex without a
-// documented discipline fails the build.
+// sync.Mutex must carry //detvet:guardedby or //detvet:notguarded <why>, so a
+// new field slipped under a mutex without a documented discipline fails the
+// build.
+//
+// The model is sync.Mutex's Lock and Unlock and nothing else. What it leaves
+// out is reported, never skipped: a sync.RWMutex field or call, a TryLock, a
+// guardedby spec naming anything but one mutex. A lock reached through a
+// local alias (`m := &b.mu; m.Lock()`) is a different lock from b.mu, so an
+// access it should cover reads as unheld.
 //
 // A finding the lattice cannot discharge but a human can (turn-exclusivity,
 // quiescence after wg.Wait) is silenced by //detvet:lockcheck <why>; the
@@ -53,19 +57,18 @@ var lockcheck = &Analyzer{
 	Run: runLockcheck,
 }
 
-// A guardAlt is one alternative of a guardedby specification: either a
-// sibling mutex field of the same struct (resolved against the accessed
-// expression's base) or a class `Type.field` (any held instance of that
-// mutex field satisfies it).
-type guardAlt struct {
+// lockcheckKeywords are the annotation tokens lockcheck's grammar reads
+// besides its own suppression token.
+var lockcheckKeywords = []string{"guardedby", "notguarded", "lockorder", "holds", "acquires", "releases"}
+
+// fieldGuard is a parsed guardedby specification: either a sibling mutex
+// field of the same struct (resolved against the accessed expression's base)
+// or a class `Type.field` (any held instance of that mutex field satisfies
+// it).
+type fieldGuard struct {
 	sibling string
 	class   string
-}
-
-// fieldGuard is the parsed annotation state of one struct field.
-type fieldGuard struct {
-	alts []guardAlt // non-nil: guardedby; nil: notguarded
-	spec string     // original spec text, for diagnostics
+	spec    string // original spec text, for diagnostics
 }
 
 // lockRef is one lock named by a function-level effect annotation, resolved
@@ -82,13 +85,11 @@ type funcEffects struct {
 	holds    []lockRef // held on entry and still held on exit
 	acquires []lockRef // acquired by the function, held on exit
 	releases []lockRef // released by the function
-	blocks   bool      // the function may block (turn wait, wake sleep)
 }
 
 // heldLock is one element of the must-hold set.
 type heldLock struct {
 	class    string // "Type.field" when statically known, else ""
-	read     bool   // held via RLock only
 	deferred bool   // a registered defer releases it at every exit
 	pos      token.Pos
 }
@@ -115,8 +116,8 @@ func newFlowState() flowState { return flowState{locks: lockSet{}} }
 func (f flowState) clone() flowState { return flowState{locks: f.locks.clone(), dead: f.dead} }
 
 // meet intersects two states: a lock is held after a join only if it is held
-// on every incoming path. A lock read-held on either path is only read-held
-// after the join; a deferred release survives only if registered on both.
+// on every incoming path; a deferred release survives only if registered on
+// both.
 func meet(a, b flowState) flowState {
 	if a.dead {
 		return b.clone()
@@ -132,7 +133,6 @@ func meet(a, b flowState) flowState {
 		}
 		out.locks[k] = heldLock{
 			class:    va.class,
-			read:     va.read || vb.read,
 			deferred: va.deferred && vb.deferred,
 			pos:      va.pos,
 		}
@@ -140,15 +140,15 @@ func meet(a, b flowState) flowState {
 	return out
 }
 
-// equalStates reports whether two states hold the same locks in the same
-// modes (the fixpoint test for loop bodies).
+// equalStates reports whether two states hold the same locks with the same
+// deferred releases (the fixpoint test for loop bodies).
 func equalStates(a, b flowState) bool {
 	if a.dead != b.dead || len(a.locks) != len(b.locks) {
 		return false
 	}
 	for k, va := range a.locks {
 		vb, ok := b.locks[k]
-		if !ok || va.read != vb.read || va.deferred != vb.deferred {
+		if !ok || va.deferred != vb.deferred {
 			return false
 		}
 	}
@@ -216,8 +216,9 @@ func fieldAnnotation(field *ast.Field, want string) (string, bool) {
 }
 
 // collectStructAnnotations parses guardedby/notguarded/lockorder field
-// annotations and enforces the paragraph rule: every non-synchronization
-// field sharing a declaration paragraph with a mutex must be annotated.
+// annotations, reports sync.RWMutex fields, which the model leaves out, and
+// enforces the paragraph rule: every non-synchronization field sharing a
+// declaration paragraph with a mutex must be annotated.
 func (lc *lockcheckState) collectStructAnnotations(f *ast.File) {
 	ast.Inspect(f, func(n ast.Node) bool {
 		ts, ok := n.(*ast.TypeSpec)
@@ -255,6 +256,9 @@ func (lc *lockcheckState) collectStruct(typeName string, st *ast.StructType) {
 			cur = nil
 		}
 		lastEnd = lc.pass.Fset.Position(field.End()).Line
+		if isNamedSyncType(lc.pass.Info.TypeOf(field.Type), "RWMutex") {
+			lc.pass.Reportf(field.Pos(), "sync.RWMutex field in %s: lockcheck models sync.Mutex only", typeName)
+		}
 		if len(field.Names) == 0 {
 			cur = append(cur, fieldInfo{field: field})
 			continue
@@ -290,7 +294,7 @@ func (lc *lockcheckState) collectStruct(typeName string, st *ast.StructType) {
 				rank, err := strconv.Atoi(rankStr)
 				if !isMutex || err != nil {
 					lc.pass.Reportf(fi.name.Pos(),
-						"//detvet:lockorder must carry an integer rank and annotate a sync.Mutex/RWMutex field")
+						"//detvet:lockorder must carry an integer rank and annotate a sync.Mutex field")
 				} else {
 					lc.ranks[typeName+"."+fi.name.Name] = rank
 				}
@@ -320,30 +324,25 @@ func (lc *lockcheckState) collectStruct(typeName string, st *ast.StructType) {
 	}
 }
 
-// parseGuard parses a guardedby spec: alternatives separated by `|`, each
-// either a sibling field name of the same struct or a `Type.field` class.
+// parseGuard parses a guardedby spec: a sibling mutex field of the same
+// struct or a `Type.field` class.
 func (lc *lockcheckState) parseGuard(typeName string, st *ast.StructType, at *ast.Ident, spec string) *fieldGuard {
 	if spec == "" {
 		lc.pass.Reportf(at.Pos(), "//detvet:guardedby annotation requires a mutex name")
 		return nil
 	}
-	g := &fieldGuard{spec: spec}
-	for _, alt := range strings.Split(spec, "|") {
-		if typ, field, ok := strings.Cut(alt, "."); ok {
-			if !lc.classExists(typ, field) {
-				lc.pass.Reportf(at.Pos(), "//detvet:guardedby %s: no mutex field %s.%s in this package", spec, typ, field)
-				return nil
-			}
-			g.alts = append(g.alts, guardAlt{class: alt})
-			continue
-		}
-		if !structHasMutexField(st, alt) {
-			lc.pass.Reportf(at.Pos(), "//detvet:guardedby %s: %s is not a sibling mutex field of %s", spec, alt, typeName)
+	if typ, field, ok := strings.Cut(spec, "."); ok {
+		if !lc.classExists(typ, field) {
+			lc.pass.Reportf(at.Pos(), "//detvet:guardedby %s: no mutex field %s.%s in this package", spec, typ, field)
 			return nil
 		}
-		g.alts = append(g.alts, guardAlt{sibling: alt})
+		return &fieldGuard{class: spec, spec: spec}
 	}
-	return g
+	if !structHasMutexField(st, spec) {
+		lc.pass.Reportf(at.Pos(), "//detvet:guardedby %s: not a sibling mutex field of %s", spec, typeName)
+		return nil
+	}
+	return &fieldGuard{sibling: spec, spec: spec}
 }
 
 // classExists reports whether Type.field names a mutex field of a struct
@@ -382,11 +381,8 @@ func (lc *lockcheckState) isMutexField(name *ast.Ident) bool {
 	return obj != nil && isMutexType(obj.Type())
 }
 
-// isMutexType reports whether t is sync.Mutex or sync.RWMutex (possibly via
-// a pointer).
-func isMutexType(t types.Type) bool {
-	return isNamedSyncType(t, "Mutex") || isNamedSyncType(t, "RWMutex")
-}
+// isMutexType reports whether t is sync.Mutex (possibly via a pointer).
+func isMutexType(t types.Type) bool { return isNamedSyncType(t, "Mutex") }
 
 func isNamedSyncType(t types.Type, name string) bool {
 	if p, ok := t.(*types.Pointer); ok {
@@ -422,9 +418,8 @@ func isSyncExempt(t types.Type) bool {
 	return false
 }
 
-// collectFuncAnnotations parses //detvet:holds, //detvet:acquires,
-// //detvet:releases and //detvet:blocks annotations from function doc
-// comments.
+// collectFuncAnnotations parses //detvet:holds, //detvet:acquires and
+// //detvet:releases annotations from function doc comments.
 func (lc *lockcheckState) collectFuncAnnotations(f *ast.File) {
 	for _, decl := range f.Decls {
 		fd, ok := decl.(*ast.FuncDecl)
@@ -461,9 +456,6 @@ func (lc *lockcheckState) collectFuncAnnotations(f *ast.File) {
 				case "releases":
 					eff.releases = append(eff.releases, refs...)
 				}
-			case "blocks":
-				eff.blocks = true
-				any = true
 			}
 		}
 		if any {
@@ -519,18 +511,11 @@ func (lc *lockcheckState) parseLockRefs(fd *ast.FuncDecl, pos token.Pos, rest st
 
 // funcFlow analyzes one function body.
 type funcFlow struct {
-	lc   *lockcheckState
-	decl *ast.FuncDecl
+	lc *lockcheckState
 
-	// alias maps single-assignment locals to the chain expression that
-	// defined them, so `e := t.exec; e.mu.Lock()` and `t.exec.mu` name the
-	// same lock.
-	alias map[types.Object]ast.Expr
-	// fresh marks locals bound to a composite literal or new() in this
-	// function: objects still thread-local, exempt from guard checks.
+	// fresh marks locals bound once, to a composite literal or new(), in
+	// this function: objects still thread-local, exempt from guard checks.
 	fresh map[types.Object]bool
-	// tryBind maps a bool local to the lock key its TryLock call guards.
-	tryBind map[types.Object]string
 
 	exits    []flowState // states at every return and reachable fall-off
 	breaks   []*branchTargets
@@ -548,13 +533,10 @@ type branchTargets struct {
 func (lc *lockcheckState) checkFunc(fd *ast.FuncDecl) {
 	ff := &funcFlow{
 		lc:       lc,
-		decl:     fd,
-		alias:    map[types.Object]ast.Expr{},
 		fresh:    map[types.Object]bool{},
-		tryBind:  map[types.Object]string{},
 		reported: map[string]bool{},
 	}
-	ff.collectAliases(fd.Body)
+	ff.collectFresh(fd.Body)
 
 	entry := newFlowState()
 	eff := ff.funcEffectsOf(fd)
@@ -617,11 +599,10 @@ func (ff *funcFlow) refKey(fd *ast.FuncDecl, ref lockRef) (string, string) {
 	return key, class
 }
 
-// collectAliases pre-scans the body for single-assignment chain locals and
-// freshly constructed objects.
-func (ff *funcFlow) collectAliases(body *ast.BlockStmt) {
+// collectFresh pre-scans the body for locals assigned once, to a freshly
+// constructed object.
+func (ff *funcFlow) collectFresh(body *ast.BlockStmt) {
 	assigns := map[types.Object]int{}
-	candidate := map[types.Object]ast.Expr{}
 	freshCandidate := map[types.Object]bool{}
 	note := func(lhs ast.Expr, rhs ast.Expr) {
 		id, ok := lhs.(*ast.Ident)
@@ -636,13 +617,7 @@ func (ff *funcFlow) collectAliases(body *ast.BlockStmt) {
 			return
 		}
 		assigns[obj]++
-		if rhs == nil {
-			return
-		}
-		if isChainExpr(rhs) {
-			candidate[obj] = rhs
-		}
-		if isFreshExpr(rhs) {
+		if rhs != nil && isFreshExpr(rhs) {
 			freshCandidate[obj] = true
 		}
 	}
@@ -674,36 +649,11 @@ func (ff *funcFlow) collectAliases(body *ast.BlockStmt) {
 		}
 		return true
 	})
-	for obj, rhs := range candidate {
-		if assigns[obj] == 1 {
-			ff.alias[obj] = rhs
-		}
-	}
 	for obj := range freshCandidate {
 		if assigns[obj] == 1 {
 			ff.fresh[obj] = true
 		}
 	}
-}
-
-// isChainExpr reports whether e is a pure ident/selector/index chain (safe
-// to use as an alias target).
-func isChainExpr(e ast.Expr) bool {
-	switch e := e.(type) {
-	case *ast.Ident:
-		return true
-	case *ast.SelectorExpr:
-		return isChainExpr(e.X)
-	case *ast.IndexExpr:
-		return isChainExpr(e.X)
-	case *ast.ParenExpr:
-		return isChainExpr(e.X)
-	case *ast.StarExpr:
-		return isChainExpr(e.X)
-	case *ast.UnaryExpr:
-		return e.Op == token.AND && isChainExpr(e.X)
-	}
-	return false
 }
 
 // isFreshExpr reports whether e constructs a new object: &T{...}, T{...} or
@@ -731,24 +681,17 @@ func objKey(obj types.Object) string {
 	return fmt.Sprintf("%s@%d", obj.Name(), obj.Pos())
 }
 
-// keyOf canonicalizes an expression into a lock key, resolving local
-// aliases so every spelling of the same chain produces the same key.
+// keyOf canonicalizes an expression chain into a lock key: the root
+// variable's object, then the selectors and indices below it.
 func (ff *funcFlow) keyOf(e ast.Expr) string {
-	return ff.keyOfDepth(e, 0)
-}
-
-func (ff *funcFlow) keyOfDepth(e ast.Expr, depth int) string {
-	if depth > 10 {
-		return "expr:" + types.ExprString(e)
-	}
 	switch e := e.(type) {
 	case *ast.ParenExpr:
-		return ff.keyOfDepth(e.X, depth)
+		return ff.keyOf(e.X)
 	case *ast.StarExpr:
-		return ff.keyOfDepth(e.X, depth)
+		return ff.keyOf(e.X)
 	case *ast.UnaryExpr:
 		if e.Op == token.AND {
-			return ff.keyOfDepth(e.X, depth)
+			return ff.keyOf(e.X)
 		}
 	case *ast.Ident:
 		obj := ff.lc.pass.Info.Uses[e]
@@ -758,14 +701,11 @@ func (ff *funcFlow) keyOfDepth(e ast.Expr, depth int) string {
 		if obj == nil {
 			return "expr:" + e.Name
 		}
-		if target, ok := ff.alias[obj]; ok {
-			return ff.keyOfDepth(target, depth+1)
-		}
 		return objKey(obj)
 	case *ast.SelectorExpr:
-		return ff.keyOfDepth(e.X, depth) + "." + e.Sel.Name
+		return ff.keyOf(e.X) + "." + e.Sel.Name
 	case *ast.IndexExpr:
-		return ff.keyOfDepth(e.X, depth) + "[" + types.ExprString(e.Index) + "]"
+		return ff.keyOf(e.X) + "[" + types.ExprString(e.Index) + "]"
 	}
 	return "expr:" + types.ExprString(e)
 }
@@ -985,47 +925,12 @@ func (ff *funcFlow) walkAssign(s *ast.AssignStmt, in flowState) flowState {
 		st = ff.walkExpr(r, st, false)
 	}
 	for _, l := range s.Lhs {
-		if id, ok := l.(*ast.Ident); ok && s.Tok == token.DEFINE {
-			// New binding: record TryLock results for branch refinement.
-			if len(s.Lhs) == len(s.Rhs) {
-				if key, ok := ff.tryLockKey(s.Rhs[indexOf(s.Lhs, l)]); ok {
-					if obj := ff.lc.pass.Info.Defs[id]; obj != nil {
-						ff.tryBind[obj] = key
-					}
-				}
-			}
-			continue
+		if _, ok := l.(*ast.Ident); ok && s.Tok == token.DEFINE {
+			continue // a new binding accesses no field
 		}
 		st = ff.walkExpr(l, st, true)
 	}
 	return st
-}
-
-func indexOf(list []ast.Expr, e ast.Expr) int {
-	for i, x := range list {
-		if x == e {
-			return i
-		}
-	}
-	return 0
-}
-
-// tryLockKey recognizes a `mu.TryLock()` (or TryRLock) call and returns the
-// lock's key.
-func (ff *funcFlow) tryLockKey(e ast.Expr) (string, bool) {
-	call, ok := ast.Unparen(e).(*ast.CallExpr)
-	if !ok {
-		return "", false
-	}
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || (sel.Sel.Name != "TryLock" && sel.Sel.Name != "TryRLock") {
-		return "", false
-	}
-	tv, ok := ff.lc.pass.Info.Types[sel.X]
-	if !ok || !isMutexType(tv.Type) {
-		return "", false
-	}
-	return ff.keyOf(sel.X), true
 }
 
 func (ff *funcFlow) walkIf(s *ast.IfStmt, in flowState) flowState {
@@ -1034,70 +939,12 @@ func (ff *funcFlow) walkIf(s *ast.IfStmt, in flowState) flowState {
 		st = ff.walkStmt(s.Init, st)
 	}
 	st = ff.walkExpr(s.Cond, st, false)
-	thenIn, elseIn := ff.refineCond(s.Cond, st)
-	thenOut := ff.walkStmt(s.Body, thenIn)
-	elseOut := elseIn
+	thenOut := ff.walkStmt(s.Body, st.clone())
+	elseOut := st
 	if s.Else != nil {
-		elseOut = ff.walkStmt(s.Else, elseIn)
+		elseOut = ff.walkStmt(s.Else, st.clone())
 	}
 	return meet(thenOut, elseOut)
-}
-
-// refineCond splits the state on a TryLock condition: the lock is held on
-// the branch where the call returned true — the then branch of
-// `if mu.TryLock()`, the else branch of `if !mu.TryLock()`, and likewise for
-// a bound result (`ok := mu.TryLock(); if ok`).
-func (ff *funcFlow) refineCond(cond ast.Expr, st flowState) (thenIn, elseIn flowState) {
-	thenIn, elseIn = st, st.clone()
-	pos, key, read, trueBranch, ok := ff.condLock(cond, true)
-	if !ok {
-		return thenIn, elseIn
-	}
-	if trueBranch {
-		thenIn = thenIn.clone()
-		ff.acquire(&thenIn, key, ff.condClass(cond), read, pos)
-	} else {
-		ff.acquire(&elseIn, key, ff.condClass(cond), read, pos)
-	}
-	return thenIn, elseIn
-}
-
-// condLock matches cond against `x.TryLock()`, a bound TryLock result ident,
-// or any chain of negations of either. trueBranch reports which branch of
-// the enclosing if holds the lock; each negation flips it.
-func (ff *funcFlow) condLock(cond ast.Expr, trueBranch bool) (pos token.Pos, key string, read, onTrue, ok bool) {
-	switch c := ast.Unparen(cond).(type) {
-	case *ast.UnaryExpr:
-		if c.Op == token.NOT {
-			return ff.condLock(c.X, !trueBranch)
-		}
-	case *ast.CallExpr:
-		if key, ok := ff.tryLockKey(c); ok {
-			sel := c.Fun.(*ast.SelectorExpr)
-			return c.Pos(), key, sel.Sel.Name == "TryRLock", trueBranch, true
-		}
-	case *ast.Ident:
-		if obj := ff.lc.pass.Info.Uses[c]; obj != nil {
-			if key, ok := ff.tryBind[obj]; ok {
-				return c.Pos(), key, false, trueBranch, true
-			}
-		}
-	}
-	return token.NoPos, "", false, false, false
-}
-
-func (ff *funcFlow) condClass(cond ast.Expr) string {
-	switch c := ast.Unparen(cond).(type) {
-	case *ast.UnaryExpr:
-		return ff.condClass(c.X)
-	case *ast.CallExpr:
-		if sel, ok := c.Fun.(*ast.SelectorExpr); ok {
-			if selX, ok := sel.X.(*ast.SelectorExpr); ok {
-				return ff.classOf(selX)
-			}
-		}
-	}
-	return ""
 }
 
 func (ff *funcFlow) walkFor(s *ast.ForStmt, in flowState, label string) flowState {
@@ -1310,7 +1157,7 @@ func (ff *funcFlow) walkDefer(s *ast.DeferStmt, in flowState) flowState {
 	// defer mu.Unlock(): the lock stays held for the rest of the body and is
 	// released on every exit, including panic unwinds.
 	if sel, ok := s.Call.Fun.(*ast.SelectorExpr); ok {
-		if isUnlockName(sel.Sel.Name) {
+		if sel.Sel.Name == "Unlock" {
 			if tv, ok := ff.lc.pass.Info.Types[sel.X]; ok && isMutexType(tv.Type) {
 				key := ff.keyOf(sel.X)
 				st = st.clone()
@@ -1334,7 +1181,7 @@ func (ff *funcFlow) walkDefer(s *ast.DeferStmt, in flowState) flowState {
 				return true
 			}
 			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok || !isUnlockName(sel.Sel.Name) {
+			if !ok || sel.Sel.Name != "Unlock" {
 				return true
 			}
 			if tv, ok := ff.lc.pass.Info.Types[sel.X]; ok && isMutexType(tv.Type) {
@@ -1350,8 +1197,6 @@ func (ff *funcFlow) walkDefer(s *ast.DeferStmt, in flowState) flowState {
 	}
 	return st
 }
-
-func isUnlockName(name string) bool { return name == "Unlock" || name == "RUnlock" }
 
 // --- expression walking ----------------------------------------------------
 
@@ -1471,9 +1316,10 @@ func (ff *funcFlow) walkCall(call *ast.CallExpr, in flowState) flowState {
 	return st
 }
 
-// mutexOp recognizes Lock/Unlock/RLock/RUnlock/TryLock calls on mutex-typed
-// expressions and applies them to the state. Returns ok=false when sel is
-// not a mutex operation.
+// mutexOp applies a sync.Mutex Lock or Unlock call to the state. Any other
+// locking call on a sync mutex — TryLock, or a sync.RWMutex method — is
+// outside the model: it is reported and leaves the state as it was. Returns
+// ok=false when sel is not a locking call.
 func (ff *funcFlow) mutexOp(sel *ast.SelectorExpr, in flowState) (flowState, bool) {
 	switch sel.Sel.Name {
 	case "Lock", "Unlock", "RLock", "RUnlock", "TryLock", "TryRLock":
@@ -1481,28 +1327,29 @@ func (ff *funcFlow) mutexOp(sel *ast.SelectorExpr, in flowState) (flowState, boo
 		return in, false
 	}
 	tv, ok := ff.lc.pass.Info.Types[sel.X]
-	if !ok || !isMutexType(tv.Type) {
+	if !ok || !isMutexType(tv.Type) && !isNamedSyncType(tv.Type, "RWMutex") {
 		return in, false
 	}
 	st := ff.walkExpr(sel.X, in, false)
+	if !isMutexType(tv.Type) || sel.Sel.Name == "TryLock" {
+		ff.reportOnce(sel.Pos(), "%s.%s is outside lockcheck's model (sync.Mutex Lock and Unlock): the lock does not count as held",
+			types.ExprString(sel.X), sel.Sel.Name)
+		return st, true
+	}
 	key := ff.keyOf(sel.X)
-	class := ""
-	if x, ok := ast.Unparen(sel.X).(*ast.SelectorExpr); ok {
-		class = ff.classOf(x)
-	}
 	st = st.clone()
-	switch sel.Sel.Name {
-	case "Lock", "RLock":
-		ff.acquire(&st, key, class, sel.Sel.Name == "RLock", sel.Pos())
-	case "Unlock", "RUnlock":
-		if _, held := st.locks[key]; !held {
-			ff.reportOnce(sel.Pos(), "unlock of %s, which is not provably held here", types.ExprString(sel.X))
+	if sel.Sel.Name == "Lock" {
+		class := ""
+		if x, ok := ast.Unparen(sel.X).(*ast.SelectorExpr); ok {
+			class = ff.classOf(x)
 		}
-		delete(st.locks, key)
-	case "TryLock", "TryRLock":
-		// Branch refinement happens at the enclosing if; a TryLock whose
-		// result is consumed elsewhere contributes nothing here.
+		ff.acquire(&st, key, class, sel.Pos())
+		return st, true
 	}
+	if _, held := st.locks[key]; !held {
+		ff.reportOnce(sel.Pos(), "unlock of %s, which is not provably held here", types.ExprString(sel.X))
+	}
+	delete(st.locks, key)
 	return st, true
 }
 
@@ -1510,13 +1357,13 @@ func (ff *funcFlow) mutexOp(sel *ast.SelectorExpr, in flowState) (flowState, boo
 // order inversions against every currently held ranked lock. A double
 // acquisition keeps the original held entry (and its deferred-release flag)
 // so one bug reports once.
-func (ff *funcFlow) acquire(st *flowState, key, class string, read bool, pos token.Pos) {
+func (ff *funcFlow) acquire(st *flowState, key, class string, pos token.Pos) {
 	if _, held := st.locks[key]; held {
 		ff.reportOnce(pos, "lock already held: second acquisition of %s on this path", describeLock(key, class))
 		return
 	}
 	ff.checkOrder(st, class, pos)
-	st.locks[key] = heldLock{class: class, read: read, pos: pos}
+	st.locks[key] = heldLock{class: class, pos: pos}
 }
 
 // checkOrder reports an inversion when a ranked lock is acquired while a
@@ -1567,12 +1414,9 @@ func (ff *funcFlow) applyEffects(call *ast.CallExpr, fn *types.Func, eff *funcEf
 		}
 		return key, class
 	}
-	if eff.blocks {
-		ff.checkBlocking(call.Pos(), fn.Name()+" (//detvet:blocks)", st)
-	}
 	for _, ref := range eff.holds {
 		key, class := subst(ref)
-		if !ff.satisfiedExact(st, key, class, false) {
+		if !ff.held(st, key, class) {
 			ff.reportOnce(call.Pos(), "call to %s requires %s held (//detvet:holds %s), but it is not provably held here",
 				fn.Name(), describeLock(key, class), ref.spec)
 		}
@@ -1583,22 +1427,25 @@ func (ff *funcFlow) applyEffects(call *ast.CallExpr, fn *types.Func, eff *funcEf
 	}
 	for _, ref := range eff.acquires {
 		key, class := subst(ref)
-		ff.acquire(&st, key, class, false, call.Pos())
+		ff.acquire(&st, key, class, call.Pos())
 	}
 	return st
 }
 
-// satisfiedExact reports whether a specific lock (by key, or any instance of
-// its class for class-form refs) is held. needWrite demands a write hold.
-func (ff *funcFlow) satisfiedExact(st flowState, key, class string, needWrite bool) bool {
-	if h, ok := st.locks[key]; ok && !(needWrite && h.read) {
+// held reports whether a specific lock (by key, or any instance of its class
+// for class-form refs) is held.
+func (ff *funcFlow) held(st flowState, key, class string) bool {
+	if _, ok := st.locks[key]; ok {
 		return true
 	}
-	if strings.HasPrefix(key, "class:") && class != "" {
-		for _, h := range st.locks {
-			if h.class == class && !(needWrite && h.read) {
-				return true
-			}
+	return strings.HasPrefix(key, "class:") && class != "" && holdsClass(st, class)
+}
+
+// holdsClass reports whether any instance of a lock class is held.
+func holdsClass(st flowState, class string) bool {
+	for _, h := range st.locks {
+		if h.class == class {
+			return true
 		}
 	}
 	return false
@@ -1661,7 +1508,7 @@ func isBlockingStdCall(fn *types.Func) bool {
 func (ff *funcFlow) checkBlocking(pos token.Pos, what string, st flowState) {
 	for key, h := range st.locks {
 		name := describeLock(key, h.class)
-		ff.reportOnce(pos, "%s while holding %s: blocking with a monitor/stripe/pin mutex held can deadlock the turn protocol; release it first or annotate //detvet:lockcheck", what, name)
+		ff.reportOnce(pos, "%s while holding %s: blocking with a runtime mutex held can deadlock the turn protocol; release it first or annotate //detvet:lockcheck", what, name)
 		return // one report per site; the held set is in the message's spirit, not its letter
 	}
 }
@@ -1697,7 +1544,11 @@ func (ff *funcFlow) checkFieldAccess(sel *ast.SelectorExpr, st flowState, write 
 	if root := ff.rootObject(sel.X); root != nil && ff.fresh[root] {
 		return // freshly constructed, still thread-local
 	}
-	if ff.guardSatisfied(sel, guard, st, write) {
+	if guard.sibling != "" {
+		if _, ok := st.locks[ff.keyOf(sel.X)+"."+guard.sibling]; ok {
+			return
+		}
+	} else if holdsClass(st, guard.class) {
 		return
 	}
 	mode := "read"
@@ -1707,27 +1558,6 @@ func (ff *funcFlow) checkFieldAccess(sel *ast.SelectorExpr, st flowState, write 
 	ff.reportOnce(sel.Sel.Pos(),
 		"%s of %s.%s without holding %s (//detvet:guardedby): add the lock, or annotate //detvet:lockcheck with the stronger ordering that protects this access",
 		mode, types.ExprString(sel.X), sel.Sel.Name, guard.spec)
-}
-
-// guardSatisfied checks a guardedby spec against the held set: sibling specs
-// demand the same base's mutex; class specs accept any held instance. Write
-// access demands a write hold (RLock does not suffice).
-func (ff *funcFlow) guardSatisfied(sel *ast.SelectorExpr, guard *fieldGuard, st flowState, write bool) bool {
-	for _, alt := range guard.alts {
-		if alt.sibling != "" {
-			key := ff.keyOf(sel.X) + "." + alt.sibling
-			if h, ok := st.locks[key]; ok && !(write && h.read) {
-				return true
-			}
-			continue
-		}
-		for _, h := range st.locks {
-			if h.class == alt.class && !(write && h.read) {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // checkExits verifies lock balance at every function exit: locks still held

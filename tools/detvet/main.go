@@ -11,27 +11,25 @@ import (
 // analyzers is the per-package determinism suite, in report order. The
 // whole-program statwire analyzer is not in this list: it needs every
 // package at once (see driver.go).
-var analyzers = []*Analyzer{maporder, wallclock, nativesync, lockcheck, pincheck}
+var analyzers = []*Analyzer{maporder, wallclock, nativesync, lockcheck}
 
 // main loads the packages matching its pattern arguments (default ./...)
 // via `go list -deps -export`, runs the per-package suite on every rfdet
 // package and, when the patterns cover the whole module, the whole-program
 // statwire analyzer (`go run ./tools/detvet ./...`, or `make detvet`). It
-// exits 0 on a clean tree and 2 on findings. -json switches the diagnostics
-// to machine-readable output for the `rfdet-bench lint` smoke.
+// exits 0 on a clean tree and 2 on findings.
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("detvet: ")
 
-	jsonOut := flag.Bool("json", false, "print diagnostics as JSON on stdout")
 	flag.Parse()
-	run(flag.Args(), *jsonOut)
+	run(flag.Args())
 }
 
 // analyze runs every applicable analyzer over one type-checked package and
 // returns the findings in (analyzer, position) order.
-func analyze(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, pkgPath string) []jsonDiagnostic {
-	var diags []jsonDiagnostic
+func analyze(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, pkgPath string) []finding {
+	var out []finding
 	for _, a := range analyzers {
 		if !a.applies(pkgPath) {
 			continue
@@ -47,10 +45,10 @@ func analyze(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *t
 		pass.prepareAnnotations()
 		a.Run(pass)
 		for _, d := range pass.diags {
-			diags = append(diags, toJSON(fset, d, a.Name))
+			out = append(out, newFinding(fset, d, a.Name))
 		}
 	}
-	return diags
+	return out
 }
 
 func newInfo() *types.Info {

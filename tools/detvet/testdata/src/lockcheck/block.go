@@ -3,8 +3,8 @@ package lockcheck
 import "sync"
 
 // Blocking while holding an annotated mutex deadlocks the turn protocol:
-// channel ops, selects without default, sync.Cond.Wait/WaitGroup.Wait, and
-// calls annotated //detvet:blocks are all flagged.
+// channel ops, selects without default and sync.Cond.Wait/WaitGroup.Wait are
+// all flagged.
 
 func sendWhileHeld(c *counter, ch chan int) {
 	c.mu.Lock()
@@ -45,23 +45,5 @@ func selectNonblocking(c *counter, ch chan int) {
 func condWaitWhileHeld(c *counter, cond *sync.Cond) {
 	c.mu.Lock()
 	cond.Wait() // want "while holding"
-	c.mu.Unlock()
-}
-
-// waitTurn models a blocking runtime entry point (kendo.WaitForTurn).
-//
-//detvet:blocks
-func waitTurn() {}
-
-func blockingCallWhileHeld(c *counter) {
-	c.mu.Lock()
-	waitTurn() // want "while holding"
-	c.mu.Unlock()
-}
-
-func blockingCallClean(c *counter) {
-	waitTurn()
-	c.mu.Lock()
-	c.n++
 	c.mu.Unlock()
 }

@@ -64,11 +64,11 @@ func closureReturn(b *bucket) {
 	unlockBucket(b)
 }
 
-// aliasLock binds the lock through a local alias; the canonical key must
-// match the direct spelling.
+// aliasLock binds the lock through a local alias. Aliases are not resolved:
+// m is a lock of its own, so the access it should cover reads as unheld.
 func aliasLock(b *bucket) {
 	m := &b.mu
 	m.Lock()
-	b.items = append(b.items, 3)
+	b.items = nil // want "write of b.items without holding mu"
 	m.Unlock()
 }
