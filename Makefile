@@ -39,8 +39,8 @@ vet:
 	$(GO) vet ./...
 
 # detvet runs the determinism analyzer suite (tools/detvet) over the whole
-# module: maporder, wallclock, nativesync and lockcheck per package plus the
-# cross-package statwire pass (stats wiring). scripts/verify.sh step 3.
+# module: maporder, wallclock, nativesync and lockcheck per package.
+# scripts/verify.sh step 3.
 # Incremental: package export data comes from the go build cache.
 detvet:
 	$(GO) run ./tools/detvet ./...

@@ -28,7 +28,8 @@ func main() {
 	rtName := flag.String("runtime", "rfdet-ci", "runtime: rfdet-ci, rfdet-pf, dthreads, coredet or pthreads")
 	runs := flag.Int("runs", 100, "executions per thread count")
 	threadsFlag := flag.Int("threads", 0, "run only this thread count (default: 2, 4 and 8)")
-	size := flag.String("size", "small", "problem size: test, small or medium")
+	sz := workloads.SizeSmall
+	flag.Var(&sz, "size", "problem size: test, small or medium")
 	detect := flag.Bool("detect", false, "run the happens-before race detector (rfdet-ci only) and require a stable report across 20 runs")
 	flag.Parse()
 
@@ -48,19 +49,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "racey: unknown runtime %q\n", *rtName)
 		os.Exit(2)
 	}
-	var sz workloads.Size
-	switch *size {
-	case "test":
-		sz = workloads.SizeTest
-	case "small":
-		sz = workloads.SizeSmall
-	case "medium":
-		sz = workloads.SizeMedium
-	default:
-		fmt.Fprintf(os.Stderr, "racey: unknown size %q\n", *size)
-		os.Exit(2)
-	}
-
 	racey, err := workloads.ByName("racey")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

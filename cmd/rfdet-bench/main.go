@@ -92,7 +92,8 @@ func validateTrace(path string) error {
 }
 
 func main() {
-	size := flag.String("size", "small", "problem size: test, small or medium")
+	sz := workloads.SizeSmall
+	flag.Var(&sz, "size", "problem size: test, small or medium")
 	threads := flag.Int("threads", 4, "worker thread count for figure7/table1/figure9")
 	repeats := flag.Int("repeats", 1, "measurement repeats (median of virtual times)")
 	runs := flag.Int("runs", 20, "racey executions per configuration")
@@ -106,19 +107,6 @@ func main() {
 		flag.PrintDefaults()
 	}
 	flag.Parse()
-
-	var sz workloads.Size
-	switch *size {
-	case "test":
-		sz = workloads.SizeTest
-	case "small":
-		sz = workloads.SizeSmall
-	case "medium":
-		sz = workloads.SizeMedium
-	default:
-		fmt.Fprintf(os.Stderr, "rfdet-bench: unknown size %q\n", *size)
-		os.Exit(2)
-	}
 
 	if *tracePath != "" {
 		if err := writeTrace(*tracePath, *traceWorkload, sz, *threads); err != nil {

@@ -1,6 +1,6 @@
 // Command rfdet-run executes one benchmark workload on one runtime and
 // prints the full execution report: observations, output hash, virtual and
-// wall time, and the Table 1 profiling counters. With -trace (RFDet
+// wall time, and every non-zero api.Stats counter by layer. With -trace (RFDet
 // runtimes only) it also dumps the deterministic synchronization schedule —
 // the event-level witness of determinism.
 //
@@ -26,7 +26,8 @@ func main() {
 	workload := flag.String("workload", "ocean", "benchmark name (see Table 1) or racey")
 	rtName := flag.String("runtime", "rfdet-ci", "rfdet-ci, rfdet-pf, dthreads, coredet or pthreads")
 	threads := flag.Int("threads", 4, "worker thread count")
-	size := flag.String("size", "small", "problem size: test, small or medium")
+	sz := workloads.SizeSmall
+	flag.Var(&sz, "size", "problem size: test, small or medium")
 	repeat := flag.Int("repeat", 1, "number of executions (reports determinism across them)")
 	trace := flag.Bool("trace", false, "dump the deterministic synchronization schedule (rfdet only)")
 	racecheck := flag.Bool("racecheck", false, "run the happens-before race detector and print its report (rfdet only)")
@@ -36,18 +37,6 @@ func main() {
 	w, err := workloads.ByName(*workload)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	var sz workloads.Size
-	switch *size {
-	case "test":
-		sz = workloads.SizeTest
-	case "small":
-		sz = workloads.SizeSmall
-	case "medium":
-		sz = workloads.SizeMedium
-	default:
-		fmt.Fprintf(os.Stderr, "rfdet-run: unknown size %q\n", *size)
 		os.Exit(2)
 	}
 	cfg := workloads.Config{Threads: *threads, Size: sz}
@@ -125,33 +114,28 @@ func printReport(runtime, workload string, cfg workloads.Config, rep *api.Report
 	fmt.Printf("  virtual time:  %d ns (modeled makespan)\n", rep.VirtualTime)
 	fmt.Printf("  wall time:     %v\n", rep.Elapsed)
 	fmt.Printf("  threads:       %d\n", rep.Threads)
-	s := rep.Stats
-	fmt.Printf("  sync ops:      lock/unlock %d/%d, wait/signal %d/%d, fork/join %d/%d, barrier %d, atomic %d\n",
-		s.Locks, s.Unlocks, s.Waits, s.Signals, s.Forks, s.Joins, s.Barriers, s.AtomicsOps)
-	fmt.Printf("  memory ops:    %d (%d loads, %d stores, %d with page copy)\n",
-		s.MemOps(), s.Loads, s.Stores, s.StoresWithCopy)
-	fmt.Printf("  memory:        shared %d KB, runtime %d KB, metadata %d KB of %d KB (GC passes: %d, %d more reclaimed nothing)\n",
-		s.SharedMemBytes/1024, s.RuntimeMemBytes/1024, s.MetadataBytes/1024, s.MetadataCapacity/1024, s.GCCount, s.GCEmptyPasses)
-	if s.SlicesCreated > 0 {
-		fmt.Printf("  slices:        %d created, %d merged away, %d propagated (%d+%d filtered), %d KB moved\n",
-			s.SlicesCreated, s.SlicesMerged, s.SlicesPropagated,
-			s.SlicesFilteredLow, s.SlicesFilteredPremerged, s.BytesPropagated/1024)
+
+	// Every non-zero counter, grouped by the layer its api.Stats tag names,
+	// layers in the order they first appear there.
+	var layers []string
+	lines := map[string][]string{}
+	rep.Stats.Each(func(f api.StatsField, v uint64) {
+		if v == 0 {
+			return
+		}
+		if lines[f.Layer] == nil {
+			layers = append(layers, f.Layer)
+		}
+		line := fmt.Sprintf("    %-24s %d", f.Name, v)
+		if f.Host {
+			line += " (host-dependent)"
+		}
+		lines[f.Layer] = append(lines[f.Layer], line)
+	})
+	for _, layer := range layers {
+		fmt.Printf("  %s:\n", layer)
+		for _, line := range lines[layer] {
+			fmt.Println(line)
+		}
 	}
-	if s.LazyPendingApplied > 0 || s.LazyRunsElided > 0 {
-		fmt.Printf("  lazy writes:   %d runs pended, %d pended bytes covered by a later pend and never copied\n",
-			s.LazyPendingApplied, s.LazyRunsElided)
-	}
-	if s.DirtyExtents > 0 {
-		fmt.Printf("  dirty extents: %d consumed; diffs scanned %d KB, skipped %d KB\n",
-			s.DirtyExtents, s.DiffBytesScanned/1024, s.DiffBytesSkipped/1024)
-	}
-	if s.RaceRecords > 0 {
-		fmt.Printf("  race detect:   %d access records, %d KB of harvested read sets\n",
-			s.RaceRecords, s.RaceReadBytes/1024)
-	}
-	if s.PageFaults > 0 || s.PageProtects > 0 {
-		fmt.Printf("  protection:    %d faults, %d page protects\n", s.PageFaults, s.PageProtects)
-	}
-	fmt.Printf("  monitor:       %d acquires\n", s.MonitorAcquires)
-	fmt.Printf("  kendo:         %d sync ops waited for the deterministic turn (host-dependent)\n", s.TurnWaits)
 }

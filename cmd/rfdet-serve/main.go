@@ -29,26 +29,14 @@ import (
 )
 
 func main() {
-	size := flag.String("size", "small", "problem size: test, small or medium")
+	sz := workloads.SizeSmall
+	flag.Var(&sz, "size", "problem size: test, small or medium")
 	threads := flag.Int("threads", 4, "worker threads per replica")
 	replicas := flag.Int("replicas", 3, "replica count (alternates the ambient GOMAXPROCS and 1)")
 	seed := flag.Uint64("seed", workloads.DefaultServerSeed, "request-log seed")
 	matrix := flag.Bool("matrix", false, "run the 3-variant acceptance matrix instead of -replicas")
 	injectAbort := flag.Bool("inject-abort", false, "poison the last replica's log to demonstrate divergent-by-abort reporting")
 	flag.Parse()
-
-	var sz workloads.Size
-	switch *size {
-	case "test":
-		sz = workloads.SizeTest
-	case "small":
-		sz = workloads.SizeSmall
-	case "medium":
-		sz = workloads.SizeMedium
-	default:
-		fmt.Fprintf(os.Stderr, "rfdet-serve: unknown size %q\n", *size)
-		os.Exit(2)
-	}
 
 	var variants []harness.ReplicaVariant
 	if *matrix {

@@ -13,7 +13,10 @@
 package api
 
 import (
+	"fmt"
+	"reflect"
 	"sort"
+	"strings"
 	"time"
 
 	"rfdet/internal/racecheck"
@@ -121,70 +124,86 @@ type Runtime interface {
 
 // Stats aggregates the profiling counters reported in Table 1 of the paper,
 // plus runtime-internal counters used by the optimization studies.
+//
+// Every field is a uint64 whose `stat` tag declares, once, what the rest of
+// the repository needs to know about it:
+//
+//	stat:"<layer>[,max][,host|,dead]"
+//
+// The layer is the runtime layer that counts it, named as the benchmark's
+// per-layer metrics are (kendo, core, mem, alloc, slicestore), or racecheck.
+// max marks a high-water mark or a configured size, which Add merges by
+// keeping the larger value; every other field is a sum. host marks a value
+// the host decides (wall time, who had to wait, when snapshots are charged),
+// which Deterministic zeroes. dead marks a field that always reads 0 and is
+// kept only because the frozen bench/metrics.go reads it (ROADMAP item 1).
+// Add, Deterministic, Each and cmd/rfdet-run's report are all derived from
+// the tags, so a new counter needs a tag and nothing else.
 type Stats struct {
 	// Synchronization operation counts (Table 1, "sync ops").
-	Locks      uint64 // pthread_mutex_lock
-	Unlocks    uint64 // pthread_mutex_unlock
-	Waits      uint64 // pthread_cond_wait
-	Signals    uint64 // pthread_cond_signal + broadcast
-	Forks      uint64 // pthread_create
-	Joins      uint64 // pthread_join
-	Barriers   uint64 // barrier arrivals
-	AtomicsOps uint64 // extension: low-level atomic operations
+	Locks      uint64 `stat:"core"` // pthread_mutex_lock
+	Unlocks    uint64 `stat:"core"` // pthread_mutex_unlock
+	Waits      uint64 `stat:"core"` // pthread_cond_wait
+	Signals    uint64 `stat:"core"` // pthread_cond_signal + broadcast
+	Forks      uint64 `stat:"core"` // pthread_create
+	Joins      uint64 `stat:"core"` // pthread_join
+	Barriers   uint64 `stat:"core"` // barrier arrivals
+	AtomicsOps uint64 `stat:"core"` // extension: low-level atomic operations
 
 	// Memory operation counts (Table 1, "memory ops").
-	Loads          uint64 // instrumented load instructions
-	Stores         uint64 // instrumented store instructions
-	StoresWithCopy uint64 // stores that triggered a page snapshot ("store w/ copy")
+	Loads          uint64 `stat:"mem"` // instrumented load instructions
+	Stores         uint64 `stat:"mem"` // instrumented store instructions
+	StoresWithCopy uint64 `stat:"mem"` // stores that triggered a page snapshot ("store w/ copy")
 
-	// Memory footprint in bytes (Table 1, "memory footprint").
-	SharedMemBytes   uint64 // high-water shared (non-stack) application memory
-	RuntimeMemBytes  uint64 // total runtime footprint (N*shared + metadata for RFDet)
-	MetadataBytes    uint64 // high-water metadata-space usage
-	MetadataCapacity uint64 // configured metadata-space size
+	// Memory footprint in bytes (Table 1, "memory footprint"). The metadata
+	// high-water depends on when off-turn snapshots are charged, and the
+	// runtime footprint includes it.
+	SharedMemBytes   uint64 `stat:"alloc,max"`           // high-water shared (non-stack) application memory
+	RuntimeMemBytes  uint64 `stat:"mem,max,host"`        // total runtime footprint (N*shared + metadata for RFDet)
+	MetadataBytes    uint64 `stat:"slicestore,max,host"` // high-water metadata-space usage
+	MetadataCapacity uint64 `stat:"slicestore,max"`      // configured metadata-space size
 
 	// Garbage collection (Table 1, "GC"). GCCount counts only passes that
 	// reclaimed at least one slice; passes triggered (typically by snapshot
 	// churn crossing the threshold) that found nothing below the frontier
 	// are reported separately as GCEmptyPasses, so they cannot inflate the
 	// Table 1 column.
-	GCCount       uint64 // reclaiming slice garbage-collection passes
-	GCEmptyPasses uint64 // GC passes that reclaimed nothing
+	GCCount       uint64 `stat:"slicestore"` // reclaiming slice garbage-collection passes
+	GCEmptyPasses uint64 `stat:"slicestore"` // GC passes that reclaimed nothing
 
 	// Read 0: they counted the epoch store's arena traffic, and the runtime
-	// constructs the map store only (DESIGN.md §16). The fields stay because
-	// bench/metrics.go, which is frozen, reads them; they go with those two
-	// benchmark rows (ROADMAP item 1).
-	ArenaChunksAllocated uint64 //detvet:statwire always 0; read by bench/metrics.go (frozen) until ROADMAP item 1 drops slicestore.arena_reuse_ratio.
-	ArenaChunksReused    uint64 //detvet:statwire always 0; read by bench/metrics.go (frozen) until ROADMAP item 1 drops slicestore.arena_reuse_ratio.
-	ArenaBytesInterned   uint64 //detvet:statwire always 0; read by bench/metrics.go (frozen) until ROADMAP item 1 drops slicestore.arena_kb_interned.
+	// constructs the map store only (DESIGN.md §16). They go with the
+	// slicestore.arena_* benchmark rows (ROADMAP item 1).
+	ArenaChunksAllocated uint64 `stat:"slicestore,dead"`
+	ArenaChunksReused    uint64 `stat:"slicestore,dead"`
+	ArenaBytesInterned   uint64 `stat:"slicestore,dead"`
 
 	// DLRC internals (optimization studies, §4.5).
-	SlicesCreated           uint64 // slices ended with a non-empty or empty mod list
-	SlicesMerged            uint64 // slices continued by the slice-merging optimization
-	SlicesPropagated        uint64 // slice propagations into a local thread
-	SlicesFilteredLow       uint64 // scanned slice pointers the lowerlimit filter skipped (window entries only; see CollectScanned)
-	SlicesFilteredPremerged uint64 // propagations skipped because a prelock pre-merge already applied them
-	BytesPropagated         uint64 // modification bytes applied to local memories
-	PrelockBytes            uint64 // modification bytes applied during prelock pre-merge
-	LazyPendingApplied      uint64 // runs pended by lazy writes, each counted once, at its page's flush or its thread's exit
-	LazyRunsElided          uint64 // pended bytes a later pend to the same page covered, never copied
-	PageFaults              uint64 // simulated write-protection faults (pf monitor)
-	PageProtects            uint64 // simulated per-page mprotect operations
+	SlicesCreated           uint64 `stat:"core"` // slices ended with a non-empty or empty mod list
+	SlicesMerged            uint64 `stat:"core"` // slices continued by the slice-merging optimization
+	SlicesPropagated        uint64 `stat:"core"` // slice propagations into a local thread
+	SlicesFilteredLow       uint64 `stat:"core"` // scanned slice pointers the lowerlimit filter skipped (window entries only; see CollectScanned)
+	SlicesFilteredPremerged uint64 `stat:"core"` // propagations skipped because a prelock pre-merge already applied them
+	BytesPropagated         uint64 `stat:"mem"`  // modification bytes applied to local memories
+	PrelockBytes            uint64 `stat:"mem"`  // modification bytes applied during prelock pre-merge
+	LazyPendingApplied      uint64 `stat:"mem"`  // runs pended by lazy writes, each counted once, at its page's flush or its thread's exit
+	LazyRunsElided          uint64 `stat:"mem"`  // pended bytes a later pend to the same page covered, never copied
+	PageFaults              uint64 `stat:"mem"`  // simulated write-protection faults (pf monitor)
+	PageProtects            uint64 `stat:"mem"`  // simulated per-page mprotect operations
 
 	// Sub-page dirty tracking (extent-guided slice diffing).
-	DirtyExtents     uint64 // dirty extents consumed by slice-end diffs
-	DiffBytesScanned uint64 // snapshot bytes actually compared by slice-end diffs
-	DiffBytesSkipped uint64 // snapshot bytes skipped thanks to dirty extents
+	DirtyExtents     uint64 `stat:"mem"` // dirty extents consumed by slice-end diffs
+	DiffBytesScanned uint64 `stat:"mem"` // snapshot bytes actually compared by slice-end diffs
+	DiffBytesSkipped uint64 `stat:"mem"` // snapshot bytes skipped thanks to dirty extents
 
 	// Happens-before race detection (Options.RaceDetect). RaceRecords counts
 	// slice access footprints handed to the detector; RaceReadBytes the
 	// coalesced read-set bytes they carried. Both are deterministic.
-	RaceRecords   uint64 // slice access records given to the race detector
-	RaceReadBytes uint64 // harvested read-set bytes across those records
+	RaceRecords   uint64 `stat:"racecheck"` // slice access records given to the race detector
+	RaceReadBytes uint64 `stat:"racecheck"` // harvested read-set bytes across those records
 
 	// Kendo internals.
-	TurnWaits uint64 // sync ops that had to wait for the deterministic turn
+	TurnWaits uint64 `stat:"kendo,host"` // sync ops that had to wait for the deterministic turn
 
 	// Monitor-contention observability. MonitorAcquires counts acquisitions
 	// of the runtime's global monitor; DiffNanos and ApplyNanos are the
@@ -195,9 +214,9 @@ type Stats struct {
 	// including those slice merging discards, and not its commit. Wall-clock
 	// times are host-dependent: they are observability counters, never part
 	// of the deterministic output.
-	MonitorAcquires uint64 // global-monitor lock acquisitions
-	DiffNanos       uint64 // wall nanos spent in page diffing
-	ApplyNanos      uint64 // wall nanos spent applying propagated runs
+	MonitorAcquires uint64 `stat:"core"`     // global-monitor lock acquisitions
+	DiffNanos       uint64 `stat:"mem,host"` // wall nanos spent in page diffing
+	ApplyNanos      uint64 `stat:"mem,host"` // wall nanos spent applying propagated runs
 
 	// Coalesced write-plan propagation observability. CollectScanned counts
 	// slice pointers examined by acquire-side collections: the entries of
@@ -212,69 +231,91 @@ type Stats struct {
 	// leader): a lazy acquire builds none, and what a plan would have
 	// coalesced away is in LazyRunsElided. PlanReuse reads 0: it counted
 	// eager waiters that shared a release's plan, and no plan is shared now.
-	CollectScanned     uint64 // slice pointers scanned during collection (window entries)
-	SliceListLen       uint64 // high-water length of a collected-from slice list
-	BytesCoalescedAway uint64 // duplicate bytes elided by eager write plans
-	PlanReuse          uint64 //detvet:statwire always 0; read by bench/metrics.go (frozen) until ROADMAP item 1 drops core.plan_reuse.
+	CollectScanned     uint64 `stat:"core"`      // slice pointers scanned during collection (window entries)
+	SliceListLen       uint64 `stat:"core,max"`  // high-water length of a collected-from slice list
+	BytesCoalescedAway uint64 `stat:"mem"`       // duplicate bytes elided by eager write plans
+	PlanReuse          uint64 `stat:"core,dead"` // goes with core.plan_reuse
 
 	// Read 0: they counted events of the sharded commit monitor, which is one
-	// mutex again (DESIGN.md §13), and nothing writes them. The fields stay
-	// because bench/metrics.go, which is frozen, reads them; they go with
-	// those two benchmark rows (ROADMAP item 1).
-	CrossShardAcquires uint64 //detvet:statwire always 0; read by bench/metrics.go (frozen) until ROADMAP item 1 drops core.cross_shard_acquires.
-	RendezvousOps      uint64 //detvet:statwire always 0; read by bench/metrics.go (frozen) until ROADMAP item 1 drops core.rendezvous_ops.
+	// mutex again (DESIGN.md §13), and nothing writes them. They go with the
+	// core.cross_shard_acquires and core.rendezvous_ops benchmark rows.
+	CrossShardAcquires uint64 `stat:"core,dead"`
+	RendezvousOps      uint64 `stat:"core,dead"`
 }
 
-// Add accumulates other into s.
+// StatsField is one Stats field as its `stat` tag declares it.
+type StatsField struct {
+	Name  string
+	Layer string
+	Max   bool // a high-water mark or a size: Add keeps the larger value
+	Host  bool // decided by the host, not the program: Deterministic zeroes it
+	Dead  bool // always 0, kept for bench/metrics.go
+}
+
+// statsFields is the field table, in declaration order, read from the tags
+// once. A field that is not a uint64, or whose tag does not parse, panics
+// when the package initializes, so every test in the module fails on it.
+var statsFields = func() []StatsField {
+	t := reflect.TypeOf(Stats{})
+	fields := make([]StatsField, t.NumField())
+	for i := range fields {
+		sf := t.Field(i)
+		tag, ok := sf.Tag.Lookup("stat")
+		opts := strings.Split(tag, ",")
+		f := StatsField{Name: sf.Name, Layer: opts[0]}
+		for _, opt := range opts[1:] {
+			switch opt {
+			case "max":
+				f.Max = true
+			case "host":
+				f.Host = true
+			case "dead":
+				f.Dead = true
+			default:
+				ok = false
+			}
+		}
+		if !ok || f.Layer == "" || sf.Type.Kind() != reflect.Uint64 || f.Dead && (f.Max || f.Host) {
+			panic(fmt.Sprintf("api: Stats.%s has a bad stat tag %q", sf.Name, tag))
+		}
+		fields[i] = f
+	}
+	return fields
+}()
+
+// Add accumulates other into s: a max field keeps the larger value, every
+// other field is summed.
 func (s *Stats) Add(other *Stats) {
-	s.Locks += other.Locks
-	s.Unlocks += other.Unlocks
-	s.Waits += other.Waits
-	s.Signals += other.Signals
-	s.Forks += other.Forks
-	s.Joins += other.Joins
-	s.Barriers += other.Barriers
-	s.AtomicsOps += other.AtomicsOps
-	s.Loads += other.Loads
-	s.Stores += other.Stores
-	s.StoresWithCopy += other.StoresWithCopy
-	s.SlicesCreated += other.SlicesCreated
-	s.SlicesMerged += other.SlicesMerged
-	s.SlicesPropagated += other.SlicesPropagated
-	s.SlicesFilteredLow += other.SlicesFilteredLow
-	s.SlicesFilteredPremerged += other.SlicesFilteredPremerged
-	s.BytesPropagated += other.BytesPropagated
-	s.PrelockBytes += other.PrelockBytes
-	s.LazyPendingApplied += other.LazyPendingApplied
-	s.LazyRunsElided += other.LazyRunsElided
-	s.PageFaults += other.PageFaults
-	s.PageProtects += other.PageProtects
-	s.DirtyExtents += other.DirtyExtents
-	s.DiffBytesScanned += other.DiffBytesScanned
-	s.DiffBytesSkipped += other.DiffBytesSkipped
-	s.RaceRecords += other.RaceRecords
-	s.RaceReadBytes += other.RaceReadBytes
-	s.TurnWaits += other.TurnWaits
-	s.MonitorAcquires += other.MonitorAcquires
-	s.DiffNanos += other.DiffNanos
-	s.ApplyNanos += other.ApplyNanos
-	s.CollectScanned += other.CollectScanned
-	if other.SliceListLen > s.SliceListLen {
-		s.SliceListLen = other.SliceListLen
+	dst, src := reflect.ValueOf(s).Elem(), reflect.ValueOf(other).Elem()
+	for i, f := range statsFields {
+		switch d, v := dst.Field(i), src.Field(i).Uint(); {
+		case !f.Max:
+			d.SetUint(d.Uint() + v)
+		case v > d.Uint():
+			d.SetUint(v)
+		}
 	}
-	s.BytesCoalescedAway += other.BytesCoalescedAway
-	// High-water and pass counters take the max / sum as appropriate.
-	if other.SharedMemBytes > s.SharedMemBytes {
-		s.SharedMemBytes = other.SharedMemBytes
+}
+
+// Deterministic returns a copy of s with the host fields zeroed: what two
+// executions of one program on one deterministic runtime must agree on.
+func (s *Stats) Deterministic() Stats {
+	d := *s
+	v := reflect.ValueOf(&d).Elem()
+	for i, f := range statsFields {
+		if f.Host {
+			v.Field(i).SetUint(0)
+		}
 	}
-	if other.RuntimeMemBytes > s.RuntimeMemBytes {
-		s.RuntimeMemBytes = other.RuntimeMemBytes
+	return d
+}
+
+// Each calls fn with every field and its value, in declaration order.
+func (s *Stats) Each(fn func(f StatsField, v uint64)) {
+	v := reflect.ValueOf(s).Elem()
+	for i, f := range statsFields {
+		fn(f, v.Field(i).Uint())
 	}
-	if other.MetadataBytes > s.MetadataBytes {
-		s.MetadataBytes = other.MetadataBytes
-	}
-	s.GCCount += other.GCCount
-	s.GCEmptyPasses += other.GCEmptyPasses
 }
 
 // MemOps returns the total number of instrumented memory operations.

@@ -1,35 +1,62 @@
 package api
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
 
+// numbered returns a Stats whose i-th field, in declaration order, is i+1.
+func numbered() Stats {
+	var s Stats
+	v := reflect.ValueOf(&s).Elem()
+	for i := range statsFields {
+		v.Field(i).SetUint(uint64(i + 1))
+	}
+	return s
+}
+
+// TestStatsAddAccumulatesCounters sets every field, so a field added to Stats
+// is covered by its tag's merge rule without a line here.
 func TestStatsAddAccumulatesCounters(t *testing.T) {
-	a := Stats{Locks: 1, Unlocks: 2, Waits: 3, Signals: 4, Forks: 5, Joins: 6,
-		Barriers: 7, AtomicsOps: 8, Loads: 9, Stores: 10, StoresWithCopy: 11,
-		SlicesCreated: 12, SlicesMerged: 13, SlicesPropagated: 14,
-		SlicesFilteredLow: 15, BytesPropagated: 16, PrelockBytes: 17,
-		LazyPendingApplied: 18, LazyRunsElided: 19, PageFaults: 20,
-		PageProtects: 21, TurnWaits: 22, GCCount: 23}
-	b := a
+	a := numbered()
 	var sum Stats
 	sum.Add(&a)
-	sum.Add(&b)
-	if sum.Locks != 2 || sum.Unlocks != 4 || sum.Waits != 6 || sum.Signals != 8 ||
-		sum.Forks != 10 || sum.Joins != 12 || sum.Barriers != 14 || sum.AtomicsOps != 16 ||
-		sum.Loads != 18 || sum.Stores != 20 || sum.StoresWithCopy != 22 {
-		t.Fatalf("sync/memory counters wrong: %+v", sum)
+	sum.Add(&a)
+	i := 0
+	sum.Each(func(f StatsField, v uint64) {
+		want := 2 * uint64(i+1)
+		if f.Max {
+			want = uint64(i + 1)
+		}
+		if v != want {
+			t.Errorf("%s = %d after adding %d twice, want %d (max %v)", f.Name, v, i+1, want, f.Max)
+		}
+		i++
+	})
+	if i != reflect.TypeOf(Stats{}).NumField() {
+		t.Fatalf("Each visited %d fields, Stats has %d", i, reflect.TypeOf(Stats{}).NumField())
 	}
-	if sum.SlicesCreated != 24 || sum.SlicesMerged != 26 || sum.SlicesPropagated != 28 ||
-		sum.SlicesFilteredLow != 30 || sum.BytesPropagated != 32 || sum.PrelockBytes != 34 ||
-		sum.LazyPendingApplied != 36 || sum.LazyRunsElided != 38 ||
-		sum.PageFaults != 40 || sum.PageProtects != 42 || sum.TurnWaits != 44 {
-		t.Fatalf("DLRC counters wrong: %+v", sum)
+	if n := testing.AllocsPerRun(100, func() { sum.Add(&a) }); n != 0 {
+		t.Errorf("Add allocates %v times per call, want 0", n)
 	}
-	if sum.GCCount != 46 {
-		t.Fatalf("GCCount = %d", sum.GCCount)
+}
+
+// TestStatsDeterministicZeroesHostFields: Deterministic clears the host
+// fields and keeps the rest, without touching its receiver.
+func TestStatsDeterministicZeroesHostFields(t *testing.T) {
+	s := numbered()
+	d := s.Deterministic()
+	if s != numbered() {
+		t.Fatal("Deterministic changed its receiver")
 	}
+	i := 0
+	d.Each(func(f StatsField, v uint64) {
+		if want := uint64(i + 1); f.Host && v != 0 || !f.Host && v != want {
+			t.Errorf("%s = %d (host %v)", f.Name, v, f.Host)
+		}
+		i++
+	})
 }
 
 func TestStatsAddTakesMaxOfHighWaters(t *testing.T) {

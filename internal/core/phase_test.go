@@ -128,15 +128,9 @@ func TestPhaseTraceIsObservational(t *testing.T) {
 	if trOff.String() != trOn.String() {
 		t.Fatalf("deterministic trace changed:\n--- off ---\n%s\n--- on ---\n%s", trOff, trOn)
 	}
-	// Deterministic counters must be unaffected. The wall-clock nanos are
-	// host noise either way, and TurnWaits counts sync ops that *actually*
-	// waited for their turn — a host-scheduling fact that varies between any
-	// two runs, traced or not — so those are excluded from the comparison.
-	offSt, onSt := repOff.Stats, repOn.Stats
-	offSt.DiffNanos, onSt.DiffNanos = 0, 0
-	offSt.ApplyNanos, onSt.ApplyNanos = 0, 0
-	offSt.TurnWaits, onSt.TurnWaits = 0, 0
-	if offSt != onSt {
+	// Deterministic counters must be unaffected; the host fields vary between
+	// any two runs, traced or not.
+	if offSt, onSt := repOff.Stats.Deterministic(), repOn.Stats.Deterministic(); offSt != onSt {
 		t.Fatalf("stats changed with phase tracing:\noff: %+v\non:  %+v", offSt, onSt)
 	}
 }

@@ -17,7 +17,6 @@ import (
 	"runtime"
 	"time"
 
-	"rfdet/internal/api"
 	"rfdet/internal/core"
 	"rfdet/internal/trace"
 	"rfdet/internal/workloads"
@@ -53,7 +52,6 @@ type ReplicaRun struct {
 
 	VirtualTime uint64
 	Elapsed     time.Duration
-	Stats       api.Stats
 	Phases      *trace.Report // nil unless the variant enabled PhaseTrace
 }
 
@@ -167,7 +165,6 @@ func runOneReplica(cfg workloads.Config, seed uint64, requests int, v ReplicaVar
 	run.ObsDigest = r.ObservationsDigest()
 	run.VirtualTime = r.VirtualTime
 	run.Elapsed = r.Elapsed
-	run.Stats = r.Stats
 	run.Phases = r.Phases
 	return run
 }

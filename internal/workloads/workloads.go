@@ -48,6 +48,17 @@ func (s Size) String() string {
 	}
 }
 
+// Set parses a size's name, so a *Size is a flag.Value.
+func (s *Size) Set(name string) error {
+	for _, sz := range []Size{SizeTest, SizeSmall, SizeMedium} {
+		if sz.String() == name {
+			*s = sz
+			return nil
+		}
+	}
+	return fmt.Errorf("unknown size %q (test, small or medium)", name)
+}
+
 // pick returns the value for the configured size.
 func (s Size) pick(test, small, medium int) int {
 	switch s {

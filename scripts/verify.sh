@@ -5,8 +5,8 @@
 #   1. gofmt      — no unformatted files
 #   2. go vet     — static checks
 #   3. detvet     — the determinism analyzer suite (tools/detvet): maporder,
-#                   wallclock, nativesync, lockcheck per package plus the
-#                   cross-package statwire pass (its fixtures run in step 5)
+#                   wallclock, nativesync, lockcheck per package (their
+#                   fixtures run in step 5)
 #   4. go build   — everything compiles
 #   5. go test    — full suite
 #   6. race tests — `make race`: the packages with real concurrency, under

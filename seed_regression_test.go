@@ -438,9 +438,8 @@ func TestBenchmarkProgramsPoisonedMatchParentStats(t *testing.T) {
 // three copies of the eager apply (applySlices, the barrier leader's own
 // branch and prelock plan sharing). Every propagated list is applied at once
 // there, so BytesCoalescedAway is the whole elided column: LazyRunsElided is
-// 0. PlanReuse, which counted shared prelock plans, is zeroed in the stats
-// hash: it read 2 on kv_server then and reads 0 since plans stopped being
-// shared.
+// 0. PlanReuse, which counted shared prelock plans, read 2 on kv_server then;
+// the stats hash holds the 0 it has read since plans stopped being shared.
 func TestBenchmarkProgramsEagerMatchParentStats(t *testing.T) {
 	opts := core.DefaultOptions()
 	opts.LazyWrites = false
@@ -453,8 +452,8 @@ func TestBenchmarkProgramsEagerMatchParentStats(t *testing.T) {
 }
 
 // benchmarkProgramPin is one program's pinned execution: output hash, virtual
-// time, synchronization-trace hash, the hash of its Stats with the host facts
-// zeroed, and BytesCoalescedAway + LazyRunsElided.
+// time, synchronization-trace hash, the hash of its Stats.Deterministic(), and
+// BytesCoalescedAway + LazyRunsElided.
 type benchmarkProgramPin struct {
 	name                                string
 	output, vtime, trace, stats, elided uint64
@@ -484,16 +483,11 @@ func checkBenchmarkPrograms(t *testing.T, opts core.Options, pins []benchmarkPro
 			if err != nil {
 				t.Fatalf("P=%d %s: %v", p, g.name, err)
 			}
-			st := r.Stats
+			st := r.Stats.Deterministic()
 			if got := st.BytesCoalescedAway + st.LazyRunsElided; got != g.elided {
 				t.Errorf("P=%d %s: %d bytes coalesced away + %d elided at the flush = %d, parent %d",
 					p, g.name, st.BytesCoalescedAway, st.LazyRunsElided, got, g.elided)
 			}
-			// Host facts: wall time, who actually had to wait, and the metadata
-			// high-water, which depends on when concurrent snapshots are charged.
-			// PlanReuse is always 0 and kept only for bench/metrics.go.
-			st.DiffNanos, st.ApplyNanos, st.TurnWaits, st.MetadataBytes, st.RuntimeMemBytes = 0, 0, 0, 0, 0
-			st.PlanReuse = 0
 			trace, stats := fnvString(tr.String()), fnvString(fmt.Sprintf("%+v", st))
 			if r.OutputHash != g.output || r.VirtualTime != g.vtime || trace != g.trace || stats != g.stats {
 				t.Errorf("P=%d %s: output=%#x vtime=%d trace=%#x stats=%#x elided=%d, parent output=%#x vtime=%d trace=%#x stats=%#x\n%+v",

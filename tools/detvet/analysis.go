@@ -3,7 +3,7 @@
 //
 //	go run ./tools/detvet ./...
 //
-// Five analyzers enforce the invariants the deterministic runtime depends on
+// Four analyzers enforce the invariants the deterministic runtime depends on
 // (DESIGN.md §12, §17):
 //
 //   - maporder: no raw iteration over Go maps in the deterministic packages
@@ -18,8 +18,6 @@
 //   - lockcheck: guarded fields accessed only under their sync.Mutex, lock
 //     ranks never inverted, no blocking with a lock held, and lock effects
 //     balanced at every function exit.
-//   - statwire: every api.Stats counter is incremented and surfaced
-//     somewhere (whole-program, so it runs only over ./...).
 //
 // A finding is silenced by an annotation comment on the same line as the
 // offending construct, or on the line directly above it:

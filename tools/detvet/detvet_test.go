@@ -30,21 +30,6 @@ func TestUnknownAnnotationFixtures(t *testing.T) {
 	matchWants(t, fset, files, unknownAnnotations(files))
 }
 
-// TestStatwireFixtures runs the whole-program statwire pass with every
-// configured role (stats package, surface packages) pointed at
-// the fixture package itself.
-func TestStatwireFixtures(t *testing.T) {
-	fset, files, pkg, info := loadFixture(t, statwire.Name)
-	pass := &Pass{Analyzer: statwire, Fset: fset, Files: files, Pkg: pkg, Info: info, PkgPath: statwire.Name}
-	pass.prepareAnnotations()
-	runStatwire([]*Pass{pass}, statwireConfig{
-		statsPkg:    statwire.Name,
-		statsType:   "Stats",
-		surfacePkgs: []string{statwire.Name},
-	})
-	matchWants(t, fset, files, pass.diags)
-}
-
 var wantRE = regexp.MustCompile(`// want "([^"]*)"`)
 
 func loadFixture(t *testing.T, name string) (*token.FileSet, []*ast.File, *types.Package, *types.Info) {

@@ -46,10 +46,8 @@ type finding struct {
 
 // run loads the packages matching patterns (default ./...) with one shared
 // FileSet and type-check universe, checks every file's annotation tokens, runs
-// the per-package analyzer suite on every module package, then — when the
-// patterns cover the whole module — the whole-program statwire pass, and
-// prints the findings. Exits 0 when clean, 2 on findings, so CI can gate on
-// it.
+// the analyzer suite on every module package, and prints the findings. Exits
+// 0 when clean, 2 on findings, so CI can gate on it.
 //
 // The load path is `go list -deps -export -json`, which hands back
 // dependency-ordered packages plus compiled export data straight from the
@@ -94,9 +92,8 @@ func run(patterns []string) {
 	}
 
 	// Type-check the module's packages from source, in the dependency order
-	// go list already established, and build the analyzer passes.
+	// go list already established, and run the analyzers on each.
 	var diags []finding
-	var statPasses []*Pass
 	for _, p := range pkgs {
 		if p.Standard || !isModulePkg(p.ImportPath) {
 			continue
@@ -120,24 +117,6 @@ func run(patterns []string) {
 			diags = append(diags, newFinding(fset, d, "detvet"))
 		}
 		diags = append(diags, analyze(fset, files, pkg, info, p.ImportPath)...)
-		// A parallel pass carries statwire's own suppression intervals.
-		sp := &Pass{Analyzer: statwire, Fset: fset, Files: files, Pkg: pkg, Info: info, PkgPath: p.ImportPath}
-		sp.prepareAnnotations()
-		statPasses = append(statPasses, sp)
-	}
-
-	// statwire's claims — "incremented somewhere", "surfaced somewhere" —
-	// only hold when "somewhere" spans the whole module. On a partial load
-	// like ./internal/core the incrementing and surfacing packages are
-	// simply absent, and every finding would be a false positive, so the
-	// pass runs only when the patterns cover the full module tree.
-	if coversModule(patterns) {
-		runStatwire(statPasses, defaultStatwireConfig())
-	}
-	for _, sp := range statPasses {
-		for _, d := range sp.diags {
-			diags = append(diags, newFinding(fset, d, statwire.Name))
-		}
 	}
 
 	sort.Slice(diags, func(i, j int) bool {
@@ -166,17 +145,6 @@ func isModulePkg(path string) bool {
 	return path == modulePath || strings.HasPrefix(path, modulePath+"/")
 }
 
-// coversModule reports whether the pattern set loads every module package,
-// which is what makes the whole-program statwire pass meaningful.
-func coversModule(patterns []string) bool {
-	for _, p := range patterns {
-		if p == "./..." || p == "all" || p == modulePath+"/..." {
-			return true
-		}
-	}
-	return false
-}
-
 func newFinding(fset *token.FileSet, d Diagnostic, analyzer string) finding {
 	pos := fset.Position(d.Pos)
 	file := pos.Filename
@@ -192,7 +160,7 @@ func newFinding(fset *token.FileSet, d Diagnostic, analyzer string) finding {
 // analyzer reads: such an annotation checks and silences nothing, which is
 // how a retired token would rot in place unnoticed.
 func unknownAnnotations(files []*ast.File) []Diagnostic {
-	known := map[string]bool{statwire.Name: true}
+	known := map[string]bool{}
 	for _, a := range analyzers {
 		known[a.token()] = true
 	}

@@ -8,16 +8,14 @@ import (
 	"log"
 )
 
-// analyzers is the per-package determinism suite, in report order. The
-// whole-program statwire analyzer is not in this list: it needs every
-// package at once (see driver.go).
+// analyzers is the determinism suite, in report order. Each runs on one
+// package at a time.
 var analyzers = []*Analyzer{maporder, wallclock, nativesync, lockcheck}
 
 // main loads the packages matching its pattern arguments (default ./...)
-// via `go list -deps -export`, runs the per-package suite on every rfdet
-// package and, when the patterns cover the whole module, the whole-program
-// statwire analyzer (`go run ./tools/detvet ./...`, or `make detvet`). It
-// exits 0 on a clean tree and 2 on findings.
+// via `go list -deps -export` and runs the suite on every rfdet package
+// (`go run ./tools/detvet ./...`, or `make detvet`). It exits 0 on a clean
+// tree and 2 on findings.
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("detvet: ")
