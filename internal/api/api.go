@@ -171,9 +171,9 @@ type Stats struct {
 	GCCount       uint64 `stat:"slicestore"` // reclaiming slice garbage-collection passes
 	GCEmptyPasses uint64 `stat:"slicestore"` // GC passes that reclaimed nothing
 
-	// Read 0: they counted the epoch store's arena traffic, and the runtime
-	// constructs the map store only (DESIGN.md §16). They go with the
-	// slicestore.arena_* benchmark rows (ROADMAP item 1).
+	// Read 0: they counted the arena traffic of an epoch store that is
+	// deleted (DESIGN.md §16). They go with the slicestore.arena_* benchmark
+	// rows (ROADMAP item 1).
 	ArenaChunksAllocated uint64 `stat:"slicestore,dead"`
 	ArenaChunksReused    uint64 `stat:"slicestore,dead"`
 	ArenaBytesInterned   uint64 `stat:"slicestore,dead"`

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
 	"rfdet/internal/api"
 	"rfdet/internal/mem"
+	"rfdet/internal/workloads"
 )
 
 // TestGarbageCollectionTriggers constrains the metadata space so slice
@@ -45,6 +47,50 @@ func TestGarbageCollectionTriggers(t *testing.T) {
 	}
 	if rep.Stats.MetadataBytes == 0 || rep.Stats.MetadataCapacity != 64*1024 {
 		t.Fatalf("metadata accounting missing: %+v", rep.Stats)
+	}
+}
+
+// TestStatsUnderMetadataPressureIndependentOfHost: with a metadata space so
+// small that commits cross the GC threshold, the passes still fall where the
+// deterministic turn puts them. water-ns at test size runs ten times at each
+// of GOMAXPROCS 1, 2, 4 and 8 in a 16 KiB space and in an 8 KiB one, where
+// the committed slices alone fire the trigger, and every run at one capacity
+// must agree on output hash, virtual time and every deterministic Stats field.
+// A trigger that counted page snapshots, which are charged off the turn, made
+// GCEmptyPasses, CollectScanned, SlicesFilteredLow and SliceListLen follow
+// the host schedule at both capacities. Under -race, where a run takes 30
+// times as long, each cell runs twice.
+func TestStatsUnderMetadataPressureIndependentOfHost(t *testing.T) {
+	runs := 10
+	if raceBuild() {
+		runs = 2
+	}
+	prog := workloads.WaterNS(workloads.Config{Threads: 4, Size: workloads.SizeTest})
+	type result struct {
+		output, vtime uint64
+		stats         api.Stats
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, capacity := range []uint64{16 << 10, 8 << 10} {
+		opts := DefaultOptions()
+		opts.MetadataCapacity = capacity
+		var first result
+		for _, procs := range []int{1, 2, 4, 8} {
+			runtime.GOMAXPROCS(procs)
+			for i := 0; i < runs; i++ {
+				rep := run(t, opts, prog)
+				got := result{rep.OutputHash, rep.VirtualTime, rep.Stats.Deterministic()}
+				if first == (result{}) {
+					first = got
+				} else if got != first {
+					t.Fatalf("%d KiB, P=%d run %d differs from the first run:\n got %+v\nwant %+v",
+						capacity>>10, procs, i, got, first)
+				}
+			}
+		}
+		if capacity == 8<<10 && first.stats.GCCount+first.stats.GCEmptyPasses == 0 {
+			t.Fatal("no GC pass in an 8 KiB metadata space")
+		}
 	}
 }
 

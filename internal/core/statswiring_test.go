@@ -26,7 +26,7 @@ func TestEveryStatsCounterIsWired(t *testing.T) {
 		"pf":         stack(func(o *Options) { o.Monitor = MonitorPF }),
 		"racedetect": stack(func(o *Options) { o.RaceDetect = true }),
 		"eager":      stack(func(o *Options) { o.LazyWrites = false }),
-		"64KiB":      stack(func(o *Options) { o.MetadataCapacity = 64 << 10 }),
+		"32KiB":      stack(func(o *Options) { o.MetadataCapacity = 32 << 10 }),
 	}
 	prog := workloads.Server(workloads.Config{Threads: 4, Size: workloads.SizeTest})
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))

@@ -233,7 +233,7 @@ func (t *thread) recordStore(a, n uint64) {
 // takeSnapshot copies the page into the metadata space (Figure 4, lines
 // 5-7).
 func (t *thread) takeSnapshot(pid mem.PageID) {
-	t.exec.store.AllocSnapshot(int(t.id))
+	t.exec.store.AllocSnapshot()
 	t.space.SnapshotPage(pid)
 	t.st.StoresWithCopy++
 	t.vt += vtime.SnapshotPage
@@ -477,7 +477,7 @@ func (t *thread) finishSlice() *slicestore.Slice {
 	}
 	mem.PoisonScratch(sc.stage)
 	for range pages {
-		t.exec.store.FreeSnapshot(int(t.id))
+		t.exec.store.FreeSnapshot()
 		t.vt += vtime.DiffPage
 	}
 	t.space.ResetDirty()

@@ -10,14 +10,9 @@ import (
 // BenchmarkSliceStoreChurn measures steady-state commit/collect churn — the
 // metadata-space hot loop of a propagation-heavy run. Each op commits one
 // slice of 16 runs; a covering Collect every 64 ops keeps the store at a
-// bounded live set, exactly like a workload whose frontier keeps pace.
-//
-// The allocation contract differs by store, and that difference is the
-// point of the epoch store: MapStore retains the caller's payload buffers,
-// so the committer must allocate fresh ones every slice; EpochStore interns
-// payloads into segment arenas at Commit, so the committer reuses one
-// scratch buffer set forever and steady-state arena chunks recycle through
-// the pool. Compare allocs/op across the two sub-benchmarks.
+// bounded live set, exactly like a workload whose frontier keeps pace. The
+// store keeps the caller's payload buffers, so the committer allocates fresh
+// ones every slice, as the runtime's slice-end diff does.
 func BenchmarkSliceStoreChurn(b *testing.B) {
 	const runsPerSlice = 16
 	const runBytes = 256
@@ -31,32 +26,6 @@ func BenchmarkSliceStoreChurn(b *testing.B) {
 			for r := range mods {
 				data := make([]byte, runBytes)
 				mods[r] = mem.Run{Addr: uint64(r * runBytes), Data: data}
-			}
-			s := &Slice{
-				Tid:   int32(i % 4),
-				Time:  vclock.VC{uint64(i + 1)},
-				Mods:  mods,
-				Bytes: runsPerSlice * runBytes,
-			}
-			st.Commit(s)
-			if i%collectEvery == collectEvery-1 {
-				st.Collect(vclock.VC{uint64(i + 1)})
-			}
-		}
-	})
-
-	b.Run("epoch", func(b *testing.B) {
-		st := NewEpochStore(1<<30, 90, 4)
-		scratch := make([][]byte, runsPerSlice)
-		for r := range scratch {
-			scratch[r] = make([]byte, runBytes)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			mods := make([]mem.Run, runsPerSlice)
-			for r := range mods {
-				mods[r] = mem.Run{Addr: uint64(r * runBytes), Data: scratch[r]}
 			}
 			s := &Slice{
 				Tid:   int32(i % 4),

@@ -2,6 +2,7 @@ package slicestore
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -37,12 +38,12 @@ func TestCommitAccountsUsage(t *testing.T) {
 
 func TestSnapshotAccounting(t *testing.T) {
 	st := NewStore(0, 0)
-	st.AllocSnapshot(0)
-	st.AllocSnapshot(0)
+	st.AllocSnapshot()
+	st.AllocSnapshot()
 	if st.Used() != 2*mem.PageSize {
 		t.Fatalf("Used = %d", st.Used())
 	}
-	st.FreeSnapshot(0)
+	st.FreeSnapshot()
 	if st.Used() != mem.PageSize {
 		t.Fatalf("Used = %d", st.Used())
 	}
@@ -245,43 +246,127 @@ func TestCollectOrderFree(t *testing.T) {
 	}
 }
 
-// TestCommitGCDecisionIgnoresConcurrentFrees pins the satellite fix for the
-// GC-trigger race: Commit must decide needGC from the post-add value its own
-// charge observed, not from a second load of the usage atomic. A concurrent
-// FreeSnapshot between the charge and a re-load could dip usage back under
-// the threshold and swallow the trigger; with the charge-returned value the
-// crossing commit always reports it.
+// TestCommitGCDecisionIgnoresConcurrentFrees pins the GC trigger to the
+// committed slices alone. Page-snapshot charges land off the turn, at moments
+// the host schedule picks, so they must neither fire the trigger nor hold it
+// back: with snapshots already past the threshold and another goroutine
+// freeing and retaking them throughout, a commit asks for a pass exactly when
+// the committed slices' cost reaches the threshold.
 func TestCommitGCDecisionIgnoresConcurrentFrees(t *testing.T) {
-	const iters = 200
-	for i := 0; i < iters; i++ {
-		// Capacity 100 KiB, threshold 90 KiB. Pre-fill with snapshots so the
-		// next commit's charge is exactly what crosses the threshold.
-		st := NewStore(100*1024, 90)
-		for st.Used()+mem.PageSize <= st.GCThreshold() {
-			st.AllocSnapshot(0)
+	st := NewStore(100*1024, 90)
+	for st.Used() <= st.GCThreshold() {
+		st.AllocSnapshot()
+	}
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				st.FreeSnapshot() // the diff path releasing a page
+				st.AllocSnapshot()
+			}
 		}
-		s := mkSlice(1, vclock.VC{0, uint64(i + 1)}, 8*1024)
-
-		free := make(chan struct{})
-		done := make(chan bool)
-		go func() {
-			<-free
-			st.FreeSnapshot(0) // the off-monitor diff path releasing a page
-			done <- true
-		}()
-		close(free)
-		need := st.Commit(s)
-		<-done
-
-		// Whatever the interleaving, the decision must be consistent with
-		// the exact usage at the commit's own linearization point: the
-		// pre-fill guarantees the commit crossed the threshold, so needGC
-		// must be true even when the free landed first in wall-clock terms.
-		if !need {
-			t.Fatalf("iter %d: commit crossed the GC threshold but needGC = false (usage now %d, threshold %d)",
-				i, st.Used(), st.GCThreshold())
+	}()
+	var cost uint64
+	var needs []bool
+	for i := 0; cost < st.GCThreshold(); i++ {
+		s := mkSlice(1, vclock.VC{0, uint64(i + 1)}, 1024)
+		cost += s.Cost()
+		needs = append(needs, st.Commit(s))
+	}
+	close(stop)
+	<-done
+	for i, need := range needs {
+		if last := i == len(needs)-1; need != last {
+			t.Fatalf("commit %d of %d: needGC = %v, want %v (threshold %d)", i+1, len(needs), need, last, st.GCThreshold())
 		}
 	}
+}
+
+// TestCollectPassAccounting: passes that reclaim nothing count as
+// GCEmptyPasses, never as GCCount. The subtest names the map store.
+func TestCollectPassAccounting(t *testing.T) {
+	t.Run("map", func(t *testing.T) {
+		st := NewStore(1<<20, 90)
+		st.Commit(mkSlice(0, vclock.VC{5}, 64))
+		for i := 0; i < 3; i++ {
+			if n := st.Collect(vclock.VC{1}); n != 0 {
+				t.Fatalf("uncovered Collect reclaimed %d", n)
+			}
+		}
+		if got := st.GCCount(); got != 0 {
+			t.Fatalf("GCCount = %d after only empty passes, want 0", got)
+		}
+		if got := st.EmptyGCCount(); got != 3 {
+			t.Fatalf("EmptyGCCount = %d, want 3", got)
+		}
+		if n := st.Collect(vclock.VC{5}); n != 1 {
+			t.Fatalf("covering Collect = %d, want 1", n)
+		}
+		if st.GCCount() != 1 || st.EmptyGCCount() != 3 {
+			t.Fatalf("GCCount = %d, EmptyGCCount = %d after reclaiming pass",
+				st.GCCount(), st.EmptyGCCount())
+		}
+	})
+}
+
+// TestCommitDuringCollectAccounting is the regression storm for the
+// credit-after-unlock and insert-before-charge bugs: committers race a
+// collector whose frontier always covers every committed slice. Any window
+// in which a slice is published-but-uncharged (or credited-but-published)
+// shows up as a nonzero final balance, and a committed cost Collect missed
+// shows up as a trigger that fires on an empty store. The subtest names the
+// map store.
+func TestCommitDuringCollectAccounting(t *testing.T) {
+	t.Run("map", func(t *testing.T) {
+		st := NewStore(1<<30, 90)
+		const committers = 4
+		const perCommitter = 300
+		var collectorWG, committerWG sync.WaitGroup
+		stop := make(chan struct{})
+		collectorWG.Add(1)
+		go func() {
+			defer collectorWG.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					st.Collect(vclock.VC{^uint64(0)})
+				}
+			}
+		}()
+		for c := 0; c < committers; c++ {
+			committerWG.Add(1)
+			go func(tid int32) {
+				defer committerWG.Done()
+				for i := 0; i < perCommitter; i++ {
+					st.Commit(mkSlice(tid, vclock.VC{uint64(i + 1)}, 128))
+				}
+			}(int32(c))
+		}
+		committerWG.Wait()
+		close(stop)
+		collectorWG.Wait()
+		// One final covering pass reclaims whatever the racing collector
+		// missed; the balance must land on exactly zero.
+		st.Collect(vclock.VC{^uint64(0)})
+		if st.Used() != 0 {
+			t.Fatalf("Used = %d after final covering Collect, want 0", st.Used())
+		}
+		if st.Live() != 0 {
+			t.Fatalf("Live = %d, want 0", st.Live())
+		}
+		if got := st.TotalCreated(); got != committers*perCommitter {
+			t.Fatalf("TotalCreated = %d, want %d", got, committers*perCommitter)
+		}
+		if st.sliceBytes != 0 {
+			t.Fatalf("committed cost = %d on an empty store, want 0", st.sliceBytes)
+		}
+	})
 }
 
 // TestTrimListReleasesLargeBackingArrays pins the retention bugfix: a trim

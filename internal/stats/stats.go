@@ -6,7 +6,6 @@ package stats
 
 import (
 	"math"
-	"sync/atomic"
 	"time"
 )
 
@@ -20,61 +19,6 @@ func Now() time.Time { return time.Now() }
 
 // Since returns the wall-clock duration elapsed since t. See Now.
 func Since(t time.Time) time.Duration { return time.Since(t) }
-
-// Striped is a set of independently updated int64 cells, one per stripe,
-// each padded out to its own cache line, so that concurrent bookkeeping from
-// different stripes never bounces a shared cache line. Its one user is the
-// epoch store's per-stripe usage attribution. Stripe indices are taken modulo
-// the stripe count, so any non-negative hint (a thread id) is a valid stripe.
-type Striped struct {
-	cells []stripedCell
-}
-
-// stripedCell pads each counter to 64 bytes so adjacent stripes do not
-// false-share a cache line.
-type stripedCell struct {
-	n atomic.Int64
-	_ [56]byte
-}
-
-// NewStriped returns a striped counter with n stripes (minimum 1).
-func NewStriped(n int) *Striped {
-	if n < 1 {
-		n = 1
-	}
-	return &Striped{cells: make([]stripedCell, n)}
-}
-
-// Len returns the stripe count.
-func (s *Striped) Len() int { return len(s.cells) }
-
-func (s *Striped) stripe(i int) *stripedCell {
-	i %= len(s.cells)
-	if i < 0 {
-		i += len(s.cells)
-	}
-	return &s.cells[i]
-}
-
-// Add adds delta to the given stripe and returns that stripe's post-add
-// value.
-func (s *Striped) Add(stripe int, delta int64) int64 {
-	return s.stripe(stripe).n.Add(delta)
-}
-
-// Load returns the given stripe's current value.
-func (s *Striped) Load(stripe int) int64 { return s.stripe(stripe).n.Load() }
-
-// Sum returns the sum over all stripes. It is not a linearizable snapshot
-// under concurrent Adds; callers needing an exact budget keep a separate
-// single atomic (see slicestore.MapStore.used).
-func (s *Striped) Sum() int64 {
-	var t int64
-	for i := range s.cells {
-		t += s.cells[i].n.Load()
-	}
-	return t
-}
 
 // Mean returns the arithmetic mean of xs (0 for empty input).
 func Mean(xs []float64) float64 {

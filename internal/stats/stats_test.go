@@ -82,46 +82,3 @@ func TestGeoMeanProperties(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestStripedBasics(t *testing.T) {
-	s := NewStriped(4)
-	if s.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", s.Len())
-	}
-	if got := s.Add(1, 10); got != 10 {
-		t.Fatalf("Add(1,10) = %d, want 10", got)
-	}
-	if got := s.Add(1, 5); got != 15 {
-		t.Fatalf("Add(1,5) = %d, want 15 (post-add value)", got)
-	}
-	s.Add(3, 7)
-	if s.Load(1) != 15 || s.Load(3) != 7 || s.Load(0) != 0 {
-		t.Fatalf("loads = %d,%d,%d", s.Load(0), s.Load(1), s.Load(3))
-	}
-	if s.Sum() != 22 {
-		t.Fatalf("Sum = %d, want 22", s.Sum())
-	}
-}
-
-func TestStripedIndexWrap(t *testing.T) {
-	s := NewStriped(3)
-	s.Add(5, 1)  // wraps to stripe 2
-	s.Add(-1, 1) // negative hints wrap too, rather than panicking
-	if s.Load(2) != 2 {
-		t.Fatalf("stripe 2 = %d, want 2 (5 mod 3 and -1 mod 3)", s.Load(2))
-	}
-	if s.Sum() != 2 {
-		t.Fatalf("Sum = %d, want 2", s.Sum())
-	}
-}
-
-func TestStripedMinimumOneStripe(t *testing.T) {
-	s := NewStriped(0)
-	if s.Len() != 1 {
-		t.Fatalf("Len = %d, want clamped minimum 1", s.Len())
-	}
-	s.Add(9, 4)
-	if s.Load(0) != 4 {
-		t.Fatalf("single stripe = %d, want 4", s.Load(0))
-	}
-}

@@ -162,10 +162,6 @@ func (v VC) Join(w VC) VC {
 	return v
 }
 
-// JoinInto is like Join but guarantees the receiver's backing array is reused
-// when it is already large enough, for hot propagation paths.
-func JoinInto(dst, w VC) VC { return dst.Join(w) }
-
 // Meet returns the greatest lower bound of v and w as a fresh clock. The meet
 // over all threads' clocks is the garbage-collection frontier (§4.5): slices
 // at or below it have been seen by every thread.
