@@ -451,6 +451,21 @@ func TestBenchmarkProgramsEagerMatchParentStats(t *testing.T) {
 	})
 }
 
+// TestBenchmarkProgramsPFMatchParentStats pins the four programs under the
+// page-fault monitor with slice merging off, where two frame orders show that
+// the CI-monitor pins cannot see: beginSlice charges the protection pass to
+// the thread's virtual time before syncEvent stamps it, and every uncontended
+// Lock commits its slice. The pins are those of commit e0f6145, before the
+// synchronization operations were rewritten around one shared frame.
+func TestBenchmarkProgramsPFMatchParentStats(t *testing.T) {
+	checkBenchmarkPrograms(t, core.Options{Monitor: core.MonitorPF, Prelock: true, LazyWrites: true}, []benchmarkProgramPin{
+		{"kv_server", 0x4e54dc625c3bc116, 1137889, 0x92b3ed728f1de110, 0x140337274997e1f9, 4978},
+		{"water_ns", 0xf8591d83f6e0bdb3, 5124055, 0x2288c46ad03b5f14, 0x853ca8aa93d3170d, 20631},
+		{"fft", 0x918759f64874e596, 1886945, 0xdcd8c66cf9b3d937, 0x14ba64189141aaea, 2466344},
+		{"matmul", 0xcec7e115888aade4, 395311, 0xe7f1c6aacd28269, 0x486a6b7fbff4925c, 0},
+	})
+}
+
 // benchmarkProgramPin is one program's pinned execution: output hash, virtual
 // time, synchronization-trace hash, the hash of its Stats.Deterministic(), and
 // BytesCoalescedAway + LazyRunsElided.
