@@ -2,8 +2,8 @@ package core
 
 import (
 	"runtime"
-	"strings"
 	"testing"
+	"time"
 
 	"rfdet/internal/api"
 	"rfdet/internal/mem"
@@ -355,49 +355,94 @@ func TestMainPreForkUnmonitored(t *testing.T) {
 	}
 }
 
-// TestMisuseDiagnostics covers the deterministic failure paths.
+// TestMisuseDiagnostics covers the deterministic failure paths: each misuse
+// fails the run with its full message. A misuse caught inside the monitor
+// runs a second time with peers blocked in Lock and in Join when it lands; the
+// abort must wake them, so the run returns the same error within a deadline
+// and leaves no goroutine behind.
 func TestMisuseDiagnostics(t *testing.T) {
 	cases := []struct {
-		name string
-		prog api.ThreadFunc
-		want string
+		name      string
+		prog      api.ThreadFunc
+		want      string
+		inMonitor bool
 	}{
 		{"recursive lock", func(th api.Thread) {
 			th.Lock(64)
 			th.Lock(64)
-		}, "recursive lock"},
+		}, "rfdet: thread 0: recursive lock of mutex 0x40", true},
 		{"unlock unheld", func(th api.Thread) {
 			th.Unlock(64)
-		}, "unlock"},
+		}, "rfdet: thread 0: unlock of mutex 0x40 not held by it", true},
 		{"wait without mutex", func(th api.Thread) {
 			th.Wait(128, 64)
-		}, "cond wait"},
+		}, "rfdet: thread 0: cond wait with mutex 0x40 not held", true},
 		{"join self", func(th api.Thread) {
 			th.Join(0)
-		}, "join of itself"},
+		}, "rfdet: thread 0: join of itself", true},
 		{"join unknown", func(th api.Thread) {
 			th.Join(42)
-		}, "unknown thread"},
+		}, "rfdet: thread 0: join of unknown thread 42", true},
 		{"bad free", func(th api.Thread) {
 			th.Free(123)
-		}, "free"},
+		}, "rfdet: thread 0: alloc: free of non-heap address 0x7b", false},
 		{"barrier zero", func(th api.Thread) {
 			th.Barrier(64, 0)
-		}, "barrier"},
+		}, "rfdet: thread 0: barrier with count 0", false},
 		{"panic in thread", func(th api.Thread) {
 			panic("user bug")
-		}, "panicked"},
+		}, "rfdet: thread 0 panicked: user bug", false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := New(DefaultOptions()).Run(tc.prog)
-			if err == nil {
-				t.Fatalf("%s: expected error", tc.name)
-			}
-			if !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("%s: error %q does not mention %q", tc.name, err, tc.want)
-			}
+			checkMisuse(t, tc.prog, tc.want)
 		})
+		if tc.inMonitor {
+			t.Run(tc.name+" with blocked peers", func(t *testing.T) {
+				checkMisuse(t, withBlockedPeers(tc.prog), tc.want)
+			})
+		}
+	}
+}
+
+// withBlockedPeers runs misuse on thread 0 once two peers have blocked: one
+// in Lock of a mutex thread 0 holds, one in Join of thread 0.
+func withBlockedPeers(misuse api.ThreadFunc) api.ThreadFunc {
+	return func(th api.Thread) {
+		const held = api.Addr(256)
+		th.Lock(held)
+		th.Spawn(func(c api.Thread) { c.Lock(held) })
+		th.Spawn(func(c api.Thread) { c.Join(0) })
+		th.Tick(100000) // both peers take their turns first
+		misuse(th)
+	}
+}
+
+// checkMisuse runs prog and requires the error want within a deadline, and
+// the goroutine count back at its baseline once the run has returned.
+func checkMisuse(t *testing.T, prog api.ThreadFunc, want string) {
+	t.Helper()
+	baseline := runtime.NumGoroutine()
+	done := make(chan error, 1)
+	go func() {
+		_, err := New(DefaultOptions()).Run(prog)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil || err.Error() != want {
+			t.Fatalf("error %v, want %q", err, want)
+		}
+	case <-time.After(10 * time.Second):
+		buf := make([]byte, 1<<20)
+		t.Fatalf("no result after 10s: the abort left a thread behind. Goroutines:\n%s", buf[:runtime.Stack(buf, true)])
+	}
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > baseline; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("%d goroutines after the run, %d before. Goroutines:\n%s",
+				runtime.NumGoroutine(), baseline, buf[:runtime.Stack(buf, true)])
+		}
 	}
 }
 
