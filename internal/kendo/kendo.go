@@ -52,10 +52,6 @@ func (p *Proc) Tick(n uint64) { p.clock.Add(n) }
 // Clock returns the current logical clock.
 func (p *Proc) Clock() uint64 { return p.clock.Load() }
 
-// SetClock overwrites the logical clock (used for deterministic catch-up at
-// lock handoff).
-func (p *Proc) SetClock(v uint64) { p.clock.Store(v) }
-
 // Status returns the current scheduling state.
 func (p *Proc) Status() Status { return Status(p.status.Load()) }
 
@@ -176,6 +172,3 @@ func (s *Sched) isMin(p *Proc) bool {
 	}
 	return true
 }
-
-// HoldsTurn reports whether p currently holds the turn (diagnostics/tests).
-func (s *Sched) HoldsTurn(p *Proc) bool { return s.isMin(p) }

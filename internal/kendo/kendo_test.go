@@ -19,17 +19,17 @@ func TestTurnOrderByClockThenID(t *testing.T) {
 	a := s.Register(0, 10)
 	b := s.Register(1, 5)
 	c := s.Register(2, 5)
-	if s.HoldsTurn(a) {
+	if s.isMin(a) {
 		t.Fatal("a (clock 10) must not hold the turn over b/c (clock 5)")
 	}
-	if !s.HoldsTurn(b) {
+	if !s.isMin(b) {
 		t.Fatal("b (clock 5, id 1) must hold the turn")
 	}
-	if s.HoldsTurn(c) {
+	if s.isMin(c) {
 		t.Fatal("c (clock 5, id 2) loses the tid tie-break to b")
 	}
 	b.Tick(1)
-	if !s.HoldsTurn(c) {
+	if !s.isMin(c) {
 		t.Fatal("after b ticks to 6, c must hold the turn")
 	}
 }
@@ -38,15 +38,15 @@ func TestBlockedThreadsIneligible(t *testing.T) {
 	s := NewSched()
 	a := s.Register(0, 10)
 	b := s.Register(1, 1)
-	if s.HoldsTurn(a) {
+	if s.isMin(a) {
 		t.Fatal("a should wait for b")
 	}
 	b.SetStatus(Blocked)
-	if !s.HoldsTurn(a) {
+	if !s.isMin(a) {
 		t.Fatal("blocked b must not block a")
 	}
 	b.SetStatus(Exited)
-	if !s.HoldsTurn(a) {
+	if !s.isMin(a) {
 		t.Fatal("exited b must not block a")
 	}
 }
@@ -132,17 +132,17 @@ func TestTurnRespectsClockMonotonicity(t *testing.T) {
 	slow := s.Register(1, 0)
 	fast.Tick(100)
 	// slow (clock 0) must be admitted; fast must not.
-	if s.HoldsTurn(fast) {
+	if s.isMin(fast) {
 		t.Fatal("fast thread admitted before slow")
 	}
-	if !s.HoldsTurn(slow) {
+	if !s.isMin(slow) {
 		t.Fatal("slow thread not admitted")
 	}
 	if fast.Clock() != 100 || slow.Clock() != 0 {
 		t.Fatal("clock bookkeeping wrong")
 	}
-	slow.SetClock(200)
-	if !s.HoldsTurn(fast) {
-		t.Fatal("after SetClock, fast should be admitted")
+	slow.clock.Store(200)
+	if !s.isMin(fast) {
+		t.Fatal("after the clock store, fast should be admitted")
 	}
 }
