@@ -243,12 +243,24 @@ func (t *thread) applySlices(slices []*slicestore.Slice, prelock bool) {
 	t.tb.SpanDur(phase, start, el)
 }
 
-// acquireCollectLocked performs the monitor half of an acquire against
-// internal variable sv: collect the slices that happen-before sv's last
-// release, publish them on t's slice-pointer list, and join the vector
-// clocks (§4.1, §4.2). The thread's virtual time also joins the release's
-// virtual time: Kendo ordered this acquire after that release, so in a
-// parallel execution the acquirer could not have proceeded earlier.
+// acquireCollectLocked is acquireFromCollectLocked against internal variable
+// sv's last release, if it has one.
+//
+//detvet:holds exec.mu
+func (t *thread) acquireCollectLocked(sv *syncVar) []*slicestore.Slice {
+	if sv.lastTid < 0 {
+		return nil
+	}
+	return t.acquireFromCollectLocked(sv.lastTid, sv.lastTime, sv.lastVT)
+}
+
+// acquireFromCollectLocked performs the monitor half of an acquire against a
+// release record — thread fromTid's, at vector clock upper and virtual time
+// releaseVT: collect the slices that happen-before the release, publish them
+// on t's slice-pointer list, and join the vector clocks (§4.1, §4.2). The
+// thread's virtual time also joins the release's virtual time: Kendo ordered
+// this acquire after that release, so in a parallel execution the acquirer
+// could not have proceeded earlier.
 //
 // The returned slices still have to be applied to t's memory — the caller
 // does that via applySlices once it has released the monitor. Deferring the
@@ -257,28 +269,6 @@ func (t *thread) applySlices(slices []*slicestore.Slice, prelock bool) {
 // unaffected by when t's private space absorbs the runs; and t applies them
 // before returning to application code, so t itself never reads memory
 // missing an acquired update.
-//
-//detvet:holds exec.mu
-func (t *thread) acquireCollectLocked(sv *syncVar) []*slicestore.Slice {
-	if sv.lastTid < 0 {
-		return nil
-	}
-	t.vt = vtime.Max(t.vt, sv.lastVT)
-	var slices []*slicestore.Slice
-	if sv.lastTid != int32(t.id) {
-		from := t.exec.threads[sv.lastTid]
-		slices = t.collectLocked(from, sv.lastTime)
-		t.slicePtrs = append(t.slicePtrs, slices...)
-	}
-	t.vtime = t.vtime.Join(sv.lastTime)
-	clear(t.preMerged)
-	return slices
-}
-
-// acquireFromCollectLocked is acquireCollectLocked against an explicit
-// (thread, timestamp, virtual time) release record — used for cond-signal
-// wakeups and joins, where the release is not carried by a mutex-style
-// lastTid/lastTime pair.
 //
 //detvet:holds exec.mu
 func (t *thread) acquireFromCollectLocked(fromTid int32, upper vclock.VC, releaseVT vtime.Time) []*slicestore.Slice {

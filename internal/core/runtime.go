@@ -436,11 +436,7 @@ func (e *exec) exitLocked(t *thread) {
 			// a normal wakeLocked here would hand one a stale non-abort
 			// event and corrupt the blocked accounting. Probe an abort event
 			// instead; it is dropped unless failLocked's was missed.
-			//detvet:nativesync non-blocking abort probe; abort abandons determinism guarantees by design.
-			select {
-			case j.wake <- wakeEvent{abort: true}:
-			default:
-			}
+			j.post(wakeEvent{abort: true})
 			continue
 		}
 		// Perform the joiner's acquire of this exit release on its behalf
@@ -501,11 +497,7 @@ func (e *exec) failLocked(err error) {
 	e.sched.Abort()
 	for _, t := range e.threads {
 		if t.proc.Status() == kendo.Blocked {
-			//detvet:nativesync non-blocking abort probe; abort abandons determinism guarantees by design.
-			select {
-			case t.wake <- wakeEvent{abort: true}:
-			default:
-			}
+			t.post(wakeEvent{abort: true})
 		}
 	}
 }
@@ -519,12 +511,18 @@ func (e *exec) failLocked(err error) {
 func (e *exec) wakeLocked(t *thread, ev wakeEvent) {
 	e.sched.Transition(func() { t.proc.SetStatus(kendo.Running) })
 	e.blockedCount--
-	// Non-blocking, so that the monitor is never held across a send that
-	// could park. Each sleep has exactly one monitor-ordered waker, and no
-	// section wakes anybody after failLocked has run, so the 1-buffered
-	// mailbox is empty here; were an abort probe ever in it, the sleeper
-	// would unwind on that and this event would be moot.
-	//detvet:nativesync wake handoff; the Transition above fixed the admission order, and a full mailbox means an abort probe won.
+	// Each sleep has exactly one monitor-ordered waker, and no section wakes
+	// anybody after failLocked has run, so the mailbox is empty here; were an
+	// abort probe ever in it, the sleeper would unwind on that and this event
+	// would be moot.
+	t.post(ev)
+}
+
+// post puts ev in the thread's 1-buffered wake mailbox without blocking, so
+// that the monitor is never held across a send that could park. A full
+// mailbox drops ev: it already holds an abort probe, which wins.
+func (t *thread) post(ev wakeEvent) {
+	//detvet:nativesync wake mailbox; the wake's order was fixed under the monitor, and an abort abandons determinism by design.
 	select {
 	case t.wake <- ev:
 	default:

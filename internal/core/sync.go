@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -18,25 +19,32 @@ import (
 
 // Synchronization operations (§4.1).
 //
-// Every operation follows the same shape, on its thread's own goroutine:
+// Every operation runs on its thread's own goroutine in one frame, and its
+// body is the only code of its own:
 //
-//	turn()                    — publish the clock, then:
-//	  precut()                — byte-diff the snapshotted pages into scratch
-//	  WaitForTurn()           — win the deterministic Kendo turn
-//	finishSlice()             — commit the diff: the slice, its charges
-//	enter()                   — take the commit monitor (runtime.go)
-//	  commitSliceLocked()     — publish the slice, bump the clock
-//	  ...collect/queue/wake   — mutate monitor-guarded state
-//	  finishOpLocked()        — tick the Kendo clock: pass the turn
-//	leave()
-//	applySlices()             — absorb propagated runs
+//   - begin, the enter half, takes the deterministic Kendo turn (turn), commits
+//     the slice pre-cut before the turn (finishSlice), takes the commit monitor
+//     (enter) and counts the operation. It returns the slice, which the body
+//     publishes (commitSliceLocked) where its order requires.
+//   - end, the leave half, starts the next slice (beginSlice); pass then records
+//     the operation (syncEvent), ticks the Kendo clock past it, which passes the
+//     turn (finishOpLocked), and gives the monitor up (leave); last, end applies
+//     the slices the body acquired (applySlices), off the monitor.
+//   - block, the blocking tail, is Lock's, Wait's, Join's and Barrier's leave
+//     half when they wait: see its comment.
+//   - abortLocked fails the execution from inside a body and leaves the
+//     monitor; the body panics with what it returns.
+//
+// Lock is the one exception, for the reason its comment gives: it enters
+// without finishSlice, commits inside the section (endSliceLocked) only when
+// its slice ends, and when the slice continues leaves through pass alone.
 //
 // Only the order of a release needs the turn, not the work that produces its
 // data: the diff reads the thread's own space and writes its scratch, which no
-// other thread touches while this one runs, so it runs before the wait and
-// overlaps the turn holder's operation. Everything the turn orders — the
-// store's snapshot release, the virtual-time charges, the slice's clock — is
-// in the commit.
+// other thread touches while this one runs, so it runs before the wait
+// (waitTurn) and overlaps the turn holder's operation. Everything the turn
+// orders — the store's snapshot release, the virtual-time charges, the slice's
+// clock — is in the commit.
 //
 // There is one monitor over one metadata space, as in the paper (§4.1,
 // §4.2), and an operation enters it once. The turn admits one operation at a
@@ -87,6 +95,76 @@ func (t *thread) waitTurn() bool {
 	return ok
 }
 
+// begin is the frame's enter half: the turn, the commit of the slice pre-cut
+// before it, the monitor, and the operation's counter. It returns the slice,
+// nil when it made no modifications.
+//
+//detvet:acquires t.exec.mu
+func (t *thread) begin(counter *uint64) *slicestore.Slice {
+	t.turn()
+	s := t.finishSlice()
+	t.exec.enter(t)
+	*counter++
+	return s
+}
+
+// end is the frame's leave half: the next slice begins, pass, and the slices
+// the operation acquired are applied, off the monitor.
+//
+//detvet:releases t.exec.mu
+func (t *thread) end(op string, addr api.Addr, slices []*slicestore.Slice) {
+	t.beginSlice()
+	t.pass(op, addr)
+	t.applySlices(slices, false)
+}
+
+// pass records the operation, passes the turn and leaves the monitor.
+//
+//detvet:releases t.exec.mu
+func (t *thread) pass(op string, addr api.Addr) {
+	t.exec.syncEvent(t, op, addr)
+	t.finishOpLocked()
+	t.exec.leave(t)
+}
+
+// block is the frame's blocking tail, in place of the leave half: the thread
+// is marked blocked at the site format describes, passes the turn, leaves the
+// monitor and sleeps. Its waker has done its acquire for it and hands it the
+// result (prepareAcquireLocked, exitLocked, the barrier's last arrival), so
+// nothing after the wake touches shared state: the thread installs the wake
+// event's virtual time, starts its next slice, records op and applies the
+// slices the event carries.
+//
+//detvet:releases t.exec.mu
+func (t *thread) block(op string, addr api.Addr, format string, ops ...uint64) {
+	t.blockLocked(format, ops...)
+	t.finishOpLocked()
+	t.exec.leave(t)
+	ev := t.sleep()
+	t.vt = ev.vt
+	if op == "join" {
+		// The tail's one asymmetry: a woken joiner ticks past its operation
+		// twice, and the kendo= field of every blocked join in the pinned
+		// traces carries the second tick.
+		t.finishOpLocked()
+	}
+	t.beginSlice()
+	t.exec.syncEvent(t, op, addr)
+	t.applySlices(ev.slices, false)
+}
+
+// abortLocked fails the execution with the thread's misuse, described by
+// format and args, and leaves the monitor. It returns errAborted, for the
+// caller to panic with: the explicit panic ends the path where lockcheck can
+// see it.
+//
+//detvet:releases t.exec.mu
+func (t *thread) abortLocked(format string, args ...any) error {
+	t.exec.failLocked(fmt.Errorf("rfdet: thread %d: %s", t.id, fmt.Sprintf(format, args...)))
+	t.exec.leave(t)
+	return errAborted
+}
+
 // finishOpLocked advances the Kendo clock past the synchronization operation
 // itself. This must happen only after the operation's monitor work is done:
 // bumping earlier could make another thread eligible and let it contend for
@@ -102,55 +180,36 @@ func (t *thread) finishOpLocked() {
 // host time only, since every charge and counter is in the commit.
 func (t *thread) Lock(m api.Addr) {
 	t.turn()
-	e := t.exec
-	e.enter(t)
+	t.exec.enter(t)
 	t.st.Locks++
-	sv := e.syncvar(m)
+	sv := t.exec.syncvar(m)
 
 	if sv.held {
 		if sv.owner == t.id {
-			e.failLocked(fmt.Errorf("rfdet: thread %d: recursive lock of mutex %#x", t.id, uint64(m)))
-			e.leave(t)
-			panic(errAborted)
+			panic(t.abortLocked("recursive lock of mutex %#x", uint64(m)))
 		}
 		// Contended: end the slice, reserve our place in the deterministic
-		// grant queue, pre-merge (prelock, §4.5), and sleep.
+		// grant queue, pre-merge (prelock, §4.5), and sleep. The releaser hands
+		// us ownership with the acquire already done (prepareAcquireLocked).
 		t.endSliceLocked()
 		sv.lockQ.push(t.id)
 		t.prelockLocked(sv)
-		t.blockLocked("lock %#x", uint64(m))
-		t.finishOpLocked()
-		e.leave(t)
-
-		// The releaser hands us ownership with the acquire already done
-		// (prepareAcquireLocked); nothing below touches shared state.
-		ev := t.sleep()
-		t.vt = ev.vt
-		t.beginSlice()
-		e.syncEvent(t, "lock", m)
-		t.applySlices(ev.slices, false)
+		t.block("lock", m, "lock %#x", uint64(m))
 		return
 	}
 
 	sv.held = true
 	sv.owner = t.id
-	if e.opts.SliceMerging && sv.lastTid == int32(t.id) {
+	if t.exec.opts.SliceMerging && sv.lastTid == int32(t.id) {
 		// Slice merging (§4.5): the last release of this variable was ours,
 		// so no remote updates can be pending and the current slice may
 		// simply continue across the acquire.
 		t.st.SlicesMerged++
-		e.syncEvent(t, "lock*", m)
-		t.finishOpLocked()
-		e.leave(t)
+		t.pass("lock*", m)
 		return
 	}
 	t.endSliceLocked()
-	slices := t.acquireCollectLocked(sv)
-	t.beginSlice()
-	e.syncEvent(t, "lock", m)
-	t.finishOpLocked()
-	e.leave(t)
-	t.applySlices(slices, false)
+	t.end("lock", m, t.acquireCollectLocked(sv))
 }
 
 // syncvar returns (creating if needed) the internal synchronization variable
@@ -183,29 +242,27 @@ func (e *exec) handoffLocked(sv *syncVar, releaser *thread) {
 // Unlock implements pthread_mutex_unlock (§4.1): a release that records
 // lastTid/lastTime before the variable is handed over.
 func (t *thread) Unlock(m api.Addr) {
-	t.turn()
-	s := t.finishSlice()
-	e := t.exec
-	e.enter(t)
-	t.st.Unlocks++
-	sv := e.syncvar(m)
+	s := t.begin(&t.st.Unlocks)
+	sv := t.exec.syncvar(m)
 	if !sv.held || sv.owner != t.id {
-		e.failLocked(fmt.Errorf("rfdet: thread %d: unlock of mutex %#x not held by it", t.id, uint64(m)))
-		e.leave(t)
-		panic(errAborted)
+		panic(t.abortLocked("unlock of mutex %#x not held by it", uint64(m)))
 	}
-	tend := t.commitSliceLocked(s)
+	t.unlockLocked(sv, t.commitSliceLocked(s))
+	t.end("unlock", m, nil)
+}
+
+// unlockLocked releases mutex sv at the just-ended slice's timestamp tend: it
+// goes to the head of its queue if anyone waits, and is free otherwise.
+//
+//detvet:holds exec.mu
+func (t *thread) unlockLocked(sv *syncVar, tend vclock.VC) {
 	t.releaseLocked(sv, tend)
 	if sv.lockQ.len() > 0 {
-		e.handoffLocked(sv, t)
-	} else {
-		sv.held = false
-		sv.owner = -1
+		t.exec.handoffLocked(sv, t)
+		return
 	}
-	t.beginSlice()
-	e.syncEvent(t, "unlock", m)
-	t.finishOpLocked()
-	e.leave(t)
+	sv.held = false
+	sv.owner = -1
 }
 
 // releaseLocked records this thread as the variable's last releaser, with
@@ -220,75 +277,47 @@ func (t *thread) releaseLocked(sv *syncVar, tend vclock.VC) {
 // itself, then (after the signal) an acquire of both the signaler's release
 // and the mutex (§4.1).
 func (t *thread) Wait(c, m api.Addr) {
-	t.turn()
-	s := t.finishSlice()
+	s := t.begin(&t.st.Waits)
 	e := t.exec
-	e.enter(t)
-	t.st.Waits++
 	svm := e.syncvar(m)
 	if !svm.held || svm.owner != t.id {
-		e.failLocked(fmt.Errorf("rfdet: thread %d: cond wait with mutex %#x not held", t.id, uint64(m)))
-		e.leave(t)
-		panic(errAborted)
+		panic(t.abortLocked("cond wait with mutex %#x not held", uint64(m)))
 	}
 	tend := t.commitSliceLocked(s)
 	// Queue on the condition variable, in deterministic order. The handoff
 	// below wakes the next owner, whose frozen Kendo clock is below ours: it
 	// wins the turn at once, and its next operation waits at enter until this
 	// section is over — so its signal finds us queued and Blocked.
-	svc := e.syncvar(c)
-	svc.condQ.push(condEntry{tid: t.id, mutex: m})
+	e.syncvar(c).condQ.push(condEntry{tid: t.id, mutex: m})
 	// Release the mutex — exactly like Unlock, including the prelock
 	// pre-merge for the waiters that stay queued: a release performed inside
 	// pthread_cond_wait is a release like any other, and skipping the
 	// pre-merge here silently lost the §4.5 overlap on condvar-heavy
 	// workloads.
-	t.releaseLocked(svm, tend)
-	if svm.lockQ.len() > 0 {
-		e.handoffLocked(svm, t)
-	} else {
-		svm.held = false
-		svm.owner = -1
-	}
+	t.unlockLocked(svm, tend)
 	e.syncEvent(t, "wait", c)
-	t.blockLocked("cond wait %#x (mutex %#x)", uint64(c), uint64(m))
-	t.finishOpLocked()
-	e.leave(t)
-
 	// We are woken only once we own the mutex again (the signaler either
 	// granted it directly or queued us on it); whoever handed the mutex
 	// over performed both our acquires — the signaler's release and the
 	// mutex release — on our behalf.
-	ev := t.sleep()
-	t.vt = ev.vt
-	t.beginSlice()
-	e.syncEvent(t, "wake", c)
-	t.applySlices(ev.slices, false)
+	t.block("wake", c, "cond wait %#x (mutex %#x)", uint64(c), uint64(m))
 }
 
 // Signal implements pthread_cond_signal (§4.1): a release whose timestamp
 // is delivered to the one waiter it wakes.
-func (t *thread) Signal(c api.Addr) {
-	t.signal(c, false)
-}
+func (t *thread) Signal(c api.Addr) { t.signal(c, false) }
 
 // Broadcast implements pthread_cond_broadcast: like Signal, for all waiters,
 // woken in deterministic queue order.
-func (t *thread) Broadcast(c api.Addr) {
-	t.signal(c, true)
-}
+func (t *thread) Broadcast(c api.Addr) { t.signal(c, true) }
 
 func (t *thread) signal(c api.Addr, all bool) {
-	t.turn()
-	s := t.finishSlice()
+	tend := t.commitSliceLocked(t.begin(&t.st.Signals))
 	e := t.exec
-	e.enter(t)
-	t.st.Signals++
-	tend := t.commitSliceLocked(s)
 	svc := e.syncvar(c)
-	n := 1
+	n, op := 1, "signal"
 	if all {
-		n = svc.condQ.len()
+		n, op = svc.condQ.len(), "broadcast"
 	}
 	for i := 0; i < n && svc.condQ.len() > 0; i++ {
 		entry := svc.condQ.pop()
@@ -303,14 +332,7 @@ func (t *thread) signal(c api.Addr, all bool) {
 			e.wakeLocked(w, e.prepareAcquireLocked(w, svm, t.vt))
 		}
 	}
-	t.beginSlice()
-	if all {
-		e.syncEvent(t, "broadcast", c)
-	} else {
-		e.syncEvent(t, "signal", c)
-	}
-	t.finishOpLocked()
-	e.leave(t)
+	t.end(op, c, nil)
 }
 
 // Barrier implements a pthreads-style barrier (§4.1): both an acquire and a
@@ -339,28 +361,17 @@ func (t *thread) Barrier(b api.Addr, n int) {
 		t.exec.fail(fmt.Errorf("rfdet: thread %d: barrier with count %d", t.id, n))
 		panic(errAborted)
 	}
-	t.turn()
-	s := t.finishSlice()
-	e := t.exec
-	e.enter(t)
-	t.st.Barriers++
-	tend := t.commitSliceLocked(s)
+	tend := t.commitSliceLocked(t.begin(&t.st.Barriers))
 	t.flushAllPending(true)
+	e := t.exec
 	sv := e.syncvar(b)
 	sv.barArrivals = append(sv.barArrivals, barArrival{tid: t.id, v: tend, vt: t.vt})
 	if len(sv.barArrivals) < n {
-		t.blockLocked("barrier %#x (%d/%d)", uint64(b), uint64(len(sv.barArrivals)), uint64(n))
-		t.finishOpLocked()
-		e.leave(t)
 		// The last arrival merges on our behalf and hands us the merged
-		// memory; nothing after the wake touches shared state.
-		ev := t.sleep()
-		t.vt = ev.vt
-		t.beginSlice()
-		e.syncEvent(t, "barrier", b)
+		// memory.
+		t.block("barrier", b, "barrier %#x (%d/%d)", uint64(b), uint64(len(sv.barArrivals)), uint64(n))
 		return
 	}
-
 	// Last arrival: perform the merge on behalf of everyone. All other
 	// arrivals are provably blocked, so their thread state may be mutated
 	// under the monitor.
@@ -429,30 +440,22 @@ func (t *thread) Barrier(b api.Addr, n int) {
 		e.wakeLocked(e.threads[a.tid], wakeEvent{vt: releaseVT})
 	}
 	t.vt = vtime.Max(t.vt, releaseVT)
-	t.beginSlice()
-	e.syncEvent(t, "barrier", b)
-	t.finishOpLocked()
-	e.leave(t)
+	t.end("barrier", b, nil)
 }
 
 // Spawn implements pthread_create (§4.1): a release. The child inherits the
 // parent's memory by copy-on-write cloning and the parent's slice-pointer
 // list, and gets the next deterministic thread ID.
 func (t *thread) Spawn(fn api.ThreadFunc) api.ThreadID {
-	t.turn()
-	// Pages with lazily pended updates are never snapshotted (the flush
-	// happens before the snapshot on first touch), so the pre-cut diff
-	// commutes with the flush below.
-	s := t.finishSlice()
+	s := t.begin(&t.st.Forks)
 	e := t.exec
-	e.enter(t)
-	t.st.Forks++
 	if len(e.threads) >= alloc.MaxThreads {
-		e.failLocked(fmt.Errorf("rfdet: thread %d: too many threads (max %d)", t.id, alloc.MaxThreads))
-		e.leave(t)
-		panic(errAborted)
+		panic(t.abortLocked("too many threads (max %d)", alloc.MaxThreads))
 	}
 	// Lazily pended updates must be resident before the memory is cloned.
+	// Pages with pended updates are never snapshotted (the flush happens
+	// before the snapshot on first touch), so the pre-cut diff commutes with
+	// this flush.
 	t.flushAllPending(true)
 	tend := t.commitSliceLocked(s)
 
@@ -495,54 +498,31 @@ func (t *thread) Spawn(fn api.ThreadFunc) api.ThreadID {
 	e.wg.Add(1)
 	//detvet:nativesync thread bodies run on goroutines; determinism comes from Kendo turns, not goroutine scheduling.
 	go e.runThread(child)
-	t.beginSlice()
-	e.syncEvent(t, "spawn", api.Addr(id))
-	t.finishOpLocked()
-	e.leave(t)
+	t.end("spawn", api.Addr(id), nil)
 	return id
 }
 
 // Join implements pthread_join (§4.1): an acquire of the joined thread's
 // exit release; all of the child's modifications are propagated here.
 func (t *thread) Join(id api.ThreadID) {
-	t.turn()
-	s := t.finishSlice()
+	s := t.begin(&t.st.Joins)
 	e := t.exec
-	e.enter(t)
-	t.st.Joins++
 	if id < 0 || int(id) >= len(e.threads) {
-		e.failLocked(fmt.Errorf("rfdet: thread %d: join of unknown thread %d", t.id, id))
-		e.leave(t)
-		panic(errAborted)
+		panic(t.abortLocked("join of unknown thread %d", id))
 	}
 	if id == t.id {
-		e.failLocked(fmt.Errorf("rfdet: thread %d: join of itself", t.id))
-		e.leave(t)
-		panic(errAborted)
+		panic(t.abortLocked("join of itself"))
 	}
 	target := e.threads[id]
 	t.commitSliceLocked(s)
 	if target.proc.Status() != kendo.Exited {
-		target.joiners = append(target.joiners, t)
-		t.blockLocked("join of thread %d", uint64(id))
-		t.finishOpLocked()
-		e.leave(t)
 		// The exiting thread performs our acquire of its exit release
-		// (threadExit) and hands us the slices to apply.
-		ev := t.sleep()
-		t.vt = ev.vt
-		t.finishOpLocked()
-		t.beginSlice()
-		e.syncEvent(t, "join", api.Addr(id))
-		t.applySlices(ev.slices, false)
+		// (exitLocked) and hands us the slices to apply.
+		target.joiners = append(target.joiners, t)
+		t.block("join", api.Addr(id), "join of thread %d", uint64(id))
 		return
 	}
-	slices := t.acquireFromCollectLocked(int32(target.id), target.exitV, target.exitVT)
-	t.beginSlice()
-	e.syncEvent(t, "join", api.Addr(id))
-	t.finishOpLocked()
-	e.leave(t)
-	t.applySlices(slices, false)
+	t.end("join", api.Addr(id), t.acquireFromCollectLocked(int32(target.id), target.exitV, target.exitVT))
 }
 
 // AtomicAdd64 is the §4.6 low-level-atomics extension: a Kendo-ordered
@@ -573,11 +553,8 @@ func (t *thread) AtomicCAS64(a api.Addr, old, new uint64) bool {
 // variable's last release. The write itself bypasses slice monitoring — it
 // is carried by the micro-slice, not by page diffing.
 func (t *thread) atomicOp(a api.Addr, op func(cur uint64) (newVal uint64, wrote bool)) {
-	t.turn()
-	s := t.finishSlice()
+	s := t.begin(&t.st.AtomicsOps)
 	e := t.exec
-	e.enter(t)
-	t.st.AtomicsOps++
 	sv := e.syncvar(a)
 	t.commitSliceLocked(s)
 	// The acquired updates must be resident (or pended) before the word is
@@ -612,30 +589,13 @@ func (t *thread) atomicOp(a api.Addr, op func(cur uint64) (newVal uint64, wrote 
 		e.races.Record(acc)
 	}
 	if wrote {
-		data := make([]byte, 8)
-		for i := 0; i < 8; i++ {
-			data[i] = byte(newVal >> (8 * i))
-		}
-		run := mem.Run{Addr: uint64(a), Data: data}
-		t.space.ApplyRuns([]mem.Run{run})
-		micro := &slicestore.Slice{
-			Tid:   int32(t.id),
-			Time:  t.vtime.Clone(),
-			Mods:  []mem.Run{run},
-			Bytes: 8,
-		}
-		t.st.SlicesCreated++
-		t.slicePtrs = append(t.slicePtrs, micro)
-		if e.store.Commit(micro) {
-			e.gcLocked()
-		}
-		t.vtime = t.vtime.Bump(int(t.id))
-		// The micro-slice's stamp is the pre-bump clock: share it as the
-		// release time, as commitSliceLocked does.
-		t.releaseLocked(sv, micro.Time)
+		mods := []mem.Run{{Addr: uint64(a), Data: binary.LittleEndian.AppendUint64(make([]byte, 0, 8), newVal)}}
+		t.space.ApplyRuns(mods)
+		// The micro-slice is published like any slice, and its stamp, the
+		// pre-bump clock, is the release time. The access above is its race
+		// record, so it skips commitSliceLocked's.
+		micro := &slicestore.Slice{Tid: int32(t.id), Time: t.vtime.Clone(), Mods: mods, Bytes: 8}
+		t.releaseLocked(sv, t.publishSliceLocked(micro))
 	}
-	t.beginSlice()
-	e.syncEvent(t, "atomic", a)
-	t.finishOpLocked()
-	e.leave(t)
+	t.end("atomic", a, nil)
 }

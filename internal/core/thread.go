@@ -492,21 +492,35 @@ func (t *thread) finishSlice() *slicestore.Slice {
 	}
 }
 
-// commitSliceLocked publishes a slice finished off-monitor: it appends the
-// slice (if any) to the metadata space and this thread's slice-pointer list,
-// then advances the thread's vector clock so every later slice is strictly
-// newer (§4.2). It returns the pre-bump clock — the timestamp a release
-// operation must publish as lastTime: using the post-bump clock would let a
-// slice committed later (with the bumped component) appear already-seen to a
-// thread that joined this release's time, silently losing its modifications.
-// A commit that crosses the metadata threshold runs the garbage-collection
-// pass then and there.
+// commitSliceLocked commits a slice finished off-monitor: it publishes the
+// slice (publishSliceLocked) and hands its access footprint to the race
+// detector, if one is on. It returns the pre-bump clock — the timestamp a
+// release operation must publish as lastTime: using the post-bump clock would
+// let a slice committed later (with the bumped component) appear already-seen
+// to a thread that joined this release's time, silently losing its
+// modifications.
 //
 //detvet:holds exec.mu
 func (t *thread) commitSliceLocked(s *slicestore.Slice) vclock.VC {
+	tend := t.publishSliceLocked(s)
+	if t.exec.races != nil {
+		t.recordAccessLocked(s, tend)
+	}
+	return tend
+}
+
+// publishSliceLocked appends the slice (if any) to the metadata space and this
+// thread's slice-pointer list, then advances the thread's vector clock so
+// every later slice is strictly newer (§4.2), and returns the pre-bump clock.
+// A commit that crosses the metadata threshold runs the garbage-collection
+// pass then and there. An atomic publishes its micro-slice here directly: it
+// makes its own race record.
+//
+//detvet:holds exec.mu
+func (t *thread) publishSliceLocked(s *slicestore.Slice) vclock.VC {
 	var tend vclock.VC
 	if s != nil {
-		// finishSlice stamped s with a clone of this very clock (the turn has
+		// The slice was stamped with a clone of this very clock (the turn has
 		// been held since, so t.vtime has not moved), and a published clock is
 		// only ever read or cloned, never a Join or Bump receiver: share it.
 		tend = s.Time
@@ -517,9 +531,6 @@ func (t *thread) commitSliceLocked(s *slicestore.Slice) vclock.VC {
 		}
 	} else {
 		tend = t.vtime.Clone()
-	}
-	if t.exec.races != nil {
-		t.recordAccessLocked(s, tend)
 	}
 	t.vtime = t.vtime.Bump(int(t.id))
 	return tend
