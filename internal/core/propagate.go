@@ -57,7 +57,7 @@ import (
 // nothing about it (a concurrent slice t never acquires can sit in front of
 // any number of slices it has). With Options.Validate the paper's whole-list
 // scan runs beside the window and the two results are compared
-// (collectFullScan).
+// (collectFullScan). Both filters compare one clock component (seenBy).
 //
 //detvet:holds exec.mu
 func (t *thread) collectLocked(from *thread, upper vclock.VC) []*slicestore.Slice {
@@ -72,7 +72,7 @@ func (t *thread) collectLocked(from *thread, upper vclock.VC) []*slicestore.Slic
 	start := min(from.markFor(t.id), len(list))
 	t.st.CollectScanned += uint64(len(list) - start)
 	mark := start
-	for mark < len(list) && list[mark].Time.Leq(lower) {
+	for mark < len(list) && seenBy(list[mark], lower) {
 		t.st.SlicesFilteredLow++
 		mark++
 	}
@@ -84,7 +84,7 @@ func (t *thread) collectLocked(from *thread, upper vclock.VC) []*slicestore.Slic
 	// wakeEvent.slices, where it outlives any number of later collects.
 	picked := t.scratch.picked[:0]
 	for i, s := range list[mark:] {
-		if s.Time.Leq(lower) {
+		if seenBy(s, lower) {
 			t.st.SlicesFilteredLow++
 			continue
 		}
@@ -92,7 +92,7 @@ func (t *thread) collectLocked(from *thread, upper vclock.VC) []*slicestore.Slic
 			t.st.SlicesFilteredPremerged++
 			continue
 		}
-		if s.Time.Leq(upper) {
+		if seenBy(s, upper) {
 			picked = append(picked, int32(mark+i))
 		}
 	}
@@ -110,9 +110,30 @@ func (t *thread) collectLocked(from *thread, upper vclock.VC) []*slicestore.Slic
 	return out
 }
 
+// seenBy reports s.Time ≤ v by comparing the one component of s's creator,
+// which is exact for every clock a collection compares against (the
+// consistent-cut argument, after Louvre's one-version-number-per-thread
+// test):
+//   - every such clock is a join of clocks this runtime published: a thread's
+//     vtime, a release's pre-bump clock, a barrier's merged clock, or, in the
+//     prelock pre-merge, the lock holder's live clock;
+//   - a thread's clock only grows, and each commit stamps the slice with the
+//     thread's clock and then bumps the thread's own component;
+//   - so a published clock whose component c has reached k joined a clock of
+//     thread c from no earlier than the end of c's slice k, and dominates the
+//     clock c stamped on that slice.
+//
+// A clock built by hand can break the property. collectFullScan keeps the full
+// vclock.Leq as the reference, and Options.Validate checks the property on
+// every list against every thread's final clock (validateLocked).
+func seenBy(s *slicestore.Slice, v vclock.VC) bool {
+	return s.Time.Get(int(s.Tid)) <= v.Get(int(s.Tid))
+}
+
 // collectFullScan is the propagation filter exactly as §4.3 and Figure 5
-// state it — every slice of from's list against upperlimit and lowerlimit —
-// kept as the reference collectLocked's window is compared with under
+// state it — every slice of from's list against upperlimit and lowerlimit,
+// by full vector-clock comparison — kept as the reference collectLocked's
+// window and its creator-component test are compared with under
 // Options.Validate. It counts nothing and no caller can select it.
 func (t *thread) collectFullScan(from *thread, upper vclock.VC) []*slicestore.Slice {
 	var out []*slicestore.Slice

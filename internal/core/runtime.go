@@ -149,7 +149,7 @@ type exec struct {
 	chunk  chunking // when a thread publishes its Kendo clock (thread.tick)
 	sched  *kendo.Sched
 	alloc  *alloc.Allocator
-	store  *slicestore.MapStore
+	store  *slicestore.Store
 	tracer *tracer
 	// phases is the phase-level observability collector (nil unless
 	// Options.PhaseTrace): per-thread wall-clock span buffers, rendered
@@ -678,7 +678,13 @@ func (e *exec) gcLocked() {
 		}
 	}
 	frontier := vclock.MeetAll(clocks)
-	e.store.Collect(frontier)
+	if e.store.Collect(frontier) == 0 {
+		// Every list holds only slices the store still holds (a slice is
+		// committed as it is first listed, and each pass that frees trims
+		// every list by the same frontier), so with nothing freed every trim
+		// would be the identity and every collection window stays valid.
+		return
+	}
 	for _, t := range e.threads {
 		// The trim shifts every surviving slice's position.
 		t.slicePtrs = slicestore.TrimList(t.slicePtrs, frontier)

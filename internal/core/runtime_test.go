@@ -94,6 +94,35 @@ func TestStatsUnderMetadataPressureIndependentOfHost(t *testing.T) {
 	}
 }
 
+// TestEmptyGCPassesLeaveCollectionAlone: a GC pass that frees nothing trims no
+// list and voids no collection window. water-ns at test size frees nothing in
+// a small metadata space (GCCount 0), so it must scan exactly what it scans in
+// the default space, where no pass fires, and compute the same result. At
+// 8 KiB the trigger fires empty passes; a pass that forgot every reader's
+// mark made the next collections rescan their whole lists.
+func TestEmptyGCPassesLeaveCollectionAlone(t *testing.T) {
+	prog := workloads.WaterNS(workloads.Config{Threads: 4, Size: workloads.SizeTest})
+	base := run(t, DefaultOptions(), prog)
+	for _, capacity := range []uint64{64 << 10, 16 << 10, 8 << 10} {
+		opts := DefaultOptions()
+		opts.MetadataCapacity = capacity
+		rep := run(t, opts, prog)
+		if rep.Stats.GCCount != 0 {
+			t.Fatalf("%d KiB: GCCount = %d, want 0 (this test needs passes that free nothing)", capacity>>10, rep.Stats.GCCount)
+		}
+		if capacity == 8<<10 && rep.Stats.GCEmptyPasses == 0 {
+			t.Fatal("8 KiB: no empty GC pass fired")
+		}
+		if rep.Stats.CollectScanned != base.Stats.CollectScanned {
+			t.Errorf("%d KiB: CollectScanned = %d, default capacity scans %d", capacity>>10, rep.Stats.CollectScanned, base.Stats.CollectScanned)
+		}
+		if rep.OutputHash != base.OutputHash || rep.VirtualTime != base.VirtualTime {
+			t.Errorf("%d KiB: output %x at virtual time %d, default capacity %x at %d",
+				capacity>>10, rep.OutputHash, rep.VirtualTime, base.OutputHash, base.VirtualTime)
+		}
+	}
+}
+
 // TestMemoryFootprintEquations checks the §5.4 equations: RFDet's footprint
 // is N*SharedMemory + MetadataSpaceMemory.
 func TestMemoryFootprintEquations(t *testing.T) {

@@ -33,6 +33,22 @@ func (e *exec) validateLocked() error {
 			seen[key] = s
 		}
 	}
+	// The creator-component test collectLocked filters with (seenBy) agrees
+	// with the full vector-clock comparison for every listed slice against
+	// every thread's final clock. This runs before the list-order check,
+	// which the server programs fail under Prelock (ROADMAP item 7), so that
+	// it runs on them too.
+	for _, t := range e.threads {
+		for _, s := range t.slicePtrs {
+			for _, r := range e.threads {
+				v := r.finalClock()
+				if seenBy(s, v) != s.Time.Leq(v) {
+					return fmt.Errorf("rfdet: validate: slice %s by thread %d against thread %d's clock %s: creator component says %t, vector clock says %t",
+						s.Time, s.Tid, r.id, v, seenBy(s, v), s.Time.Leq(v))
+				}
+			}
+		}
+	}
 	for _, t := range e.threads {
 		// 1. The slice-pointer list respects happens-before: a slice never
 		//    appears after one that happens-after it, because propagation

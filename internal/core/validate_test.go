@@ -8,6 +8,7 @@ import (
 	"rfdet/internal/mem"
 	"rfdet/internal/slicestore"
 	"rfdet/internal/vclock"
+	"rfdet/internal/workloads"
 )
 
 // fakeThread builds a minimal thread for white-box validator tests.
@@ -119,6 +120,21 @@ func TestValidatorCatchesStaleMark(t *testing.T) {
 	}
 }
 
+// TestValidatorCatchesCreatorComponentMismatch: a clock that has reached a
+// slice's creator component without dominating the slice breaks the property
+// collectLocked's filter relies on, and must be reported.
+func TestValidatorCatchesCreatorComponentMismatch(t *testing.T) {
+	e := newTestExec()
+	holder := fakeThread(e, 0, vclock.VC{3, 9})
+	reader := fakeThread(e, 1, vclock.VC{0, 4}) // thread 1's component 4, but not thread 0's 3
+	holder.slicePtrs = []*slicestore.Slice{sliceWith(1, vclock.VC{3, 4})}
+	e.threads = append(e.threads, holder, reader)
+	err := e.validateLocked()
+	if want := "rfdet: validate: slice [3 4] by thread 1 against thread 1's clock [0 4]: creator component says true, vector clock says false"; err == nil || err.Error() != want {
+		t.Fatalf("expected %q, got %v", want, err)
+	}
+}
+
 // TestValidatorReportsCollectMismatch: a window/full-scan disagreement
 // recorded during the run is what validation returns.
 func TestValidatorReportsCollectMismatch(t *testing.T) {
@@ -135,5 +151,37 @@ func TestValidatorReportsCollectMismatch(t *testing.T) {
 	err := e.validateLocked()
 	if want := "thread 0 collect from 1: window 1.. returned 1 slices, full scan 2"; err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("expected %q, got %v", want, err)
+	}
+}
+
+// TestServerLogsUnderValidate runs the KV server under Options.Validate on
+// the golden request log and the next 15 logs the benchmark's panel draws
+// from it (splitmix64 seeded with DefaultServerSeed). validateLocked reports
+// a collection that disagreed with the full-scan reference first, so each
+// run must pass, or fail only the list-order check the server programs fail
+// under Prelock (ROADMAP item 7): the window and the creator-component
+// filter then agree with the full scan on the one workload the benchmark
+// does not validate. Under -race, where a run takes 30 times as long, the
+// golden log and the first three drawn ones run.
+func TestServerLogsUnderValidate(t *testing.T) {
+	const known = "list order violates happens-before"
+	seeds := []uint64{workloads.DefaultServerSeed}
+	r := workloads.DefaultServerSeed
+	for len(seeds) < 16 {
+		r += 0x9e3779b97f4a7c15
+		z := (r ^ (r >> 30)) * 0xbf58476d1ce4e5b9
+		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+		seeds = append(seeds, z^(z>>31))
+	}
+	if raceBuild() {
+		seeds = seeds[:4]
+	}
+	opts := DefaultOptions()
+	opts.Validate = true
+	for _, seed := range seeds {
+		prog := workloads.ServerSeeded(workloads.Config{Threads: 4, Size: workloads.SizeTest}, seed)
+		if _, err := New(opts).Run(prog); err != nil && !strings.Contains(err.Error(), known) {
+			t.Errorf("seed %#x: %v", seed, err)
+		}
 	}
 }

@@ -18,25 +18,23 @@ func BenchmarkSliceStoreChurn(b *testing.B) {
 	const runBytes = 256
 	const collectEvery = 64
 
-	b.Run("map", func(b *testing.B) {
-		st := NewStore(1<<30, 90)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			mods := make([]mem.Run, runsPerSlice)
-			for r := range mods {
-				data := make([]byte, runBytes)
-				mods[r] = mem.Run{Addr: uint64(r * runBytes), Data: data}
-			}
-			s := &Slice{
-				Tid:   int32(i % 4),
-				Time:  vclock.VC{uint64(i + 1)},
-				Mods:  mods,
-				Bytes: runsPerSlice * runBytes,
-			}
-			st.Commit(s)
-			if i%collectEvery == collectEvery-1 {
-				st.Collect(vclock.VC{uint64(i + 1)})
-			}
+	st := NewStore(1<<30, 90)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		mods := make([]mem.Run, runsPerSlice)
+		for r := range mods {
+			data := make([]byte, runBytes)
+			mods[r] = mem.Run{Addr: uint64(r * runBytes), Data: data}
 		}
-	})
+		s := &Slice{
+			Tid:   int32(i % 4),
+			Time:  vclock.VC{uint64(i + 1)},
+			Mods:  mods,
+			Bytes: runsPerSlice * runBytes,
+		}
+		st.Commit(s)
+		if i%collectEvery == collectEvery-1 {
+			st.Collect(vclock.VC{uint64(i + 1)})
+		}
+	}
 }

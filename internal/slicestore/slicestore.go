@@ -8,8 +8,8 @@
 // propagation (§4.3), so the store also plays the role of the paper's
 // metadata space: it accounts for the memory slices and page snapshots
 // consume and triggers garbage collection when the committed slices cross a
-// threshold. The metadata space is MapStore, a mutex-guarded map of live
-// slices with a frontier sweep.
+// threshold. The metadata space is Store, a mutex-guarded list of live
+// slices in commit order with a frontier sweep.
 package slicestore
 
 import (
@@ -56,8 +56,9 @@ const (
 	DefaultGCThresholdPct = 90
 )
 
-// MapStore is the metadata space: a single mutex-guarded map of live slices
-// with a full-sweep Collect.
+// Store is the metadata space: a single mutex-guarded, append-only list of
+// live slices in commit order, with a full-sweep Collect that filters it in
+// place.
 //
 // Usage accounting (used, highWater) and the scalar counters are plain
 // atomics, so AllocSnapshot, which the store path of a running slice calls
@@ -66,11 +67,11 @@ const (
 // only Commit and Collect change, and the runtime calls both under the
 // deterministic turn. A trigger that counted snapshots would fire at
 // host-chosen moments, and a pass cannot free a snapshot anyway.
-type MapStore struct {
+type Store struct {
 	//detvet:lockorder 30
-	mu sync.Mutex //detvet:nativesync guards the live-slice map and its cost; snapshot charging is lock-free, because it runs off the monitor
+	mu sync.Mutex //detvet:nativesync guards the live-slice list and its cost; snapshot charging is lock-free, because it runs off the monitor
 	//detvet:guardedby mu
-	slices map[uint64]*Slice
+	slices []*Slice
 	//detvet:guardedby mu
 	sliceBytes uint64
 	//detvet:notguarded fixed at construction, immutable thereafter
@@ -87,15 +88,14 @@ type MapStore struct {
 
 // NewStore returns a metadata space with the given capacity (0 means
 // DefaultCapacity) and GC threshold percentage (0 means 90).
-func NewStore(capacity uint64, thresholdPct int) *MapStore {
+func NewStore(capacity uint64, thresholdPct int) *Store {
 	if capacity == 0 {
 		capacity = DefaultCapacity
 	}
 	if thresholdPct <= 0 || thresholdPct > 100 {
 		thresholdPct = DefaultGCThresholdPct
 	}
-	return &MapStore{
-		slices:   make(map[uint64]*Slice),
+	return &Store{
 		capacity: capacity,
 		// Multiply before dividing: capacity/100*pct truncates the quotient
 		// first, which for capacities that are not multiples of 100 rounds
@@ -109,28 +109,28 @@ func NewStore(capacity uint64, thresholdPct int) *MapStore {
 // It keeps the name bench/layers.go calls for its slicestore.* rows while
 // bench/ is frozen; the benchmark's next revision (ROADMAP item 1) calls
 // NewStore there and deletes this constructor.
-func NewEpochStore(capacity uint64, thresholdPct, stripes int) *MapStore {
+func NewEpochStore(capacity uint64, thresholdPct, stripes int) *Store {
 	return NewStore(capacity, thresholdPct)
 }
 
 // Capacity returns the configured metadata-space size.
-func (st *MapStore) Capacity() uint64 { return st.capacity }
+func (st *Store) Capacity() uint64 { return st.capacity }
 
 // GCThreshold returns the committed-slice cost (bytes) at which Commit
 // requests a garbage-collection pass.
-func (st *MapStore) GCThreshold() uint64 { return st.gcThreshold }
+func (st *Store) GCThreshold() uint64 { return st.gcThreshold }
 
 // AllocSnapshot charges one page snapshot to the metadata space (taken on
 // the first write to a page within a slice, Figure 4).
-func (st *MapStore) AllocSnapshot() { st.charge(mem.PageSize) }
+func (st *Store) AllocSnapshot() { st.charge(mem.PageSize) }
 
 // FreeSnapshot releases one page snapshot's accounting: the paper frees
 // snapshot memory immediately after the byte-granularity modification list
 // is built by page diffing (§5.4).
-func (st *MapStore) FreeSnapshot() { st.charge(-mem.PageSize) }
+func (st *Store) FreeSnapshot() { st.charge(-mem.PageSize) }
 
 // charge adjusts usage by delta and raises the high-water mark to it.
-func (st *MapStore) charge(delta int64) {
+func (st *Store) charge(delta int64) {
 	used := st.used.Add(delta)
 	for {
 		hw := st.highWater.Load()
@@ -144,18 +144,18 @@ func (st *MapStore) charge(delta int64) {
 // slices' cost has reached the GC threshold, in which case the caller should
 // garbage-collect.
 //
-// The charge lands before the slice is published to the map: a Collect
+// The charge lands before the slice is published to the list: a Collect
 // racing this commit either misses the slice entirely or sees it with its
 // cost already in the budget, so the collection's credit always cancels a
 // charge that happened. Publishing first would let a racing Collect
 // delete-and-credit the slice before its own charge landed, permanently
 // inflating the budget by one slice cost.
-func (st *MapStore) Commit(s *Slice) (needGC bool) {
+func (st *Store) Commit(s *Slice) (needGC bool) {
 	s.ID = st.nextID.Add(1)
 	st.totalCreated.Add(1)
 	st.charge(int64(s.Cost()))
 	st.mu.Lock()
-	st.slices[s.ID] = s
+	st.slices = append(st.slices, s)
 	st.sliceBytes += s.Cost()
 	needGC = st.sliceBytes >= st.gcThreshold
 	st.mu.Unlock()
@@ -167,61 +167,64 @@ func (st *MapStore) Commit(s *Slice) (needGC bool) {
 // Collection") and can never again pass a propagation filter. It returns the
 // number of slices reclaimed.
 //
-// Victims are credited back to the budget before the mutex is released —
-// atomically with publishing the collection. Crediting after the unlock
-// opens a window in which the map no longer holds the victims but the
-// budget still charges for them, so a concurrent Used reading observes
-// inflated usage.
-func (st *MapStore) Collect(frontier vclock.VC) int {
+// The list is filtered in place, survivors keeping their commit order, and
+// its tail is cleared so the victims become unreachable. Victims are credited
+// back to the budget before the mutex is released — atomically with
+// publishing the collection. Crediting after the unlock opens a window in
+// which the list no longer holds the victims but the budget still charges
+// for them, so a concurrent Used reading observes inflated usage.
+func (st *Store) Collect(frontier vclock.VC) int {
 	st.mu.Lock()
-	var victims []*Slice
-	//detvet:orderfree victims is only summed over (Cost) and counted; membership, not order, matters. See TestCollectOrderFree.
-	for id, s := range st.slices {
+	live := st.slices[:0]
+	var freed uint64
+	for _, s := range st.slices {
 		if s.Time.Leq(frontier) {
-			victims = append(victims, s)
-			delete(st.slices, id)
+			freed += s.Cost()
+		} else {
+			live = append(live, s)
 		}
 	}
-	for _, s := range victims {
-		st.sliceBytes -= s.Cost()
-		st.charge(-int64(s.Cost()))
-	}
+	victims := len(st.slices) - len(live)
+	clear(st.slices[len(live):])
+	st.slices = live
+	st.sliceBytes -= freed
+	st.charge(-int64(freed))
 	st.mu.Unlock()
-	if len(victims) > 0 {
+	if victims > 0 {
 		st.gcCount.Add(1)
 	} else {
 		st.emptyGC.Add(1)
 	}
-	return len(victims)
+	return victims
 }
 
 // Used returns the current metadata-space usage in bytes.
-func (st *MapStore) Used() uint64 { return uint64(st.used.Load()) }
+func (st *Store) Used() uint64 { return uint64(st.used.Load()) }
 
 // HighWater returns the metadata-space usage high-water mark (the
 // MetadataSpaceMemory term in §5.4's footprint equation).
-func (st *MapStore) HighWater() uint64 { return uint64(st.highWater.Load()) }
+func (st *Store) HighWater() uint64 { return uint64(st.highWater.Load()) }
 
 // GCCount returns the number of Collect passes that reclaimed at least one
 // slice (Table 1, "GC"). Passes that found nothing below the frontier are
 // counted by EmptyGCCount instead.
-func (st *MapStore) GCCount() uint64 { return st.gcCount.Load() }
+func (st *Store) GCCount() uint64 { return st.gcCount.Load() }
 
 // EmptyGCCount returns the number of Collect passes that reclaimed nothing.
 // They are reported apart from GCCount so passes a threshold crossing
 // triggered before the frontier moved do not inflate the Table 1 "GC"
 // column.
-func (st *MapStore) EmptyGCCount() uint64 { return st.emptyGC.Load() }
+func (st *Store) EmptyGCCount() uint64 { return st.emptyGC.Load() }
 
 // Live returns the number of live slices.
-func (st *MapStore) Live() int {
+func (st *Store) Live() int {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	return len(st.slices)
 }
 
 // TotalCreated returns the number of slices ever committed.
-func (st *MapStore) TotalCreated() uint64 { return st.totalCreated.Load() }
+func (st *Store) TotalCreated() uint64 { return st.totalCreated.Load() }
 
 // trimShrinkFloor is the retained-length cap below which TrimList reallocates
 // instead of reslicing, when the backing array is at least 4x larger.

@@ -203,10 +203,9 @@ func TestGCThresholdRounding(t *testing.T) {
 	}
 }
 
-// TestCollectOrderFree backs Collect's //detvet:orderfree annotation: the
-// victim-selection loop ranges over the live-slice map, so its iteration
-// order is randomized — but the reclaimed count, the surviving set and the
-// usage accounting must come out identical every time.
+// TestCollectOrderFree: Collect filters the live-slice list in commit order,
+// so forty identical stores collected at one frontier must agree on the
+// reclaimed count, the surviving set and the usage accounting.
 func TestCollectOrderFree(t *testing.T) {
 	frontier := vclock.VC{5, 5, 5}
 	var wantCount, wantLive int
@@ -287,7 +286,8 @@ func TestCommitGCDecisionIgnoresConcurrentFrees(t *testing.T) {
 }
 
 // TestCollectPassAccounting: passes that reclaim nothing count as
-// GCEmptyPasses, never as GCCount. The subtest names the map store.
+// GCEmptyPasses, never as GCCount. The subtest keeps the name it had when the
+// store was a map.
 func TestCollectPassAccounting(t *testing.T) {
 	t.Run("map", func(t *testing.T) {
 		st := NewStore(1<<20, 90)
@@ -318,8 +318,8 @@ func TestCollectPassAccounting(t *testing.T) {
 // collector whose frontier always covers every committed slice. Any window
 // in which a slice is published-but-uncharged (or credited-but-published)
 // shows up as a nonzero final balance, and a committed cost Collect missed
-// shows up as a trigger that fires on an empty store. The subtest names the
-// map store.
+// shows up as a trigger that fires on an empty store. The subtest keeps the
+// name it had when the store was a map.
 func TestCommitDuringCollectAccounting(t *testing.T) {
 	t.Run("map", func(t *testing.T) {
 		st := NewStore(1<<30, 90)
