@@ -16,6 +16,16 @@
 // turn. Unlike the quantum schemes of DMP/CoreDet/Calvin, no thread ever
 // waits unless it is itself attempting synchronization — this is the paper's
 // "no global barriers" property.
+//
+// How a thread waits for its turn never decides which thread is admitted:
+// that is the seqlocked (clock, tid) scan alone. A thread whose first probe
+// fails announces itself as a waiter. Only the waiter that no other waiter
+// precedes — the head — spins, yields and sleeps on the probe, because what
+// it waits for is a computing peer's clock. A waiter behind another waiter
+// cannot be next (that waiter's clock is frozen until it is admitted), so it
+// parks on its own channel, and the waiter admitted ahead of it wakes it as
+// it takes the turn: the wake overlaps the predecessor's operation instead
+// of following it.
 package kendo
 
 import (
@@ -41,6 +51,11 @@ type Proc struct {
 	id     int32
 	clock  atomic.Uint64
 	status atomic.Int32
+	// waiting is set from a WaitForTurn's first failed probe to its return;
+	// parked while it may block on wake, which holds at most one token.
+	waiting atomic.Bool
+	parked  atomic.Bool
+	wake    chan struct{}
 }
 
 // ID returns the deterministic thread ID.
@@ -98,7 +113,7 @@ func NewSched() *Sched {
 // its Proc. Registration must be externally serialized (thread creation is a
 // synchronization operation, so it happens under the turn).
 func (s *Sched) Register(id int32, clock uint64) *Proc {
-	p := &Proc{id: id}
+	p := &Proc{id: id, wake: make(chan struct{}, 1)}
 	p.clock.Store(clock)
 	p.status.Store(int32(Running))
 	old := *s.procs.Load()
@@ -120,43 +135,126 @@ func (s *Sched) Transition(fn func()) {
 	s.gen.Add(1)
 }
 
-// Procs returns the current thread snapshot.
-func (s *Sched) Procs() []*Proc { return *s.procs.Load() }
-
-// Abort makes every WaitForTurn return false, unwinding a failed execution.
-func (s *Sched) Abort() { s.aborted.Store(true) }
+// Abort makes every WaitForTurn return false, unwinding a failed execution:
+// it hands every proc a wake token, so that a parked waiter sees the abort.
+func (s *Sched) Abort() {
+	s.aborted.Store(true)
+	for _, p := range *s.procs.Load() {
+		p.token()
+	}
+}
 
 // Aborted reports whether the execution was aborted.
 func (s *Sched) Aborted() bool { return s.aborted.Load() }
 
 // WaitForTurn blocks until p holds the deterministic turn: no other Running
 // thread has a smaller (clock, tid). It returns false if the execution was
-// aborted, and reports in waited whether any spinning was necessary (the
-// TurnWaits statistic). The caller's clock must not advance while waiting.
+// aborted, and reports in waited whether the first probe failed (the
+// TurnWaits statistic). The caller's clock and status must not change while
+// it waits.
+//
+// A first probe that succeeds returns at once and marks nothing. Otherwise p
+// is a waiter until it returns. On each failed probe, p parks if another
+// waiter precedes it, and otherwise (p is the head waiter) retries after a
+// spin, a yield or, on a long wait, a short sleep. A waiter admitted wakes
+// the smallest remaining waiter if that one is parked. The invariant is that
+// the minimum waiter is never parked without a pending token:
+//   - a waiter parks only behind a waiter, whose clock is frozen, so it is
+//     never the minimum while its reason to park holds;
+//   - waiters leave only through admission, which wakes the new minimum, or
+//     through an abort, which wakes every proc;
+//   - a fast-path taker never announced itself, so it was nobody's
+//     predecessor.
+//
+// Parking sets parked and then re-reads the waiters; admission clears
+// waiting and then reads parked. Go's atomics are sequentially consistent,
+// so one side always sees the other's store and no wakeup is lost.
 func (s *Sched) WaitForTurn(p *Proc) (ok, waited bool) {
+	if s.aborted.Load() {
+		return false, false
+	}
+	if s.probe(p) {
+		return true, false
+	}
+	p.waiting.Store(true)
 	spins := 0
 	for {
+		if s.waiterBefore(p) {
+			s.park(p)
+			spins = 0
+		} else {
+			spins++
+			switch {
+			case spins < 64:
+				// Busy retry: another thread is about to tick past us.
+			case spins < 512:
+				runtime.Gosched()
+			default:
+				// Long waits (the other thread is deep in a compute slice):
+				// sleep briefly so we do not burn the core it needs.
+				time.Sleep(2 * time.Microsecond)
+			}
+		}
 		if s.aborted.Load() {
-			return false, waited
+			p.waiting.Store(false)
+			return false, true
 		}
-		// Seqlock read: the scan is valid only if no scheduling transition
-		// was in flight (gen odd) or completed (gen changed) while it ran.
-		g := s.gen.Load()
-		if g&1 == 0 && s.isMin(p) && s.gen.Load() == g {
-			return true, waited
+		if s.probe(p) {
+			p.waiting.Store(false)
+			s.wakeNext(p)
+			return true, true
 		}
-		waited = true
-		spins++
-		switch {
-		case spins < 64:
-			// Busy retry: another thread is about to tick past us.
-		case spins < 512:
-			runtime.Gosched()
-		default:
-			// Long waits (the other thread is deep in a compute slice):
-			// sleep briefly so we do not burn the core it needs.
-			time.Sleep(2 * time.Microsecond)
+	}
+}
+
+// probe is one seqlock read of isMin: the scan is valid only if no
+// scheduling transition was in flight (gen odd) or completed (gen changed)
+// while it ran.
+func (s *Sched) probe(p *Proc) bool {
+	g := s.gen.Load()
+	return g&1 == 0 && s.isMin(p) && s.gen.Load() == g
+}
+
+// waiterBefore reports whether a waiter other than p precedes it.
+func (s *Sched) waiterBefore(p *Proc) bool {
+	for _, q := range *s.procs.Load() {
+		if q != p && q.waiting.Load() && q.before(p) {
+			return true
 		}
+	}
+	return false
+}
+
+// park blocks p until a token arrives, unless the re-check after announcing
+// parked finds no waiter ahead of it or the execution aborted.
+func (s *Sched) park(p *Proc) {
+	p.parked.Store(true)
+	if s.waiterBefore(p) && !s.aborted.Load() {
+		<-p.wake
+	}
+	p.parked.Store(false)
+}
+
+// wakeNext hands a token to the smallest waiter other than p, the one that
+// is next among the waiters now that p holds the turn, if it is parked.
+func (s *Sched) wakeNext(p *Proc) {
+	var next *Proc
+	for _, q := range *s.procs.Load() {
+		if q != p && q.waiting.Load() && (next == nil || q.before(next)) {
+			next = q
+		}
+	}
+	if next != nil && next.parked.Load() {
+		next.token()
+	}
+}
+
+// token puts a wake token in p's channel without blocking; a token already
+// pending is enough.
+func (p *Proc) token() {
+	select {
+	case p.wake <- struct{}{}:
+	default:
 	}
 }
 
