@@ -16,6 +16,7 @@ import (
 
 	"rfdet"
 	"rfdet/internal/replay"
+	"rfdet/internal/trace"
 	"rfdet/internal/workloads"
 )
 
@@ -289,9 +290,9 @@ func BenchmarkMetadataGrowth(b *testing.B) {
 // shared atomic counter, so page diffing and slice application dominate and
 // any work left under the monitor serializes the run. Wall time (ns/op) is
 // the headline; monitor-acquires and the off-monitor diff-ns/apply-ns
-// breakdown are reported so regressions can be attributed.
+// breakdown (reportSpanNanos) are reported so regressions can be attributed.
 func BenchmarkMonitorContention(b *testing.B) {
-	runMonitorContention(b, rfdet.NewCI())
+	runMonitorContention(b, rfdet.DefaultOptions())
 }
 
 // BenchmarkMonitorContentionPhaseTrace is the identical program with phase
@@ -300,7 +301,7 @@ func BenchmarkMonitorContention(b *testing.B) {
 func BenchmarkMonitorContentionPhaseTrace(b *testing.B) {
 	opts := rfdet.DefaultOptions()
 	opts.PhaseTrace = true
-	runMonitorContention(b, rfdet.New(opts))
+	runMonitorContention(b, opts)
 }
 
 // BenchmarkMonitorContentionRaceDetect is the identical program with the
@@ -310,7 +311,7 @@ func BenchmarkMonitorContentionPhaseTrace(b *testing.B) {
 func BenchmarkMonitorContentionRaceDetect(b *testing.B) {
 	opts := rfdet.DefaultOptions()
 	opts.RaceDetect = true
-	runMonitorContention(b, rfdet.New(opts))
+	runMonitorContention(b, opts)
 }
 
 func monitorContentionProg(t rfdet.Thread) {
@@ -347,7 +348,8 @@ func monitorContentionProg(t rfdet.Thread) {
 	t.Observe(t.Load64(data), t.Load64(sum))
 }
 
-func runMonitorContention(b *testing.B, rt rfdet.Runtime) {
+func runMonitorContention(b *testing.B, opts rfdet.Options) {
+	rt := rfdet.New(opts)
 	var st rfdet.Stats
 	var first uint64
 	b.ResetTimer()
@@ -364,8 +366,23 @@ func runMonitorContention(b *testing.B, rt rfdet.Runtime) {
 		st = rep.Stats
 	}
 	b.ReportMetric(float64(st.MonitorAcquires), "monitor-acquires")
-	b.ReportMetric(float64(st.DiffNanos), "diff-ns")
-	b.ReportMetric(float64(st.ApplyNanos), "apply-ns")
+	reportSpanNanos(b, opts, monitorContentionProg)
+}
+
+// reportSpanNanos runs prog once more under opts with phase tracing on,
+// outside the timed loop, and reports that run's host time in slice-end
+// diffing ("diff-ns") and in slice application, pre-merges included
+// ("apply-ns"), from its phase spans.
+func reportSpanNanos(b *testing.B, opts rfdet.Options, prog rfdet.ThreadFunc) {
+	b.StopTimer()
+	opts.PhaseTrace = true
+	rep, err := rfdet.New(opts).Run(prog)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tot := rep.Phases.PhaseTotals()
+	b.ReportMetric(float64(tot[trace.PhaseDiff]), "diff-ns")
+	b.ReportMetric(float64(tot[trace.PhaseApply]+tot[trace.PhasePremerge]), "apply-ns")
 }
 
 // runDefaultStack runs prog b.N times on the default stack, failing if the
@@ -393,8 +410,8 @@ func runDefaultStack(b *testing.B, prog rfdet.ThreadFunc) rfdet.Stats {
 // threads each touch many pages per slice but write only 16 bytes per page,
 // the sparse-write pattern (scattered updates to a large shared structure)
 // where full-page diffing would do ~256× more byte comparisons than the
-// writes justify. "diff-ns" is the wall time spent in slice-end diffing,
-// "scanned-bytes"/"skipped-bytes" the Stats counters behind
+// writes justify. "diff-ns" is the wall time one traced run spends in
+// slice-end diffing, "scanned-bytes"/"skipped-bytes" the Stats counters behind
 // mem.diff_skip_ratio.
 func BenchmarkSparseWriteDiff(b *testing.B) {
 	const (
@@ -434,7 +451,7 @@ func BenchmarkSparseWriteDiff(b *testing.B) {
 	}
 	b.Run("extent", func(b *testing.B) {
 		st := runDefaultStack(b, prog)
-		b.ReportMetric(float64(st.DiffNanos), "diff-ns")
+		reportSpanNanos(b, rfdet.DefaultOptions(), prog)
 		b.ReportMetric(float64(st.DiffBytesScanned), "scanned-bytes")
 		b.ReportMetric(float64(st.DiffBytesSkipped), "skipped-bytes")
 		b.ReportMetric(float64(st.DirtyExtents), "extents")
@@ -446,8 +463,8 @@ func BenchmarkSparseWriteDiff(b *testing.B) {
 // barrier merge propagates 7 overlapping full-region write sets whose
 // last-writer-wins image is exactly one region. Applying them run by run
 // would be O(threads × bytes) under the monitor; the write plan applies each
-// destination byte once (O(unique bytes)). "apply-ns" is the wall time in
-// slice application.
+// destination byte once (O(unique bytes)). "apply-ns" is the wall time one
+// traced run spends in slice application.
 func BenchmarkBarrierPropagation(b *testing.B) {
 	const (
 		workers = 8
@@ -486,7 +503,7 @@ func BenchmarkBarrierPropagation(b *testing.B) {
 	}
 	b.Run("coalesce", func(b *testing.B) {
 		st := runDefaultStack(b, prog)
-		b.ReportMetric(float64(st.ApplyNanos), "apply-ns")
+		reportSpanNanos(b, rfdet.DefaultOptions(), prog)
 		b.ReportMetric(float64(st.BytesPropagated), "propagated-bytes")
 		b.ReportMetric(float64(st.BytesCoalescedAway), "coalesced-away-bytes")
 	})
@@ -529,7 +546,7 @@ func BenchmarkLockChainPropagation(b *testing.B) {
 	}
 	b.Run("coalesce", func(b *testing.B) {
 		st := runDefaultStack(b, prog)
-		b.ReportMetric(float64(st.ApplyNanos), "apply-ns")
+		reportSpanNanos(b, rfdet.DefaultOptions(), prog)
 		b.ReportMetric(float64(st.BytesCoalescedAway), "coalesced-away-bytes")
 		b.ReportMetric(float64(st.CollectScanned), "collect-scanned")
 	})
@@ -578,7 +595,7 @@ func BenchmarkLazyFlush(b *testing.B) {
 		st := runDefaultStack(b, prog)
 		b.ReportMetric(float64(st.LazyPendingApplied), "pended-runs-applied")
 		b.ReportMetric(float64(st.LazyRunsElided), "elided-bytes")
-		b.ReportMetric(float64(st.ApplyNanos), "apply-ns")
+		reportSpanNanos(b, rfdet.DefaultOptions(), prog)
 	})
 }
 

@@ -32,6 +32,10 @@ func main() {
 	flag.Var(&sz, "size", "problem size: test, small or medium")
 	detect := flag.Bool("detect", false, "run the happens-before race detector (rfdet-ci only) and require a stable report across 20 runs")
 	flag.Parse()
+	if err := checkFlags(*threadsFlag, *runs); err != nil {
+		fmt.Fprintf(os.Stderr, "racey: %v\n", err)
+		os.Exit(2)
+	}
 
 	var rt rfdet.Runtime
 	switch *rtName {
@@ -97,6 +101,19 @@ func main() {
 	} else {
 		fmt.Println("deterministic: every run produced the same signature (§5.1)")
 	}
+}
+
+// checkFlags rejects a negative thread count (0 selects the default sweep)
+// and a run count that leaves nothing to compare: one signature agrees with
+// itself.
+func checkFlags(threads, runs int) error {
+	switch {
+	case threads < 0:
+		return fmt.Errorf("-threads must be 0 (2, 4 and 8) or at least 1, got %d", threads)
+	case runs < 2:
+		return fmt.Errorf("-runs must be at least 2, got %d", runs)
+	}
+	return nil
 }
 
 // detectRaces runs racey under the happens-before race detector 20 times per

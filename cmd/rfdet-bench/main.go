@@ -65,14 +65,7 @@ func writeTrace(path, workload string, sz workloads.Size, threads int) error {
 	if err := ph.WriteSummary(os.Stdout); err != nil {
 		return err
 	}
-	tot := ph.PhaseTotals()
-	fmt.Printf("\nreconciliation: diff spans %dus = Stats.DiffNanos %dus; "+
-		"apply+premerge spans %dus = Stats.ApplyNanos %dus\n",
-		tot[trace.PhaseDiff].Microseconds(),
-		res.Report.Stats.DiffNanos/1000,
-		(tot[trace.PhaseApply] + tot[trace.PhasePremerge]).Microseconds(),
-		res.Report.Stats.ApplyNanos/1000)
-	fmt.Printf("open in chrome://tracing or https://ui.perfetto.dev\n")
+	fmt.Printf("\nopen in chrome://tracing or https://ui.perfetto.dev\n")
 	return nil
 }
 
@@ -88,6 +81,22 @@ func validateTrace(path string) error {
 		return fmt.Errorf("%s: %w", path, err)
 	}
 	fmt.Printf("%s: valid Chrome-trace JSON\n", path)
+	return nil
+}
+
+// checkFlags rejects counts no experiment can run with, and a replica count
+// that leaves nothing to compare: one replica agrees with itself.
+func checkFlags(threads, repeats, runs, replicas int) error {
+	switch {
+	case threads < 1:
+		return fmt.Errorf("-threads must be at least 1, got %d", threads)
+	case repeats < 1:
+		return fmt.Errorf("-repeats must be at least 1, got %d", repeats)
+	case runs < 1:
+		return fmt.Errorf("-runs must be at least 1, got %d", runs)
+	case replicas < 2:
+		return fmt.Errorf("-replicas must be at least 2, got %d", replicas)
+	}
 	return nil
 }
 
@@ -107,6 +116,10 @@ func main() {
 		flag.PrintDefaults()
 	}
 	flag.Parse()
+	if err := checkFlags(*threads, *repeats, *runs, *replicas); err != nil {
+		fmt.Fprintf(os.Stderr, "rfdet-bench: %v\n", err)
+		os.Exit(2)
+	}
 
 	if *tracePath != "" {
 		if err := writeTrace(*tracePath, *traceWorkload, sz, *threads); err != nil {

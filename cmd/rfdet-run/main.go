@@ -33,6 +33,10 @@ func main() {
 	racecheck := flag.Bool("racecheck", false, "run the happens-before race detector and print its report (rfdet only)")
 	quantum := flag.Uint64("quantum", 50000, "coredet quantum in logical instructions")
 	flag.Parse()
+	if err := checkFlags(*threads, *repeat); err != nil {
+		fmt.Fprintf(os.Stderr, "rfdet-run: %v\n", err)
+		os.Exit(2)
+	}
 
 	w, err := workloads.ByName(*workload)
 	if err != nil {
@@ -105,6 +109,17 @@ func main() {
 	if *repeat > 1 {
 		fmt.Printf("\n%d executions, %d distinct output hash(es)\n", *repeat, len(hashes))
 	}
+}
+
+// checkFlags rejects counts no execution can run with.
+func checkFlags(threads, repeat int) error {
+	switch {
+	case threads < 1:
+		return fmt.Errorf("-threads must be at least 1, got %d", threads)
+	case repeat < 1:
+		return fmt.Errorf("-repeat must be at least 1, got %d", repeat)
+	}
+	return nil
 }
 
 func printReport(runtime, workload string, cfg workloads.Config, rep *api.Report) {

@@ -37,6 +37,10 @@ func main() {
 	matrix := flag.Bool("matrix", false, "run the 3-variant acceptance matrix instead of -replicas")
 	injectAbort := flag.Bool("inject-abort", false, "poison the last replica's log to demonstrate divergent-by-abort reporting")
 	flag.Parse()
+	if err := checkFlags(*threads, *replicas); err != nil {
+		fmt.Fprintf(os.Stderr, "rfdet-serve: %v\n", err)
+		os.Exit(2)
+	}
 
 	var variants []harness.ReplicaVariant
 	if *matrix {
@@ -97,4 +101,16 @@ func main() {
 	}
 	fmt.Println("\nverdict: REPLICAS DIVERGED")
 	os.Exit(1)
+}
+
+// checkFlags rejects a thread count no replica can run with and a replica
+// count that leaves nothing to compare: one replica agrees with itself.
+func checkFlags(threads, replicas int) error {
+	switch {
+	case threads < 1:
+		return fmt.Errorf("-threads must be at least 1, got %d", threads)
+	case replicas < 2:
+		return fmt.Errorf("-replicas must be at least 2, got %d", replicas)
+	}
+	return nil
 }

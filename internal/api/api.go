@@ -134,9 +134,10 @@ type Runtime interface {
 // per-layer metrics are (kendo, core, mem, alloc, slicestore), or racecheck.
 // max marks a high-water mark or a configured size, which Add merges by
 // keeping the larger value; every other field is a sum. host marks a value
-// the host decides (wall time, who had to wait, when snapshots are charged),
-// which Deterministic zeroes. dead marks a field that always reads 0 and is
-// kept only because the frozen bench/metrics.go reads it (ROADMAP item 1).
+// the host decides (who had to wait, when snapshots are charged), which
+// Deterministic zeroes. No field holds wall time. dead marks a field that
+// always reads 0 and is kept only because the frozen bench/metrics.go reads
+// it (ROADMAP item 1).
 // Add, Deterministic, Each and cmd/rfdet-run's report are all derived from
 // the tags, so a new counter needs a tag and nothing else.
 type Stats struct {
@@ -205,18 +206,10 @@ type Stats struct {
 	// Kendo internals.
 	TurnWaits uint64 `stat:"kendo,host"` // sync ops that had to wait for the deterministic turn
 
-	// Monitor-contention observability. MonitorAcquires counts acquisitions
-	// of the runtime's global monitor; DiffNanos and ApplyNanos are the
-	// wall-clock time spent byte-diffing snapshotted pages and applying
-	// propagated modification runs. Diffing runs before the turn and eager
-	// application off the monitor, so these nanos measure work that does not
-	// serialize unrelated threads. DiffNanos times each slice end's pre-cut,
-	// including those slice merging discards, and not its commit. Wall-clock
-	// times are host-dependent: they are observability counters, never part
-	// of the deterministic output.
-	MonitorAcquires uint64 `stat:"core"`     // global-monitor lock acquisitions
-	DiffNanos       uint64 `stat:"mem,host"` // wall nanos spent in page diffing
-	ApplyNanos      uint64 `stat:"mem,host"` // wall nanos spent applying propagated runs
+	// Monitor-contention observability: acquisitions of the runtime's global
+	// monitor. Host time spent diffing, applying and pre-merging is not a
+	// counter; the phase tracer (core.Options.PhaseTrace) records it as spans.
+	MonitorAcquires uint64 `stat:"core"` // global-monitor lock acquisitions
 
 	// Coalesced write-plan propagation observability. CollectScanned counts
 	// slice pointers examined by acquire-side collections: the entries of

@@ -40,10 +40,11 @@ func phaseProg(th api.Thread) {
 	th.Observe(th.Load64(ctr), th.Load64(pages))
 }
 
-// TestPhaseTotalsReconcileWithStats pins the tentpole's accounting contract:
-// phase spans are recorded with the *same* measured durations the Stats
-// nanos counters accumulate, so the per-phase totals reconcile with the
-// counters exactly — not approximately.
+// TestPhaseTotalsReconcileWithStats pins the phase tracer's accounting
+// contract: the turn-wait and monitor-wait span counts equal the Stats
+// counters of the same events, and every host-time site records its span —
+// the tracer is the runtime's only host-time instrument, so a dropped span
+// site would leave diff or apply time unmeasured.
 func TestPhaseTotalsReconcileWithStats(t *testing.T) {
 	opts := DefaultOptions()
 	opts.PhaseTrace = true
@@ -60,11 +61,11 @@ func TestPhaseTotalsReconcileWithStats(t *testing.T) {
 	}
 	tot := rep.Phases.PhaseTotals()
 	n := rep.Phases.PhaseCounts()
-	if got := uint64(tot[trace.PhaseDiff]); got != rep.Stats.DiffNanos {
-		t.Fatalf("diff span total %d != Stats.DiffNanos %d", got, rep.Stats.DiffNanos)
+	if tot[trace.PhaseDiff] <= 0 {
+		t.Fatalf("diff span total %v, want > 0", tot[trace.PhaseDiff])
 	}
-	if got := uint64(tot[trace.PhaseApply] + tot[trace.PhasePremerge]); got != rep.Stats.ApplyNanos {
-		t.Fatalf("apply+premerge span total %d != Stats.ApplyNanos %d", got, rep.Stats.ApplyNanos)
+	if got := tot[trace.PhaseApply] + tot[trace.PhasePremerge]; got <= 0 {
+		t.Fatalf("apply+premerge span total %v, want > 0", got)
 	}
 	if n[trace.PhaseTurnWait] != rep.Stats.TurnWaits {
 		t.Fatalf("turn-wait span count %d != Stats.TurnWaits %d",

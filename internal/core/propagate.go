@@ -6,7 +6,6 @@ import (
 	"rfdet/internal/api"
 	"rfdet/internal/mem"
 	"rfdet/internal/slicestore"
-	"rfdet/internal/stats"
 	"rfdet/internal/trace"
 	"rfdet/internal/vclock"
 	"rfdet/internal/vtime"
@@ -239,7 +238,7 @@ func (t *thread) applySlices(slices []*slicestore.Slice, prelock bool) {
 	if len(slices) == 0 {
 		return
 	}
-	start := stats.Now()
+	ts := t.tb.Now()
 	if t.pending != nil {
 		t.pendSlices(slices)
 	} else {
@@ -255,13 +254,11 @@ func (t *thread) applySlices(slices []*slicestore.Slice, prelock bool) {
 			t.st.PrelockBytes += s.Bytes
 		}
 	}
-	el := stats.Since(start)
-	t.st.ApplyNanos += uint64(el)
 	phase := trace.PhaseApply
 	if prelock {
 		phase = trace.PhasePremerge
 	}
-	t.tb.SpanDur(phase, start, el)
+	t.tb.Span(phase, ts)
 }
 
 // acquireCollectLocked is acquireFromCollectLocked against internal variable

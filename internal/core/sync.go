@@ -11,7 +11,6 @@ import (
 	"rfdet/internal/mem"
 	"rfdet/internal/racecheck"
 	"rfdet/internal/slicestore"
-	"rfdet/internal/stats"
 	"rfdet/internal/trace"
 	"rfdet/internal/vclock"
 	"rfdet/internal/vtime"
@@ -406,11 +405,9 @@ func (t *thread) Barrier(b api.Addr, n int) {
 		leader.vtime = leader.vtime.Join(a.v)
 	}
 	if len(propagated) > 0 {
-		start := stats.Now()
+		ts := leader.tb.Now()
 		leader.applyNow(propagated)
-		el := stats.Since(start)
-		leader.st.ApplyNanos += uint64(el)
-		leader.tb.SpanDur(trace.PhaseApply, start, el)
+		leader.tb.Span(trace.PhaseApply, ts)
 	}
 	releaseVT += vtime.FencePhase + mergeCost
 	leader.vt = vtime.Max(leader.vt, releaseVT)

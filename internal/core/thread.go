@@ -10,7 +10,6 @@ import (
 	"rfdet/internal/mem"
 	"rfdet/internal/racecheck"
 	"rfdet/internal/slicestore"
-	"rfdet/internal/stats"
 	"rfdet/internal/trace"
 	"rfdet/internal/vclock"
 	"rfdet/internal/vtime"
@@ -400,16 +399,15 @@ func (t *thread) harvestReads() {
 // byte-for-byte the one a full-page scan would produce (see
 // mem.DiffPageExtents for the argument), and the virtual-time model still
 // charges vtime.DiffPage per snapshotted page: the paper's system cannot see
-// sub-page extents, so the win is host wall time (DiffNanos), deliberately
+// sub-page extents, so the win is host wall time (the diff span), deliberately
 // invisible to the deterministic virtual clock and the trace.
 //
-// precut reads the space and writes only the scratch and the host-only
-// DiffNanos, so it needs no turn: waitTurn runs it before WaitForTurn. Lock's
-// is speculative, and when slice merging continues the slice nothing commits
-// it. The pages are diffed in record order, extent by extent, each into its run
-// list over one staging area, sized first so that the diff never grows it.
-// DiffNanos and the diff span time the pre-cut alone; the commit is untimed,
-// which spares two clock reads per cut.
+// precut reads the space and writes only the scratch and the thread's own
+// phase buffer, so it needs no turn: waitTurn runs it before WaitForTurn.
+// Lock's is speculative, and when slice merging continues the slice nothing
+// commits it. The pages are diffed in record order, extent by extent, each into
+// its run list over one staging area, sized first so that the diff never grows
+// it. The diff span times the pre-cut alone; the commit is untimed.
 func (t *thread) precut() {
 	sc := t.scratch
 	sc.cut = cutTally{}
@@ -417,7 +415,7 @@ func (t *thread) precut() {
 	if len(pages) == 0 {
 		return
 	}
-	start := stats.Now()
+	ts := t.tb.Now()
 	for _, pid := range pages {
 		exts := t.space.DirtyExtentsOf(pid)
 		sc.cut.extents += uint64(len(exts))
@@ -436,9 +434,7 @@ func (t *thread) precut() {
 		sc.cut.runs += len(sc.pageRuns[i])
 	}
 	sc.stage = stage
-	el := stats.Since(start)
-	t.st.DiffNanos += uint64(el)
-	t.tb.SpanDur(trace.PhaseDiff, start, el)
+	t.tb.Span(trace.PhaseDiff, ts)
 }
 
 // finishSlice commits the operation's pre-cut under the turn, which orders the

@@ -157,18 +157,17 @@ func Table1(out io.Writer, size workloads.Size, threads int) error {
 // PropagationTable renders the coalesced write-plan propagation profile of
 // every workload under RFDet-ci (all optimizations): slice pointers scanned
 // by acquire-side collections, the high-water collected-list length, the
-// propagated byte volume, the bytes eager plans coalesced away and those
-// lazy writes elided at the flush, and the wall time spent in slice
-// application. This is the
-// observability companion to BenchmarkBarrierPropagation /
-// BenchmarkLockChainPropagation (EXPERIMENTS.md).
+// propagated byte volume, and the bytes eager plans coalesced away and those
+// lazy writes elided at the flush. Host time spent applying slices is
+// PhaseTable's apply-us column. This is the observability companion to
+// BenchmarkBarrierPropagation / BenchmarkLockChainPropagation
+// (EXPERIMENTS.md).
 func PropagationTable(out io.Writer, size workloads.Size, threads int) error {
 	cfg := workloads.Config{Threads: threads, Size: size}
 	fmt.Fprintf(out, "Write-plan propagation profile (%d threads, size %s, RFDet-ci)\n\n", threads, size)
-	fmt.Fprintf(out, "%-18s %10s %8s | %12s %12s %12s %7s | %9s\n",
+	fmt.Fprintf(out, "%-18s %10s %8s | %12s %12s %12s %7s\n",
 		"benchmark", "scanned", "maxlist",
-		"prop(B)", "plan-away(B)", "elided(B)", "unused%",
-		"apply-us")
+		"prop(B)", "plan-away(B)", "elided(B)", "unused%")
 	for _, w := range workloads.All() {
 		r, err := Run(NewRFDetCI(), w, cfg, 1)
 		if err != nil {
@@ -179,11 +178,10 @@ func PropagationTable(out io.Writer, size workloads.Size, threads int) error {
 		if s.BytesPropagated > 0 {
 			unusedPct = 100 * float64(s.BytesCoalescedAway+s.LazyRunsElided) / float64(s.BytesPropagated)
 		}
-		fmt.Fprintf(out, "%-18s %10d %8d | %12d %12d %12d %6.1f%% | %9d\n",
+		fmt.Fprintf(out, "%-18s %10d %8d | %12d %12d %12d %6.1f%%\n",
 			w.Name,
 			s.CollectScanned, s.SliceListLen,
-			s.BytesPropagated, s.BytesCoalescedAway, s.LazyRunsElided, unusedPct,
-			s.ApplyNanos/1000)
+			s.BytesPropagated, s.BytesCoalescedAway, s.LazyRunsElided, unusedPct)
 	}
 	fmt.Fprintln(out, "\n\"plan-away\" bytes were overwritten inside one collected list, so an eager plan")
 	fmt.Fprintln(out, "never writes them; \"elided\" bytes were pended and covered by a later pend, so the")

@@ -22,9 +22,6 @@ import (
 
 // Slice is one synchronization-free execution slice's modifications.
 type Slice struct {
-	// ID is a store-unique identifier (diagnostics only; determinism never
-	// depends on it).
-	ID uint64
 	// Tid is the thread that executed the slice.
 	Tid int32
 	// Time is the slice's vector-clock timestamp: the owning thread's clock
@@ -78,12 +75,10 @@ type Store struct {
 	capacity    uint64
 	gcThreshold uint64 //detvet:notguarded fixed at construction, immutable thereafter
 
-	nextID       atomic.Uint64
-	used         atomic.Int64 // slices + snapshots, bytes
-	highWater    atomic.Int64
-	gcCount      atomic.Uint64
-	emptyGC      atomic.Uint64
-	totalCreated atomic.Uint64
+	used      atomic.Int64 // slices + snapshots, bytes
+	highWater atomic.Int64
+	gcCount   atomic.Uint64
+	emptyGC   atomic.Uint64
 }
 
 // NewStore returns a metadata space with the given capacity (0 means
@@ -151,8 +146,6 @@ func (st *Store) charge(delta int64) {
 // delete-and-credit the slice before its own charge landed, permanently
 // inflating the budget by one slice cost.
 func (st *Store) Commit(s *Slice) (needGC bool) {
-	s.ID = st.nextID.Add(1)
-	st.totalCreated.Add(1)
 	st.charge(int64(s.Cost()))
 	st.mu.Lock()
 	st.slices = append(st.slices, s)
@@ -222,9 +215,6 @@ func (st *Store) Live() int {
 	defer st.mu.Unlock()
 	return len(st.slices)
 }
-
-// TotalCreated returns the number of slices ever committed.
-func (st *Store) TotalCreated() uint64 { return st.totalCreated.Load() }
 
 // trimShrinkFloor is the retained-length cap below which TrimList reallocates
 // instead of reslicing, when the backing array is at least 4x larger.

@@ -1,7 +1,6 @@
 // Package stats provides the small numeric helpers used when aggregating
-// benchmark results (means, geometric means, normalization), plus the
-// wall-clock plumbing deterministic packages use to accumulate observability
-// nanos (Stats.DiffNanos and friends).
+// benchmark results (means, geometric means, maxima), plus the wall-clock
+// plumbing deterministic packages read the host clock through.
 package stats
 
 import (
@@ -49,20 +48,6 @@ func GeoMean(xs []float64) float64 {
 	return math.Exp(s / float64(n))
 }
 
-// Min returns the minimum of xs (0 for empty input).
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
 // Max returns the maximum of xs (0 for empty input).
 func Max(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -75,28 +60,4 @@ func Max(xs []float64) float64 {
 		}
 	}
 	return m
-}
-
-// Ratio returns num/den, or 0 when den is 0. Used for speedup and
-// normalization figures where a missing baseline should read as "no data"
-// rather than Inf/NaN.
-func Ratio(num, den float64) float64 {
-	if den == 0 {
-		return 0
-	}
-	return num / den
-}
-
-// Stddev returns the population standard deviation of xs.
-func Stddev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var s float64
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(xs)))
 }

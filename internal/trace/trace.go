@@ -8,10 +8,10 @@
 //
 // Everything here is observational: wall-clock timestamps are host noise
 // and must never feed output hashes, virtual times or the deterministic
-// trace. The runtime only *reads* the clock on paths that already read it
-// for the Stats nanos counters, and a disabled collector (nil *Collector /
-// nil *ThreadBuf) reduces every recording call to a nil check, so tracing
-// off costs nothing measurable.
+// trace. A ThreadBuf is the runtime's only host-time instrument: no api.Stats
+// field holds wall time, and a disabled collector (nil *Collector / nil
+// *ThreadBuf) reduces every recording call, Now included, to a nil check, so
+// an untraced execution reads the clock only for Report.Elapsed.
 //
 // Concurrency: a ThreadBuf is appended to by the goroutine running its
 // thread, or — for work another thread performs on its behalf while it is
@@ -41,14 +41,15 @@ const (
 	// PhaseMonitorWait is time spent acquiring the runtime's global monitor
 	// (span count == Stats.MonitorAcquires).
 	PhaseMonitorWait
-	// PhaseDiff is slice-end page diffing (span total == Stats.DiffNanos).
+	// PhaseDiff is slice-end page diffing: each slice end's pre-cut,
+	// including those slice merging discards, and not its commit.
 	PhaseDiff
 	// PhasePlanBuild is coalesced write-plan construction. Plan builds run
 	// inside an apply or alongside a premerge; their time is part of the
 	// enclosing region's accounting, broken out for visibility.
 	PhasePlanBuild
 	// PhaseApply is propagation apply at an acquire or barrier merge
-	// (PhaseApply + PhasePremerge span totals == Stats.ApplyNanos).
+	// (eager application, or pending the runs under lazy writes).
 	PhaseApply
 	// PhasePremerge is prelock pre-merge application — propagation work that
 	// overlaps a lock holder's critical section (§4.5). Premerge spans for a
@@ -171,17 +172,6 @@ func (b *ThreadBuf) SpanDetail(p Phase, start int64, detail string) {
 		return
 	}
 	b.spans = append(b.spans, Span{Phase: p, Start: start, Dur: b.Now() - start, Detail: detail})
-}
-
-// SpanDur records a phase interval with an externally measured duration.
-// The runtime uses this on paths that already time themselves for the Stats
-// nanos counters (DiffNanos, ApplyNanos), so the recorded span totals
-// reconcile with those counters exactly, not approximately.
-func (b *ThreadBuf) SpanDur(p Phase, start time.Time, dur time.Duration) {
-	if b == nil {
-		return
-	}
-	b.spans = append(b.spans, Span{Phase: p, Start: int64(start.Sub(b.col.epoch)), Dur: int64(dur)})
 }
 
 // Mark records a cross-linked synchronization event at the current instant.

@@ -21,7 +21,6 @@ func TestNilCollectorAndBufAreNoOps(t *testing.T) {
 	b.Begin()
 	b.Span(PhaseDiff, 0)
 	b.SpanDetail(PhaseBlock, 0, "x")
-	b.SpanDur(PhaseApply, time.Now(), time.Millisecond)
 	b.Mark("lock", 64)
 	b.Finish()
 	var r *Report

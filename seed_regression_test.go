@@ -306,8 +306,9 @@ func TestSeedRegressionTraceStabilityUnderLoad(t *testing.T) {
 // observability: running the exact seed workload with phase tracing ON must
 // hit the exact same goldens — output, virtual time and deterministic trace
 // digest — proving wall-clock span recording never touches the determinism
-// surface. The recorded spans themselves must still reconcile with the Stats
-// counters and export as valid Chrome-trace JSON.
+// surface. The diff and apply+premerge span totals must be positive (their
+// sites are the runtime's only host timing of that work), and the spans must
+// export as valid Chrome-trace JSON.
 func TestSeedRegressionPhaseTraceMatches(t *testing.T) {
 	opts := core.DefaultOptions()
 	opts.Trace = true
@@ -332,11 +333,11 @@ func TestSeedRegressionPhaseTraceMatches(t *testing.T) {
 		t.Fatal("phase report missing")
 	}
 	tot := r.Phases.PhaseTotals()
-	if got := uint64(tot[trace.PhaseDiff]); got != r.Stats.DiffNanos {
-		t.Fatalf("diff span total %d != Stats.DiffNanos %d", got, r.Stats.DiffNanos)
+	if tot[trace.PhaseDiff] <= 0 {
+		t.Fatalf("diff span total %v, want > 0", tot[trace.PhaseDiff])
 	}
-	if got := uint64(tot[trace.PhaseApply] + tot[trace.PhasePremerge]); got != r.Stats.ApplyNanos {
-		t.Fatalf("apply+premerge span total %d != Stats.ApplyNanos %d", got, r.Stats.ApplyNanos)
+	if got := tot[trace.PhaseApply] + tot[trace.PhasePremerge]; got <= 0 {
+		t.Fatalf("apply+premerge span total %v, want > 0", got)
 	}
 	var buf bytes.Buffer
 	if err := r.Phases.WriteChrome(&buf); err != nil {
@@ -425,10 +426,10 @@ func TestSeedRegressionPoisonedPools(t *testing.T) {
 func TestBenchmarkProgramsPoisonedMatchParentStats(t *testing.T) {
 	checkBenchmarkPrograms(t, core.DefaultOptions(), []benchmarkProgramPin{
 		// The benchmark's kv_server at the default seed is the golden server.
-		{"kv_server", goldenServerOutput, goldenServerVTime, goldenServerTrace, 0x4d4b07d01882c5fa, 4978},
-		{"water_ns", 0xf8591d83f6e0bdb3, 1977205, 0xf8bffd9aa9b8cd8b, 0x70b4256cb3895465, 20631},
-		{"fft", 0x918759f64874e596, 1522575, 0x2352dae3d6166543, 0xd4b212e5c3fe1ff, 2466344},
-		{"matmul", 0xcec7e115888aade4, 388887, 0xe7f1c6aacd28269, 0x1f0a7d2616b2f7d1, 0},
+		{"kv_server", goldenServerOutput, goldenServerVTime, goldenServerTrace, 0x30bf1643dc47c3, 4978},
+		{"water_ns", 0xf8591d83f6e0bdb3, 1977205, 0xf8bffd9aa9b8cd8b, 0xbddc8a1a6ab6bf3a, 20631},
+		{"fft", 0x918759f64874e596, 1522575, 0x2352dae3d6166543, 0x8422bb27ab27e19a, 2466344},
+		{"matmul", 0xcec7e115888aade4, 388887, 0xe7f1c6aacd28269, 0x3e5706d2dae90f3e, 0},
 	})
 }
 
@@ -444,10 +445,10 @@ func TestBenchmarkProgramsEagerMatchParentStats(t *testing.T) {
 	opts := core.DefaultOptions()
 	opts.LazyWrites = false
 	checkBenchmarkPrograms(t, opts, []benchmarkProgramPin{
-		{"kv_server", goldenServerOutput, 468952, 0x61e7c43773cd6023, 0xc3352523b26f92d2, 3903},
-		{"water_ns", 0xf8591d83f6e0bdb3, 1982267, 0xa7edf501e2739d6f, 0x6b5951f073549c1e, 20278},
-		{"fft", 0x918759f64874e596, 2166618, 0x4fda62080c21f6ff, 0xa31ee6fe516e5808, 634748},
-		{"matmul", 0xcec7e115888aade4, 391174, 0xe7f1c6aacd28269, 0x42dc64a013c8630, 0},
+		{"kv_server", goldenServerOutput, 468952, 0x61e7c43773cd6023, 0xae18c9e1030ffcd3, 3903},
+		{"water_ns", 0xf8591d83f6e0bdb3, 1982267, 0xa7edf501e2739d6f, 0x410a88ba68791691, 20278},
+		{"fft", 0x918759f64874e596, 2166618, 0x4fda62080c21f6ff, 0xf9d32f46fea7f2e9, 634748},
+		{"matmul", 0xcec7e115888aade4, 391174, 0xe7f1c6aacd28269, 0x51f1a22be0c53851, 0},
 	})
 }
 
@@ -459,16 +460,23 @@ func TestBenchmarkProgramsEagerMatchParentStats(t *testing.T) {
 // synchronization operations were rewritten around one shared frame.
 func TestBenchmarkProgramsPFMatchParentStats(t *testing.T) {
 	checkBenchmarkPrograms(t, core.Options{Monitor: core.MonitorPF, Prelock: true, LazyWrites: true}, []benchmarkProgramPin{
-		{"kv_server", 0x4e54dc625c3bc116, 1137889, 0x92b3ed728f1de110, 0x140337274997e1f9, 4978},
-		{"water_ns", 0xf8591d83f6e0bdb3, 5124055, 0x2288c46ad03b5f14, 0x853ca8aa93d3170d, 20631},
-		{"fft", 0x918759f64874e596, 1886945, 0xdcd8c66cf9b3d937, 0x14ba64189141aaea, 2466344},
-		{"matmul", 0xcec7e115888aade4, 395311, 0xe7f1c6aacd28269, 0x486a6b7fbff4925c, 0},
+		{"kv_server", 0x4e54dc625c3bc116, 1137889, 0x92b3ed728f1de110, 0xdb95ce1a6fc89542, 4978},
+		{"water_ns", 0xf8591d83f6e0bdb3, 5124055, 0x2288c46ad03b5f14, 0xc7b82e3d6f444bc2, 20631},
+		{"fft", 0x918759f64874e596, 1886945, 0xdcd8c66cf9b3d937, 0x6e1f8e9d2afeef1d, 2466344},
+		{"matmul", 0xcec7e115888aade4, 395311, 0xe7f1c6aacd28269, 0x68571549324f5a35, 0},
 	})
 }
 
 // benchmarkProgramPin is one program's pinned execution: output hash, virtual
 // time, synchronization-trace hash, the hash of its Stats.Deterministic(), and
 // BytesCoalescedAway + LazyRunsElided.
+//
+// Every stats hash of the three tests above was re-pinned once, when api.Stats
+// dropped its two wall-clock fields, the diff and apply nanos (the commit
+// after a76d616). Deterministic zeroed both, so the hashed %+v text lost only
+// their two zero entries: each new pin is the FNV hash of the parent's %+v
+// string with those two entries removed, computed on a copy of a76d616.
+// Outputs, virtual times, traces and the elided column did not move.
 type benchmarkProgramPin struct {
 	name                                string
 	output, vtime, trace, stats, elided uint64
