@@ -212,31 +212,3 @@ func TestTooManyThreadsAborts(t *testing.T) {
 		return nil
 	})
 }
-
-// TestPanicInsideMonitorUnwinds: a panic raised inside a monitor section —
-// here by the program's own NoCommHint callback, which Spawn calls there —
-// must fail the run like a panic anywhere else, not deadlock the panicking
-// thread on the monitor it still holds. The peer blocked in Join is there to
-// be unwound.
-func TestPanicInsideMonitorUnwinds(t *testing.T) {
-	opts := rfdet.DefaultOptions()
-	opts.NoCommHint = func(tid int32) bool {
-		if tid == 2 {
-			panic("hint blew up")
-		}
-		return false
-	}
-	withWatchdog(t, 10*time.Second, func() error {
-		_, err := rfdet.New(opts).Run(func(th rfdet.Thread) {
-			th.Spawn(func(c rfdet.Thread) {
-				c.Join(0) // blocked on main, which never exits normally
-			})
-			th.Tick(100000) // let the joiner block
-			th.Spawn(func(rfdet.Thread) {})
-		})
-		if err == nil || !strings.Contains(err.Error(), "thread 0 panicked: hint blew up") {
-			return fmt.Errorf("error = %v, want thread 0's panic", err)
-		}
-		return nil
-	})
-}

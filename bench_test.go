@@ -238,8 +238,8 @@ func runWorkloadW(b *testing.B, rt rfdet.Runtime, w workloads.Workload, cfg work
 }
 
 // BenchmarkMetadataGrowth measures the §5.4 space/time tradeoff: the
-// metadata-space high-water of a program with silent (never-acquiring)
-// threads, with and without the eager-collection annotation extension.
+// metadata-space high-water of a program with a silent (never-acquiring)
+// thread, whose clock pins the GC frontier until it exits.
 func BenchmarkMetadataGrowth(b *testing.B) {
 	prog := func(t rfdet.Thread) {
 		buf := t.Malloc(64 * 1024)
@@ -264,25 +264,16 @@ func BenchmarkMetadataGrowth(b *testing.B) {
 		t.Join(chatty)
 		t.Join(silent)
 	}
-	for _, hinted := range []bool{false, true} {
-		name := "no-hint"
-		opts := rfdet.Options{SliceMerging: true, MetadataCapacity: 128 * 1024, GCThresholdPct: 50}
-		if hinted {
-			name = "nocomm-hint"
-			opts.NoCommHint = func(tid int32) bool { return tid == 2 }
+	opts := rfdet.Options{SliceMerging: true, MetadataCapacity: 72818} // GC at 64 KiB
+	var hw uint64
+	for i := 0; i < b.N; i++ {
+		rep, err := rfdet.New(opts).Run(prog)
+		if err != nil {
+			b.Fatal(err)
 		}
-		b.Run(name, func(b *testing.B) {
-			var hw uint64
-			for i := 0; i < b.N; i++ {
-				rep, err := rfdet.New(opts).Run(prog)
-				if err != nil {
-					b.Fatal(err)
-				}
-				hw = rep.Stats.MetadataBytes
-			}
-			b.ReportMetric(float64(hw), "metadata-bytes")
-		})
+		hw = rep.Stats.MetadataBytes
 	}
+	b.ReportMetric(float64(hw), "metadata-bytes")
 }
 
 // BenchmarkMonitorContention stresses the decomposed global monitor: four

@@ -1,5 +1,5 @@
 // Command racey is the determinism stress test of paper §5.1: a program
-// built out of data races (after Hill & Xu's racey) whose final signature
+// built out of data races (after Hill & Xu's racey) whose final output
 // changes if any scheduling or memory-visibility decision changes.
 //
 // The paper runs racey 1000 times with 2, 4 and 8 threads and requires one
@@ -13,14 +13,20 @@
 // be non-empty and byte-identical on every run.
 //
 //	racey -detect [-threads N] [-size test|small|medium]
+//
+// The exit status is 1 when a deterministic runtime produced two outputs, a
+// race report diverged or came out empty, or a run failed.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 
 	"rfdet"
+	"rfdet/internal/api"
+	"rfdet/internal/harness"
 	"rfdet/internal/workloads"
 )
 
@@ -53,58 +59,37 @@ func main() {
 		fmt.Fprintf(os.Stderr, "racey: unknown runtime %q\n", *rtName)
 		os.Exit(2)
 	}
-	racey, err := workloads.ByName("racey")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
 	threadCounts := []int{2, 4, 8}
 	if *threadsFlag > 0 {
 		threadCounts = []int{*threadsFlag}
 	}
+	if *detect && *rtName != "rfdet-ci" {
+		fmt.Fprintln(os.Stderr, "racey: -detect requires -runtime rfdet-ci")
+		os.Exit(2)
+	}
+
+	var err error
 	if *detect {
-		if *rtName != "rfdet-ci" {
-			fmt.Fprintln(os.Stderr, "racey: -detect requires -runtime rfdet-ci")
-			os.Exit(2)
-		}
-		detectRaces(racey, threadCounts, sz)
-		return
+		err = detectRaces(threadCounts, sz)
+	} else {
+		err = harness.RaceyCheck(os.Stdout, []api.Runtime{rt}, threadCounts, sz, *runs)
 	}
-	fail := false
-	for _, n := range threadCounts {
-		seen := map[uint64]int{}
-		var firstSig uint64
-		for i := 0; i < *runs; i++ {
-			rep, err := rt.Run(racey.Prog(workloads.Config{Threads: n, Size: sz}))
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "racey: %v\n", err)
-				os.Exit(1)
-			}
-			sig := rep.Observations[0][0]
-			if len(seen) == 0 {
-				firstSig = sig
-			}
-			seen[sig]++
-		}
-		fmt.Printf("%s, %d threads, %d runs: %d distinct signature(s); first signature %#016x\n",
-			rt.Name(), n, *runs, len(seen), firstSig)
-		if len(seen) > 1 && *rtName != "pthreads" {
-			fail = true
-		}
-	}
-	if fail {
-		fmt.Println("NONDETERMINISM DETECTED — the runtime failed the racey stress test")
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "racey: %v\n", err)
 		os.Exit(1)
 	}
-	if *rtName == "pthreads" {
+	switch {
+	case *detect:
+		fmt.Println("race report is a deterministic artifact: byte-identical on every run")
+	case *rtName == "pthreads":
 		fmt.Println("(pthreads is expected to be nondeterministic; distinct counts above 1 are normal)")
-	} else {
-		fmt.Println("deterministic: every run produced the same signature (§5.1)")
+	default:
+		fmt.Println("deterministic: every run produced the same output (§5.1)")
 	}
 }
 
 // checkFlags rejects a negative thread count (0 selects the default sweep)
-// and a run count that leaves nothing to compare: one signature agrees with
+// and a run count that leaves nothing to compare: one output agrees with
 // itself.
 func checkFlags(threads, runs int) error {
 	switch {
@@ -116,41 +101,28 @@ func checkFlags(threads, runs int) error {
 	return nil
 }
 
-// detectRaces runs racey under the happens-before race detector 20 times per
-// thread count: the report must be non-empty (racey is races by design) and
-// byte-identical across all runs — a deterministic artifact like the output.
-func detectRaces(racey workloads.Workload, threadCounts []int, sz workloads.Size) {
+// detectRaces requires racey's race report, at every thread count, to be
+// byte-identical across 20 runs and non-empty: racey is races by design.
+func detectRaces(threadCounts []int, sz workloads.Size) error {
 	const detectRuns = 20
-	rt := rfdet.NewCIRace()
+	racey, err := workloads.ByName("racey")
+	if err != nil {
+		return err
+	}
 	for _, n := range threadCounts {
-		var first string
-		var firstHash uint64
-		var races int
-		for i := 0; i < detectRuns; i++ {
-			rep, err := rt.Run(racey.Prog(workloads.Config{Threads: n, Size: sz}))
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "racey: %v\n", err)
-				os.Exit(1)
-			}
-			if rep.Races == nil {
-				fmt.Fprintln(os.Stderr, "racey: runtime produced no race report")
-				os.Exit(1)
-			}
-			if i == 0 {
-				first, firstHash, races = rep.Races.String(), rep.Races.Hash(), len(rep.Races.Races)
-				continue
-			}
-			if rep.Races.String() != first {
-				fmt.Fprintf(os.Stderr, "racey: race report diverged on run %d (%d threads)\n", i, n)
-				os.Exit(1)
-			}
+		cfg := workloads.Config{Threads: n, Size: sz}
+		rep, err := harness.StableRaceReport("racey", detectRuns, func(rt api.Runtime) (*api.Report, error) {
+			return rt.Run(racey.Prog(cfg))
+		})
+		if err != nil {
+			return err
 		}
-		fmt.Printf("%s, %d threads, %d runs: %d race(s), report hash %#016x — stable across all runs\n",
-			rt.Name(), n, detectRuns, races, firstHash)
+		races := len(rep.Races.Races)
+		fmt.Printf("rfdet-ci, %d threads, %d runs: %d race(s), report hash %#016x — stable across all runs\n",
+			n, detectRuns, races, rep.Races.Hash())
 		if races == 0 {
-			fmt.Fprintln(os.Stderr, "racey: detector found no races in a program made of races")
-			os.Exit(1)
+			return errors.New("detector found no races in a program made of races")
 		}
 	}
-	fmt.Println("race report is a deterministic artifact: byte-identical on every run")
+	return nil
 }

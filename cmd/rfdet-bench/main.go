@@ -103,7 +103,7 @@ func checkFlags(threads, repeats, runs, replicas int) error {
 func main() {
 	sz := workloads.SizeSmall
 	flag.Var(&sz, "size", "problem size: test, small or medium")
-	threads := flag.Int("threads", 4, "worker thread count for figure7/table1/figure9")
+	threads := flag.Int("threads", 4, "worker thread count for figure7, table1, propagation, phases, figure9, racetable, replicas and -trace")
 	repeats := flag.Int("repeats", 1, "measurement repeats (median of virtual times)")
 	runs := flag.Int("runs", 20, "racey executions per configuration")
 	replicas := flag.Int("replicas", 3, "KV-server replica count for the replicas command")
@@ -150,7 +150,7 @@ func main() {
 	case "figure9":
 		err = harness.Figure9(os.Stdout, sz, *threads, *repeats)
 	case "racey":
-		err = harness.RaceyCheck(os.Stdout, sz, *runs)
+		err = harness.RaceyCheck(os.Stdout, harness.RaceyRuntimes(), []int{2, 4, 8}, sz, *runs)
 	case "litmus":
 		err = harness.LitmusTable(os.Stdout, *runs)
 	case "racetable":

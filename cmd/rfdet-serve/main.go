@@ -24,7 +24,6 @@ import (
 	"strings"
 
 	"rfdet/internal/harness"
-	"rfdet/internal/trace"
 	"rfdet/internal/workloads"
 )
 
@@ -52,33 +51,8 @@ func main() {
 		variants[len(variants)-1].InjectAbort = true
 	}
 
-	cfg := workloads.Config{Threads: *threads, Size: sz}
-	rep := harness.RunServerReplicas(cfg, *seed, variants)
-
-	fmt.Printf("deterministic KV server: %d replicas × %d requests (seed %#x, %d worker threads, size %s)\n\n",
-		len(rep.Runs), rep.Requests, rep.Seed, *threads, sz)
-	fmt.Printf("%-22s %5s %18s %18s %12s %10s %10s | %8s %8s %8s\n",
-		"replica", "procs", "state", "responses", "vtime", "req/s(v)", "req/s(w)",
-		"tw-p50", "tw-p95", "tw-p99")
-	for _, run := range rep.Runs {
-		if run.Err != nil {
-			fmt.Printf("%-22s %5d divergent-by-abort: %v\n", run.Variant, run.Procs, run.Err)
-			continue
-		}
-		tw := "       -        -        -"
-		if run.Phases != nil {
-			pct := run.Phases.PhasePercentiles()[trace.PhaseTurnWait]
-			tw = fmt.Sprintf("%7dns %7dns %7dns",
-				pct.P50.Nanoseconds(), pct.P95.Nanoseconds(), pct.P99.Nanoseconds())
-		}
-		fmt.Printf("%-22s %5d %#018x %#018x %12d %10.0f %10.0f | %s\n",
-			run.Variant, run.Procs,
-			run.Summary.StateHash, run.Summary.ResponseHash,
-			run.VirtualTime,
-			run.ReqPerSecVirtual(rep.Requests), run.ReqPerSecHost(rep.Requests),
-			tw)
-	}
-
+	rep := harness.RunServerReplicas(workloads.Config{Threads: *threads, Size: sz}, *seed, variants)
+	harness.WriteReplicaTable(os.Stdout, rep)
 	if !rep.Divergent() {
 		fmt.Println("\nverdict: REPLICAS AGREE — byte-identical state, responses and virtual time")
 		if *injectAbort {
@@ -87,15 +61,7 @@ func main() {
 		}
 		return
 	}
-	fmt.Println()
-	abortsOnly := true
-	for _, d := range rep.Divergences {
-		fmt.Printf("DIVERGED: %s\n", d)
-		if !strings.Contains(d, "divergent-by-abort") {
-			abortsOnly = false
-		}
-	}
-	if *injectAbort && abortsOnly && len(rep.Divergences) == 1 {
+	if *injectAbort && len(rep.Divergences) == 1 && strings.Contains(rep.Divergences[0], "divergent-by-abort") {
 		fmt.Println("\nverdict: injected abort reported as divergent-by-abort, clean replicas agree")
 		return
 	}

@@ -117,71 +117,6 @@ func TestPremergedFilterStat(t *testing.T) {
 	}
 }
 
-// TestGCAllHintedFallsBackToExitClocks is the regression test for the
-// empty-frontier pathology: once every still-running thread carries the
-// never-communicating hint, the GC frontier was the meet of an empty set —
-// the beginning-of-time clock — and collection freed nothing, growing the
-// metadata space without bound. The fallback takes the frontier from the
-// exited threads' exit clocks instead, so the chatty (exited, joined)
-// worker's slices get reclaimed while only the hinted thread keeps running.
-func TestGCAllHintedFallsBackToExitClocks(t *testing.T) {
-	opts := DefaultOptions()
-	opts.MetadataCapacity = 256 * 1024
-	opts.GCThresholdPct = 90
-	opts.NoCommHint = func(tid int32) bool { return tid == 2 } // the late worker
-
-	prog := func(th api.Thread) {
-		buf := th.Malloc(8 * 1024)
-		mu := api.Addr(64)
-		mu2 := api.Addr(128)
-		// Phase 1: a chatty worker fills the metadata space to just below
-		// the GC threshold (~188 KB of slice payload)...
-		chatty := th.Spawn(func(c api.Thread) {
-			for round := 0; round < 45; round++ {
-				c.Lock(mu)
-				for i := 0; i < 512; i++ {
-					// Byte-dense values: the whole page changes every round,
-					// so each slice is one 4 KB run and the sizing math below
-					// is not distorted by per-run metadata overhead.
-					c.Store64(buf+api.Addr(8*i), (uint64(round)+1)*0x0101010101010101)
-				}
-				c.Unlock(mu)
-			}
-		})
-		// ...and main joins it, so main's exit clock covers all its slices.
-		th.Join(chatty)
-		th.Observe(th.Load64(buf))
-		// Phase 2: a hinted worker keeps committing after main exits; its
-		// commits are what push usage over the threshold and trigger GC —
-		// at a moment when every non-exited thread is hinted.
-		th.Spawn(func(c api.Thread) {
-			for round := 0; round < 200; round++ {
-				c.Lock(mu2)
-				for i := 0; i < 64; i++ {
-					c.Store64(buf+4096+api.Addr(8*i), (uint64(round)+1)*0x0101010101010101+uint64(i))
-				}
-				c.Unlock(mu2)
-			}
-		})
-	}
-
-	rep, err := New(opts).Run(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Stats.GCCount == 0 {
-		t.Fatal("scenario never triggered GC; thresholds need retuning")
-	}
-	// Without the fallback the chatty worker's ~190 KB stays pinned under
-	// the hinted worker's ~150 KB, pushing the high-water mark well past
-	// 300 KB. With it, the first GC reclaims phase 1 and the high water
-	// stays near the ~230 KB trigger point.
-	if rep.Stats.MetadataBytes > 280*1024 {
-		t.Fatalf("GC freed nothing with all live threads hinted: metadata high water = %d KB",
-			rep.Stats.MetadataBytes/1024)
-	}
-}
-
 // offMonitorProg drives every decomposed monitor path at once: contended
 // locks releasing multi-page slices (off-monitor diff + deferred apply +
 // prelock), condvar handshakes (Wait's release and two-source wake acquire),

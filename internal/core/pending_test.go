@@ -77,7 +77,7 @@ func TestCollectedSlicesStayPended(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.MetadataCapacity, opts.GCThresholdPct = 64*1024, 50
+	opts.MetadataCapacity = 36409 // GC at 32 KiB
 	pendedAtGC, gcs = 0, 0
 	got, gotTrace, err := New(opts).RunTraced(prog)
 	if err != nil {

@@ -69,23 +69,9 @@ type Options struct {
 	// LazyWrites enables the lazy-writes optimization (§4.5): propagated
 	// modifications are pended per page and applied on first access.
 	LazyWrites bool
-	// MetadataCapacity is the metadata-space size in bytes
-	// (default 256 MiB as in §5.4).
+	// MetadataCapacity is the metadata-space size in bytes (default 256 MiB
+	// as in §5.4). Garbage collection triggers at 90% of it.
 	MetadataCapacity uint64
-	// GCThresholdPct triggers slice garbage collection at this metadata
-	// usage percentage (default 90 as in §5.4).
-	GCThresholdPct int
-	// NoCommHint implements the eager-collection extension sketched at the
-	// end of §5.4: it names threads that the programmer asserts never
-	// communicate through shared memory after their creation (pure fork/
-	// join workers, e.g. linear_regression's mappers). Hinted threads skip
-	// slice creation entirely except for their final exit slice (which the
-	// join still needs), bounding the metadata growth that §5.4 identifies
-	// as RFDet's pathological case. If the assertion is wrong — a hinted
-	// thread's updates are acquired before its exit — the acquirer misses
-	// them, exactly the caveat the paper attaches to the idea; the result
-	// is still deterministic.
-	NoCommHint func(tid int32) bool
 	// Validate enables the post-execution DLRC invariant checker (tests).
 	Validate bool
 	// Trace records every synchronization operation in deterministic
@@ -197,6 +183,10 @@ type exec struct {
 	//detvet:guardedby exec.mu
 	collectErr error
 
+	// gcFrontier is the frontier of the last GC pass (gcLocked).
+	//detvet:guardedby exec.mu
+	gcFrontier vclock.VC
+
 	wg sync.WaitGroup //detvet:nativesync joins thread goroutines at run end; no ordering role.
 }
 
@@ -259,7 +249,7 @@ func newExec(opts Options, chunk chunking) *exec {
 		chunk:    chunk,
 		sched:    kendo.NewSched(),
 		alloc:    alloc.New(),
-		store:    slicestore.NewStore(opts.MetadataCapacity, opts.GCThresholdPct),
+		store:    slicestore.NewStore(opts.MetadataCapacity),
 		syncvars: make(map[api.Addr]*syncVar),
 	}
 	if opts.PhaseTrace {
@@ -644,12 +634,16 @@ func (e *exec) buildReportLocked(elapsed time.Duration) *api.Report {
 }
 
 // gcLocked garbage-collects slices that every live thread has merged
-// (§4.5): the frontier is the meet of all live threads' vector clocks.
+// (§4.5): the frontier is the meet of all live threads' vector clocks. The
+// committing thread is live, so there is at least one clock.
 //
-// Threads hinted as never-communicating (Options.NoCommHint, the §5.4
-// eager-collection extension) are excluded from the frontier: since they
-// never acquire, their stale clocks must not pin other threads' slices in
-// the metadata space.
+// A pass runs only when the frontier has moved since the last one. The
+// frontier never falls: spawn, exit, join and barrier never lower it. A pass
+// at a frontier ≤ the last one would free nothing: the last pass freed every
+// slice at or below it, and a slice committed since carries its creator's
+// component above that thread's component in the last frontier. So the skip
+// leaves the store exactly as the pass would, and GCEmptyPasses counts only
+// passes at a new frontier.
 //
 // The caller is inside the monitor and holds the deterministic turn, so every
 // clock and every list the pass reads and trims is quiescent.
@@ -658,26 +652,15 @@ func (e *exec) buildReportLocked(elapsed time.Duration) *api.Report {
 func (e *exec) gcLocked() {
 	var clocks []vclock.VC
 	for _, t := range e.threads {
-		if t.proc.Status() != kendo.Exited && !t.noComm {
+		if t.proc.Status() != kendo.Exited {
 			clocks = append(clocks, t.vtime)
 		}
 	}
-	if len(clocks) == 0 {
-		// Every live thread is hinted never-communicating: MeetAll over the
-		// empty set would be the beginning-of-time clock, Collect would free
-		// nothing, and metadata would grow without bound — the exact §5.4
-		// pathology the hint exists to prevent. Fall back to the exit clocks
-		// of the threads that have finished: everything that happened-before
-		// every exit has been merged by every thread that will ever acquire
-		// (hinted threads assert they never will; if that assertion is wrong
-		// the acquirer misses the updates, the hint's documented caveat).
-		for _, t := range e.threads {
-			if t.proc.Status() == kendo.Exited && t.exitV != nil {
-				clocks = append(clocks, t.exitV)
-			}
-		}
-	}
 	frontier := vclock.MeetAll(clocks)
+	if e.gcFrontier != nil && frontier.Leq(e.gcFrontier) {
+		return
+	}
+	e.gcFrontier = frontier
 	if e.store.Collect(frontier) == 0 {
 		// Every list holds only slices the store still holds (a slice is
 		// committed as it is first listed, and each pass that frees trims

@@ -474,9 +474,6 @@ func (t *thread) Spawn(fn api.ThreadFunc) api.ThreadID {
 	if e.opts.LazyWrites {
 		child.pending = make(map[mem.PageID]*mem.PendingPage)
 	}
-	if e.opts.NoCommHint != nil && e.opts.NoCommHint(int32(id)) {
-		child.noComm = true
-	}
 	child.proc = e.sched.Register(int32(id), t.proc.Clock()+1)
 	child.tb = e.phases.NewThread(int(id))
 	e.alloc.Register(int(id))

@@ -42,9 +42,6 @@ type thread struct {
 	// monitoring is false only in the main thread before its first
 	// pthread_create (§4.1).
 	monitoring bool
-	// noComm marks a thread the programmer hinted as never-communicating
-	// (Options.NoCommHint): its clock is excluded from the GC frontier.
-	noComm bool
 	// lag is the ticks not yet published to proc's clock, 1<<shift the lag that
 	// publishes them (tick); both sit in the flags' padding.
 	shift uint8

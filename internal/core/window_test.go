@@ -12,7 +12,8 @@ import (
 // has already seen. The tests here cover what the goldens cannot: the
 // barrier's re-list must void the marks on the replaced list, and the scan
 // must stay linear in the list's growth. The third place a mark can go
-// stale, gcLocked's trim, is covered by TestNoCommHintEnablesEagerGC.
+// stale, gcLocked's trim, is covered by TestCollectedSlicesStayPended and
+// TestEveryStatsCounterIsWired: both fail with the trim's forgetMarks removed.
 
 // TestSubsetBarrierOutsiderAcquire: an outsider that has a mark on a thread's
 // list must rescan that list after a barrier replaced it by the leader's,

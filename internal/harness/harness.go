@@ -349,26 +349,33 @@ func Figure9(out io.Writer, size workloads.Size, threads, repeats int) error {
 	return nil
 }
 
+// RaceyRuntimes returns the runtimes rfdet-bench's racey stress compares:
+// both RFDet monitors, DThreads, and pthreads to show what nondeterminism
+// looks like.
+func RaceyRuntimes() []api.Runtime {
+	return []api.Runtime{NewRFDetCI(), NewRFDetPF(), dthreads.New(), pthreads.New()}
+}
+
 // RaceyCheck performs the §5.1 determinism stress: racey is executed `runs`
-// times with 2, 4 and 8 threads on both RFDet monitors; every configuration
-// must yield a single distinct output. The pthreads baseline is run too, to
-// show what nondeterminism looks like (its distinct-output count may exceed
-// one).
-func RaceyCheck(out io.Writer, size workloads.Size, runs int) error {
+// times on every runtime at every thread count, and every configuration of a
+// runtime other than pthreads must yield one output hash, which covers every
+// thread's observations and the final memory. It renders one row per
+// configuration and errors if a deterministic runtime produced two outputs.
+func RaceyCheck(out io.Writer, rts []api.Runtime, threads []int, size workloads.Size, runs int) error {
 	racey, err := workloads.ByName("racey")
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(out, "racey determinism stress (%d runs per configuration, size %s)\n\n", runs, size)
 	fmt.Fprintf(out, "%-10s %8s %16s %10s\n", "runtime", "threads", "distinct outputs", "verdict")
-	ok := true
-	for _, rt := range []api.Runtime{NewRFDetCI(), NewRFDetPF(), dthreads.New(), pthreads.New()} {
-		for _, n := range []int{2, 4, 8} {
+	var failed []string
+	for _, rt := range rts {
+		for _, n := range threads {
 			seen := map[uint64]bool{}
 			for i := 0; i < runs; i++ {
 				rep, err := rt.Run(racey.Prog(workloads.Config{Threads: n, Size: size}))
 				if err != nil {
-					return err
+					return fmt.Errorf("racey on %s, %d threads: %w", rt.Name(), n, err)
 				}
 				seen[rep.OutputHash] = true
 			}
@@ -376,15 +383,15 @@ func RaceyCheck(out io.Writer, size workloads.Size, runs int) error {
 			if len(seen) > 1 {
 				verdict = "nondeterministic"
 				if rt.Name() != "pthreads" {
-					ok = false
+					failed = append(failed, fmt.Sprintf("%s at %d threads", rt.Name(), n))
 					verdict = "FAILED"
 				}
 			}
 			fmt.Fprintf(out, "%-10s %8d %16d %10s\n", rt.Name(), n, len(seen), verdict)
 		}
 	}
-	if !ok {
-		return fmt.Errorf("harness: a deterministic runtime produced nondeterministic racey output")
+	if len(failed) > 0 {
+		return fmt.Errorf("harness: nondeterministic racey output from %s", strings.Join(failed, ", "))
 	}
 	fmt.Fprintln(out, "\nEvery DMT configuration produced exactly one output across all runs (§5.1).")
 	return nil
@@ -394,7 +401,7 @@ func RaceyCheck(out io.Writer, size workloads.Size, runs int) error {
 func AllExperiments(out io.Writer, size workloads.Size, threads, repeats, raceyRuns int) error {
 	sep := strings.Repeat("=", 100)
 	steps := []func() error{
-		func() error { return RaceyCheck(out, size, raceyRuns) },
+		func() error { return RaceyCheck(out, RaceyRuntimes(), []int{2, 4, 8}, size, raceyRuns) },
 		func() error { return LitmusTable(out, raceyRuns) },
 		func() error { return RaceTable(out, size, threads) },
 		func() error { return ReplicaTable(out, size, threads, 3) },

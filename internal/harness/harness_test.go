@@ -124,10 +124,34 @@ func TestFigure9CoversSplash(t *testing.T) {
 
 func TestRaceyCheckPasses(t *testing.T) {
 	var sb strings.Builder
-	if err := RaceyCheck(&sb, workloads.SizeTest, 5); err != nil {
+	if err := RaceyCheck(&sb, RaceyRuntimes(), []int{2, 4, 8}, workloads.SizeTest, 5); err != nil {
 		t.Fatalf("racey check failed: %v\n%s", err, sb.String())
 	}
 	if !strings.Contains(sb.String(), "DETERMINISTIC") {
 		t.Fatal("racey output missing verdicts")
+	}
+}
+
+// flakyRuntime stands in for a deterministic runtime that is not: every run
+// reports a new output hash.
+type flakyRuntime struct{ runs uint64 }
+
+func (r *flakyRuntime) Name() string { return "flaky" }
+
+func (r *flakyRuntime) Run(api.ThreadFunc) (*api.Report, error) {
+	r.runs++
+	return &api.Report{OutputHash: r.runs}, nil
+}
+
+// TestRaceyCheckFailsOnNondeterminism: two outputs from a runtime other than
+// pthreads fail the check, and its row says so.
+func TestRaceyCheckFailsOnNondeterminism(t *testing.T) {
+	var sb strings.Builder
+	err := RaceyCheck(&sb, []api.Runtime{&flakyRuntime{}}, []int{2}, workloads.SizeTest, 2)
+	if err == nil || !strings.Contains(err.Error(), "flaky at 2 threads") {
+		t.Fatalf("error = %v, want the flaky runtime named", err)
+	}
+	if !strings.Contains(sb.String(), "FAILED") {
+		t.Fatalf("no FAILED row:\n%s", sb.String())
 	}
 }

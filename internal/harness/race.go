@@ -10,48 +10,44 @@ import (
 	"rfdet/internal/workloads"
 )
 
-// NewRFDetCIRace returns RFDet-ci with the happens-before race detector
-// enabled. Detection is strictly observational: outputs, virtual times and
-// traces are identical to NewRFDetCI's; Report.Races carries the
-// deterministic race report.
-func NewRFDetCIRace() api.Runtime {
+// StableRaceReport runs a program n times on RFDet-ci with the race detector
+// on (run executes it once on the runtime it is given) and returns the first
+// run's report. Every run must carry a race report, byte-identical to the
+// first: the detector's output is a pure function of the program.
+func StableRaceReport(name string, n int, run func(api.Runtime) (*api.Report, error)) (*api.Report, error) {
 	opts := core.DefaultOptions()
 	opts.RaceDetect = true
-	return core.New(opts)
+	var first *api.Report
+	for i := 0; i < n; i++ {
+		rep, err := run(core.New(opts))
+		if err != nil {
+			return nil, err
+		}
+		if rep.Races == nil {
+			return nil, fmt.Errorf("harness: %s ran without a race report", name)
+		}
+		if first == nil {
+			first = rep
+		} else if rep.Races.String() != first.Races.String() {
+			return nil, fmt.Errorf("harness: %s race report diverged on run %d:\n%s\nvs\n%s",
+				name, i, rep.Races, first.Races)
+		}
+	}
+	return first, nil
 }
 
 // RaceTable renders the happens-before race-detection artifact: the litmus
 // suite and the racey stress classified by the detector. Each kernel's race
 // count is checked against its static classification (litmus.Test.Racy /
 // RaceInvisible), and every kernel is run twice with the report byte-compared
-// — the detector's output must be a pure function of the program.
+// (StableRaceReport).
 func RaceTable(out io.Writer, size workloads.Size, threads int) error {
 	fmt.Fprintf(out, "Happens-before race detection (RFDet-ci + RaceDetect, deterministic report)\n\n")
 	fmt.Fprintf(out, "%-12s %8s %10s %-12s %s\n", "kernel", "races", "accesses", "verdict", "notes")
 
-	runTwice := func(name string, run func() (*api.Report, error)) (*api.Report, error) {
-		rep1, err := run()
-		if err != nil {
-			return nil, err
-		}
-		rep2, err := run()
-		if err != nil {
-			return nil, err
-		}
-		if rep1.Races == nil || rep2.Races == nil {
-			return nil, fmt.Errorf("harness: %s ran without a race report", name)
-		}
-		if rep1.Races.String() != rep2.Races.String() {
-			return nil, fmt.Errorf("harness: %s race report not deterministic:\n%s\nvs\n%s",
-				name, rep1.Races, rep2.Races)
-		}
-		return rep1, nil
-	}
-
 	for _, tst := range litmus.Tests() {
-		tst := tst
-		rep, err := runTwice(tst.Name, func() (*api.Report, error) {
-			return litmus.RunReport(NewRFDetCIRace(), tst)
+		rep, err := StableRaceReport(tst.Name, 2, func(rt api.Runtime) (*api.Report, error) {
+			return litmus.RunReport(rt, tst)
 		})
 		if err != nil {
 			return err
@@ -88,8 +84,8 @@ func RaceTable(out io.Writer, size workloads.Size, threads int) error {
 		return err
 	}
 	cfg := workloads.Config{Threads: threads, Size: size}
-	rep, err := runTwice("racey", func() (*api.Report, error) {
-		return NewRFDetCIRace().Run(racey.Prog(cfg))
+	rep, err := StableRaceReport("racey", 2, func(rt api.Runtime) (*api.Report, error) {
+		return rt.Run(racey.Prog(cfg))
 	})
 	if err != nil {
 		return err
@@ -109,8 +105,8 @@ func RaceTable(out io.Writer, size workloads.Size, threads int) error {
 	if err != nil {
 		return err
 	}
-	rep, err = runTwice("server", func() (*api.Report, error) {
-		return NewRFDetCIRace().Run(server.Prog(cfg))
+	rep, err = StableRaceReport("server", 2, func(rt api.Runtime) (*api.Report, error) {
+		return rt.Run(server.Prog(cfg))
 	})
 	if err != nil {
 		return err

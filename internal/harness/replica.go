@@ -203,16 +203,14 @@ func MatrixVariants() []ReplicaVariant {
 	return variants
 }
 
-// ReplicaTable renders the replica-divergence artifact: k replicas of the
-// same KV-server request log (DefaultVariants), their deterministic
-// fingerprints, requests/sec in virtual and host time, and the
-// per-request phase breakdown from the phase trace. It errors if any replica
-// diverges — this table doubles as the end-to-end wall rfdet-bench runs.
-func ReplicaTable(out io.Writer, size workloads.Size, threads, k int) error {
-	cfg := workloads.Config{Threads: threads, Size: size}
-	rep := RunServerReplicas(cfg, workloads.DefaultServerSeed, DefaultVariants(k))
-	fmt.Fprintf(out, "KV-server replica divergence check (%d replicas, %d worker threads, size %s, %d requests)\n\n",
-		k, threads, size, rep.Requests)
+// WriteReplicaTable renders a replica report: one row per replica with its
+// deterministic fingerprints, requests/sec in virtual and host time, the
+// per-request phase costs and the turn-wait span percentiles, then one line
+// per divergence. The phase columns of a replica run without phase tracing
+// read zero.
+func WriteReplicaTable(out io.Writer, rep *ReplicaReport) {
+	fmt.Fprintf(out, "KV-server replica divergence check (%d replicas × %d requests, seed %#x, %d worker threads, size %s)\n\n",
+		len(rep.Runs), rep.Requests, rep.Seed, rep.Threads, rep.Size)
 	fmt.Fprintf(out, "%-16s %5s %18s %18s %12s %10s %10s | %8s %8s %8s | %8s %8s %8s\n",
 		"replica", "procs", "state", "responses", "vtime", "req/s(v)", "req/s(w)",
 		"turn", "diff", "apply",
@@ -234,10 +232,20 @@ func ReplicaTable(out io.Writer, size workloads.Size, threads, k int) error {
 			per[trace.PhaseApply].Nanoseconds(),
 			pct.P50.Nanoseconds(), pct.P95.Nanoseconds(), pct.P99.Nanoseconds())
 	}
+	for _, d := range rep.Divergences {
+		fmt.Fprintf(out, "DIVERGED: %s\n", d)
+	}
+}
+
+// ReplicaTable renders the replica-divergence artifact: k replicas of the
+// same KV-server request log (DefaultVariants) through WriteReplicaTable. It
+// errors if any replica diverges — this table doubles as the end-to-end wall
+// rfdet-bench runs.
+func ReplicaTable(out io.Writer, size workloads.Size, threads, k int) error {
+	cfg := workloads.Config{Threads: threads, Size: size}
+	rep := RunServerReplicas(cfg, workloads.DefaultServerSeed, DefaultVariants(k))
+	WriteReplicaTable(out, rep)
 	if rep.Divergent() {
-		for _, d := range rep.Divergences {
-			fmt.Fprintf(out, "DIVERGED: %s\n", d)
-		}
 		return fmt.Errorf("harness: %d replica divergences", len(rep.Divergences))
 	}
 	fmt.Fprintln(out, "\nEvery replica produced byte-identical state/response hashes, observation logs")

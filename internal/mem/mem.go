@@ -327,9 +327,6 @@ func (s *Space) ProtectAll(pr Prot) int {
 	return len(s.pages)
 }
 
-// ClearProtections removes all page protections.
-func (s *Space) ClearProtections() { s.ProtectAll(ProtRW) }
-
 // Load8 reads one byte.
 func (s *Space) Load8(a uint64) uint8 {
 	id := PageOf(a)

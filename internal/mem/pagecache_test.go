@@ -212,7 +212,7 @@ func (m *modelSpace) privateBytes() uint64 {
 //	                 the fault handler lowers it again, as the runtime's does
 //	         13      ApplyRuns of the same run as 11
 //	         14      ProtectAll: none (length%3 = 0), read, read-write
-//	         15      ClearProtections
+//	         15      ProtectAll(ProtRW)
 //	         16      SetDirtyTracking(length odd)
 //	         17      ResetDirty
 //	         18      the CI monitor's Store64: SnapshotPage of every page of the
@@ -409,7 +409,7 @@ func runSpaceProgram(t *testing.T, prog []byte) {
 			sp.s.ProtectAll(prots[n%3])
 			sp.m.protectAll(prots[n%3])
 		case 15:
-			sp.s.ClearProtections()
+			sp.s.ProtectAll(ProtRW)
 			sp.m.protectAll(ProtRW)
 		case 16:
 			sp.s.SetDirtyTracking(n%2 == 1)

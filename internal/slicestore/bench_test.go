@@ -18,7 +18,7 @@ func BenchmarkSliceStoreChurn(b *testing.B) {
 	const runBytes = 256
 	const collectEvery = 64
 
-	st := NewStore(1<<30, 90)
+	st := NewStore(1 << 30)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		mods := make([]mem.Run, runsPerSlice)

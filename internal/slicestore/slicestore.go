@@ -82,30 +82,28 @@ type Store struct {
 }
 
 // NewStore returns a metadata space with the given capacity (0 means
-// DefaultCapacity) and GC threshold percentage (0 means 90).
-func NewStore(capacity uint64, thresholdPct int) *Store {
+// DefaultCapacity) that requests GC at DefaultGCThresholdPct of it.
+func NewStore(capacity uint64) *Store {
 	if capacity == 0 {
 		capacity = DefaultCapacity
 	}
-	if thresholdPct <= 0 || thresholdPct > 100 {
-		thresholdPct = DefaultGCThresholdPct
-	}
 	return &Store{
 		capacity: capacity,
-		// Multiply before dividing: capacity/100*pct truncates the quotient
+		// Multiply before dividing: capacity/100*90 truncates the quotient
 		// first, which for capacities that are not multiples of 100 rounds
-		// the threshold down by up to 99*pct bytes — and to zero for
-		// capacities under 100, making every commit trigger a GC pass.
-		gcThreshold: capacity * uint64(thresholdPct) / 100,
+		// the threshold down by up to 89 bytes — and to zero for capacities
+		// under 100, making every commit trigger a GC pass.
+		gcThreshold: capacity * DefaultGCThresholdPct / 100,
 	}
 }
 
-// NewEpochStore returns NewStore(capacity, thresholdPct) and ignores stripes.
+// NewEpochStore returns NewStore(capacity) and ignores thresholdPct and
+// stripes.
 // It keeps the name bench/layers.go calls for its slicestore.* rows while
 // bench/ is frozen; the benchmark's next revision (ROADMAP item 1) calls
 // NewStore there and deletes this constructor.
 func NewEpochStore(capacity uint64, thresholdPct, stripes int) *Store {
-	return NewStore(capacity, thresholdPct)
+	return NewStore(capacity)
 }
 
 // Capacity returns the configured metadata-space size.

@@ -20,7 +20,7 @@ func mkSlice(tid int32, time vclock.VC, nbytes int) *Slice {
 }
 
 func TestCommitAccountsUsage(t *testing.T) {
-	st := NewStore(1<<20, 90)
+	st := NewStore(1 << 20)
 	s := mkSlice(0, vclock.VC{1}, 100)
 	if st.Commit(s) {
 		t.Fatal("tiny commit should not trigger GC")
@@ -34,7 +34,7 @@ func TestCommitAccountsUsage(t *testing.T) {
 }
 
 func TestSnapshotAccounting(t *testing.T) {
-	st := NewStore(0, 0)
+	st := NewStore(0)
 	st.AllocSnapshot()
 	st.AllocSnapshot()
 	if st.Used() != 2*mem.PageSize {
@@ -52,7 +52,7 @@ func TestSnapshotAccounting(t *testing.T) {
 func TestGCThreshold(t *testing.T) {
 	// Capacity 100 KiB, threshold 90%: commits must report needGC once
 	// usage crosses 90 KiB.
-	st := NewStore(100*1024, 90)
+	st := NewStore(100 * 1024)
 	triggered := false
 	for i := 0; i < 100; i++ {
 		if st.Commit(mkSlice(0, vclock.VC{uint64(i)}, 1024)) {
@@ -66,7 +66,7 @@ func TestGCThreshold(t *testing.T) {
 }
 
 func TestCollectReclaimsOnlyDominated(t *testing.T) {
-	st := NewStore(0, 0)
+	st := NewStore(0)
 	old := mkSlice(0, vclock.VC{1, 0}, 10)
 	mid := mkSlice(1, vclock.VC{0, 2}, 10)
 	young := mkSlice(0, vclock.VC{3, 3}, 10)
@@ -95,7 +95,7 @@ func TestCollectReclaimsOnlyDominated(t *testing.T) {
 func TestCollectNeverReclaimsNeeded(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		st := NewStore(0, 0)
+		st := NewStore(0)
 		mk := func() vclock.VC {
 			v := make(vclock.VC, 3)
 			for i := range v {
@@ -155,13 +155,12 @@ func TestCostIncludesOverheads(t *testing.T) {
 }
 
 func TestDefaults(t *testing.T) {
-	st := NewStore(0, 0)
+	st := NewStore(0)
 	if st.Capacity() != DefaultCapacity {
 		t.Fatalf("default capacity = %d", st.Capacity())
 	}
-	st2 := NewStore(1000, 300) // out-of-range threshold falls back to 90
-	if st2.GCThreshold() != 900 {
-		t.Fatalf("threshold = %d", st2.GCThreshold())
+	if st.GCThreshold() != DefaultCapacity*DefaultGCThresholdPct/100 {
+		t.Fatalf("default threshold = %d", st.GCThreshold())
 	}
 }
 
@@ -172,25 +171,23 @@ func TestDefaults(t *testing.T) {
 func TestGCThresholdRounding(t *testing.T) {
 	cases := []struct {
 		capacity uint64
-		pct      int
 		want     uint64
 	}{
-		{150, 90, 135},  // old code: 150/100*90 = 90
-		{50, 90, 45},    // old code: 50/100*90 = 0 → GC on every commit
-		{199, 50, 99},   // old code: 199/100*50 = 50
-		{1000, 90, 900}, // multiple of 100: unchanged
-		{DefaultCapacity, DefaultGCThresholdPct, DefaultCapacity * 90 / 100},
+		{150, 135},  // old code: 150/100*90 = 90
+		{50, 45},    // old code: 50/100*90 = 0 → GC on every commit
+		{199, 179},  // old code: 199/100*90 = 90
+		{1000, 900}, // multiple of 100: unchanged
 	}
 	for _, c := range cases {
-		st := NewStore(c.capacity, c.pct)
+		st := NewStore(c.capacity)
 		if got := st.GCThreshold(); got != c.want {
-			t.Errorf("NewStore(%d, %d): threshold = %d, want %d", c.capacity, c.pct, got, c.want)
+			t.Errorf("NewStore(%d): threshold = %d, want %d", c.capacity, got, c.want)
 		}
 	}
 	// Behavioral consequence: a 108-cost commit into a 150-byte store sits
 	// between the old (90) and fixed (135) thresholds, so it must NOT
 	// demand a GC pass anymore.
-	st := NewStore(150, 90)
+	st := NewStore(150)
 	s := mkSlice(0, vclock.VC{1}, 20)
 	if c := s.Cost(); c <= 90 || c >= 135 {
 		t.Fatalf("test slice cost %d out of discriminating range (90, 135)", c)
@@ -208,7 +205,7 @@ func TestCollectOrderFree(t *testing.T) {
 	var wantCount, wantLive int
 	var wantUsed uint64
 	for rep := 0; rep < 40; rep++ {
-		st := NewStore(0, 0)
+		st := NewStore(0)
 		var expectSurvive uint64
 		for i := 0; i < 24; i++ {
 			s := &Slice{
@@ -249,7 +246,7 @@ func TestCollectOrderFree(t *testing.T) {
 // freeing and retaking them throughout, a commit asks for a pass exactly when
 // the committed slices' cost reaches the threshold.
 func TestCommitGCDecisionIgnoresConcurrentFrees(t *testing.T) {
-	st := NewStore(100*1024, 90)
+	st := NewStore(100 * 1024)
 	for st.Used() <= st.GCThreshold() {
 		st.AllocSnapshot()
 	}
@@ -287,7 +284,7 @@ func TestCommitGCDecisionIgnoresConcurrentFrees(t *testing.T) {
 // store was a map.
 func TestCollectPassAccounting(t *testing.T) {
 	t.Run("map", func(t *testing.T) {
-		st := NewStore(1<<20, 90)
+		st := NewStore(1 << 20)
 		st.Commit(mkSlice(0, vclock.VC{5}, 64))
 		for i := 0; i < 3; i++ {
 			if n := st.Collect(vclock.VC{1}); n != 0 {
@@ -319,7 +316,7 @@ func TestCollectPassAccounting(t *testing.T) {
 // name it had when the store was a map.
 func TestCommitDuringCollectAccounting(t *testing.T) {
 	t.Run("map", func(t *testing.T) {
-		st := NewStore(1<<30, 90)
+		st := NewStore(1 << 30)
 		const committers = 4
 		const perCommitter = 300
 		var collectorWG, committerWG sync.WaitGroup

@@ -1,5 +1,5 @@
 // Package stats provides the small numeric helpers used when aggregating
-// benchmark results (means, geometric means, maxima), plus the wall-clock
+// benchmark results (geometric means, maxima), plus the wall-clock
 // plumbing deterministic packages read the host clock through.
 package stats
 
@@ -18,18 +18,6 @@ func Now() time.Time { return time.Now() }
 
 // Since returns the wall-clock duration elapsed since t. See Now.
 func Since(t time.Time) time.Duration { return time.Since(t) }
-
-// Mean returns the arithmetic mean of xs (0 for empty input).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
 
 // GeoMean returns the geometric mean of xs (0 for empty input). Non-positive
 // values are skipped, as they would be measurement errors for time ratios.

@@ -88,13 +88,7 @@ func TestCompareEdges(t *testing.T) {
 		if got := c.v.Compare(c.w); got != c.want {
 			t.Errorf("%s: %v.Compare(%v)=%v, want %v", c.name, c.v, c.w, got, c.want)
 		}
-		// Cross-check the predicate quartet against the same expectation.
-		if conc := c.v.Concurrent(c.w); conc != (c.want == Unordered) {
-			t.Errorf("%s: Concurrent=%v disagrees with Compare=%v", c.name, conc, c.want)
-		}
-		if eq := c.v.Equal(c.w); eq != (c.want == Same) {
-			t.Errorf("%s: Equal=%v disagrees with Compare=%v", c.name, eq, c.want)
-		}
+		// Cross-check Less against the same expectation.
 		if lt := c.v.Less(c.w); lt != (c.want == Before) {
 			t.Errorf("%s: Less=%v disagrees with Compare=%v", c.name, lt, c.want)
 		}

@@ -78,18 +78,6 @@ func (v VC) Less(w VC) bool {
 	return v.Leq(w) && !w.Leq(v)
 }
 
-// Equal reports whether v and w denote the same instant (ignoring implicit
-// trailing zeros).
-func (v VC) Equal(w VC) bool {
-	return v.Leq(w) && w.Leq(v)
-}
-
-// Concurrent reports whether v and w are incomparable (neither happens-before
-// the other).
-func (v VC) Concurrent(w VC) bool {
-	return !v.Leq(w) && !w.Leq(v)
-}
-
 // Order is the outcome of comparing two clocks under the happens-before
 // partial order.
 type Order int8

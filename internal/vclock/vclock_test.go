@@ -49,7 +49,7 @@ func TestLeqReflexive(t *testing.T) {
 func TestLeqAntisymmetric(t *testing.T) {
 	f := func(a, b VC) bool {
 		if a.Leq(b) && b.Leq(a) {
-			return a.Equal(b)
+			return a.Compare(b) == Same
 		}
 		return true
 	}
@@ -98,7 +98,7 @@ func TestMeetIsGLB(t *testing.T) {
 func TestLessIsStrict(t *testing.T) {
 	f := func(a, b VC) bool {
 		if a.Less(b) {
-			return a.Leq(b) && !a.Equal(b) && !b.Less(a)
+			return a.Leq(b) && a.Compare(b) != Same && !b.Less(a)
 		}
 		return true
 	}
@@ -109,7 +109,7 @@ func TestLessIsStrict(t *testing.T) {
 
 func TestConcurrentSymmetric(t *testing.T) {
 	f := func(a, b VC) bool {
-		return a.Concurrent(b) == b.Concurrent(a)
+		return (a.Compare(b) == Unordered) == (b.Compare(a) == Unordered)
 	}
 	if err := quick.Check(f, qcfg()); err != nil {
 		t.Error(err)
@@ -126,10 +126,10 @@ func TestTrichotomyish(t *testing.T) {
 		if b.Less(a) {
 			cnt++
 		}
-		if a.Equal(b) {
+		if a.Compare(b) == Same {
 			cnt++
 		}
-		if a.Concurrent(b) {
+		if a.Compare(b) == Unordered {
 			cnt++
 		}
 		return cnt == 1
@@ -153,7 +153,7 @@ func TestBumpMakesStrictlyLater(t *testing.T) {
 func TestGrowthAndMixedLengths(t *testing.T) {
 	short := VC{1, 2}
 	long := VC{1, 2, 0, 0}
-	if !short.Equal(long) {
+	if short.Compare(long) != Same {
 		t.Fatal("trailing zeros must not matter")
 	}
 	if short.Less(long) || long.Less(short) {
@@ -175,7 +175,7 @@ func TestMeetAll(t *testing.T) {
 	m := MeetAll([]VC{{3, 5, 2}, {4, 1}, {3, 2, 9}})
 	// Componentwise minimum, with missing components treated as zero.
 	want := VC{3, 1}
-	if !m.Equal(want) {
+	if m.Compare(want) != Same {
 		t.Fatalf("MeetAll = %v, want %v", m, want)
 	}
 }
