@@ -8,10 +8,12 @@ func TestCheckFlags(t *testing.T) {
 		ok                               bool
 	}{
 		{4, 1, 20, 3, true},
-		{1, 1, 1, 2, true},
+		{1, 1, 2, 2, true},
 		{0, 1, 20, 3, false},
 		{4, 0, 20, 3, false},
 		{4, 1, 0, 3, false},
+		{4, 1, 1, 3, false},
+		{4, 1, -1, 3, false},
 		{4, 1, 20, 1, false},
 		{4, 1, 20, 0, false},
 	} {

@@ -2,15 +2,20 @@
 // prints the full execution report: observations, output hash, virtual and
 // wall time, and every non-zero api.Stats counter by layer. With -trace (RFDet
 // runtimes only) it also dumps the deterministic synchronization schedule —
-// the event-level witness of determinism.
+// the event-level witness of determinism. With -phases out.json (RFDet
+// runtimes only) it writes the first execution's phase timeline as
+// Chrome-trace JSON, loadable in chrome://tracing or Perfetto, and exits 1 if
+// the bytes written fail trace.ValidateChrome.
 //
 //	rfdet-run -workload ocean -runtime rfdet-ci -threads 4 -size small
 //	rfdet-run -workload racey -runtime pthreads -repeat 5
 //	rfdet-run -workload dedup -trace | head -50
 //	rfdet-run -workload racey -racecheck
+//	rfdet-run -workload fft -size test -phases fft-phases.json
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"os"
@@ -19,6 +24,7 @@ import (
 	"rfdet/internal/core"
 	"rfdet/internal/dthreads"
 	"rfdet/internal/pthreads"
+	"rfdet/internal/trace"
 	"rfdet/internal/workloads"
 )
 
@@ -29,7 +35,8 @@ func main() {
 	sz := workloads.SizeSmall
 	flag.Var(&sz, "size", "problem size: test, small or medium")
 	repeat := flag.Int("repeat", 1, "number of executions (reports determinism across them)")
-	trace := flag.Bool("trace", false, "dump the deterministic synchronization schedule (rfdet only)")
+	schedule := flag.Bool("trace", false, "dump the deterministic synchronization schedule (rfdet only)")
+	phases := flag.String("phases", "", "write the first execution's Chrome-trace phase timeline to this file and validate it (rfdet only)")
 	racecheck := flag.Bool("racecheck", false, "run the happens-before race detector and print its report (rfdet only)")
 	quantum := flag.Uint64("quantum", 50000, "coredet quantum in logical instructions")
 	flag.Parse()
@@ -53,7 +60,8 @@ func main() {
 		if *rtName == "rfdet-pf" {
 			opts.Monitor = core.MonitorPF
 		}
-		opts.Trace = *trace
+		opts.Trace = *schedule
+		opts.PhaseTrace = *phases != ""
 		opts.RaceDetect = *racecheck
 		traced = core.New(opts)
 		rt = traced
@@ -67,12 +75,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "rfdet-run: unknown runtime %q\n", *rtName)
 		os.Exit(2)
 	}
-	if *trace && traced == nil {
-		fmt.Fprintln(os.Stderr, "rfdet-run: -trace requires an rfdet runtime")
-		os.Exit(2)
-	}
-	if *racecheck && traced == nil {
-		fmt.Fprintln(os.Stderr, "rfdet-run: -racecheck requires an rfdet runtime")
+	if traced == nil && (*schedule || *phases != "" || *racecheck) {
+		fmt.Fprintln(os.Stderr, "rfdet-run: -trace, -phases and -racecheck require an rfdet runtime")
 		os.Exit(2)
 	}
 
@@ -104,6 +108,12 @@ func main() {
 					os.Exit(1)
 				}
 			}
+			if *phases != "" {
+				if err := writePhases(*phases, rep.Phases); err != nil {
+					fmt.Fprintf(os.Stderr, "rfdet-run: %v\n", err)
+					os.Exit(1)
+				}
+			}
 		}
 	}
 	if *repeat > 1 {
@@ -120,6 +130,24 @@ func checkFlags(threads, repeat int) error {
 		return fmt.Errorf("-repeat must be at least 1, got %d", repeat)
 	}
 	return nil
+}
+
+// writePhases writes the phase timeline as Chrome-trace JSON to path, checks
+// the bytes written with trace.ValidateChrome, and prints the per-phase
+// summary.
+func writePhases(path string, ph *trace.Report) error {
+	var buf bytes.Buffer
+	if err := ph.WriteChrome(&buf); err != nil {
+		return err
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		return err
+	}
+	if err := trace.ValidateChrome(buf.Bytes()); err != nil {
+		return fmt.Errorf("%s: %w", path, err)
+	}
+	fmt.Printf("\nphase timeline written to %s (valid Chrome-trace JSON; open in chrome://tracing or https://ui.perfetto.dev):\n", path)
+	return ph.WriteSummary(os.Stdout)
 }
 
 func printReport(runtime, workload string, cfg workloads.Config, rep *api.Report) {

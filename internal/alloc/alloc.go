@@ -228,20 +228,6 @@ func (a *Allocator) Free(addr uint64) error {
 	return nil
 }
 
-// SizeOf returns the rounded size of the live allocation at addr, or 0.
-func (a *Allocator) SizeOf(addr uint64) uint64 {
-	h := a.heapAt(addr)
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sizes[addr]
-}
-
-// LiveBytes returns the currently allocated bytes.
-func (a *Allocator) LiveBytes() uint64 { return uint64(a.liveBytes.Load()) }
-
 // HighWater returns the high-water mark of allocated bytes: the
 // "SharedMemory" term in the footprint equations of §5.4.
 func (a *Allocator) HighWater() uint64 { return uint64(a.highWater.Load()) }

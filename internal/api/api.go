@@ -173,7 +173,7 @@ type Stats struct {
 	GCEmptyPasses uint64 `stat:"slicestore"` // GC passes that reclaimed nothing
 
 	// Read 0: they counted the arena traffic of an epoch store that is
-	// deleted (DESIGN.md §16). They go with the slicestore.arena_* benchmark
+	// deleted (DESIGN.md §13). They go with the slicestore.arena_* benchmark
 	// rows (ROADMAP item 1).
 	ArenaChunksAllocated uint64 `stat:"slicestore,dead"`
 	ArenaChunksReused    uint64 `stat:"slicestore,dead"`

@@ -39,7 +39,8 @@ func TestExitChargesPendedPagesWithoutApplying(t *testing.T) {
 	var pageA, pageB mem.PageID
 	var worker, main *thread
 	var frameA *byte
-	var resident, mainPended int
+	var mainPended int
+	var resident uint64
 	prog := func(th api.Thread) {
 		buf := th.Malloc(3 * mem.PageSize)
 		a := (buf + mem.PageSize - 1) &^ (mem.PageSize - 1)
@@ -55,7 +56,7 @@ func TestExitChargesPendedPagesWithoutApplying(t *testing.T) {
 			}
 			c.Unlock(mu)
 			if w := c.(*thread); w.pending[pageA] != nil {
-				worker, frameA, resident = w, &w.space.PageData(pageA)[0], w.space.PageCount()
+				worker, frameA, resident = w, &w.space.PageData(pageA)[0], w.space.ResidentBytes()
 			}
 		})
 		th.Lock(mu)
@@ -81,7 +82,7 @@ func TestExitChargesPendedPagesWithoutApplying(t *testing.T) {
 			t.Errorf("P=%d: the worker exited with %d pended pages and page A %v, want none and ProtNone",
 				procs, len(worker.pending), worker.space.ProtectionOf(pageA))
 		}
-		if data := worker.space.PageData(pageA); &data[0] != frameA || worker.space.PageCount() != resident || data[16] != 0 {
+		if data := worker.space.PageData(pageA); &data[0] != frameA || worker.space.ResidentBytes() != resident || data[16] != 0 {
 			t.Errorf("P=%d: the worker's exit wrote page A", procs)
 		}
 		if len(main.pending) != 0 || main.space.ProtectionOf(pageB) != mem.ProtRW {

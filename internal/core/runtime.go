@@ -131,12 +131,11 @@ var errAborted = errors.New("rfdet: execution aborted")
 // §4.1 (mu). A thread enters the monitor only after winning the
 // deterministic turn, so every access sequence is deterministic.
 type exec struct {
-	opts   Options
-	chunk  chunking // when a thread publishes its Kendo clock (thread.tick)
-	sched  *kendo.Sched
-	alloc  *alloc.Allocator
-	store  *slicestore.Store
-	tracer *tracer
+	opts  Options
+	chunk chunking // when a thread publishes its Kendo clock (thread.tick)
+	sched *kendo.Sched
+	alloc *alloc.Allocator
+	store *slicestore.Store
 	// phases is the phase-level observability collector (nil unless
 	// Options.PhaseTrace): per-thread wall-clock span buffers, rendered
 	// into Report.Phases. Observational only — never part of the
@@ -152,7 +151,7 @@ type exec struct {
 	// mutation of the fields below, of a syncVar, or of a blocked peer runs
 	// under it, between enter and leave. The abort path (fail) and the
 	// post-execution report build take it too. A holder never waits on
-	// anything but the leaf locks of the store, the allocator and the tracer.
+	// anything but the leaf locks of the store and the allocator.
 	//detvet:lockorder 20
 	mu sync.Mutex //detvet:nativesync the commit monitor (§4.1).
 	// syncvars is the internal synchronization variable table.
@@ -272,9 +271,6 @@ func (r *Runtime) Run(main api.ThreadFunc) (*api.Report, error) {
 // the same program — the event-level form of the determinism guarantee.
 func (r *Runtime) RunTraced(main api.ThreadFunc) (*api.Report, *Trace, error) {
 	e := newExec(r.opts, r.chunk)
-	if r.opts.Trace {
-		e.tracer = &tracer{}
-	}
 	t0 := &thread{
 		exec: e,
 		id:   0,
@@ -314,8 +310,8 @@ func (r *Runtime) RunTraced(main api.ThreadFunc) (*api.Report, *Trace, error) {
 		}
 	}
 	var tr *Trace
-	if e.tracer != nil {
-		tr = e.tracer.render()
+	if r.opts.Trace {
+		tr = e.renderTraceLocked()
 	}
 	return e.buildReportLocked(elapsed), tr, nil
 }
@@ -452,15 +448,6 @@ func (e *exec) exitLocked(t *thread) {
 	if !e.aborted && e.liveCount > 0 && e.blockedCount == e.liveCount {
 		e.failLocked(fmt.Errorf("rfdet: deterministic deadlock: all %d live threads blocked", e.liveCount))
 	}
-}
-
-// syncEvent records a synchronization operation on both observability
-// surfaces: the deterministic tracer (Options.Trace, byte-identical across
-// runs) and, cross-linked into the phase timeline, a wall-clock instant
-// mark (Options.PhaseTrace). Both sides no-op when their option is off.
-func (e *exec) syncEvent(t *thread, op string, addr api.Addr) {
-	e.tracer.record(t, op, addr)
-	t.tb.Mark(op, uint64(addr))
 }
 
 // fail aborts the execution with err (first error wins) from outside the

@@ -334,7 +334,7 @@ func TestNoPageRecordOutlivesItsThread(t *testing.T) {
 			}
 			outputs[i] = rep.OutputHash
 			for _, th := range main.exec.threads {
-				if n := th.space.DirtyPageCount(); n != 0 || !th.space.CacheConsistent() {
+				if n := len(th.space.DirtyPages()); n != 0 || !th.space.CacheConsistent() {
 					t.Errorf("%s/%v: thread %d exited with %d page records (%d snapshots taken by the run)",
 						p.name, monitor, th.id, n, rep.Stats.StoresWithCopy)
 				}

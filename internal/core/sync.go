@@ -121,7 +121,7 @@ func (t *thread) end(op string, addr api.Addr, slices []*slicestore.Slice) {
 //
 //detvet:releases t.exec.mu
 func (t *thread) pass(op string, addr api.Addr) {
-	t.exec.syncEvent(t, op, addr)
+	t.syncEvent(op, addr)
 	t.finishOpLocked()
 	t.exec.leave(t)
 }
@@ -148,7 +148,7 @@ func (t *thread) block(op string, addr api.Addr, format string, ops ...uint64) {
 		t.finishOpLocked()
 	}
 	t.beginSlice()
-	t.exec.syncEvent(t, op, addr)
+	t.syncEvent(op, addr)
 	t.applySlices(ev.slices, false)
 }
 
@@ -294,7 +294,7 @@ func (t *thread) Wait(c, m api.Addr) {
 	// pre-merge here silently lost the §4.5 overlap on condvar-heavy
 	// workloads.
 	t.unlockLocked(svm, tend)
-	e.syncEvent(t, "wait", c)
+	t.syncEvent("wait", c)
 	// We are woken only once we own the mutex again (the signaler either
 	// granted it directly or queued us on it); whoever handed the mutex
 	// over performed both our acquires — the signaler's release and the

@@ -85,9 +85,10 @@ type thread struct {
 	pendingSignal *signalRecord
 
 	wake chan wakeEvent
-	// traceSeq orders this thread's own trace events (trace.go sorts the
-	// global trace by deterministic keys, not by arrival).
-	traceSeq uint64
+	// trace is this thread's deterministic sync events (nil unless
+	// Options.Trace), appended only by its own goroutine; trace.go sorts
+	// every thread's list together by deterministic keys.
+	trace []traceEvent
 	// tb is the thread's phase-trace buffer (nil unless Options.PhaseTrace).
 	// Appended to by this thread's goroutine, or — while this thread is
 	// provably blocked — by another thread under exec.mu, the same ownership

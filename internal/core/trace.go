@@ -5,7 +5,6 @@ import (
 	"io"
 	"sort"
 	"strings"
-	"sync"
 
 	"rfdet/internal/api"
 	"rfdet/internal/vclock"
@@ -20,14 +19,16 @@ import (
 // hash, and the basis for debugging ("what was the schedule?") that the
 // paper's introduction motivates.
 //
-// Events are not ordered by arrival: wake-side records happen off the
-// monitor, so their arrival order against other threads' records is host
-// scheduling. Instead every event carries a deterministic key — the
-// thread's virtual time, thread ID, and per-thread sequence number — and
-// the trace is rendered in key order. Virtual time respects happens-before
-// (an acquire's vt is max()ed past its release's), so the rendered order is
-// a deterministic linearization consistent with each thread's program
-// order and with synchronization causality.
+// Every event is recorded by its own thread's goroutine — in pass, in block
+// after the wake, in Wait — onto that thread's event list, so recording
+// takes no lock. Wake-side records happen off the monitor, so the order of
+// different threads' records is host scheduling; instead every event
+// carries a deterministic key — the thread's virtual time, thread ID, and
+// index in its thread's list — and the trace is rendered in key order.
+// Virtual time respects happens-before (an acquire's vt is max()ed past its
+// release's), so the rendered order is a deterministic linearization
+// consistent with each thread's program order and with synchronization
+// causality.
 //
 // Enable with Options.Trace; fetch the trace through RunTraced.
 
@@ -35,38 +36,30 @@ import (
 type traceEvent struct {
 	vt    vtime.Time // deterministic primary sort key
 	tid   api.ThreadID
-	seq   uint64 // per-thread sequence, breaks vt ties within a thread
+	seq   int // index in its thread's list, breaks vt ties within a thread
 	op    string
 	addr  api.Addr
 	clock uint64
 	vtime vclock.VC
 }
 
-// tracer accumulates events; its mutex only guards the append, never the
-// order.
-type tracer struct {
-	//detvet:lockorder 70
-	mu     sync.Mutex   //detvet:nativesync guards only the append; event order is decided by the monitor.
-	events []traceEvent //detvet:guardedby mu
-}
-
-func (tr *tracer) record(t *thread, op string, addr api.Addr) {
-	if tr == nil {
-		return
+// syncEvent records a synchronization operation on both observability
+// surfaces: the deterministic trace (Options.Trace, byte-identical across
+// runs) and, cross-linked into the phase timeline, a wall-clock instant
+// mark (Options.PhaseTrace). Both sides no-op when their option is off.
+func (t *thread) syncEvent(op string, addr api.Addr) {
+	if t.exec.opts.Trace {
+		t.trace = append(t.trace, traceEvent{
+			vt:    t.vt,
+			tid:   t.id,
+			seq:   len(t.trace),
+			op:    op,
+			addr:  addr,
+			clock: t.proc.Clock() + uint64(t.lag),
+			vtime: t.vtime.Clone(),
+		})
 	}
-	ev := traceEvent{
-		vt:    t.vt,
-		tid:   t.id,
-		seq:   t.traceSeq,
-		op:    op,
-		addr:  addr,
-		clock: t.proc.Clock() + uint64(t.lag),
-		vtime: t.vtime.Clone(),
-	}
-	t.traceSeq++
-	tr.mu.Lock()
-	tr.events = append(tr.events, ev)
-	tr.mu.Unlock()
+	t.tb.Mark(op, uint64(addr))
 }
 
 // Trace is the rendered deterministic schedule of one execution.
@@ -90,13 +83,18 @@ func (tr *Trace) WriteTo(w io.Writer) (int64, error) {
 	return n, nil
 }
 
-// render sorts the raw events by their deterministic keys and converts them
-// to stable text lines.
-func (tr *tracer) render() *Trace {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	sort.Slice(tr.events, func(i, j int) bool {
-		a, b := tr.events[i], tr.events[j]
+// renderTraceLocked sorts every thread's events by their deterministic keys
+// and converts them to stable text lines. It runs after every thread has
+// exited.
+//
+//detvet:holds exec.mu
+func (e *exec) renderTraceLocked() *Trace {
+	var events []traceEvent
+	for _, t := range e.threads {
+		events = append(events, t.trace...)
+	}
+	sort.Slice(events, func(i, j int) bool {
+		a, b := events[i], events[j]
 		if a.vt != b.vt {
 			return a.vt < b.vt
 		}
@@ -105,8 +103,8 @@ func (tr *tracer) render() *Trace {
 		}
 		return a.seq < b.seq
 	})
-	out := &Trace{Lines: make([]string, 0, len(tr.events))}
-	for i, e := range tr.events {
+	out := &Trace{Lines: make([]string, 0, len(events))}
+	for i, e := range events {
 		out.Lines = append(out.Lines, fmt.Sprintf("%06d t%-2d %-9s %#08x kendo=%-8d vc=%s",
 			i, e.tid, e.op, uint64(e.addr), e.clock, e.vtime))
 	}

@@ -403,7 +403,7 @@ func AllExperiments(out io.Writer, size workloads.Size, threads, repeats, raceyR
 	steps := []func() error{
 		func() error { return RaceyCheck(out, RaceyRuntimes(), []int{2, 4, 8}, size, raceyRuns) },
 		func() error { return LitmusTable(out, raceyRuns) },
-		func() error { return RaceTable(out, size, threads) },
+		func() error { return RaceTable(out, size, threads, raceyRuns) },
 		func() error { return ReplicaTable(out, size, threads, 3) },
 		func() error { return Figure7(out, size, threads, repeats) },
 		func() error { return Table1(out, size, threads) },

@@ -10,11 +10,11 @@ import (
 	"rfdet/internal/workloads"
 )
 
-// StableRaceReport runs a program n times on RFDet-ci with the race detector
+// stableRaceReport runs a program n times on RFDet-ci with the race detector
 // on (run executes it once on the runtime it is given) and returns the first
 // run's report. Every run must carry a race report, byte-identical to the
 // first: the detector's output is a pure function of the program.
-func StableRaceReport(name string, n int, run func(api.Runtime) (*api.Report, error)) (*api.Report, error) {
+func stableRaceReport(name string, n int, run func(api.Runtime) (*api.Report, error)) (*api.Report, error) {
 	opts := core.DefaultOptions()
 	opts.RaceDetect = true
 	var first *api.Report
@@ -37,16 +37,16 @@ func StableRaceReport(name string, n int, run func(api.Runtime) (*api.Report, er
 }
 
 // RaceTable renders the happens-before race-detection artifact: the litmus
-// suite and the racey stress classified by the detector. Each kernel's race
-// count is checked against its static classification (litmus.Test.Racy /
-// RaceInvisible), and every kernel is run twice with the report byte-compared
-// (StableRaceReport).
-func RaceTable(out io.Writer, size workloads.Size, threads int) error {
+// suite, the racey stress at 2, 4 and 8 threads and the KV server classified
+// by the detector. Each kernel's race count is checked against its static
+// classification (litmus.Test.Racy / RaceInvisible), and every kernel is run
+// runs times with the report byte-compared (stableRaceReport).
+func RaceTable(out io.Writer, size workloads.Size, threads, runs int) error {
 	fmt.Fprintf(out, "Happens-before race detection (RFDet-ci + RaceDetect, deterministic report)\n\n")
 	fmt.Fprintf(out, "%-12s %8s %10s %-12s %s\n", "kernel", "races", "accesses", "verdict", "notes")
 
 	for _, tst := range litmus.Tests() {
-		rep, err := StableRaceReport(tst.Name, 2, func(rt api.Runtime) (*api.Report, error) {
+		rep, err := stableRaceReport(tst.Name, runs, func(rt api.Runtime) (*api.Report, error) {
 			return litmus.RunReport(rt, tst)
 		})
 		if err != nil {
@@ -83,18 +83,20 @@ func RaceTable(out io.Writer, size workloads.Size, threads int) error {
 	if err != nil {
 		return err
 	}
-	cfg := workloads.Config{Threads: threads, Size: size}
-	rep, err := StableRaceReport("racey", 2, func(rt api.Runtime) (*api.Report, error) {
-		return rt.Run(racey.Prog(cfg))
-	})
-	if err != nil {
-		return err
+	for _, n := range []int{2, 4, 8} {
+		cfg := workloads.Config{Threads: n, Size: size}
+		rep, err := stableRaceReport("racey", runs, func(rt api.Runtime) (*api.Report, error) {
+			return rt.Run(racey.Prog(cfg))
+		})
+		if err != nil {
+			return err
+		}
+		if len(rep.Races.Races) == 0 {
+			return fmt.Errorf("harness: racey at %d threads reported no races", n)
+		}
+		fmt.Fprintf(out, "%-12s %8d %10d %-12s %s\n", "racey", len(rep.Races.Races),
+			rep.Races.AccessesRecorded, "RACY", fmt.Sprintf("§5.1 stress, %d threads; report hash %#016x", n, rep.Races.Hash()))
 	}
-	if len(rep.Races.Races) == 0 {
-		return fmt.Errorf("harness: racey reported no races")
-	}
-	fmt.Fprintf(out, "%-12s %8d %10d %-12s %s\n", "racey", len(rep.Races.Races),
-		rep.Races.AccessesRecorded, "RACY", fmt.Sprintf("§5.1 stress, %d threads; report hash %#016x", threads, rep.Races.Hash()))
 
 	// The KV server: a full server-shaped execution — queue, shard locks,
 	// barrier, atomics — that the detector must certify race-free. Every
@@ -105,7 +107,8 @@ func RaceTable(out io.Writer, size workloads.Size, threads int) error {
 	if err != nil {
 		return err
 	}
-	rep, err = StableRaceReport("server", 2, func(rt api.Runtime) (*api.Report, error) {
+	cfg := workloads.Config{Threads: threads, Size: size}
+	rep, err := stableRaceReport("server", runs, func(rt api.Runtime) (*api.Report, error) {
 		return rt.Run(server.Prog(cfg))
 	})
 	if err != nil {
@@ -118,7 +121,7 @@ func RaceTable(out io.Writer, size workloads.Size, threads int) error {
 		rep.Races.AccessesRecorded, "race-free",
 		fmt.Sprintf("KV server, %d workers: fully synchronized, order-dependent", threads))
 
-	fmt.Fprintln(out, "\nEvery kernel was run twice and its race report byte-compared: the report is")
+	fmt.Fprintf(out, "\nEvery kernel was run %d times and its race report byte-compared: the report is\n", runs)
 	fmt.Fprintln(out, "a deterministic artifact, like the output hash. \"blind spot\" rows are racy")
 	fmt.Fprintln(out, "programs whose racing stores change disjoint or identical bytes — invisible")
 	fmt.Fprintln(out, "to byte-granularity happens-before detection by design (DESIGN.md §12).")

@@ -207,9 +207,6 @@ func (s *Space) SetDirtyTracking(on bool) {
 	}
 }
 
-// DirtyTracking reports whether sub-page dirty tracking is enabled.
-func (s *Space) DirtyTracking() bool { return s.trackDirty }
-
 // ResetDirty discards every page record (slice end): the snapshot goes back
 // to the pool and the record is parked, extent storage attached, for recordOf
 // to hand to another page — so its own page's slot lets go of it here (those
@@ -229,9 +226,6 @@ func (s *Space) ResetDirty() {
 	clear(s.dirty)
 	s.dirtyOrder = s.dirtyOrder[:0]
 }
-
-// DirtyPageCount returns the number of pages with recorded dirty extents.
-func (s *Space) DirtyPageCount() int { return len(s.dirty) }
 
 // DirtyPages returns the dirty pages in first-write order — the same order
 // in which the monitor snapshotted them, since the snapshot is taken on the

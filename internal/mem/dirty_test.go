@@ -135,16 +135,16 @@ func TestSpaceDirtyTrackingLifecycle(t *testing.T) {
 	s := NewSpace()
 	s.Store8(100, 1) // before tracking: not recorded
 	s.SetDirtyTracking(true)
-	if !s.DirtyTracking() {
+	if !s.trackDirty {
 		t.Fatal("tracking not enabled")
 	}
-	if n := s.DirtyPageCount(); n != 0 {
+	if n := len(s.dirty); n != 0 {
 		t.Fatalf("pre-tracking store recorded: %d pages", n)
 	}
 	s.Store64(8, 42)
 	s.Store32(PageSize+4, 7)
 	s.Store8(16, 1)
-	if got, want := s.DirtyPageCount(), 2; got != want {
+	if got, want := len(s.dirty), 2; got != want {
 		t.Fatalf("DirtyPageCount = %d, want %d", got, want)
 	}
 	// First-write order, not address order.
@@ -158,23 +158,23 @@ func TestSpaceDirtyTrackingLifecycle(t *testing.T) {
 	}
 	// ResetDirty clears everything but keeps tracking on.
 	s.ResetDirty()
-	if s.DirtyPageCount() != 0 || len(s.DirtyPages()) != 0 {
+	if len(s.dirty) != 0 || len(s.DirtyPages()) != 0 {
 		t.Fatal("ResetDirty left state behind")
 	}
-	if !s.DirtyTracking() {
+	if !s.trackDirty {
 		t.Fatal("ResetDirty disabled tracking")
 	}
 	s.Store8(5, 1)
-	if s.DirtyPageCount() != 1 {
+	if len(s.dirty) != 1 {
 		t.Fatal("tracking dead after ResetDirty")
 	}
 	// Disabling discards state and stops recording.
 	s.SetDirtyTracking(false)
-	if s.DirtyTracking() || s.DirtyPageCount() != 0 {
+	if s.trackDirty || len(s.dirty) != 0 {
 		t.Fatal("SetDirtyTracking(false) did not clear")
 	}
 	s.Store8(5, 1)
-	if s.DirtyPageCount() != 0 {
+	if len(s.dirty) != 0 {
 		t.Fatal("store recorded while tracking off")
 	}
 	if s.DirtyExtentsOf(0) != nil {
@@ -199,11 +199,11 @@ func TestCloneDoesNotInheritDirtyTracking(t *testing.T) {
 	s.SetDirtyTracking(true)
 	s.Store8(10, 1)
 	c := s.Clone()
-	if c.DirtyTracking() || c.DirtyPageCount() != 0 {
+	if c.trackDirty || len(c.dirty) != 0 {
 		t.Fatal("Clone inherited dirty-tracking state")
 	}
 	// The parent's state is unaffected by the clone.
-	if s.DirtyPageCount() != 1 {
+	if len(s.dirty) != 1 {
 		t.Fatal("Clone disturbed parent dirty state")
 	}
 }

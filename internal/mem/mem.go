@@ -191,24 +191,8 @@ func (s *Space) CacheConsistent() bool {
 	return true
 }
 
-// PageCount returns the number of resident pages.
-func (s *Space) PageCount() int { return len(s.pages) }
-
 // ResidentBytes returns the resident size of this space in bytes.
 func (s *Space) ResidentBytes() uint64 { return uint64(len(s.pages)) * PageSize }
-
-// PrivateBytes returns the bytes of pages exclusively owned by this space
-// (copied rather than shared), the per-thread extra footprint of §5.4.
-func (s *Space) PrivateBytes() uint64 {
-	var n uint64
-	//detvet:orderfree commutative sum over pages.
-	for _, p := range s.pages {
-		if !p.Shared() {
-			n += PageSize
-		}
-	}
-	return n
-}
 
 // Pages calls fn for each resident page in ascending PageID order.
 func (s *Space) Pages(fn func(PageID, *Page)) {

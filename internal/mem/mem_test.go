@@ -28,7 +28,7 @@ func TestUnmappedReadsAsZero(t *testing.T) {
 	if s.Load64(1<<40) != 0 || s.Load8(0) != 0 {
 		t.Fatal("unmapped memory must read as zero")
 	}
-	if s.PageCount() != 0 {
+	if len(s.pages) != 0 {
 		t.Fatal("reads must not materialize pages")
 	}
 }
@@ -92,7 +92,7 @@ func TestCloneSharingIsAccounted(t *testing.T) {
 		t.Fatalf("after one COW, private = %d, want %d", child.PrivateBytes(), PageSize)
 	}
 	child.Release()
-	if parent.PrivateBytes() != uint64(parent.PageCount())*PageSize {
+	if parent.PrivateBytes() != uint64(len(parent.pages))*PageSize {
 		t.Fatal("after child release, parent should own all pages exclusively")
 	}
 }

@@ -256,8 +256,8 @@ func newSpacePair() spacePair { return pairOf(NewSpace(), newModelSpace()) }
 // checkRecords compares the space's page records with the model's.
 func (sp spacePair) checkRecords(t *testing.T, where string) {
 	t.Helper()
-	if got := sp.s.DirtyPages(); !slices.Equal(got, sp.m.order) || sp.s.DirtyPageCount() != len(sp.m.order) {
-		t.Fatalf("%s: %d records, of pages %v; model's first-touch order %v", where, sp.s.DirtyPageCount(), got, sp.m.order)
+	if got := sp.s.DirtyPages(); !slices.Equal(got, sp.m.order) || len(sp.s.dirty) != len(sp.m.order) {
+		t.Fatalf("%s: %d records, of pages %v; model's first-touch order %v", where, len(sp.s.dirty), got, sp.m.order)
 	}
 	for _, id := range sp.m.order {
 		exts := sp.s.DirtyExtentsOf(id)
@@ -432,7 +432,7 @@ func runSpaceProgram(t *testing.T, prog []byte) {
 			if got, want := sp.s.PrivateBytes(), sp.m.privateBytes(); got != want {
 				t.Fatalf("%s: slot %d PrivateBytes = %d, model %d", where, i, got, want)
 			}
-			if got, want := sp.s.PageCount(), len(sp.m.pages); got != want {
+			if got, want := len(sp.s.pages), len(sp.m.pages); got != want {
 				t.Fatalf("%s: slot %d PageCount = %d, model %d", where, i, got, want)
 			}
 			if !sp.s.CacheConsistent() {
@@ -542,7 +542,7 @@ func TestPageCacheEdgeCases(t *testing.T) {
 		if l, g := leader.Load64(a), w.Load64(a); l != 10 || g != 30 {
 			t.Fatalf("leader, arrival = %d, %d, want 10, 30", l, g)
 		}
-		if old.PageCount() != 0 || !old.CacheConsistent() {
+		if len(old.pages) != 0 || !old.CacheConsistent() {
 			t.Fatal("a released space keeps pages or cache entries")
 		}
 	})
@@ -552,7 +552,7 @@ func TestPageCacheEdgeCases(t *testing.T) {
 		if got := s.Load64(a); got != 0 {
 			t.Fatalf("unmapped page reads %d", got)
 		}
-		if s.PageCount() != 0 {
+		if len(s.pages) != 0 {
 			t.Fatal("a load materialised a page")
 		}
 		s.Store64(a+8, 7)
@@ -575,8 +575,8 @@ func TestPageCacheEdgeCases(t *testing.T) {
 				t.Fatalf("word %d reads %d, %d, want %d, %d", i, x, y, 100+i, 200+i)
 			}
 		}
-		if s.PageCount() != 2 || !s.CacheConsistent() {
-			t.Fatalf("PageCount = %d, cache consistent = %v", s.PageCount(), s.CacheConsistent())
+		if len(s.pages) != 2 || !s.CacheConsistent() {
+			t.Fatalf("PageCount = %d, cache consistent = %v", len(s.pages), s.CacheConsistent())
 		}
 	})
 }

@@ -87,7 +87,7 @@ func PendRunsByPage(runs []Run, pendFor func(PageID) *PendingPage) {
 // lands where none wrote. It returns the runs, bytes and distinct bytes.
 func (s *Space) ApplyPending(p *PendingPage) (runs, raw, distinct uint64) {
 	dst := s.writablePage(p.page).Data[:]
-	var done flushMask
+	var done byteMask
 	for k := len(p.refs) - 1; k >= 0; k-- {
 		for i := len(p.refs[k]) - 1; i >= 0; i-- {
 			r := p.refs[k][i]
@@ -96,13 +96,13 @@ func (s *Space) ApplyPending(p *PendingPage) (runs, raw, distinct uint64) {
 		}
 	}
 	if q := p.folded; q != nil {
-		for ws := q.words; ws != 0; ws &= ws - 1 {
-			q.mask[bits.TrailingZeros64(ws)] &^= done.mask[bits.TrailingZeros64(ws)]
+		for ws := q.written.words; ws != 0; ws &= ws - 1 {
+			q.written.mask[bits.TrailingZeros64(ws)] &^= done.mask[bits.TrailingZeros64(ws)]
 		}
 		q.mergeInto(dst)
 		runs, raw, distinct = runs+q.rawRuns, raw+q.rawBytes, q.UniqueBytes()
 	}
-	distinct += done.bytes()
+	distinct += done.count()
 	p.Release()
 	return runs, raw, distinct
 }
@@ -112,45 +112,27 @@ func (s *Space) ApplyPending(p *PendingPage) (runs, raw, distinct uint64) {
 // copy and no protection change: the distinct bytes are those the runs and
 // the folded patch cover, in any order, so each run only marks its span.
 func (p *PendingPage) Discard() (runs, raw, distinct uint64) {
-	var done flushMask
+	var done byteMask
 	if q := p.folded; q != nil {
-		runs, raw, done.words, done.mask = q.rawRuns, q.rawBytes, q.words, q.mask
+		runs, raw, done = q.rawRuns, q.rawBytes, q.written
 	}
 	for _, list := range p.refs {
 		for _, r := range list {
 			runs, raw = runs+1, raw+uint64(len(r.Data))
-			off := uint32(r.Addr & PageMask)
-			end := off + uint32(len(r.Data))
-			for w := off / 64; w*64 < end; w++ { // an empty run marks nothing
-				done.mask[w] |= spanBits(w, off, end)
-				done.words |= 1 << w
+			if off := uint32(r.Addr & PageMask); len(r.Data) > 0 {
+				done.set(off, off+uint32(len(r.Data)))
 			}
 		}
 	}
-	distinct = done.bytes()
+	distinct = done.count()
 	p.Release()
 	return runs, raw, distinct
 }
 
-// flushMask is ApplyPending's record of the bytes the references wrote, a
-// mask and its summary word as in a PagePatch.
-type flushMask struct {
-	words uint64
-	mask  [maskWords]uint64
-}
-
-// bytes returns the number of bytes marked.
-func (f *flushMask) bytes() uint64 {
-	var n int
-	for ws := f.words; ws != 0; ws &= ws - 1 {
-		n += bits.OnesCount64(f.mask[bits.TrailingZeros64(ws)])
-	}
-	return uint64(n)
-}
-
-// copyNew copies the bytes of data, bound for dst[off:], that no newer run
-// wrote, and marks them written.
-func (f *flushMask) copyNew(dst []byte, off uint32, data []byte) {
+// copyNew copies the bytes of data, bound for dst[off:], that f does not
+// mark, and marks them: ApplyPending walks the runs newest first, so f marks
+// the bytes a newer run wrote.
+func (f *byteMask) copyNew(dst []byte, off uint32, data []byte) {
 	end := off + uint32(len(data))
 	if end == off {
 		return
@@ -164,21 +146,20 @@ func (f *flushMask) copyNew(dst []byte, off uint32, data []byte) {
 	if covered { // a newer run wrote every byte
 		return
 	}
-	for w := first; w <= last; w++ {
-		want := spanBits(w, off, end)
-		// Partly a newer run's: copy the stretches between its bytes.
-		for free := want &^ f.mask[w]; !untouched && free != 0; {
-			lo := uint32(bits.TrailingZeros64(free))
-			n := uint32(bits.TrailingZeros64(^(free >> lo)))
-			copy(dst[w*64+lo:w*64+lo+n], data[w*64+lo-off:])
-			free &^= fullWord >> (64 - n) << lo
-		}
-		f.mask[w] |= want
-	}
 	if untouched {
 		copy(dst[off:end], data)
+	} else {
+		for w := first; w <= last; w++ {
+			// Partly a newer run's: copy the stretches between its bytes.
+			for free := spanBits(w, off, end) &^ f.mask[w]; free != 0; {
+				lo := uint32(bits.TrailingZeros64(free))
+				n := uint32(bits.TrailingZeros64(^(free >> lo)))
+				copy(dst[w*64+lo:w*64+lo+n], data[w*64+lo-off:])
+				free &^= fullWord >> (64 - n) << lo
+			}
+		}
 	}
-	f.words |= fullWord << first & (fullWord >> (63 - last))
+	f.set(off, end)
 }
 
 // spanBits is mask word w's bits of the bytes [off, end), which overlap it.

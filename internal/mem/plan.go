@@ -96,13 +96,18 @@ type PagePatch struct {
 	// rawRuns/rawBytes count the absorbed input, before deduplication.
 	rawRuns  uint64
 	rawBytes uint64
-	// mask has bit b of word w set iff byte 64w+b has been written, so the
-	// patch's runs — the maximal stretches of set bits — are sorted,
-	// coalesced and gap-separated by construction. words has bit w set iff
-	// mask[w] is non-zero, and nothing reads a mask word it does not name: a
-	// patch of a few short runs costs a few words per operation wherever on
-	// the page they fall, not maskWords. The mask comes last so that
-	// everything else shares a cache line.
+	// written marks the bytes written, so the patch's runs — the maximal
+	// stretches of marked bytes — are sorted, coalesced and gap-separated by
+	// construction. It comes last so that everything else shares a cache
+	// line.
+	written byteMask
+}
+
+// byteMask marks bytes of one page: bit b of mask[w] is set iff byte 64w+b
+// is marked, and words has bit w set iff mask[w] is non-zero. Nothing reads
+// a mask word that words does not name, so a mask of a few short runs costs
+// a few words per operation wherever on the page they fall, not maskWords.
+type byteMask struct {
 	words uint64
 	mask  [maskWords]uint64
 }
@@ -116,6 +121,36 @@ const (
 // them; a PageSize that changes that does not compile.
 var _ [64 - maskWords]struct{}
 var _ [maskWords - 64]struct{}
+
+// set marks the bytes [off, end), which must not be empty: the first word
+// from off on, every word after it in full, and the last word up to end.
+func (m *byteMask) set(off, end uint32) {
+	first, last := off/64, (end-1)/64
+	m.words |= fullWord << first & (fullWord >> (63 - last))
+	head := fullWord << (off % 64)
+	for w := first; w < last; w++ {
+		m.mask[w] |= head
+		head = fullWord
+	}
+	m.mask[last] |= head & (fullWord >> (63 - (end-1)%64))
+}
+
+// count returns the number of bytes marked.
+func (m *byteMask) count() uint64 {
+	var n int
+	for ws := m.words; ws != 0; ws &= ws - 1 {
+		n += bits.OnesCount64(m.mask[bits.TrailingZeros64(ws)])
+	}
+	return uint64(n)
+}
+
+// reset unmarks every byte, touching only the words that are marked.
+func (m *byteMask) reset() {
+	for ws := m.words; ws != 0; ws &= ws - 1 {
+		m.mask[bits.TrailingZeros64(ws)] = 0
+	}
+	m.words = 0
+}
 
 // patchPool recycles released patches with their staging buffer, so a
 // steady-state NewPagePatch allocates nothing.
@@ -140,30 +175,13 @@ func (p *PagePatch) AddRun(r Run) {
 	off := uint32(r.Addr & PageMask)
 	// The explicit upper bound makes a dead patch (nil buf) fail here.
 	copy(p.buf[off:off+n], r.Data)
-	first, last := off/64, (off+n-1)/64
-	head, tail := fullWord<<(off%64), fullWord>>(63-(off+n-1)%64)
-	if first == last {
-		p.mask[first] |= head & tail
-	} else {
-		p.mask[first] |= head
-		for w := first + 1; w < last; w++ {
-			p.mask[w] = fullWord
-		}
-		p.mask[last] |= tail
-	}
-	p.words |= fullWord << first & (fullWord >> (63 - last))
+	p.written.set(off, off+n)
 	p.rawRuns++
 	p.rawBytes += uint64(n)
 }
 
 // UniqueBytes returns the number of distinct bytes written so far.
-func (p *PagePatch) UniqueBytes() uint64 {
-	var n int
-	for ws := p.words; ws != 0; ws &= ws - 1 {
-		n += bits.OnesCount64(p.mask[bits.TrailingZeros64(ws)])
-	}
-	return uint64(n)
-}
+func (p *PagePatch) UniqueBytes() uint64 { return p.written.count() }
 
 // Release gives the patch back for reuse; it is dead afterwards. Releasing a
 // dead patch panics: it would go into the pool twice and out to two owners.
@@ -173,10 +191,8 @@ func (p *PagePatch) Release() {
 	}
 	PoisonScratch(p.buf)
 	// Field by field: assigning a whole PagePatch would copy the mask.
-	for ws := p.words; ws != 0; ws &= ws - 1 {
-		p.mask[bits.TrailingZeros64(ws)] = 0
-	}
-	p.page, p.buf, p.words, p.rawRuns, p.rawBytes = 0, nil, 0, 0, 0
+	p.written.reset()
+	p.page, p.buf, p.rawRuns, p.rawBytes = 0, nil, 0, 0
 	patchPool.Put(p)
 }
 
@@ -188,13 +204,13 @@ func (p *PagePatch) Release() {
 // dst's own, written back unchanged. That write-back is why nothing else may
 // be reading dst meanwhile.
 func (p *PagePatch) mergeInto(dst []byte) {
-	src := p.buf
-	for ws := p.words; ws != 0; {
+	src, mask := p.buf, &p.written.mask
+	for ws := p.written.words; ws != 0; {
 		w := uint32(bits.TrailingZeros64(ws))
-		m := p.mask[w]
+		m := mask[w]
 		if m == fullWord {
 			end := w + 1
-			for end < maskWords && p.mask[end] == fullWord {
+			for end < maskWords && mask[end] == fullWord {
 				end++
 			}
 			copy(dst[w*64:end*64], src[w*64:end*64])

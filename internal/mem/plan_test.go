@@ -40,11 +40,11 @@ func randomMods(r *rand.Rand, lists, maxRuns int) [][]Run {
 func patchRuns(p *PagePatch) []Run {
 	var runs []Run
 	for b := 0; b < PageSize; b++ {
-		if p.mask[b/64]>>(b%64)&1 == 0 {
+		if p.written.mask[b/64]>>(b%64)&1 == 0 {
 			continue
 		}
 		start := b
-		for b < PageSize && p.mask[b/64]>>(b%64)&1 != 0 {
+		for b < PageSize && p.written.mask[b/64]>>(b%64)&1 != 0 {
 			b++
 		}
 		runs = append(runs, Run{Addr: PageAddr(p.page) + uint64(start), Data: append([]byte(nil), p.buf[start:b]...)})

@@ -244,8 +244,8 @@ func TestPoisonOnRecycle(t *testing.T) {
 	if !bytes.Equal(held, poison) {
 		t.Error("staging buffer held across Release not poisoned")
 	}
-	if p.mask != [maskWords]uint64{} || p.words != 0 {
-		t.Errorf("released patch keeps mask words %#x … %#x, word summary %#x", p.mask[0], p.mask[maskWords-1], p.words)
+	if p.written.mask != [maskWords]uint64{} || p.written.words != 0 {
+		t.Errorf("released patch keeps mask words %#x … %#x, word summary %#x", p.written.mask[0], p.written.mask[maskWords-1], p.written.words)
 	}
 	func() {
 		defer func() {
@@ -321,8 +321,8 @@ func TestRecordSnapshotsGoBackToThePool(t *testing.T) {
 			}
 			held = append(held, s.SnapshotOf(id))
 		}
-		if s.DirtyPageCount() != 3 || held[0] == nil || bytes.Equal(held[0], poison) {
-			t.Fatalf("%s: %d records before retiring, snapshot %x…", retire.name, s.DirtyPageCount(), held[0][:4])
+		if len(s.dirty) != 3 || held[0] == nil || bytes.Equal(held[0], poison) {
+			t.Fatalf("%s: %d records before retiring, snapshot %x…", retire.name, len(s.dirty), held[0][:4])
 		}
 		retire.do(s)
 		for i, snap := range held {
@@ -330,7 +330,7 @@ func TestRecordSnapshotsGoBackToThePool(t *testing.T) {
 				t.Errorf("%s: snapshot %d was not handed back to the pool", retire.name, i)
 			}
 		}
-		if s.DirtyPageCount() != 0 || s.SnapshotOf(3) != nil || !s.CacheConsistent() {
+		if len(s.dirty) != 0 || s.SnapshotOf(3) != nil || !s.CacheConsistent() {
 			t.Errorf("%s left records, a snapshot or a slot behind", retire.name)
 		}
 		s.Release()

@@ -109,10 +109,6 @@ func NewEpochStore(capacity uint64, thresholdPct, stripes int) *Store {
 // Capacity returns the configured metadata-space size.
 func (st *Store) Capacity() uint64 { return st.capacity }
 
-// GCThreshold returns the committed-slice cost (bytes) at which Commit
-// requests a garbage-collection pass.
-func (st *Store) GCThreshold() uint64 { return st.gcThreshold }
-
 // AllocSnapshot charges one page snapshot to the metadata space (taken on
 // the first write to a page within a slice, Figure 4).
 func (st *Store) AllocSnapshot() { st.charge(mem.PageSize) }
@@ -189,9 +185,6 @@ func (st *Store) Collect(frontier vclock.VC) int {
 	return victims
 }
 
-// Used returns the current metadata-space usage in bytes.
-func (st *Store) Used() uint64 { return uint64(st.used.Load()) }
-
 // HighWater returns the metadata-space usage high-water mark (the
 // MetadataSpaceMemory term in §5.4's footprint equation).
 func (st *Store) HighWater() uint64 { return uint64(st.highWater.Load()) }
@@ -206,13 +199,6 @@ func (st *Store) GCCount() uint64 { return st.gcCount.Load() }
 // triggered before the frontier moved do not inflate the Table 1 "GC"
 // column.
 func (st *Store) EmptyGCCount() uint64 { return st.emptyGC.Load() }
-
-// Live returns the number of live slices.
-func (st *Store) Live() int {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return len(st.slices)
-}
 
 // trimShrinkFloor is the retained-length cap below which TrimList reallocates
 // instead of reslicing, when the backing array is at least 4x larger.

@@ -159,8 +159,8 @@ func TestDefaults(t *testing.T) {
 	if st.Capacity() != DefaultCapacity {
 		t.Fatalf("default capacity = %d", st.Capacity())
 	}
-	if st.GCThreshold() != DefaultCapacity*DefaultGCThresholdPct/100 {
-		t.Fatalf("default threshold = %d", st.GCThreshold())
+	if st.gcThreshold != DefaultCapacity*DefaultGCThresholdPct/100 {
+		t.Fatalf("default threshold = %d", st.gcThreshold)
 	}
 }
 
@@ -180,7 +180,7 @@ func TestGCThresholdRounding(t *testing.T) {
 	}
 	for _, c := range cases {
 		st := NewStore(c.capacity)
-		if got := st.GCThreshold(); got != c.want {
+		if got := st.gcThreshold; got != c.want {
 			t.Errorf("NewStore(%d): threshold = %d, want %d", c.capacity, got, c.want)
 		}
 	}
@@ -247,7 +247,7 @@ func TestCollectOrderFree(t *testing.T) {
 // the committed slices' cost reaches the threshold.
 func TestCommitGCDecisionIgnoresConcurrentFrees(t *testing.T) {
 	st := NewStore(100 * 1024)
-	for st.Used() <= st.GCThreshold() {
+	for st.Used() <= st.gcThreshold {
 		st.AllocSnapshot()
 	}
 	stop, done := make(chan struct{}), make(chan struct{})
@@ -265,7 +265,7 @@ func TestCommitGCDecisionIgnoresConcurrentFrees(t *testing.T) {
 	}()
 	var cost uint64
 	var needs []bool
-	for i := 0; cost < st.GCThreshold(); i++ {
+	for i := 0; cost < st.gcThreshold; i++ {
 		s := mkSlice(1, vclock.VC{0, uint64(i + 1)}, 1024)
 		cost += s.Cost()
 		needs = append(needs, st.Commit(s))
@@ -274,7 +274,7 @@ func TestCommitGCDecisionIgnoresConcurrentFrees(t *testing.T) {
 	<-done
 	for i, need := range needs {
 		if last := i == len(needs)-1; need != last {
-			t.Fatalf("commit %d of %d: needGC = %v, want %v (threshold %d)", i+1, len(needs), need, last, st.GCThreshold())
+			t.Fatalf("commit %d of %d: needGC = %v, want %v (threshold %d)", i+1, len(needs), need, last, st.gcThreshold)
 		}
 	}
 }

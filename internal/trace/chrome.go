@@ -36,8 +36,9 @@ type chromeFile struct {
 
 func usec(ns int64) float64 { return float64(ns) / 1e3 }
 
-// Export writes the report as Chrome-trace JSON.
-func Export(w io.Writer, r *Report) error {
+// WriteChrome writes the report as Chrome-trace JSON. A nil report (tracing
+// disabled) is an error.
+func (r *Report) WriteChrome(w io.Writer) error {
 	if r == nil {
 		return fmt.Errorf("trace: no phase report to export (tracing disabled?)")
 	}
@@ -65,12 +66,8 @@ func Export(w io.Writer, r *Report) error {
 			})
 		}
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(&f)
+	return json.NewEncoder(w).Encode(&f)
 }
-
-// WriteChrome is Export as a method.
-func (r *Report) WriteChrome(w io.Writer) error { return Export(w, r) }
 
 // ValidateChrome checks an exported Chrome-trace JSON document: it must
 // parse, contain at least one duration event, have non-negative timestamps

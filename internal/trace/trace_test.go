@@ -33,7 +33,7 @@ func TestNilCollectorAndBufAreNoOps(t *testing.T) {
 	if r.UserTime() != 0 {
 		t.Fatal("nil report user time not zero")
 	}
-	if err := Export(&bytes.Buffer{}, nil); err == nil {
+	if err := r.WriteChrome(&bytes.Buffer{}); err == nil {
 		t.Fatal("exporting a nil report must error")
 	}
 	if err := r.WriteSummary(&bytes.Buffer{}); err == nil {
@@ -175,7 +175,7 @@ func TestExportIsValidJSON(t *testing.T) {
 	b.Mark("unlock", 64)
 	b.Finish()
 	var buf bytes.Buffer
-	if err := Export(&buf, c.Render()); err != nil {
+	if err := c.Render().WriteChrome(&buf); err != nil {
 		t.Fatal(err)
 	}
 	var v map[string]any

@@ -1,8 +1,8 @@
 package rfdet_test
 
 import (
-	"io"
 	"runtime"
+	"strings"
 	"testing"
 
 	"rfdet"
@@ -64,8 +64,8 @@ func TestRaceDetectRaceyFindsBoth(t *testing.T) {
 }
 
 // TestRaceDetectReportStability reruns detection 20 times on one runtime
-// instance: every report hash must be identical (the cmd/racey -detect
-// contract).
+// instance: every report hash must be identical (the contract the racey
+// rows of rfdet-bench racetable check at 2, 4 and 8 threads).
 func TestRaceDetectReportStability(t *testing.T) {
 	runs := 20
 	if testing.Short() {
@@ -87,10 +87,23 @@ func TestRaceDetectReportStability(t *testing.T) {
 // TestRaceDetectLitmusClassification drives the harness race table, which
 // checks every litmus kernel against its static classification: racy kernels
 // report races, race-free kernels report exactly zero, the byte-merge blind
-// spot reports zero, and every report is run twice and byte-compared.
+// spot reports zero, and every report is run twice and byte-compared. racey
+// must come out once at each of 2, 4 and 8 threads.
 func TestRaceDetectLitmusClassification(t *testing.T) {
-	if err := harness.RaceTable(io.Discard, workloads.SizeTest, 4); err != nil {
+	var out strings.Builder
+	if err := harness.RaceTable(&out, workloads.SizeTest, 4, 2); err != nil {
 		t.Fatal(err)
+	}
+	var raceyThreads []string
+	for _, line := range strings.Split(out.String(), "\n") {
+		if strings.HasPrefix(line, "racey ") {
+			_, rest, _ := strings.Cut(line, "§5.1 stress, ")
+			n, _, _ := strings.Cut(rest, " threads")
+			raceyThreads = append(raceyThreads, n)
+		}
+	}
+	if got := strings.Join(raceyThreads, ","); got != "2,4,8" {
+		t.Fatalf("racey rows at %q threads, want 2,4,8:\n%s", got, out.String())
 	}
 }
 

@@ -4,7 +4,7 @@
 //	go run ./tools/detvet ./...
 //
 // Four analyzers enforce the invariants the deterministic runtime depends on
-// (DESIGN.md §12, §17):
+// (DESIGN.md §12, §16):
 //
 //   - maporder: no raw iteration over Go maps in the deterministic packages
 //     (internal/core, internal/mem, internal/slicestore). Go randomizes map

@@ -9,7 +9,7 @@ import (
 	"strings"
 )
 
-// lockcheck is the flow-sensitive lock-discipline analyzer (DESIGN.md §17).
+// lockcheck is the flow-sensitive lock-discipline analyzer (DESIGN.md §16).
 // It checks three properties over an intraprocedural held-lock lattice:
 //
 //  1. Guarded fields. A struct field annotated //detvet:guardedby <spec> may
@@ -20,7 +20,7 @@ import (
 //     through effect annotations (//detvet:holds, //detvet:acquires,
 //     //detvet:releases) so the repo's Locked-suffix helpers check precisely.
 //  2. Lock order. Mutex fields annotated //detvet:lockorder <rank> form a
-//     global acquisition order (documented in DESIGN.md §17); acquiring a
+//     global acquisition order (documented in DESIGN.md §16); acquiring a
 //     lower-ranked lock while holding a higher-ranked one is an inversion.
 //     Two instances of one class may be held together: their order is a
 //     runtime invariant, not a static one.
@@ -44,7 +44,7 @@ import (
 // A finding the lattice cannot discharge but a human can (turn-exclusivity,
 // quiescence after wg.Wait) is silenced by //detvet:lockcheck <why>; the
 // suppression certifies that the access is ordered by something stronger
-// than the annotated mutex (DESIGN.md §17, escape hatches).
+// than the annotated mutex (DESIGN.md §16, escape hatches).
 var lockcheck = &Analyzer{
 	Name: "lockcheck",
 	Restrict: []string{
