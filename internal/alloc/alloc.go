@@ -14,9 +14,12 @@
 //     allocations in different threads can never return conflicting
 //     addresses.
 //  2. Determinism: the addresses returned to a thread are a pure function of
-//     that thread's own allocation/free sequence (per-thread size-class free
-//     lists and a per-thread bump pointer). Cross-thread frees are routed to
-//     the owning heap by the runtime under its deterministic order.
+//     the allocations and frees its heap sees, in order (per-thread
+//     size-class free lists and a per-thread bump pointer). That order is the
+//     thread's own while it frees only its own blocks. A cross-thread free is
+//     routed to the owning heap at a moment the host picks: the runtime calls
+//     Free off its turn, so an owner's Malloc may or may not reuse a block a
+//     peer is freeing (DESIGN.md §6).
 //
 // Virtual address ranges are huge but sparse; only touched pages become
 // resident in any Space.
@@ -69,7 +72,6 @@ func classSize(c int) uint64 { return minClassSize << uint(c) }
 
 // heap is one thread's allocation arena.
 type heap struct {
-	//detvet:lockorder 52
 	mu sync.Mutex // taken for cross-thread frees; uncontended otherwise
 	//detvet:notguarded fixed when the heap is registered, immutable thereafter
 	base  uint64
@@ -83,7 +85,6 @@ type heap struct {
 // Allocator hands out non-conflicting shared-memory addresses to all threads
 // of one program execution.
 type Allocator struct {
-	//detvet:lockorder 50
 	mu sync.Mutex
 	//detvet:guardedby mu
 	heaps     []*heap
@@ -205,8 +206,8 @@ func (a *Allocator) heapAt(addr uint64) *heap {
 }
 
 // Free releases the allocation at addr. Any thread may free any allocation;
-// the block returns to the owning thread's heap, as in Hoard. The runtime is
-// responsible for ordering cross-thread frees deterministically.
+// the block returns to the owning thread's heap, as in Hoard. Nothing here
+// orders a cross-thread free against the owner's allocations.
 func (a *Allocator) Free(addr uint64) error {
 	h := a.heapAt(addr)
 	if h == nil {

@@ -134,7 +134,8 @@ func TestSignalWithoutWaiterIsLost(t *testing.T) {
 }
 
 // TestMallocFreeReuseUnderRuntime exercises allocator reuse through the
-// Thread API, including a cross-thread free ordered by the runtime.
+// Thread API, including a cross-thread free that a Join orders before the
+// owner's next Malloc.
 func TestMallocFreeReuseUnderRuntime(t *testing.T) {
 	rep := run(t, DefaultOptions(), func(th api.Thread) {
 		a := th.Malloc(64)

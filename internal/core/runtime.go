@@ -151,8 +151,7 @@ type exec struct {
 	// mutation of the fields below, of a syncVar, or of a blocked peer runs
 	// under it, between enter and leave. The abort path (fail) and the
 	// post-execution report build take it too. A holder never waits on
-	// anything but the leaf locks of the store and the allocator.
-	//detvet:lockorder 20
+	// anything but the allocator's leaf lock.
 	mu sync.Mutex //detvet:nativesync the commit monitor (§4.1).
 	// syncvars is the internal synchronization variable table.
 	//detvet:guardedby exec.mu

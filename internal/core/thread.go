@@ -328,8 +328,11 @@ func (t *thread) Malloc(size uint64) api.Addr {
 	return api.Addr(t.exec.alloc.Malloc(int(t.id), size))
 }
 
-// Free releases an allocation. Cross-thread frees are ordered by the exec
-// monitor (the allocator routes the block to the owning heap, §4.4).
+// Free releases an allocation; the allocator routes the block to the owning
+// heap (§4.4). Like Malloc it runs off the turn, so nothing orders a free of
+// another thread's block against the owner's allocations: whether the
+// owner's next Malloc reuses the block depends on the host schedule
+// (DESIGN.md §6).
 func (t *thread) Free(a api.Addr) {
 	t.Tick(8)
 	if err := t.exec.alloc.Free(uint64(a)); err != nil {

@@ -4,8 +4,4 @@ package slicestore
 func (st *Store) Used() uint64 { return uint64(st.used.Load()) }
 
 // Live returns the number of live slices.
-func (st *Store) Live() int {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return len(st.slices)
-}
+func (st *Store) Live() int { return len(st.slices) }

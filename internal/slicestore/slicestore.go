@@ -8,12 +8,12 @@
 // propagation (§4.3), so the store also plays the role of the paper's
 // metadata space: it accounts for the memory slices and page snapshots
 // consume and triggers garbage collection when the committed slices cross a
-// threshold. The metadata space is Store, a mutex-guarded list of live
-// slices in commit order with a frontier sweep.
+// threshold. The metadata space is Store, a list of live slices in commit
+// order with a frontier sweep; the runtime's monitor serializes every change
+// to it.
 package slicestore
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"rfdet/internal/mem"
@@ -53,27 +53,21 @@ const (
 	DefaultGCThresholdPct = 90
 )
 
-// Store is the metadata space: a single mutex-guarded, append-only list of
-// live slices in commit order, with a full-sweep Collect that filters it in
-// place.
+// Store is the metadata space: an append-only list of live slices in commit
+// order, with a full-sweep Collect that filters it in place.
 //
-// Usage accounting (used, highWater) and the scalar counters are plain
-// atomics, so AllocSnapshot, which the store path of a running slice calls
-// off the turn, never contends with commits or collections. The GC trigger
-// reads none of it: it compares sliceBytes, the committed slices' cost, which
-// only Commit and Collect change, and the runtime calls both under the
-// deterministic turn. A trigger that counted snapshots would fire at
+// The list and its cost, sliceBytes, are the caller's to serialize: only
+// Commit and Collect touch them, and the runtime calls both inside its
+// monitor. Usage accounting (used, highWater) and the pass counters are
+// atomics, because AllocSnapshot and FreeSnapshot run off the monitor, in the
+// store path of a running slice. The GC trigger reads none of them: it
+// compares sliceBytes alone. A trigger that counted snapshots would fire at
 // host-chosen moments, and a pass cannot free a snapshot anyway.
 type Store struct {
-	//detvet:lockorder 30
-	mu sync.Mutex //detvet:nativesync guards the live-slice list and its cost; snapshot charging is lock-free, because it runs off the monitor
-	//detvet:guardedby mu
-	slices []*Slice
-	//detvet:guardedby mu
-	sliceBytes uint64
-	//detvet:notguarded fixed at construction, immutable thereafter
+	slices      []*Slice
+	sliceBytes  uint64
 	capacity    uint64
-	gcThreshold uint64 //detvet:notguarded fixed at construction, immutable thereafter
+	gcThreshold uint64
 
 	used      atomic.Int64 // slices + snapshots, bytes
 	highWater atomic.Int64
@@ -132,21 +126,11 @@ func (st *Store) charge(delta int64) {
 // Commit registers a finished slice and reports whether the committed
 // slices' cost has reached the GC threshold, in which case the caller should
 // garbage-collect.
-//
-// The charge lands before the slice is published to the list: a Collect
-// racing this commit either misses the slice entirely or sees it with its
-// cost already in the budget, so the collection's credit always cancels a
-// charge that happened. Publishing first would let a racing Collect
-// delete-and-credit the slice before its own charge landed, permanently
-// inflating the budget by one slice cost.
 func (st *Store) Commit(s *Slice) (needGC bool) {
 	st.charge(int64(s.Cost()))
-	st.mu.Lock()
 	st.slices = append(st.slices, s)
 	st.sliceBytes += s.Cost()
-	needGC = st.sliceBytes >= st.gcThreshold
-	st.mu.Unlock()
-	return needGC
+	return st.sliceBytes >= st.gcThreshold
 }
 
 // Collect removes every slice whose timestamp is ≤ frontier: such slices
@@ -155,13 +139,8 @@ func (st *Store) Commit(s *Slice) (needGC bool) {
 // number of slices reclaimed.
 //
 // The list is filtered in place, survivors keeping their commit order, and
-// its tail is cleared so the victims become unreachable. Victims are credited
-// back to the budget before the mutex is released — atomically with
-// publishing the collection. Crediting after the unlock opens a window in
-// which the list no longer holds the victims but the budget still charges
-// for them, so a concurrent Used reading observes inflated usage.
+// its tail is cleared so the victims become unreachable.
 func (st *Store) Collect(frontier vclock.VC) int {
-	st.mu.Lock()
 	live := st.slices[:0]
 	var freed uint64
 	for _, s := range st.slices {
@@ -176,7 +155,6 @@ func (st *Store) Collect(frontier vclock.VC) int {
 	st.slices = live
 	st.sliceBytes -= freed
 	st.charge(-int64(freed))
-	st.mu.Unlock()
 	if victims > 0 {
 		st.gcCount.Add(1)
 	} else {

@@ -2,7 +2,6 @@ package slicestore
 
 import (
 	"math/rand"
-	"sync"
 	"testing"
 	"testing/quick"
 
@@ -307,46 +306,30 @@ func TestCollectPassAccounting(t *testing.T) {
 	})
 }
 
-// TestCommitDuringCollectAccounting is the regression storm for the
-// credit-after-unlock and insert-before-charge bugs: committers race a
-// collector whose frontier always covers every committed slice. Any window
-// in which a slice is published-but-uncharged (or credited-but-published)
-// shows up as a nonzero final balance, and a committed cost Collect missed
-// shows up as a trigger that fires on an empty store. The subtest keeps the
-// name it had when the store was a map.
+// TestCommitDuringCollectAccounting interleaves commits with covering
+// Collects: every pass must credit exactly what the commits since the last
+// one charged, so the balance lands on zero and a committed cost Collect
+// missed shows up as a trigger that fires on an empty store. The store's
+// callers serialize Commit and Collect, so one goroutine drives both. The
+// subtest keeps the name it had when the store was a map.
 func TestCommitDuringCollectAccounting(t *testing.T) {
 	t.Run("map", func(t *testing.T) {
 		st := NewStore(1 << 30)
 		const committers = 4
 		const perCommitter = 300
-		var collectorWG, committerWG sync.WaitGroup
-		stop := make(chan struct{})
-		collectorWG.Add(1)
-		go func() {
-			defer collectorWG.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
+		for i := 0; i < perCommitter; i++ {
+			for tid := int32(0); tid < committers; tid++ {
+				st.Commit(mkSlice(tid, vclock.VC{uint64(i + 1)}, 128))
+				if (i*committers+int(tid))%7 == 6 {
 					st.Collect(vclock.VC{^uint64(0)})
+					if st.Used() != 0 || st.Live() != 0 {
+						t.Fatalf("Used = %d, Live = %d after a covering Collect, want 0", st.Used(), st.Live())
+					}
 				}
 			}
-		}()
-		for c := 0; c < committers; c++ {
-			committerWG.Add(1)
-			go func(tid int32) {
-				defer committerWG.Done()
-				for i := 0; i < perCommitter; i++ {
-					st.Commit(mkSlice(tid, vclock.VC{uint64(i + 1)}, 128))
-				}
-			}(int32(c))
 		}
-		committerWG.Wait()
-		close(stop)
-		collectorWG.Wait()
-		// One final covering pass reclaims whatever the racing collector
-		// missed; the balance must land on exactly zero.
+		// One final covering pass reclaims the commits since the last one;
+		// the balance must land on exactly zero.
 		st.Collect(vclock.VC{^uint64(0)})
 		if st.Used() != 0 {
 			t.Fatalf("Used = %d after final covering Collect, want 0", st.Used())

@@ -15,9 +15,8 @@
 //     (internal/stats, internal/trace, internal/harness).
 //   - nativesync: no raw go statements, sync primitives or channel
 //     operations in internal/core outside the audited monitor protocol.
-//   - lockcheck: guarded fields accessed only under their sync.Mutex, lock
-//     ranks never inverted, no blocking with a lock held, and lock effects
-//     balanced at every function exit.
+//   - lockcheck: guarded fields accessed only under their sync.Mutex, and
+//     lock effects balanced at every function exit.
 //
 // A finding is silenced by an annotation comment on the same line as the
 // offending construct, or on the line directly above it:

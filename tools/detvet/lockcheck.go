@@ -5,12 +5,11 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strconv"
 	"strings"
 )
 
 // lockcheck is the flow-sensitive lock-discipline analyzer (DESIGN.md §16).
-// It checks three properties over an intraprocedural held-lock lattice:
+// It checks two properties over an intraprocedural held-lock lattice:
 //
 //  1. Guarded fields. A struct field annotated //detvet:guardedby <spec> may
 //     only be accessed while the named mutex is provably held. The lattice is
@@ -19,15 +18,14 @@ import (
 //     exit, and control-flow joins intersect. Function boundaries are crossed
 //     through effect annotations (//detvet:holds, //detvet:acquires,
 //     //detvet:releases) so the repo's Locked-suffix helpers check precisely.
-//  2. Lock order. Mutex fields annotated //detvet:lockorder <rank> form a
-//     global acquisition order (documented in DESIGN.md §16); acquiring a
-//     lower-ranked lock while holding a higher-ranked one is an inversion.
-//     Two instances of one class may be held together: their order is a
-//     runtime invariant, not a static one.
-//  3. Held-across-blocking. A blocking operation — channel send/receive,
-//     select without default, sync.Cond.Wait or sync.WaitGroup.Wait —
-//     executed while any annotated lock is held is a latent deadlock against
-//     the deterministic turn protocol and is reported.
+//  2. Effect balance. Every lock a function still holds at an exit is
+//     released by a registered defer or declared by //detvet:holds or
+//     //detvet:acquires, and every declared one is held there.
+//
+// Lock order and blocking with a lock held are not checked: the analyzed
+// packages nest one pair of locks (exec.mu → Allocator.mu), and a planted
+// inversion or a thread that blocks holding the monitor hangs the test
+// suite (DESIGN.md §16, the plant table).
 //
 // Unannotated fields are not exempt: any field sharing a declaration
 // paragraph (a run of fields with no blank line between them) with a
@@ -59,7 +57,7 @@ var lockcheck = &Analyzer{
 
 // lockcheckKeywords are the annotation tokens lockcheck's grammar reads
 // besides its own suppression token.
-var lockcheckKeywords = []string{"guardedby", "notguarded", "lockorder", "holds", "acquires", "releases"}
+var lockcheckKeywords = []string{"guardedby", "notguarded", "holds", "acquires", "releases"}
 
 // fieldGuard is a parsed guardedby specification: either a sibling mutex
 // field of the same struct (resolved against the accessed expression's base)
@@ -160,7 +158,6 @@ func equalStates(a, b flowState) bool {
 type lockcheckState struct {
 	pass    *Pass
 	guards  map[*types.Var]*fieldGuard // annotated fields
-	ranks   map[string]int             // lock class → //detvet:lockorder rank
 	effects map[*types.Func]*funcEffects
 }
 
@@ -168,7 +165,6 @@ func runLockcheck(pass *Pass) {
 	lc := &lockcheckState{
 		pass:    pass,
 		guards:  map[*types.Var]*fieldGuard{},
-		ranks:   map[string]int{},
 		effects: map[*types.Func]*funcEffects{},
 	}
 	for _, f := range pass.Files {
@@ -215,7 +211,7 @@ func fieldAnnotation(field *ast.Field, want string) (string, bool) {
 	return "", false
 }
 
-// collectStructAnnotations parses guardedby/notguarded/lockorder field
+// collectStructAnnotations parses guardedby/notguarded field
 // annotations, reports sync.RWMutex fields, which the model leaves out, and
 // enforces the paragraph rule: every non-synchronization field sharing a
 // declaration paragraph with a mutex must be annotated.
@@ -288,18 +284,6 @@ func (lc *lockcheckState) collectStruct(typeName string, st *ast.StructType) {
 				continue
 			}
 			isMutex := lc.isMutexField(fi.name)
-
-			if spec, ok := fieldAnnotation(fi.field, "lockorder"); ok {
-				rankStr, _, _ := strings.Cut(spec, " ")
-				rank, err := strconv.Atoi(rankStr)
-				if !isMutex || err != nil {
-					lc.pass.Reportf(fi.name.Pos(),
-						"//detvet:lockorder must carry an integer rank and annotate a sync.Mutex field")
-				} else {
-					lc.ranks[typeName+"."+fi.name.Name] = rank
-				}
-			}
-
 			spec, hasGuard := fieldAnnotation(fi.field, "guardedby")
 			why, hasNot := fieldAnnotation(fi.field, "notguarded")
 			switch {
@@ -511,12 +495,7 @@ func (lc *lockcheckState) parseLockRefs(fd *ast.FuncDecl, pos token.Pos, rest st
 
 // funcFlow analyzes one function body.
 type funcFlow struct {
-	lc *lockcheckState
-
-	// fresh marks locals bound once, to a composite literal or new(), in
-	// this function: objects still thread-local, exempt from guard checks.
-	fresh map[types.Object]bool
-
+	lc       *lockcheckState
 	exits    []flowState // states at every return and reachable fall-off
 	breaks   []*branchTargets
 	reported map[string]bool // dedup key → reported
@@ -533,10 +512,8 @@ type branchTargets struct {
 func (lc *lockcheckState) checkFunc(fd *ast.FuncDecl) {
 	ff := &funcFlow{
 		lc:       lc,
-		fresh:    map[types.Object]bool{},
 		reported: map[string]bool{},
 	}
-	ff.collectFresh(fd.Body)
 
 	entry := newFlowState()
 	eff := ff.funcEffectsOf(fd)
@@ -599,82 +576,6 @@ func (ff *funcFlow) refKey(fd *ast.FuncDecl, ref lockRef) (string, string) {
 	return key, class
 }
 
-// collectFresh pre-scans the body for locals assigned once, to a freshly
-// constructed object.
-func (ff *funcFlow) collectFresh(body *ast.BlockStmt) {
-	assigns := map[types.Object]int{}
-	freshCandidate := map[types.Object]bool{}
-	note := func(lhs ast.Expr, rhs ast.Expr) {
-		id, ok := lhs.(*ast.Ident)
-		if !ok || id.Name == "_" {
-			return
-		}
-		obj := ff.lc.pass.Info.Defs[id]
-		if obj == nil {
-			obj = ff.lc.pass.Info.Uses[id]
-		}
-		if obj == nil {
-			return
-		}
-		assigns[obj]++
-		if rhs != nil && isFreshExpr(rhs) {
-			freshCandidate[obj] = true
-		}
-	}
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			for i, lhs := range n.Lhs {
-				var rhs ast.Expr
-				if len(n.Rhs) == len(n.Lhs) {
-					rhs = n.Rhs[i]
-				}
-				note(lhs, rhs)
-			}
-		case *ast.ValueSpec:
-			for i, name := range n.Names {
-				var rhs ast.Expr
-				if i < len(n.Values) {
-					rhs = n.Values[i]
-				}
-				note(name, rhs)
-			}
-		case *ast.RangeStmt:
-			if n.Key != nil {
-				note(n.Key, nil)
-			}
-			if n.Value != nil {
-				note(n.Value, nil)
-			}
-		}
-		return true
-	})
-	for obj := range freshCandidate {
-		if assigns[obj] == 1 {
-			ff.fresh[obj] = true
-		}
-	}
-}
-
-// isFreshExpr reports whether e constructs a new object: &T{...}, T{...} or
-// new(T).
-func isFreshExpr(e ast.Expr) bool {
-	switch e := e.(type) {
-	case *ast.CompositeLit:
-		return true
-	case *ast.UnaryExpr:
-		if e.Op != token.AND {
-			return false
-		}
-		_, ok := e.X.(*ast.CompositeLit)
-		return ok
-	case *ast.CallExpr:
-		id, ok := e.Fun.(*ast.Ident)
-		return ok && id.Name == "new"
-	}
-	return false
-}
-
 // objKey is the canonical root of a lock/access key: name plus definition
 // position, unique within the package.
 func objKey(obj types.Object) string {
@@ -708,36 +609,6 @@ func (ff *funcFlow) keyOf(e ast.Expr) string {
 		return ff.keyOf(e.X) + "[" + types.ExprString(e.Index) + "]"
 	}
 	return "expr:" + types.ExprString(e)
-}
-
-// rootObject returns the root identifier object of a chain (for the fresh-
-// local exemption), or nil.
-func (ff *funcFlow) rootObject(e ast.Expr) types.Object {
-	for {
-		switch x := e.(type) {
-		case *ast.ParenExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.SelectorExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.UnaryExpr:
-			if x.Op != token.AND {
-				return nil
-			}
-			e = x.X
-		case *ast.Ident:
-			obj := ff.lc.pass.Info.Uses[x]
-			if obj == nil {
-				obj = ff.lc.pass.Info.Defs[x]
-			}
-			return obj
-		default:
-			return nil
-		}
-	}
 }
 
 // classOf computes the "Type.field" class of a mutex selector expression
@@ -883,9 +754,7 @@ func (ff *funcFlow) walkStmt(s ast.Stmt, in flowState) flowState {
 		return st
 	case *ast.SendStmt:
 		st := ff.walkExpr(s.Chan, in, false)
-		st = ff.walkExpr(s.Value, st, false)
-		ff.checkBlocking(s.Pos(), "channel send", st)
-		return st
+		return ff.walkExpr(s.Value, st, false)
 	case *ast.LabeledStmt:
 		return ff.walkLabeled(s, in)
 	case *ast.EmptyStmt:
@@ -967,11 +836,6 @@ func (ff *funcFlow) walkFor(s *ast.ForStmt, in flowState, label string) flowStat
 
 func (ff *funcFlow) walkRange(s *ast.RangeStmt, in flowState, label string) flowState {
 	st := ff.walkExpr(s.X, in, false)
-	if tv, ok := ff.lc.pass.Info.Types[s.X]; ok {
-		if _, isChan := tv.Type.Underlying().(*types.Chan); isChan {
-			ff.checkBlocking(s.Pos(), "channel range", st)
-		}
-	}
 	return ff.walkLoop(st, label, func(head flowState) flowState {
 		return ff.walkStmt(s.Body, head)
 	}, false)
@@ -1097,56 +961,19 @@ func (ff *funcFlow) walkCases(body *ast.BlockStmt, in flowState, label string) f
 }
 
 func (ff *funcFlow) walkSelect(s *ast.SelectStmt, in flowState) flowState {
-	hasDefault := false
-	for _, c := range s.Body.List {
-		if cc, ok := c.(*ast.CommClause); ok && cc.Comm == nil {
-			hasDefault = true
-		}
-	}
-	if !hasDefault {
-		ff.checkBlocking(s.Pos(), "select without default", in)
-	}
 	out := flowState{locks: lockSet{}, dead: true}
 	for _, c := range s.Body.List {
 		cc, ok := c.(*ast.CommClause)
 		if !ok {
 			continue
 		}
-		st := in.clone()
-		if cc.Comm != nil {
-			st = ff.walkCommStmt(cc.Comm, st)
-		}
+		st := ff.walkStmt(cc.Comm, in.clone())
 		for _, stmt := range cc.Body {
 			st = ff.walkStmt(stmt, st)
 		}
 		out = meet(out, st)
 	}
 	return out
-}
-
-// walkCommStmt walks a select communication op without re-triggering the
-// blocking check (selects are judged as a whole by their default clause).
-func (ff *funcFlow) walkCommStmt(s ast.Stmt, in flowState) flowState {
-	switch s := s.(type) {
-	case *ast.SendStmt:
-		st := ff.walkExpr(s.Chan, in, false)
-		return ff.walkExpr(s.Value, st, false)
-	case *ast.ExprStmt:
-		if u, ok := ast.Unparen(s.X).(*ast.UnaryExpr); ok && u.Op == token.ARROW {
-			return ff.walkExpr(u.X, in, false)
-		}
-	case *ast.AssignStmt:
-		st := in
-		for _, r := range s.Rhs {
-			if u, ok := ast.Unparen(r).(*ast.UnaryExpr); ok && u.Op == token.ARROW {
-				st = ff.walkExpr(u.X, st, false)
-				continue
-			}
-			st = ff.walkExpr(r, st, false)
-		}
-		return st
-	}
-	return ff.walkStmt(s, in)
 }
 
 func (ff *funcFlow) walkDefer(s *ast.DeferStmt, in flowState) flowState {
@@ -1233,11 +1060,6 @@ func (ff *funcFlow) walkExpr(e ast.Expr, in flowState, write bool) flowState {
 	case *ast.StarExpr:
 		return ff.walkExpr(e.X, in, write)
 	case *ast.UnaryExpr:
-		if e.Op == token.ARROW {
-			st := ff.walkExpr(e.X, in, false)
-			ff.checkBlocking(e.Pos(), "channel receive", st)
-			return st
-		}
 		if e.Op == token.AND {
 			// Taking a guarded field's address lets it escape the critical
 			// section; require the lock as a write access.
@@ -1270,8 +1092,8 @@ func (ff *funcFlow) walkExpr(e ast.Expr, in flowState, write bool) flowState {
 	return in
 }
 
-// walkCall applies a call's lock semantics: sync primitive operations,
-// blocking calls, and annotated effects.
+// walkCall applies a call's lock semantics: sync.Mutex operations and
+// annotated effects.
 func (ff *funcFlow) walkCall(call *ast.CallExpr, in flowState) flowState {
 	st := in
 	// Walk the function expression: for selector calls the receiver chain is
@@ -1304,11 +1126,7 @@ func (ff *funcFlow) walkCall(call *ast.CallExpr, in flowState) flowState {
 		st = ff.walkExpr(a, st, false)
 	}
 
-	fn := calleeFunc(ff.lc.pass.Info, call)
-	if fn != nil {
-		if isBlockingStdCall(fn) {
-			ff.checkBlocking(call.Pos(), fn.FullName(), st)
-		}
+	if fn := calleeFunc(ff.lc.pass.Info, call); fn != nil {
 		if eff := ff.lc.effects[fn]; eff != nil {
 			st = ff.applyEffects(call, fn, eff, st)
 		}
@@ -1353,8 +1171,7 @@ func (ff *funcFlow) mutexOp(sel *ast.SelectorExpr, in flowState) (flowState, boo
 	return st, true
 }
 
-// acquire adds a lock to the state, reporting double acquisition and lock-
-// order inversions against every currently held ranked lock. A double
+// acquire adds a lock to the state, reporting double acquisition. A double
 // acquisition keeps the original held entry (and its deferred-release flag)
 // so one bug reports once.
 func (ff *funcFlow) acquire(st *flowState, key, class string, pos token.Pos) {
@@ -1362,33 +1179,7 @@ func (ff *funcFlow) acquire(st *flowState, key, class string, pos token.Pos) {
 		ff.reportOnce(pos, "lock already held: second acquisition of %s on this path", describeLock(key, class))
 		return
 	}
-	ff.checkOrder(st, class, pos)
 	st.locks[key] = heldLock{class: class, pos: pos}
-}
-
-// checkOrder reports an inversion when a ranked lock is acquired while a
-// strictly higher-ranked lock is held.
-func (ff *funcFlow) checkOrder(st *flowState, class string, pos token.Pos) {
-	if class == "" {
-		return
-	}
-	rank, ok := ff.lc.ranks[class]
-	if !ok {
-		return
-	}
-	for _, h := range st.locks {
-		if h.class == "" || h.class == class {
-			continue
-		}
-		heldRank, ok := ff.lc.ranks[h.class]
-		if !ok {
-			continue
-		}
-		if heldRank > rank {
-			ff.reportOnce(pos, "lock-order inversion: acquiring %s (rank %d) while holding %s (rank %d)",
-				class, rank, h.class, heldRank)
-		}
-	}
 }
 
 // applyEffects applies a callee's holds/acquires/releases annotations at the
@@ -1489,30 +1280,6 @@ func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	return nil
 }
 
-// isBlockingStdCall reports the standard-library blocking entry points the
-// held-across-blocking pass knows about: sync.Cond.Wait and
-// sync.WaitGroup.Wait.
-func isBlockingStdCall(fn *types.Func) bool {
-	if fn.Name() != "Wait" || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return false
-	}
-	return isNamedSyncType(sig.Recv().Type(), "Cond") || isNamedSyncType(sig.Recv().Type(), "WaitGroup")
-}
-
-// checkBlocking reports a blocking operation performed while any annotated
-// lock is held.
-func (ff *funcFlow) checkBlocking(pos token.Pos, what string, st flowState) {
-	for key, h := range st.locks {
-		name := describeLock(key, h.class)
-		ff.reportOnce(pos, "%s while holding %s: blocking with a runtime mutex held can deadlock the turn protocol; release it first or annotate //detvet:lockcheck", what, name)
-		return // one report per site; the held set is in the message's spirit, not its letter
-	}
-}
-
 // describeLock renders a lock key for diagnostics, preferring the class.
 func describeLock(key, class string) string {
 	if class != "" {
@@ -1540,9 +1307,6 @@ func (ff *funcFlow) checkFieldAccess(sel *ast.SelectorExpr, st flowState, write 
 	guard := ff.lc.guards[field]
 	if guard == nil {
 		return
-	}
-	if root := ff.rootObject(sel.X); root != nil && ff.fresh[root] {
-		return // freshly constructed, still thread-local
 	}
 	if guard.sibling != "" {
 		if _, ok := st.locks[ff.keyOf(sel.X)+"."+guard.sibling]; ok {

@@ -2,7 +2,8 @@ package annotations
 
 // A //detvet: token that no analyzer reads silences nothing and checks
 // nothing, so the driver reports it: here the retired pincheck and statwire
-// analyzers' suppressions, and lockcheck's retired blocking effect.
+// analyzers' suppressions, and lockcheck's retired blocking effect and lock
+// rank.
 
 //detvet:pincheck the buffer is owned by the record // want "unknown annotation //detvet:pincheck"
 var owned []byte
@@ -13,6 +14,11 @@ type Stats struct {
 
 //detvet:blocks // want "unknown annotation //detvet:blocks"
 func waitTurn() {}
+
+type monitor struct {
+	//detvet:lockorder 10 // want "unknown annotation //detvet:lockorder"
+	mu int
+}
 
 // A token an analyzer reads passes.
 var m = map[int]int{}

@@ -6,9 +6,9 @@ import "sync"
 // must-hold lattice over straight-line code, branches and defers, and the
 // //detvet:lockcheck suppression escape hatch.
 type counter struct {
-	mu sync.Mutex //detvet:lockorder 10
-	n  int        //detvet:guardedby mu
-	m  int        // want "shares a declaration paragraph with mutex mu"
+	mu sync.Mutex
+	n  int //detvet:guardedby mu
+	m  int // want "shares a declaration paragraph with mutex mu"
 
 	loose int // its own paragraph: no annotation required
 }
@@ -77,9 +77,11 @@ func unlockNotHeld(c *counter) {
 	c.mu.Unlock() // want "not provably held"
 }
 
+// fresh writes a counter no other goroutine can see yet. lockcheck has no
+// thread-local exemption: the write needs the lock or a //detvet:lockcheck.
 func fresh() *counter {
 	c := &counter{}
-	c.n = 5 // freshly constructed: still thread-local, no lock needed
+	c.n = 5 // want "write of c.n without holding mu"
 	return c
 }
 

@@ -7,8 +7,8 @@ import "sync"
 // access, the way core's thread methods reach the fields exec.mu guards.
 
 type registry struct {
-	mu      sync.Mutex //detvet:lockorder 60
-	entries []*entry   //detvet:guardedby mu
+	mu      sync.Mutex
+	entries []*entry //detvet:guardedby mu
 }
 
 type entry struct {

@@ -10,8 +10,8 @@ import (
 // functions.
 
 type bucket struct {
-	mu    sync.Mutex //detvet:lockorder 50
-	items []int      //detvet:guardedby mu
+	mu    sync.Mutex
+	items []int //detvet:guardedby mu
 }
 
 // fillLocked appends under the caller's lock.
