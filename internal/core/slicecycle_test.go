@@ -121,36 +121,60 @@ func TestPublishedSliceOwnsItsBytes(t *testing.T) {
 }
 
 // TestCutBeyondThePageCacheMatchesFullPageDiff: the cut reads every page
-// through Space.PageData and only its dirty extents; the reference reads the
-// same snapshots whole (mem.DiffPage). One slice stores to 40 pages in two
-// passes, more than the page cache holds and ids 0, 16 and 32 in one slot, so
-// most of the cut's lookups miss the cache; the cut must equal the reference
-// run for run, and leave the space as it found it.
+// through Space.PageData and only its dirty extents, against snapshots that
+// hold only the chunks the slice stored to; the reference diffs each page
+// whole (mem.DiffPage) against the test's own copy of it from before the
+// slice. Each slice stores to 40 pages, more than the page cache holds and ids
+// 0, 16 and 32 in one slot, so most of the cut's lookups miss the cache; the
+// cut must equal the reference run for run, and leave the space as it found
+// it. The first slice stores all over each page in two passes, the second
+// writes one word per page in a chunk that depends on the page; pooled
+// buffers are poisoned, so a snapshot chunk no store copied reads 0xDB.
 func TestCutBeyondThePageCacheMatchesFullPageDiff(t *testing.T) {
+	mem.SetPageBufPoison(true)
+	defer mem.SetPageBufPoison(false)
 	const pages = 40
 	th := cutThread()
-	for round := uint64(1); round <= 2; round++ { // the second pass stores to snapshotted pages
-		for p := 0; p < pages; p++ {
-			for off := 0; off < mem.PageSize; off += 16 {
-				th.Store64(api.Addr(p*mem.PageSize+off), round<<32|uint64(p)<<16|uint64(off))
+	for _, slice := range []struct {
+		name  string
+		store func()
+	}{
+		{"dense", func() {
+			for round := uint64(1); round <= 2; round++ { // the second pass stores to snapshotted pages
+				for p := 0; p < pages; p++ {
+					for off := 0; off < mem.PageSize; off += 16 {
+						th.Store64(api.Addr(p*mem.PageSize+off), round<<32|uint64(p)<<16|uint64(off))
+					}
+				}
 			}
+		}},
+		{"sparse", func() {
+			for p := 0; p < pages; p++ {
+				th.Store64(api.Addr(p*mem.PageSize+p*7%64*mem.ChunkSize+8), 0xFEED<<48|uint64(p))
+			}
+		}},
+	} {
+		before := make([][]byte, pages)
+		for p := range before {
+			before[p] = bytes.Clone(th.space.PageData(mem.PageID(p)))
 		}
-	}
-	var want []mem.Run
-	snapped := th.space.DirtyPages()
-	for _, pid := range snapped {
-		want = append(want, mem.DiffPage(pid, th.space.SnapshotOf(pid), th.space.PageData(pid))...)
-	}
-	if len(snapped) != pages || len(want) == 0 {
-		t.Fatalf("%d pages snapshotted, reference diff of %d runs", len(snapped), len(want))
-	}
-	hash := th.space.Hash()
-	got := endSlice(th)
-	if got == nil || !sameMods(got.Mods, want) || got.Bytes != mem.RunBytes(want) {
-		t.Fatalf("the cut differs from the full-page diff of the same snapshots (%d runs): %+v", len(want), got)
-	}
-	if th.space.Hash() != hash || !th.space.CacheConsistent() {
-		t.Fatal("the cut changed the space or its page cache")
+		slice.store()
+		var want []mem.Run
+		snapped := th.space.DirtyPages()
+		for _, pid := range snapped {
+			want = append(want, mem.DiffPage(pid, before[pid], th.space.PageData(pid))...)
+		}
+		if len(snapped) != pages || len(want) == 0 {
+			t.Fatalf("%s: %d pages snapshotted, reference diff of %d runs", slice.name, len(snapped), len(want))
+		}
+		hash := th.space.Hash()
+		got := endSlice(th)
+		if got == nil || !sameMods(got.Mods, want) || got.Bytes != mem.RunBytes(want) {
+			t.Fatalf("%s: the cut differs from the full-page diff against the pages before the slice (%d runs): %+v", slice.name, len(want), got)
+		}
+		if th.space.Hash() != hash || !th.space.CacheConsistent() {
+			t.Fatalf("%s: the cut changed the space or its page cache", slice.name)
+		}
 	}
 }
 

@@ -21,12 +21,19 @@ package mem
 // to a full-page scan: every byte outside all extents was never written and
 // therefore equals the snapshot.
 //
+// The same knowledge makes the snapshot sub-page: a store copies into it only
+// the 64-byte chunks it is the first of the slice to write, just before it
+// writes them, and the diff reads the snapshot only there.
+//
 // The tracker is reset at every slice end; propagation writes (ApplyRuns)
 // are intentionally NOT tracked — they land only between slices, before any
 // snapshot of the affected page exists, so the snapshot baseline already
 // contains them (§4.3's "must not be monitored as local modifications").
 
-import "sort"
+import (
+	"math/bits"
+	"sort"
+)
 
 // Extent is a dirty byte range [Off, Off+Len) within one page.
 type Extent struct {
@@ -52,6 +59,13 @@ const (
 	// the chunk bitmap (O(1) marking, ≤64-byte scan granularity) instead of
 	// paying O(extents) insertion on every store.
 	maxExtentsPerPage = 16
+	// denseChunks is how many chunks a snapshot copies one at a time: the
+	// store that takes it past this copies the rest of the page in one go.
+	// Copying chunk by chunk beats a whole copy below about 16 chunks and
+	// loses at 64; the benchmark programs' pages hold at most 12 or all 64
+	// (fft switches on 232 of its 284 snapshot pages per run, water_ns and
+	// the KV server never). EXPERIMENTS.md, "First-touch snapshots".
+	denseChunks = 16
 )
 
 // dirtyPage is the current slice's record of one page: where it was written
@@ -62,11 +76,20 @@ const (
 // instrumentation, just before the space store that marks every page it
 // snapshotted, or by the fault handler that store fires; a panic in between
 // aborts the execution, and an aborted exit never diffs.
+//
+// The snapshot is filled lazily: snapped holds the chunks it has copied, and
+// mark copies a chunk at its first store of the slice, before the store
+// writes it (copyChunks). So the snapshot is valid on every chunk the slice
+// stored to — all the diff reads — and garbage elsewhere.
+//
+// The page is in bitmap mode exactly when bitmap is non-zero: toBitmap folds
+// more than maxExtentsPerPage non-empty extents into it. A flag for the mode
+// would take the record past 64 bytes, into the next size class.
 type dirtyPage struct {
-	extents   []Extent
-	snap      []byte
-	bitmap    uint64
-	bitmapped bool
+	extents []Extent
+	snap    []byte
+	snapped uint64
+	bitmap  uint64
 }
 
 // chunkMask returns the bitmap bits covering [off, off+n).
@@ -80,28 +103,59 @@ func chunkMask(off, n uint32) uint64 {
 	return ((uint64(1) << width) - 1) << lo
 }
 
-// mark records the write [off, off+n) on the page. One that starts inside the
-// last extent or at its end — a sequential loop's next store, a rewrite —
-// grows that extent in place: nothing lies beyond it to merge with.
-func (d *dirtyPage) mark(off, n uint32) {
+// mark records the write [off, off+n) on the page, whose data the store has
+// not written yet, and copies into the snapshot the chunks of it the record
+// did not cover. One that starts inside the last extent or at its end — a
+// sequential loop's next store, a rewrite — grows that extent in place:
+// nothing lies beyond it to merge with. Only a write that may enter a new
+// chunk reaches the copy: one that sets a bitmap bit, grows the last extent
+// past its last chunk, or inserts an extent.
+func (d *dirtyPage) mark(page *[PageSize]byte, off, n uint32) {
 	if n == 0 {
 		return
 	}
-	if d.bitmapped {
-		d.bitmap |= chunkMask(off, n)
-		return
-	}
-	if k := len(d.extents); k > 0 {
-		if last := &d.extents[k-1]; off >= last.Off && off <= last.End() {
-			if end := off + n; end > last.End() {
-				last.Len = end - last.Off
-			}
+	if d.bitmap != 0 {
+		m := chunkMask(off, n)
+		if m&^d.bitmap == 0 {
 			return
 		}
+		d.bitmap |= m
+	} else if k := len(d.extents); k > 0 && off >= d.extents[k-1].Off && off <= d.extents[k-1].End() {
+		last := &d.extents[k-1]
+		end, lastEnd := off+n, last.End()
+		if end <= lastEnd {
+			return
+		}
+		last.Len = end - last.Off
+		if (end-1)>>ChunkShift == (lastEnd-1)>>ChunkShift {
+			return
+		}
+	} else {
+		d.extents = insertExtent(d.extents, off, n)
+		if len(d.extents) > maxExtentsPerPage {
+			d.toBitmap()
+		}
 	}
-	d.extents = insertExtent(d.extents, off, n)
-	if len(d.extents) > maxExtentsPerPage {
-		d.toBitmap()
+	d.copyChunks(page, chunkMask(off, n))
+}
+
+// copyChunks copies the chunks of m the snapshot does not hold yet from page,
+// as the store about to write them finds it, and the rest of the page with
+// them once more than denseChunks are held. A record without a snapshot (no
+// monitor asked for one) copies nothing.
+func (d *dirtyPage) copyChunks(page *[PageSize]byte, m uint64) {
+	if m &^= d.snapped; m == 0 || d.snap == nil {
+		return
+	}
+	if bits.OnesCount64(d.snapped|m) > denseChunks {
+		m = ^d.snapped
+	}
+	d.snapped |= m
+	for m != 0 {
+		lo := bits.TrailingZeros64(m)
+		hi := lo + bits.TrailingZeros64(^(m >> lo))
+		copy(d.snap[lo<<ChunkShift:hi<<ChunkShift], page[lo<<ChunkShift:hi<<ChunkShift])
+		m &= ^uint64(0) << hi
 	}
 }
 
@@ -153,7 +207,6 @@ func (d *dirtyPage) toBitmap() {
 		bm |= chunkMask(e.Off, e.Len)
 	}
 	d.bitmap = bm
-	d.bitmapped = true
 	d.extents = d.extents[:0]
 }
 
@@ -162,7 +215,7 @@ func (d *dirtyPage) toBitmap() {
 // coalesce into single extents. Either way the result is the page's own
 // list, valid until the page is next marked or recycled.
 func (d *dirtyPage) snapshotExtents() []Extent {
-	if !d.bitmapped {
+	if d.bitmap == 0 {
 		return d.extents
 	}
 	out := d.extents[:0]
@@ -279,16 +332,23 @@ func (s *Space) recordOf(id PageID) *dirtyPage {
 }
 
 // SnapshotPage takes the slice's snapshot of page id (Figure 4 of the
-// paper): a copy of its current contents, kept in the page's record until
-// ResetDirty hands the buffer back. Dirty tracking must be on.
+// paper): a pooled buffer, kept in the page's record until ResetDirty hands it
+// back, into which each store copies the chunks it is the first to write
+// (dirtyPage.mark). It copies nothing itself: a chunk the slice never stores
+// to is never read. Dirty tracking must be on, and the slice must not have
+// stored to the page yet, as the monitors ensure: they snapshot before a
+// page's first store.
 func (s *Space) SnapshotPage(id PageID) {
 	// The buffer is owned by the page's record until ResetDirty, which hands
 	// every record's snapshot to PutPageBuf.
-	s.recordOf(id).snap = s.Snapshot(id)
+	d := s.recordOf(id)
+	d.snap, d.snapped = GetPageBuf(), 0
 }
 
 // SnapshotOf returns the slice's snapshot of page id, nil if it has none.
-// The buffer is the record's: it is valid until ResetDirty.
+// The buffer is the record's: it is valid until ResetDirty, and only on the
+// chunks the slice has stored to — the page as it stood before the slice's
+// first store to each.
 func (s *Space) SnapshotOf(id PageID) []byte {
 	if d := s.record(id); d != nil {
 		return d.snap

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -30,25 +31,26 @@ func extentsWellFormed(exts []Extent) error {
 
 func TestExtentMarkCoalesce(t *testing.T) {
 	var d dirtyPage
-	d.mark(100, 10) // [100,110)
-	d.mark(200, 10) // disjoint after
-	d.mark(50, 10)  // disjoint before
+	var page [PageSize]byte // d has no snapshot: mark copies nothing from it
+	d.mark(&page, 100, 10)  // [100,110)
+	d.mark(&page, 200, 10)  // disjoint after
+	d.mark(&page, 50, 10)   // disjoint before
 	if want := []Extent{{50, 10}, {100, 10}, {200, 10}}; !extentsEqual(d.extents, want) {
 		t.Fatalf("disjoint marks = %+v, want %+v", d.extents, want)
 	}
-	d.mark(110, 5) // touches [100,110) → merges
+	d.mark(&page, 110, 5) // touches [100,110) → merges
 	if want := []Extent{{50, 10}, {100, 15}, {200, 10}}; !extentsEqual(d.extents, want) {
 		t.Fatalf("touching mark = %+v, want %+v", d.extents, want)
 	}
-	d.mark(55, 50) // spans the gap between the first two → one extent
+	d.mark(&page, 55, 50) // spans the gap between the first two → one extent
 	if want := []Extent{{50, 65}, {200, 10}}; !extentsEqual(d.extents, want) {
 		t.Fatalf("spanning mark = %+v, want %+v", d.extents, want)
 	}
-	d.mark(60, 3) // fully contained: no change
+	d.mark(&page, 60, 3) // fully contained: no change
 	if want := []Extent{{50, 65}, {200, 10}}; !extentsEqual(d.extents, want) {
 		t.Fatalf("contained mark = %+v, want %+v", d.extents, want)
 	}
-	d.mark(0, PageSize) // whole page swallows everything
+	d.mark(&page, 0, PageSize) // whole page swallows everything
 	if want := []Extent{{0, PageSize}}; !extentsEqual(d.extents, want) {
 		t.Fatalf("whole-page mark = %+v, want %+v", d.extents, want)
 	}
@@ -68,12 +70,13 @@ func extentsEqual(a, b []Extent) bool {
 
 func TestExtentBitmapConversion(t *testing.T) {
 	var d dirtyPage
+	var page [PageSize]byte
 	// More than maxExtentsPerPage disjoint single-byte writes, two per
 	// 128-byte stride, force the bitmap.
 	for i := 0; i <= maxExtentsPerPage; i++ {
-		d.mark(uint32(i*128), 1)
+		d.mark(&page, uint32(i*128), 1)
 	}
-	if !d.bitmapped {
+	if d.bitmap == 0 {
 		t.Fatalf("%d disjoint extents did not trigger bitmap mode", maxExtentsPerPage+1)
 	}
 	exts := d.snapshotExtents()
@@ -95,13 +98,12 @@ func TestExtentBitmapConversion(t *testing.T) {
 	}
 	// Consecutive chunks coalesce: marking everything yields one extent.
 	var full dirtyPage
-	full.bitmapped = true
 	full.bitmap = ^uint64(0)
 	if exts := full.snapshotExtents(); !extentsEqual(exts, []Extent{{0, PageSize}}) {
 		t.Fatalf("full bitmap = %+v, want one whole-page extent", exts)
 	}
 	// Marks after conversion land in the bitmap.
-	d.mark(4095, 1)
+	d.mark(&page, 4095, 1)
 	if !extentsCover(d.snapshotExtents(), 4095, 1) {
 		t.Fatal("mark after bitmap conversion lost")
 	}
@@ -415,4 +417,69 @@ func BenchmarkDiffFragmented(b *testing.B) {
 		runs, buf = AppendDiffPageExtents(runs[:0], buf[:0], 0, snap, cur, exts)
 	}
 	b.ReportMetric(float64(len(runs)), "runs")
+}
+
+// TestSnapshotCopiesOnlyWrittenChunks pins the snapshot's granularity. With
+// the poison hook on, a pooled buffer comes out of GetPageBuf as 0xDB, so a
+// snapshot chunk reads as the page only where a store copied it: the chunk a
+// store is the first to write, every chunk once more than denseChunks have
+// been copied, and on both pages of a WriteBytes that crosses a boundary.
+func TestSnapshotCopiesOnlyWrittenChunks(t *testing.T) {
+	SetPageBufPoison(true)
+	defer SetPageBufPoison(false)
+	s := NewSpace()
+	defer s.Release()
+	// Chunk c of every page holds the byte c+1: no chunk equals another, or
+	// poison.
+	before := map[PageID][]byte{}
+	for _, id := range []PageID{3, 5, 6} {
+		for off := uint64(0); off < PageSize; off += 8 {
+			s.Store64(PageAddr(id)+off, 0x0101010101010101*(off/ChunkSize+1))
+		}
+		before[id] = bytes.Clone(s.PageData(id))
+	}
+	s.SetDirtyTracking(true)
+	poison := bytes.Repeat([]byte{0xDB}, ChunkSize)
+	// expect checks page id's snapshot: the page as it was before the slice
+	// on the chunks in copied, poison on the others.
+	expect := func(what string, id PageID, copied ...int) {
+		t.Helper()
+		snap := s.SnapshotOf(id)
+		for c := 0; c < PageSize/ChunkSize; c++ {
+			lo, hi := c*ChunkSize, (c+1)*ChunkSize
+			want := poison
+			if slices.Contains(copied, c) {
+				want = before[id][lo:hi]
+			}
+			if !bytes.Equal(snap[lo:hi], want) {
+				t.Fatalf("%s: page %d chunk %d of the snapshot = %x, want %x", what, id, c, snap[lo:hi], want)
+			}
+		}
+	}
+
+	s.SnapshotPage(3)
+	expect("SnapshotPage", 3)
+	s.Store64(PageAddr(3)+1000, ^uint64(0))
+	expect("one Store64 at offset 1000", 3, 1000/ChunkSize)
+	s.Store64(PageAddr(3)+1000, 0) // a rewrite copies nothing
+	expect("a rewrite", 3, 1000/ChunkSize)
+
+	var held []int
+	for c := range denseChunks {
+		held = append(held, c)
+		if c != 1000/ChunkSize {
+			s.Store8(PageAddr(3)+uint64(c*ChunkSize+5), 0)
+		}
+	}
+	expect(fmt.Sprintf("%d distinct chunks", denseChunks), 3, held...)
+	s.Store32(PageAddr(3)+40*ChunkSize, 0)
+	if snap := s.SnapshotOf(3); !bytes.Equal(snap, before[3]) {
+		t.Fatalf("the chunk past %d did not copy the rest of the page", denseChunks)
+	}
+
+	s.SnapshotPage(5)
+	s.SnapshotPage(6)
+	s.WriteBytes(PageAddr(6)-100, make([]byte, 200)) // page 5 bytes 3996…, page 6 bytes …99
+	expect("WriteBytes across the boundary", 5, 3996/ChunkSize, 63)
+	expect("WriteBytes across the boundary", 6, 0, 99/ChunkSize)
 }

@@ -323,10 +323,11 @@ func (s *Space) Load8(a uint64) uint8 {
 // Store8 writes one byte.
 func (s *Space) Store8(a uint64, v uint8) {
 	id := PageOf(a)
-	s.storePage(id).Data[a&PageMask] = v
+	p := s.storePage(id)
 	if s.trackDirty {
-		s.recordOf(id).mark(uint32(a&PageMask), 1)
+		s.recordOf(id).mark(&p.Data, uint32(a&PageMask), 1)
 	}
+	p.Data[a&PageMask] = v
 }
 
 // Load32 reads a little-endian uint32 (may straddle a page boundary).
@@ -347,10 +348,11 @@ func (s *Space) Load32(a uint64) uint32 {
 func (s *Space) Store32(a uint64, v uint32) {
 	if a&PageMask <= PageSize-4 {
 		id := PageOf(a)
-		binary.LittleEndian.PutUint32(s.storePage(id).Data[a&PageMask:], v)
+		p := s.storePage(id)
 		if s.trackDirty {
-			s.recordOf(id).mark(uint32(a&PageMask), 4)
+			s.recordOf(id).mark(&p.Data, uint32(a&PageMask), 4)
 		}
+		binary.LittleEndian.PutUint32(p.Data[a&PageMask:], v)
 		return
 	}
 	var buf [4]byte
@@ -376,10 +378,11 @@ func (s *Space) Load64(a uint64) uint64 {
 func (s *Space) Store64(a uint64, v uint64) {
 	if a&PageMask <= PageSize-8 {
 		id := PageOf(a)
-		binary.LittleEndian.PutUint64(s.storePage(id).Data[a&PageMask:], v)
+		p := s.storePage(id)
 		if s.trackDirty {
-			s.recordOf(id).mark(uint32(a&PageMask), 8)
+			s.recordOf(id).mark(&p.Data, uint32(a&PageMask), 8)
 		}
+		binary.LittleEndian.PutUint64(p.Data[a&PageMask:], v)
 		return
 	}
 	var buf [8]byte
@@ -406,20 +409,23 @@ func (s *Space) WriteBytes(a uint64, data []byte) {
 	for len(data) > 0 {
 		id := PageOf(a)
 		off := a & PageMask
-		n := copy(s.storePage(id).Data[off:], data)
+		p := s.storePage(id)
+		n := min(len(data), PageSize-int(off))
 		if s.trackDirty {
-			s.recordOf(id).mark(uint32(off), uint32(n))
+			s.recordOf(id).mark(&p.Data, uint32(off), uint32(n))
 		}
+		copy(p.Data[off:], data)
 		data = data[n:]
 		a += uint64(n)
 	}
 }
 
-// Snapshot returns a copy of page id's current contents, the page snapshot
-// taken on first write in a slice (Figure 4 of the paper). The buffer comes
-// from the page-buffer pool; callers that control the snapshot's lifetime
-// should hand it back with PutPageBuf once the slice-end diff has consumed
-// it (a never-returned buffer is merely garbage-collected).
+// Snapshot returns a copy of page id's current contents: a whole-page
+// snapshot, DThreads' twin (the RFDet monitors' are SnapshotPage's, filled a
+// chunk at a time). The buffer comes from the page-buffer pool; callers that
+// control the snapshot's lifetime should hand it back with PutPageBuf once the
+// slice-end diff has consumed it (a never-returned buffer is merely
+// garbage-collected).
 func (s *Space) Snapshot(id PageID) []byte {
 	snap := GetPageBuf()
 	copy(snap, s.readPage(id).Data[:])

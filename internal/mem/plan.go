@@ -40,9 +40,12 @@ import (
 var pageBufPool = sync.Pool{New: func() any { return new([PageSize]byte) }}
 
 // GetPageBuf returns a page-sized buffer from the pool. Its contents are
-// unspecified; callers must not read bytes they have not written.
+// unspecified — poisoned with the hook on — and callers must not read bytes
+// they have not written.
 func GetPageBuf() []byte {
-	return pageBufPool.Get().(*[PageSize]byte)[:]
+	b := pageBufPool.Get().(*[PageSize]byte)[:]
+	PoisonScratch(b)
+	return b
 }
 
 // PutPageBuf returns a buffer obtained from GetPageBuf (or Space.Snapshot)

@@ -45,6 +45,8 @@ const (
 	// uncontended pthreads fast path plus Kendo bookkeeping).
 	SyncBase Time = 150
 	// SnapshotPage is a 4 KiB page copy (first write to a page in a slice).
+	// It is the paper's copy, charged whole whatever the host copies: mem
+	// copies only the 64-byte chunks the slice stores to.
 	SnapshotPage Time = 500
 	// DiffPage is a byte-by-byte 4 KiB compare at slice end.
 	DiffPage Time = 700
