@@ -24,9 +24,13 @@ test:
 # would run together if either touched monitor state outside enter/leave.
 # PR 18's unlocked read of the condvar queue was such a touch and showed once
 # in 30-100 runs of this test, hence the count.
+# The third line runs the deferred-release deadline tests 30 times: a deferred
+# Unlock's ordered half runs on another goroutine while its releaser runs on,
+# and these tests force each of the windows that opens (sync.go).
 race:
 	GOMAXPROCS=4 $(GO) test -timeout 120s -race ./internal/core/ ./internal/mem/ ./internal/slicestore/ ./internal/alloc/ ./internal/kendo/
 	GOMAXPROCS=4 $(GO) test -timeout 120s -race -count=30 -run TestRaceDetectLitmusClassification .
+	GOMAXPROCS=4 $(GO) test -timeout 120s -race -count=30 -run 'TestDeferredRelease|TestLockTakesOver|TestBackToBackUnlocks|TestAbortWithDeferred|TestUnlockOfUnheldMutex' ./internal/core/
 
 bench:
 	$(GO) test -timeout 120s -run xxx -bench . -benchtime 10x .

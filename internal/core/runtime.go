@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"rfdet/internal/alloc"
@@ -186,25 +187,43 @@ type exec struct {
 	gcFrontier vclock.VC
 
 	wg sync.WaitGroup //detvet:nativesync joins thread goroutines at run end; no ordering role.
+	// deferred and ran count the releases Unlock deferred and those run.
+	deferred, ran atomic.Uint64
 }
 
 // syncVar is an internal synchronization variable (§4.1): the runtime-side
 // object backing the application mutex/condvar/barrier at one address. It
 // lives in exec.syncvars and is read and written only inside the monitor.
 type syncVar struct {
+	addr api.Addr
 	// Mutex state.
 	held  bool
 	owner api.ThreadID
 	lockQ waitq[api.ThreadID]
 	// Release record: who last released the variable and when (§4.1,
-	// lastTid/lastTime), plus the release's virtual time.
+	// lastTid/lastTime), plus the release's virtual time. queued, in
+	// lastTid's padding, is lockQ's length for deferUnlock to read off the
+	// monitor.
 	lastTid  int32
+	queued   atomic.Int32
 	lastTime vclock.VC
 	lastVT   vtime.Time
 	// Condition-variable wait queue, in deterministic wait order.
 	condQ waitq[condEntry]
 	// Barrier arrivals for the current generation.
 	barArrivals []barArrival
+}
+
+// enqueue and dequeue push onto and pop off the mutex's grant queue.
+func (sv *syncVar) enqueue(tid api.ThreadID) {
+	sv.lockQ.push(tid)
+	sv.queued.Store(int32(sv.lockQ.len()))
+}
+
+func (sv *syncVar) dequeue() (tid api.ThreadID) {
+	tid = sv.lockQ.pop()
+	sv.queued.Store(int32(sv.lockQ.len()))
+	return tid
 }
 
 type condEntry struct {
@@ -344,10 +363,74 @@ func (e *exec) enter(t *thread) {
 //detvet:acquires mu
 func (e *exec) enterUnchecked(t *thread) {
 	ts := t.tb.Now()
-	e.mu.Lock()
+	e.lockTurn(t)
 	t.inMonitor = true
 	t.st.MonitorAcquires++
 	t.tb.Span(trace.PhaseMonitorWait, ts)
+}
+
+// lockTurn takes mu for a thread that has won the turn, running the deferred
+// releases below its key first. If one woke a thread below that key, the
+// caller gives mu back and waits for the turn again, uncounted.
+//
+//detvet:acquires mu
+func (e *exec) lockTurn(t *thread) {
+	for {
+		e.mu.Lock()
+		if e.aborted || e.drainLocked(t) || e.sched.ProbeAt(t.proc.Clock(), int32(t.id)) {
+			return
+		}
+		e.mu.Unlock()
+		t.ranSeen = e.ran.Load()
+		e.sched.WaitForTurn(t.proc)
+	}
+}
+
+// drain runs the deferred releases whose keys hold the turn, in a section of
+// t's own; holder is t if t holds the turn, else nil (drainLocked).
+func (e *exec) drain(t, holder *thread) {
+	e.mu.Lock()
+	t.inMonitor = true
+	e.drainLocked(holder)
+	e.leave(t)
+}
+
+// drainLocked runs pending deferred releases in (clock, tid) order while the
+// next one's key holds the turn. A turn holder t that no release has run past
+// since it began to wait holds the turn at every key below its own until a
+// release wakes a thread: then no key is probed, and held reports the turn.
+//
+//detvet:holds exec.mu
+func (e *exec) drainLocked(t *thread) (held bool) {
+	held = t != nil && e.ran.Load() == t.ranSeen
+	for !e.aborted && e.ran.Load() != e.deferred.Load() {
+		next, key := t, uint64(0)
+		if held && e.deferred.Load()-e.ran.Load() == 1 {
+			key = t.scratch.rel.key.Load() // if t's is pending, it is the one
+		}
+		if key == 0 {
+			next = nil
+			for _, r := range e.threads {
+				if k := r.scratch.rel.key.Load(); k != 0 && (next == nil || k < key) {
+					next, key = r, k
+				}
+			}
+		}
+		if next == nil {
+			break // deferred, its key not yet stored: above every turn holder's
+		}
+		if held {
+			if c := t.proc.Clock(); key > c || key == c && next.id > t.id {
+				break
+			}
+		} else if !e.sched.ProbeAt(key, int32(next.id)) {
+			break
+		}
+		blocked := e.blockedCount
+		next.runReleaseLocked()
+		held = held && e.blockedCount == blocked
+	}
+	return held
 }
 
 // leave gives the monitor up.
@@ -560,8 +643,21 @@ func (e *exec) blockSites() string {
 	return s
 }
 
-// sleep parks the thread until a wake event arrives.
+// sleep parks the thread until a wake event arrives. A grant queue's head
+// whose mutex's release is deferred (watch, set by Lock) first polls the
+// release's key, still Blocked, and runs it when the key holds the turn.
 func (t *thread) sleep() wakeEvent {
+	if from := t.watch; from != nil {
+		t.watch = nil
+		e := t.exec
+		// Until the handoff or an abort fills the mailbox, from's record is it.
+		for spins := 0; len(t.wake) == 0; spins++ {
+			if k := from.scratch.rel.key.Load(); k != 0 && e.sched.ProbeAt(k, int32(from.id)) {
+				e.drain(t, nil)
+			}
+			kendo.Pause(spins)
+		}
+	}
 	//detvet:nativesync the only blocking receive: parks until the monitor-ordered wake event.
 	ev := <-t.wake
 	if t.tb != nil {

@@ -470,20 +470,31 @@ func TestPanicInsideMonitorUnwinds(t *testing.T) {
 // the goroutine count back at its baseline once the run has returned.
 func checkMisuse(t *testing.T, prog api.ThreadFunc, want string) {
 	t.Helper()
+	if _, err := runWithin(t, DefaultOptions(), prog); err == nil || err.Error() != want {
+		t.Fatalf("error %v, want %q", err, want)
+	}
+}
+
+// runWithin runs prog under opts and returns its result within a deadline,
+// once the goroutine count is back at its baseline.
+func runWithin(t *testing.T, opts Options, prog api.ThreadFunc) (*api.Report, error) {
+	t.Helper()
 	baseline := runtime.NumGoroutine()
-	done := make(chan error, 1)
+	type result struct {
+		rep *api.Report
+		err error
+	}
+	done := make(chan result, 1)
 	go func() {
-		_, err := New(DefaultOptions()).Run(prog)
-		done <- err
+		rep, err := New(opts).Run(prog)
+		done <- result{rep, err}
 	}()
+	var res result
 	select {
-	case err := <-done:
-		if err == nil || err.Error() != want {
-			t.Fatalf("error %v, want %q", err, want)
-		}
+	case res = <-done:
 	case <-time.After(10 * time.Second):
 		buf := make([]byte, 1<<20)
-		t.Fatalf("no result after 10s: the abort left a thread behind. Goroutines:\n%s", buf[:runtime.Stack(buf, true)])
+		t.Fatalf("no result after 10s: a thread was left behind. Goroutines:\n%s", buf[:runtime.Stack(buf, true)])
 	}
 	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > baseline; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
@@ -492,6 +503,7 @@ func checkMisuse(t *testing.T, prog api.ThreadFunc, want string) {
 				runtime.NumGoroutine(), baseline, buf[:runtime.Stack(buf, true)])
 		}
 	}
+	return res.rep, res.err
 }
 
 // TestReportFields sanity-checks the report plumbing.

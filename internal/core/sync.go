@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 
 	"rfdet/internal/alloc"
@@ -21,10 +22,10 @@ import (
 // Every operation runs on its thread's own goroutine in one frame, and its
 // body is the only code of its own:
 //
-//   - begin, the enter half, takes the deterministic Kendo turn (turn), commits
-//     the slice pre-cut before the turn (finishSlice), takes the commit monitor
-//     (enter) and counts the operation. It returns the slice, which the body
-//     publishes (commitSliceLocked) where its order requires.
+//   - begin, the enter half, takes the deterministic Kendo turn (turn) and the
+//     commit monitor (enter), commits the slice pre-cut before the turn
+//     (finishSlice) and counts the operation. It returns the slice, which the
+//     body publishes (commitSliceLocked) where its order requires.
 //   - end, the leave half, starts the next slice (beginSlice); pass then records
 //     the operation (syncEvent), ticks the Kendo clock past it, which passes the
 //     turn (finishOpLocked), and gives the monitor up (leave); last, end applies
@@ -34,28 +35,47 @@ import (
 //   - abortLocked fails the execution from inside a body and leaves the
 //     monitor; the body panics with what it returns.
 //
-// Lock is the one exception, for the reason its comment gives: it enters
-// without finishSlice, commits inside the section (endSliceLocked) only when
-// its slice ends, and when the slice continues leaves through pass alone.
+// Lock is one exception, for the reason its comment gives: it enters without
+// finishSlice, commits inside the section (endSliceLocked) only when its slice
+// ends, and when the slice continues leaves through pass alone. Unlock is the
+// other: it mostly takes no turn at all.
 //
 // Only the order of a release needs the turn, not the work that produces its
 // data: the diff reads the thread's own space and writes its scratch, which no
 // other thread touches while this one runs, so it runs before the wait
-// (waitTurn) and overlaps the turn holder's operation. Everything the turn
-// orders — the store's snapshot release, the virtual-time charges, the slice's
-// clock — is in the commit.
+// (waitTurn) and overlaps the turn holder's operation.
+//
+// Nor does a release need to wait for its order (DESIGN.md §6): what Unlock
+// does to shared state is fixed by its (clock, tid) key and by what earlier
+// keys did, and it returns nothing. So Unlock runs its thread-local half at
+// once and leaves the ordered half in its thread's release record at the key
+// (deferUnlock), for runReleaseLocked to run once, under mu. enter first runs
+// each pending record whose key holds the turn, in key order (drainLocked):
+// the Unlocks Kendo would have admitted before the section. A record whose
+// handoff wakes a thread below the section's key stops the drain where that
+// thread comes first, and sends the section back to wait for the turn
+// (lockTurn). A grant queue's head takes its mutex's pending release over when
+// the release's key holds the turn (sleep); an Unlock whose mutex has a waiter
+// runs its record itself, under the turn. Five rules keep the order the turn
+// gave: (1) a record is published before the tick past its key; (2) a thread
+// defers one release at a time, so its next stamps its slice with the bumped
+// clock; (3) the record captures what the ordered half reads of the releaser:
+// the slice, vt and, under RaceDetect, the harvested reads; (4) off the turn
+// the releaser touches none of what the runner writes — slicePtrs, vtime, its
+// readers' marks, st.SlicesCreated; (5) records allocate nothing.
 //
 // There is one monitor over one metadata space, as in the paper (§4.1,
-// §4.2), and an operation enters it once. The turn admits one operation at a
-// time, so monitor sections never overlap except for a waker's tail against
-// the next operation of the thread it just woke; the mutex is there for that
-// tail and for the abort path, which holds no turn.
+// §4.2), and an operation enters it once (a deferred Unlock counts the
+// runner's section as its entry). The turn admits one operation at a time, so
+// monitor sections overlap only where a waker's tail meets the next operation
+// of the thread it just woke, or a section that runs records — a take-over,
+// an Unlock running its own — meets the turn holder's; the mutex orders those
+// and the abort path, which holds no turn.
 //
-// Where a commit or an apply falls inside the section — Lock and thread exit
-// commit their slice there (endSliceLocked), an atomic applies what it
-// acquired before it reads the word, and a waker pre-merges into blocked peers
-// — it delays nobody: the turn is held until finishOpLocked, so no other
-// operation is at enter, and only the abort path can want mu meanwhile.
+// Where a commit or an apply falls inside the section — every slice commits
+// there, an atomic applies what it acquired before it reads the word, and a
+// waker pre-merges into blocked peers — it delays nobody: the turn is held
+// until finishOpLocked, so no other operation is at enter.
 //
 // Wakeups never re-enter the monitor at all: the waker — which holds the
 // turn and the monitor while the sleeper is provably blocked — performs the
@@ -80,11 +100,17 @@ func (t *thread) turn() {
 // turn: publish the clock, pre-cut the slice, then wait, reporting whether the
 // execution is still live. The pre-cut comes after publish, so no peer waits
 // behind an unpublished lag while it runs (DESIGN.md §6), and before the wait,
-// so the diff holds no turn; the turn-wait span starts after it and measures
-// the wait alone.
+// so the diff holds no turn.
 func (t *thread) waitTurn() bool {
 	t.publish(0, t.exec.chunk.first)
 	t.precut()
+	return t.awaitTurn()
+}
+
+// awaitTurn waits for the turn at the published key; the turn-wait span
+// measures the wait alone.
+func (t *thread) awaitTurn() bool {
+	t.ranSeen = t.exec.ran.Load()
 	ts := t.tb.Now()
 	ok, waited := t.exec.sched.WaitForTurn(t.proc)
 	if waited {
@@ -94,15 +120,16 @@ func (t *thread) waitTurn() bool {
 	return ok
 }
 
-// begin is the frame's enter half: the turn, the commit of the slice pre-cut
-// before it, the monitor, and the operation's counter. It returns the slice,
-// nil when it made no modifications.
+// begin is the frame's enter half: the turn, the monitor, the commit of the
+// slice pre-cut before the turn, and the operation's counter. It returns the
+// slice, nil when it made no modifications. The commit follows enter, which
+// runs the thread's own deferred release: its stamp reads the bumped clock.
 //
 //detvet:acquires t.exec.mu
 func (t *thread) begin(counter *uint64) *slicestore.Slice {
 	t.turn()
-	s := t.finishSlice()
 	t.exec.enter(t)
+	s := t.finishSlice()
 	*counter++
 	return s
 }
@@ -191,14 +218,18 @@ func (t *thread) Lock(m api.Addr) {
 		// grant queue, pre-merge (prelock, §4.5), and sleep. The releaser hands
 		// us ownership with the acquire already done (prepareAcquireLocked).
 		t.endSliceLocked()
-		sv.lockQ.push(t.id)
+		sv.enqueue(t.id)
 		t.prelockLocked(sv)
+		if h := t.exec.threads[sv.owner]; sv.lockQ.len() == 1 && h.scratch.rel.key.Load() != 0 && h.scratch.rel.sv == sv {
+			t.watch = h // the head takes the deferred release over (sleep)
+		}
 		t.block("lock", m, "lock %#x", uint64(m))
 		return
 	}
 
 	sv.held = true
 	sv.owner = t.id
+	t.hold(sv)
 	if t.exec.opts.SliceMerging && sv.lastTid == int32(t.id) {
 		// Slice merging (§4.5): the last release of this variable was ours,
 		// so no remote updates can be pending and the current slice may
@@ -218,7 +249,7 @@ func (t *thread) Lock(m api.Addr) {
 func (e *exec) syncvar(a api.Addr) *syncVar {
 	sv, ok := e.syncvars[a]
 	if !ok {
-		sv = &syncVar{owner: -1, lastTid: -1}
+		sv = &syncVar{addr: a, owner: -1, lastTid: -1}
 		e.syncvars[a] = sv
 	}
 	return sv
@@ -227,37 +258,94 @@ func (e *exec) syncvar(a api.Addr) *syncVar {
 // handoffLocked grants a released mutex to the head of its queue: the
 // remaining waiters pre-merge the release in parallel with the new holder's
 // critical section (prelock, §4.5), and the new holder is woken with its
-// acquire pre-collected.
+// acquire pre-collected. vt is the release's virtual time.
 //
 //detvet:holds exec.mu
-func (e *exec) handoffLocked(sv *syncVar, releaser *thread) {
-	next := sv.lockQ.pop()
+func (e *exec) handoffLocked(sv *syncVar, releaser *thread, vt vtime.Time) {
+	next := sv.dequeue()
 	sv.owner = next
 	e.prelockReleaseLocked(sv, releaser)
 	w := e.threads[next]
-	e.wakeLocked(w, e.prepareAcquireLocked(w, sv, releaser.vt))
+	w.hold(sv)
+	e.wakeLocked(w, e.prepareAcquireLocked(w, sv, vt))
 }
 
 // Unlock implements pthread_mutex_unlock (§4.1): a release that records
-// lastTid/lastTime before the variable is handed over.
+// lastTid/lastTime before the variable is handed over. It takes the turn
+// only for a mutex it has not recorded as held (hold) or with its previous
+// deferred release still pending, which the turn's entry then runs.
 func (t *thread) Unlock(m api.Addr) {
+	if sv := t.drop(m); sv != nil && t.scratch.rel.key.Load() == 0 && !t.exec.sched.Aborted() {
+		t.deferUnlock(sv)
+		return
+	}
 	s := t.begin(&t.st.Unlocks)
 	sv := t.exec.syncvar(m)
 	if !sv.held || sv.owner != t.id {
 		panic(t.abortLocked("unlock of mutex %#x not held by it", uint64(m)))
 	}
-	t.unlockLocked(sv, t.commitSliceLocked(s))
+	t.unlockLocked(sv, t.commitSliceLocked(s), t.vt)
 	t.end("unlock", m, nil)
 }
 
-// unlockLocked releases mutex sv at the just-ended slice's timestamp tend: it
-// goes to the head of its queue if anyone waits, and is free otherwise.
+// deferUnlock is Unlock off the turn, in the order Unlock's frame runs its
+// thread-local half. The record is published (rel.key) before finishOpLocked
+// ticks past its key. A waiter queued on the mutex (sv.queued) would wait for
+// the next turn-taker: the thread runs the record itself, under the turn.
+func (t *thread) deferUnlock(sv *syncVar) {
+	t.publish(0, t.exec.chunk.first)
+	t.precut()
+	t.vt += vtime.SyncBase
+	s := t.finishSlice()
+	t.st.MonitorAcquires++ // the section is the runner's; the wait is zero
+	t.tb.Span(trace.PhaseMonitorWait, t.tb.Now())
+	t.st.Unlocks++
+	rel := &t.scratch.rel
+	rel.sv, rel.slice, rel.vt = sv, s, t.vt
+	rel.reads, t.sliceReads = t.sliceReads, nil
+	t.beginSlice()
+	// The event precedes the record, whose run bumps the clock it reads.
+	t.syncEvent("unlock", sv.addr)
+	if t.exec.opts.Trace {
+		ev := &t.trace[len(t.trace)-1]
+		ev.vtime = ev.vtime.Bump(int(t.id))
+	}
+	t.exec.deferred.Add(1)
+	rel.key.Store(t.proc.Clock())
+	for sv.queued.Load() != 0 && rel.key.Load() != 0 {
+		if !t.awaitTurn() {
+			panic(errAborted)
+		}
+		t.exec.drain(t, t)
+	}
+	t.finishOpLocked()
+}
+
+// runReleaseLocked is the ordered half of t's deferred Unlock, with what the
+// record captured, run at its key by whichever thread holds mu then.
 //
 //detvet:holds exec.mu
-func (t *thread) unlockLocked(sv *syncVar, tend vclock.VC) {
-	t.releaseLocked(sv, tend)
+func (t *thread) runReleaseLocked() {
+	rel := &t.scratch.rel
+	tend := t.publishSliceLocked(rel.slice)
+	if t.exec.races != nil {
+		t.recordAccessLocked(rel.slice, tend, rel.reads, rel.vt)
+	}
+	t.unlockLocked(rel.sv, tend, rel.vt)
+	rel.sv, rel.slice, rel.reads = nil, nil, nil
+	rel.key.Store(0)
+	t.exec.ran.Add(1)
+}
+
+// unlockLocked releases mutex sv at the just-ended slice's timestamp tend and
+// virtual time vt: it goes to the head of its queue if anyone waits, and is
+// free otherwise.
+//
+//detvet:holds exec.mu
+func (t *thread) unlockLocked(sv *syncVar, tend vclock.VC, vt vtime.Time) {
+	t.releaseLocked(sv, tend, vt)
 	if sv.lockQ.len() > 0 {
-		t.exec.handoffLocked(sv, t)
+		t.exec.handoffLocked(sv, t, vt)
 		return
 	}
 	sv.held = false
@@ -266,16 +354,37 @@ func (t *thread) unlockLocked(sv *syncVar, tend vclock.VC) {
 
 // releaseLocked records this thread as the variable's last releaser, with
 // the just-ended slice's timestamp as the release time.
-func (t *thread) releaseLocked(sv *syncVar, tend vclock.VC) {
+func (t *thread) releaseLocked(sv *syncVar, tend vclock.VC, vt vtime.Time) {
 	sv.lastTid = int32(t.id)
 	sv.lastTime = tend
-	sv.lastVT = t.vt
+	sv.lastVT = vt
+}
+
+// hold records a grant of mutex sv, under the monitor, for Unlock to find off
+// it; a mutex past the slots is not recorded, and its Unlock takes the turn.
+func (t *thread) hold(sv *syncVar) {
+	if i := slices.Index(t.held[:], nil); i >= 0 {
+		t.held[i] = sv
+	}
+}
+
+// drop forgets mutex m, which the thread is releasing, and returns its
+// variable, nil if m was not recorded.
+func (t *thread) drop(m api.Addr) *syncVar {
+	for i, h := range t.held {
+		if h != nil && h.addr == m {
+			t.held[i] = nil
+			return h
+		}
+	}
+	return nil
 }
 
 // Wait implements pthread_cond_wait: a release of the mutex and of the wait
 // itself, then (after the signal) an acquire of both the signaler's release
 // and the mutex (§4.1).
 func (t *thread) Wait(c, m api.Addr) {
+	t.drop(m)
 	s := t.begin(&t.st.Waits)
 	e := t.exec
 	svm := e.syncvar(m)
@@ -293,7 +402,7 @@ func (t *thread) Wait(c, m api.Addr) {
 	// pthread_cond_wait is a release like any other, and skipping the
 	// pre-merge here silently lost the §4.5 overlap on condvar-heavy
 	// workloads.
-	t.unlockLocked(svm, tend)
+	t.unlockLocked(svm, tend, t.vt)
 	t.syncEvent("wait", c)
 	// We are woken only once we own the mutex again (the signaler either
 	// granted it directly or queued us on it); whoever handed the mutex
@@ -324,10 +433,11 @@ func (t *thread) signal(c api.Addr, all bool) {
 		w.pendingSignal = &signalRecord{tid: int32(t.id), v: tend, vt: t.vt}
 		svm := e.syncvar(entry.mutex)
 		if svm.held {
-			svm.lockQ.push(entry.tid)
+			svm.enqueue(entry.tid)
 		} else {
 			svm.held = true
 			svm.owner = entry.tid
+			w.hold(svm)
 			e.wakeLocked(w, e.prepareAcquireLocked(w, svm, t.vt))
 		}
 	}
@@ -589,7 +699,7 @@ func (t *thread) atomicOp(a api.Addr, op func(cur uint64) (newVal uint64, wrote 
 		// pre-bump clock, is the release time. The access above is its race
 		// record, so it skips commitSliceLocked's.
 		micro := &slicestore.Slice{Tid: int32(t.id), Time: t.vtime.Clone(), Mods: mods, Bytes: 8}
-		t.releaseLocked(sv, t.publishSliceLocked(micro))
+		t.releaseLocked(sv, t.publishSliceLocked(micro), t.vt)
 	}
 	t.end("atomic", a, nil)
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync/atomic"
 
 	"rfdet/internal/api"
 	"rfdet/internal/kendo"
@@ -107,6 +108,14 @@ type thread struct {
 
 	st  api.Stats
 	obs []uint64
+
+	// ranSeen is exec.ran when the thread last began to wait for the turn;
+	// watch is the thread whose deferred release this one, blocked, takes
+	// over; held is the mutexes it holds, as far as two slots go (sync.go).
+	// Last, so that the access path's fields keep their offsets.
+	ranSeen uint64
+	watch   *thread
+	held    [2]*syncVar
 }
 
 // threadScratch is the working storage a thread re-uses instead of
@@ -126,6 +135,19 @@ type threadScratch struct {
 	// flushOrder is flushAllPending's: the pended pages, ascending.
 	flushOrder []mem.PageID
 	site       blockSite
+	// rel is the thread's deferred release (sync.go).
+	rel release
+}
+
+// release is a deferred Unlock's ordered half (sync.go). The releaser fills
+// the fields while key is 0, then stores key, its Kendo clock at the Unlock
+// (never 0: the grant ticked past it); the runner clears them, then key.
+type release struct {
+	key   atomic.Uint64
+	sv    *syncVar
+	slice *slicestore.Slice
+	vt    vtime.Time
+	reads []racecheck.Range
 }
 
 // cutTally is what a pre-cut diffed: its runs, and the extents and bytes it
@@ -501,7 +523,8 @@ func (t *thread) finishSlice() *slicestore.Slice {
 func (t *thread) commitSliceLocked(s *slicestore.Slice) vclock.VC {
 	tend := t.publishSliceLocked(s)
 	if t.exec.races != nil {
-		t.recordAccessLocked(s, tend)
+		t.recordAccessLocked(s, tend, t.sliceReads, t.vt)
+		t.sliceReads = nil
 	}
 	return tend
 }
@@ -534,19 +557,18 @@ func (t *thread) publishSliceLocked(s *slicestore.Slice) vclock.VC {
 }
 
 // recordAccessLocked hands the just-committed slice's access footprint —
-// writes from its modification list, reads harvested by finishSlice — to the
-// race detector, stamped with the slice's pre-bump clock. Always reached
-// inside the monitor and turn-held, which is what serializes and orders
-// detector mutations; charges no virtual time.
-func (t *thread) recordAccessLocked(s *slicestore.Slice, tend vclock.VC) {
+// writes from its modification list, the reads finishSlice harvested — to the
+// race detector, stamped with the slice's pre-bump clock and the virtual time
+// vt of its end. Always reached inside the monitor and turn-held, which is
+// what serializes and orders detector mutations; charges no virtual time.
+func (t *thread) recordAccessLocked(s *slicestore.Slice, tend vclock.VC, harvested []racecheck.Range, vt vtime.Time) {
 	var writes []racecheck.Range
 	if s != nil {
 		// Mods list pages in first-write order; normalize into one sorted
 		// coalesced range list.
 		writes = racecheck.Normalize(racecheck.RangesFromRuns(s.Mods))
 	}
-	reads := racecheck.Normalize(t.sliceReads)
-	t.sliceReads = nil
+	reads := racecheck.Normalize(harvested)
 	if len(writes) == 0 && len(reads) == 0 {
 		return
 	}
@@ -556,7 +578,7 @@ func (t *thread) recordAccessLocked(s *slicestore.Slice, tend vclock.VC) {
 	t.st.RaceRecords++
 	t.exec.races.Record(racecheck.Access{
 		Tid:    int32(t.id),
-		VT:     uint64(t.vt),
+		VT:     uint64(vt),
 		Clock:  tend.Clone(),
 		Writes: writes,
 		Reads:  reads,

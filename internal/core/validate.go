@@ -35,9 +35,9 @@ func (e *exec) validateLocked() error {
 	}
 	// The creator-component test collectLocked filters with (seenBy) agrees
 	// with the full vector-clock comparison for every listed slice against
-	// every thread's final clock. This runs before the list-order check,
-	// which the server programs fail under Prelock (ROADMAP item 7), so that
-	// it runs on them too.
+	// every thread's final clock. This runs before the repeat check, which
+	// the server programs fail under Prelock (ROADMAP item 7), so that it runs
+	// on them too.
 	for _, t := range e.threads {
 		for _, s := range t.slicePtrs {
 			for _, r := range e.threads {
@@ -50,6 +50,19 @@ func (e *exec) validateLocked() error {
 		}
 	}
 	for _, t := range e.threads {
+		// A slice is listed at most once. The cond-signal path breaks this
+		// under Prelock (DESIGN.md §6): the signal's acquire clears what the
+		// mutex queue pre-merged, and the mutex acquire that follows lists
+		// those slices again. A repeat out of order is what invariant 1
+		// reported on the server programs.
+		at := make(map[*slicestore.Slice]int, len(t.slicePtrs))
+		for i, s := range t.slicePtrs {
+			if j, ok := at[s]; ok {
+				return fmt.Errorf("rfdet: validate: thread %d lists slice %d#%d twice, at positions %d and %d",
+					t.id, s.Tid, s.Time.Get(int(s.Tid)), j, i)
+			}
+			at[s] = i
+		}
 		// 1. The slice-pointer list respects happens-before: a slice never
 		//    appears after one that happens-after it, because propagation
 		//    appends remote slices in the releaser's (already consistent)

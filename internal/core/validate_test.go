@@ -158,13 +158,14 @@ func TestValidatorReportsCollectMismatch(t *testing.T) {
 // the golden request log and the next 15 logs the benchmark's panel draws
 // from it (splitmix64 seeded with DefaultServerSeed). validateLocked reports
 // a collection that disagreed with the full-scan reference first, so each
-// run must pass, or fail only the list-order check the server programs fail
-// under Prelock (ROADMAP item 7): the window and the creator-component
+// run must pass, or fail only the repeated-slice check the server programs
+// fail under Prelock (DESIGN.md §6, ROADMAP item 7): the window and the
+// creator-component
 // filter then agree with the full scan on the one workload the benchmark
 // does not validate. Under -race, where a run takes 30 times as long, the
 // golden log and the first three drawn ones run.
 func TestServerLogsUnderValidate(t *testing.T) {
-	const known = "list order violates happens-before"
+	const known = "twice, at positions"
 	seeds := []uint64{workloads.DefaultServerSeed}
 	r := workloads.DefaultServerSeed
 	for len(seeds) < 16 {

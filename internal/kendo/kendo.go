@@ -184,16 +184,7 @@ func (s *Sched) WaitForTurn(p *Proc) (ok, waited bool) {
 			spins = 0
 		} else {
 			spins++
-			switch {
-			case spins < 64:
-				// Busy retry: another thread is about to tick past us.
-			case spins < 512:
-				runtime.Gosched()
-			default:
-				// Long waits (the other thread is deep in a compute slice):
-				// sleep briefly so we do not burn the core it needs.
-				time.Sleep(2 * time.Microsecond)
-			}
+			Pause(spins)
 		}
 		if s.aborted.Load() {
 			p.waiting.Store(false)
@@ -207,12 +198,43 @@ func (s *Sched) WaitForTurn(p *Proc) (ok, waited bool) {
 	}
 }
 
-// probe is one seqlock read of isMin: the scan is valid only if no
-// scheduling transition was in flight (gen odd) or completed (gen changed)
-// while it ran.
-func (s *Sched) probe(p *Proc) bool {
+// Pause is one retry step of a waiter that polls for a computing thread to
+// tick past it, the spins-th in a row: a busy retry at first, then a yield,
+// and on a long wait (the other thread is deep in a compute slice) a short
+// sleep, so that the waiter does not burn the core that thread needs.
+func Pause(spins int) {
+	switch {
+	case spins < 64:
+	case spins < 512:
+		runtime.Gosched()
+	default:
+		time.Sleep(2 * time.Microsecond)
+	}
+}
+
+// probe is ProbeAt at p's own key: p's clock is frozen while it waits.
+func (s *Sched) probe(p *Proc) bool { return s.ProbeAt(p.Clock(), p.id) }
+
+// ProbeAt reports whether the key (clock, id) precedes every Running thread
+// other than id: whether an operation at that key would hold the turn. It is
+// one seqlock read, valid only if no scheduling transition was in flight (gen
+// odd) or completed (gen changed) while it ran. WaitForTurn probes a waiter's
+// own key; the runtime also probes a release deferred at a key its thread has
+// since ticked past.
+func (s *Sched) ProbeAt(clock uint64, id int32) bool {
 	g := s.gen.Load()
-	return g&1 == 0 && s.isMin(p) && s.gen.Load() == g
+	if g&1 != 0 {
+		return false
+	}
+	for _, q := range *s.procs.Load() {
+		if q.id == id || Status(q.status.Load()) != Running {
+			continue
+		}
+		if qc := q.clock.Load(); qc < clock || qc == clock && q.id < id {
+			return false
+		}
+	}
+	return s.gen.Load() == g
 }
 
 // waiterBefore reports whether a waiter other than p precedes it.
@@ -256,17 +278,4 @@ func (p *Proc) token() {
 	case p.wake <- struct{}{}:
 	default:
 	}
-}
-
-// isMin reports whether p is the minimal Running thread.
-func (s *Sched) isMin(p *Proc) bool {
-	for _, q := range *s.procs.Load() {
-		if q == p || Status(q.status.Load()) != Running {
-			continue
-		}
-		if q.before(p) {
-			return false
-		}
-	}
-	return true
 }

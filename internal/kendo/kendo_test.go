@@ -50,18 +50,45 @@ func TestTurnOrderByClockThenID(t *testing.T) {
 	a := s.Register(0, 10)
 	b := s.Register(1, 5)
 	c := s.Register(2, 5)
-	if s.isMin(a) {
+	if s.probe(a) {
 		t.Fatal("a (clock 10) must not hold the turn over b/c (clock 5)")
 	}
-	if !s.isMin(b) {
+	if !s.probe(b) {
 		t.Fatal("b (clock 5, id 1) must hold the turn")
 	}
-	if s.isMin(c) {
+	if s.probe(c) {
 		t.Fatal("c (clock 5, id 2) loses the tid tie-break to b")
 	}
 	b.Tick(1)
-	if !s.isMin(c) {
+	if !s.probe(c) {
 		t.Fatal("after b ticks to 6, c must hold the turn")
+	}
+}
+
+// TestProbeAtExplicitKey: a key is probed against every Running thread but
+// its own, so a thread that has ticked past a key still lets that key hold the
+// turn, and the tid breaks a clock tie as it does for a waiter.
+func TestProbeAtExplicitKey(t *testing.T) {
+	s := NewSched()
+	s.Register(0, 50) // deferred something at clock 7 and went on
+	b := s.Register(1, 8)
+	c := s.Register(2, 7)
+	if !s.ProbeAt(7, 0) {
+		t.Fatal("(7, 0) precedes b at 8 and c at (7, 2); thread 0's own clock must not count")
+	}
+	if s.ProbeAt(7, 3) {
+		t.Fatal("(7, 3) loses the tid tie-break to c at (7, 2)")
+	}
+	if s.ProbeAt(9, 0) {
+		t.Fatal("(9, 0) must wait for b at 8")
+	}
+	b.SetStatus(Blocked)
+	c.Tick(10)
+	if !s.ProbeAt(9, 0) {
+		t.Fatal("with b blocked and c at 17, (9, 0) holds the turn")
+	}
+	if s.ProbeAt(51, 1) {
+		t.Fatal("(51, 1) must wait for thread 0 at 50")
 	}
 }
 
@@ -69,15 +96,15 @@ func TestBlockedThreadsIneligible(t *testing.T) {
 	s := NewSched()
 	a := s.Register(0, 10)
 	b := s.Register(1, 1)
-	if s.isMin(a) {
+	if s.probe(a) {
 		t.Fatal("a should wait for b")
 	}
 	b.SetStatus(Blocked)
-	if !s.isMin(a) {
+	if !s.probe(a) {
 		t.Fatal("blocked b must not block a")
 	}
 	b.SetStatus(Exited)
-	if !s.isMin(a) {
+	if !s.probe(a) {
 		t.Fatal("exited b must not block a")
 	}
 }
@@ -301,17 +328,17 @@ func TestTurnRespectsClockMonotonicity(t *testing.T) {
 	slow := s.Register(1, 0)
 	fast.Tick(100)
 	// slow (clock 0) must be admitted; fast must not.
-	if s.isMin(fast) {
+	if s.probe(fast) {
 		t.Fatal("fast thread admitted before slow")
 	}
-	if !s.isMin(slow) {
+	if !s.probe(slow) {
 		t.Fatal("slow thread not admitted")
 	}
 	if fast.Clock() != 100 || slow.Clock() != 0 {
 		t.Fatal("clock bookkeeping wrong")
 	}
 	slow.clock.Store(200)
-	if !s.isMin(fast) {
+	if !s.probe(fast) {
 		t.Fatal("after the clock store, fast should be admitted")
 	}
 }

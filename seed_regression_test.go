@@ -484,7 +484,9 @@ type benchmarkProgramPin struct {
 
 // checkBenchmarkPrograms runs the four programs bench/ times, at its sizes —
 // kv_server is the golden server — traced, with poison-on-recycle on, at
-// GOMAXPROCS 1 and 4, and compares each execution with its pin.
+// GOMAXPROCS 1, 4 and 8, and compares each execution with its pin. Eight Ps
+// on a host with fewer CPUs is the hostile case for the host interleavings a
+// deferred release adds (sync.go).
 func checkBenchmarkPrograms(t *testing.T, opts core.Options, pins []benchmarkProgramPin) {
 	t.Helper()
 	mem.SetPageBufPoison(true)
@@ -500,7 +502,7 @@ func checkBenchmarkPrograms(t *testing.T, opts core.Options, pins []benchmarkPro
 	rt := core.New(opts)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, g := range pins {
-		for _, p := range []int{1, 4} {
+		for _, p := range []int{1, 4, 8} {
 			runtime.GOMAXPROCS(p)
 			r, tr, err := rt.RunTraced(progs[g.name])
 			if err != nil {
