@@ -159,7 +159,7 @@ func TestServerReplicaAbortUnwinds(t *testing.T) {
 // on locks, condvars and joins at the moment the abort lands, or on their way
 // into such a block: which of the two is up to the host, so the program runs
 // 2,000 times. Before the commit monitor became one mutex again this hung
-// about once per 2,000 runs (DESIGN.md §13).
+// in 3 of 21 batches of 2,000 runs (DESIGN.md §13).
 func TestZeroCountBarrierAborts(t *testing.T) {
 	rt := rfdet.New(rfdet.DefaultOptions())
 	withWatchdog(t, 10*time.Second, func() error {

@@ -361,20 +361,37 @@ func (r *Report) ObservationsDigest() uint64 {
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	h := uint64(0xcbf29ce484222325)
-	fold := func(v uint64) {
-		for shift := 0; shift < 64; shift += 8 {
-			h ^= (v >> shift) & 0xff
-			h *= 0x100000001b3
-		}
-	}
+	d := NewDigest()
 	for _, id := range ids {
-		obs := r.Observations[id]
-		fold(uint64(id))
-		fold(uint64(len(obs)))
-		for _, v := range obs {
-			fold(v)
-		}
+		d = d.Log(id, r.Observations[id])
 	}
-	return h
+	return uint64(d)
+}
+
+// Digest is a running 64-bit FNV-1a hash over little-endian words, the one
+// fold behind ObservationsDigest and every runtime's Report.OutputHash.
+// FNV-1a's state is its value, so OutputHash is the observations digest
+// continued over the final memory hash: Word(memHash) after every thread's
+// Log, in thread-ID order. A value type, so folding allocates nothing.
+type Digest uint64
+
+// NewDigest returns an empty digest, FNV-1a's offset basis.
+func NewDigest() Digest { return 0xcbf29ce484222325 }
+
+// Word folds v's 8 little-endian bytes into d.
+func (d Digest) Word(v uint64) Digest {
+	for shift := 0; shift < 64; shift += 8 {
+		d ^= Digest(v>>shift) & 0xff
+		d *= 0x100000001b3
+	}
+	return d
+}
+
+// Log folds one thread's observation log: its id, its length, its values.
+func (d Digest) Log(id ThreadID, obs []uint64) Digest {
+	d = d.Word(uint64(id)).Word(uint64(len(obs)))
+	for _, v := range obs {
+		d = d.Word(v)
+	}
+	return d
 }

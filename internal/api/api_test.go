@@ -1,6 +1,8 @@
 package api
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -97,5 +99,23 @@ func TestObservationsDigest(t *testing.T) {
 		if d.ObservationsDigest() == base.ObservationsDigest() {
 			t.Fatalf("variant %d collides with the base digest", i)
 		}
+	}
+}
+
+// TestDigestIsFNV1a holds the fold to hash/fnv's FNV-1a over the same
+// little-endian words, and to no allocation: every runtime's OutputHash is
+// this fold, pinned by the seed goldens.
+func TestDigestIsFNV1a(t *testing.T) {
+	obs := []uint64{7, 1 << 63, 0xdeadbeef}
+	ref := fnv.New64a()
+	for _, v := range append([]uint64{3, uint64(len(obs))}, append(obs, 42)...) {
+		ref.Write(binary.LittleEndian.AppendUint64(nil, v))
+	}
+	var d Digest
+	if n := testing.AllocsPerRun(10, func() { d = NewDigest().Log(3, obs).Word(42) }); n != 0 {
+		t.Errorf("the fold allocates %.0f times", n)
+	}
+	if uint64(d) != ref.Sum64() {
+		t.Errorf("digest %#x, FNV-1a %#x", uint64(d), ref.Sum64())
 	}
 }

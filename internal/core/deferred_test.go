@@ -23,15 +23,15 @@ func spinUntil(f *atomic.Bool) {
 	}
 }
 
-// blockSpans counts thread id's block spans.
-func blockSpans(rep *api.Report, id int) int {
+// spans counts thread id's spans of phase p.
+func spans(rep *api.Report, id int, p trace.Phase) int {
 	n := 0
 	for _, tl := range rep.Phases.Threads {
 		if tl.ID != id {
 			continue
 		}
 		for _, s := range tl.Spans {
-			if s.Phase == trace.PhaseBlock {
+			if s.Phase == p {
 				n++
 			}
 		}
@@ -71,8 +71,11 @@ func TestDeferredReleaseRunByAnotherTurn(t *testing.T) {
 	if got := rep.Observations[1]; len(got) != 1 || got[0] != 7 {
 		t.Fatalf("thread 1 observed %v, want [7]", got)
 	}
-	if n := blockSpans(rep, 1); n != 0 {
+	if n := spans(rep, 1, trace.PhaseBlock); n != 0 {
 		t.Fatalf("thread 1 blocked %d times: its turn did not run the release below its key", n)
+	}
+	if n := spans(rep, 1, trace.PhaseDrain); n == 0 {
+		t.Fatal("thread 1 ran thread 0's release with no drain span")
 	}
 }
 
@@ -107,9 +110,31 @@ func TestLockTakesOverDeferredRelease(t *testing.T) {
 	if got := rep.Observations[1]; len(got) != 1 || got[0] != 7 {
 		t.Fatalf("thread 1 observed %v, want [7]", got)
 	}
-	if n := blockSpans(rep, 1); n != 1 {
+	if n := spans(rep, 1, trace.PhaseBlock); n != 1 {
 		t.Fatalf("thread 1 blocked %d times, want once, on the held mutex", n)
 	}
+	if !drainWhileBlocked(rep, 1) {
+		t.Fatal("thread 1 has no drain span inside its block span: the take-over")
+	}
+}
+
+// drainWhileBlocked reports whether thread id has a drain span inside one of
+// its block spans.
+func drainWhileBlocked(rep *api.Report, id int) bool {
+	for _, tl := range rep.Phases.Threads {
+		if tl.ID != id {
+			continue
+		}
+		for _, b := range tl.Spans {
+			for _, d := range tl.Spans {
+				if b.Phase == trace.PhaseBlock && d.Phase == trace.PhaseDrain &&
+					d.Start >= b.Start && d.Start+d.Dur <= b.Start+b.Dur {
+					return true
+				}
+			}
+		}
+	}
+	return false
 }
 
 // TestBackToBackUnlocksTakeTheTurn: the second of two Unlocks finds the first

@@ -14,7 +14,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -362,37 +361,44 @@ func (e *exec) enter(t *thread) {
 //
 //detvet:acquires mu
 func (e *exec) enterUnchecked(t *thread) {
-	ts := t.tb.Now()
 	e.lockTurn(t)
 	t.inMonitor = true
 	t.st.MonitorAcquires++
-	t.tb.Span(trace.PhaseMonitorWait, ts)
 }
 
 // lockTurn takes mu for a thread that has won the turn, running the deferred
 // releases below its key first. If one woke a thread below that key, the
-// caller gives mu back and waits for the turn again, uncounted.
+// caller gives mu back and waits for the turn again, uncounted. The
+// monitor-wait span is the first wait for mu; if a release ran, a drain span
+// follows it, the forced wait included.
 //
 //detvet:acquires mu
 func (e *exec) lockTurn(t *thread) {
-	for {
-		e.mu.Lock()
-		if e.aborted || e.drainLocked(t) || e.sched.ProbeAt(t.proc.Clock(), int32(t.id)) {
-			return
-		}
+	ts := t.tb.Now()
+	e.mu.Lock()
+	t.tb.Span(trace.PhaseMonitorWait, ts)
+	ts, ran := t.tb.Now(), e.ran.Load()
+	for !e.aborted && !e.drainLocked(t) && !e.sched.ProbeAt(t.proc.Clock(), int32(t.id)) {
 		e.mu.Unlock()
 		t.ranSeen = e.ran.Load()
 		e.sched.WaitForTurn(t.proc)
+		e.mu.Lock()
+	}
+	if e.ran.Load() != ran {
+		t.tb.Span(trace.PhaseDrain, ts)
 	}
 }
 
 // drain runs the deferred releases whose keys hold the turn, in a section of
-// t's own; holder is t if t holds the turn, else nil (drainLocked).
+// t's own that is all one drain span; holder is t if t holds the turn, else
+// nil (drainLocked).
 func (e *exec) drain(t, holder *thread) {
+	ts := t.tb.Now()
 	e.mu.Lock()
 	t.inMonitor = true
 	e.drainLocked(holder)
 	e.leave(t)
+	t.tb.Span(trace.PhaseDrain, ts)
 }
 
 // drainLocked runs pending deferred releases in (clock, tid) order while the
@@ -678,28 +684,16 @@ func (e *exec) buildReportLocked(elapsed time.Duration) *api.Report {
 		Elapsed:      elapsed,
 		Threads:      len(e.threads),
 	}
-	h := fnv.New64a()
-	var buf [8]byte
-	put := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(v >> (8 * i))
-		}
-		h.Write(buf[:])
-	}
+	d := api.NewDigest()
 	for _, t := range e.threads {
 		rep.Stats.Add(&t.st)
 		rep.Observations[t.id] = t.obs
-		put(uint64(t.id))
-		put(uint64(len(t.obs)))
-		for _, v := range t.obs {
-			put(v)
-		}
+		d = d.Log(t.id, t.obs)
 		if t.exitVT > vtime.Time(rep.VirtualTime) {
 			rep.VirtualTime = uint64(t.exitVT)
 		}
 	}
-	put(e.threads[0].space.Hash())
-	rep.OutputHash = h.Sum64()
+	rep.OutputHash = uint64(d.Word(e.threads[0].space.Hash()))
 
 	rep.Stats.SharedMemBytes = e.alloc.HighWater()
 	rep.Stats.MetadataBytes = e.store.HighWater()

@@ -24,7 +24,6 @@ package dthreads
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 	"sort"
 	"sync"
@@ -205,28 +204,16 @@ func (r *Runtime) Run(main api.ThreadFunc) (*api.Report, error) {
 		Elapsed:      elapsed,
 		Threads:      len(e.threads),
 	}
-	h := fnv.New64a()
-	var buf [8]byte
-	put := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(v >> (8 * i))
-		}
-		h.Write(buf[:])
-	}
+	d := api.NewDigest()
 	for _, t := range e.threads {
 		rep.Stats.Add(&t.st)
 		rep.Observations[t.id] = t.obs
-		put(uint64(t.id))
-		put(uint64(len(t.obs)))
-		for _, v := range t.obs {
-			put(v)
-		}
+		d = d.Log(t.id, t.obs)
 		if uint64(t.exitVT) > rep.VirtualTime {
 			rep.VirtualTime = uint64(t.exitVT)
 		}
 	}
-	put(e.global.Hash())
-	rep.OutputHash = h.Sum64()
+	rep.OutputHash = uint64(d.Word(e.global.Hash()))
 	rep.Stats.SharedMemBytes = e.alloc.HighWater()
 	rep.Stats.RuntimeMemBytes = e.footHW
 	return rep, nil

@@ -207,9 +207,9 @@ func NewRFDetCITraced() api.Runtime {
 func PhaseTable(out io.Writer, size workloads.Size, threads int) error {
 	cfg := workloads.Config{Threads: threads, Size: size}
 	fmt.Fprintf(out, "Phase-level wall-clock breakdown (%d threads, size %s, RFDet-ci, host-dependent)\n\n", threads, size)
-	fmt.Fprintf(out, "%-18s %8s %8s %8s %8s %8s %8s %8s %9s %8s %8s | %8s %8s %8s\n",
+	fmt.Fprintf(out, "%-18s %8s %8s %8s %8s %8s %8s %8s %9s %8s %8s %8s | %8s %8s %8s\n",
 		"benchmark", "turn-us", "mon-us", "diff-us", "plan-us", "apply-us",
-		"premrg-us", "lazy-us", "block-us", "user-us", "wall-us",
+		"premrg-us", "lazy-us", "block-us", "drain-us", "user-us", "wall-us",
 		"tw-p50", "tw-p95", "tw-p99")
 	for _, w := range workloads.All() {
 		r, err := Run(NewRFDetCITraced(), w, cfg, 1)
@@ -223,12 +223,12 @@ func PhaseTable(out io.Writer, size workloads.Size, threads int) error {
 		tot := ph.PhaseTotals()
 		us := func(p trace.Phase) int64 { return tot[p].Microseconds() }
 		pct := ph.PhasePercentiles()[trace.PhaseTurnWait]
-		fmt.Fprintf(out, "%-18s %8d %8d %8d %8d %8d %8d %8d %9d %8d %8d | %7dns %7dns %7dns\n",
+		fmt.Fprintf(out, "%-18s %8d %8d %8d %8d %8d %8d %8d %9d %8d %8d %8d | %7dns %7dns %7dns\n",
 			w.Name,
 			us(trace.PhaseTurnWait), us(trace.PhaseMonitorWait),
 			us(trace.PhaseDiff), us(trace.PhasePlanBuild),
 			us(trace.PhaseApply), us(trace.PhasePremerge),
-			us(trace.PhaseLazyFlush), us(trace.PhaseBlock),
+			us(trace.PhaseLazyFlush), us(trace.PhaseBlock), us(trace.PhaseDrain),
 			ph.UserTime().Microseconds(),
 			r.Report.Elapsed.Microseconds(),
 			pct.P50.Nanoseconds(), pct.P95.Nanoseconds(), pct.P99.Nanoseconds())

@@ -116,7 +116,7 @@ type Space struct {
 	prot        map[PageID]Prot
 	defaultProt Prot
 	// onFault handles simulated protection faults; nil means protections
-	// are ignored (pthreads mode).
+	// are ignored, as in DThreads' global store, which nothing protects.
 	onFault FaultHandler
 	// zero is returned for reads of unmapped pages.
 	zero Page

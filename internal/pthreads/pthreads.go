@@ -275,28 +275,16 @@ func (r *Runtime) Run(main api.ThreadFunc) (*api.Report, error) {
 		Elapsed:      elapsed,
 		Threads:      len(e.threads),
 	}
-	h := fnv.New64a()
-	var buf [8]byte
-	put := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(v >> (8 * i))
-		}
-		h.Write(buf[:])
-	}
+	d := api.NewDigest()
 	for _, t := range e.threads {
 		rep.Stats.Add(&t.st)
 		rep.Observations[t.id] = t.obs
-		put(uint64(t.id))
-		put(uint64(len(t.obs)))
-		for _, v := range t.obs {
-			put(v)
-		}
+		d = d.Log(t.id, t.obs)
 		if uint64(t.vt) > rep.VirtualTime {
 			rep.VirtualTime = uint64(t.vt)
 		}
 	}
-	put(e.space.hash())
-	rep.OutputHash = h.Sum64()
+	rep.OutputHash = uint64(d.Word(e.space.hash()))
 	rep.Stats.SharedMemBytes = e.alloc.HighWater()
 	rep.Stats.RuntimeMemBytes = e.alloc.HighWater()
 	return rep, nil

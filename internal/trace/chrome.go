@@ -138,9 +138,9 @@ func (r *Report) WriteSummary(w io.Writer) error {
 	if r == nil {
 		return fmt.Errorf("trace: no phase report (tracing disabled?)")
 	}
-	fmt.Fprintf(w, "%-8s %10s %10s %10s %10s %10s %10s %10s %10s %10s %10s\n",
+	fmt.Fprintf(w, "%-8s %10s %10s %10s %10s %10s %10s %10s %10s %10s %10s %10s\n",
 		"thread", "turn-us", "mon-us", "diff-us", "plan-us", "apply-us",
-		"premrg-us", "lazy-us", "block-us", "user-us", "wall-us")
+		"premrg-us", "lazy-us", "block-us", "drain-us", "user-us", "wall-us")
 	var agg [NumPhases]time.Duration
 	var aggUser, aggWall time.Duration
 	for _, tl := range r.Threads {
@@ -155,25 +155,25 @@ func (r *Report) WriteSummary(w io.Writer) error {
 			wall = time.Duration(tl.End - tl.Start)
 		}
 		user := wall - unionWithin(tl.Spans, tl.Start, tl.End)
-		fmt.Fprintf(w, "%-8d %10d %10d %10d %10d %10d %10d %10d %10d %10d %10d\n",
+		fmt.Fprintf(w, "%-8d %10d %10d %10d %10d %10d %10d %10d %10d %10d %10d %10d\n",
 			tl.ID,
 			tot[PhaseTurnWait].Microseconds(), tot[PhaseMonitorWait].Microseconds(),
 			tot[PhaseDiff].Microseconds(), tot[PhasePlanBuild].Microseconds(),
 			tot[PhaseApply].Microseconds(), tot[PhasePremerge].Microseconds(),
 			tot[PhaseLazyFlush].Microseconds(), tot[PhaseBlock].Microseconds(),
-			user.Microseconds(), wall.Microseconds())
+			tot[PhaseDrain].Microseconds(), user.Microseconds(), wall.Microseconds())
 		for p := Phase(0); p < NumPhases; p++ {
 			agg[p] += tot[p]
 		}
 		aggUser += user
 		aggWall += wall
 	}
-	fmt.Fprintf(w, "%-8s %10d %10d %10d %10d %10d %10d %10d %10d %10d %10d\n",
+	fmt.Fprintf(w, "%-8s %10d %10d %10d %10d %10d %10d %10d %10d %10d %10d %10d\n",
 		"total",
 		agg[PhaseTurnWait].Microseconds(), agg[PhaseMonitorWait].Microseconds(),
 		agg[PhaseDiff].Microseconds(), agg[PhasePlanBuild].Microseconds(),
 		agg[PhaseApply].Microseconds(), agg[PhasePremerge].Microseconds(),
 		agg[PhaseLazyFlush].Microseconds(), agg[PhaseBlock].Microseconds(),
-		aggUser.Microseconds(), aggWall.Microseconds())
+		agg[PhaseDrain].Microseconds(), aggUser.Microseconds(), aggWall.Microseconds())
 	return nil
 }

@@ -60,13 +60,17 @@ const (
 	// PhaseBlock is time blocked on a synchronization variable (lock grant,
 	// cond wait, barrier, join).
 	PhaseBlock
+	// PhaseDrain is running deferred Unlock releases: a monitor section's
+	// drain after its monitor-wait span, with the turn wait a release that
+	// woke a thread forces, or a section that only drains.
+	PhaseDrain
 	// NumPhases bounds the phase enum; not a phase.
 	NumPhases
 )
 
 var phaseNames = [NumPhases]string{
 	"turn-wait", "monitor-wait", "diff", "plan-build",
-	"apply", "premerge", "lazy-flush", "block",
+	"apply", "premerge", "lazy-flush", "block", "drain",
 }
 
 func (p Phase) String() string {
