@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
@@ -206,7 +207,9 @@ func (t *thread) Observe(vals ...uint64) {
 // Memory accesses. Every load/store counts one tick, as the paper's per-basic-
 // block instrumentation does (§4.1); tick publishes them a chunk at a time.
 // The slice's snapshot of a page and its written extents are one record, kept
-// by the thread's space (mem.Space.SnapshotPage); the thread has no list.
+// by the thread's space (mem.Space.SnapshotPage); the thread has no list. A
+// load that its page's cache slot answers reads the page here, with no call
+// (mem.Space.Loadable); every other access goes through the space.
 //
 
 func (t *thread) loadTick() {
@@ -287,6 +290,9 @@ func (t *thread) onFault(pid mem.PageID, write bool) {
 
 func (t *thread) Load8(a api.Addr) uint8 {
 	t.loadTick()
+	if p := t.space.Loadable(uint64(a), 1); p != nil {
+		return p[a&mem.PageMask]
+	}
 	return t.space.Load8(uint64(a))
 }
 
@@ -298,6 +304,9 @@ func (t *thread) Store8(a api.Addr, v uint8) {
 
 func (t *thread) Load32(a api.Addr) uint32 {
 	t.loadTick()
+	if p := t.space.Loadable(uint64(a), 4); p != nil {
+		return binary.LittleEndian.Uint32(p[a&mem.PageMask:])
+	}
 	return t.space.Load32(uint64(a))
 }
 
@@ -309,6 +318,9 @@ func (t *thread) Store32(a api.Addr, v uint32) {
 
 func (t *thread) Load64(a api.Addr) uint64 {
 	t.loadTick()
+	if p := t.space.Loadable(uint64(a), 8); p != nil {
+		return binary.LittleEndian.Uint64(p[a&mem.PageMask:])
+	}
 	return t.space.Load64(uint64(a))
 }
 
@@ -318,7 +330,13 @@ func (t *thread) Store64(a api.Addr, v uint64) {
 	t.space.Store64(uint64(a), v)
 }
 
-func (t *thread) LoadF64(a api.Addr) float64 { return math.Float64frombits(t.Load64(a)) }
+func (t *thread) LoadF64(a api.Addr) float64 {
+	t.loadTick()
+	if p := t.space.Loadable(uint64(a), 8); p != nil {
+		return math.Float64frombits(binary.LittleEndian.Uint64(p[a&mem.PageMask:]))
+	}
+	return math.Float64frombits(t.space.Load64(uint64(a)))
+}
 
 func (t *thread) StoreF64(a api.Addr, v float64) { t.Store64(a, math.Float64bits(v)) }
 

@@ -229,6 +229,18 @@ func (s *Space) loadPage(id PageID) *Page {
 	return s.readPage(id)
 }
 
+// Loadable returns the page an n-byte load at a reads when its slot alone
+// answers it, else nil: the slot holds the page, the page is not ProtNone (a
+// ProtRead page loads freely), no read is being recorded, and the bytes do not
+// straddle into the next page. That is loadPage's hit with nothing around it,
+// so the caller reads the bytes itself; it must stay inlinable (verify.sh).
+func (s *Space) Loadable(a, n uint64) *[PageSize]byte {
+	if c := &s.cache[PageOf(a)%pageCacheSize]; c.id == PageOf(a) && c.p != nil && c.prot != ProtNone && !s.trackReads && a&PageMask <= PageSize-n {
+		return &c.p.Data
+	}
+	return nil
+}
+
 // storePage returns the page a store writes in place, after any fault it
 // takes; a slot that allows the store, over an unshared page, is the whole answer.
 func (s *Space) storePage(id PageID) *Page {

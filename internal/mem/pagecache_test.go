@@ -257,17 +257,19 @@ func (m *modelSpace) privateBytes() uint64 {
 //	         13      ApplyRuns of the same run as 11
 //	         14      ProtectAll: none (length%3 = 0), read, read-write
 //	         15      ProtectAll(ProtRW)
-//	         16      SetDirtyTracking(length odd)
+//	         16      SetDirtyTracking(length odd), SetReadTracking(length%4 = 3)
 //	         17      ResetDirty
 //	         18      the CI monitor's Store64: SnapshotPage of every page of the
 //	                 range the slice has no record of, then the store (a plain
 //	                 Store64 while tracking is off)
 //
-// Every read is compared with the model's, and the handler's calls — which
-// page, load or store, in which order — with the faults the model took; after
-// every operation every slot's Hash, PrivateBytes and PageCount are compared,
-// every cache is checked against its tables, and the operated slot's records
-// are: the pages in first-touch order, each page's extents well-formed and a
+// Every read is compared with the model's, and a load's with what Loadable
+// answered before it: a page it hands back must hold the bytes the load read,
+// and the load must have taken no fault and recorded no read. The handler's
+// calls — which page, load or store, in which order — are compared with the
+// faults the model took; after every operation every slot's Hash,
+// PrivateBytes and PageCount are compared, every cache is checked against its
+// tables, and the operated slot's records are: the pages in first-touch order, each page's extents well-formed and a
 // superset of the bytes written since the last reset (exactly those bytes
 // until the page degrades to the chunk bitmap), and each snapshot, on every
 // chunk that holds a written byte, the page as it was just before that
@@ -382,12 +384,31 @@ func runSpaceProgram(t *testing.T, prog []byte) {
 		a := PageAddr(id) + uint64(binary.LittleEndian.Uint16(prog[3:]))%PageSize
 		n := int(prog[5])
 		where := fmt.Sprintf("step %d (kind %d, page %d)", step, kind, id)
+		// inline is what Loadable says the load about to run reads, if it
+		// says, and readsBefore the read record then.
+		var inline []byte
+		var readsBefore string
+		if kind <= 2 {
+			size := []int{1, 4, 8}[kind]
+			if p := sp.s.Loadable(a, uint64(size)); p != nil {
+				inline = slices.Clone(p[a&PageMask:][:size])
+				readsBefore = fmt.Sprint(sp.s.ReadPages(), sp.s.ReadExtentsOf(id))
+			}
+		}
 		read := func(got []byte) {
 			t.Helper()
 			want := make([]byte, len(got))
 			sp.m.read(a, want)
 			if !bytes.Equal(got, want) {
 				t.Fatalf("%s: read %d bytes at %#x = %x, model %x", where, len(got), a, got, want)
+			}
+			if inline == nil {
+				return
+			}
+			if reads := fmt.Sprint(sp.s.ReadPages(), sp.s.ReadExtentsOf(id)); !bytes.Equal(inline, got) ||
+				len(*sp.faults) != 0 || len(sp.m.faults) != 0 || reads != readsBefore {
+				t.Fatalf("%s: Loadable answered %x at %#x, the load read %x; faults %+v (model %+v); reads %s, before %s",
+					where, inline, a, got, *sp.faults, sp.m.faults, reads, readsBefore)
 			}
 		}
 		var buf [8]byte
@@ -476,6 +497,7 @@ func runSpaceProgram(t *testing.T, prog []byte) {
 			sp.m.protectAll(ProtRW)
 		case 16:
 			sp.s.SetDirtyTracking(n%2 == 1)
+			sp.s.SetReadTracking(n%4 == 3)
 			if sp.m.tracking = n%2 == 1; !sp.m.tracking {
 				sp.m.resetDirty()
 			}
@@ -658,4 +680,38 @@ func TestPageCacheEdgeCases(t *testing.T) {
 			t.Fatalf("PageCount = %d, cache consistent = %v", len(s.pages), s.CacheConsistent())
 		}
 	})
+}
+
+// TestLoadableDeclines: Loadable answers a load only when the slot settles it
+// alone. Each decline needs the full path: a fill, a fault, a read record or
+// two pages. A write-protected page and a page's last word are still answered.
+func TestLoadableDeclines(t *testing.T) {
+	const a = PageSize*3 + 8
+	cases := []struct {
+		name  string
+		setup func(s *Space)
+		addr  uint64
+		n     uint64
+		want  bool
+	}{
+		{"a slot miss", func(s *Space) { s.Store64(a, 1); s.Store64(a+pageCacheSize*PageSize, 2) }, a, 8, false},
+		{"a ProtNone pended page", func(s *Space) { s.Store64(a, 1); s.Protect(PageOf(a), ProtNone) }, a, 8, false},
+		{"read tracking on", func(s *Space) { s.Store64(a, 1); s.SetReadTracking(true) }, a, 8, false},
+		{"a page-straddling load", func(s *Space) { s.Store64(a, 1) }, PageAddr(4) - 4, 8, false},
+		{"an unmapped page", func(s *Space) { s.Load64(a) }, a, 8, false},
+		{"a ProtRead page", func(s *Space) { s.Store64(a, 7); s.Protect(PageOf(a), ProtRead) }, a, 8, true},
+		{"a page's last word", func(s *Space) { s.Store64(a, 1) }, PageAddr(4) - 8, 8, true},
+	}
+	for _, tc := range cases {
+		s := NewSpace()
+		tc.setup(s)
+		p := s.Loadable(tc.addr, tc.n)
+		if (p != nil) != tc.want {
+			t.Fatalf("%s: Loadable answered %v, want %v", tc.name, p != nil, tc.want)
+		}
+		if p != nil && binary.LittleEndian.Uint64(p[tc.addr&PageMask:]) != s.Load64(tc.addr) {
+			t.Fatalf("%s: Loadable's page differs from Load64", tc.name)
+		}
+		s.Release()
+	}
 }

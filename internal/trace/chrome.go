@@ -112,15 +112,17 @@ func ValidateChrome(data []byte) error {
 			}
 			return evs[i].Dur > evs[j].Dur
 		})
-		// open holds the end timestamps of enclosing spans.
+		// open holds the end timestamps of enclosing spans. Both tests allow
+		// 2 ns for the export's float microseconds: a span's ts+dur can land
+		// just past the next span's ts when the two touch.
+		const slack = 0.002
 		var open []float64
 		for i, ev := range evs {
 			end := ev.Ts + ev.Dur
-			for len(open) > 0 && ev.Ts >= open[len(open)-1] {
+			for len(open) > 0 && ev.Ts+slack >= open[len(open)-1] {
 				open = open[:len(open)-1]
 			}
-			if len(open) > 0 && end > open[len(open)-1]+0.002 {
-				// 2ns slack for microsecond rounding in the export.
+			if len(open) > 0 && end > open[len(open)-1]+slack {
 				return fmt.Errorf("trace: tid %d event %d (%q @%v+%v) overlaps its enclosing span ending at %v",
 					tid, i, ev.Name, ev.Ts, ev.Dur, open[len(open)-1])
 			}

@@ -166,6 +166,21 @@ func TestValidateChromeRejections(t *testing.T) {
 	}
 }
 
+// TestValidateChromeTouchingSpans: a span that starts where the previous one
+// ends is sequential, even when the first one's float end lands past the
+// second one's start.
+func TestValidateChromeTouchingSpans(t *testing.T) {
+	if ts, dur := 0.001, 84.703; ts+dur <= 84.704 {
+		t.Fatalf("0.001 + 84.703 = %v: the float end no longer passes the next start", ts+dur)
+	}
+	touching := []byte(`{"traceEvents":[` +
+		`{"name":"turn-wait","ph":"X","ts":0.001,"dur":84.703,"pid":0,"tid":1},` +
+		`{"name":"drain","ph":"X","ts":84.704,"dur":1,"pid":0,"tid":1}],"displayTimeUnit":"ns"}`)
+	if err := ValidateChrome(touching); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestExportIsValidJSON(t *testing.T) {
 	c := NewCollector()
 	b := c.NewThread(0)

@@ -8,6 +8,10 @@
 #                   wallclock, nativesync, lockcheck per package (their
 #                   fixtures run in step 5)
 #   4. go build   — everything compiles
+#      inline    — mem.(*Space).Loadable inlines into every thread.Load*
+#                   method: a page-cache hit is answered with no call, and an
+#                   edit that takes the helper past the inliner's budget fails
+#                   here instead of slowing every load
 #   5. go test    — full suite
 #   6. race tests — `make race`: the packages with real concurrency, under
 #                   -race with GOMAXPROCS oversubscribed (a thread's diff
@@ -41,6 +45,18 @@ make detvet
 
 echo "==> go build ./..."
 go build ./...
+
+echo "==> inline check: mem.(*Space).Loadable at every thread.Load*"
+inlined=$(go build -gcflags=-m ./internal/core 2>&1 |
+	sed -n 's/^\(internal\/core\/[a-z_]*\.go:[0-9]*\):[0-9]*: inlining call to mem\.(\*Space)\.Loadable$/\1/p' | sort -u)
+sites=$(grep -n 'Loadable(' internal/core/*.go | grep -v '_test\.go:' | cut -d: -f1,2 | sort -u)
+loads=$(grep -c '^func (t \*thread) Load' internal/core/thread.go)
+if [ "$inlined" != "$sites" ] || [ "$(echo "$sites" | grep -c .)" -ne "$loads" ]; then
+	echo "want one inlined Loadable call in each of the $loads thread.Load* methods" >&2
+	echo "call sites: $sites" >&2
+	echo "inlined at: $inlined" >&2
+	exit 1
+fi
 
 echo "==> go test ./..."
 go test -timeout 120s ./...
