@@ -17,7 +17,10 @@ test:
 # race runs the packages with real concurrency under -race with GOMAXPROCS
 # oversubscribed; scripts/verify.sh calls this target, so the list lives here.
 # internal/mem is on it because patches and plans cross goroutines through
-# pools and a waker pre-merges into a blocked peer's space.
+# pools and a waker pre-merges into a blocked peer's space. internal/pthreads
+# is because its threads share one mem.Space under sharedSpace.mu, so an
+# access that misses the lock shows only here; internal/dthreads because its
+# serial phase writes the global store and re-clones views of it.
 # The second line runs the root package's condvar-heavy litmus test 30 times.
 # A Wait's handoff wakes a thread that wins the turn at once, so its next
 # operation overlaps the waker's tail: the one place two monitor sections
@@ -28,7 +31,7 @@ test:
 # Unlock's ordered half runs on another goroutine while its releaser runs on,
 # and these tests force each of the windows that opens (sync.go).
 race:
-	GOMAXPROCS=4 $(GO) test -timeout 120s -race ./internal/core/ ./internal/mem/ ./internal/slicestore/ ./internal/alloc/ ./internal/kendo/
+	GOMAXPROCS=4 $(GO) test -timeout 120s -race ./internal/core/ ./internal/mem/ ./internal/slicestore/ ./internal/alloc/ ./internal/kendo/ ./internal/pthreads/ ./internal/dthreads/
 	GOMAXPROCS=4 $(GO) test -timeout 120s -race -count=30 -run TestRaceDetectLitmusClassification .
 	GOMAXPROCS=4 $(GO) test -timeout 120s -race -count=30 -run 'TestDeferredRelease|TestLockTakesOver|TestBackToBackUnlocks|TestAbortWithDeferred|TestUnlockOfUnheldMutex' ./internal/core/
 

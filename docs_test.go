@@ -3,6 +3,7 @@ package rfdet_test
 import (
 	"io/fs"
 	"os"
+	"path"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -26,11 +27,32 @@ var (
 	designHeading   = regexp.MustCompile(`(?m)^(?:## (\d+)\.|### (\d+\.\d+) )`)
 	mdLink          = regexp.MustCompile(`\]\(([^)\s]+)\)`)
 	commentWrap     = regexp.MustCompile(`\s*\n\s*(?://)?\s*`)
+	// A backquoted test or benchmark name: a glob (`TestX*Y`), a brace list
+	// (`TestX{,Bitmap}` is TestX and TestXBitmap), a subtest path after it
+	// (`BenchmarkFigure7/*`).
+	testCite = regexp.MustCompile("`((?:Test|Benchmark|Fuzz)[A-Za-z0-9_*]*(?:\\{[A-Za-z0-9_,]*\\}[A-Za-z0-9_*]*)?)(?:/[^`\\s]*)?`")
+	testFunc = regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w*)\(`)
 )
 
+// expandBraces expands one {a,b} list in name: X{,Y}Z is XZ and XYZ.
+func expandBraces(name string) []string {
+	pre, rest, ok := strings.Cut(name, "{")
+	if !ok {
+		return []string{name}
+	}
+	list, post, _ := strings.Cut(rest, "}")
+	var out []string
+	for _, alt := range strings.Split(list, ",") {
+		out = append(out, pre+alt+post)
+	}
+	return out
+}
+
 // TestDocCitationsResolve checks that every citation of a DESIGN.md section
-// or an EXPERIMENTS.md section names a heading that exists, and that every
-// relative link in README.md, DESIGN.md and EXPERIMENTS.md names a file.
+// or an EXPERIMENTS.md section names a heading that exists, that every
+// backquoted Test, Benchmark or Fuzz name in the citing documents names a
+// func of some _test.go file, and that every relative link in README.md,
+// DESIGN.md and EXPERIMENTS.md names a file.
 func TestDocCitationsResolve(t *testing.T) {
 	read := func(path string) string {
 		b, err := os.ReadFile(path)
@@ -65,6 +87,28 @@ func TestDocCitationsResolve(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	var tests []string
+	for _, f := range files {
+		if strings.HasSuffix(f, "_test.go") {
+			for _, m := range testFunc.FindAllStringSubmatch(read(f), -1) {
+				tests = append(tests, m[1])
+			}
+		}
+	}
+	for _, f := range citingDocs {
+		for _, m := range testCite.FindAllStringSubmatch(read(f), -1) {
+			for _, name := range expandBraces(m[1]) {
+				found := false
+				for _, fn := range tests {
+					ok, _ := path.Match(name, fn)
+					found = found || ok
+				}
+				if !found {
+					t.Errorf("%s: no _test.go file defines %s (cited as %s)", f, name, m[0])
+				}
+			}
+		}
 	}
 	for _, f := range files {
 		text := read(f)

@@ -302,7 +302,6 @@ func (r *Runtime) RunTraced(main api.ThreadFunc) (*api.Report, *Trace, error) {
 		wake:       make(chan wakeEvent, 1), //detvet:nativesync 1-buffered wake mailbox; exactly one monitor-ordered waker per sleep.
 		scratch:    new(threadScratch),
 	}
-	t0.space.SetFaultHandler(t0.onFault)
 	t0.tb = e.phases.NewThread(0)
 	t0.proc = e.sched.Register(0, 0)
 	e.alloc.Register(0)

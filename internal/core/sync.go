@@ -529,9 +529,8 @@ func (t *thread) Barrier(b api.Addr, n int) {
 		w := e.threads[a.tid]
 		w.space.Release()
 		w.space = leader.space.Clone()
-		w.space.SetFaultHandler(w.onFault)
-		// Clone does not inherit dirty tracking; re-enable it for the
-		// arrival's next slice.
+		// Clone inherits neither dirty tracking nor the fault handler;
+		// re-enable both for the arrival's next slice.
 		w.enableDirtyTracking()
 		// Not an append: every reader's mark on w's old list is void.
 		w.slicePtrs = append(w.slicePtrs[:0], leader.slicePtrs...)
@@ -578,7 +577,6 @@ func (t *thread) Spawn(fn api.ThreadFunc) api.ThreadID {
 		wake:       make(chan wakeEvent, 1), //detvet:nativesync 1-buffered wake mailbox; exactly one monitor-ordered waker per sleep.
 		scratch:    new(threadScratch),
 	}
-	child.space.SetFaultHandler(child.onFault)
 	child.enableDirtyTracking()
 	child.slicePtrs = append(child.slicePtrs, t.slicePtrs...)
 	if e.opts.LazyWrites {

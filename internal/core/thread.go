@@ -45,9 +45,12 @@ type thread struct {
 	// pthread_create (§4.1).
 	monitoring bool
 	// lag is the ticks not yet published to proc's clock, 1<<shift the lag that
-	// publishes them (tick); both sit in the flags' padding.
-	shift uint8
-	lag   uint32
+	// publishes them (tick); both sit in the flags' padding, and so does
+	// storeCheck, what a store costs beyond MemOp: vtime.StoreCheck while the
+	// CI monitor checks stores (enableDirtyTracking), else 0.
+	shift      uint8
+	storeCheck uint8
+	lag        uint32
 
 	// slicePtrs is the happens-before-ordered list of all slices visible to
 	// this thread (§4.3). It is mutated only by a turn holder: this thread's
@@ -209,7 +212,10 @@ func (t *thread) Observe(vals ...uint64) {
 // The slice's snapshot of a page and its written extents are one record, kept
 // by the thread's space (mem.Space.SnapshotPage); the thread has no list. A
 // load that its page's cache slot answers reads the page here, with no call
-// (mem.Space.Loadable); every other access goes through the space.
+// (mem.Space.Loadable); every other access goes through the space. A store
+// to a page the slice has no record of faults to onFault there, which takes
+// the snapshot under either monitor; storeTick charges RFDet-ci's check of
+// the store (Figure 4). Both ticks must stay inlinable (verify.sh).
 //
 
 func (t *thread) loadTick() {
@@ -221,69 +227,40 @@ func (t *thread) loadTick() {
 func (t *thread) storeTick() {
 	t.tick(1)
 	t.st.Stores++
-	t.vt += vtime.MemOp
+	t.vt += vtime.MemOp + vtime.Time(t.storeCheck)
 }
 
-// recordStore is the CI monitor's store instrumentation (Figure 4): on the
-// first store to a shared page within the current slice, snapshot the page.
-// The PF monitor performs the same snapshot in the protection-fault handler
-// instead.
-func (t *thread) recordStore(a, n uint64) {
-	if !t.monitoring || t.exec.opts.Monitor != MonitorCI {
-		return
-	}
-	t.vt += vtime.StoreCheck
-	first, last := mem.PageOf(a), mem.PageOf(a+n-1)
-	for pid := first; ; pid++ {
-		if t.space.SnapshotOf(pid) == nil {
-			// Pending lazy modifications must land before the snapshot so
-			// the diff baseline reflects everything that happens-before
-			// this slice.
-			if t.pending != nil {
-				if _, has := t.pending[pid]; has {
-					t.flushPage(pid, true)
-				}
-			}
-			t.takeSnapshot(pid)
-		}
-		if pid == last {
-			break
-		}
-	}
-}
-
-// takeSnapshot copies the page into the metadata space (Figure 4, lines
-// 5-7).
-func (t *thread) takeSnapshot(pid mem.PageID) {
-	t.exec.store.AllocSnapshot()
-	t.space.SnapshotPage(pid)
-	t.st.StoresWithCopy++
-	t.vt += vtime.SnapshotPage
-}
-
-// onFault is the simulated SIGSEGV handler: it serves lazy-write flushes
-// (ProtNone pages with pended modifications) and, under the PF monitor,
-// first-touch page snapshots (ProtRead write faults).
+// onFault is the simulated SIGSEGV handler, installed while the space tracks
+// (enableDirtyTracking), and the one place a slice's first store to a page
+// snapshots it (Figure 4, lines 5-7): the space faults a store to a page the
+// slice has no record of, after any protection fault — RFDet-ci's store check
+// and RFDet-pf's write-protected page alike. A page with pended lazy
+// modifications (ProtNone) is flushed first, so that the snapshot baseline
+// holds everything that happens-before this slice. Under PF the fault itself
+// is charged too.
 func (t *thread) onFault(pid mem.PageID, write bool) {
 	if t.pending != nil {
 		if _, has := t.pending[pid]; has {
 			t.flushPage(pid, true)
 		}
 	}
-	if t.monitoring && t.exec.opts.Monitor == MonitorPF {
-		if t.space.SnapshotOf(pid) == nil {
-			if write {
-				t.st.PageFaults++
-				t.vt += vtime.Fault
-				t.takeSnapshot(pid)
-				t.space.Protect(pid, mem.ProtRW)
-			} else {
-				// A read fault can only come from a lazy flush; restore
-				// write protection so the first store still snapshots.
-				t.space.Protect(pid, mem.ProtRead)
-			}
-			return
+	pf := t.exec.opts.Monitor == MonitorPF
+	switch {
+	case t.space.SnapshotOf(pid) != nil:
+	case write:
+		if pf {
+			t.st.PageFaults++
+			t.vt += vtime.Fault
 		}
+		t.exec.store.AllocSnapshot()
+		t.space.SnapshotPage(pid)
+		t.st.StoresWithCopy++
+		t.vt += vtime.SnapshotPage
+	case pf:
+		// A read fault can only come from a lazy flush; restore write
+		// protection so the first store still snapshots.
+		t.space.Protect(pid, mem.ProtRead)
+		return
 	}
 	t.space.Protect(pid, mem.ProtRW)
 }
@@ -298,7 +275,6 @@ func (t *thread) Load8(a api.Addr) uint8 {
 
 func (t *thread) Store8(a api.Addr, v uint8) {
 	t.storeTick()
-	t.recordStore(uint64(a), 1)
 	t.space.Store8(uint64(a), v)
 }
 
@@ -312,7 +288,6 @@ func (t *thread) Load32(a api.Addr) uint32 {
 
 func (t *thread) Store32(a api.Addr, v uint32) {
 	t.storeTick()
-	t.recordStore(uint64(a), 4)
 	t.space.Store32(uint64(a), v)
 }
 
@@ -326,7 +301,6 @@ func (t *thread) Load64(a api.Addr) uint64 {
 
 func (t *thread) Store64(a api.Addr, v uint64) {
 	t.storeTick()
-	t.recordStore(uint64(a), 8)
 	t.space.Store64(uint64(a), v)
 }
 
@@ -356,8 +330,7 @@ func (t *thread) WriteBytes(a api.Addr, data []byte) {
 	}
 	t.tick(uint64(len(data)))
 	t.st.Stores++
-	t.vt += vtime.Time(len(data)) * vtime.MemOp
-	t.recordStore(uint64(a), uint64(len(data)))
+	t.vt += vtime.Time(len(data))*vtime.MemOp + vtime.Time(t.storeCheck)
 	t.space.WriteBytes(uint64(a), data)
 }
 
@@ -404,12 +377,19 @@ func (t *thread) beginSlice() {
 }
 
 // enableDirtyTracking turns on sub-page dirty tracking for the thread's
-// space. Called wherever a thread starts (or resumes, after a barrier
-// re-clone) monitoring modifications. With the race detector on it also
-// (re-)enables per-slice read-set tracking, which rides the same lifecycle:
-// a fresh or re-cloned space starts with tracking off.
+// space and installs onFault, so that the space faults to its monitor
+// exactly while it tracks. Called once per space, wherever a thread starts
+// (or resumes, after a barrier re-clone) monitoring modifications: the
+// method value is an allocation. It sets the store check's charge too. With
+// the race detector on it also (re-)enables per-slice read-set tracking,
+// which rides the same lifecycle: a fresh or re-cloned space starts with
+// tracking off.
 func (t *thread) enableDirtyTracking() {
+	t.space.SetFaultHandler(t.onFault)
 	t.space.SetDirtyTracking(true)
+	if t.exec.opts.Monitor == MonitorCI {
+		t.storeCheck = uint8(vtime.StoreCheck)
+	}
 	if t.exec.races != nil {
 		t.space.SetReadTracking(true)
 	}

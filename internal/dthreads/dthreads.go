@@ -20,6 +20,13 @@
 //
 // Like DThreads, this runtime is strongly deterministic: fences, token order
 // and lock grants are all pure functions of program input.
+//
+// Memory is mem.Space throughout: the global store is one, and each isolated
+// thread's view is a copy-on-write clone of it, write-protected whole and
+// tracking dirty pages. A page's first write in a phase faults, and the
+// handler takes its twin as the view's page record (mem.Space.SnapshotPage),
+// as the RFDet monitors do; the fence diffs each record on the extents the
+// phase wrote, while virtual time still charges a whole-page diff.
 package dthreads
 
 import (
@@ -82,9 +89,9 @@ type thread struct {
 	id   api.ThreadID
 	fn   api.ThreadFunc
 
-	space     *mem.Space
-	snapshots map[mem.PageID][]byte
-	snapOrder []mem.PageID
+	// space is the thread's view: the global store while attached, else a
+	// private copy-on-write clone of it (isolate).
+	space *mem.Space
 
 	vt     vtime.Time
 	qused  uint64 // instructions since last fence (CoreDet quantum)
@@ -177,13 +184,12 @@ func (r *Runtime) Run(main api.ThreadFunc) (*api.Report, error) {
 	}
 	e.alloc.Register(0)
 	t0 := &thread{
-		exec:      e,
-		id:        0,
-		fn:        main,
-		space:     e.global, // attached until the first spawn
-		snapshots: make(map[mem.PageID][]byte),
-		wake:      make(chan wakeEvent, 1),
-		attached:  true,
+		exec:     e,
+		id:       0,
+		fn:       main,
+		space:    e.global, // attached until the first spawn
+		wake:     make(chan wakeEvent, 1),
+		attached: true,
 	}
 	e.threads = append(e.threads, t0)
 	e.active, e.live = 1, 1
@@ -255,34 +261,43 @@ func (e *exec) failLocked(err error) {
 	}
 }
 
+// isolate makes view the thread's private memory: write-protected whole,
+// tracking dirty pages, with onFault installed (the method value is an
+// allocation, so once per view). It returns the pages it protected.
+func (t *thread) isolate(view *mem.Space) int {
+	t.space = view
+	view.SetFaultHandler(t.onFault)
+	view.SetDirtyTracking(true)
+	return view.ProtectAll(mem.ProtRead)
+}
+
 // onFault is the twin-page creation handler: DThreads write-protects the
 // whole view at each phase start; the first write to a page snapshots it.
+// The twin is the view's page record (mem.Space.SnapshotPage).
 func (t *thread) onFault(pid mem.PageID, write bool) {
 	if !write {
 		return
 	}
-	if _, ok := t.snapshots[pid]; !ok {
+	if t.space.SnapshotOf(pid) == nil {
 		t.st.PageFaults++
 		t.vt += vtime.Fault + vtime.SnapshotPage
-		t.snapshots[pid] = t.space.Snapshot(pid)
-		t.snapOrder = append(t.snapOrder, pid)
+		t.space.SnapshotPage(pid)
 		t.st.StoresWithCopy++
 	}
 	t.space.Protect(pid, mem.ProtRW)
 }
 
-// computeDiff diffs the phase's dirty pages against their twins. The twin
-// buffers go back to the page-buffer pool once the diff has consumed them.
+// computeDiff diffs the phase's dirty pages against their twins, each on the
+// extents the phase wrote, and charges a whole-page diff per page; ResetDirty
+// hands the twins back to the page-buffer pool.
 func (t *thread) computeDiff() []mem.Run {
 	var runs []mem.Run
-	for _, pid := range t.snapOrder {
-		snap := t.snapshots[pid]
-		runs = append(runs, mem.DiffPage(pid, snap, t.space.PageData(pid))...)
+	var buf []byte
+	for _, pid := range t.space.DirtyPages() {
+		runs, buf = mem.AppendDiffPageExtents(runs, buf, pid, t.space.SnapshotOf(pid), t.space.PageData(pid), t.space.DirtyExtentsOf(pid))
 		t.vt += vtime.DiffPage
-		mem.PutPageBuf(snap)
-		delete(t.snapshots, pid)
 	}
-	t.snapOrder = t.snapOrder[:0]
+	t.space.ResetDirty()
 	return runs
 }
 
@@ -298,7 +313,7 @@ func (t *thread) fence(action func() bool) {
 		e.mu.Unlock()
 		panic(errAborted)
 	}
-	dirty := uint64(len(t.snapOrder)) * mem.PageSize
+	dirty := uint64(len(t.space.DirtyPages())) * mem.PageSize
 	ar := &arrival{t: t, runs: t.computeDiff(), dirtyBytes: dirty, vt: t.vt, action: action}
 	e.arrivals = append(e.arrivals, ar)
 	t.qused = 0
@@ -391,9 +406,7 @@ func (t *thread) refreshLocked(at vtime.Time) {
 		return
 	}
 	t.space.Release()
-	t.space = t.exec.global.Clone()
-	t.space.SetFaultHandler(t.onFault)
-	n := t.space.ProtectAll(mem.ProtRead)
+	n := t.isolate(t.exec.global.Clone())
 	t.st.PageProtects += uint64(n)
 	t.vt = at + vtime.Time(n)*vtime.ProtectPage + vtime.LockHandoff
 }
@@ -709,22 +722,17 @@ func (t *thread) Spawn(fn api.ThreadFunc) api.ThreadID {
 	if t.attached {
 		// First fork: detach from the global store into a private view.
 		t.attached = false
-		t.space = e.global.Clone()
-		t.space.SetFaultHandler(t.onFault)
-		t.space.ProtectAll(mem.ProtRead)
+		t.isolate(e.global.Clone())
 	}
 	id := api.ThreadID(len(e.threads))
 	child := &thread{
-		exec:      e,
-		id:        id,
-		fn:        fn,
-		space:     t.space.Clone(),
-		snapshots: make(map[mem.PageID][]byte),
-		wake:      make(chan wakeEvent, 1),
-		vt:        t.vt + vtime.ThreadSpawn,
+		exec: e,
+		id:   id,
+		fn:   fn,
+		wake: make(chan wakeEvent, 1),
+		vt:   t.vt + vtime.ThreadSpawn,
 	}
-	child.space.SetFaultHandler(child.onFault)
-	child.space.ProtectAll(mem.ProtRead)
+	child.isolate(t.space.Clone())
 	e.alloc.Register(int(id))
 	e.threads = append(e.threads, child)
 	e.live++

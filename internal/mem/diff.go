@@ -15,7 +15,9 @@ type Run struct {
 func (r Run) End() uint64 { return r.Addr + uint64(len(r.Data)) }
 
 // DiffPage compares a page snapshot against the page's current contents and
-// returns the modification runs (the page-diffing step at slice end, §4.2).
+// returns the modification runs (the page-diffing step at slice end, §4.2),
+// scanning the whole page. The runtimes diff their page records with
+// DiffPageExtents; this is the tests' reference for it.
 // Bytes whose final value equals the snapshot value are excluded — including
 // bytes that were overwritten with the same value — which is what implements
 // the deterministic "prefer local writes when the remote write is redundant"

@@ -72,10 +72,9 @@ const (
 // — a sorted, coalesced interval list (precise) or a per-chunk bitmap
 // (compact, after fragmentation) — and the monitor's snapshot of it
 // (SnapshotPage), the record's until ResetDirty. Under a monitor every record
-// has both by slice end: a snapshot is taken only by a store's
-// instrumentation, just before the space store that marks every page it
-// snapshotted, or by the fault handler that store fires; a panic in between
-// aborts the execution, and an aborted exit never diffs.
+// has both by slice end: a snapshot is taken only by the fault handler a
+// store fires (SetDirtyTracking), just before that store marks the page; a
+// panic in between aborts the execution, and an aborted exit never diffs.
 //
 // The snapshot is filled lazily: snapped holds the chunks it has copied, and
 // mark copies a chunk at its first store of the slice, before the store
@@ -248,9 +247,13 @@ func ExtentBytes(exts []Extent) uint64 {
 //
 
 // SetDirtyTracking enables or disables sub-page dirty tracking on this
-// space. Disabling also discards any recorded state. The RFDet monitors
-// enable tracking when a thread starts monitoring modifications; baselines
-// that diff full pages (DThreads) leave it off and pay the full-page scan.
+// space. Disabling also discards any recorded state. While tracking is on
+// and a handler is installed, a store to a page the slice has no record of
+// is a write fault: the handler is called with write set, after any
+// protection fault the store takes, and the store starts the page's record
+// if the handler did not (SnapshotPage does). So a page faults once a slice,
+// at its first store, whatever its protection; SnapshotPage itself never
+// faults. Every monitor — RFDet's two and DThreads' — snapshots there.
 func (s *Space) SetDirtyTracking(on bool) {
 	s.trackDirty = on
 	if !on {
@@ -331,13 +334,26 @@ func (s *Space) recordOf(id PageID) *dirtyPage {
 	return d
 }
 
+// storeRecord is recordOf for a store about to write page id, which it has
+// made writable: a page with no record takes the write fault first
+// (SetDirtyTracking). Only the store path asks it.
+func (s *Space) storeRecord(id PageID) *dirtyPage {
+	if d := s.record(id); d != nil {
+		return d
+	}
+	if s.onFault != nil {
+		s.onFault(id, true)
+	}
+	return s.recordOf(id)
+}
+
 // SnapshotPage takes the slice's snapshot of page id (Figure 4 of the
 // paper): a pooled buffer, kept in the page's record until ResetDirty hands it
 // back, into which each store copies the chunks it is the first to write
 // (dirtyPage.mark). It copies nothing itself: a chunk the slice never stores
 // to is never read. Dirty tracking must be on, and the slice must not have
-// stored to the page yet, as the monitors ensure: they snapshot before a
-// page's first store.
+// stored to the page yet, as the monitors ensure: they snapshot in the fault
+// a page's first store takes.
 func (s *Space) SnapshotPage(id PageID) {
 	// The buffer is owned by the page's record until ResetDirty, which hands
 	// every record's snapshot to PutPageBuf.

@@ -1,5 +1,8 @@
 // Package mem implements the simulated paged address space that substitutes
-// for the paper's clone()-separated process memories (paper §4, Figure 3).
+// for the paper's clone()-separated process memories (paper §4, Figure 3). It
+// is the address space of all three runtimes: each RFDet thread's, each
+// DThreads view and its global store, and the pthreads baseline's one shared
+// memory, which its threads access under a mutex.
 //
 // Each logical thread owns a Space: a sparse page table over a shared virtual
 // address range. Cloning a Space (thread creation, §4.1) shares pages
@@ -7,11 +10,13 @@
 // cloned process would. Per-page protection bits model mprotect for the
 // RFDet-pf monitor, the DThreads baseline, and the lazy-writes optimization
 // (§4.5): a protected page cannot be accessed through the checked fast path
-// and takes a simulated fault instead.
+// and takes a simulated fault instead. With dirty tracking on, a slice's
+// first store to a page faults too: the one place every monitor snapshots.
 //
-// All methods of a Space must be called only by its owning thread, mirroring
-// the paper's design where a process touches only its own address space;
-// pages themselves are immutable while shared (copy-on-write), so concurrent
+// All methods of a Space must be called only by its owning thread (for
+// pthreads' shared memory, whoever holds its mutex), mirroring the paper's
+// design where a process touches only its own address space; pages
+// themselves are immutable while shared (copy-on-write), so concurrent
 // readers of a shared page never race with a writer.
 package mem
 
@@ -75,7 +80,8 @@ func (p *Page) Unref() { atomic.AddInt32(&p.refs, -1) }
 // Shared reports whether the page is referenced by more than one space.
 func (p *Page) Shared() bool { return atomic.LoadInt32(&p.refs) > 1 }
 
-// FaultHandler is invoked when an access hits a protected page, before the
+// FaultHandler is invoked when an access hits a protected page, and when a
+// tracked store is the slice's first to a page (SetDirtyTracking), before the
 // access proceeds. It stands in for the SIGSEGV handler of the paper's
 // implementation. The handler typically snapshots the page and lowers its
 // protection via the Space it closed over; the access then retries the
@@ -337,7 +343,7 @@ func (s *Space) Store8(a uint64, v uint8) {
 	id := PageOf(a)
 	p := s.storePage(id)
 	if s.trackDirty {
-		s.recordOf(id).mark(&p.Data, uint32(a&PageMask), 1)
+		s.storeRecord(id).mark(&p.Data, uint32(a&PageMask), 1)
 	}
 	p.Data[a&PageMask] = v
 }
@@ -362,7 +368,7 @@ func (s *Space) Store32(a uint64, v uint32) {
 		id := PageOf(a)
 		p := s.storePage(id)
 		if s.trackDirty {
-			s.recordOf(id).mark(&p.Data, uint32(a&PageMask), 4)
+			s.storeRecord(id).mark(&p.Data, uint32(a&PageMask), 4)
 		}
 		binary.LittleEndian.PutUint32(p.Data[a&PageMask:], v)
 		return
@@ -392,7 +398,7 @@ func (s *Space) Store64(a uint64, v uint64) {
 		id := PageOf(a)
 		p := s.storePage(id)
 		if s.trackDirty {
-			s.recordOf(id).mark(&p.Data, uint32(a&PageMask), 8)
+			s.storeRecord(id).mark(&p.Data, uint32(a&PageMask), 8)
 		}
 		binary.LittleEndian.PutUint64(p.Data[a&PageMask:], v)
 		return
@@ -424,7 +430,7 @@ func (s *Space) WriteBytes(a uint64, data []byte) {
 		p := s.storePage(id)
 		n := min(len(data), PageSize-int(off))
 		if s.trackDirty {
-			s.recordOf(id).mark(&p.Data, uint32(off), uint32(n))
+			s.storeRecord(id).mark(&p.Data, uint32(off), uint32(n))
 		}
 		copy(p.Data[off:], data)
 		data = data[n:]
@@ -433,11 +439,11 @@ func (s *Space) WriteBytes(a uint64, data []byte) {
 }
 
 // Snapshot returns a copy of page id's current contents: a whole-page
-// snapshot, DThreads' twin (the RFDet monitors' are SnapshotPage's, filled a
-// chunk at a time). The buffer comes from the page-buffer pool; callers that
-// control the snapshot's lifetime should hand it back with PutPageBuf once the
-// slice-end diff has consumed it (a never-returned buffer is merely
-// garbage-collected).
+// snapshot. No runtime takes one — every monitor's is SnapshotPage's, filled
+// a chunk at a time — so it serves tests and the frozen benchmark's
+// first-touch driver. The buffer comes from the page-buffer pool; callers
+// that control its lifetime should hand it back with PutPageBuf (a
+// never-returned buffer is merely garbage-collected).
 func (s *Space) Snapshot(id PageID) []byte {
 	snap := GetPageBuf()
 	copy(snap, s.readPage(id).Data[:])

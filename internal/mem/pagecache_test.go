@@ -93,6 +93,8 @@ func (m *modelSpace) protectAll(pr Prot) {
 
 // access takes the faults of an n-byte access at a, a page at a time; the
 // handler lowers each faulting page to read-write, as the test's handler does.
+// While tracking, a store's first to a page the slice has no record of faults
+// once more, after any protection fault (the write fault).
 func (m *modelSpace) access(a uint64, n int, write bool) {
 	for id := PageOf(a); n > 0 && id <= PageOf(a+uint64(n)-1); id++ {
 		pr, ok := m.prot[id]
@@ -102,6 +104,9 @@ func (m *modelSpace) access(a uint64, n int, write bool) {
 		if pr == ProtNone || pr == ProtRead && write {
 			m.faults = append(m.faults, fault{id, write})
 			m.protect(id, ProtRW)
+		}
+		if write && m.tracking && !slices.Contains(m.order, id) {
+			m.faults = append(m.faults, fault{id, true})
 		}
 	}
 }
@@ -259,9 +264,10 @@ func (m *modelSpace) privateBytes() uint64 {
 //	         15      ProtectAll(ProtRW)
 //	         16      SetDirtyTracking(length odd), SetReadTracking(length%4 = 3)
 //	         17      ResetDirty
-//	         18      the CI monitor's Store64: SnapshotPage of every page of the
+//	         18      a monitor's Store64: SnapshotPage of every page of the
 //	                 range the slice has no record of, then the store (a plain
-//	                 Store64 while tracking is off)
+//	                 Store64 while tracking is off); the store takes no write
+//	                 fault
 //
 // Every read is compared with the model's, and a load's with what Loadable
 // answered before it: a page it hands back must hold the bytes the load read,

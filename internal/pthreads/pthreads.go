@@ -1,19 +1,21 @@
 // Package pthreads implements the conventional nondeterministic
 // multithreading baseline the paper normalizes against (§5.2, "pthreads").
 //
-// All threads share one address space and synchronize through real Go
+// All threads share one address space — one mem.Space, the type each RFDet
+// thread and each DThreads view is — and synchronize through real Go
 // primitives mapped one-to-one onto the pthreads operations. The runtime is
 // intentionally nondeterministic: lock-acquisition order, condition wakeups
 // and data races resolve however the host scheduler resolves them, exactly
 // like pthreads on a stock kernel. Memory accesses are serialized by a lock
 // around the shared space (so racy workloads do not trip Go's race
-// detector); scheduling nondeterminism between accesses is preserved.
+// detector); scheduling nondeterminism between accesses is preserved. The
+// report's output hash folds the space with mem.Space.Hash, as the other
+// runtimes fold theirs.
 package pthreads
 
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"math"
 	//detvet:wallclock pthreads is the nondeterministic baseline; rand jitter emulates preemption noise.
 	"math/rand"
@@ -23,6 +25,7 @@ import (
 
 	"rfdet/internal/alloc"
 	"rfdet/internal/api"
+	"rfdet/internal/mem"
 	"rfdet/internal/stats"
 	"rfdet/internal/vtime"
 )
@@ -97,90 +100,12 @@ func (e *exec) isAborted() bool {
 	}
 }
 
-// sharedSpace is the single flat shared memory, guarded by a mutex so racy
-// byte-level accesses are data races only at the simulated level, not Go
-// data races.
+// sharedSpace is the single flat shared memory, one mem.Space that every
+// thread accesses under mu, so racy byte-level accesses are data races only
+// at the simulated level, not Go data races.
 type sharedSpace struct {
 	mu    sync.Mutex
-	pages map[uint64]*[4096]byte
-	// resident tracks the footprint (Table 1, "pthreads (MB)").
-	resident uint64
-}
-
-func newSharedSpace() *sharedSpace {
-	return &sharedSpace{pages: make(map[uint64]*[4096]byte)}
-}
-
-func (s *sharedSpace) page(id uint64, create bool) *[4096]byte {
-	p, ok := s.pages[id]
-	if !ok {
-		if !create {
-			return nil
-		}
-		p = new([4096]byte)
-		s.pages[id] = p
-		s.resident += 4096
-	}
-	return p
-}
-
-func (s *sharedSpace) load(a uint64, buf []byte) {
-	s.mu.Lock()
-	for len(buf) > 0 {
-		p := s.page(a>>12, false)
-		off := a & 4095
-		n := len(buf)
-		if room := 4096 - int(off); n > room {
-			n = room
-		}
-		if p == nil {
-			for i := 0; i < n; i++ {
-				buf[i] = 0
-			}
-		} else {
-			copy(buf[:n], p[off:])
-		}
-		buf = buf[n:]
-		a += uint64(n)
-	}
-	s.mu.Unlock()
-}
-
-func (s *sharedSpace) store(a uint64, data []byte) {
-	s.mu.Lock()
-	for len(data) > 0 {
-		p := s.page(a>>12, true)
-		off := a & 4095
-		n := copy(p[off:], data)
-		data = data[n:]
-		a += uint64(n)
-	}
-	s.mu.Unlock()
-}
-
-// hash digests the shared memory in ascending page order.
-func (s *sharedSpace) hash() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ids := make([]uint64, 0, len(s.pages))
-	for id := range s.pages {
-		ids = append(ids, id)
-	}
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
-	h := fnv.New64a()
-	var buf [8]byte
-	for _, id := range ids {
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(id >> (8 * i))
-		}
-		h.Write(buf[:])
-		h.Write(s.pages[id][:])
-	}
-	return h.Sum64()
+	space *mem.Space
 }
 
 // syncVar backs one application synchronization address. The same address
@@ -250,7 +175,7 @@ func (t *thread) preemptMaybe() {
 func (r *Runtime) Run(main api.ThreadFunc) (*api.Report, error) {
 	e := &exec{
 		alloc:    alloc.New(),
-		space:    newSharedSpace(),
+		space:    &sharedSpace{space: mem.NewSpace()},
 		syncvars: make(map[api.Addr]*syncVar),
 		abort:    make(chan struct{}),
 	}
@@ -284,7 +209,7 @@ func (r *Runtime) Run(main api.ThreadFunc) (*api.Report, error) {
 			rep.VirtualTime = uint64(t.vt)
 		}
 	}
-	rep.OutputHash = uint64(d.Word(e.space.hash()))
+	rep.OutputHash = uint64(d.Word(e.space.space.Hash()))
 	rep.Stats.SharedMemBytes = e.alloc.HighWater()
 	rep.Stats.RuntimeMemBytes = e.alloc.HighWater()
 	return rep, nil
@@ -315,58 +240,50 @@ func (t *thread) Tick(n uint64) { t.vt += vtime.Time(n) * vtime.MemOp }
 
 func (t *thread) Observe(vals ...uint64) { t.obs = append(t.obs, vals...) }
 
+// access counts one access of n bytes into *count, lets the host preempt the
+// thread first when preempt is set, and locks the shared memory for it: the
+// caller unlocks t.exec.space.mu once the access is done.
+func (t *thread) access(count *uint64, n int, preempt bool) *mem.Space {
+	*count++
+	t.vt += vtime.Time(n) * vtime.MemOp
+	if preempt {
+		t.preemptMaybe()
+	}
+	t.exec.space.mu.Lock()
+	return t.exec.space.space
+}
+
 func (t *thread) Load8(a api.Addr) uint8 {
-	t.st.Loads++
-	t.vt += vtime.MemOp
-	t.preemptMaybe()
-	var b [1]byte
-	t.exec.space.load(uint64(a), b[:])
-	return b[0]
+	v := t.access(&t.st.Loads, 1, true).Load8(uint64(a))
+	t.exec.space.mu.Unlock()
+	return v
 }
 
 func (t *thread) Store8(a api.Addr, v uint8) {
-	t.st.Stores++
-	t.vt += vtime.MemOp
-	t.preemptMaybe()
-	t.exec.space.store(uint64(a), []byte{v})
+	t.access(&t.st.Stores, 1, true).Store8(uint64(a), v)
+	t.exec.space.mu.Unlock()
 }
 
 func (t *thread) Load32(a api.Addr) uint32 {
-	t.st.Loads++
-	t.vt += vtime.MemOp
-	var b [4]byte
-	t.exec.space.load(uint64(a), b[:])
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
+	v := t.access(&t.st.Loads, 1, false).Load32(uint64(a))
+	t.exec.space.mu.Unlock()
+	return v
 }
 
 func (t *thread) Store32(a api.Addr, v uint32) {
-	t.st.Stores++
-	t.vt += vtime.MemOp
-	t.exec.space.store(uint64(a), []byte{byte(v), byte(v >> 8), byte(v >> 16), byte(v >> 24)})
+	t.access(&t.st.Stores, 1, false).Store32(uint64(a), v)
+	t.exec.space.mu.Unlock()
 }
 
 func (t *thread) Load64(a api.Addr) uint64 {
-	t.st.Loads++
-	t.vt += vtime.MemOp
-	t.preemptMaybe()
-	var b [8]byte
-	t.exec.space.load(uint64(a), b[:])
-	var v uint64
-	for i := 0; i < 8; i++ {
-		v |= uint64(b[i]) << (8 * i)
-	}
+	v := t.access(&t.st.Loads, 1, true).Load64(uint64(a))
+	t.exec.space.mu.Unlock()
 	return v
 }
 
 func (t *thread) Store64(a api.Addr, v uint64) {
-	t.st.Stores++
-	t.vt += vtime.MemOp
-	t.preemptMaybe()
-	var b [8]byte
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
-	}
-	t.exec.space.store(uint64(a), b[:])
+	t.access(&t.st.Stores, 1, true).Store64(uint64(a), v)
+	t.exec.space.mu.Unlock()
 }
 
 func (t *thread) LoadF64(a api.Addr) float64 { return math.Float64frombits(t.Load64(a)) }
@@ -374,21 +291,17 @@ func (t *thread) LoadF64(a api.Addr) float64 { return math.Float64frombits(t.Loa
 func (t *thread) StoreF64(a api.Addr, v float64) { t.Store64(a, math.Float64bits(v)) }
 
 func (t *thread) ReadBytes(a api.Addr, buf []byte) {
-	if len(buf) == 0 {
-		return
+	if len(buf) > 0 {
+		t.access(&t.st.Loads, len(buf), false).ReadBytes(uint64(a), buf)
+		t.exec.space.mu.Unlock()
 	}
-	t.st.Loads++
-	t.vt += vtime.Time(len(buf)) * vtime.MemOp
-	t.exec.space.load(uint64(a), buf)
 }
 
 func (t *thread) WriteBytes(a api.Addr, data []byte) {
-	if len(data) == 0 {
-		return
+	if len(data) > 0 {
+		t.access(&t.st.Stores, len(data), false).WriteBytes(uint64(a), data)
+		t.exec.space.mu.Unlock()
 	}
-	t.st.Stores++
-	t.vt += vtime.Time(len(data)) * vtime.MemOp
-	t.exec.space.store(uint64(a), data)
 }
 
 func (t *thread) Malloc(size uint64) api.Addr {

@@ -185,3 +185,48 @@ func TestName(t *testing.T) {
 		t.Fatal("wrong name")
 	}
 }
+
+// TestConcurrentAccessesShareOneSpace: threads that store and load their own
+// words of the same pages at once, through every access method, all reach
+// the one mem.Space. The words stride over more pages than the space's page
+// cache holds, so nearly every access refills a cache slot: under -race
+// (make race) an access that skips sharedSpace.mu shows here.
+func TestConcurrentAccessesShareOneSpace(t *testing.T) {
+	const threads, pages = 4, 40
+	word := func(base api.Addr, tid, p int) api.Addr { return base + api.Addr(p*4096+tid*64) }
+	rep := run(t, func(th api.Thread) {
+		base := th.Malloc(pages * 4096)
+		var ids []api.ThreadID
+		for i := 1; i <= threads; i++ {
+			ids = append(ids, th.Spawn(func(c api.Thread) {
+				for p := 0; p < pages; p++ {
+					a := word(base, i, p)
+					c.Store8(a, uint8(i))
+					c.Store32(a+8, uint32(i))
+					c.Store64(a+16, uint64(i))
+					c.StoreF64(a+24, float64(i))
+					c.WriteBytes(a+32, []byte{byte(i), byte(p)})
+					buf := make([]byte, 2)
+					c.ReadBytes(a+32, buf)
+					if uint64(c.Load8(a))+uint64(c.Load32(a+8))+c.Load64(a+16) != 3*uint64(i) ||
+						c.LoadF64(a+24) != float64(i) || buf[0] != byte(i) || buf[1] != byte(p) {
+						t.Errorf("thread %d page %d: a word does not read back", i, p)
+					}
+				}
+			}))
+		}
+		for _, id := range ids {
+			th.Join(id)
+		}
+		var sum uint64
+		for i := 1; i <= threads; i++ {
+			for p := 0; p < pages; p++ {
+				sum += th.Load64(word(base, i, p) + 16)
+			}
+		}
+		th.Observe(sum)
+	})
+	if got, want := rep.Observations[0][0], uint64(pages*threads*(threads+1)/2); got != want {
+		t.Fatalf("sum of the threads' words = %d, want %d", got, want)
+	}
+}

@@ -22,14 +22,18 @@ func runtimes() []api.Runtime {
 
 // TestAllWorkloadsRunEverywhere executes every kernel at test size on every
 // runtime and checks that the race-free kernels produce identical
-// observations on all of them — the cross-runtime oracle for both the
-// kernels and the runtimes.
+// observations and output hashes on all of them — the cross-runtime oracle
+// for both the kernels and the runtimes. The output hash folds in each
+// runtime's final memory image (thread 0's space, DThreads' global store,
+// pthreads' one shared space), so it holds the runtimes' memory paths to
+// one answer too.
 func TestAllWorkloadsRunEverywhere(t *testing.T) {
 	cfg := Config{Threads: 2, Size: SizeTest}
 	for _, w := range All() {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
 			var ref []uint64
+			var refHash uint64
 			for _, rt := range runtimes() {
 				rep, err := rt.Run(w.Prog(cfg))
 				if err != nil {
@@ -40,10 +44,13 @@ func TestAllWorkloadsRunEverywhere(t *testing.T) {
 					t.Fatalf("%s on %s: no observations", w.Name, rt.Name())
 				}
 				if ref == nil {
-					ref = obs
+					ref, refHash = obs, rep.OutputHash
 					continue
 				}
 				if w.RaceFree {
+					if rep.OutputHash != refHash {
+						t.Fatalf("%s on %s: output hash %#x, pthreads got %#x", w.Name, rt.Name(), rep.OutputHash, refHash)
+					}
 					if len(obs) != len(ref) {
 						t.Fatalf("%s on %s: %d observations, want %d", w.Name, rt.Name(), len(obs), len(ref))
 					}

@@ -11,7 +11,9 @@
 #      inline    — mem.(*Space).Loadable inlines into every thread.Load*
 #                   method: a page-cache hit is answered with no call, and an
 #                   edit that takes the helper past the inliner's budget fails
-#                   here instead of slowing every load
+#                   here instead of slowing every load; likewise
+#                   (*thread).loadTick and storeTick into every thread.Load*
+#                   and thread.Store* that ticks (StoreF64 calls Store64)
 #   5. go test    — full suite
 #   6. race tests — `make race`: the packages with real concurrency, under
 #                   -race with GOMAXPROCS oversubscribed (a thread's diff
@@ -53,6 +55,18 @@ sites=$(grep -n 'Loadable(' internal/core/*.go | grep -v '_test\.go:' | cut -d: 
 loads=$(grep -c '^func (t \*thread) Load' internal/core/thread.go)
 if [ "$inlined" != "$sites" ] || [ "$(echo "$sites" | grep -c .)" -ne "$loads" ]; then
 	echo "want one inlined Loadable call in each of the $loads thread.Load* methods" >&2
+	echo "call sites: $sites" >&2
+	echo "inlined at: $inlined" >&2
+	exit 1
+fi
+
+echo "==> inline check: (*thread).loadTick and storeTick at every thread.Load* and thread.Store*"
+inlined=$(go build -gcflags=-m ./internal/core 2>&1 |
+	sed -n 's/^\(internal\/core\/[a-z_]*\.go:[0-9]*\):[0-9]*: inlining call to (\*thread)\.\(load\|store\)Tick$/\1/p' | sort -u)
+sites=$(grep -n 't\.\(load\|store\)Tick()' internal/core/*.go | grep -v '_test\.go:' | cut -d: -f1,2 | sort -u)
+ticking=$(grep '^func (t \*thread) \(Load\|Store\)' internal/core/thread.go | grep -vc '{ t\.Store')
+if [ "$inlined" != "$sites" ] || [ "$(echo "$sites" | grep -c .)" -ne "$ticking" ]; then
+	echo "want one inlined loadTick or storeTick call in each of the $ticking ticking thread.Load*/Store* methods" >&2
 	echo "call sites: $sites" >&2
 	echo "inlined at: $inlined" >&2
 	exit 1
