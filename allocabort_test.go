@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"rfdet"
-	"rfdet/internal/core"
 	"rfdet/internal/harness"
 	"rfdet/internal/workloads"
 )
@@ -116,11 +115,10 @@ func TestDoubleFreeUnblocksPeers(t *testing.T) {
 // the abort lands inside a lock/queue/barrier web.
 func TestServerReplicaAbortUnwinds(t *testing.T) {
 	cfg := workloads.Config{Threads: 4, Size: workloads.SizeTest}
-	opts := core.DefaultOptions()
 	variants := []harness.ReplicaVariant{
-		{Name: "clean-a", Opts: opts},
-		{Name: "poisoned", Opts: opts, InjectAbort: true},
-		{Name: "clean-b", Opts: opts},
+		{Name: "clean-a"},
+		{Name: "poisoned", InjectAbort: true},
+		{Name: "clean-b"},
 	}
 	withWatchdog(t, 10*time.Second, func() error {
 		for round := 0; round < 8; round++ {

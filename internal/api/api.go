@@ -189,8 +189,8 @@ type Stats struct {
 	PrelockBytes            uint64 `stat:"mem"`  // modification bytes applied during prelock pre-merge
 	LazyPendingApplied      uint64 `stat:"mem"`  // runs pended by lazy writes, each counted once, at its page's flush or its thread's exit
 	LazyRunsElided          uint64 `stat:"mem"`  // pended bytes a later pend to the same page covered, never copied
-	PageFaults              uint64 `stat:"mem"`  // simulated write-protection faults (pf monitor)
-	PageProtects            uint64 `stat:"mem"`  // simulated per-page mprotect operations
+	PageFaults              uint64 `stat:"mem"`  // modelled write-protection faults: a slice's or phase's first store to a page (pf monitor, DThreads)
+	PageProtects            uint64 `stat:"mem"`  // modelled per-page mprotect operations: resident pages at each slice start (pf) or fence (DThreads)
 
 	// Sub-page dirty tracking (extent-guided slice diffing).
 	DirtyExtents     uint64 `stat:"mem"` // dirty extents consumed by slice-end diffs

@@ -57,7 +57,7 @@ func BenchmarkThreadAccess(b *testing.B) {
 				})
 				if bc.mode == pended {
 					th.Join(peer)
-					if n := len(th.(*thread).pending); n != 1 {
+					if n := len(th.(*thread).space.PendedPages(nil)); n != 1 {
 						b.Errorf("%d pages pended after the join, want 1", n)
 						return
 					}

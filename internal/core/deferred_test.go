@@ -8,6 +8,7 @@ import (
 
 	"rfdet/internal/api"
 	"rfdet/internal/trace"
+	"rfdet/internal/vclock"
 )
 
 // Deadline tests for Unlock's deferred release (sync.go). Each scenario is
@@ -215,4 +216,46 @@ func TestUnlockOfUnheldMutexTakesTheTurn(t *testing.T) {
 		})
 		th.Join(id)
 	}, "rfdet: thread 1: unlock of mutex 0x80 not held by it")
+}
+
+// TestDeferredReleaseDrainedOnceTheTurnComes: thread 0 has won the turn at key
+// 136 and enters; thread 2's release at key 111 is pending, and thread 1, just
+// woken by a release run since thread 0 began to wait, is Running at clock 100,
+// so the drain's probe of key 111 fails and the drain stops. Before thread 0
+// probes its own key, thread 1 ticks past it (drainStopped forces the window).
+// Thread 0 then holds the turn, and must run the release at 111 before its
+// section: entering with it pending lets the section find the mutex held.
+func TestDeferredReleaseDrainedOnceTheTurnComes(t *testing.T) {
+	e := newTestExec()
+	var th [3]*thread
+	for i, clock := range []uint64{136, 100, 200} {
+		th[i] = fakeThread(e, i, vclock.New(3))
+		th[i].proc.Tick(clock)
+		e.threads = append(e.threads, th[i])
+	}
+	e.mu.Lock()
+	sv := e.syncvar(64)
+	sv.held, sv.owner = true, 2
+	e.mu.Unlock()
+	rel := &th[2].scratch.rel
+	rel.sv = sv
+	e.deferred.Store(2)
+	e.ran.Store(1)
+	rel.key.Store(111)
+	e.drainStopped = func() { th[1].proc.Tick(100) }
+	done := make(chan struct{})
+	go func() {
+		e.lockTurn(th[0])
+		e.leave(th[0])
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("no entry after 10s: the drain did not finish")
+	}
+	if rel.key.Load() != 0 || e.ran.Load() != 2 || sv.held {
+		t.Fatalf("thread 0 entered at key 136 with the release at key 111 pending (key %d, ran %d, mutex held %v)",
+			rel.key.Load(), e.ran.Load(), sv.held)
+	}
 }

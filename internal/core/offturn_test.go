@@ -32,7 +32,7 @@ func stableStats(st api.Stats) uint64 {
 // worker exits; the main thread joins the worker's writes to page B and exits
 // without reading B either. The worker's exit charges A as its flush would —
 // LazyPendingApplied and the virtual time are the parent's — and applies
-// nothing: A is the same page, unwritten and still ProtNone. The main
+// nothing: A is the same page, unwritten, and nothing is left pended. The main
 // thread's exit still flushes B, so the output hash, which folds in its
 // memory, is the parent's too.
 func TestExitChargesPendedPagesWithoutApplying(t *testing.T) {
@@ -55,7 +55,7 @@ func TestExitChargesPendedPagesWithoutApplying(t *testing.T) {
 				c.Store64(b+api.Addr(16*i), uint64(i+1))
 			}
 			c.Unlock(mu)
-			if w := c.(*thread); w.pending[pageA] != nil {
+			if w := c.(*thread); w.space.Pended(pageA) {
 				worker, frameA, resident = w, &w.space.PageData(pageA)[0], w.space.ResidentBytes()
 			}
 		})
@@ -66,7 +66,7 @@ func TestExitChargesPendedPagesWithoutApplying(t *testing.T) {
 		th.Unlock(mu)
 		th.Join(id)
 		main = th.(*thread)
-		if main.pending[pageB] != nil {
+		if main.space.Pended(pageB) {
 			mainPended++
 		}
 	}
@@ -78,15 +78,14 @@ func TestExitChargesPendedPagesWithoutApplying(t *testing.T) {
 		if worker == nil || mainPended == 0 {
 			t.Fatalf("P=%d: page A pended at the worker's exit: %v; page B at the main thread's: %v", procs, worker != nil, mainPended > 0)
 		}
-		if len(worker.pending) != 0 || worker.space.ProtectionOf(pageA) != mem.ProtNone {
-			t.Errorf("P=%d: the worker exited with %d pended pages and page A %v, want none and ProtNone",
-				procs, len(worker.pending), worker.space.ProtectionOf(pageA))
+		if n := len(worker.space.PendedPages(nil)); n != 0 {
+			t.Errorf("P=%d: the worker exited with %d pended pages, want none", procs, n)
 		}
 		if data := worker.space.PageData(pageA); &data[0] != frameA || worker.space.ResidentBytes() != resident || data[16] != 0 {
 			t.Errorf("P=%d: the worker's exit wrote page A", procs)
 		}
-		if len(main.pending) != 0 || main.space.ProtectionOf(pageB) != mem.ProtRW {
-			t.Errorf("P=%d: the main thread exited with %d pended pages and page B %v", procs, len(main.pending), main.space.ProtectionOf(pageB))
+		if n := len(main.space.PendedPages(nil)); n != 0 {
+			t.Errorf("P=%d: the main thread exited with %d pended pages, want none", procs, n)
 		}
 		st := rep.Stats
 		if st.LazyPendingApplied != 64 || rep.VirtualTime != 25087 || rep.OutputHash != 0x82b106a53cbef01 || stableStats(st) != 0xc2330853b6c257c6 {

@@ -14,8 +14,7 @@ import (
 // record may outlive the slices' place in the store.
 
 // TestLazyAcquiresBuildNoPlan: on fft and matmul — no barriers, so no eager
-// merge — every acquire pends, and no plan is built; Validate checks at every
-// pend that no page holds PendFold references.
+// merge — every acquire pends, and no plan is built.
 func TestLazyAcquiresBuildNoPlan(t *testing.T) {
 	for _, p := range benchmarkPrograms() {
 		if p.name != "fft" && p.name != "matmul" {
@@ -63,7 +62,7 @@ func TestCollectedSlicesStayPended(t *testing.T) {
 			th.Unlock(mu)
 			if n := self.exec.store.GCCount(); n > gcs {
 				gcs = n
-				if self.pending[mem.PageOf(uint64(hot))] != nil {
+				if self.space.Pended(mem.PageOf(uint64(hot))) {
 					pendedAtGC++
 				}
 			}
@@ -117,9 +116,7 @@ func TestStraddlingAtomicUnderLazyWrites(t *testing.T) {
 		for _, id := range ids {
 			th.Join(id)
 		}
-		if p := th.(*thread).pending; p != nil {
-			pendedPages = len(p)
-		}
+		pendedPages = len(th.(*thread).space.PendedPages(nil))
 		th.Observe(th.Load64(a))
 	}
 	eager := run(t, Options{}, prog)
@@ -157,7 +154,7 @@ func TestLazyPendThenBarrierDeterministic(t *testing.T) {
 				}
 				th.Lock(l)
 				th.Unlock(l)
-				if len(th.(*thread).pending) != 0 {
+				if len(th.(*thread).space.PendedPages(nil)) != 0 {
 					pendedAtBarrier.Add(1)
 				}
 				th.Barrier(bar, threads)

@@ -239,13 +239,14 @@ func (t *thread) applySlices(slices []*slicestore.Slice, prelock bool) {
 		return
 	}
 	ts := t.tb.Now()
-	if t.pending != nil {
+	lazy := t.exec.opts.LazyWrites && t.monitoring
+	if lazy {
 		t.pendSlices(slices)
 	} else {
 		t.applyNow(slices)
 	}
 	for _, s := range slices {
-		if t.pending == nil {
+		if !lazy {
 			t.vt += vtime.ApplyCost(uint64(len(s.Mods)), s.Bytes)
 		}
 		t.st.SlicesPropagated++

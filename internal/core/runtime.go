@@ -40,10 +40,12 @@ const (
 	// compile-time store instrumentation, Figure 4). This is the faster
 	// monitor (RFDet-ci).
 	MonitorCI Monitor = iota
-	// MonitorPF write-protects the whole address space at each slice start
-	// and snapshots pages in the protection-fault handler (RFDet-pf, the
-	// approach DThreads takes). Slower for sync-heavy programs because of
-	// the per-slice mprotect sweep and fault costs.
+	// MonitorPF models write-protecting the whole address space at each
+	// slice start and snapshotting pages in the protection-fault handler
+	// (RFDet-pf, the approach DThreads takes): the sweep is charged per
+	// resident page, and the fault at the slice's first store to a page,
+	// which the space takes under either monitor. Slower for sync-heavy
+	// programs because of the per-slice sweep and fault costs.
 	MonitorPF
 )
 
@@ -188,6 +190,10 @@ type exec struct {
 	wg sync.WaitGroup //detvet:nativesync joins thread goroutines at run end; no ordering role.
 	// deferred and ran count the releases Unlock deferred and those run.
 	deferred, ran atomic.Uint64
+	// drainStopped, nil but in one test, runs in lockTurn when a drain stops
+	// short, before the section probes its own key: the window that test
+	// forces.
+	drainStopped func()
 }
 
 // syncVar is an internal synchronization variable (§4.1): the runtime-side
@@ -367,9 +373,12 @@ func (e *exec) enterUnchecked(t *thread) {
 
 // lockTurn takes mu for a thread that has won the turn, running the deferred
 // releases below its key first. If one woke a thread below that key, the
-// caller gives mu back and waits for the turn again, uncounted. The
-// monitor-wait span is the first wait for mu; if a release ran, a drain span
-// follows it, the forced wait included.
+// caller gives mu back and waits for the turn again, uncounted. A drain can
+// stop at a release whose key a thread woken below it still precedes, and
+// that thread can tick past t's key before t probes it: t then holds the
+// turn, and so does every key below its own, so it drains again as the turn
+// holder before it enters. The monitor-wait span is the first wait for mu; if
+// a release ran, a drain span follows it, the forced wait included.
 //
 //detvet:acquires mu
 func (e *exec) lockTurn(t *thread) {
@@ -377,7 +386,16 @@ func (e *exec) lockTurn(t *thread) {
 	e.mu.Lock()
 	t.tb.Span(trace.PhaseMonitorWait, ts)
 	ts, ran := t.tb.Now(), e.ran.Load()
-	for !e.aborted && !e.drainLocked(t) && !e.sched.ProbeAt(t.proc.Clock(), int32(t.id)) {
+	for !e.aborted && !e.drainLocked(t) {
+		if e.drainStopped != nil {
+			e.drainStopped()
+		}
+		if e.sched.ProbeAt(t.proc.Clock(), int32(t.id)) {
+			// Nobody else becomes Running while mu is held: t keeps the turn
+			// until a release it runs wakes a thread.
+			t.ranSeen = e.ran.Load()
+			continue
+		}
 		e.mu.Unlock()
 		t.ranSeen = e.ran.Load()
 		e.sched.WaitForTurn(t.proc)

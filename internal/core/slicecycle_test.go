@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -286,8 +287,8 @@ func TestLockPingPongAllocationBudget(t *testing.T) {
 
 // TestPendSliceMatchesSequentialApply: pending overlapping slices — one run
 // straddling a page boundary — and flushing leaves memory as applying their
-// runs in list order does, protects exactly the pended pages, and charges
-// the per-run bookkeeping time.
+// runs in list order does, pends exactly the pages the runs lie on, and
+// charges the per-run bookkeeping time.
 func TestPendSliceMatchesSequentialApply(t *testing.T) {
 	mkRun := func(a uint64, b ...byte) mem.Run { return mem.Run{Addr: a, Data: b} }
 	s1 := &slicestore.Slice{Mods: []mem.Run{
@@ -302,20 +303,15 @@ func TestPendSliceMatchesSequentialApply(t *testing.T) {
 		mkRun(mem.PageAddr(9)+16, 11),
 		mkRun(mem.PageAddr(1)+100, 77), // overwrites s1's page-1 byte
 	}}
-	th := &thread{exec: newTestExec(), space: mem.NewSpace(), pending: make(map[mem.PageID]*mem.PendingPage), scratch: new(threadScratch)}
+	th := &thread{exec: newTestExec(), space: mem.NewSpace(), scratch: new(threadScratch)}
 	th.pendSlices([]*slicestore.Slice{s1})
 	th.pendSlices([]*slicestore.Slice{s2})
 	if want := int64(len(s1.Mods)+len(s2.Mods)) * 4; int64(th.vt) != want {
 		t.Fatalf("pend charged %d, want %d", th.vt, want)
 	}
 	pended := []mem.PageID{1, 3, 5, 7, 9, 12, 13}
-	if len(th.pending) != len(pended) {
-		t.Fatalf("%d pages pended, want %d", len(th.pending), len(pended))
-	}
-	for _, pid := range pended {
-		if th.pending[pid] == nil || th.space.ProtectionOf(pid) != mem.ProtNone {
-			t.Fatalf("page %d: not pended behind ProtNone", pid)
-		}
+	if got := th.space.PendedPages(nil); !slices.Equal(got, pended) {
+		t.Fatalf("pages %v pended, want %v", got, pended)
 	}
 	th.flushAllPending(true)
 	want := mem.NewSpace()

@@ -54,7 +54,8 @@ import (
 // the Unlocks Kendo would have admitted before the section. A record whose
 // handoff wakes a thread below the section's key stops the drain where that
 // thread comes first, and sends the section back to wait for the turn
-// (lockTurn). A grant queue's head takes its mutex's pending release over when
+// (lockTurn), or, if the thread has ticked past the key by then, to drain
+// again. A grant queue's head takes its mutex's pending release over when
 // the release's key holds the turn (sleep); an Unlock whose mutex has a waiter
 // runs its record itself, under the turn. Five rules keep the order the turn
 // gave: (1) a record is published before the tick past its key; (2) a thread
@@ -579,9 +580,6 @@ func (t *thread) Spawn(fn api.ThreadFunc) api.ThreadID {
 	}
 	child.enableDirtyTracking()
 	child.slicePtrs = append(child.slicePtrs, t.slicePtrs...)
-	if e.opts.LazyWrites {
-		child.pending = make(map[mem.PageID]*mem.PendingPage)
-	}
 	child.proc = e.sched.Register(int32(id), t.proc.Clock()+1)
 	child.tb = e.phases.NewThread(int(id))
 	e.alloc.Register(int(id))
@@ -593,9 +591,6 @@ func (t *thread) Spawn(fn api.ThreadFunc) api.ThreadID {
 	if !t.monitoring {
 		t.monitoring = true
 		t.enableDirtyTracking()
-		if e.opts.LazyWrites && t.pending == nil {
-			t.pending = make(map[mem.PageID]*mem.PendingPage)
-		}
 	}
 	e.wg.Add(1)
 	//detvet:nativesync thread bodies run on goroutines; determinism comes from Kendo turns, not goroutine scheduling.

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"slices"
 	"sync/atomic"
 
 	"rfdet/internal/api"
@@ -69,12 +68,6 @@ type thread struct {
 	// (TestThreadStaysInSizeClass). Same turn discipline as slicePtrs.
 	//detvet:notguarded ordered by the deterministic turn, like slicePtrs: written only by collectLocked and the two list-rewriting sites, all turn-held
 	marks *[]int
-
-	// Lazy-writes state (§4.5): pending modifications per page, applied on
-	// first access. Non-nil iff the optimization is enabled. Each entry
-	// references the propagated slices' own runs on its page; it is owned
-	// like the space (this thread, or a turn holder pre-merging into it).
-	pending map[mem.PageID]*mem.PendingPage
 
 	// preMerged records slices applied by a prelock pre-merge (§4.5) so the
 	// eventual acquire skips them. Empty when no pre-merge is outstanding.
@@ -231,38 +224,27 @@ func (t *thread) storeTick() {
 }
 
 // onFault is the simulated SIGSEGV handler, installed while the space tracks
-// (enableDirtyTracking), and the one place a slice's first store to a page
-// snapshots it (Figure 4, lines 5-7): the space faults a store to a page the
-// slice has no record of, after any protection fault — RFDet-ci's store check
-// and RFDet-pf's write-protected page alike. A page with pended lazy
-// modifications (ProtNone) is flushed first, so that the snapshot baseline
-// holds everything that happens-before this slice. Under PF the fault itself
-// is charged too.
+// (enableDirtyTracking). The space faults any access to a page with pended
+// lazy modifications, which is flushed here, and a store to a page the slice
+// has no record of — RFDet-ci's store check and RFDet-pf's write-protected
+// page alike — which is the one place the slice snapshots it (Figure 4, lines
+// 5-7), after the flush, so that the snapshot baseline holds everything that
+// happens-before this slice. Under PF the write fault itself is charged too.
 func (t *thread) onFault(pid mem.PageID, write bool) {
-	if t.pending != nil {
-		if _, has := t.pending[pid]; has {
-			t.flushPage(pid, true)
-		}
+	if t.space.Pended(pid) {
+		t.flushPage(pid, true)
 	}
-	pf := t.exec.opts.Monitor == MonitorPF
-	switch {
-	case t.space.SnapshotOf(pid) != nil:
-	case write:
-		if pf {
-			t.st.PageFaults++
-			t.vt += vtime.Fault
-		}
-		t.exec.store.AllocSnapshot()
-		t.space.SnapshotPage(pid)
-		t.st.StoresWithCopy++
-		t.vt += vtime.SnapshotPage
-	case pf:
-		// A read fault can only come from a lazy flush; restore write
-		// protection so the first store still snapshots.
-		t.space.Protect(pid, mem.ProtRead)
+	if !write || t.space.SnapshotOf(pid) != nil {
 		return
 	}
-	t.space.Protect(pid, mem.ProtRW)
+	if t.exec.opts.Monitor == MonitorPF {
+		t.st.PageFaults++
+		t.vt += vtime.Fault
+	}
+	t.exec.store.AllocSnapshot()
+	t.space.SnapshotPage(pid)
+	t.st.StoresWithCopy++
+	t.vt += vtime.SnapshotPage
 }
 
 func (t *thread) Load8(a api.Addr) uint8 {
@@ -360,20 +342,16 @@ func (t *thread) Free(a api.Addr) {
 
 // beginSlice starts monitoring a new slice. Under the PF monitor this is
 // where the whole shared mapping is write-protected — the per-slice cost
-// that makes RFDet-pf slower than RFDet-ci on sync-heavy programs (§5.2).
-// It touches only the thread's private space and may run off the monitor.
+// that makes RFDet-pf slower than RFDet-ci on sync-heavy programs (§5.2) —
+// charged per resident page; the space faults a slice's first store to a
+// page under either monitor. It reads only the thread's own state.
 func (t *thread) beginSlice() {
 	if !t.monitoring || t.exec.opts.Monitor != MonitorPF {
 		return
 	}
-	n := t.space.ProtectAll(mem.ProtRead)
-	t.st.PageProtects += uint64(n)
+	n := t.space.ResidentBytes() / mem.PageSize
+	t.st.PageProtects += n
 	t.vt += vtime.Time(n) * vtime.ProtectPage
-	// Pages with pended lazy modifications must fault on reads too.
-	//detvet:orderfree Protect is per-page idempotent state; iteration order is invisible.
-	for pid := range t.pending {
-		t.space.Protect(pid, mem.ProtNone)
-	}
 }
 
 // enableDirtyTracking turns on sub-page dirty tracking for the thread's
@@ -558,7 +536,10 @@ func (t *thread) publishSliceLocked(s *slicestore.Slice) vclock.VC {
 // writes from its modification list, the reads finishSlice harvested — to the
 // race detector, stamped with the slice's pre-bump clock and the virtual time
 // vt of its end. Always reached inside the monitor and turn-held, which is
-// what serializes and orders detector mutations; charges no virtual time.
+// what serializes and orders detector mutations (racecheck.Detector has no
+// lock of its own); charges no virtual time.
+//
+//detvet:holds exec.mu
 func (t *thread) recordAccessLocked(s *slicestore.Slice, tend vclock.VC, harvested []racecheck.Range, vt vtime.Time) {
 	var writes []racecheck.Range
 	if s != nil {
@@ -599,27 +580,12 @@ func (t *thread) endSliceLocked() vclock.VC {
 // Lazy writes (§4.5).
 //
 
-// pendSlices pends propagated slices per page instead of applying them: a
-// page's record references the runs on it and copies nothing, and the page
-// stays ProtNone until the flush its first access triggers.
+// pendSlices pends propagated slices per page in the space instead of
+// applying them: a page's record references the runs on it and copies
+// nothing, and the page faults until the flush its first access triggers.
 func (t *thread) pendSlices(slices []*slicestore.Slice) {
-	var lastID mem.PageID
-	var last *mem.PendingPage // consecutive slices mostly pend onto one page
-	pendFor := func(pid mem.PageID) *mem.PendingPage {
-		if last == nil || pid != lastID {
-			if last, lastID = t.pending[pid], pid; last == nil {
-				last = mem.NewPendingPage(pid)
-				t.pending[pid] = last
-				t.space.Protect(pid, mem.ProtNone)
-			}
-		}
-		if t.exec.opts.Validate && last.Len() >= mem.PendFold {
-			panic(fmt.Sprintf("page %d pends %d references, past the fold bound %d", pid, last.Len(), mem.PendFold))
-		}
-		return last
-	}
 	for _, s := range slices {
-		mem.PendRunsByPage(s.Mods, pendFor)
+		t.space.Pend(s.Mods)
 		// Bookkeeping cost only: the writes themselves are deferred.
 		t.vt += vtime.Time(len(s.Mods)) * 4
 	}
@@ -631,19 +597,11 @@ func (t *thread) pendSlices(slices []*slicestore.Slice) {
 // updates — the "just one update" saving of §4.5 — and so does the host: the
 // flush copies each distinct byte once, from the newest run that wrote it.
 // Without apply it copies none: the page is charged exactly as its flush
-// would be, released unapplied (mem.PendingPage.Discard) and left ProtNone.
+// would be and left unwritten (mem.PendingPage.Discard).
 func (t *thread) flushPage(pid mem.PageID, apply bool) {
 	ts := t.tb.Now()
 	defer t.tb.Span(trace.PhaseLazyFlush, ts)
-	p := t.pending[pid]
-	delete(t.pending, pid)
-	var runs, raw, distinct uint64
-	if apply {
-		t.space.Protect(pid, mem.ProtRW)
-		runs, raw, distinct = t.space.ApplyPending(p)
-	} else {
-		runs, raw, distinct = p.Discard()
-	}
+	runs, raw, distinct := t.space.FlushPending(pid, apply)
 	t.st.LazyPendingApplied += runs
 	t.st.LazyRunsElided += raw - distinct
 	t.vt += vtime.ApplyCost(1, distinct)
@@ -655,16 +613,8 @@ func (t *thread) flushPage(pid mem.PageID, apply bool) {
 // space nobody reads again, only charging them — zero updates where §4.5's
 // flush makes one.
 func (t *thread) flushAllPending(apply bool) {
-	if len(t.pending) == 0 {
-		return
-	}
-	pids := t.scratch.flushOrder[:0]
-	for pid := range t.pending {
-		pids = append(pids, pid)
-	}
-	slices.Sort(pids)
-	t.scratch.flushOrder = pids
-	for _, pid := range pids {
+	t.scratch.flushOrder = t.space.PendedPages(t.scratch.flushOrder[:0])
+	for _, pid := range t.scratch.flushOrder {
 		t.flushPage(pid, apply)
 	}
 }

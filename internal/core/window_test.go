@@ -113,9 +113,9 @@ func TestCollectScanLinearInListGrowth(t *testing.T) {
 	}
 }
 
-// TestThreadStaysInSizeClass: thread is 688 bytes in the 704-byte allocation
-// size class (the next class is 768), so 16 bytes of fields are free and the
-// 17th costs every thread 64 bytes and moves alloc_kb_per_run. The window
+// TestThreadStaysInSizeClass: thread is 680 bytes in the 704-byte allocation
+// size class (the next class is 768), so 24 bytes of fields are free and the
+// 25th costs every thread 64 bytes and moves alloc_kb_per_run. The window
 // state is one pointer, and the clock lag and the store check's charge sit in
 // the flags' padding.
 func TestThreadStaysInSizeClass(t *testing.T) {

@@ -22,11 +22,13 @@
 // and lock grants are all pure functions of program input.
 //
 // Memory is mem.Space throughout: the global store is one, and each isolated
-// thread's view is a copy-on-write clone of it, write-protected whole and
-// tracking dirty pages. A page's first write in a phase faults, and the
-// handler takes its twin as the view's page record (mem.Space.SnapshotPage),
-// as the RFDet monitors do; the fence diffs each record on the extents the
-// phase wrote, while virtual time still charges a whole-page diff.
+// thread's view is a copy-on-write clone of it, tracking dirty pages. DThreads
+// write-protects each view whole; here the sweep is a charge per resident page
+// at every fence, and the space itself faults a page's first write in a phase,
+// where the handler takes its twin as the view's page record
+// (mem.Space.SnapshotPage), as the RFDet monitors do. The fence diffs each
+// record on the extents the phase wrote, while virtual time still charges a
+// whole-page diff.
 package dthreads
 
 import (
@@ -261,30 +263,28 @@ func (e *exec) failLocked(err error) {
 	}
 }
 
-// isolate makes view the thread's private memory: write-protected whole,
-// tracking dirty pages, with onFault installed (the method value is an
-// allocation, so once per view). It returns the pages it protected.
+// isolate makes view the thread's private memory, tracking dirty pages, with
+// onFault installed (the method value is an allocation, so once per view). It
+// returns the view's resident pages: the pages DThreads write-protects whole,
+// which refreshLocked charges as the fence's mprotect sweep. Spawn's views are
+// not charged — neither the parent's first nor the child's — and charging them
+// would move every DThreads virtual time.
 func (t *thread) isolate(view *mem.Space) int {
 	t.space = view
 	view.SetFaultHandler(t.onFault)
 	view.SetDirtyTracking(true)
-	return view.ProtectAll(mem.ProtRead)
+	return int(view.ResidentBytes() / mem.PageSize)
 }
 
-// onFault is the twin-page creation handler: DThreads write-protects the
-// whole view at each phase start; the first write to a page snapshots it.
-// The twin is the view's page record (mem.Space.SnapshotPage).
-func (t *thread) onFault(pid mem.PageID, write bool) {
-	if !write {
-		return
-	}
-	if t.space.SnapshotOf(pid) == nil {
-		t.st.PageFaults++
-		t.vt += vtime.Fault + vtime.SnapshotPage
-		t.space.SnapshotPage(pid)
-		t.st.StoresWithCopy++
-	}
-	t.space.Protect(pid, mem.ProtRW)
+// onFault is the twin-page creation handler: the view faults a phase's first
+// store to a page, the one that would hit DThreads' write protection, and
+// nothing else — no view pends. The twin is the view's page record
+// (mem.Space.SnapshotPage).
+func (t *thread) onFault(pid mem.PageID, _ bool) {
+	t.st.PageFaults++
+	t.vt += vtime.Fault + vtime.SnapshotPage
+	t.space.SnapshotPage(pid)
+	t.st.StoresWithCopy++
 }
 
 // computeDiff diffs the phase's dirty pages against their twins, each on the
@@ -398,8 +398,8 @@ func (e *exec) serialPhaseLocked(leader *thread) bool {
 }
 
 // refreshLocked replaces the thread's view with a fresh copy-on-write clone
-// of the global store and re-protects it (the per-phase mprotect sweep that
-// DThreads pays at every fence).
+// of the global store and charges its re-protection (the per-phase mprotect
+// sweep that DThreads pays at every fence).
 func (t *thread) refreshLocked(at vtime.Time) {
 	if t.attached {
 		t.vt = at

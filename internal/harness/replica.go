@@ -22,17 +22,18 @@ import (
 	"rfdet/internal/workloads"
 )
 
-// ReplicaVariant describes one replica's execution environment. Everything
-// here is host-side strategy: none of it may change a deterministic
-// observable, which is exactly what the divergence check enforces.
+// ReplicaVariant describes one replica's execution environment. Every replica
+// runs core.DefaultOptions; everything here is host-side strategy: none of it
+// may change a deterministic observable, which is exactly what the divergence
+// check enforces.
 type ReplicaVariant struct {
 	// Name labels the variant in reports ("ambient/r0", "p4", ...).
 	Name string
 	// Procs pins GOMAXPROCS for the replica's run (0 keeps the ambient
 	// value, so external matrix sweeps stay in control).
 	Procs int
-	// Opts is the RFDet configuration the replica runs with.
-	Opts core.Options
+	// PhaseTrace records the replica's phase spans (Options.PhaseTrace).
+	PhaseTrace bool
 	// InjectAbort poisons the replica's request log with one failing
 	// request (a zero-count barrier mid-log): the run must abort
 	// recoverably and be reported as divergent-by-abort.
@@ -151,7 +152,9 @@ func runOneReplica(cfg workloads.Config, seed uint64, requests int, v ReplicaVar
 	if v.InjectAbort {
 		prog = workloads.ServerPoisoned(cfg, seed, requests/2)
 	}
-	r, err := core.New(v.Opts).Run(prog)
+	opts := core.DefaultOptions()
+	opts.PhaseTrace = v.PhaseTrace
+	r, err := core.New(opts).Run(prog)
 	if err != nil {
 		run.Err = err
 		return run
@@ -175,14 +178,13 @@ func runOneReplica(cfg workloads.Config, seed uint64, requests int, v ReplicaVar
 // per-request phase costs.
 func DefaultVariants(k int) []ReplicaVariant {
 	base := []ReplicaVariant{
-		{Name: "ambient", Opts: core.DefaultOptions()},
-		{Name: "p1", Procs: 1, Opts: core.DefaultOptions()},
+		{Name: "ambient", PhaseTrace: true},
+		{Name: "p1", Procs: 1, PhaseTrace: true},
 	}
 	variants := make([]ReplicaVariant, 0, k)
 	for i := 0; i < k; i++ {
 		v := base[i%len(base)]
 		v.Name = fmt.Sprintf("%s/r%d", v.Name, i)
-		v.Opts.PhaseTrace = true
 		variants = append(variants, v)
 	}
 	return variants
@@ -194,11 +196,7 @@ func DefaultVariants(k int) []ReplicaVariant {
 func MatrixVariants() []ReplicaVariant {
 	var variants []ReplicaVariant
 	for _, procs := range []int{1, 4, 8} {
-		variants = append(variants, ReplicaVariant{
-			Name:  fmt.Sprintf("p%d", procs),
-			Procs: procs,
-			Opts:  core.DefaultOptions(),
-		})
+		variants = append(variants, ReplicaVariant{Name: fmt.Sprintf("p%d", procs), Procs: procs})
 	}
 	return variants
 }

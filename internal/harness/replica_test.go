@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"rfdet/internal/core"
 	"rfdet/internal/workloads"
 )
 
@@ -62,9 +61,9 @@ func TestReplicaMatrixVariantsShape(t *testing.T) {
 func TestReplicaDivergentByAbort(t *testing.T) {
 	cfg := workloads.Config{Threads: 4, Size: workloads.SizeTest}
 	variants := []ReplicaVariant{
-		{Name: "clean-a", Opts: core.DefaultOptions()},
-		{Name: "poisoned", Opts: core.DefaultOptions(), InjectAbort: true},
-		{Name: "clean-b", Opts: core.DefaultOptions()},
+		{Name: "clean-a"},
+		{Name: "poisoned", InjectAbort: true},
+		{Name: "clean-b"},
 	}
 	rep := RunServerReplicas(cfg, workloads.DefaultServerSeed, variants)
 	if !rep.Divergent() {

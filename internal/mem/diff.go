@@ -117,8 +117,8 @@ func RunBytes(runs []Run) uint64 {
 	return n
 }
 
-// ApplyRuns writes the modification runs into the space, bypassing
-// protection faults: propagation applies remote modifications between
+// ApplyRuns writes the modification runs into the space, taking no fault:
+// propagation applies remote modifications between
 // slices, so the writes must not be monitored as local modifications
 // (§4.3). In-order application makes later runs overwrite earlier ones,
 // implementing the deterministic "remote modifications overwrite local

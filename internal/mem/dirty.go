@@ -250,10 +250,10 @@ func ExtentBytes(exts []Extent) uint64 {
 // space. Disabling also discards any recorded state. While tracking is on
 // and a handler is installed, a store to a page the slice has no record of
 // is a write fault: the handler is called with write set, after any
-// protection fault the store takes, and the store starts the page's record
-// if the handler did not (SnapshotPage does). So a page faults once a slice,
-// at its first store, whatever its protection; SnapshotPage itself never
-// faults. Every monitor — RFDet's two and DThreads' — snapshots there.
+// pended-page fault the store takes, and the store starts the page's record
+// if the handler did not (SnapshotPage does). So a page write-faults once a
+// slice, at its first store; SnapshotPage itself never faults. Every monitor
+// — RFDet's two and DThreads' — snapshots there.
 func (s *Space) SetDirtyTracking(on bool) {
 	s.trackDirty = on
 	if !on {

@@ -212,9 +212,9 @@ func TestCloneDoesNotInheritDirtyTracking(t *testing.T) {
 
 // TestFirstStoreFaults states the write fault outright (SetDirtyTracking):
 // while tracking with a handler, a store faults at the slice's first store to
-// a page, after any protection fault, and never again until ResetDirty; a
+// a page, after any pended-page fault, and never again until ResetDirty; a
 // snapshotted page does not; without a handler, or with tracking off, a store
-// to an open page faults nothing.
+// to a page with nothing pended faults nothing.
 func TestFirstStoreFaults(t *testing.T) {
 	const a = 3 * PageSize
 	cases := []struct {
@@ -223,61 +223,58 @@ func TestFirstStoreFaults(t *testing.T) {
 		tracking bool
 		run      func(s *Space)
 		want     []fault
-		// prots, if set, is each fault's page protection as the handler found it.
-		prots []Prot
 	}{
 		{"once per page per slice", true, true, func(s *Space) {
 			s.Store64(a, 1)
 			s.Store8(a+100, 2)
 			s.Store32(a+8, 3)
 			s.WriteBytes(a+16, []byte{4, 5})
-		}, []fault{{3, true}}, nil},
+		}, []fault{{3, true}}},
 		{"again after ResetDirty", true, true, func(s *Space) {
 			s.Store64(a, 1)
 			s.ResetDirty()
 			s.Store64(a, 2)
 			s.Store64(a+8, 3)
-		}, []fault{{3, true}, {3, true}}, nil},
+		}, []fault{{3, true}, {3, true}}},
 		{"WriteBytes across a page boundary, in address order", true, true, func(s *Space) {
 			s.WriteBytes(a+PageSize-2, []byte{1, 2, 3, 4})
-		}, []fault{{3, true}, {4, true}}, nil},
+		}, []fault{{3, true}, {4, true}}},
 		{"a straddling Store64, in address order", true, true, func(s *Space) {
 			s.Store64(a+PageSize-4, 1)
-		}, []fault{{3, true}, {4, true}}, nil},
-		{"after the protection fault", true, true, func(s *Space) {
+		}, []fault{{3, true}, {4, true}}},
+		{"after the pended-page fault", true, true, func(s *Space) {
+			s.Pend([]Run{{Addr: a + 16, Data: []byte{9}}})
 			s.Store64(a, 1)
-			s.ResetDirty()
-			s.Protect(3, ProtRead)
-			s.Store64(a, 2)
-		}, []fault{{3, true}, {3, true}, {3, true}}, []Prot{ProtRW, ProtRead, ProtRW}},
+		}, []fault{{3, true}, {3, true}}},
 		{"not after SnapshotPage", true, true, func(s *Space) {
 			s.SnapshotPage(3)
 			s.Store64(a, 1)
-		}, nil, nil},
+		}, nil},
 		{"loads never", true, true, func(s *Space) {
 			s.Load64(a)
 			s.ReadBytes(a, make([]byte, 8))
-		}, nil, nil},
-		{"no handler", false, true, func(s *Space) { s.Store64(a, 1) }, nil, nil},
+		}, nil},
+		{"no handler", false, true, func(s *Space) { s.Store64(a, 1) }, nil},
 		{"tracking off", true, false, func(s *Space) {
 			s.Store64(a, 1)
 			s.WriteBytes(a+PageSize-2, []byte{1, 2, 3, 4})
-		}, nil, nil},
+		}, nil},
 	}
 	for _, tc := range cases {
 		s := NewSpace()
 		var got []fault
-		var prots []Prot
 		if tc.handler {
 			s.SetFaultHandler(func(id PageID, write bool) {
-				got, prots = append(got, fault{id, write}), append(prots, s.ProtectionOf(id))
-				s.Protect(id, ProtRW)
+				got = append(got, fault{id, write})
+				if s.Pended(id) {
+					s.FlushPending(id, true)
+				}
 			})
 		}
 		s.SetDirtyTracking(tc.tracking)
 		tc.run(s)
-		if !slices.Equal(got, tc.want) || tc.prots != nil && !slices.Equal(prots, tc.prots) {
-			t.Errorf("%s: faults %+v at protections %v, want %+v at %v", tc.name, got, prots, tc.want, tc.prots)
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("%s: faults %+v, want %+v", tc.name, got, tc.want)
 		}
 		s.Release()
 	}

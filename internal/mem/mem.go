@@ -7,11 +7,12 @@
 // Each logical thread owns a Space: a sparse page table over a shared virtual
 // address range. Cloning a Space (thread creation, §4.1) shares pages
 // copy-on-write, so the child inherits the parent's memory exactly as a
-// cloned process would. Per-page protection bits model mprotect for the
-// RFDet-pf monitor, the DThreads baseline, and the lazy-writes optimization
-// (§4.5): a protected page cannot be accessed through the checked fast path
-// and takes a simulated fault instead. With dirty tracking on, a slice's
-// first store to a page faults too: the one place every monitor snapshots.
+// cloned process would. A page takes a simulated fault — the paper's SIGSEGV
+// after mprotect — for one of two reasons: with dirty tracking on, a store to
+// a page the slice has no record of (the one place every monitor snapshots,
+// §4.2), and any access to a page with pended lazy writes (§4.5, pending.go),
+// which the handler flushes. The mprotect sweeps themselves are charges the
+// runtimes model; no page carries a protection.
 //
 // All methods of a Space must be called only by its owning thread (for
 // pthreads' shared memory, whoever holds its mutex), mirroring the paper's
@@ -47,20 +48,6 @@ func PageOf(a uint64) PageID { return PageID(a >> PageShift) }
 // PageAddr returns the first address of page p.
 func PageAddr(p PageID) uint64 { return uint64(p) << PageShift }
 
-// Prot is a per-page protection mode, modelling mprotect.
-type Prot uint8
-
-const (
-	// ProtRW allows reads and writes through the fast path.
-	ProtRW Prot = iota
-	// ProtRead write-protects the page: stores fault (RFDet-pf first-touch
-	// detection, DThreads twin creation).
-	ProtRead
-	// ProtNone makes any access fault (lazy-writes pages with pending
-	// remote modifications, §4.5).
-	ProtNone
-)
-
 // Page is a 4 KiB page with a copy-on-write reference count. A page with
 // refs > 1 is immutable; writers must copy it first.
 type Page struct {
@@ -80,30 +67,30 @@ func (p *Page) Unref() { atomic.AddInt32(&p.refs, -1) }
 // Shared reports whether the page is referenced by more than one space.
 func (p *Page) Shared() bool { return atomic.LoadInt32(&p.refs) > 1 }
 
-// FaultHandler is invoked when an access hits a protected page, and when a
-// tracked store is the slice's first to a page (SetDirtyTracking), before the
-// access proceeds. It stands in for the SIGSEGV handler of the paper's
-// implementation. The handler typically snapshots the page and lowers its
-// protection via the Space it closed over; the access then retries the
-// protection check not at all — it simply proceeds, as a faulting
-// instruction restarts after mprotect in the real system.
+// FaultHandler is invoked when an access reaches a page with pended runs
+// (Pend), and when a tracked store is the slice's first to a page
+// (SetDirtyTracking), before the access proceeds. It stands in for the
+// SIGSEGV handler of the paper's implementation. The handler typically
+// flushes the page (FlushPending) or snapshots it (SnapshotPage) via the
+// Space it closed over; the access then proceeds without asking again, as a
+// faulting instruction restarts after mprotect in the real system.
 type FaultHandler func(p PageID, write bool)
 
 // pageCacheSize is the slot count of a Space's direct-mapped page cache. One
 // slot thrashes on matmul, which alternates between an A page and a B page;
-// Space is 4,760 bytes in the 4,864-byte size class: three more slots fit.
+// Space is 4,752 bytes in the 4,864-byte size class: three more slots fit.
 const pageCacheSize = 16
 
 // pageSlot is what an access asks about page id, so that a hit consults no
 // map; a nil p marks it empty. Whoever changes a fact updates the slot: p is
-// pages[id] (writablePage, Release), prot is ProtectionOf(id) (Protect,
-// ProtectAll), d is dirty[id] once a store has asked for it, else nil (record,
-// recordOf, ResetDirty). A fill reads the first two; loads never need the third.
+// pages[id] (writablePage, Release), pend is pended[id] (Pend, FlushPending),
+// d is dirty[id] once a store has asked for it, else nil (record, recordOf,
+// ResetDirty). A fill reads the first two; loads never need the third.
 type pageSlot struct {
 	id   PageID
 	p    *Page
 	d    *dirtyPage
-	prot Prot
+	pend *PendingPage
 }
 
 // Space is one thread's private view of the shared address range.
@@ -112,17 +99,14 @@ type Space struct {
 	// cache[id%pageCacheSize] describes page id or is empty. It holds the page
 	// pointer, not its sharing — a store still tests Shared — so Clone leaves
 	// it alone, and never &zero. Only the owner touches it, or a turn holder
-	// acting for a provably blocked owner (a waker's pre-merge protects the
-	// peer's pended pages), as with core's thread.pending. PageData goes round it.
+	// acting for a provably blocked owner (a waker's pre-merge pends onto the
+	// peer's pages), as with pended. PageData goes round it.
 	cache [pageCacheSize]pageSlot
-	// prot holds explicit per-page protections; pages without an entry use
-	// defaultProt. ProtectAll works by swapping defaultProt (one "mprotect
-	// of the whole mapping"), which also covers pages that are not resident
-	// yet: a store that materializes a fresh page must still fault.
-	prot        map[PageID]Prot
-	defaultProt Prot
-	// onFault handles simulated protection faults; nil means protections
-	// are ignored, as in DThreads' global store, which nothing protects.
+	// pended holds the lazy-writes records (pending.go): a page with one
+	// faults on any access until FlushPending. Nil until the first Pend.
+	pended map[PageID]*PendingPage
+	// onFault handles simulated faults; nil means nothing faults, as in
+	// DThreads' global store or a thread before it monitors.
 	onFault FaultHandler
 	// zero is returned for reads of unmapped pages.
 	zero Page
@@ -149,20 +133,17 @@ type Space struct {
 
 // NewSpace returns an empty address space.
 func NewSpace() *Space {
-	return &Space{
-		pages: make(map[PageID]*Page),
-		prot:  make(map[PageID]Prot),
-	}
+	return &Space{pages: make(map[PageID]*Page)}
 }
 
 // SetFaultHandler installs the simulated SIGSEGV handler.
 func (s *Space) SetFaultHandler(h FaultHandler) { s.onFault = h }
 
 // Clone returns a copy-on-write duplicate of s, as a child process would
-// inherit its parent's memory through clone() (§4.1). Protections and
-// dirty-tracking state are not inherited; the child starts with all pages
-// ProtRW and tracking off (the runtime re-enables it when the owning
-// thread starts monitoring).
+// inherit its parent's memory through clone() (§4.1). Neither pended runs nor
+// dirty-tracking state is inherited; the child starts with nothing pended and
+// tracking off (the runtime re-enables it when the owning thread starts
+// monitoring).
 func (s *Space) Clone() *Space {
 	c := NewSpace()
 	//detvet:orderfree per-page Ref+insert into a fresh map commutes; see TestCloneOrderFree.
@@ -175,7 +156,8 @@ func (s *Space) Clone() *Space {
 }
 
 // Release drops all page references held by s, and hands back any snapshot
-// a page record still holds. The space must not be used afterwards.
+// a page record still holds; pended runs are dropped unapplied. The space
+// must not be used afterwards.
 func (s *Space) Release() {
 	//detvet:orderfree per-page Unref+delete commutes; the map is discarded afterwards.
 	for id, p := range s.pages {
@@ -183,6 +165,7 @@ func (s *Space) Release() {
 		delete(s.pages, id)
 	}
 	s.ResetDirty()
+	clear(s.pended)
 	clear(s.cache[:])
 }
 
@@ -190,7 +173,7 @@ func (s *Space) Release() {
 // (Options.Validate asks at each slice end; no access pays for it).
 func (s *Space) CacheConsistent() bool {
 	for _, c := range s.cache {
-		if c.p != nil && (c.p != s.pages[c.id] || c.prot != s.ProtectionOf(c.id) || c.d != nil && c.d != s.dirty[c.id]) {
+		if c.p != nil && (c.p != s.pages[c.id] || c.pend != s.pended[c.id] || c.d != nil && c.d != s.dirty[c.id]) {
 			return false
 		}
 	}
@@ -219,7 +202,7 @@ func (s *Space) readPage(id PageID) *Page {
 		return c.p
 	}
 	if p, ok := s.pages[id]; ok {
-		*c = pageSlot{id: id, p: p, prot: s.ProtectionOf(id)}
+		*c = pageSlot{id: id, p: p, pend: s.pended[id]}
 		return p
 	}
 	return &s.zero
@@ -228,7 +211,7 @@ func (s *Space) readPage(id PageID) *Page {
 // loadPage returns the page a load reads, after any fault it takes; a slot
 // that allows the load is the whole answer.
 func (s *Space) loadPage(id PageID) *Page {
-	if c := &s.cache[id%pageCacheSize]; c.id == id && c.p != nil && c.prot != ProtNone {
+	if c := &s.cache[id%pageCacheSize]; c.id == id && c.p != nil && c.pend == nil {
 		return c.p
 	}
 	s.checkFault(id, false)
@@ -236,21 +219,21 @@ func (s *Space) loadPage(id PageID) *Page {
 }
 
 // Loadable returns the page an n-byte load at a reads when its slot alone
-// answers it, else nil: the slot holds the page, the page is not ProtNone (a
-// ProtRead page loads freely), no read is being recorded, and the bytes do not
-// straddle into the next page. That is loadPage's hit with nothing around it,
+// answers it, else nil: the slot holds the page, nothing is pended on it, no
+// read is being recorded, and the bytes do not straddle into the next page. That is loadPage's hit with nothing around it,
 // so the caller reads the bytes itself; it must stay inlinable (verify.sh).
 func (s *Space) Loadable(a, n uint64) *[PageSize]byte {
-	if c := &s.cache[PageOf(a)%pageCacheSize]; c.id == PageOf(a) && c.p != nil && c.prot != ProtNone && !s.trackReads && a&PageMask <= PageSize-n {
+	if c := &s.cache[PageOf(a)%pageCacheSize]; c.id == PageOf(a) && c.p != nil && c.pend == nil && !s.trackReads && a&PageMask <= PageSize-n {
 		return &c.p.Data
 	}
 	return nil
 }
 
-// storePage returns the page a store writes in place, after any fault it
-// takes; a slot that allows the store, over an unshared page, is the whole answer.
+// storePage returns the page a store writes in place, after any pended-page
+// fault it takes; a slot with nothing pended, over an unshared page, is the
+// whole answer. The write fault is storeRecord's.
 func (s *Space) storePage(id PageID) *Page {
-	if c := &s.cache[id%pageCacheSize]; c.id == id && c.p != nil && c.prot == ProtRW && !c.p.Shared() {
+	if c := &s.cache[id%pageCacheSize]; c.id == id && c.p != nil && c.pend == nil && !c.p.Shared() {
 		return c.p
 	}
 	s.checkFault(id, true)
@@ -275,58 +258,16 @@ func (s *Space) writablePage(id PageID) *Page {
 		p = np
 		s.pages[id] = p
 	}
-	*c = pageSlot{id: id, p: p, prot: s.ProtectionOf(id)}
+	*c = pageSlot{id: id, p: p, pend: s.pended[id]}
 	return p
 }
 
-// checkFault fires the fault handler if page id is protected against the
-// given access. The handler is expected to lower the protection; the access
-// then proceeds.
+// checkFault fires the fault handler if page id has pended runs. The handler
+// is expected to flush them; the access then proceeds.
 func (s *Space) checkFault(id PageID, write bool) {
-	if s.onFault == nil {
-		return
-	}
-	if pr := s.ProtectionOf(id); pr == ProtNone || pr == ProtRead && write {
+	if s.onFault != nil && s.pended[id] != nil {
 		s.onFault(id, write)
 	}
-}
-
-// Protect sets the protection of page id, overriding any whole-mapping
-// protection installed by ProtectAll.
-func (s *Space) Protect(id PageID, pr Prot) {
-	if c := &s.cache[id%pageCacheSize]; c.id == id {
-		c.prot = pr
-	}
-	if pr == ProtRW && s.defaultProt == ProtRW {
-		delete(s.prot, id)
-		return
-	}
-	s.prot[id] = pr
-}
-
-// ProtectionOf returns the effective protection of page id.
-func (s *Space) ProtectionOf(id PageID) Prot {
-	if len(s.prot) != 0 {
-		if pr, ok := s.prot[id]; ok {
-			return pr
-		}
-	}
-	return s.defaultProt
-}
-
-// ProtectAll protects the entire mapping — resident pages and pages yet to
-// be materialized — clearing per-page overrides, and returns the number of
-// resident pages for cost accounting. It models the per-slice "mprotect the
-// whole shared mapping" pass of the page-protection monitor (§4.2), whose
-// per-page kernel cost is the reason RFDet-pf is slower than RFDet-ci on
-// sync-heavy programs.
-func (s *Space) ProtectAll(pr Prot) int {
-	s.defaultProt = pr
-	clear(s.prot)
-	for i := range s.cache {
-		s.cache[i].prot = pr
-	}
-	return len(s.pages)
 }
 
 // Load8 reads one byte.

@@ -3,6 +3,7 @@ package mem
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -195,67 +196,52 @@ func TestApplyRunsOrderMatters(t *testing.T) {
 	}
 }
 
-func TestProtectionFaults(t *testing.T) {
-	s := NewSpace()
-	s.Store8(0, 1)          // page 0 resident
-	s.Store8(5*PageSize, 1) // page 5 resident
-	var faults []struct {
-		pid   PageID
-		write bool
-	}
-	s.SetFaultHandler(func(pid PageID, write bool) {
-		faults = append(faults, struct {
-			pid   PageID
-			write bool
-		}{pid, write})
-		s.Protect(pid, ProtRW)
-	})
-	n := s.ProtectAll(ProtRead)
-	if n != 2 {
-		t.Fatalf("ProtectAll returned %d resident pages, want 2", n)
-	}
-	// Reads do not fault under write protection.
-	_ = s.Load8(0)
-	if len(faults) != 0 {
-		t.Fatal("read faulted under ProtRead")
-	}
-	// First write faults once, then the page is open.
-	s.Store8(1, 2)
-	s.Store8(2, 3)
-	if len(faults) != 1 || faults[0].pid != 0 || !faults[0].write {
-		t.Fatalf("unexpected faults: %+v", faults)
-	}
-	// A store to a page that is not resident yet must fault too: the
-	// whole-mapping protection covers pages to be materialized.
-	s.Store8(9*PageSize, 1)
-	if len(faults) != 2 || faults[1].pid != 9 {
-		t.Fatalf("fresh-page store did not fault: %+v", faults)
-	}
-	// ProtNone faults on reads as well.
-	s.Protect(0, ProtNone)
-	_ = s.Load8(0)
-	if len(faults) != 3 || faults[2].write {
-		t.Fatalf("ProtNone read did not fault: %+v", faults)
-	}
-}
-
-func TestClearProtections(t *testing.T) {
+// TestPendedPagesFault: a page with pended runs faults on a load and on a
+// store, tracking or not, resident or not; once the handler flushes it, it
+// reads the pended bytes and faults no more. A page flushed unapplied reads
+// as it did, and a clone starts with nothing pended.
+func TestPendedPagesFault(t *testing.T) {
 	s := NewSpace()
 	s.Store8(0, 1)
-	faults := 0
-	s.SetFaultHandler(func(pid PageID, write bool) {
-		faults++
-		s.Protect(pid, ProtRW)
+	s.Store8(5*PageSize, 1)
+	var faults []fault
+	s.SetFaultHandler(func(id PageID, write bool) {
+		faults = append(faults, fault{id, write})
+		s.FlushPending(id, true)
 	})
-	s.ProtectAll(ProtRead)
-	s.ProtectAll(ProtRW)
-	s.Store8(1, 2)
-	if faults != 0 {
-		t.Fatal("store faulted after ProtectAll(ProtRW)")
+	s.Pend([]Run{{Addr: 8, Data: []byte{7}}, {Addr: 5*PageSize + 8, Data: []byte{9}}, {Addr: 9 * PageSize, Data: []byte{4}}})
+	if got := s.PendedPages(nil); !slices.Equal(got, []PageID{0, 5, 9}) {
+		t.Fatalf("PendedPages = %v, want [0 5 9]", got)
 	}
-	if s.ProtectionOf(0) != ProtRW {
-		t.Fatal("ProtectionOf should be ProtRW after clear")
+	if v := s.Load8(8); v != 7 || !slices.Equal(faults, []fault{{0, false}}) {
+		t.Fatalf("a load of the pended page read %d and faulted %+v, want 7 and one read fault", v, faults)
 	}
+	s.Load8(9)
+	s.Store8(10, 3)
+	if len(faults) != 1 || s.Pended(0) {
+		t.Fatalf("a flushed page faulted again: %+v", faults)
+	}
+	s.Store8(5*PageSize+1, 2)
+	if v := s.Load8(5*PageSize + 8); v != 9 || !slices.Equal(faults[1:], []fault{{5, true}}) {
+		t.Fatalf("a store to the pended page faulted %+v and left %d, want one write fault and 9", faults[1:], v)
+	}
+	s.Store8(9*PageSize+1, 2) // not resident when it was pended
+	if v := s.Load8(9 * PageSize); v != 4 || !slices.Equal(faults[2:], []fault{{9, true}}) {
+		t.Fatalf("a store to a page pended before it was resident faulted %+v and left %d", faults[2:], v)
+	}
+
+	s.Pend([]Run{{Addr: 16, Data: []byte{5}}})
+	c := s.Clone()
+	if c.Pended(0) || len(c.PendedPages(nil)) != 0 || c.Load8(16) != 0 {
+		t.Fatal("a clone inherited a pended page")
+	}
+	c.Release()
+	s.FlushPending(0, false)
+	faults = nil
+	if v := s.Load8(16); v != 0 || len(faults) != 0 {
+		t.Fatalf("a page flushed unapplied read %d and faulted %+v, want 0 and none", v, faults)
+	}
+	s.Release()
 }
 
 func TestHashDeterministicAndSensitive(t *testing.T) {

@@ -11,12 +11,12 @@ import (
 	"unsafe"
 )
 
-// A Space against the obvious model of one: a page table, a protection table
-// and a per-page written-byte set that are maps and nothing else, with
+// A Space against the obvious model of one: a page table, a table of pended
+// runs and a per-page written-byte set that are maps and nothing else, with
 // copy-on-write sharing counted per page. The Space puts a direct-mapped cache
-// in front of its tables, each slot carrying the page, its protection and the
-// slice's record of it; the model stays here as the reference whatever the
-// Space's lookup becomes.
+// in front of its tables, each slot carrying the page, its pended record and
+// the slice's record of it; the model stays here as the reference whatever
+// the Space's lookup becomes.
 
 type modelPage struct {
 	refs int
@@ -30,10 +30,9 @@ type fault struct {
 }
 
 type modelSpace struct {
-	pages   map[PageID]*modelPage
-	prot    map[PageID]Prot
-	defProt Prot
-	faults  []fault // what the handler must have been called with, in order
+	pages  map[PageID]*modelPage
+	pended map[PageID][]Run // in pend order, cut at page boundaries
+	faults []fault          // what the handler must have been called with, in order
 
 	// The slice's records, while tracking: pages in first-touch order, the
 	// bytes written since the last reset, the snapshots.
@@ -55,13 +54,13 @@ type modelSnap struct {
 func newModelSpace() *modelSpace {
 	return &modelSpace{
 		pages:   map[PageID]*modelPage{},
-		prot:    map[PageID]Prot{},
+		pended:  map[PageID][]Run{},
 		written: map[PageID]*[PageSize]bool{},
 		snaps:   map[PageID]*modelSnap{},
 	}
 }
 
-// clone shares the pages; protections and records are not inherited.
+// clone shares the pages; pended runs and records are not inherited.
 func (m *modelSpace) clone() *modelSpace {
 	c := newModelSpace()
 	for id, p := range m.pages {
@@ -76,34 +75,50 @@ func (m *modelSpace) release() {
 		p.refs--
 		delete(m.pages, id)
 	}
+	clear(m.pended)
 }
 
-func (m *modelSpace) protect(id PageID, pr Prot) {
-	if pr == ProtRW && m.defProt == ProtRW {
-		delete(m.prot, id)
-	} else {
-		m.prot[id] = pr
+// pend cuts the run at page boundaries and pends each piece on its page.
+func (m *modelSpace) pend(r Run) {
+	for len(r.Data) > 0 {
+		n := min(len(r.Data), PageSize-int(r.Addr&PageMask))
+		id := PageOf(r.Addr)
+		m.pended[id] = append(m.pended[id], Run{Addr: r.Addr, Data: r.Data[:n]})
+		r = Run{Addr: r.Addr + uint64(n), Data: r.Data[n:]}
 	}
 }
 
-func (m *modelSpace) protectAll(pr Prot) {
-	m.defProt = pr
-	clear(m.prot)
+// flush settles page id's pended runs — writes them in pend order, if apply —
+// and returns FlushPending's counts: runs, bytes and distinct bytes.
+func (m *modelSpace) flush(id PageID, apply bool) (runs, raw, distinct uint64) {
+	var written [PageSize]bool
+	for _, r := range m.pended[id] {
+		runs, raw = runs+1, raw+uint64(len(r.Data))
+		for i := range r.Data {
+			written[int(r.Addr&PageMask)+i] = true
+		}
+		if apply {
+			m.poke(r.Addr, r.Data)
+		}
+	}
+	for _, w := range written {
+		if w {
+			distinct++
+		}
+	}
+	delete(m.pended, id)
+	return runs, raw, distinct
 }
 
-// access takes the faults of an n-byte access at a, a page at a time; the
-// handler lowers each faulting page to read-write, as the test's handler does.
-// While tracking, a store's first to a page the slice has no record of faults
-// once more, after any protection fault (the write fault).
+// access takes the faults of an n-byte access at a, a page at a time: a page
+// with pended runs faults, and the handler flushes it, as the runtime's does;
+// while tracking, a store's first to a page the slice has no record of faults
+// then (the write fault).
 func (m *modelSpace) access(a uint64, n int, write bool) {
 	for id := PageOf(a); n > 0 && id <= PageOf(a+uint64(n)-1); id++ {
-		pr, ok := m.prot[id]
-		if !ok {
-			pr = m.defProt
-		}
-		if pr == ProtNone || pr == ProtRead && write {
+		if _, ok := m.pended[id]; ok {
 			m.faults = append(m.faults, fault{id, write})
-			m.protect(id, ProtRW)
+			m.flush(id, true)
 		}
 		if write && m.tracking && !slices.Contains(m.order, id) {
 			m.faults = append(m.faults, fault{id, true})
@@ -116,7 +131,7 @@ func (m *modelSpace) read(a uint64, buf []byte) {
 	m.peek(a, buf)
 }
 
-// peek reads past the protections, as Snapshot and PageData do.
+// peek reads past the pended runs, as Snapshot and PageData do.
 func (m *modelSpace) peek(a uint64, buf []byte) {
 	for i := range buf {
 		buf[i] = 0
@@ -198,7 +213,7 @@ func (m *modelSpace) write(a uint64, data []byte) {
 	}
 }
 
-// poke writes past protections and records, as a propagated update does.
+// poke writes past pended runs and records, as a propagated update does.
 func (m *modelSpace) poke(a uint64, data []byte) {
 	for i, b := range data {
 		id := PageOf(a + uint64(i))
@@ -257,11 +272,15 @@ func (m *modelSpace) privateBytes() uint64 {
 //	         9       Release the slot and start it empty
 //	         10      Snapshot of the page, then PageData of it
 //	         11      ApplyPlan of one run of length·16 bytes, clamped to the page
-//	         12      Protect the page: none (length%3 = 0), read, read-write;
-//	                 the fault handler lowers it again, as the runtime's does
+//	         12      Pend one run of length·16 + 1 bytes there, unclamped: a
+//	                 run past the page's end is cut there, and its rest
+//	                 pended on the next page; the fault handler flushes a
+//	                 pended page, as the runtime's does
 //	         13      ApplyRuns of the same run as 11
-//	         14      ProtectAll: none (length%3 = 0), read, read-write
-//	         15      ProtectAll(ProtRW)
+//	         14      FlushPending of the page, if it is pended: applied
+//	                 (length odd) or discarded; the counts are compared
+//	         15      FlushPending of every pended page, in PendedPages order,
+//	                 applied (length odd) or discarded
 //	         16      SetDirtyTracking(length odd), SetReadTracking(length%4 = 3)
 //	         17      ResetDirty
 //	         18      a monitor's Store64: SnapshotPage of every page of the
@@ -274,8 +293,8 @@ func (m *modelSpace) privateBytes() uint64 {
 // and the load must have taken no fault and recorded no read. The handler's
 // calls — which page, load or store, in which order — are compared with the
 // faults the model took; after every operation every slot's Hash,
-// PrivateBytes and PageCount are compared, every cache is checked against its
-// tables, and the operated slot's records are: the pages in first-touch order, each page's extents well-formed and a
+// PrivateBytes, PageCount and PendedPages are compared, every cache is checked
+// against its tables, and the operated slot's records are: the pages in first-touch order, each page's extents well-formed and a
 // superset of the bytes written since the last reset (exactly those bytes
 // until the page degrades to the chunk bitmap), and each snapshot, on every
 // chunk that holds a written byte, the page as it was just before that
@@ -300,7 +319,9 @@ func pairOf(s *Space, m *modelSpace) spacePair {
 	sp := spacePair{s, m, new([]fault)}
 	s.SetFaultHandler(func(id PageID, write bool) {
 		*sp.faults = append(*sp.faults, fault{id, write})
-		s.Protect(id, ProtRW)
+		if s.Pended(id) {
+			s.FlushPending(id, true)
+		}
 	})
 	return sp
 }
@@ -382,7 +403,6 @@ func runSpaceProgram(t *testing.T, prog []byte) {
 		}
 		return data
 	}
-	prots := []Prot{ProtNone, ProtRead, ProtRW}
 	for step := 0; len(prog) >= spaceOpLen; step, prog = step+1, prog[spaceOpLen:] {
 		kind := prog[0] % 19
 		sp, src := &slots[prog[1]&3], &slots[prog[1]>>2&3]
@@ -493,14 +513,22 @@ func runSpaceProgram(t *testing.T, prog []byte) {
 			}
 			sp.m.poke(a, data)
 		case 12:
-			sp.s.Protect(id, prots[n%3])
-			sp.m.protect(id, prots[n%3])
+			data := fill(n*16 + 1)
+			sp.s.Pend([]Run{{Addr: a, Data: data}})
+			sp.m.pend(Run{Addr: a, Data: data})
 		case 14:
-			sp.s.ProtectAll(prots[n%3])
-			sp.m.protectAll(prots[n%3])
+			if !sp.s.Pended(id) {
+				continue
+			}
+			r, b, d := sp.s.FlushPending(id, n%2 == 1)
+			if wr, wb, wd := sp.m.flush(id, n%2 == 1); r != wr || b != wb || d != wd {
+				t.Fatalf("%s: FlushPending counted %d runs / %d bytes / %d distinct, model %d / %d / %d", where, r, b, d, wr, wb, wd)
+			}
 		case 15:
-			sp.s.ProtectAll(ProtRW)
-			sp.m.protectAll(ProtRW)
+			for _, pid := range sp.s.PendedPages(nil) {
+				sp.s.FlushPending(pid, n%2 == 1)
+				sp.m.flush(pid, n%2 == 1)
+			}
 		case 16:
 			sp.s.SetDirtyTracking(n%2 == 1)
 			sp.s.SetReadTracking(n%4 == 3)
@@ -526,8 +554,16 @@ func runSpaceProgram(t *testing.T, prog []byte) {
 			if got, want := len(sp.s.pages), len(sp.m.pages); got != want {
 				t.Fatalf("%s: slot %d PageCount = %d, model %d", where, i, got, want)
 			}
+			var want []PageID
+			for id := range sp.m.pended {
+				want = append(want, id)
+			}
+			slices.Sort(want)
+			if got := sp.s.PendedPages(nil); !slices.Equal(got, want) {
+				t.Fatalf("%s: slot %d PendedPages = %v, model %v", where, i, got, want)
+			}
 			if !sp.s.CacheConsistent() {
-				t.Fatalf("%s: slot %d: a cache entry disagrees with the page, protection or record table", where, i)
+				t.Fatalf("%s: slot %d: a cache entry disagrees with the page, pended or record table", where, i)
 			}
 		}
 	}
@@ -535,7 +571,7 @@ func runSpaceProgram(t *testing.T, prog []byte) {
 
 // randomSpaceProgram draws operations biased to what a cache in front of the
 // tables can get wrong: few slots and pages, so that clones, releases,
-// protections, resets and colliding pages meet cached entries, and offsets at
+// pends, flushes, resets and colliding pages meet cached entries, and offsets at
 // both ends of a page. Two programs in three start with tracking on. About
 // one operation in thirty is followed by a burst that takes a snapshotted page
 // into bitmap mode, which scattered stores seldom reach.
@@ -576,7 +612,7 @@ func randomSpaceProgram(r *rand.Rand, ops int) []byte {
 }
 
 // TestSpaceMatchesModel: random programs of accesses, clones, releases,
-// snapshots, applies, protections and slice resets leave every space
+// snapshots, applies, pends, flushes and slice resets leave every space
 // answering, faulting and recording exactly as the map-only model.
 func TestSpaceMatchesModel(t *testing.T) {
 	r := rand.New(rand.NewSource(22))
@@ -600,7 +636,7 @@ func FuzzSpacePageCache(f *testing.F) {
 // TestSpaceStaysInSizeClass: with the 8-byte allocation header a Space must
 // stay ≤ 4,856 bytes to be served from the 4,864-byte class it was in before
 // it had a page cache; the next class is 5,376, and one class more per Clone
-// is past matmul's 1% alloc_kb_per_run bound. It is 4,760 with sixteen
+// is past matmul's 1% alloc_kb_per_run bound. It is 4,752 with sixteen
 // 32-byte slots: three more would fit, thirty-two do not. A page record
 // (dirtyPage), of which a space allocates as many as one slice touches pages,
 // must stay in the 64-byte class.
@@ -690,7 +726,8 @@ func TestPageCacheEdgeCases(t *testing.T) {
 
 // TestLoadableDeclines: Loadable answers a load only when the slot settles it
 // alone. Each decline needs the full path: a fill, a fault, a read record or
-// two pages. A write-protected page and a page's last word are still answered.
+// two pages. A page the slice stored to and a page's last word are still
+// answered.
 func TestLoadableDeclines(t *testing.T) {
 	const a = PageSize*3 + 8
 	cases := []struct {
@@ -701,11 +738,11 @@ func TestLoadableDeclines(t *testing.T) {
 		want  bool
 	}{
 		{"a slot miss", func(s *Space) { s.Store64(a, 1); s.Store64(a+pageCacheSize*PageSize, 2) }, a, 8, false},
-		{"a ProtNone pended page", func(s *Space) { s.Store64(a, 1); s.Protect(PageOf(a), ProtNone) }, a, 8, false},
+		{"a pended page", func(s *Space) { s.Store64(a, 1); s.Pend([]Run{{Addr: a + 64, Data: []byte{2}}}) }, a, 8, false},
 		{"read tracking on", func(s *Space) { s.Store64(a, 1); s.SetReadTracking(true) }, a, 8, false},
 		{"a page-straddling load", func(s *Space) { s.Store64(a, 1) }, PageAddr(4) - 4, 8, false},
 		{"an unmapped page", func(s *Space) { s.Load64(a) }, a, 8, false},
-		{"a ProtRead page", func(s *Space) { s.Store64(a, 7); s.Protect(PageOf(a), ProtRead) }, a, 8, true},
+		{"a page the slice stored to", func(s *Space) { s.SetDirtyTracking(true); s.Store64(a, 7) }, a, 8, true},
 		{"a page's last word", func(s *Space) { s.Store64(a, 1) }, PageAddr(4) - 8, 8, true},
 	}
 	for _, tc := range cases {

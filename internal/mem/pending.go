@@ -2,39 +2,41 @@ package mem
 
 import (
 	"math/bits"
+	"slices"
 	"sync"
 )
 
-// PendFold bounds a PendingPage's references: the pend that brings the list to
-// PendFold folds it into the page's PagePatch, so a page pended thousands of
+// pendFold bounds a PendingPage's references: the pend that brings the list to
+// pendFold folds it into the page's PagePatch, so a page pended thousands of
 // times before a read (water_ns's joins) holds one patch and a short list.
-const PendFold = 16
+const pendFold = 16
 
 // PendingPage is one page's lazily pended modifications (§4.5): the run lists
 // propagated onto it, in order, by reference — never a copy of their bytes, so
-// the lists must not change; a published slice's Mods never do. A record is
-// dead after ApplyPending, Discard or Release: the pool may re-issue it.
+// the lists must not change; a published slice's Mods never do. A space holds
+// one per pended page (Space.Pend) until FlushPending; a record is dead after
+// applyPending, Discard or Release: the pool may re-issue it.
 type PendingPage struct {
 	page   PageID
 	refs   [][]Run
 	folded *PagePatch // last writer wins over every list older than refs
 }
 
-var pendingPool = sync.Pool{New: func() any { return &PendingPage{refs: make([][]Run, 0, PendFold)} }}
+var pendingPool = sync.Pool{New: func() any { return &PendingPage{refs: make([][]Run, 0, pendFold)} }}
 
-// NewPendingPage returns an empty record for page id.
-func NewPendingPage(id PageID) *PendingPage {
+// newPendingPage returns an empty record for page id.
+func newPendingPage(id PageID) *PendingPage {
 	p := pendingPool.Get().(*PendingPage)
 	p.page = id
 	return p
 }
 
-// Len returns the number of references held, always below PendFold.
+// Len returns the number of references held, always below pendFold.
 func (p *PendingPage) Len() int { return len(p.refs) }
 
 // Pend records runs, which lie on p's page, as the newest modifications.
 func (p *PendingPage) Pend(runs []Run) {
-	if p.refs = append(p.refs, runs); len(p.refs) < PendFold {
+	if p.refs = append(p.refs, runs); len(p.refs) < pendFold {
 		return
 	}
 	q := p.folded
@@ -61,14 +63,16 @@ func (p *PendingPage) Release() {
 	pendingPool.Put(p)
 }
 
-// PendRunsByPage pends each stretch of consecutive runs on one page as one
-// sub-slice of runs; a run across a page boundary (an unaligned atomic's
-// micro-slice) is cut, and its pieces go in fresh lists.
-func PendRunsByPage(runs []Run, pendFor func(PageID) *PendingPage) {
+// Pend records runs — a published slice's Mods, which must never change — as
+// the newest modifications of the pages they lie on, each stretch of
+// consecutive runs on one page as one sub-slice of runs; a run across a page
+// boundary (an unaligned atomic's micro-slice) is cut, and its pieces go in
+// fresh lists. From here until FlushPending any access to such a page faults.
+func (s *Space) Pend(runs []Run) {
 	for len(runs) > 0 {
 		r, id := runs[0], PageOf(runs[0].Addr)
 		if n := PageSize - int(r.Addr&PageMask); len(r.Data) > n {
-			pendFor(id).Pend([]Run{{Addr: r.Addr, Data: r.Data[:n:n]}})
+			s.pendOn(id).Pend([]Run{{Addr: r.Addr, Data: r.Data[:n:n]}})
 			runs = append([]Run{{Addr: r.Addr + uint64(n), Data: r.Data[n:]}}, runs[1:]...)
 			continue
 		}
@@ -76,16 +80,62 @@ func PendRunsByPage(runs []Run, pendFor func(PageID) *PendingPage) {
 		for j < len(runs) && PageOf(runs[j].Addr) == id && PageOf(runs[j].End()-1) == id {
 			j++
 		}
-		pendFor(id).Pend(runs[:j:j])
+		s.pendOn(id).Pend(runs[:j:j])
 		runs = runs[j:]
 	}
 }
 
-// ApplyPending writes p's pended bytes like ApplyRuns and releases p: runs go
+// pendOn returns page id's record, starting one, and setting the page's slot
+// to it, if the page has none.
+func (s *Space) pendOn(id PageID) *PendingPage {
+	if p := s.pended[id]; p != nil {
+		return p
+	}
+	if s.pended == nil {
+		s.pended = make(map[PageID]*PendingPage)
+	}
+	p := newPendingPage(id)
+	s.pended[id] = p
+	if c := &s.cache[id%pageCacheSize]; c.id == id {
+		c.pend = p
+	}
+	return p
+}
+
+// Pended reports whether page id has pended runs.
+func (s *Space) Pended(id PageID) bool { return s.pended[id] != nil }
+
+// PendedPages appends the pages with pended runs to dst in ascending order.
+func (s *Space) PendedPages(dst []PageID) []PageID {
+	n := len(dst)
+	for id := range s.pended {
+		dst = append(dst, id)
+	}
+	slices.Sort(dst[n:])
+	return dst
+}
+
+// FlushPending settles page id's pended runs, which it must have, and lets its
+// accesses through again: with apply it writes them (applyPending), without it
+// only counts them (Discard), leaving the page as it was. It returns the runs,
+// bytes and distinct bytes.
+func (s *Space) FlushPending(id PageID, apply bool) (runs, raw, distinct uint64) {
+	p := s.pended[id]
+	delete(s.pended, id)
+	if c := &s.cache[id%pageCacheSize]; c.id == id {
+		c.pend = nil
+	}
+	if !apply {
+		return p.Discard()
+	}
+	return s.applyPending(p)
+}
+
+// applyPending writes p's pended bytes like ApplyRuns and releases p: runs go
 // newest first under a mask of the bytes written, so a covered run is skipped
 // and every other byte copied once from its payload; the folded patch, oldest,
 // lands where none wrote. It returns the runs, bytes and distinct bytes.
-func (s *Space) ApplyPending(p *PendingPage) (runs, raw, distinct uint64) {
+func (s *Space) applyPending(p *PendingPage) (runs, raw, distinct uint64) {
 	dst := s.writablePage(p.page).Data[:]
 	var done byteMask
 	for k := len(p.refs) - 1; k >= 0; k-- {
@@ -107,10 +157,10 @@ func (s *Space) ApplyPending(p *PendingPage) (runs, raw, distinct uint64) {
 	return runs, raw, distinct
 }
 
-// Discard releases p unapplied and returns what ApplyPending would have: the
-// runs, bytes and distinct bytes. It is a count-only walk, with no page, no
-// copy and no protection change: the distinct bytes are those the runs and
-// the folded patch cover, in any order, so each run only marks its span.
+// Discard releases p unapplied and returns what applyPending would have: the
+// runs, bytes and distinct bytes. It is a count-only walk, with no page and no
+// copy: the distinct bytes are those the runs and the folded patch cover, in
+// any order, so each run only marks its span.
 func (p *PendingPage) Discard() (runs, raw, distinct uint64) {
 	var done byteMask
 	if q := p.folded; q != nil {
@@ -130,7 +180,7 @@ func (p *PendingPage) Discard() (runs, raw, distinct uint64) {
 }
 
 // copyNew copies the bytes of data, bound for dst[off:], that f does not
-// mark, and marks them: ApplyPending walks the runs newest first, so f marks
+// mark, and marks them: applyPending walks the runs newest first, so f marks
 // the bytes a newer run wrote.
 func (f *byteMask) copyNew(dst []byte, off uint32, data []byte) {
 	end := off + uint32(len(data))

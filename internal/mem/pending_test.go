@@ -91,7 +91,7 @@ func runPendingProgram(t *testing.T, prog []byte) {
 	}
 
 	page := PageID(0)
-	rec, twin := NewPendingPage(page), NewPendingPage(page)
+	rec, twin := newPendingPage(page), newPendingPage(page)
 	var lists [][]Run
 	flush := func(where string) {
 		t.Helper()
@@ -112,7 +112,7 @@ func runPendingProgram(t *testing.T, prog []byte) {
 				wantDistinct++
 			}
 		}
-		runs, raw, distinct := got.ApplyPending(rec)
+		runs, raw, distinct := got.applyPending(rec)
 		if runs != wantRuns || raw != wantRaw || distinct != wantDistinct {
 			t.Fatalf("%s: flush counted %d runs / %d bytes / %d distinct, model %d / %d / %d",
 				where, runs, raw, distinct, wantRuns, wantRaw, wantDistinct)
@@ -137,19 +137,19 @@ func runPendingProgram(t *testing.T, prog []byte) {
 			rec.Pend(runs)
 			twin.Pend(runs)
 			lists = append(lists, runs)
-			if want := len(lists) % PendFold; rec.Len() != want || (len(lists) >= PendFold) != (rec.folded != nil) {
+			if want := len(lists) % pendFold; rec.Len() != want || (len(lists) >= pendFold) != (rec.folded != nil) {
 				t.Fatalf("%s: %d lists pended leave %d references and folded patch %v, want %d references",
 					where, len(lists), rec.Len(), rec.folded != nil, want)
 			}
 		case kind == 6:
 			flush(where)
-			rec, twin = NewPendingPage(page), NewPendingPage(page)
+			rec, twin = newPendingPage(page), newPendingPage(page)
 		default:
 			rec.Release()
 			twin.Release()
 			lists = nil
 			page = PageID(prog[5] % 3)
-			rec, twin = NewPendingPage(page), NewPendingPage(page)
+			rec, twin = newPendingPage(page), newPendingPage(page)
 			if rec.Len() != 0 || rec.folded != nil {
 				t.Fatalf("%s: a re-issued record holds %d references and folded patch %v", where, rec.Len(), rec.folded != nil)
 			}
@@ -189,7 +189,7 @@ func randomPendingProgram(r *rand.Rand, ops int) []byte {
 func TestPendingPageMatchesModel(t *testing.T) {
 	r := rand.New(rand.NewSource(25))
 	for i := 0; i < 150; i++ {
-		runPendingProgram(t, randomPendingProgram(r, 1+r.Intn(3*PendFold)))
+		runPendingProgram(t, randomPendingProgram(r, 1+r.Intn(3*pendFold)))
 	}
 }
 
@@ -199,17 +199,17 @@ func TestPendingPageMatchesModel(t *testing.T) {
 // later one overlaps is copied around it — and the fold, by name.
 func FuzzPendingPage(f *testing.F) {
 	f.Fuzz(func(t *testing.T, prog []byte) {
-		if len(prog) > 4*PendFold*pendOpLen {
-			prog = prog[:4*PendFold*pendOpLen]
+		if len(prog) > 4*pendFold*pendOpLen {
+			prog = prog[:4*pendFold*pendOpLen]
 		}
 		runPendingProgram(t, prog)
 	})
 }
 
-// TestPendRunsByPage: consecutive runs on one page reach that page's record
-// as one sub-slice of the caller's list — a reference, not a copy — and a run
-// across a page boundary as one piece per page, the second in a fresh list
-// with the runs after it.
+// TestPendRunsByPage: Space.Pend hands consecutive runs on one page to that
+// page's record as one sub-slice of the caller's list — a reference, not a
+// copy — and a run across a page boundary as one piece per page, the second
+// in a fresh list with the runs after it.
 func TestPendRunsByPage(t *testing.T) {
 	runs := []Run{
 		{Addr: PageAddr(2) + 8, Data: []byte{1}},
@@ -218,18 +218,13 @@ func TestPendRunsByPage(t *testing.T) {
 		{Addr: PageAddr(3) + 9, Data: []byte{8}},
 		{Addr: PageAddr(5), Data: []byte{9}},
 	}
-	recs := map[PageID]*PendingPage{}
-	var asked []PageID
-	PendRunsByPage(runs, func(id PageID) *PendingPage {
-		asked = append(asked, id)
-		if recs[id] == nil {
-			recs[id] = NewPendingPage(id)
-		}
-		return recs[id]
-	})
-	if !pageIDsEqual(asked, []PageID{2, 2, 3, 5}) {
-		t.Fatalf("records asked for %v, want [2 2 3 5]", asked)
+	s := NewSpace()
+	defer s.Release()
+	s.Pend(runs)
+	if got := s.PendedPages(nil); !pageIDsEqual(got, []PageID{2, 3, 5}) {
+		t.Fatalf("pages %v pended, want [2 3 5]", got)
 	}
+	recs := s.pended
 	if refs := recs[2].refs; len(refs) != 2 || len(refs[0]) != 2 || unsafe.SliceData(refs[0]) != &runs[0] || cap(refs[0]) != 2 {
 		t.Fatalf("page 2's runs are not one capped sub-slice of the list: %v", refs)
 	}
@@ -239,8 +234,8 @@ func TestPendRunsByPage(t *testing.T) {
 	if refs := recs[3].refs; len(refs) != 1 || !runsEqual(refs[0], []Run{{Addr: PageAddr(3), Data: []byte{6, 7}}, runs[3]}) {
 		t.Fatalf("page 3's references: %v", refs)
 	}
-	for _, rec := range recs {
-		rec.Release()
+	if refs := recs[5].refs; len(refs) != 1 || !runsEqual(refs[0], runs[4:]) {
+		t.Fatalf("page 5's references: %v", refs)
 	}
 }
 
@@ -267,13 +262,13 @@ func BenchmarkLazyFlushPage(b *testing.B) {
 		name string
 		fn   func(*PendingPage)
 	}{
-		{"apply", func(p *PendingPage) { s.ApplyPending(p) }},
+		{"apply", func(p *PendingPage) { s.applyPending(p) }},
 		{"discard", func(p *PendingPage) { p.Discard() }},
 	} {
 		b.Run(end.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				p := NewPendingPage(2)
+				p := newPendingPage(2)
 				for _, runs := range lists {
 					p.Pend(runs)
 				}

@@ -85,7 +85,7 @@ func poison[T any](s []T, v T) {
 // PagePatch accumulates last-writer-wins writes to a single page: later
 // AddRun calls overwrite earlier ones byte-for-byte, and the mask records
 // exactly which bytes have been written. It backs plan construction and the
-// fold of a PendingPage whose reference list reached PendFold.
+// fold of a PendingPage whose reference list reached pendFold.
 //
 // A patch is live from NewPagePatch until Release. A released patch is dead:
 // it sits in patchPool or has been re-issued for another page, so no method
@@ -261,7 +261,7 @@ func AddRunsByPage(runs []Run, patchFor func(PageID) *PagePatch) {
 }
 
 // ApplyPatch writes the patch's unique bytes into the space in a single
-// pass, bypassing protection faults exactly like ApplyRuns (the writes are
+// pass, taking no fault, exactly like ApplyRuns (the writes are
 // propagated remote modifications, §4.3). The page is the space's own after
 // writablePage's copy-on-write, and the space the applying thread's or a
 // provably blocked one's: nobody reads it under mergeInto's write-back.
@@ -350,8 +350,8 @@ func (p *WritePlan) Release() {
 }
 
 // ApplyPlan writes the plan into the space, each destination byte exactly
-// once, straight from the staging buffers. Like ApplyRuns it bypasses
-// protection faults: plans carry propagated remote modifications, which must
+// once, straight from the staging buffers. Like ApplyRuns it takes no fault:
+// plans carry propagated remote modifications, which must
 // not be monitored as local ones (§4.3).
 func (s *Space) ApplyPlan(p *WritePlan) {
 	for _, pp := range p.Patches {

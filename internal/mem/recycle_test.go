@@ -344,7 +344,7 @@ func TestRecordSnapshotsGoBackToThePool(t *testing.T) {
 // merge. A pending page's flush copies its references' bytes, then merges its
 // folded patch eight bytes at a time where no reference wrote, reading on both
 // sides bytes no run wrote; this fails if a byte outside every run ever lands.
-// PendFold lists of 7-byte runs 41 bytes apart fold into the record's patch,
+// pendFold lists of 7-byte runs 41 bytes apart fold into the record's patch,
 // whose staging buffer holds 0xDB wherever they have not written; one newer
 // list over the whole page (13-byte runs, 2-byte gaps, so every mask word is
 // partial) overwrites some of their bytes and leaves others in its gaps; the
@@ -367,16 +367,16 @@ func TestMaskedMergeWritesOnlyMaskedBytes(t *testing.T) {
 		return append(runs, Run{Addr: PageAddr(page) + uint64(off), Data: data})
 	}
 
-	pend := NewPendingPage(page)
-	older := make([][]Run, PendFold)
+	pend := newPendingPage(page)
+	older := make([][]Run, pendFold)
 	for k, off := 0, 5; off+7 <= PageSize; k, off = k+1, off+41 {
-		older[k%PendFold] = add(older[k%PendFold], off, 7, 0x80|byte(off)&0x3f)
+		older[k%pendFold] = add(older[k%pendFold], off, 7, 0x80|byte(off)&0x3f)
 	}
 	for _, runs := range older {
 		pend.Pend(runs)
 	}
 	if pend.Len() != 0 || pend.folded == nil {
-		t.Fatalf("%d pends left %d references and folded patch %v, want a fold", PendFold, pend.Len(), pend.folded)
+		t.Fatalf("%d pends left %d references and folded patch %v, want a fold", pendFold, pend.Len(), pend.folded)
 	}
 	var newer []Run
 	for off := 0; off+13 <= PageSize; off += 15 {
@@ -392,7 +392,7 @@ func TestMaskedMergeWritesOnlyMaskedBytes(t *testing.T) {
 	}
 	s := NewSpace()
 	defer s.Release()
-	if runs, raw, distinct := s.ApplyPending(pend); runs != nRuns || raw != nBytes || distinct != union {
+	if runs, raw, distinct := s.applyPending(pend); runs != nRuns || raw != nBytes || distinct != union {
 		t.Fatalf("flush counted %d runs / %d bytes / %d distinct, want %d / %d / %d", runs, raw, distinct, nRuns, nBytes, union)
 	}
 	for i, b := range s.PageData(page) {

@@ -29,7 +29,6 @@ import (
 	"hash/fnv"
 	"sort"
 	"strings"
-	"sync"
 
 	"rfdet/internal/mem"
 	"rfdet/internal/vclock"
@@ -133,14 +132,11 @@ func (rep *Report) Hash() uint64 {
 }
 
 // Detector accumulates slice access records and analyzes them at the end of
-// the run. The runtime records only under the deterministic turn, inside its
-// monitor; the detector still carries its own mutex rather than lean on a
-// caller's. The mutex
-// guards only the appends — the report's order comes from Analyze's
-// deterministic sort, never from arrival order, so the report stays
-// byte-identical.
+// the run. Its calls are the caller's to serialize: the runtime records only
+// under the deterministic turn, inside its monitor, and analyzes in the
+// report it builds there. The report's order comes from Analyze's
+// deterministic sort, never from arrival order, so it stays byte-identical.
 type Detector struct {
-	mu       sync.Mutex
 	accesses []Access
 }
 
@@ -154,9 +150,7 @@ func (d *Detector) Record(a Access) {
 	if len(a.Writes) == 0 && len(a.Reads) == 0 {
 		return
 	}
-	d.mu.Lock()
 	d.accesses = append(d.accesses, a)
-	d.mu.Unlock()
 }
 
 // Analyze computes the race report over all recorded accesses. A nil
@@ -165,10 +159,8 @@ func (d *Detector) Analyze() *Report {
 	if d == nil {
 		return nil
 	}
-	d.mu.Lock()
 	acc := make([]Access, len(d.accesses))
 	copy(acc, d.accesses)
-	d.mu.Unlock()
 	// Records arrive in deterministic turn order already, but sorting by
 	// (VT, Tid) makes the report independent even of *how* the runtime
 	// interleaved commits, and fixes the canonical side-1/side-2 labeling.
