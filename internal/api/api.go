@@ -348,6 +348,40 @@ type Report struct {
 	Races *racecheck.Report
 }
 
+// ThreadShare is one thread's part of its run's report: its ID, its
+// observation log, its counters and the virtual time it exited at.
+type ThreadShare struct {
+	ID     ThreadID
+	Obs    []uint64
+	Stats  *Stats
+	ExitVT uint64
+}
+
+// NewReport folds a finished run into its report, as every runtime does:
+// threads, in thread-ID order, give their observation logs, the Digest of
+// those logs, their counters summed (Stats.Add) and the latest exit time as
+// the makespan; OutputHash is that digest continued over memHash, the final
+// memory image's hash, and the shared heap's high water is SharedMemBytes.
+// The runtime adds what only it knows.
+func NewReport[T any](threads []T, share func(T) ThreadShare, memHash, sharedMem uint64, elapsed time.Duration) *Report {
+	rep := &Report{
+		Observations: make(map[ThreadID][]uint64, len(threads)),
+		Elapsed:      elapsed,
+		Threads:      len(threads),
+	}
+	d := NewDigest()
+	for _, t := range threads {
+		sh := share(t)
+		rep.Stats.Add(sh.Stats)
+		rep.Observations[sh.ID] = sh.Obs
+		d = d.Log(sh.ID, sh.Obs)
+		rep.VirtualTime = max(rep.VirtualTime, sh.ExitVT)
+	}
+	rep.OutputHash = uint64(d.Word(memHash))
+	rep.Stats.SharedMemBytes = sharedMem
+	return rep
+}
+
 // ObservationsDigest folds the complete observation log — every thread's
 // values in thread-ID order, length-delimited — into one FNV-1a digest.
 // Replica divergence checking compares this alongside the workload-level

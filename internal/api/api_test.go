@@ -119,3 +119,22 @@ func TestDigestIsFNV1a(t *testing.T) {
 		t.Errorf("digest %#x, FNV-1a %#x", uint64(d), ref.Sum64())
 	}
 }
+
+// TestNewReportFolds: the report of two threads holds both logs, their
+// counters summed, the later exit time, the shared heap's high water, and an
+// OutputHash that is the observations digest continued over the memory hash.
+func TestNewReportFolds(t *testing.T) {
+	a, b := Stats{Loads: 3, Stores: 1}, Stats{Loads: 4}
+	threads := []ThreadShare{
+		{ID: 0, Obs: []uint64{7, 8}, Stats: &a, ExitVT: 90},
+		{ID: 1, Obs: []uint64{9}, Stats: &b, ExitVT: 120},
+	}
+	rep := NewReport(threads, func(s ThreadShare) ThreadShare { return s }, 0xabc, 4096, 5)
+	if rep.Threads != 2 || rep.Elapsed != 5 || rep.VirtualTime != 120 || rep.Stats.Loads != 7 || rep.Stats.Stores != 1 ||
+		rep.Stats.SharedMemBytes != 4096 || len(rep.Observations[0]) != 2 || rep.Observations[1][0] != 9 {
+		t.Fatalf("report %+v", rep)
+	}
+	if want := uint64(Digest(rep.ObservationsDigest()).Word(0xabc)); rep.OutputHash != want {
+		t.Errorf("OutputHash %#x, want %#x", rep.OutputHash, want)
+	}
+}

@@ -19,8 +19,8 @@ var accessSink uint64
 // it while a third page of the thread holds lazily pended writes, so the
 // space has a protection to ask about on every access, as fft's spaces do
 // between a barrier and the first touch of each page it propagated.
-// "strided" stores 8 bytes in every 16, which takes both pages past
-// maxExtentsPerPage into the chunk bitmap; the others store sequentially.
+// "strided" stores 8 bytes in every 16, which leaves both pages' written
+// bytes in 256 runs each; the others store sequentially.
 func BenchmarkThreadAccess(b *testing.B) {
 	const alone, polled, pended, strided = 0, 1, 2, 3
 	for _, bc := range []struct {

@@ -696,23 +696,9 @@ func (t *thread) sleep() wakeEvent {
 //
 //detvet:holds exec.mu
 func (e *exec) buildReportLocked(elapsed time.Duration) *api.Report {
-	rep := &api.Report{
-		Observations: make(map[api.ThreadID][]uint64, len(e.threads)),
-		Elapsed:      elapsed,
-		Threads:      len(e.threads),
-	}
-	d := api.NewDigest()
-	for _, t := range e.threads {
-		rep.Stats.Add(&t.st)
-		rep.Observations[t.id] = t.obs
-		d = d.Log(t.id, t.obs)
-		if t.exitVT > vtime.Time(rep.VirtualTime) {
-			rep.VirtualTime = uint64(t.exitVT)
-		}
-	}
-	rep.OutputHash = uint64(d.Word(e.threads[0].space.Hash()))
-
-	rep.Stats.SharedMemBytes = e.alloc.HighWater()
+	rep := api.NewReport(e.threads, func(t *thread) api.ThreadShare {
+		return api.ThreadShare{ID: t.id, Obs: t.obs, Stats: &t.st, ExitVT: uint64(t.exitVT)}
+	}, e.threads[0].space.Hash(), e.alloc.HighWater(), elapsed)
 	rep.Stats.MetadataBytes = e.store.HighWater()
 	rep.Stats.MetadataCapacity = e.store.Capacity()
 	rep.Stats.GCCount = e.store.GCCount()

@@ -161,12 +161,12 @@ func TestCutBeyondThePageCacheMatchesFullPageDiff(t *testing.T) {
 		}
 		slice.store()
 		var want []mem.Run
-		snapped := th.space.DirtyPages()
-		for _, pid := range snapped {
+		recorded := th.space.DirtyPages()
+		for _, pid := range recorded {
 			want = append(want, mem.DiffPage(pid, before[pid], th.space.PageData(pid))...)
 		}
-		if len(snapped) != pages || len(want) == 0 {
-			t.Fatalf("%s: %d pages snapshotted, reference diff of %d runs", slice.name, len(snapped), len(want))
+		if len(recorded) != pages || len(want) == 0 {
+			t.Fatalf("%s: %d pages snapshotted, reference diff of %d runs", slice.name, len(recorded), len(want))
 		}
 		hash := th.space.Hash()
 		got := endSlice(th)

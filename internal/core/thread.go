@@ -119,14 +119,14 @@ type thread struct {
 // re-making, plus its block site. No published slice, collect result or wake
 // event ever aliases it: the next call that uses it overwrites it.
 type threadScratch struct {
-	// precut's, which finishSlice commits: a run list per page record, by
-	// position in DirtyPages and never shortened, the one payload staging area
-	// under them, and the cut's tally. (One list for all pages regrows through
-	// append's 1.25× steps on a thread's first cuts: matmul allocated 17% more
-	// KiB per run that way.)
-	pageRuns [][]mem.Run
-	stage    []byte
-	cut      cutTally
+	// precut's, which finishSlice commits: a page record's extents and run
+	// list, by position in DirtyPages and never shortened, the one payload
+	// staging area under the runs, and the cut's tally. (One run list for all
+	// pages regrows through append's 1.25× steps on a thread's first cuts:
+	// matmul allocated 17% more KiB per run that way.)
+	pages []pageCut
+	stage []byte
+	cut   cutTally
 	// picked is collectLocked's: list positions of the slices it takes.
 	picked []int32
 	// flushOrder is flushAllPending's: the pended pages, ascending.
@@ -145,6 +145,13 @@ type release struct {
 	slice *slicestore.Slice
 	vt    vtime.Time
 	reads []racecheck.Range
+}
+
+// pageCut is one page record's part of a pre-cut: its extents, as
+// DirtyExtentsOf rendered them, and the runs its diff cut.
+type pageCut struct {
+	exts []mem.Extent
+	runs []mem.Run
 }
 
 // cutTally is what a pre-cut diffed: its runs, and the extents and bytes it
@@ -404,9 +411,10 @@ func (t *thread) harvestReads() {
 // precut reads the space and writes only the scratch and the thread's own
 // phase buffer, so it needs no turn: waitTurn runs it before WaitForTurn.
 // Lock's is speculative, and when slice merging continues the slice nothing
-// commits it. The pages are diffed in record order, extent by extent, each into
-// its run list over one staging area, sized first so that the diff never grows
-// it. The diff span times the pre-cut alone; the commit is untimed.
+// commits it. Each page's extents are rendered once, then the pages are
+// diffed in record order, extent by extent, each into its run list over one
+// staging area, sized first so that the diff never grows it. The diff span
+// times the pre-cut alone; the commit is untimed.
 func (t *thread) precut() {
 	sc := t.scratch
 	sc.cut = cutTally{}
@@ -415,8 +423,12 @@ func (t *thread) precut() {
 		return
 	}
 	ts := t.tb.Now()
-	for _, pid := range pages {
+	for i, pid := range pages {
+		if i == len(sc.pages) {
+			sc.pages = append(sc.pages, pageCut{})
+		}
 		exts := t.space.DirtyExtentsOf(pid)
+		sc.pages[i].exts = exts
 		sc.cut.extents += uint64(len(exts))
 		sc.cut.scanned += mem.ExtentBytes(exts)
 	}
@@ -425,12 +437,10 @@ func (t *thread) precut() {
 	}
 	stage := sc.stage[:0]
 	for i, pid := range pages {
-		if i == len(sc.pageRuns) {
-			sc.pageRuns = append(sc.pageRuns, nil)
-		}
-		sc.pageRuns[i], stage = mem.AppendDiffPageExtents(sc.pageRuns[i][:0], stage,
-			pid, t.space.SnapshotOf(pid), t.space.PageData(pid), t.space.DirtyExtentsOf(pid))
-		sc.cut.runs += len(sc.pageRuns[i])
+		pc := &sc.pages[i]
+		pc.runs, stage = mem.AppendDiffPageExtents(pc.runs[:0], stage,
+			pid, t.space.SnapshotOf(pid), t.space.PageData(pid), pc.exts)
+		sc.cut.runs += len(pc.runs)
 	}
 	sc.stage = stage
 	t.tb.Span(trace.PhaseDiff, ts)
@@ -463,8 +473,8 @@ func (t *thread) finishSlice() *slicestore.Slice {
 	copy(payload, sc.stage)
 	mods := make([]mem.Run, 0, sc.cut.runs)
 	off := 0
-	for _, runs := range sc.pageRuns[:len(pages)] {
-		for _, r := range runs {
+	for _, pc := range sc.pages[:len(pages)] {
+		for _, r := range pc.runs {
 			end := off + len(r.Data)
 			mods = append(mods, mem.Run{Addr: r.Addr, Data: payload[off:end:end]})
 			off = end

@@ -207,22 +207,9 @@ func (r *Runtime) Run(main api.ThreadFunc) (*api.Report, error) {
 	if e.err != nil {
 		return nil, e.err
 	}
-	rep := &api.Report{
-		Observations: make(map[api.ThreadID][]uint64, len(e.threads)),
-		Elapsed:      elapsed,
-		Threads:      len(e.threads),
-	}
-	d := api.NewDigest()
-	for _, t := range e.threads {
-		rep.Stats.Add(&t.st)
-		rep.Observations[t.id] = t.obs
-		d = d.Log(t.id, t.obs)
-		if uint64(t.exitVT) > rep.VirtualTime {
-			rep.VirtualTime = uint64(t.exitVT)
-		}
-	}
-	rep.OutputHash = uint64(d.Word(e.global.Hash()))
-	rep.Stats.SharedMemBytes = e.alloc.HighWater()
+	rep := api.NewReport(e.threads, func(t *thread) api.ThreadShare {
+		return api.ThreadShare{ID: t.id, Obs: t.obs, Stats: &t.st, ExitVT: uint64(t.exitVT)}
+	}, e.global.Hash(), e.alloc.HighWater(), elapsed)
 	rep.Stats.RuntimeMemBytes = e.footHW
 	return rep, nil
 }

@@ -14,6 +14,7 @@ import (
 	"io"
 	"strings"
 
+	"rfdet"
 	"rfdet/internal/api"
 	"rfdet/internal/core"
 	"rfdet/internal/dthreads"
@@ -58,17 +59,6 @@ func Run(rt api.Runtime, w workloads.Workload, cfg workloads.Config, repeats int
 	return &Result{Workload: w.Name, Runtime: rt.Name(), Threads: cfg.Threads, Report: best}, nil
 }
 
-// NewRFDetCI returns the paper's best configuration (RFDet-ci, all
-// optimizations).
-func NewRFDetCI() api.Runtime { return core.New(core.DefaultOptions()) }
-
-// NewRFDetPF returns RFDet-pf with all optimizations.
-func NewRFDetPF() api.Runtime {
-	opts := core.DefaultOptions()
-	opts.Monitor = core.MonitorPF
-	return core.New(opts)
-}
-
 // Figure7 regenerates Figure 7: execution time of DThreads, RFDet-pf and
 // RFDet-ci normalized to pthreads for every benchmark at the given thread
 // count. The paper reports (4 threads, AMD testbed): RFDet-ci ~1.35x,
@@ -76,7 +66,7 @@ func NewRFDetPF() api.Runtime {
 // ~10x (lu-non) and RFDet's worst case ~2.6x (ocean).
 func Figure7(out io.Writer, size workloads.Size, threads, repeats int) error {
 	cfg := workloads.Config{Threads: threads, Size: size}
-	rts := []api.Runtime{pthreads.New(), dthreads.New(), NewRFDetPF(), NewRFDetCI()}
+	rts := []api.Runtime{pthreads.New(), dthreads.New(), rfdet.NewPF(), rfdet.NewCI()}
 
 	fmt.Fprintf(out, "Figure 7: execution time normalized to pthreads (%d threads, size %s, virtual-time makespan)\n\n",
 		threads, size)
@@ -127,7 +117,7 @@ func Table1(out io.Writer, size workloads.Size, threads int) error {
 		"mem", "load", "store", "st w/cp",
 		"pthr(KB)", "rfdet(KB)", "dthr(KB)", "GC")
 	for _, w := range workloads.All() {
-		ci, err := Run(NewRFDetCI(), w, cfg, 1)
+		ci, err := Run(rfdet.NewCI(), w, cfg, 1)
 		if err != nil {
 			return err
 		}
@@ -169,7 +159,7 @@ func PropagationTable(out io.Writer, size workloads.Size, threads int) error {
 		"benchmark", "scanned", "maxlist",
 		"prop(B)", "plan-away(B)", "elided(B)", "unused%")
 	for _, w := range workloads.All() {
-		r, err := Run(NewRFDetCI(), w, cfg, 1)
+		r, err := Run(rfdet.NewCI(), w, cfg, 1)
 		if err != nil {
 			return err
 		}
@@ -189,15 +179,6 @@ func PropagationTable(out io.Writer, size workloads.Size, threads int) error {
 	return nil
 }
 
-// NewRFDetCITraced returns RFDet-ci with phase-level wall-clock tracing
-// enabled. Tracing is observational: the deterministic output is identical to
-// NewRFDetCI's.
-func NewRFDetCITraced() api.Runtime {
-	opts := core.DefaultOptions()
-	opts.PhaseTrace = true
-	return core.New(opts)
-}
-
 // PhaseTable renders the phase-level wall-clock breakdown of every workload
 // under RFDet-ci: where each execution actually spends its host time — turn
 // waits, monitor waits, slice diffing, plan building, slice application,
@@ -206,13 +187,17 @@ func NewRFDetCITraced() api.Runtime {
 // observability only and is not part of the deterministic artifact set.
 func PhaseTable(out io.Writer, size workloads.Size, threads int) error {
 	cfg := workloads.Config{Threads: threads, Size: size}
+	// Tracing is observational: the deterministic output is rfdet.NewCI's.
+	opts := rfdet.DefaultOptions()
+	opts.PhaseTrace = true
+	traced := rfdet.New(opts)
 	fmt.Fprintf(out, "Phase-level wall-clock breakdown (%d threads, size %s, RFDet-ci, host-dependent)\n\n", threads, size)
 	fmt.Fprintf(out, "%-18s %8s %8s %8s %8s %8s %8s %8s %9s %8s %8s %8s | %8s %8s %8s\n",
 		"benchmark", "turn-us", "mon-us", "diff-us", "plan-us", "apply-us",
 		"premrg-us", "lazy-us", "block-us", "drain-us", "user-us", "wall-us",
 		"tw-p50", "tw-p95", "tw-p99")
 	for _, w := range workloads.All() {
-		r, err := Run(NewRFDetCITraced(), w, cfg, 1)
+		r, err := Run(traced, w, cfg, 1)
 		if err != nil {
 			return err
 		}
@@ -255,7 +240,7 @@ func Figure8(out io.Writer, size workloads.Size, repeats int) error {
 			continue
 		}
 		row := fmt.Sprintf("%-18s |", w.Name)
-		for i, rt := range []api.Runtime{pthreads.New(), NewRFDetCI()} {
+		for i, rt := range []api.Runtime{pthreads.New(), rfdet.NewCI()} {
 			var base float64
 			for _, n := range []int{2, 4, 8} {
 				res, err := Run(rt, w, workloads.Config{Threads: n, Size: size}, repeats)
@@ -353,7 +338,7 @@ func Figure9(out io.Writer, size workloads.Size, threads, repeats int) error {
 // both RFDet monitors, DThreads, and pthreads to show what nondeterminism
 // looks like.
 func RaceyRuntimes() []api.Runtime {
-	return []api.Runtime{NewRFDetCI(), NewRFDetPF(), dthreads.New(), pthreads.New()}
+	return []api.Runtime{rfdet.NewCI(), rfdet.NewPF(), dthreads.New(), pthreads.New()}
 }
 
 // RaceyCheck performs the §5.1 determinism stress: racey is executed `runs`

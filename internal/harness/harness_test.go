@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"rfdet"
 	"rfdet/internal/api"
 	"rfdet/internal/pthreads"
 	"rfdet/internal/workloads"
@@ -20,7 +21,7 @@ func TestRunMedianOfRepeats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(NewRFDetCI(), w, workloads.Config{Threads: 2, Size: workloads.SizeTest}, 3)
+	res, err := Run(rfdet.NewCI(), w, workloads.Config{Threads: 2, Size: workloads.SizeTest}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +41,7 @@ func TestRunPropagatesErrors(t *testing.T) {
 			return func(t apiThread) { t.Unlock(64) } // misuse: unheld mutex
 		},
 	}
-	if _, err := Run(NewRFDetCI(), broken, workloads.Config{Threads: 1, Size: workloads.SizeTest}, 1); err == nil {
+	if _, err := Run(rfdet.NewCI(), broken, workloads.Config{Threads: 1, Size: workloads.SizeTest}, 1); err == nil {
 		t.Fatal("expected the misuse error to propagate")
 	}
 	// And a healthy run on the pthreads baseline works.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"rfdet"
 	"rfdet/internal/litmus"
 	"rfdet/internal/pthreads"
 )
@@ -16,7 +17,7 @@ func LitmusTable(out io.Writer, runs int) error {
 	fmt.Fprintf(out, "DLRC memory-model litmus results (§3; pthreads sampled %d times)\n\n", runs)
 	fmt.Fprintf(out, "%-12s %-26s %-34s %s\n", "litmus", "DLRC (every run)", "pthreads (distinct outcomes)", "notes")
 	for _, tst := range litmus.Tests() {
-		rfdetOutcomes, err := litmus.Observe(NewRFDetCI(), tst, 3)
+		rfdetOutcomes, err := litmus.Observe(rfdet.NewCI(), tst, 3)
 		if err != nil {
 			return err
 		}

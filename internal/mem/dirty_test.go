@@ -32,80 +32,55 @@ func extentsWellFormed(exts []Extent) error {
 func TestExtentMarkCoalesce(t *testing.T) {
 	var d dirtyPage
 	var page [PageSize]byte // d has no snapshot: mark copies nothing from it
-	d.mark(&page, 100, 10)  // [100,110)
-	d.mark(&page, 200, 10)  // disjoint after
-	d.mark(&page, 50, 10)   // disjoint before
-	if want := []Extent{{50, 10}, {100, 10}, {200, 10}}; !extentsEqual(d.extents, want) {
-		t.Fatalf("disjoint marks = %+v, want %+v", d.extents, want)
+	exts := func() []Extent { return d.written.appendExtents(nil) }
+	d.mark(&page, 100, 10) // [100,110)
+	d.mark(&page, 200, 10) // disjoint after
+	d.mark(&page, 50, 10)  // disjoint before
+	if want := []Extent{{50, 10}, {100, 10}, {200, 10}}; !slices.Equal(exts(), want) {
+		t.Fatalf("disjoint marks = %+v, want %+v", exts(), want)
 	}
 	d.mark(&page, 110, 5) // touches [100,110) → merges
-	if want := []Extent{{50, 10}, {100, 15}, {200, 10}}; !extentsEqual(d.extents, want) {
-		t.Fatalf("touching mark = %+v, want %+v", d.extents, want)
+	if want := []Extent{{50, 10}, {100, 15}, {200, 10}}; !slices.Equal(exts(), want) {
+		t.Fatalf("touching mark = %+v, want %+v", exts(), want)
 	}
 	d.mark(&page, 55, 50) // spans the gap between the first two → one extent
-	if want := []Extent{{50, 65}, {200, 10}}; !extentsEqual(d.extents, want) {
-		t.Fatalf("spanning mark = %+v, want %+v", d.extents, want)
+	if want := []Extent{{50, 65}, {200, 10}}; !slices.Equal(exts(), want) {
+		t.Fatalf("spanning mark = %+v, want %+v", exts(), want)
 	}
 	d.mark(&page, 60, 3) // fully contained: no change
-	if want := []Extent{{50, 65}, {200, 10}}; !extentsEqual(d.extents, want) {
-		t.Fatalf("contained mark = %+v, want %+v", d.extents, want)
+	if want := []Extent{{50, 65}, {200, 10}}; !slices.Equal(exts(), want) {
+		t.Fatalf("contained mark = %+v, want %+v", exts(), want)
 	}
 	d.mark(&page, 0, PageSize) // whole page swallows everything
-	if want := []Extent{{0, PageSize}}; !extentsEqual(d.extents, want) {
-		t.Fatalf("whole-page mark = %+v, want %+v", d.extents, want)
+	if want := []Extent{{0, PageSize}}; !slices.Equal(exts(), want) {
+		t.Fatalf("whole-page mark = %+v, want %+v", exts(), want)
 	}
 }
 
-func extentsEqual(a, b []Extent) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+// TestMaskExtents states the render outright: a mask's runs come out as
+// extents in address order, a run that crosses from one mask word into the
+// next as one.
+func TestMaskExtents(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		set  []Extent // marked in order
+		want []Extent
+	}{
+		{"an empty mask", nil, nil},
+		{"one byte", []Extent{{700, 1}}, []Extent{{700, 1}}},
+		{"a run across a mask word", []Extent{{60, 10}}, []Extent{{60, 10}}},
+		{"bit 63 touching bit 0 of the next word", []Extent{{128, 1}, {127, 1}}, []Extent{{127, 2}}},
+		{"runs ending and starting at a word edge", []Extent{{0, 64}, {64, 64}, {200, 56}}, []Extent{{0, 128}, {200, 56}}},
+		{"two runs in one word, then the page's last byte", []Extent{{3, 2}, {9, 1}, {PageSize - 1, 1}}, []Extent{{3, 2}, {9, 1}, {PageSize - 1, 1}}},
+		{"a full page", []Extent{{0, PageSize}}, []Extent{{0, PageSize}}},
+	} {
+		var m byteMask
+		for _, e := range tc.set {
+			m.set(e.Off, e.End())
 		}
-	}
-	return true
-}
-
-func TestExtentBitmapConversion(t *testing.T) {
-	var d dirtyPage
-	var page [PageSize]byte
-	// More than maxExtentsPerPage disjoint single-byte writes, two per
-	// 128-byte stride, force the bitmap.
-	for i := 0; i <= maxExtentsPerPage; i++ {
-		d.mark(&page, uint32(i*128), 1)
-	}
-	if d.bitmap == 0 {
-		t.Fatalf("%d disjoint extents did not trigger bitmap mode", maxExtentsPerPage+1)
-	}
-	exts := d.snapshotExtents()
-	if err := extentsWellFormed(exts); err != nil {
-		t.Fatalf("bitmap extents malformed: %v", err)
-	}
-	// Bitmap granularity is ChunkSize: every original byte must be covered,
-	// and every extent must be chunk-aligned.
-	for i := 0; i <= maxExtentsPerPage; i++ {
-		off := uint32(i * 128)
-		if !extentsCover(exts, off, 1) {
-			t.Fatalf("bitmap extents %+v do not cover byte %d", exts, off)
+		if got := m.appendExtents(nil); !slices.Equal(got, tc.want) {
+			t.Errorf("%s: extents %+v, want %+v", tc.name, got, tc.want)
 		}
-	}
-	for _, e := range exts {
-		if e.Off%ChunkSize != 0 || e.Len%ChunkSize != 0 {
-			t.Fatalf("bitmap extent %+v is not chunk-aligned", e)
-		}
-	}
-	// Consecutive chunks coalesce: marking everything yields one extent.
-	var full dirtyPage
-	full.bitmap = ^uint64(0)
-	if exts := full.snapshotExtents(); !extentsEqual(exts, []Extent{{0, PageSize}}) {
-		t.Fatalf("full bitmap = %+v, want one whole-page extent", exts)
-	}
-	// Marks after conversion land in the bitmap.
-	d.mark(&page, 4095, 1)
-	if !extentsCover(d.snapshotExtents(), 4095, 1) {
-		t.Fatal("mark after bitmap conversion lost")
 	}
 }
 
@@ -116,21 +91,6 @@ func extentsCover(exts []Extent, off, n uint32) bool {
 		}
 	}
 	return false
-}
-
-func TestChunkMask(t *testing.T) {
-	if m := chunkMask(0, 1); m != 1 {
-		t.Fatalf("chunkMask(0,1) = %#x", m)
-	}
-	if m := chunkMask(63, 2); m != 3 { // straddles chunks 0 and 1
-		t.Fatalf("chunkMask(63,2) = %#x", m)
-	}
-	if m := chunkMask(0, PageSize); m != ^uint64(0) {
-		t.Fatalf("chunkMask(0,PageSize) = %#x", m)
-	}
-	if m := chunkMask(4095, 1); m != 1<<63 {
-		t.Fatalf("chunkMask(4095,1) = %#x", m)
-	}
 }
 
 func TestSpaceDirtyTrackingLifecycle(t *testing.T) {
@@ -284,7 +244,7 @@ func TestFirstStoreFaults(t *testing.T) {
 // space, snapshotting each page on its first write exactly as the CI/PF
 // monitors do, and returns the snapshots in first-write order. The sequence
 // mixes Store8/Store32/Store64/WriteBytes, page-straddling writes and
-// same-value overwrites (which must be *excluded* from the diff but may be
+// same-value overwrites (which must be *excluded* from the diff but are
 // *included* in the extents).
 func writeScript(r *rand.Rand, s *Space, pages int) (map[PageID][]byte, []PageID) {
 	snaps := make(map[PageID][]byte)
@@ -331,11 +291,11 @@ func writeScript(r *rand.Rand, s *Space, pages int) (map[PageID][]byte, []PageID
 			r.Read(buf)
 			snapshot(a, n)
 			s.WriteBytes(a, buf)
-		case 4: // dense single-page scribble: pushes the page to bitmap mode
+		case 4: // scattered single-page scribble: twenty one-byte runs
 			pid := PageID(r.Intn(pages))
 			base := PageAddr(pid)
 			snapshot(base, 1)
-			for k := 0; k < maxExtentsPerPage+4; k++ {
+			for k := 0; k < 20; k++ {
 				off := uint64(r.Intn(PageSize))
 				s.Store8(base+off, byte(r.Int()))
 			}
@@ -398,29 +358,26 @@ func runsEqual(a, b []Run) bool {
 	return true
 }
 
-// TestDiffExtentsEquivalenceBitmap pins the bitmap degradation path: a page
-// fragmented past maxExtentsPerPage must still diff identically, with
-// chunk-granular extents.
-func TestDiffExtentsEquivalenceBitmap(t *testing.T) {
+// TestDiffExtentsEquivalenceFragmented: a page written in 32 disjoint bytes
+// keeps 32 one-byte extents, and its extent-guided diff is the full-page one.
+func TestDiffExtentsEquivalenceFragmented(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	s := NewSpace()
 	s.SetDirtyTracking(true)
 	snap := s.Snapshot(0)
-	// 32 disjoint 1-byte writes at 128-byte strides: far past the threshold.
+	var want []Extent
 	for i := 0; i < 32; i++ {
 		s.Store8(uint64(i*128), byte(r.Int())|1)
+		want = append(want, Extent{Off: uint32(i * 128), Len: 1})
 	}
 	exts := s.DirtyExtentsOf(0)
-	if len(exts) == 0 {
-		t.Fatal("no extents recorded")
+	if !slices.Equal(exts, want) {
+		t.Fatalf("extents %+v, want the 32 bytes written", exts)
 	}
 	full := DiffPage(0, snap, s.PageData(0))
 	guided := DiffPageExtents(0, snap, s.PageData(0), exts)
 	if !runsEqual(full, guided) {
-		t.Fatalf("bitmap-mode diff diverges:\nfull   %v\nguided %v", full, guided)
-	}
-	if got := ExtentBytes(exts); got >= PageSize {
-		t.Fatalf("bitmap extents scan the whole page (%d bytes): no sparsity win", got)
+		t.Fatalf("fragmented diff diverges:\nfull   %v\nguided %v", full, guided)
 	}
 }
 

@@ -78,7 +78,7 @@ type FaultHandler func(p PageID, write bool)
 
 // pageCacheSize is the slot count of a Space's direct-mapped page cache. One
 // slot thrashes on matmul, which alternates between an A page and a B page;
-// Space is 4,752 bytes in the 4,864-byte size class: three more slots fit.
+// Space is 4,728 bytes in the 4,864-byte size class: three more slots fit.
 const pageCacheSize = 16
 
 // pageSlot is what an access asks about page id, so that a hit consults no
@@ -113,17 +113,15 @@ type Space struct {
 
 	// The slice's page records (dirty.go): one per page written or snapshotted
 	// while trackDirty is set, in first-touch order, reset at slice end; the
-	// slot of a page being stored to holds its record. dirtyFree holds the
-	// records ResetDirty retired, for the next slice's first touches.
+	// slot of a page being stored to holds its record.
 	trackDirty bool
 	dirty      map[PageID]*dirtyPage
 	dirtyOrder []PageID
-	dirtyFree  []*dirtyPage
 
-	// Per-slice read-set tracking (reads.go): per-page loaded-byte extents,
+	// Per-slice read-set tracking (reads.go): per-page loaded-byte masks,
 	// recorded on every load while trackReads is set (race detection only)
-	// and reset at slice end. Same single-entry cache trick as dirty
-	// tracking.
+	// and reset at slice end. The last page read is kept at hand, so a loop
+	// over one page skips the map.
 	trackReads bool
 	reads      map[PageID]*readSet
 	readOrder  []PageID

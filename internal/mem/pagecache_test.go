@@ -12,7 +12,8 @@ import (
 )
 
 // A Space against the obvious model of one: a page table, a table of pended
-// runs and a per-page written-byte set that are maps and nothing else, with
+// runs and per-page written- and loaded-byte sets that are maps and nothing
+// else, with
 // copy-on-write sharing counted per page. The Space puts a direct-mapped cache
 // in front of its tables, each slot carrying the page, its pended record and
 // the slice's record of it; the model stays here as the reference whatever
@@ -40,6 +41,12 @@ type modelSpace struct {
 	order    []PageID
 	written  map[PageID]*[PageSize]bool
 	snaps    map[PageID]*modelSnap
+
+	// The slice's read sets, while read tracking: pages in first-load order,
+	// the bytes loaded.
+	readTracking bool
+	readOrder    []PageID
+	loaded       map[PageID]*[PageSize]bool
 }
 
 // modelSnap is a slice's snapshot of a page: the chunks copied so far, each
@@ -57,6 +64,7 @@ func newModelSpace() *modelSpace {
 		pended:  map[PageID][]Run{},
 		written: map[PageID]*[PageSize]bool{},
 		snaps:   map[PageID]*modelSnap{},
+		loaded:  map[PageID]*[PageSize]bool{},
 	}
 }
 
@@ -129,6 +137,29 @@ func (m *modelSpace) access(a uint64, n int, write bool) {
 func (m *modelSpace) read(a uint64, buf []byte) {
 	m.access(a, len(buf), false)
 	m.peek(a, buf)
+	if m.readTracking {
+		mark(&m.readOrder, m.loaded, a, len(buf))
+	}
+}
+
+// mark records the n bytes at a in a per-page byte set, starting a page's set
+// in order at its first byte.
+func mark(order *[]PageID, set map[PageID]*[PageSize]bool, a uint64, n int) {
+	for i := range n {
+		id := PageOf(a + uint64(i))
+		if set[id] == nil {
+			set[id] = new([PageSize]bool)
+			if !slices.Contains(*order, id) {
+				*order = append(*order, id)
+			}
+		}
+		set[id][(a+uint64(i))&PageMask] = true
+	}
+}
+
+func (m *modelSpace) resetReads() {
+	m.readOrder = nil
+	clear(m.loaded)
 }
 
 // peek reads past the pended runs, as Snapshot and PageData do.
@@ -203,14 +234,7 @@ func (m *modelSpace) write(a uint64, data []byte) {
 	}
 	m.copyChunks(a, len(data))
 	m.poke(a, data)
-	for i := range data {
-		id := PageOf(a + uint64(i))
-		m.touch(id)
-		if m.written[id] == nil {
-			m.written[id] = new([PageSize]bool)
-		}
-		m.written[id][(a+uint64(i))&PageMask] = true
-	}
+	mark(&m.order, m.written, a, len(data))
 }
 
 // poke writes past pended runs and records, as a propagated update does.
@@ -294,10 +318,10 @@ func (m *modelSpace) privateBytes() uint64 {
 // calls — which page, load or store, in which order — are compared with the
 // faults the model took; after every operation every slot's Hash,
 // PrivateBytes, PageCount and PendedPages are compared, every cache is checked
-// against its tables, and the operated slot's records are: the pages in first-touch order, each page's extents well-formed and a
-// superset of the bytes written since the last reset (exactly those bytes
-// until the page degrades to the chunk bitmap), and each snapshot, on every
-// chunk that holds a written byte, the page as it was just before that
+// against its tables, and so are the operated slot's records and read sets:
+// the pages in first-touch and first-load order, each page's extents exactly
+// the bytes stored or loaded since the last reset, and each snapshot, on
+// every chunk that holds a written byte, the page as it was just before that
 // chunk's first store — after any apply that landed between the snapshot and
 // that store — or as it was when the page went past denseChunks copied
 // chunks. A trailing fragment shorter than an operation is ignored.
@@ -335,25 +359,12 @@ func (sp spacePair) checkRecords(t *testing.T, where string) {
 		t.Fatalf("%s: %d records, of pages %v; model's first-touch order %v", where, len(sp.s.dirty), got, sp.m.order)
 	}
 	for _, id := range sp.m.order {
-		exts := sp.s.DirtyExtentsOf(id)
-		if err := extentsWellFormed(exts); err != nil {
-			t.Fatalf("%s: page %d extents %+v: %v", where, id, exts, err)
-		}
-		var covered [PageSize]bool
-		for _, e := range exts {
-			for b := e.Off; b < e.End(); b++ {
-				covered[b] = true
-			}
-		}
 		written := sp.m.written[id]
 		if written == nil {
 			written = new([PageSize]bool) // snapshotted, not yet stored to
 		}
-		exact := sp.s.dirty[id].bitmap == 0
-		for b := range covered {
-			if written[b] && !covered[b] || exact && covered[b] && !written[b] {
-				t.Fatalf("%s: page %d byte %d: written %v, in extents %+v (exact: %v)", where, id, b, written[b], exts, exact)
-			}
+		if got, want := sp.s.DirtyExtentsOf(id), extentsOf(written); !slices.Equal(got, want) {
+			t.Fatalf("%s: page %d extents %+v, the bytes written %+v", where, id, got, want)
 		}
 		snap, want := sp.s.SnapshotOf(id), sp.m.snaps[id]
 		if (snap == nil) != (want == nil) {
@@ -375,6 +386,29 @@ func (sp spacePair) checkRecords(t *testing.T, where string) {
 			}
 		}
 	}
+	if got := sp.s.ReadPages(); !slices.Equal(got, sp.m.readOrder) {
+		t.Fatalf("%s: read sets of pages %v; model's first-load order %v", where, got, sp.m.readOrder)
+	}
+	for _, id := range sp.m.readOrder {
+		if got, want := sp.s.ReadExtentsOf(id), extentsOf(sp.m.loaded[id]); !slices.Equal(got, want) {
+			t.Fatalf("%s: page %d read extents %+v, the bytes loaded %+v", where, id, got, want)
+		}
+	}
+}
+
+// extentsOf returns the runs of a byte set, in address order.
+func extentsOf(set *[PageSize]bool) []Extent {
+	var exts []Extent
+	for b := uint32(0); b < PageSize; b++ {
+		switch {
+		case !set[b]:
+		case b > 0 && set[b-1]:
+			exts[len(exts)-1].Len++
+		default:
+			exts = append(exts, Extent{Off: b, Len: 1})
+		}
+	}
+	return exts
 }
 
 func runSpaceProgram(t *testing.T, prog []byte) {
@@ -535,6 +569,9 @@ func runSpaceProgram(t *testing.T, prog []byte) {
 			if sp.m.tracking = n%2 == 1; !sp.m.tracking {
 				sp.m.resetDirty()
 			}
+			if sp.m.readTracking = n%4 == 3; !sp.m.readTracking {
+				sp.m.resetReads()
+			}
 		case 17:
 			sp.s.ResetDirty()
 			sp.m.resetDirty()
@@ -573,8 +610,9 @@ func runSpaceProgram(t *testing.T, prog []byte) {
 // tables can get wrong: few slots and pages, so that clones, releases,
 // pends, flushes, resets and colliding pages meet cached entries, and offsets at
 // both ends of a page. Two programs in three start with tracking on. About
-// one operation in thirty is followed by a burst that takes a snapshotted page
-// into bitmap mode, which scattered stores seldom reach.
+// one operation in thirty is followed by a burst of one-byte stores to a
+// snapshotted page, one per chunk, that takes it past denseChunks, which
+// scattered stores seldom reach.
 func randomSpaceProgram(r *rand.Rand, ops int) []byte {
 	var prog []byte
 	if r.Intn(3) != 0 {
@@ -599,12 +637,13 @@ func randomSpaceProgram(r *rand.Rand, ops int) []byte {
 		}
 		prog = append(prog, spaceOp(kind, byte(r.Intn(3)), byte(r.Intn(3)), byte(r.Intn(16)), off, r.Intn(256))...)
 		if r.Intn(30) == 0 {
-			// One-byte stores two bytes apart, after the monitor's store:
-			// the page's extents fragment into the chunk bitmap.
+			// One-byte stores 66 bytes apart, after the monitor's store: the
+			// page's extents fragment, and the seventeenth store's chunk is
+			// past denseChunks.
 			slot, page, off := byte(r.Intn(3)), byte(r.Intn(16)), r.Intn(PageSize-64)
 			prog = append(prog, spaceOp(18, slot, 0, page, off, 0)...)
-			for k := 0; k <= maxExtentsPerPage; k++ {
-				prog = append(prog, spaceOp(3, slot, 0, page, off+10+2*k, 0)...)
+			for k := 0; k <= denseChunks; k++ {
+				prog = append(prog, spaceOp(3, slot, 0, page, off+10+66*k, 0)...)
 			}
 		}
 	}
@@ -636,16 +675,18 @@ func FuzzSpacePageCache(f *testing.F) {
 // TestSpaceStaysInSizeClass: with the 8-byte allocation header a Space must
 // stay ≤ 4,856 bytes to be served from the 4,864-byte class it was in before
 // it had a page cache; the next class is 5,376, and one class more per Clone
-// is past matmul's 1% alloc_kb_per_run bound. It is 4,752 with sixteen
+// is past matmul's 1% alloc_kb_per_run bound. It is 4,728 with sixteen
 // 32-byte slots: three more would fit, thirty-two do not. A page record
-// (dirtyPage), of which a space allocates as many as one slice touches pages,
-// must stay in the 64-byte class.
+// (dirtyPage) is its 520-byte mask, its snapshot and its extent storage:
+// 568 bytes, in the 576-byte class. Records are pooled, not allocated per
+// slice, so the bound is that class: what a record adds is paid once per
+// record the pool has to make.
 func TestSpaceStaysInSizeClass(t *testing.T) {
 	if sz := unsafe.Sizeof(Space{}); sz > 4856 {
 		t.Fatalf("unsafe.Sizeof(Space{}) = %d, want ≤ 4856", sz)
 	}
-	if sz := unsafe.Sizeof(dirtyPage{}); sz > 64 {
-		t.Fatalf("unsafe.Sizeof(dirtyPage{}) = %d, want ≤ 64", sz)
+	if sz := unsafe.Sizeof(dirtyPage{}); sz > 576 {
+		t.Fatalf("unsafe.Sizeof(dirtyPage{}) = %d, want ≤ 576", sz)
 	}
 }
 

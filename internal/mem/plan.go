@@ -18,11 +18,11 @@ package mem
 // or provably blocked under the monitor).
 //
 // A plan's per-page patches record what they have written in a mask of one
-// bit per byte — not the dirty tracker's extent list, whose insert costs a
-// search and a merge per run (a byte-granular diff of rewritten floats cuts
-// some 300 runs of 13 bytes per page), and never its 64-byte chunk bitmap: a
+// bit per byte (byteMask), as a slice's page records and read sets do: a
 // patch must know *exactly* the written bytes, never a superset, because the
-// staging buffer holds garbage outside them.
+// staging buffer holds garbage outside them, and marking a run costs a few
+// word operations wherever it falls — a byte-granular diff of rewritten floats
+// cuts some 300 runs of 13 bytes per page.
 
 import (
 	"cmp"
@@ -60,8 +60,9 @@ func PutPageBuf(b []byte) {
 }
 
 // poisonOnRecycle is the poison-on-recycle test hook, off by default: recycled
-// storage — snapshot buffers, released patches' staging buffers, the dirty
-// tracker's extent lists, the runtime's payload staging area — is overwritten
+// storage — snapshot buffers, released patches' staging buffers, the
+// extent lists rendered for page records and read sets, the runtime's payload
+// staging area — is overwritten
 // as it is given up, so whatever still aliases it reads garbage loudly
 // instead of bytes that happen to still be right.
 var poisonOnRecycle atomic.Bool
@@ -145,6 +146,27 @@ func (m *byteMask) count() uint64 {
 		n += bits.OnesCount64(m.mask[bits.TrailingZeros64(ws)])
 	}
 	return uint64(n)
+}
+
+// appendExtents appends the mask's runs — its maximal stretches of marked
+// bytes, a run that ends at bit 63 of one word going on at bit 0 of the next —
+// to exts as extents, in ascending order: sorted, coalesced and
+// gap-separated.
+func (m *byteMask) appendExtents(exts []Extent) []Extent {
+	for ws := m.words; ws != 0; ws &= ws - 1 {
+		w := uint32(bits.TrailingZeros64(ws))
+		for x := m.mask[w]; x != 0; {
+			lo := uint32(bits.TrailingZeros64(x))
+			hi := lo + uint32(bits.TrailingZeros64(^(x >> lo)))
+			if k := len(exts); k > 0 && exts[k-1].End() == w*64+lo {
+				exts[k-1].Len += hi - lo
+			} else {
+				exts = append(exts, Extent{Off: w*64 + lo, Len: hi - lo})
+			}
+			x &= fullWord << hi
+		}
+	}
+	return exts
 }
 
 // reset unmarks every byte, touching only the words that are marked.

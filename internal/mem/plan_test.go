@@ -231,30 +231,30 @@ func TestPlanInvariants(t *testing.T) {
 	}
 }
 
-// TestPagePatchLastWriterWins checks byte-level LWW and that — unlike the
-// dirty tracker — a patch stays precise past maxExtentsPerPage fragments.
+// TestPagePatchLastWriterWins checks byte-level LWW and that a patch stays
+// precise however fragmented its writes.
 func TestPagePatchLastWriterWins(t *testing.T) {
 	p := NewPagePatch(3)
 	defer p.Release()
 	base := PageAddr(3)
 
-	// 2*maxExtentsPerPage disjoint single-byte writes at even offsets: a
-	// dirtyPage would have degraded to 64-byte chunks long ago.
-	for i := 0; i < 2*maxExtentsPerPage; i++ {
+	// 32 disjoint single-byte writes, four bytes apart.
+	const writes = 32
+	for i := 0; i < writes; i++ {
 		p.AddRun(Run{Addr: base + uint64(4*i), Data: []byte{byte(i + 1)}})
 	}
 	// Overwrite the first byte: later writers win.
 	p.AddRun(Run{Addr: base, Data: []byte{0xAA}})
 
-	if got := p.UniqueBytes(); got != uint64(2*maxExtentsPerPage) {
-		t.Fatalf("UniqueBytes = %d, want %d (degraded to superset?)", got, 2*maxExtentsPerPage)
+	if got := p.UniqueBytes(); got != uint64(writes) {
+		t.Fatalf("UniqueBytes = %d, want %d (degraded to superset?)", got, writes)
 	}
-	if p.rawRuns != uint64(2*maxExtentsPerPage)+1 || p.rawBytes != uint64(2*maxExtentsPerPage)+1 {
+	if p.rawRuns != uint64(writes)+1 || p.rawBytes != uint64(writes)+1 {
 		t.Fatalf("raw accounting = %d runs / %d bytes", p.rawRuns, p.rawBytes)
 	}
 	runs := patchRuns(p)
-	if len(runs) != 2*maxExtentsPerPage {
-		t.Fatalf("materialized %d runs, want %d precise single-byte runs", len(runs), 2*maxExtentsPerPage)
+	if len(runs) != writes {
+		t.Fatalf("materialized %d runs, want %d precise single-byte runs", len(runs), writes)
 	}
 	if runs[0].Addr != base || runs[0].Data[0] != 0xAA {
 		t.Fatalf("first byte = %#x at %#x, want last writer 0xAA at base", runs[0].Data[0], runs[0].Addr)

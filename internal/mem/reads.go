@@ -3,24 +3,29 @@ package mem
 // Per-slice read-set tracking for the happens-before race detector
 // (internal/racecheck).
 //
-// Mirrors the dirty-write tracker (dirty.go) with one deliberate difference:
-// read pages never degrade to the chunk bitmap. Dirty extents may safely be a
-// superset of the written bytes because the slice-end diff rechecks every
-// byte, but read extents feed conflict detection directly — coarsening a read
-// to a 64-byte chunk would manufacture overlaps with writes the program never
-// observed, i.e. false races on race-free programs. Reads therefore keep the
-// precise coalescing interval list no matter how fragmented it gets; the
-// insertExtent fast path keeps sequential scans O(1) per read.
+// Mirrors the dirty-write tracker (dirty.go): each page read keeps a mask of
+// a bit per byte, set by every load of the slice, and ReadExtentsOf renders
+// its runs. Read extents feed conflict detection directly, so they must be
+// exact: a read widened to a coarser granule would manufacture overlaps with
+// writes the program never observed, i.e. false races on race-free programs.
 //
 // Like dirty tracking, propagation writes and slice application are invisible
 // here: only loads issued by the owning thread through the checked access
 // path mark read extents. The tracker is harvested and reset at every slice
 // end.
 
-// readSet is one page's read set: a sorted, coalesced interval list.
+import "sync"
+
+// readSet is one page's read set: the bytes loaded, and the storage
+// ReadExtentsOf renders them into.
 type readSet struct {
-	extents []Extent
+	exts   []Extent
+	loaded byteMask
 }
+
+// readPool recycles read sets with their extent storage, as dirtyPool does
+// page records.
+var readPool = sync.Pool{New: func() any { return new(readSet) }}
 
 // SetReadTracking enables or disables per-slice read-set tracking. Disabling
 // also discards any recorded state. Only the race detector turns this on;
@@ -38,11 +43,17 @@ func (s *Space) SetReadTracking(on bool) {
 // ReadTracking reports whether read-set tracking is enabled.
 func (s *Space) ReadTracking() bool { return s.trackReads }
 
-// ResetReads discards all recorded read extents (slice end).
+// ResetReads discards all recorded read sets (slice end), handing them back
+// to readPool.
 func (s *Space) ResetReads() {
-	for id := range s.reads {
-		delete(s.reads, id)
+	for _, id := range s.readOrder {
+		r := s.reads[id]
+		poison(r.exts, poisonedExtent)
+		r.exts = r.exts[:0]
+		r.loaded.reset()
+		readPool.Put(r)
 	}
+	clear(s.reads)
 	s.readOrder = s.readOrder[:0]
 	s.lastReadID, s.lastRead = 0, nil
 }
@@ -52,33 +63,33 @@ func (s *Space) ResetReads() {
 func (s *Space) ReadPages() []PageID { return s.readOrder }
 
 // ReadExtentsOf returns page id's read extents as a sorted, coalesced,
-// gap-separated list, or nil if the page has no recorded reads. Unlike dirty
-// extents these are exact: every byte in the list was loaded by the owning
-// thread during the current slice, and no byte outside it was.
+// gap-separated list, or nil if the page has no recorded reads: every byte in
+// the list was loaded by the owning thread during the current slice, and no
+// byte outside it was. The list aliases the read set's storage: it is valid
+// until the page's next load or ResetReads.
 func (s *Space) ReadExtentsOf(id PageID) []Extent {
 	r, ok := s.reads[id]
 	if !ok {
 		return nil
 	}
-	return r.extents
+	r.exts = r.loaded.appendExtents(r.exts[:0])
+	return r.exts
 }
 
-// markRead records a load of n bytes at page-local offset off. The
-// single-entry cache makes tight loops over one page skip the map lookup.
+// markRead records a load of n bytes at page-local offset off; n must not be
+// zero. The single-entry cache makes tight loops over one page skip the map
+// lookup.
 func (s *Space) markRead(id PageID, off, n uint32) {
-	if n == 0 {
-		return
-	}
 	r := s.lastRead
 	if r == nil || s.lastReadID != id {
 		var ok bool
 		r, ok = s.reads[id]
 		if !ok {
-			r = &readSet{}
+			r = readPool.Get().(*readSet)
 			s.reads[id] = r
 			s.readOrder = append(s.readOrder, id)
 		}
 		s.lastReadID, s.lastRead = id, r
 	}
-	r.extents = insertExtent(r.extents, off, n)
+	r.loaded.set(off, off+n)
 }

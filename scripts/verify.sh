@@ -13,7 +13,10 @@
 #                   edit that takes the helper past the inliner's budget fails
 #                   here instead of slowing every load; likewise
 #                   (*thread).loadTick and storeTick into every thread.Load*
-#                   and thread.Store* that ticks (StoreF64 calls Store64)
+#                   and thread.Store* that ticks (StoreF64 calls Store64);
+#                   and mem's (*byteMask).set into (*dirtyPage).mark and
+#                   (*Space).markRead, the mark every tracked store and load
+#                   pays
 #   5. go test    — full suite
 #   6. race tests — `make race`: the packages with real concurrency, under
 #                   -race with GOMAXPROCS oversubscribed (a thread's diff
@@ -67,6 +70,20 @@ sites=$(grep -n 't\.\(load\|store\)Tick()' internal/core/*.go | grep -v '_test\.
 ticking=$(grep '^func (t \*thread) \(Load\|Store\)' internal/core/thread.go | grep -vc '{ t\.Store')
 if [ "$inlined" != "$sites" ] || [ "$(echo "$sites" | grep -c .)" -ne "$ticking" ]; then
 	echo "want one inlined loadTick or storeTick call in each of the $ticking ticking thread.Load*/Store* methods" >&2
+	echo "call sites: $sites" >&2
+	echo "inlined at: $inlined" >&2
+	exit 1
+fi
+
+echo "==> inline check: (*byteMask).set in (*dirtyPage).mark and (*Space).markRead"
+inlined=$(go build -gcflags=-m ./internal/mem 2>&1 |
+	sed -n 's/^\(internal\/mem\/[a-z_]*\.go:[0-9]*\):[0-9]*: inlining call to (\*byteMask)\.set$/\1/p' | sort -u)
+sites=$(awk '/^func \(d \*dirtyPage\) mark\(|^func \(s \*Space\) markRead\(/ { f = 1 }
+	f && /\.set\(/ { print FILENAME ":" FNR }
+	/^}/ { f = 0 }' internal/mem/dirty.go internal/mem/reads.go | sort -u)
+missing=$(echo "$sites" | grep -vxF "$inlined" || true)
+if [ "$(echo "$sites" | grep -c .)" -ne 2 ] || [ -n "$missing" ]; then
+	echo "want (*byteMask).set inlined at one call in each of (*dirtyPage).mark and (*Space).markRead" >&2
 	echo "call sites: $sites" >&2
 	echo "inlined at: $inlined" >&2
 	exit 1
