@@ -9,6 +9,7 @@ import (
 	"rfdet/internal/api"
 	"rfdet/internal/trace"
 	"rfdet/internal/vclock"
+	"rfdet/internal/workloads"
 )
 
 // Deadline tests for Unlock's deferred release (sync.go). Each scenario is
@@ -177,8 +178,15 @@ func TestBackToBackUnlocksTakeTheTurn(t *testing.T) {
 // mutex and polls to take the release over; then thread 0 fails the run. The
 // poller must see the abort, and every thread must unwind.
 func TestAbortWithDeferredReleasePending(t *testing.T) {
+	checkMisuse(t, abortWithReleasePending(), errAbortWithRelease)
+}
+
+const errAbortWithRelease = "rfdet: thread 0: barrier with count 0"
+
+// abortWithReleasePending is TestAbortWithDeferredReleasePending's program.
+func abortWithReleasePending() api.ThreadFunc {
 	var released, queued atomic.Bool
-	checkMisuse(t, func(th api.Thread) {
+	return func(th api.Thread) {
 		m := th.Malloc(8)
 		th.Lock(m)
 		th.Spawn(func(c api.Thread) {
@@ -200,7 +208,30 @@ func TestAbortWithDeferredReleasePending(t *testing.T) {
 		spinUntil(&queued)
 		time.Sleep(5 * time.Millisecond) // thread 1 reaches its poll
 		th.Barrier(64, 0)
-	}, "rfdet: thread 0: barrier with count 0")
+	}
+}
+
+// TestAbortWithDeferredReleaseThenRunAgain: the Runtime keeps an execution's
+// thread scratch for the next one, the aborted one's too, whose thread 0 left
+// its deferred release published. The next execution on the same Runtime must
+// not run it: the KV server there gives its pinned output and virtual time
+// within the deadline, and a third execution's aborts as before.
+func TestAbortWithDeferredReleaseThenRunAgain(t *testing.T) {
+	rt := New(DefaultOptions())
+	server := workloads.Server(workloads.Config{Threads: 4, Size: workloads.SizeTest})
+	for i := 0; i < 2; i++ {
+		if _, err := runOn(t, rt, abortWithReleasePending()); err == nil || err.Error() != errAbortWithRelease {
+			t.Fatalf("run %d: error %v, want %q", 2*i, err, errAbortWithRelease)
+		}
+		rep, err := runOn(t, rt, server)
+		if err != nil {
+			t.Fatalf("run %d: %v", 2*i+1, err)
+		}
+		if rep.OutputHash != 0x4e54dc625c3bc116 || rep.VirtualTime != 469638 {
+			t.Fatalf("run %d: output=%#x vtime=%d after an abort, seed output=0x4e54dc625c3bc116 vtime=469638",
+				2*i+1, rep.OutputHash, rep.VirtualTime)
+		}
+	}
 }
 
 // TestUnlockOfUnheldMutexTakesTheTurn: an Unlock of a mutex another thread

@@ -113,6 +113,14 @@ func DefaultOptions() Options {
 type Runtime struct {
 	opts  Options
 	chunk chunking // tickChunk; only TestDeterminismIndependentOfChunk sets anything else
+
+	// spareMu guards spare: the working storage of finished executions'
+	// threads, capacity only (keepScratchLocked). An execution takes the
+	// whole list when it starts and its threads take from it before they
+	// make their own, so a run does not re-grow what the last one grew.
+	spareMu sync.Mutex //detvet:nativesync hands spare storage between executions; no ordering role.
+	//detvet:guardedby Runtime.spareMu
+	spare []*threadScratch
 }
 
 // New returns an RFDet runtime with the given options.
@@ -186,6 +194,10 @@ type exec struct {
 	// gcFrontier is the frontier of the last GC pass (gcLocked).
 	//detvet:guardedby exec.mu
 	gcFrontier vclock.VC
+	// spare is the Runtime's spare thread scratch, taken at the start
+	// (newScratchLocked pops it).
+	//detvet:guardedby exec.mu
+	spare []*threadScratch
 
 	wg sync.WaitGroup //detvet:nativesync joins thread goroutines at run end; no ordering role.
 	// deferred and ran count the releases Unlock deferred and those run.
@@ -283,6 +295,16 @@ func newExec(opts Options, chunk chunking) *exec {
 	return e
 }
 
+// newExec is a new execution under r's options, holding r's spare scratch.
+func (r *Runtime) newExec() *exec {
+	e := newExec(r.opts, r.chunk)
+	r.spareMu.Lock()
+	//detvet:lockcheck no goroutine of e exists yet.
+	e.spare, r.spare = r.spare, nil
+	r.spareMu.Unlock()
+	return e
+}
+
 // Run executes main as thread 0 and returns the deterministic report.
 func (r *Runtime) Run(main api.ThreadFunc) (*api.Report, error) {
 	rep, _, err := r.RunTraced(main)
@@ -293,7 +315,7 @@ func (r *Runtime) Run(main api.ThreadFunc) (*api.Report, error) {
 // Options.Trace is set). The trace must be byte-identical across runs of
 // the same program — the event-level form of the determinism guarantee.
 func (r *Runtime) RunTraced(main api.ThreadFunc) (*api.Report, *Trace, error) {
-	e := newExec(r.opts, r.chunk)
+	e := r.newExec()
 	t0 := &thread{
 		exec: e,
 		id:   0,
@@ -306,7 +328,8 @@ func (r *Runtime) RunTraced(main api.ThreadFunc) (*api.Report, *Trace, error) {
 		space:      mem.NewSpace(),
 		vtime:      vclock.New(1).Set(0, 1),
 		wake:       make(chan wakeEvent, 1), //detvet:nativesync 1-buffered wake mailbox; exactly one monitor-ordered waker per sleep.
-		scratch:    new(threadScratch),
+		//detvet:lockcheck no goroutine of e exists yet.
+		scratch: e.newScratchLocked(),
 	}
 	t0.tb = e.phases.NewThread(0)
 	t0.proc = e.sched.Register(0, 0)
@@ -323,6 +346,7 @@ func (r *Runtime) RunTraced(main api.ThreadFunc) (*api.Report, *Trace, error) {
 
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	r.keepScratchLocked(e)
 	if e.abortErr != nil {
 		return nil, nil, e.abortErr
 	}
@@ -336,6 +360,46 @@ func (r *Runtime) RunTraced(main api.ThreadFunc) (*api.Report, *Trace, error) {
 		tr = e.renderTraceLocked()
 	}
 	return e.buildReportLocked(elapsed), tr, nil
+}
+
+// newScratchLocked is a new thread's scratch: a finished execution's, if the
+// Runtime kept one, else a new one.
+//
+//detvet:holds exec.mu
+func (e *exec) newScratchLocked() *threadScratch {
+	n := len(e.spare)
+	if n == 0 {
+		return new(threadScratch)
+	}
+	sc := e.spare[n-1]
+	e.spare = e.spare[:n-1]
+	return sc
+}
+
+// keepScratchLocked hands the scratch of e's threads, whose goroutines have
+// all returned, to r for the next execution. It keeps capacity only: an
+// aborted run can leave a deferred release published, a block site or a
+// tally, and a page's extents alias a page record the space's pool owns.
+// With poison-on-recycle on, the staging area and the run lists are
+// overwritten, so an execution that read them before writing them shows.
+//
+//detvet:holds exec.mu
+func (r *Runtime) keepScratchLocked(e *exec) {
+	spare := e.spare
+	for _, t := range e.threads {
+		sc := t.scratch
+		for i := range sc.pages {
+			mem.PoisonRuns(sc.pages[i].runs)
+			sc.pages[i] = pageCut{runs: sc.pages[i].runs[:0]}
+		}
+		mem.PoisonScratch(sc.stage)
+		*sc = threadScratch{pages: sc.pages, stage: sc.stage[:0], picked: sc.picked[:0], flushOrder: sc.flushOrder[:0]}
+		spare = append(spare, sc)
+	}
+	e.spare = nil
+	r.spareMu.Lock()
+	r.spare = append(r.spare, spare...)
+	r.spareMu.Unlock()
 }
 
 // enter takes the commit monitor for a synchronization operation of thread

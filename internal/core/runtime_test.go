@@ -2,6 +2,7 @@ package core
 
 import (
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -479,6 +480,12 @@ func checkMisuse(t *testing.T, prog api.ThreadFunc, want string) {
 // once the goroutine count is back at its baseline.
 func runWithin(t *testing.T, opts Options, prog api.ThreadFunc) (*api.Report, error) {
 	t.Helper()
+	return runOn(t, New(opts), prog)
+}
+
+// runOn is runWithin on the Runtime rt.
+func runOn(t *testing.T, rt *Runtime, prog api.ThreadFunc) (*api.Report, error) {
+	t.Helper()
 	baseline := runtime.NumGoroutine()
 	type result struct {
 		rep *api.Report
@@ -486,7 +493,7 @@ func runWithin(t *testing.T, opts Options, prog api.ThreadFunc) (*api.Report, er
 	}
 	done := make(chan result, 1)
 	go func() {
-		rep, err := New(opts).Run(prog)
+		rep, err := rt.Run(prog)
 		done <- result{rep, err}
 	}()
 	var res result
@@ -504,6 +511,41 @@ func runWithin(t *testing.T, opts Options, prog api.ThreadFunc) (*api.Report, er
 		}
 	}
 	return res.rep, res.err
+}
+
+// TestConcurrentExecutionsShareOneRuntime: executions running at once on one
+// Runtime share its spare thread scratch, and each still gives its pins.
+// make race runs it, where an execution that touched another's scratch shows.
+func TestConcurrentExecutionsShareOneRuntime(t *testing.T) {
+	cfg := workloads.Config{Threads: 4, Size: workloads.SizeTest}
+	progs := []struct {
+		name          string
+		prog          api.ThreadFunc
+		output, vtime uint64
+	}{
+		{"server", workloads.Server(cfg), 0x4e54dc625c3bc116, 469638},
+		{"fft", workloads.FFT(cfg), 0x2c11c3233a156078, 85814},
+	}
+	rt := New(DefaultOptions())
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 4; i++ {
+				p := progs[(g+i)%len(progs)]
+				rep, err := rt.Run(p.prog)
+				if err != nil {
+					t.Errorf("%s: %v", p.name, err)
+					return
+				}
+				if rep.OutputHash != p.output || rep.VirtualTime != p.vtime {
+					t.Errorf("%s: output=%#x vtime=%d, seed output=%#x vtime=%d", p.name, rep.OutputHash, rep.VirtualTime, p.output, p.vtime)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestReportFields sanity-checks the report plumbing.

@@ -181,7 +181,8 @@ func TestCutBeyondThePageCacheMatchesFullPageDiff(t *testing.T) {
 
 // TestWarmCutAllocatesWhatTheSliceOwns: a cut on a thread that has cut
 // before allocates the Slice, its clock, its run list and its payload block,
-// and nothing else.
+// and nothing else; so does the first cut of a thread of a Runtime's next
+// execution, which cuts in the scratch a thread of the last one grew.
 func TestWarmCutAllocatesWhatTheSliceOwns(t *testing.T) {
 	if raceBuild() {
 		t.Skip("sync.Pool drops puts at random under -race")
@@ -189,13 +190,16 @@ func TestWarmCutAllocatesWhatTheSliceOwns(t *testing.T) {
 	th := cutThread()
 	var v uint64
 	var kept *slicestore.Slice
-	cut := func() {
+	store := func(th *thread) {
 		v++
 		for p := 0; p < 3; p++ {
 			for off := 0; off < 256; off += 16 {
 				th.Store64(api.Addr(p*mem.PageSize+off), v)
 			}
 		}
+	}
+	cut := func() {
+		store(th)
 		kept = endSlice(th)
 	}
 	cut()
@@ -204,6 +208,84 @@ func TestWarmCutAllocatesWhatTheSliceOwns(t *testing.T) {
 	}
 	if kept == nil || len(kept.Mods) != 3*16 {
 		t.Fatalf("cut produced %+v", kept)
+	}
+
+	rt := New(Options{})
+	const execs = 20
+	var allocs uint64
+	var ms runtime.MemStats
+	for i := 0; i <= execs; i++ {
+		e := rt.newExec()
+		e.mu.Lock()
+		th := fakeThread(e, 0, vclock.VC{1})
+		th.scratch = e.newScratchLocked()
+		e.threads = append(e.threads, th)
+		e.mu.Unlock()
+		th.monitoring = true
+		th.enableDirtyTracking()
+		store(th)
+		runtime.ReadMemStats(&ms)
+		before := ms.Mallocs
+		kept = endSlice(th)
+		runtime.ReadMemStats(&ms)
+		if i > 0 { // the first execution grows the scratch
+			allocs += ms.Mallocs - before
+		}
+		e.mu.Lock()
+		rt.keepScratchLocked(e)
+		e.mu.Unlock()
+		th.space.Release()
+	}
+	if got := allocs / execs; got != 4 {
+		t.Errorf("a next execution's first cut allocates %d objects, want 4 (Slice, Time, Mods, payload)", got)
+	}
+	if kept == nil || len(kept.Mods) != 3*16 {
+		t.Fatalf("cut produced %+v", kept)
+	}
+}
+
+// TestKeptScratchHoldsCapacityOnly: what the Runtime keeps of an execution's
+// thread scratch is capacity. An aborted execution leaves a deferred release
+// published, a block site and a cut's extents, which alias a page record the
+// space's pool owns; none of it reaches the spare list.
+func TestKeptScratchHoldsCapacityOnly(t *testing.T) {
+	rt := New(DefaultOptions())
+	if _, err := runOn(t, rt, abortWithReleasePending()); err == nil {
+		t.Fatal("the program did not abort")
+	}
+	if _, err := runOn(t, rt, func(th api.Thread) {
+		a := th.Malloc(8)
+		th.Join(th.Spawn(func(c api.Thread) { c.Store64(a, 7) }))
+	}); err != nil {
+		t.Fatal(err)
+	}
+	rt.spareMu.Lock()
+	defer rt.spareMu.Unlock()
+	// The second execution's two threads took two of the first's three; the
+	// one left is the aborted thread 0's, which published the release.
+	if len(rt.spare) != 3 {
+		t.Fatalf("%d spare scratches, want 3: one per thread of the larger execution", len(rt.spare))
+	}
+	grown := false
+	for i, sc := range rt.spare {
+		if sc.rel.key.Load() != 0 || sc.rel.sv != nil || sc.rel.slice != nil || sc.rel.reads != nil || sc.rel.vt != 0 {
+			t.Errorf("spare %d keeps a deferred release: %+v", i, &sc.rel)
+		}
+		if sc.site != (blockSite{}) || sc.cut != (cutTally{}) {
+			t.Errorf("spare %d keeps a block site %+v or a tally %+v", i, sc.site, sc.cut)
+		}
+		if len(sc.stage) != 0 || len(sc.picked) != 0 || len(sc.flushOrder) != 0 {
+			t.Errorf("spare %d keeps contents: stage %d bytes, picked %d, flushOrder %d", i, len(sc.stage), len(sc.picked), len(sc.flushOrder))
+		}
+		for j, pc := range sc.pages {
+			if pc.exts != nil || len(pc.runs) != 0 {
+				t.Errorf("spare %d page %d keeps %d extents, %d runs", i, j, len(pc.exts), len(pc.runs))
+			}
+		}
+		grown = grown || cap(sc.stage) > 0 && len(sc.pages) > 0
+	}
+	if !grown {
+		t.Error("no spare kept a staging area or a page list: nothing is recycled")
 	}
 }
 

@@ -576,7 +576,7 @@ func (t *thread) Spawn(fn api.ThreadFunc) api.ThreadID {
 		vtime:      tend.Clone().Set(int(id), 1),
 		vt:         t.vt + vtime.ThreadSpawn,
 		wake:       make(chan wakeEvent, 1), //detvet:nativesync 1-buffered wake mailbox; exactly one monitor-ordered waker per sleep.
-		scratch:    new(threadScratch),
+		scratch:    e.newScratchLocked(),
 	}
 	child.enableDirtyTracking()
 	child.slicePtrs = append(child.slicePtrs, t.slicePtrs...)

@@ -100,7 +100,8 @@ type thread struct {
 	joiners    []*thread
 	exitV      vclock.VC
 	exitVT     vtime.Time
-	// scratch is set at creation and never changed.
+	// scratch is set at creation and never changed within the execution;
+	// the Runtime keeps it for the next one (keepScratchLocked).
 	scratch *threadScratch
 
 	st  api.Stats
@@ -117,7 +118,9 @@ type thread struct {
 
 // threadScratch is the working storage a thread re-uses instead of
 // re-making, plus its block site. No published slice, collect result or wake
-// event ever aliases it: the next call that uses it overwrites it.
+// event ever aliases it: the next call that uses it overwrites it. Its
+// buffers outlive the thread: the Runtime hands them to a thread of its next
+// execution, emptied (keepScratchLocked).
 type threadScratch struct {
 	// precut's, which finishSlice commits: a page record's extents and run
 	// list, by position in DirtyPages and never shortened, the one payload

@@ -24,7 +24,7 @@ package mem
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
+	"math/bits"
 	"slices"
 	"sync/atomic"
 )
@@ -400,19 +400,57 @@ func (s *Space) PageData(id PageID) []byte {
 	return s.zero.Data[:]
 }
 
-// Hash folds every resident page into a 64-bit FNV digest, in ascending page
-// order. Zero pages that were never mapped do not contribute; a mapped page
-// that holds zeros does, so the digest is a deterministic function of the
-// store history.
+// Hash folds every resident page into a 64-bit FNV-1a digest: each page's id,
+// little-endian, then its bytes, in ascending page order. Zero pages that were
+// never mapped do not contribute; a mapped page that holds zeros does, so the
+// digest is a deterministic function of the store history.
 func (s *Space) Hash() uint64 {
-	h := fnv.New64a()
-	var idbuf [8]byte
+	h := uint64(fnvOffset)
 	s.Pages(func(id PageID, p *Page) {
-		binary.LittleEndian.PutUint64(idbuf[:], uint64(id))
-		h.Write(idbuf[:])
-		h.Write(p.Data[:])
+		h = fnvWord(h, uint64(id))
+		for i := 0; i < PageSize; i += 8 {
+			h = fnvWord(h, binary.LittleEndian.Uint64(p.Data[i:]))
+		}
 	})
-	return h.Sum64()
+	return h
+}
+
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+// fnvPrimePow[z] is fnvPrime to the z.
+var fnvPrimePow = func() (p [9]uint64) {
+	p[0] = 1
+	for z := 1; z < len(p); z++ {
+		p[z] = p[z-1] * fnvPrime
+	}
+	return p
+}()
+
+// fnvWord is FNV-1a over w's eight bytes, little-endian. A zero byte's step
+// only multiplies by the prime, so the word's z high zero bytes are one
+// multiply by the prime to the z: a page of matmul's small integers hashes in
+// under half the time, a zero page in a quarter, and a word with no high zero
+// byte takes the eight steps unrolled, as fast as hash/fnv
+// (BenchmarkSpaceHash).
+func fnvWord(h, w uint64) uint64 {
+	z := bits.LeadingZeros64(w) >> 3
+	if z == 0 {
+		h = (h ^ w&0xFF) * fnvPrime
+		h = (h ^ w>>8&0xFF) * fnvPrime
+		h = (h ^ w>>16&0xFF) * fnvPrime
+		h = (h ^ w>>24&0xFF) * fnvPrime
+		h = (h ^ w>>32&0xFF) * fnvPrime
+		h = (h ^ w>>40&0xFF) * fnvPrime
+		h = (h ^ w>>48&0xFF) * fnvPrime
+		return (h ^ w>>56) * fnvPrime
+	}
+	for ; w != 0; w >>= 8 {
+		h = (h ^ w&0xFF) * fnvPrime
+	}
+	return h * fnvPrimePow[z]
 }
 
 // String summarizes the space for debugging.

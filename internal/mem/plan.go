@@ -74,6 +74,13 @@ func SetPageBufPoison(on bool) { poisonOnRecycle.Store(on) }
 // with its contents: with poisoning on, b is overwritten, spare capacity too.
 func PoisonScratch(b []byte) { poison(b, 0xDB) }
 
+// PoisonRuns is PoisonScratch for a run list: each run, spare capacity too,
+// becomes one at poisonedRun's address with no bytes.
+func PoisonRuns(runs []Run) { poison(runs, poisonedRun) }
+
+// poisonedRun is what a recycled run list is overwritten with.
+var poisonedRun = Run{Addr: 0xDBDBDBDBDBDBDBDB}
+
 func poison[T any](s []T, v T) {
 	if poisonOnRecycle.Load() {
 		s = s[:cap(s)]

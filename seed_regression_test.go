@@ -494,7 +494,11 @@ type benchmarkProgramPin struct {
 // kv_server is the golden server — traced, with poison-on-recycle on, at
 // GOMAXPROCS 1, 4 and 8, and compares each execution with its pin. Eight Ps
 // on a host with fewer CPUs is the hostile case for the host interleavings a
-// deferred release adds (sync.go).
+// deferred release adds (sync.go). All twelve executions run on one Runtime,
+// so every one but the first cuts in thread scratch an earlier one grew and
+// handed back poisoned, and each program's second and third runs follow a
+// run of itself: a cut that read its staging area or run lists before
+// writing them changes the modification lists and misses the pins.
 func checkBenchmarkPrograms(t *testing.T, opts core.Options, pins []benchmarkProgramPin) {
 	t.Helper()
 	mem.SetPageBufPoison(true)
